@@ -18,8 +18,7 @@ Predicted tuples stay byte-identical throughout (pinned by
 
 Besides the per-module pipeline record, this file tracks the unified query
 engine's workloads: the LSH-backed 10k mutual merge (native kernel vs the
-``REPRO_NATIVE=0`` numpy path, digests asserted identical), the
-persistent-vs-fresh process-pool merge+prune comparison, and the
+``REPRO_NATIVE=0`` numpy path, digests asserted identical) and the
 LSH / HNSW / brute-force backend timing matrix — all appended to
 ``BENCH_pipeline.json``.
 
@@ -36,11 +35,9 @@ import time
 
 import numpy as np
 
-from repro.config import MergingConfig, ParallelConfig, PruningConfig, paper_default_config
+from repro.config import MergingConfig, paper_default_config
 from repro.core import MultiEM
 from repro.core.merging import ItemTable, hierarchical_merge_tables
-from repro.core.parallel import ParallelExecutor
-from repro.core.pruning import prune_items
 from repro.core.representation import EmbeddingStore, TableEmbeddings
 from repro.data.entity import EntityRef
 from repro.data.generators import load_benchmark
@@ -191,203 +188,6 @@ def _pool_bench_tables(num_tables: int, rows: int) -> tuple[list, EmbeddingStore
             TableEmbeddings(name, [EntityRef(name, i) for i in range(rows)], vectors)
         )
     return tables, store
-
-
-def run_process_pool_bench(num_tables: int = 8, rows: int = 1200, repeats: int = 3) -> dict:
-    """Process-backend merge+prune: persistent pool vs fresh pool per call.
-
-    ``reuse_pool=False`` restores the historical spin-up-per-``map``
-    behaviour; the persistent pool keeps workers (and their warmed kernels
-    and index caches) alive across every hierarchy level and the pruning
-    fan-out. Outputs are asserted identical to the serial run either way.
-    """
-    tables, store = _pool_bench_tables(num_tables, rows)
-    merging = MergingConfig(index="hnsw", m=0.5)
-    pruning = PruningConfig(epsilon=1.0)
-
-    def run(reuse_pool: bool):
-        executor = ParallelExecutor(
-            ParallelConfig(enabled=True, backend="process", max_workers=2, reuse_pool=reuse_pool)
-        )
-        try:
-            best = None
-            outputs = None
-            for _ in range(max(repeats, 1)):
-                started = time.perf_counter()
-                merged, _ = hierarchical_merge_tables(
-                    [table for table in tables], merging, executor=executor
-                )
-                pruned = prune_items(
-                    merged.filter(merged.sizes >= 2).to_items(), store, pruning,
-                    executor=executor,
-                )
-                elapsed = time.perf_counter() - started
-                if best is None or elapsed < best:
-                    best, outputs = elapsed, (merged, pruned)
-            return best, outputs
-        finally:
-            executor.close()
-
-    fresh_seconds, fresh_outputs = run(False)
-    reuse_seconds, reuse_outputs = run(True)
-    serial_merged, _ = hierarchical_merge_tables([table for table in tables], merging)
-    serial_pruned = prune_items(
-        serial_merged.filter(serial_merged.sizes >= 2).to_items(), store, pruning
-    )
-    for merged, pruned in (fresh_outputs, reuse_outputs):
-        assert np.array_equal(merged.vectors, serial_merged.vectors)
-        assert np.array_equal(merged.member_offsets, serial_merged.member_offsets)
-        assert [item.members for item in pruned] == [item.members for item in serial_pruned]
-    return {
-        "dataset": f"process-pool-{num_tables}x{rows}",
-        "profile": "tiny" if rows < 1000 else "bench",
-        "backend": "process",
-        "kind": "process_pool_merge_prune",
-        "rows": num_tables * rows,
-        "repeats": max(repeats, 1),
-        "pruned_tuples": len(serial_pruned),
-        "seconds_fresh_pool": round(fresh_seconds, 4),
-        "seconds_persistent_pool": round(reuse_seconds, 4),
-        "pool_reuse_speedup": round(fresh_seconds / max(reuse_seconds, 1e-9), 2),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def run_shm_pool_bench(num_tables: int = 8, rows: int = 1200, repeats: int = 3) -> dict:
-    """Process-backend merge+prune: pickle dispatch vs shared-memory planes.
-
-    Both runs use the same persistent pool configuration; the only variable
-    is the transport — task ``ItemTable``s / member matrices pickled through
-    the pool pipes versus shipped as zero-copy views over
-    :class:`repro.store.plane.TaskPlane` segments. Outputs are asserted
-    identical to the serial run for both (the shared-memory dispatch is
-    bit-identical by construction).
-    """
-    tables, store = _pool_bench_tables(num_tables, rows)
-    merging = MergingConfig(index="hnsw", m=0.5)
-    pruning = PruningConfig(epsilon=1.0)
-
-    def run(shared_memory: bool):
-        executor = ParallelExecutor(
-            ParallelConfig(
-                enabled=True, backend="process", max_workers=2, shared_memory=shared_memory
-            )
-        )
-        try:
-            best = None
-            outputs = None
-            for _ in range(max(repeats, 1)):
-                started = time.perf_counter()
-                merged, _ = hierarchical_merge_tables(
-                    [table for table in tables], merging, executor=executor
-                )
-                pruned = prune_items(
-                    merged.filter(merged.sizes >= 2).to_items(), store, pruning,
-                    executor=executor,
-                )
-                elapsed = time.perf_counter() - started
-                if best is None or elapsed < best:
-                    best, outputs = elapsed, (merged, pruned)
-            return best, outputs
-        finally:
-            executor.close()
-
-    pickle_seconds, pickle_outputs = run(False)
-    shm_seconds, shm_outputs = run(True)
-    serial_merged, _ = hierarchical_merge_tables([table for table in tables], merging)
-    serial_pruned = prune_items(
-        serial_merged.filter(serial_merged.sizes >= 2).to_items(), store, pruning
-    )
-    for merged, pruned in (pickle_outputs, shm_outputs):
-        assert np.array_equal(merged.vectors, serial_merged.vectors)
-        assert np.array_equal(merged.member_offsets, serial_merged.member_offsets)
-        assert [item.members for item in pruned] == [item.members for item in serial_pruned]
-    return {
-        "dataset": f"shm-pool-{num_tables}x{rows}",
-        "profile": "tiny" if rows < 1000 else "bench",
-        "backend": "process",
-        "kind": "shm_pool_merge_prune",
-        "rows": num_tables * rows,
-        "repeats": max(repeats, 1),
-        "pruned_tuples": len(serial_pruned),
-        "seconds_pickle_dispatch": round(pickle_seconds, 4),
-        "seconds_shared_memory_dispatch": round(shm_seconds, 4),
-        "shm_dispatch_speedup": round(pickle_seconds / max(shm_seconds, 1e-9), 2),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def run_plane_transport_bench(rows: int = 30_000, dim: int = 384, repeats: int = 3) -> dict:
-    """Raw transport cost of one ItemTable: pickle round trip vs plane round trip.
-
-    Isolates the serialization tax the shared-memory plane removes from the
-    pipeline noise: ``pickle.dumps`` + ``loads`` copies every byte twice
-    (serialize, deserialize), while the plane writes once into the segment
-    and the "worker" side reconstructs zero-copy views. Measured in-process
-    (no pool), so the numbers are pure transport.
-    """
-    import pickle
-
-    from repro.store import codecs as store_codecs
-    from repro.store import plane as plane_mod
-
-    rng = np.random.default_rng(1)
-    table = ItemTable(
-        rng.normal(size=(rows, dim)).astype(np.float32),
-        np.zeros(rows, dtype=np.int32),
-        np.arange(rows, dtype=np.int64),
-        np.arange(rows + 1, dtype=np.int64),
-        ("s0",),
-    )
-    payload_bytes = sum(
-        a.nbytes for a in (table.vectors, table.member_sources, table.member_indices, table.member_offsets)
-    )
-
-    def pickle_roundtrip():
-        blob = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
-        return pickle.loads(blob)
-
-    def plane_roundtrip():
-        meta, arrays = store_codecs.item_table_state(table)
-        meta = dict(meta)
-        meta["__arrays__"] = list(arrays)
-        task_plane = plane_mod.TaskPlane([arrays], [meta])
-        try:
-            reader = plane_mod.worker_plane(task_plane.name)
-            loaded = store_codecs.item_table_from_state(
-                meta, plane_mod.task_arrays(reader, 0, meta["__arrays__"])
-            )
-            assert loaded.vectors.shape == table.vectors.shape
-            del loaded, reader  # release the zero-copy views before closing
-        finally:
-            # Retire the in-process "worker" attachment before unlinking.
-            plane_mod.retire_worker_attachments()
-            task_plane.close()
-
-    def best_of(function):
-        best = None
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            function()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best
-
-    pickle_seconds = best_of(pickle_roundtrip)
-    plane_seconds = best_of(plane_roundtrip)
-    return {
-        "dataset": f"plane-transport-{rows}x{dim}",
-        "profile": "tiny" if rows < 10_000 else "bench",
-        "backend": "process",
-        "kind": "plane_transport",
-        "rows": rows,
-        "repeats": max(repeats, 1),
-        "payload_mb": round(payload_bytes / 1e6, 1),
-        "seconds_pickle_roundtrip": round(pickle_seconds, 4),
-        "seconds_plane_roundtrip": round(plane_seconds, 4),
-        "plane_speedup": round(pickle_seconds / max(plane_seconds, 1e-9), 2),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
 
 
 def run_lsh_dedup_bench(rows: int = 10_000, repeats: int = 3) -> dict:
@@ -920,54 +720,6 @@ def test_bench_lsh_mutual_merge(bench_profile):
         f"{record['mutual_pairs']} pairs (digest {record['pair_digest']})"
     )
     assert record["mutual_pairs"] > 0
-
-
-def test_bench_process_pool_reuse(bench_profile):
-    """Persistent process pool vs the historical fresh-pool-per-call mode."""
-    rows = 400 if bench_profile == "tiny" else 1200
-    tables = 6 if bench_profile == "tiny" else 8
-    record = run_process_pool_bench(
-        num_tables=tables, rows=rows, repeats=3 if bench_profile != "tiny" else 1
-    )
-    write_bench_record(record)
-    print(
-        f"\n  process merge+prune over {tables}x{rows} rows: "
-        f"fresh pools {record['seconds_fresh_pool']:.2f}s vs persistent "
-        f"{record['seconds_persistent_pool']:.2f}s ({record['pool_reuse_speedup']:.2f}x)"
-    )
-    assert record["seconds_persistent_pool"] > 0
-
-
-def test_bench_shm_pool_dispatch(bench_profile):
-    """Pickle vs shared-memory process dispatch for merge+prune (best of N)."""
-    rows = 400 if bench_profile == "tiny" else 1200
-    tables = 6 if bench_profile == "tiny" else 8
-    record = run_shm_pool_bench(
-        num_tables=tables, rows=rows, repeats=3 if bench_profile != "tiny" else 1
-    )
-    write_bench_record(record)
-    print(
-        f"\n  process merge+prune over {tables}x{rows} rows: "
-        f"pickle {record['seconds_pickle_dispatch']:.2f}s vs shared-memory "
-        f"{record['seconds_shared_memory_dispatch']:.2f}s "
-        f"({record['shm_dispatch_speedup']:.2f}x)"
-    )
-    assert record["seconds_shared_memory_dispatch"] > 0
-
-
-def test_bench_plane_transport(bench_profile):
-    """Raw ItemTable transport: pickle round trip vs shared-memory plane."""
-    rows = 4000 if bench_profile == "tiny" else 30_000
-    record = run_plane_transport_bench(
-        rows=rows, repeats=3 if bench_profile != "tiny" else 1
-    )
-    write_bench_record(record)
-    print(
-        f"\n  plane transport of a {record['payload_mb']}MB table: "
-        f"pickle {record['seconds_pickle_roundtrip']*1e3:.1f}ms vs plane "
-        f"{record['seconds_plane_roundtrip']*1e3:.1f}ms ({record['plane_speedup']:.2f}x)"
-    )
-    assert record["seconds_plane_roundtrip"] > 0
 
 
 def test_bench_snapshot_delta(bench_profile):

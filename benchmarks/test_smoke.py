@@ -170,100 +170,6 @@ def test_smoke_native_require_leg():
 
 
 @pytest.mark.smoke
-def test_smoke_process_pool_backend_roundtrip():
-    """The process backend must work end to end (it used to crash on pickling).
-
-    A tiny two-level merge through a persistent process pool, checked
-    bit-identical against the serial run.
-    """
-    from repro.config import MergingConfig, ParallelConfig
-    from repro.core.merging import ItemTable, hierarchical_merge_tables
-    from repro.core.parallel import ParallelExecutor
-
-    tables = []
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        vectors = rng.normal(size=(60, 16)).astype(np.float32)
-        tables.append(
-            ItemTable(
-                vectors,
-                np.zeros(60, dtype=np.int32),
-                np.arange(60, dtype=np.int64),
-                np.arange(61, dtype=np.int64),
-                (f"s{seed}",),
-            )
-        )
-    config = MergingConfig(index="brute-force", m=0.8)
-    serial, _ = hierarchical_merge_tables([t for t in tables], config)
-    started = time.perf_counter()
-    with ParallelExecutor(ParallelConfig(enabled=True, backend="process", max_workers=2)) as ex:
-        merged, _ = hierarchical_merge_tables([t for t in tables], config, executor=ex)
-    elapsed = time.perf_counter() - started
-    assert np.array_equal(merged.vectors, serial.vectors)
-    assert np.array_equal(merged.member_offsets, serial.member_offsets)
-    assert elapsed < MERGE_CEILING_SECONDS, f"process-pool merge took {elapsed:.1f}s"
-
-
-@pytest.mark.smoke
-def test_smoke_shared_memory_pool_roundtrip():
-    """Merge+prune through the shared-memory process pool, bit-equal to serial.
-
-    The shared-memory dispatch ships task arrays as zero-copy views over
-    TaskPlane segments instead of pickling them; this tier-1 leg pins that
-    the transport swap changes nothing — merged vectors, member lists, and
-    pruned survivor tuples are byte-identical to the serial run — and that
-    no segment outlives the run.
-    """
-    from repro.config import MergingConfig, ParallelConfig, PruningConfig
-    from repro.core.merging import ItemTable, hierarchical_merge_tables
-    from repro.core.parallel import ParallelExecutor
-    from repro.core.pruning import prune_item_table
-    from repro.core.representation import EmbeddingStore, TableEmbeddings
-    from repro.data.entity import EntityRef
-    from repro.store import plane
-
-    if not plane.available():
-        pytest.skip("POSIX shared memory unavailable on this platform")
-    base = np.random.default_rng(0).normal(size=(60, 16)).astype(np.float32)
-    tables, store = [], EmbeddingStore()
-    for seed in range(4):
-        rng = np.random.default_rng(seed + 1)
-        vectors = (base + rng.normal(scale=0.01, size=(60, 16))).astype(np.float32)
-        name = f"s{seed}"
-        tables.append(
-            ItemTable(
-                vectors,
-                np.zeros(60, dtype=np.int32),
-                np.arange(60, dtype=np.int64),
-                np.arange(61, dtype=np.int64),
-                (name,),
-            )
-        )
-        store.add_table(TableEmbeddings(name, [EntityRef(name, i) for i in range(60)], vectors))
-    merging = MergingConfig(index="brute-force", m=0.5)
-    pruning = PruningConfig(epsilon=1.0)
-    serial_merged, _ = hierarchical_merge_tables([t for t in tables], merging)
-    serial_pruned = prune_item_table(serial_merged, store, pruning)
-    started = time.perf_counter()
-    with ParallelExecutor(
-        ParallelConfig(enabled=True, backend="process", max_workers=2, shared_memory=True)
-    ) as ex:
-        assert ex.uses_shared_memory
-        merged, _ = hierarchical_merge_tables([t for t in tables], merging, executor=ex)
-        pruned = prune_item_table(merged, store, pruning, executor=ex)
-    elapsed = time.perf_counter() - started
-    assert np.array_equal(merged.vectors, serial_merged.vectors)
-    assert np.array_equal(merged.member_offsets, serial_merged.member_offsets)
-    assert np.array_equal(merged.member_sources, serial_merged.member_sources)
-    assert np.array_equal(merged.member_indices, serial_merged.member_indices)
-    assert [item.members for item in pruned] == [item.members for item in serial_pruned]
-    assert all(
-        a.vector.tobytes() == b.vector.tobytes() for a, b in zip(pruned, serial_pruned)
-    )
-    assert elapsed < MERGE_CEILING_SECONDS, f"shared-memory merge+prune took {elapsed:.1f}s"
-
-
-@pytest.mark.smoke
 def test_smoke_snapshot_chain_roundtrip(tmp_path):
     """save → append → compact → load: every path lands on the same digests.
 

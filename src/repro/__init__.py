@@ -29,10 +29,9 @@ hierarchical merging are reused across levels — and across
 :meth:`IncrementalMultiEM.add_table` calls — whenever reuse is
 byte-identical to rebuilding (exact content match or incremental extension
 of a prefix), so cached runs return exactly the same tuples.
-``MultiEM(parallel)`` executes merge and prune fan-outs on a persistent
-worker pool (``ParallelConfig.backend``: threads or processes); process
-workers warm the native kernel once and keep snapshot-seeded index caches
-across the whole run. ``python -m pytest benchmarks -q -m smoke`` exercises
+``MultiEM(parallel)`` executes merge and prune fan-outs on one persistent
+thread pool (the heavy kernels release the GIL; ``ParallelConfig.backend``
+is ``"thread"`` or ``"serial"``). ``python -m pytest benchmarks -q -m smoke`` exercises
 this layer at tiny scale; ``benchmarks/bench_substrates.py`` and
 ``benchmarks/bench_pipeline.py`` measure it at 10k rows.
 
@@ -41,10 +40,8 @@ Persistence and serving
 :mod:`repro.store` snapshots every fitted artifact — integrated
 ``ItemTable``, embedding store, ANN indexes with their cache, the fitted
 encoder — into one versioned, memory-mappable file: ``load(mmap=True)``
-restores zero-copy and byte-identical. ``ParallelConfig.shared_memory=True``
-moves the process pool's task arrays into shared-memory planes (no pickled
-tables in either direction), and :class:`repro.store.MatchSession` serves
-``match_new_table`` / nearest-tuple queries from a snapshot without
+restores zero-copy and byte-identical. :class:`repro.store.MatchSession`
+serves ``match_new_table`` / nearest-tuple queries from a snapshot without
 refitting (CLI: ``snapshot save|load``, ``serve-match``).
 """
 

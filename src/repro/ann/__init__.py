@@ -33,10 +33,7 @@ covering both backends. Otherwise the pure-Python/numpy paths run, with the
 reason recorded in ``repro.ann.native.disabled_reason``. ``REPRO_NATIVE=0``
 forces the fallback for everything the kernel governs;
 ``REPRO_NATIVE=require`` makes unavailability a hard error (used by the
-benchmark smoke leg). Persistent process pools
-(:mod:`repro.core.parallel`) warm the kernel once per worker at pool
-start-up and inherit the parent's calibration verdict, so the
-dedup-strategy probe runs once per process tree instead of once per worker.
+benchmark smoke leg).
 
 Kernel tiers
 ------------
@@ -78,9 +75,7 @@ Index reuse
 across ``IncrementalMultiEM.add_table`` calls. Reuse happens only when it is
 byte-identical to a fresh build — an exact content match, or a cached matrix
 that is a prefix of the requested one extended incrementally — so enabling
-the cache never changes pair output. Process-pool workers hold their own
-persistent caches, seeded from the parent's snapshot at pool creation
-(:meth:`IndexCache.snapshot`).
+the cache never changes pair output.
 
 All distance kernels live in :mod:`repro.ann.distances`;
 :class:`~repro.ann.distances.PreparedVectors` hoists per-row statistics

@@ -216,20 +216,14 @@ class IndexCache:
                 self._entries.popitem(last=False)
 
     def snapshot(self) -> list[tuple[Hashable, np.ndarray, NearestNeighborIndex]]:
-        """Picklable ``(params_key, vectors, index)`` entries, LRU order.
+        """``(params_key, vectors, index)`` entries, LRU order.
 
-        Used to seed the worker-local caches of a persistent process pool
-        (:mod:`repro.core.parallel`): entries ship once at pool start-up, and
-        because cache reuse is exact, a seeded worker produces byte-identical
-        results — it just skips rebuilding indexes the parent already has.
         The returned arrays and indexes are the live (read-only by contract)
-        cached objects; pickling copies them on the way to the workers.
-
-        The same entries also persist to disk: ``repro.store.codecs``
-        serializes them (``index_cache_state`` / ``index_cache_from_state``)
-        into the mmap-able snapshot format, and a cache restored from a
-        snapshot keeps exact content-hit and prefix-extend reuse — in this
-        process or any other (pinned by
+        cached objects. ``repro.store.codecs`` persists them
+        (``index_cache_state`` / ``index_cache_from_state``) into the
+        mmap-able snapshot format and restores them through :meth:`seed`;
+        because cache reuse is exact, a restored cache keeps content-hit and
+        prefix-extend reuse — in this process or any other (pinned by
         ``tests/store/test_cache_store_roundtrip.py``).
         """
         with self._lock:

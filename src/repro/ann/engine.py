@@ -121,18 +121,6 @@ def dedup_native_preferred() -> bool:
     return _dedup_native_preferred
 
 
-def set_dedup_native_preferred(verdict: bool | None) -> None:
-    """Install (or ``None``-clear) the dedup calibration verdict directly.
-
-    Process-pool workers receive the parent's measured verdict through the
-    worker initializer instead of each re-running the ~1M-key calibration at
-    warmup — the verdict is a pure performance choice (both paths return
-    identical arrays), so shipping it is always safe.
-    """
-    global _dedup_native_preferred
-    _dedup_native_preferred = None if verdict is None else bool(verdict)
-
-
 def dedup_sorted_keys(keys: np.ndarray, *, use_native: bool | None = None) -> np.ndarray:
     """Sorted unique of a **non-negative** int64 key stream, destructively.
 

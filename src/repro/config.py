@@ -193,29 +193,18 @@ class ParallelConfig:
 
     Attributes:
         enabled: run merging and pruning through a worker pool.
-        backend: ``"thread"`` or ``"process"``; threads are the default since
-            the heavy lifting is released-GIL numpy work.
+        backend: ``"thread"`` (one persistent thread pool per
+            :class:`~repro.core.parallel.ParallelExecutor`; the heavy lifting
+            is released-GIL numpy and native-kernel work) or ``"serial"``
+            (run in the caller even when ``enabled``).
         max_workers: pool size (``None`` lets the executor decide).
-        reuse_pool: keep one persistent worker pool per
-            :class:`~repro.core.parallel.ParallelExecutor` lifetime (the
-            default). ``False`` restores the historical spin-up-per-call
-            behaviour — only useful as the baseline in the pool-reuse
-            benchmark.
-        shared_memory: with the process backend, ship merge/prune task
-            arrays through a shared-memory plane
-            (:mod:`repro.store.plane`) instead of pickling them through the
-            pool's pipes — workers receive integer descriptors and attach
-            zero-copy views. Bit-identical to the pickle dispatch; ignored
-            by the serial and thread backends (and on platforms without
-            POSIX shared memory).
-        self_heal: recover from pool failures instead of raising — a killed
-            worker (``BrokenProcessPool``) or a task exceeding
-            ``task_timeout`` restarts the pool, re-dispatches the missing
-            tasks with exponential backoff (``max_retries`` rounds), and
-            finally degrades to in-parent serial execution of whatever is
-            still missing. Tasks are pure, so healing changes wall-clock and
-            metrics only, never result bytes. Genuine task exceptions still
-            propagate un-retried.
+        self_heal: recover from a wedged pool instead of waiting on it — a
+            task exceeding ``task_timeout`` abandons the pool, re-dispatches
+            the missing tasks on a fresh one with exponential backoff
+            (``max_retries`` rounds), and finally degrades to in-parent
+            serial execution of whatever is still missing. Tasks are pure,
+            so healing changes wall-clock and metrics only, never result
+            bytes. Genuine task exceptions still propagate un-retried.
         task_timeout: seconds to wait for any single task before declaring
             the pool wedged (``None`` waits forever — hung workers are then
             only caught by the caller).
@@ -232,8 +221,6 @@ class ParallelConfig:
     enabled: bool = False
     backend: str = "thread"
     max_workers: int | None = None
-    reuse_pool: bool = True
-    shared_memory: bool = False
     self_heal: bool = True
     task_timeout: float | None = None
     max_retries: int = 2
@@ -241,7 +228,11 @@ class ParallelConfig:
     kernel_threads: int = 1
 
     def validate(self) -> None:
-        if self.backend not in ("thread", "process", "serial"):
+        if self.backend == "process":
+            raise ConfigurationError(
+                'the "process" parallel backend was removed; use backend="thread"'
+            )
+        if self.backend not in ("thread", "serial"):
             raise ConfigurationError(f"unknown parallel backend {self.backend!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")

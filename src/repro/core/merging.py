@@ -491,124 +491,6 @@ def merge_tables_with_pairs(
     return merged, node_of_group
 
 
-def _merge_pair_task(task: tuple) -> tuple[ItemTable, int]:
-    """Merge one table pair inside a process-pool worker.
-
-    Module-level (hence picklable) counterpart of the thread path's closure.
-    The worker consults its own persistent :class:`~repro.ann.cache.IndexCache`
-    (installed by the pool initializer, seeded from the parent's snapshot and
-    extended across tasks), which restores cross-level index reuse for the
-    process backend; cache reuse is exact, so the merged output is identical
-    to the serial and thread paths bit for bit.
-    """
-    from .parallel import worker_index_cache
-
-    left, right, config, representative = task
-    return merge_item_tables(
-        left, right, config, representative=representative, cache=worker_index_cache()
-    )
-
-
-def _merge_pair_shm_task(task: tuple) -> tuple:
-    """Merge one table pair whose arrays live in a shared-memory plane.
-
-    The worker receives only ``(plane_name, task_index, config,
-    representative)``: it attaches the parent's request plane, reconstructs
-    both :class:`ItemTable` sides as zero-copy views over the mapped
-    segment, merges exactly like :func:`_merge_pair_task` (same worker-local
-    index cache), and ships the merged table back through a response segment
-    instead of the pool's pickle pipe. Identical bytes in, identical
-    arithmetic, identical bytes out.
-    """
-    from ..store import codecs as store_codecs
-    from ..store import plane as plane_mod
-    from .parallel import worker_index_cache
-
-    plane_name, index, response_name, config, representative = task
-    plane = plane_mod.worker_plane(plane_name)
-    task_meta = plane.meta["tasks"][index]
-
-    def read_side(side: str) -> ItemTable:
-        meta = task_meta[side]
-        arrays = {
-            name: plane.array(f"t{index}/{side}/{name}") for name in meta["__arrays__"]
-        }
-        return store_codecs.item_table_from_state(meta, arrays)
-
-    left, right = read_side("left"), read_side("right")
-    merged, matched = merge_item_tables(
-        left, right, config, representative=representative, cache=worker_index_cache()
-    )
-    meta, arrays = store_codecs.item_table_state(merged)
-    return plane_mod.export_response(
-        arrays, {"table": meta, "matched": matched}, segment_name=response_name
-    )
-
-
-def _merge_pairs_via_plane(
-    executor: ParallelExecutor,
-    pairs: "list[tuple[ItemTable, ItemTable]]",
-    config: MergingConfig,
-    representative: str,
-) -> list[tuple[ItemTable, int]]:
-    """Dispatch one level's pair merges through a shared-memory plane.
-
-    All pair tables are packed into one request segment (left sides under
-    ``t{i}/``, right sides under ``t{i}/right/``); workers get integer
-    descriptors plus a pre-assigned response-segment name each, and their
-    merged tables are copied out and unlinked here. Knowing every response
-    name up front makes the cleanup unconditional: the request plane is
-    unlinked as soon as the ``map`` barrier returns, and every response
-    segment — including those of tasks that finished before a sibling
-    crashed the ``map`` — is reclaimed on both the success and error paths.
-    """
-    import uuid
-
-    from ..store import codecs as store_codecs
-    from ..store import plane as plane_mod
-
-    tasks = []
-    metas = []
-    for pair in pairs:
-        arrays: dict = {}
-        meta: dict = {}
-        for side, table in zip(("left", "right"), pair):
-            side_meta, side_arrays = store_codecs.item_table_state(table)
-            side_meta = dict(side_meta)
-            side_meta["__arrays__"] = list(side_arrays)
-            meta[side] = side_meta
-            arrays.update({f"{side}/{name}": array for name, array in side_arrays.items()})
-        tasks.append(arrays)
-        metas.append(meta)
-    response_names = plane_mod.response_names(uuid.uuid4().hex[:12], len(pairs))
-    plane = plane_mod.TaskPlane(tasks, metas)
-    consumed = 0
-    try:
-        descriptors = executor.map(
-            _merge_pair_shm_task,
-            [
-                (plane.name, i, response_names[i], config, representative)
-                for i in range(len(pairs))
-            ],
-        )
-        results: list[tuple[ItemTable, int]] = []
-        for consumed, descriptor in enumerate(descriptors, start=1):
-            response = plane_mod.read_response(descriptor)
-            merged = store_codecs.item_table_from_state(
-                response.meta["table"], {name: response.array(name) for name in response.names()}
-            )
-            results.append((merged, int(response.meta["matched"])))
-        return results
-    except BaseException:
-        # A crashed worker (or an unreadable response) must not strand the
-        # finished siblings' output segments in /dev/shm until reboot.
-        for name in response_names[consumed:]:
-            plane_mod.discard_response(name)
-        raise
-    finally:
-        plane.close()
-
-
 def merge_two_tables(
     left: list[MergeItem],
     right: list[MergeItem],
@@ -684,11 +566,6 @@ def hierarchical_merge_tables(
     executor = executor or ParallelExecutor()
     if cache is None and config.index_cache:
         cache = IndexCache(max_entries=config.index_cache_entries)
-    if executor.uses_processes:
-        # Seed the process workers' local caches from whatever the attached
-        # cache already holds (snapshot taken at lazy pool creation, i.e.
-        # at the first parallel map below).
-        executor.attach_index_cache(cache)
     stats = MergeStats()
     rng = np.random.default_rng(config.seed)
     current: list[ItemTable] = [as_item_table(table) for table in tables]
@@ -704,28 +581,12 @@ def hierarchical_merge_tables(
         if len(order) % 2 == 1:
             leftover.append(current[order[-1]])
 
-        if executor.uses_processes and len(pairs) > 1:
-            # Process pools dispatch the module-level task (workers use their
-            # own persistent index caches). Levels with a single pair run
-            # serially in the parent (executor.map's small-input fast path),
-            # so they take the closure branch below and keep using the
-            # parent's cache. In shared-memory mode the pair tables travel
-            # through one TaskPlane segment per level instead of the pickle
-            # pipe — same bytes, same arithmetic, identical output.
-            if executor.uses_shared_memory:
-                merge_results = _merge_pairs_via_plane(executor, pairs, config, representative)
-            else:
-                merge_results = executor.map(
-                    _merge_pair_task,
-                    [(left, right, config, representative) for left, right in pairs],
-                )
-        else:
-            merge_results = executor.map(
-                lambda pair: merge_item_tables(
-                    pair[0], pair[1], config, representative=representative, cache=cache
-                ),
-                pairs,
-            )
+        merge_results = executor.map(
+            lambda pair: merge_item_tables(
+                pair[0], pair[1], config, representative=representative, cache=cache
+            ),
+            pairs,
+        )
         matched_this_level = 0
         next_level: list[ItemTable] = []
         for merged, matched in merge_results:

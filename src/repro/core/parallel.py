@@ -1,129 +1,47 @@
-"""Parallel execution backend for MultiEM(parallel), with persistent pools.
+"""Parallel execution backend for MultiEM(parallel): one persistent thread pool.
 
 The paper parallelizes two embarrassingly parallel loops (Section III-E):
 per-table-pair merging within one hierarchy level, and per-tuple pruning.
-This module wraps the choice of serial / thread-pool / process-pool execution
-behind one ``map``-like call so the pipeline code stays identical in all
-modes. Thread pools are the default because the heavy work (numpy distance
-kernels) releases the GIL.
+This module wraps the choice of serial / thread-pool execution behind one
+``map``-like call so the pipeline code stays identical in both modes.
+Threads are the only transport because the heavy work (the GEMM scan and the
+native ANN kernel behind ctypes) releases the GIL: workers share the parent's
+tables, indexes and :class:`~repro.ann.cache.IndexCache` directly, so a task
+is a plain closure and nothing is copied or pickled in either direction.
 
-Persistent pools
-----------------
-
-Worker pools are created **once per executor lifetime** (lazily, at the
-first parallel ``map``) and reused by every subsequent call — the historical
-behaviour of spinning a fresh pool per call is kept only behind
-``ParallelConfig.reuse_pool=False`` as the benchmark baseline. Persistence is
-what makes the process backend viable: workers survive across the merge
-hierarchy's levels and across ``map`` calls, so per-call pool start-up
-disappears and each worker's warmed state is amortized over the whole run.
-Call :meth:`ParallelExecutor.close` (or use the executor as a context
-manager) to release the pools; a closed executor lazily re-creates them if
-it is used again.
-
-Process workers are started with an initializer that
-
-* **warms the native ANN kernel** (:func:`repro.ann.native.get_kernel`):
-  the compile/self-test cost is paid once per worker instead of once per
-  dispatched task burst, and under ``fork`` the parent's already-loaded
-  kernel is inherited outright;
-* **seeds a worker-local** :class:`~repro.ann.cache.IndexCache` from the
-  snapshot of the cache attached via :meth:`ParallelExecutor.attach_index_cache`
-  (pickle-shipped through the pool's ``initargs``; under ``fork`` the entry
-  arrays arrive copy-on-write). Workers keep extending their local caches
-  across tasks, which restores cross-level ANN index reuse for the process
-  backend. Cache reuse is exact, so results are byte-identical with or
-  without it;
-* **adopts the parent's dedup calibration verdict**
-  (:func:`repro.ann.engine.set_dedup_native_preferred`): the parent times
-  the two dedup paths once and ships the boolean through ``initargs``, so
-  workers never repeat the ~1M-key calibration sort.
-
-Because a process pool ships tasks by pickle, callers dispatch module-level
-task functions to it (see :mod:`repro.core.merging` /
-:mod:`repro.core.pruning`); the thread and serial paths accept arbitrary
-callables as before.
+The pool is created **once per executor lifetime** (lazily, at the first
+parallel ``map``) and reused by every subsequent call, so workers survive
+across the merge hierarchy's levels and across ``map`` calls. Call
+:meth:`ParallelExecutor.close` (or use the executor as a context manager) to
+release it; a closed executor lazily re-creates the pool if it is used again.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from .. import faults as _faults
 from ..config import ParallelConfig
 from ..exceptions import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..ann.cache import IndexCache
 
 logger = logging.getLogger("repro.parallel")
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Per-process state of pool workers, populated by :func:`_process_worker_init`.
-_WORKER_STATE: dict = {}
-
-
-def _process_worker_init(
-    cache_entries: int, cache_payload: tuple, dedup_native: bool | None = None
-) -> None:
-    """Initializer run once in every process-pool worker.
-
-    Warms the runtime-compiled ANN kernel (the ``.so`` is disk-cached, so
-    this is a load + byte-identity self-test, not a recompile), installs the
-    worker-local index cache, optionally seeded from the parent's snapshot,
-    and adopts the parent's dedup calibration verdict so workers skip the
-    ~1M-key timing run at warmup (the verdict is a pure performance choice —
-    both dedup paths return identical arrays — so inheriting it is safe).
-    """
-    from ..ann import engine, native
-
-    native.get_kernel()  # None (with a recorded reason) is a valid outcome
-    engine.set_dedup_native_preferred(dedup_native)
-    cache = None
-    if cache_entries > 0:
-        from ..ann.cache import IndexCache
-
-        cache = IndexCache(max_entries=cache_entries)
-        if cache_payload:
-            cache.seed(list(cache_payload))
-    _WORKER_STATE["index_cache"] = cache
-
-
-def worker_index_cache() -> "IndexCache | None":
-    """The calling process-pool worker's local index cache (None elsewhere)."""
-    return _WORKER_STATE.get("index_cache")
-
-
-def _run_task(function: Callable[[T], R], item: T, fault_spec: "dict | None") -> R:
-    """Pool-side task shim: executes a claimed injected fault, then the task.
-
-    ``fault_spec`` is non-``None`` only under an active fault plan
-    (:func:`repro.faults.claim_worker_fault`); production dispatch pays one
-    ``is None`` check.
-    """
-    if fault_spec is not None:
-        _faults.execute_worker_fault(fault_spec)
-    return function(item)
-
 
 class ParallelExecutor:
-    """Map a function over items serially or via a persistent worker pool."""
+    """Map a function over items serially or via a persistent thread pool."""
 
     def __init__(self, config: ParallelConfig | None = None) -> None:
         self.config = config or ParallelConfig()
         self.config.validate()
-        self._pool: Executor | None = None  # persistent; backend is fixed per executor
-        self._attached_cache: "IndexCache | None" = None
+        self._pool: ThreadPoolExecutor | None = None  # persistent, lazily created
         #: Healing counters, cumulative over the executor's lifetime:
-        #: ``pool_restarts`` (pools discarded after a break/timeout),
+        #: ``pool_restarts`` (pools discarded after a timeout),
         #: ``retries`` (re-dispatch rounds), ``timeouts`` (tasks that
         #: exceeded ``task_timeout``), ``serial_fallbacks`` (maps that
         #: finished degraded, in-parent).
@@ -136,89 +54,13 @@ class ParallelExecutor:
 
     @property
     def is_parallel(self) -> bool:
-        """Whether calls will actually fan out to a worker pool."""
+        """Whether calls will actually fan out to the thread pool."""
         return self.config.enabled and self.config.backend != "serial"
 
-    @property
-    def uses_processes(self) -> bool:
-        """Whether parallel calls cross a process boundary (tasks must pickle)."""
-        return self.is_parallel and self.config.backend == "process"
-
-    @property
-    def uses_shared_memory(self) -> bool:
-        """Whether process dispatch should ship arrays via shared-memory planes.
-
-        True only for the process backend with
-        ``ParallelConfig.shared_memory`` set on a platform that has POSIX
-        shared memory; callers then pack task arrays into a
-        :class:`repro.store.plane.TaskPlane` and dispatch descriptors. The
-        dispatch is bit-identical to the pickle path either way.
-        """
-        if not (self.uses_processes and self.config.shared_memory):
-            return False
-        from ..store import plane
-
-        return plane.available()
-
-    @contextlib.contextmanager
-    def plane_session(self, tasks: "list[dict]", metas: "list | None" = None):
-        """One shared-memory plane kept alive across several ``map`` calls.
-
-        The sharded merge plane dispatches multiple owner-group ``map``
-        rounds (forward queries, then backward queries) against the *same*
-        pair of vector matrices; packing them into one
-        :class:`repro.store.plane.TaskPlane` per merge — instead of one per
-        ``map`` — amortizes the segment create/copy/unlink over every round.
-        Yields the plane (unlinked on exit, even on error), or ``None`` when
-        the executor does not ship arrays through shared memory, in which
-        case callers fall back to their pickle/in-parent path.
-        """
-        if not self.uses_shared_memory:
-            yield None
-            return
-        from ..store import plane as plane_mod
-
-        plane = plane_mod.TaskPlane(tasks, metas)
-        try:
-            yield plane
-        finally:
-            plane.close()
-
-    def attach_index_cache(self, cache: "IndexCache | None") -> None:
-        """Register the cache whose snapshot seeds process workers.
-
-        The snapshot is taken when the process pool is (lazily) created, so
-        attach before the first parallel ``map``. Thread and serial backends
-        share the cache object directly and ignore this.
-        """
-        self._attached_cache = cache
-
     # ------------------------------------------------------------- pools
-    def _process_initargs(self) -> tuple[int, tuple, bool]:
-        # Calibrate dedup in the parent (once per process, cached) so every
-        # worker inherits the verdict instead of re-timing a ~1M-key sort.
-        from ..ann import engine
-
-        dedup_native = engine.dedup_native_preferred()
-        cache = self._attached_cache
-        if cache is None:
-            return 0, (), dedup_native
-        return cache.max_entries, tuple(cache.snapshot()), dedup_native
-
-    def _make_pool(self) -> Executor:
-        if self.config.backend == "thread":
-            return ThreadPoolExecutor(max_workers=self.config.max_workers)
-        if self.config.backend == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.config.max_workers,
-                initializer=_process_worker_init,
-                initargs=self._process_initargs(),
-            )
-        raise ConfigurationError(f"unknown parallel backend {self.config.backend!r}")
-
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(max_workers=self.config.max_workers)
         return self._pool
 
     def close(self) -> None:
@@ -239,110 +81,65 @@ class ParallelExecutor:
         except Exception:
             pass
 
-    def _discard_pool(self, pool: Executor, *, ephemeral: bool) -> None:
-        """Drop a broken or wedged pool without waiting on it.
-
-        A hung process worker would block ``shutdown(wait=True)`` forever, so
-        process workers are terminated outright first. Hung *threads* cannot
-        be killed; they are leaked (non-daemon, so they finish eventually)
-        and the executor simply stops routing work to that pool.
-        """
-        if not ephemeral and self._pool is pool:
-            self._pool = None
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # racing its own exit
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
     # --------------------------------------------------------------- map
     def map(self, function: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``function`` to every item, preserving input order.
 
         Falls back to serial execution for empty or single-item input, where a
         pool would only add overhead (the paper observes the same effect on
-        the small Geo dataset). With ``backend="process"``, ``function`` and
-        every item must be picklable — use module-level task functions.
+        the small Geo dataset).
 
-        With ``ParallelConfig.self_heal`` (the default), pool failures are
-        recovered instead of raised — see :meth:`_map_healing`. Because every
-        dispatched task is pure (module-level functions over immutable
+        With ``ParallelConfig.self_heal`` (the default), a wedged pool is
+        recovered instead of waited on forever — see :meth:`_map_healing`.
+        Because every dispatched task is pure (a function of immutable
         arrays), re-running one in a fresh pool or in the parent produces the
-        same bytes; a killed worker changes wall-clock, never results.
+        same bytes; healing changes wall-clock, never results.
         """
         if not self.is_parallel or len(items) <= 1:
             return [function(item) for item in items]
-        if self.config.backend not in ("thread", "process"):
-            raise ConfigurationError(f"unknown parallel backend {self.config.backend!r}")
         if self.config.self_heal:
             return self._map_healing(function, items)
-        if not self.config.reuse_pool:  # historical spin-up-per-call baseline
-            with self._make_pool() as pool:
-                return list(pool.map(function, items))
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(function, items))
-        except BrokenProcessPool:
-            # Drop the broken pool so a later call starts fresh, then surface
-            # the failure — silently retrying could mask a crashing task.
-            self._pool = None
-            raise
+        return list(self._ensure_pool().map(function, items))
 
     def _map_healing(self, function: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Dispatch with per-task timeouts, pool restarts, and serial fallback.
 
         Rounds: submit every still-missing task, collect results in order;
-        on ``BrokenProcessPool`` or a task timeout, harvest whatever finished,
-        discard the pool (terminating hung process workers), back off, and
-        re-dispatch the remainder in a fresh pool — up to
+        on a task timeout, harvest whatever finished, abandon the pool, back
+        off, and re-dispatch the remainder in a fresh pool — up to
         ``max_retries`` rounds, after which the remainder runs serially in
-        the parent. Genuine task exceptions propagate immediately,
+        the parent. Hung threads cannot be killed; they are leaked (they
+        finish eventually) and the executor simply stops routing work to
+        their pool. Genuine task exceptions propagate immediately,
         un-retried: retrying a deterministic failure would just fail again,
         and silently swallowing it could mask a real bug.
         """
         config = self.config
-        inject_faults = config.backend == "process" and _faults.active() is not None
         results: dict[int, R] = {}
         pending = list(range(len(items)))
         rounds = 0
         while pending:
-            ephemeral = not config.reuse_pool
-            pool = self._make_pool() if ephemeral else self._ensure_pool()
-            failure: BaseException | None = None
+            pool = self._ensure_pool()
+            failure: FutureTimeoutError | None = None
             try:
-                futures = {}
+                futures = {index: pool.submit(function, items[index]) for index in pending}
                 for index in pending:
-                    spec = _faults.claim_worker_fault(index) if inject_faults else None
-                    futures[index] = pool.submit(_run_task, function, items[index], spec)
-                for index in pending:
+                    future = futures[index]
                     if failure is None:
                         try:
-                            results[index] = futures[index].result(
-                                timeout=config.task_timeout
-                            )
-                            continue
-                        except BrokenProcessPool as exc:
-                            failure = exc
+                            results[index] = future.result(timeout=config.task_timeout)
                         except FutureTimeoutError as exc:
                             self.metrics["timeouts"] += 1
                             failure = exc
-                    # Past the first failure: harvest tasks that did finish
+                    # Past the first timeout: harvest tasks that did finish
                     # so only genuinely-missing ones are re-dispatched.
-                    future = futures[index]
-                    if future.done() and not future.cancelled():
-                        if future.exception() is None:
-                            results[index] = future.result()
-                        elif not isinstance(future.exception(), BrokenProcessPool):
-                            raise future.exception()
+                    elif future.done() and not future.cancelled():
+                        results[index] = future.result()
             finally:
                 if failure is not None:
                     self.metrics["pool_restarts"] += 1
-                    self._discard_pool(pool, ephemeral=ephemeral)
-                elif ephemeral:
-                    pool.shutdown(wait=True)
+                    self._pool = None
+                    pool.shutdown(wait=False, cancel_futures=True)
             pending = [index for index in pending if index not in results]
             if not pending:
                 break
@@ -376,7 +173,7 @@ class ParallelExecutor:
         return [results[index] for index in range(len(items))]
 
     def starmap(self, function: Callable[..., R], items: Iterable[tuple]) -> list[R]:
-        """Like :meth:`map` but unpacking argument tuples (thread/serial only)."""
+        """Like :meth:`map` but unpacking argument tuples."""
         materialized = list(items)
         return self.map(lambda args: function(*args), materialized)
 

@@ -223,22 +223,6 @@ def _assemble_survivors(
     return survivors
 
 
-def _gather_chunk(
-    chunk: list[MergeItem],
-    embedding_lookup: Mapping[EntityRef, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat member matrix + CSR offsets for one candidate chunk."""
-    sizes = np.fromiter((item.size for item in chunk), dtype=np.int64, count=len(chunk))
-    offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    members = [ref for item in chunk for ref in item.members]
-    if isinstance(embedding_lookup, EmbeddingStore):
-        member_matrix = embedding_lookup.matrix[embedding_lookup.rows(members)]
-    else:
-        member_matrix = np.stack([embedding_lookup[ref] for ref in members])
-    return member_matrix, offsets
-
-
 def _prune_chunk(
     chunk: list[MergeItem],
     embedding_lookup: Mapping[EntityRef, np.ndarray],
@@ -247,119 +231,15 @@ def _prune_chunk(
     """Batched pruning of one chunk of candidate items."""
     if not chunk:
         return []
-    member_matrix, offsets = _gather_chunk(chunk, embedding_lookup)
+    sizes = np.fromiter((item.size for item in chunk), dtype=np.int64, count=len(chunk))
+    offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    members = [ref for item in chunk for ref in item.members]
+    if isinstance(embedding_lookup, EmbeddingStore):
+        member_matrix = embedding_lookup.matrix[embedding_lookup.rows(members)]
+    else:
+        member_matrix = np.stack([embedding_lookup[ref] for ref in members])
     return _assemble_survivors(chunk, member_matrix, offsets, config)
-
-
-def _prune_payload_task(payload: tuple) -> list[MergeItem]:
-    """Classify one pre-gathered candidate chunk (process-pool task).
-
-    The parent gathers each chunk's member matrix (cheap fancy indexing) and
-    ships ``(items, matrix, offsets, config)``; workers run the O(u²)
-    classification. Module-level so the process backend can pickle it;
-    results are bit-identical to the in-process chunk path (chunking never
-    changes a tuple's arithmetic).
-    """
-    chunk, member_matrix, offsets, config = payload
-    return _assemble_survivors(chunk, member_matrix, offsets, config)
-
-
-def _prune_payload_shm_task(task: tuple) -> list[MergeItem]:
-    """Classify one candidate chunk whose arrays live in a shared-memory plane.
-
-    The heavy payload — the gathered member matrix — is read as a zero-copy
-    view over the parent's request plane; only the (small) chunk item list
-    and config ride the pickle pipe. Classification math is byte-identical
-    to :func:`_prune_payload_task` on the same bytes, and the returned
-    survivors never alias the plane (rebuilt vectors are fresh arrays,
-    untouched tuples keep the pickled chunk's own vectors).
-    """
-    from ..store import plane as plane_mod
-
-    plane_name, index, chunk, config = task
-    plane = plane_mod.worker_plane(plane_name)
-    member_matrix = plane.array(f"t{index}/member_matrix")
-    offsets = plane.array(f"t{index}/offsets")
-    return _assemble_survivors(chunk, member_matrix, offsets, config)
-
-
-def _map_prune_payloads(executor: ParallelExecutor, payloads: list[tuple]) -> list[list[MergeItem]]:
-    """Dispatch ``(chunk, matrix, offsets, config)`` payloads to process workers.
-
-    Shared-memory mode ships each payload's arrays through one
-    :class:`repro.store.plane.TaskPlane` per call and sends descriptors;
-    otherwise the whole payload is pickled. Output is identical either way.
-    """
-    if executor.uses_shared_memory and len(payloads) > 1:
-        from ..store import plane as plane_mod
-
-        plane = plane_mod.TaskPlane(
-            [{"member_matrix": matrix, "offsets": offsets} for _, matrix, offsets, _ in payloads]
-        )
-        try:
-            return executor.map(
-                _prune_payload_shm_task,
-                [
-                    (plane.name, i, chunk, config)
-                    for i, (chunk, _, _, config) in enumerate(payloads)
-                ],
-            )
-        finally:
-            plane.close()
-    return executor.map(_prune_payload_task, payloads)
-
-
-def _prune_rows_payload_task(payload: tuple) -> tuple[np.ndarray, list[MergeItem]]:
-    """Classify one owner group's pre-gathered candidates (process-pool task).
-
-    Like :func:`_prune_payload_task` but for an *arbitrary* candidate row set
-    (an owner group rather than a contiguous range): returns the surviving
-    global candidate rows alongside the survivors so the parent can stitch
-    groups back into the original candidate order.
-    """
-    chunk, member_matrix, offsets, config, group_rows = payload
-    kept: list[int] = []
-    survivors = _assemble_survivors(chunk, member_matrix, offsets, config, kept_rows=kept)
-    return group_rows[np.asarray(kept, dtype=np.int64)], survivors
-
-
-def _prune_rows_payload_shm_task(task: tuple) -> tuple[np.ndarray, list[MergeItem]]:
-    """Shared-memory counterpart of :func:`_prune_rows_payload_task`."""
-    from ..store import plane as plane_mod
-
-    plane_name, index, chunk, config, group_rows = task
-    plane = plane_mod.worker_plane(plane_name)
-    member_matrix = plane.array(f"t{index}/member_matrix")
-    offsets = plane.array(f"t{index}/offsets")
-    kept: list[int] = []
-    survivors = _assemble_survivors(chunk, member_matrix, offsets, config, kept_rows=kept)
-    return group_rows[np.asarray(kept, dtype=np.int64)], survivors
-
-
-def _map_prune_rows_payloads(
-    executor: ParallelExecutor, payloads: list[tuple]
-) -> list[tuple[np.ndarray, list[MergeItem]]]:
-    """Dispatch owner-group payloads to process workers (shm plane when on)."""
-    if executor.uses_shared_memory and len(payloads) > 1:
-        from ..store import plane as plane_mod
-
-        plane = plane_mod.TaskPlane(
-            [
-                {"member_matrix": matrix, "offsets": offsets}
-                for _, matrix, offsets, _, _ in payloads
-            ]
-        )
-        try:
-            return executor.map(
-                _prune_rows_payload_shm_task,
-                [
-                    (plane.name, i, chunk, config, group_rows)
-                    for i, (chunk, _, _, config, group_rows) in enumerate(payloads)
-                ],
-            )
-        finally:
-            plane.close()
-    return executor.map(_prune_rows_payload_task, payloads)
 
 
 def prune_items(
@@ -385,15 +265,9 @@ def prune_items(
     if executor.is_parallel:
         workers = executor.config.max_workers or 4
         chunks = partition(candidates, max(workers, 1) * 2)
-        if executor.uses_processes:
-            payloads = [
-                (chunk, *_gather_chunk(chunk, embedding_lookup), config) for chunk in chunks
-            ]
-            results = _map_prune_payloads(executor, payloads)
-        else:
-            results = executor.map(
-                lambda chunk: _prune_chunk(chunk, embedding_lookup, config), chunks
-            )
+        results = executor.map(
+            lambda chunk: _prune_chunk(chunk, embedding_lookup, config), chunks
+        )
         return [item for chunk_result in results for item in chunk_result]
     return _prune_chunk(candidates, embedding_lookup, config)
 
@@ -439,17 +313,10 @@ def prune_item_table(
             np.flatnonzero(candidate_owners == owner).astype(np.int64)
             for owner in np.unique(candidate_owners)
         ]
-        if executor.uses_processes:
-            payloads = [
-                (*_table_rows_payload(candidates, store, rows, refs, g), config, g)
-                for g in groups
-            ]
-            mapped_rows = _map_prune_rows_payloads(executor, payloads)
-        else:
-            mapped_rows = executor.map(
-                lambda g: _prune_table_rows(candidates, store, rows, refs, g, config),
-                groups,
-            )
+        mapped_rows = executor.map(
+            lambda g: _prune_table_rows(candidates, store, rows, refs, g, config),
+            groups,
+        )
         tagged: list[tuple[int, MergeItem]] = []
         for kept_rows, survivors in mapped_rows:
             tagged.extend(zip(kept_rows.tolist(), survivors))
@@ -460,18 +327,12 @@ def prune_item_table(
         bounds = _chunk_bounds(len(candidates), max(workers, 1) * 2)
     else:
         bounds = [(0, len(candidates))]
-    if executor.uses_processes:
-        payloads = [
-            (*_table_chunk_payload(candidates, store, rows, refs, b), config) for b in bounds
-        ]
-        mapped = _map_prune_payloads(executor, payloads)
-    else:
-        mapped = executor.map(
-            lambda chunk_bounds: _prune_table_chunk(
-                candidates, store, rows, refs, chunk_bounds, config
-            ),
-            bounds,
-        )
+    mapped = executor.map(
+        lambda chunk_bounds: _prune_table_chunk(
+            candidates, store, rows, refs, chunk_bounds, config
+        ),
+        bounds,
+    )
     return [item for chunk_result in mapped for item in chunk_result]
 
 
@@ -484,14 +345,15 @@ def _chunk_bounds(num_items: int, num_parts: int) -> list[tuple[int, int]]:
     return [(chunk[0], chunk[-1] + 1) for chunk in partition(range(num_items), num_parts)]
 
 
-def _table_chunk_payload(
+def _prune_table_chunk(
     candidates: ItemTable,
     store: EmbeddingStore,
     rows: np.ndarray,
     refs: list[EntityRef],
     bounds: tuple[int, int],
-) -> tuple[list[MergeItem], np.ndarray, np.ndarray]:
-    """Materialize one contiguous candidate range ``[first, last)`` for pruning."""
+    config: PruningConfig,
+) -> list[MergeItem]:
+    """Prune one contiguous candidate range ``[first, last)`` of the flat table."""
     first, last = bounds
     lo, hi = int(candidates.member_offsets[first]), int(candidates.member_offsets[last])
     chunk_offsets = candidates.member_offsets[first : last + 1] - lo
@@ -500,17 +362,22 @@ def _table_chunk_payload(
         MergeItem(members=tuple(refs[lo + o0 : lo + o1]), vector=candidates.vectors[first + i])
         for i, (o0, o1) in enumerate(zip(chunk_offsets[:-1].tolist(), chunk_offsets[1:].tolist()))
     ]
-    return chunk_items, member_matrix, chunk_offsets
+    return _assemble_survivors(chunk_items, member_matrix, chunk_offsets, config)
 
 
-def _table_rows_payload(
+def _prune_table_rows(
     candidates: ItemTable,
     store: EmbeddingStore,
     rows: np.ndarray,
     refs: list[EntityRef],
     group_rows: np.ndarray,
-) -> tuple[list[MergeItem], np.ndarray, np.ndarray]:
-    """Materialize an arbitrary candidate row set (one owner group) for pruning."""
+    config: PruningConfig,
+) -> tuple[np.ndarray, list[MergeItem]]:
+    """Prune an arbitrary candidate row set (one owner group).
+
+    Returns the surviving global candidate rows alongside the survivors so
+    the caller can stitch groups back into the original candidate order.
+    """
     counts = candidates.sizes[group_rows]
     chunk_offsets = np.zeros(len(group_rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=chunk_offsets[1:])
@@ -524,36 +391,6 @@ def _table_rows_payload(
         )
         for row, start, count in zip(group_rows.tolist(), starts, counts.tolist())
     ]
-    return chunk_items, member_matrix, chunk_offsets
-
-
-def _prune_table_rows(
-    candidates: ItemTable,
-    store: EmbeddingStore,
-    rows: np.ndarray,
-    refs: list[EntityRef],
-    group_rows: np.ndarray,
-    config: PruningConfig,
-) -> tuple[np.ndarray, list[MergeItem]]:
-    """Prune one owner group's candidate rows in-parent; returns (kept rows, survivors)."""
-    chunk_items, member_matrix, chunk_offsets = _table_rows_payload(
-        candidates, store, rows, refs, group_rows
-    )
     kept: list[int] = []
     survivors = _assemble_survivors(chunk_items, member_matrix, chunk_offsets, config, kept_rows=kept)
     return group_rows[np.asarray(kept, dtype=np.int64)], survivors
-
-
-def _prune_table_chunk(
-    candidates: ItemTable,
-    store: EmbeddingStore,
-    rows: np.ndarray,
-    refs: list[EntityRef],
-    bounds: tuple[int, int],
-    config: PruningConfig,
-) -> list[MergeItem]:
-    """Prune one contiguous candidate range ``[first, last)`` of the flat table."""
-    chunk_items, member_matrix, chunk_offsets = _table_chunk_payload(
-        candidates, store, rows, refs, bounds
-    )
-    return _assemble_survivors(chunk_items, member_matrix, chunk_offsets, config)

@@ -1,10 +1,10 @@
 """Deterministic, seeded fault injection for the store and parallel planes.
 
 The durability claims of :mod:`repro.store` (crash-safe saves, fsck/repair,
-chain GC) and the self-healing claims of :mod:`repro.core.parallel` (pool
-restart, serial degradation) are only worth something if they are *tested*
+chain GC) and the self-healing claims of :mod:`repro.serve.dispatch` (retry
+on a sibling, respawn) are only worth something if they are *tested*
 against the failures they guard — a torn write, a dropped fsync, a failed
-``os.replace``, a flipped bit, a worker killed mid-``map``. This module is
+``os.replace``, a flipped bit, a worker killed mid-request. This module is
 the single switchboard those failures come through:
 
 * **VFS faults** — :mod:`repro.store.format` routes every durable file
@@ -13,8 +13,8 @@ the single switchboard those failures come through:
   :func:`read_bytes`). With no plan active every hook is a thin passthrough;
   with a plan active the hooks count operation boundaries and fire the
   plan's faults at exact, reproducible points.
-* **Pool-worker faults** — :mod:`repro.core.parallel` asks
-  :func:`claim_worker_fault` per dispatched task; a claimed fault travels to
+* **Pool-worker faults** — :mod:`repro.serve.dispatch` asks
+  :func:`claim_worker_fault` per dispatched request; a claimed fault travels to
   the worker, which executes it (``os._exit`` for *kill*, a long sleep for
   *hang*) before touching the task. Claims happen parent-side, so a
   one-shot fault stays one-shot even though the faulted worker dies.

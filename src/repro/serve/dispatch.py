@@ -14,8 +14,8 @@ busy with *large* frames rather than many small ones). A dispatch that hits
 EOF or a connection error marks the worker dead, schedules a respawn, and
 retries the frame on a sibling — bounded at ``num_workers + 1`` attempts so
 a frame that kills every worker it touches cannot retry forever. Fault
-injection hooks in exactly like the executor pools: every dispatch attempt
-asks :func:`repro.faults.claim_worker_fault` whether this one should carry a
+injection: every dispatch attempt asks
+:func:`repro.faults.claim_worker_fault` whether this one should carry a
 fault spec.
 """
 

@@ -29,10 +29,9 @@ count, key family, or executor backend:
 * :mod:`repro.shard.executor` — the driver: the same seeded level loop as
   :func:`~repro.core.merging.hierarchical_merge_tables`, with every pair
   merge fanned out per owner group through
-  :class:`~repro.core.parallel.ParallelExecutor` (one shared-memory plane
-  per merge, amortized across the forward and backward query rounds), owner
-  propagation through the vectorized union-find, and owner-grouped density
-  pruning.
+  :class:`~repro.core.parallel.ParallelExecutor` (serial or thread pool),
+  owner propagation through the vectorized union-find, and owner-grouped
+  density pruning.
 
 Equality contract
 -----------------

@@ -26,12 +26,9 @@ table. This module therefore keeps the *index* global and decomposes the
    lexsort), so the returned :class:`~repro.ann.mutual.MutualPair` list is
    the unsharded list, element for element.
 
-Parallel dispatch: with a process(+shared-memory) executor, both sides'
-vector matrices ride one :class:`~repro.store.plane.TaskPlane` per merge
-(kept alive across the forward and backward rounds via
-:meth:`~repro.core.parallel.ParallelExecutor.plane_session`); workers build
-full-side indexes through their persistent worker-local index caches, answer
-their owner group's rows, and ship back only small ``(p, 2)`` pair arrays.
+Parallel dispatch: both full-side indexes are built once in the parent, and
+the owner groups of a direction fan out over the executor's thread pool
+against that shared index, returning small ``(p, 2)`` pair arrays.
 """
 
 from __future__ import annotations
@@ -109,79 +106,20 @@ def _owner_groups(owners: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(owners == owner) for owner in np.unique(owners)]
 
 
-def _shard_query_shm_task(task: tuple) -> np.ndarray:
-    """Answer one owner group's directed queries from the merge's shared plane.
-
-    The worker attaches the plane, rebuilds the full index side from the
-    mapped matrix through its persistent worker-local cache (so later groups,
-    the opposite direction, and later levels reuse it), and returns the small
-    global-row pair array by pickle.
-    """
-    from ..core.parallel import worker_index_cache
-    from ..store import plane as plane_mod
-
-    plane_name, query_side, rows, resolved_backend, config = task
-    plane = plane_mod.worker_plane(plane_name)
-    vectors_a = plane.array("t0/a")
-    vectors_b = plane.array("t0/b")
-    index_vectors, query_vectors = (
-        (vectors_b, vectors_a) if query_side == "a" else (vectors_a, vectors_b)
-    )
-    index = _build_index(index_vectors, resolved_backend, config, worker_index_cache())
-    return directed_pairs_for_rows(index, query_vectors[rows], rows, config.k, config.m)
-
-
-def _shard_query_task(task: tuple) -> np.ndarray:
-    """Pickle-path counterpart of :func:`_shard_query_shm_task` (arrays in the task)."""
-    from ..core.parallel import worker_index_cache
-
-    index_vectors, query_vectors, rows, resolved_backend, config = task
-    index = _build_index(index_vectors, resolved_backend, config, worker_index_cache())
-    return directed_pairs_for_rows(index, query_vectors[rows], rows, config.k, config.m)
-
-
 def _directed_union(
     executor: ParallelExecutor,
-    plane,
-    query_side: str,
     index,
-    index_vectors: np.ndarray,
     query_vectors: np.ndarray,
     owners: np.ndarray,
-    resolved_backend: str,
     config: MergingConfig,
-    cache: IndexCache | None,
 ) -> np.ndarray:
-    """One direction's full directed pair set, unioned over owner groups.
-
-    ``index`` is the parent-built index (present for the in-parent paths) or
-    ``None`` when process workers build their own from the plane/task
-    payload.
-    """
-    groups = _owner_groups(owners)
-    if executor.uses_processes and len(groups) > 1:
-        if plane is not None:
-            chunks = executor.map(
-                _shard_query_shm_task,
-                [(plane.name, query_side, rows, resolved_backend, config) for rows in groups],
-            )
-        else:
-            chunks = executor.map(
-                _shard_query_task,
-                [
-                    (index_vectors, query_vectors, rows, resolved_backend, config)
-                    for rows in groups
-                ],
-            )
-    else:
-        if index is None:
-            index = _build_index(index_vectors, resolved_backend, config, cache)
-        chunks = executor.map(
-            lambda rows: directed_pairs_for_rows(
-                index, query_vectors[rows], rows, config.k, config.m
-            ),
-            groups,
-        )
+    """One direction's full directed pair set, unioned over owner groups."""
+    chunks = executor.map(
+        lambda rows: directed_pairs_for_rows(
+            index, query_vectors[rows], rows, config.k, config.m
+        ),
+        _owner_groups(owners),
+    )
     real = [chunk for chunk in chunks if chunk.size]
     if not real:
         return np.zeros((0, 2), dtype=np.int64)
@@ -228,34 +166,18 @@ def sharded_mutual_pairs(
             cache=cache,
         )
 
-    ship_via_plane = executor.uses_shared_memory
-    index_b = index_a = None
-    if not executor.uses_processes:
-        # In-parent paths build both sides here, in mutual_top_k's order
-        # (b first, then a) against the shared cache. Process workers build
-        # their own through worker-local caches instead.
-        index_b = _build_index(vectors_b, resolved_b, config, cache)
-        index_a = _build_index(vectors_a, resolved_a, config, cache)
-    tasks = [{"a": np.ascontiguousarray(vectors_a), "b": np.ascontiguousarray(vectors_b)}]
-    with (executor.plane_session(tasks) if ship_via_plane else _null_context()) as plane:
-        if decompose_forward:
-            forward = _directed_union(
-                executor, plane, "a", index_b, vectors_b, vectors_a, owners_a,
-                resolved_b, config, cache,
-            )
-        else:
-            if index_b is None:
-                index_b = _build_index(vectors_b, resolved_b, config, cache)
-            forward = _top_k_pair_array(index_b, vectors_a, config.k, config.m)
-        if decompose_backward:
-            backward = _directed_union(
-                executor, plane, "b", index_a, vectors_a, vectors_b, owners_b,
-                resolved_a, config, cache,
-            )
-        else:
-            if index_a is None:
-                index_a = _build_index(vectors_a, resolved_a, config, cache)
-            backward = _top_k_pair_array(index_a, vectors_b, config.k, config.m)
+    # Both sides are built here, in mutual_top_k's order (b first, then a)
+    # against the shared cache.
+    index_b = _build_index(vectors_b, resolved_b, config, cache)
+    index_a = _build_index(vectors_a, resolved_a, config, cache)
+    if decompose_forward:
+        forward = _directed_union(executor, index_b, vectors_a, owners_a, config)
+    else:
+        forward = _top_k_pair_array(index_b, vectors_a, config.k, config.m)
+    if decompose_backward:
+        backward = _directed_union(executor, index_a, vectors_b, owners_b, config)
+    else:
+        backward = _top_k_pair_array(index_a, vectors_b, config.k, config.m)
 
     # ------------------------------------------------ cross-shard stitch
     # Verbatim mutual_top_k tail: structured-row intersection, one exact
@@ -273,13 +195,3 @@ def sharded_mutual_pairs(
     dists = paired_distances(vectors_a[lefts], vectors_b[rights], config.metric)
     order = np.lexsort((rights, lefts, dists))
     return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
-
-
-class _null_context:
-    """``with`` helper yielding ``None`` when no shared plane is in play."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False

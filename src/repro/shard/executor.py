@@ -6,9 +6,9 @@ same seeded ``rng.permutation`` pairing per level, the same odd-leftover
 carry, the same :class:`~repro.core.merging.MergeStats` — but runs each pair
 merge through the boundary engine (:mod:`repro.shard.boundary`): the merge's
 directed query workload fans out per owner group over
-:class:`~repro.core.parallel.ParallelExecutor` (one shared-memory plane per
-merge, alive across both query directions), while the union-find stitch runs
-once in the parent via :func:`~repro.core.merging.merge_tables_with_pairs`.
+:class:`~repro.core.parallel.ParallelExecutor` (serially or on its thread
+pool, against indexes built once in the parent), while the union-find stitch
+runs once in the parent via :func:`~repro.core.merging.merge_tables_with_pairs`.
 Owner arrays propagate through every merge (a merged item inherits the owner
 of its first constituent node — pure load-balancing bookkeeping; output bytes
 never depend on it) and finally into owner-grouped density pruning
@@ -115,8 +115,6 @@ def sharded_hierarchical_merge(
     executor = executor or ParallelExecutor()
     if cache is None and config.index_cache:
         cache = IndexCache(max_entries=config.index_cache_entries)
-    if executor.uses_processes:
-        executor.attach_index_cache(cache)
     stats = MergeStats()
     current: list[ItemTable] = [as_item_table(table) for table in tables]
     current_owners: list[np.ndarray] = [

@@ -1,11 +1,11 @@
-"""Zero-copy persistence: snapshots, delta chains, shared-memory planes, load-and-serve.
+"""Zero-copy persistence: snapshots, delta chains, load-and-serve.
 
 Everything the pipeline fits lives in flat numpy arrays (PR 2-4); this
 package makes those arrays *move* without serialization:
 
-* :mod:`repro.store.format` — the snapshot container: one buffer (file or
-  shared-memory segment) holding a magic + version header, 64-byte-aligned
-  raw array segments, and a trailing JSON manifest. ``Snapshot.open(path,
+* :mod:`repro.store.format` — the snapshot container: one file holding a
+  magic + version header, 64-byte-aligned raw array segments, and a
+  trailing JSON manifest. ``Snapshot.open(path,
   mmap=True)`` returns arrays that are read-only views over the mapped file
   — zero copies; ``mmap=False`` materializes independent copies. The header
   carries a single integer format version (currently 2); readers accept
@@ -24,13 +24,6 @@ package makes those arrays *move* without serialization:
   base bundle (``*_delta_state``).
 * :mod:`repro.store.delta` — the delta ops themselves (``ref`` / ``alias``
   / row-``patch`` / ``full``), bundle-level diff/replay, and chain folding.
-* :mod:`repro.store.plane` — shared-memory task planes for
-  ``MultiEM(parallel)``'s process backend
-  (``ParallelConfig.shared_memory=True``): one segment per ``map`` call
-  carries every task's arrays as a snapshot buffer, workers attach zero-copy
-  views and receive only integer descriptors, and array-heavy results come
-  back through response segments — no pickled :class:`ItemTable` in either
-  direction, bit-identical output to the pickle dispatch.
 * :mod:`repro.store.session` — :func:`save_session` /
   :class:`MatchSession`: snapshot a fitted
   :class:`~repro.core.incremental.IncrementalMultiEM` once, then serve

@@ -44,7 +44,8 @@ what the append-only snapshot chain stores per
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import logging
+from dataclasses import asdict, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -72,6 +73,8 @@ from .format import (
     tag_tuples,
     untag_tuples,
 )
+
+logger = logging.getLogger("repro.store")
 
 
 # ------------------------------------------------------------------- plumbing
@@ -449,13 +452,44 @@ def config_to_meta(config: MultiEMConfig) -> dict:
     return asdict(config)
 
 
-def config_from_meta(meta: dict) -> MultiEMConfig:
-    config = MultiEMConfig(
-        representation=RepresentationConfig(**meta["representation"]),
-        merging=MergingConfig(**meta["merging"]),
-        pruning=PruningConfig(**meta["pruning"]),
-        parallel=ParallelConfig(**meta["parallel"]),
-    )
+#: Config keys older snapshots may carry that no longer exist, per section.
+#: They only ever chose a transport, never result bytes, so they are dropped.
+_RETIRED_CONFIG_KEYS = {"parallel": ("shared_memory", "reuse_pool")}
+
+
+def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
+    """Rebuild the pipeline config a snapshot manifest carries.
+
+    Snapshots outlive config fields: retired keys are dropped and the removed
+    ``backend="process"`` reads as ``"thread"`` (same bytes, one transport),
+    each with one warning naming the key and ``source``; any other key this
+    version does not know raises :class:`StoreError` instead of guessing.
+    """
+    sections = {}
+    for name, cls in (
+        ("representation", RepresentationConfig),
+        ("merging", MergingConfig),
+        ("pruning", PruningConfig),
+        ("parallel", ParallelConfig),
+    ):
+        values = dict(meta[name])
+        for key in _RETIRED_CONFIG_KEYS.get(name, ()):
+            if key in values:
+                del values[key]
+                logger.warning(
+                    "snapshot %s: config key %s.%s was retired and is ignored", source, name, key
+                )
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise StoreError(f"snapshot {source}: unknown config key {name}.{unknown[0]}")
+        sections[name] = cls(**values)
+    if sections["parallel"].backend == "process":
+        logger.warning(
+            'snapshot %s: config key parallel.backend="process" was removed; using "thread"',
+            source,
+        )
+        sections["parallel"] = replace(sections["parallel"], backend="thread")
+    config = MultiEMConfig(**sections)
     config.validate()
     return config
 

@@ -1,7 +1,6 @@
 """Versioned, memory-mappable snapshot container (header + aligned segments + JSON manifest).
 
-One snapshot is a single buffer (a file on disk or a shared-memory segment)
-laid out arrow-style::
+One snapshot is a single file laid out arrow-style::
 
     offset 0   magic  b"REPROSNP"
     offset 8   uint64 format version (little-endian)
@@ -16,10 +15,9 @@ laid out arrow-style::
 
 Arrays are stored as raw C-contiguous bytes, so a reader can hand back numpy
 views *directly over the mapped buffer* — ``Snapshot.open(path, mmap=True)``
-and ``Snapshot.from_buffer(buf)`` perform zero copies; the returned arrays
-are marked read-only because they alias storage another process (or a later
-writer) may own. ``mmap=False`` / ``copy=True`` materialize independent
-writable arrays instead.
+performs zero copies; the returned arrays are read-only because they alias
+storage another process (or a later writer) may own. ``mmap=False``
+materializes independent writable arrays instead.
 
 Delta chains
 ------------
@@ -129,17 +127,13 @@ class SnapshotWriter:
 
     Arrays are canonicalized to C-contiguous on :meth:`add_array` (a copy only
     when the input was non-contiguous); the writer holds references until the
-    snapshot is written, so add-then-mutate is not supported. The same writer
-    can target a file (:meth:`save`) or any writable buffer of
-    :meth:`required_size` bytes (:meth:`write_into`) — the latter is how
-    shared-memory planes are produced without an intermediate serialization.
+    snapshot is written (:meth:`save`), so add-then-mutate is not supported.
 
     ``segment_digests=True`` records a per-segment content digest in every
     canonical manifest entry (an additive manifest key — no format-version
     bump), which is what lets :mod:`repro.store.fsck` pinpoint *which*
     segment a flipped bit landed in instead of reporting a whole-payload
-    mismatch. Session saves enable it; transient shared-memory planes skip
-    the extra hashing pass.
+    mismatch. Session saves enable it.
     """
 
     def __init__(self, *, segment_digests: bool = False) -> None:
@@ -230,39 +224,6 @@ class SnapshotWriter:
         manifest = json.dumps(tree, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         return entries, offset, manifest
 
-    def required_size(self) -> int:
-        """Total snapshot size in bytes (header + segments + manifest)."""
-        _, manifest_offset, manifest = self._layout()
-        return manifest_offset + len(manifest)
-
-    # -------------------------------------------------------------- write
-    def write_into(self, buffer) -> int:
-        """Write the snapshot into a writable buffer; returns bytes written.
-
-        The buffer must hold at least :meth:`required_size` bytes (a
-        shared-memory segment may be slightly larger — readers locate the
-        manifest through the header, not the buffer end).
-        """
-        entries, manifest_offset, manifest = self._layout()
-        view = memoryview(buffer)
-        try:
-            total = manifest_offset + len(manifest)
-            if len(view) < total:
-                raise StoreError(
-                    f"snapshot needs {total} bytes but the buffer holds {len(view)}"
-                )
-            view[: _HEADER.size] = _HEADER.pack(
-                MAGIC, FORMAT_VERSION, manifest_offset, len(manifest)
-            )
-            for name, array in self._arrays.items():
-                entry = entries[name]
-                start = entry["offset"]
-                view[start : start + entry["nbytes"]] = array.reshape(-1).view(np.uint8).data
-            view[manifest_offset : manifest_offset + len(manifest)] = manifest
-            return total
-        finally:
-            view.release()
-
     def save(self, path: str | os.PathLike) -> int:
         """Write the snapshot to ``path`` atomically (temp file + rename)."""
         entries, manifest_offset, manifest = self._layout()
@@ -325,7 +286,7 @@ class DeltaWriter(SnapshotWriter):
 class Snapshot:
     """Reader over one snapshot buffer, zero-copy by default.
 
-    In mapped/buffer mode, :meth:`array` returns read-only views backed by
+    In mapped mode, :meth:`array` returns read-only views backed by
     the underlying storage (no bytes are copied); in copy mode every array is
     an independent writable copy and the source is released immediately.
     """
@@ -341,7 +302,7 @@ class Snapshot:
         self.delta: dict | None = manifest.get("delta")
         #: Header format version of the source buffer.
         self.format_version: int = int(manifest.get("__format_version__", FORMAT_VERSION))
-        #: Origin path when opened from a file (``None`` for raw buffers).
+        #: Origin path, set by :meth:`open`.
         self.path: str | None = None
         self._closer = closer
         self._materialized: dict[str, np.ndarray] | None = None
@@ -383,11 +344,6 @@ class Snapshot:
             snapshot = cls(cls._parse(data), data, copy=True)
         snapshot.path = os.fspath(path)
         return snapshot
-
-    @classmethod
-    def from_buffer(cls, buffer, *, copy: bool = False) -> "Snapshot":
-        """Read a snapshot out of any buffer (e.g. a shared-memory segment)."""
-        return cls(cls._parse(buffer), buffer, copy=copy)
 
     @staticmethod
     def _parse(buffer) -> dict:
@@ -438,12 +394,7 @@ class Snapshot:
                 f"(offset {entry['offset']}, {count} x {dtype}): truncated or "
                 f"corrupted file ({exc})"
             ) from exc
-        array = array.reshape(shape)
-        if array.flags.writeable:
-            # Shared-memory buffers are writable; the snapshot contract is
-            # read-only either way (another process owns the storage).
-            array.flags.writeable = False
-        return array
+        return array.reshape(shape)  # read-only: every source buffer is immutable
 
     def names(self) -> list[str]:
         """All array names, in manifest order."""

@@ -36,7 +36,10 @@ import os
 
 import numpy as np
 
+from ..ann.cache import index_params_key
+from ..ann.mutual import create_index, resolve_backend
 from ..core.incremental import IncrementalMultiEM
+from ..core.merging import merge_index_kwargs
 from ..data.table import Table
 from ..exceptions import StoreError
 from . import codecs
@@ -219,12 +222,13 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
 
 
 def _restore_state(
-    meta, arrays, *, verify: bool, payload_digest
+    meta, arrays, *, verify: bool, payload_digest, source
 ) -> IncrementalMultiEM:
     """Rehydrate a matcher from a session meta tree plus flat logical arrays.
 
     ``payload_digest`` is a zero-arg callable deriving the digest to check
-    against the recorded one (only invoked when ``verify`` needs it).
+    against the recorded one (only invoked when ``verify`` needs it);
+    ``source`` is the file the state came from, for messages.
     """
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
         raise StoreError("snapshot does not hold a MultiEM session")
@@ -261,7 +265,7 @@ def _restore_state(
             meta["shard"], codecs.unpack_arrays(arrays, "shard/", meta["shard"])
         )
     return IncrementalMultiEM.from_snapshot_state(
-        config=codecs.config_from_meta(meta["config"]),
+        config=codecs.config_from_meta(meta["config"], source=str(source)),
         encoder=encoder,
         attributes=tuple(meta["attributes"]),
         schema=tuple(meta["schema"]),
@@ -284,6 +288,7 @@ def _restore(snapshot: Snapshot, *, verify: bool) -> IncrementalMultiEM:
         snapshot_arrays(snapshot),
         verify=verify,
         payload_digest=snapshot.payload_digest,
+        source=snapshot.path,
     )
 
 
@@ -295,7 +300,11 @@ def _open_chain_once(path, *, mmap: bool, verify: bool):
         arrays = resolve_chain_arrays(chain)
         meta = chain.meta
         matcher = _restore_state(
-            meta, arrays, verify=verify, payload_digest=chain.tip.payload_digest
+            meta,
+            arrays,
+            verify=verify,
+            payload_digest=chain.tip.payload_digest,
+            source=chain.paths[-1],
         )
         _record_base(matcher, chain.paths[-1], meta, arrays, depth=chain.depth)
         return matcher, meta
@@ -397,6 +406,7 @@ def compact_session(
                 resolve_chain_arrays(chain),
                 verify=verify,
                 payload_digest=chain.tip.payload_digest,
+                source=chain.paths[-1],
             )
         finally:
             if not mmap:
@@ -413,14 +423,14 @@ def compact_session(
 class _QueryContext:
     """Per-session query plumbing, resolved once instead of per request.
 
-    ``MatchSession.query`` used to rebuild the merging config's
-    ``index_kwargs`` dict, re-import the backend registry, and re-resolve the
-    backend + cache params key on **every** call — pure Python dispatch that
-    dwarfs the actual native re-rank once a coalescer drives thousands of
-    requests through the session. This object hoists all of it: the encoder
-    handle, the kwargs dict, the default distance cutoff, and a per-table-size
-    memo of the resolved backend's cache params key (backend resolution is a
-    function of the row count alone, which only changes on ``add_table``).
+    Hoists everything a lookup needs that does not depend on the texts: the
+    encoder handle, the merge stage's index kwargs, the default distance
+    cutoff, and the query index itself. The index is held against the
+    identity of the integrated :class:`~repro.core.merging.ItemTable` it was
+    looked up for — ``add_table`` and reload publish a new table object, and
+    a published table is never mutated — so the cache (whose lookup
+    fingerprints the whole vector plane) is consulted once per table, not
+    once per call.
     """
 
     __slots__ = (
@@ -429,7 +439,8 @@ class _QueryContext:
         "cache",
         "index_kwargs",
         "default_max_distance",
-        "_resolved",
+        "_table",
+        "_index",
     )
 
     def __init__(self, matcher: IncrementalMultiEM) -> None:
@@ -439,24 +450,18 @@ class _QueryContext:
         self.merging = merging
         self.cache = matcher._index_cache
         self.default_max_distance = merging.m
-        self.index_kwargs = {
-            "hnsw_max_degree": merging.hnsw_max_degree,
-            "hnsw_ef_construction": merging.hnsw_ef_construction,
-            "hnsw_ef_search": merging.hnsw_ef_search,
-            "lsh_num_tables": merging.lsh_num_tables,
-            "lsh_num_bits": merging.lsh_num_bits,
-            "lsh_probe_neighbors": merging.lsh_probe_neighbors,
-            "kernel_threads": merging.kernel_threads,
-            "quantized_scan": merging.quantized_scan,
-            "seed": merging.seed,
-        }
-        self._resolved: dict[int, str] = {}
+        self.index_kwargs = merge_index_kwargs(merging)
+        self._table = None
+        self._index = None
 
     def index_for(self, table):
-        """The query index over ``table.vectors`` (cache-hit when possible)."""
-        from ..ann.cache import index_params_key
-        from ..ann.mutual import create_index, resolve_backend
+        """The query index over ``table.vectors``, looked up once per table object."""
+        if table is not self._table:
+            self._index = self._lookup(table)
+            self._table = table
+        return self._index
 
+    def _lookup(self, table):
         merging = self.merging
         size = int(table.vectors.shape[0])
 
@@ -471,14 +476,10 @@ class _QueryContext:
 
         if self.cache is None:
             return build()
-        # Same params key the merge stage uses, so a query content-hits the
-        # index a previous merge (or query) already built. Resolution is
-        # memoized by row count — the only input that varies per session.
-        params_key = self._resolved.get(size)
-        if params_key is None:
-            resolved = resolve_backend(merging.index, size, merging.brute_force_limit)
-            params_key = index_params_key(resolved, merging.metric, self.index_kwargs)
-            self._resolved[size] = params_key
+        # Same params key the merge stage uses, so the lookup content-hits the
+        # index a previous merge already built (and a later merge hits this one).
+        resolved = resolve_backend(merging.index, size, merging.brute_force_limit)
+        params_key = index_params_key(resolved, merging.metric, self.index_kwargs)
         return self.cache.get_or_build(table.vectors, build, params_key=params_key)
 
 
@@ -536,9 +537,10 @@ class MatchSession:
         """Nearest integrated tuples for raw serialized texts.
 
         Encodes ``texts`` with the restored encoder and searches the
-        integrated table with the configured ANN backend (through the
-        restored index cache, so repeated queries — and a cache warmed by a
-        previous ``add_table`` — never rebuild the index). Returns one list
+        integrated table with the configured ANN backend (the index is
+        looked up once per integrated table — through the restored index
+        cache, so a cache warmed by a previous ``add_table`` never rebuilds
+        it — and held until ``add_table`` publishes a new table). Returns one list
         per text of ``(members, distance)`` pairs, nearest first; pairs
         beyond ``max_distance`` (default: the merging threshold ``m``) are
         dropped. A thin alias of :meth:`query_many`.

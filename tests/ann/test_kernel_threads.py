@@ -5,7 +5,7 @@ a worker pool but commits results in insertion order, validating each
 speculation's read set against the round-start graph — so the graph it
 produces is byte-identical to the sequential build at any thread count. These
 tests pin that contract across build, extend, query, snapshot round trips,
-and the process-pool path, and pin the opt-in int8 quantized scan's
+and the thread-pool merge path, and pin the opt-in int8 quantized scan's
 recall-==-1 contract against the dense exact scan.
 """
 
@@ -102,8 +102,8 @@ def test_kernel_threads_validation():
         HNSWIndex(kernel_threads=0)
 
 
-def test_process_pool_merge_thread_invariant():
-    """A process-pool merge with kernel_threads=2 matches the serial 1-thread run."""
+def test_thread_pool_merge_thread_invariant():
+    """A pooled merge with kernel_threads=2 matches the serial 1-thread run."""
     from repro.config import MergingConfig, ParallelConfig
     from repro.core.merging import ItemTable, hierarchical_merge_tables
     from repro.core.parallel import ParallelExecutor
@@ -125,7 +125,7 @@ def test_process_pool_merge_thread_invariant():
     serial_config = MergingConfig(index="hnsw", brute_force_limit=1, m=0.8)
     serial, _ = hierarchical_merge_tables([t for t in tables], serial_config)
     threaded_config = MergingConfig(index="hnsw", brute_force_limit=1, m=0.8, kernel_threads=2)
-    with ParallelExecutor(ParallelConfig(enabled=True, backend="process", max_workers=2)) as ex:
+    with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
         merged, _ = hierarchical_merge_tables([t for t in tables], threaded_config, executor=ex)
     assert np.array_equal(merged.vectors, serial.vectors)
     assert np.array_equal(merged.member_offsets, serial.member_offsets)

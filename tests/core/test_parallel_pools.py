@@ -1,23 +1,20 @@
-"""Persistent-pool executor: backend equality, pool reuse, teardown.
+"""Persistent-pool executor: thread == serial equality, pool reuse, teardown.
 
-The process backend ships picklable module-level tasks and gives every
-worker a persistent, snapshot-seeded index cache; the thread backend shares
-the parent's objects. All backends must produce bit-identical merge + prune
-output — cache reuse and chunking are performance-only.
+The thread pool shares the parent's objects (tables, indexes, index cache).
+It must produce bit-identical merge + prune output to the serial path —
+cache reuse and chunking are performance-only.
 """
-
-import os
 
 import numpy as np
 import pytest
 
-from repro.ann.cache import IndexCache
 from repro.config import MergingConfig, ParallelConfig, PruningConfig
 from repro.core.merging import ItemTable, hierarchical_merge_tables
 from repro.core.parallel import ParallelExecutor, partition
-from repro.core.pruning import prune_items
+from repro.core.pruning import prune_item_table, prune_items
 from repro.core.representation import EmbeddingStore, TableEmbeddings
 from repro.data.entity import EntityRef
+from repro.exceptions import ConfigurationError
 
 
 def _tables(num_tables=5, rows=120, dim=16):
@@ -73,9 +70,9 @@ def serial_reference():
     return tables, config, store, pruning, merged, stats, pruned
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_backend_merge_prune_equals_serial(serial_reference, backend):
-    """serial == thread == process, bit for bit, merge and prune alike."""
+    """serial == thread, bit for bit, merge and prune alike."""
     tables, config, store, pruning, merged_ref, stats_ref, pruned_ref = serial_reference
     with ParallelExecutor(ParallelConfig(enabled=True, backend=backend, max_workers=2)) as ex:
         merged, stats = hierarchical_merge_tables([t for t in tables], config, executor=ex)
@@ -89,7 +86,27 @@ def test_backend_merge_prune_equals_serial(serial_reference, backend):
         assert got.vector.tobytes() == want.vector.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("index", ["brute-force", "hnsw"])
+def test_thread_merge_and_table_prune_equal_serial(index):
+    """Flat-table pruning path, both index families: thread == serial bytes."""
+    tables = _tables(rows=70, dim=12)
+    store = _store(tables)
+    merging = MergingConfig(index=index, m=0.5)
+    pruning = PruningConfig(epsilon=1.0)
+    merged_ref, _ = hierarchical_merge_tables([t for t in tables], merging)
+    pruned_ref = prune_item_table(merged_ref, store, pruning)
+    with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
+        merged, _ = hierarchical_merge_tables([t for t in tables], merging, executor=ex)
+        pruned = prune_item_table(merged, store, pruning, executor=ex)
+    assert _table_equal(merged, merged_ref)
+    assert merged.vectors.tobytes() == merged_ref.vectors.tobytes()
+    assert [item.members for item in pruned] == [item.members for item in pruned_ref]
+    assert all(
+        got.vector.tobytes() == want.vector.tobytes() for got, want in zip(pruned, pruned_ref)
+    )
+
+
+@pytest.mark.parametrize("backend", ["thread"])
 def test_pool_persists_across_map_calls(backend):
     ex = ParallelExecutor(ParallelConfig(enabled=True, backend=backend, max_workers=2))
     try:
@@ -106,51 +123,13 @@ def test_pool_persists_across_map_calls(backend):
     ex.close()
 
 
-def test_process_workers_persist_across_calls():
-    """The same worker processes serve successive maps (no per-call spin-up)."""
-    ex = ParallelExecutor(ParallelConfig(enabled=True, backend="process", max_workers=1))
-    try:
-        first = set(ex.map(_worker_pid, [0, 1]))
-        second = set(ex.map(_worker_pid, [2, 3]))
-        assert first == second
-    finally:
-        ex.close()
-
-
-def test_legacy_fresh_pool_mode_still_works():
-    config = ParallelConfig(enabled=True, backend="process", max_workers=1, reuse_pool=False)
-    ex = ParallelExecutor(config)
-    try:
-        assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert ex._pool is None, "legacy mode must not retain a pool"
-    finally:
-        ex.close()
-
-
-def test_process_worker_cache_seeded_from_snapshot():
-    """attach_index_cache ships a snapshot; workers see the seeded entries."""
-    from repro.ann import BruteForceIndex
-
-    rng = np.random.default_rng(0)
-    vectors = rng.normal(size=(40, 8)).astype(np.float32)
-    cache = IndexCache(max_entries=4)
-    cache.get_or_build(vectors, lambda: BruteForceIndex().build(vectors), params_key="probe")
-    ex = ParallelExecutor(ParallelConfig(enabled=True, backend="process", max_workers=1))
-    ex.attach_index_cache(cache)
-    try:
-        sizes = ex.map(_worker_cache_probe, [0, 1])
-        assert sizes == [1, 1], "worker cache was not seeded from the parent snapshot"
-    finally:
-        ex.close()
-
-
 def test_serial_and_single_item_paths_stay_inline():
     ex = ParallelExecutor(ParallelConfig(enabled=False))
-    assert not ex.is_parallel and not ex.uses_processes
+    assert not ex.is_parallel
     assert ex.map(_double, [3]) == [6]
-    parallel = ParallelExecutor(ParallelConfig(enabled=True, backend="process"))
+    parallel = ParallelExecutor(ParallelConfig(enabled=True, backend="thread"))
     try:
-        # Single-item maps never touch the pool (nor pickling).
+        # Single-item maps never touch the pool.
         assert parallel.map(lambda x: x + 1, [41]) == [42]
         assert parallel._pool is None
     finally:
@@ -158,7 +137,7 @@ def test_serial_and_single_item_paths_stay_inline():
 
 
 def test_pipeline_tuples_identical_across_backends():
-    """End to end: MultiEM predictions match exactly for serial/thread/process."""
+    """End to end: MultiEM predictions match exactly for serial and thread."""
     from repro.config import paper_default_config
     from repro.core import MultiEM
     from repro.data.generators import load_benchmark
@@ -167,13 +146,12 @@ def test_pipeline_tuples_identical_across_backends():
     config = paper_default_config("music-20").with_overrides(merging={"index": "hnsw"})
     serial = MultiEM(config).match(dataset)
     assert serial.tuples
-    for backend in ("thread", "process"):
-        parallel_config = config.with_overrides(
-            parallel={"enabled": True, "backend": backend, "max_workers": 2}
-        )
-        result = MultiEM(parallel_config).match(dataset)
-        assert result.tuples == serial.tuples, f"{backend} backend changed predictions"
-        assert result.method == "MultiEM (parallel)"
+    parallel_config = config.with_overrides(
+        parallel={"enabled": True, "backend": "thread", "max_workers": 2}
+    )
+    result = MultiEM(parallel_config).match(dataset)
+    assert result.tuples == serial.tuples, "thread backend changed predictions"
+    assert result.method == "MultiEM (parallel)"
 
 
 def test_incremental_matcher_close_is_idempotent():
@@ -198,16 +176,12 @@ def test_partition_unchanged_contract():
     assert partition([], 2) == []
 
 
+def test_process_backend_is_refused_by_name():
+    with pytest.raises(ConfigurationError, match=r'removed.*"thread"'):
+        ParallelConfig(backend="process").validate()
+    with pytest.raises(ConfigurationError, match="removed"):
+        ParallelExecutor(ParallelConfig(enabled=True, backend="process"))
+
+
 def _double(x):
     return 2 * x
-
-
-def _worker_pid(_):
-    return os.getpid()
-
-
-def _worker_cache_probe(_):
-    from repro.core.parallel import worker_index_cache
-
-    cache = worker_index_cache()
-    return 0 if cache is None else len(cache)

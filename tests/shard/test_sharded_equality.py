@@ -3,7 +3,7 @@
 The full pipeline runs at shards ∈ {2, 4} under both shard keys and must
 reproduce the unsharded run's predicted tuples (and the pinned music-20
 regression digest) exactly; the merge layer is additionally pinned at the
-ItemTable level, through a process + shared-memory executor, and through a
+ItemTable level, through a thread-pool executor, and through a
 ``REPRO_NATIVE=0`` subprocess leg.
 """
 
@@ -100,24 +100,14 @@ def test_sharded_merge_item_table_bytes(backend):
     assert owners.dtype == np.int32 and len(owners) == len(merged)
 
 
-@pytest.mark.parametrize("shared_memory", (False, True))
-def test_sharded_merge_through_process_executor(shared_memory):
-    """The per-shard fan-out over process workers (pickle and shm planes)."""
+def test_sharded_merge_through_thread_executor():
+    """The per-shard fan-out over the thread pool, against parent-built indexes."""
     tables = _synthetic_tables()
     config = MergingConfig(index="hnsw", m=0.5, shards=2, shard_key="lsh")
     serial, _ = hierarchical_merge_tables(tables, MergingConfig(index="hnsw", m=0.5))
     plan = plan_from_item_tables([t for t in tables], config)
-    executor = ParallelExecutor(
-        ParallelConfig(
-            enabled=True, backend="process", max_workers=2, shared_memory=shared_memory
-        )
-    )
-    try:
-        merged, _, owners = sharded_hierarchical_merge(
-            tables, plan.owners, config, executor=executor
-        )
-    finally:
-        executor.close()
+    with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
+        merged, _, owners = sharded_hierarchical_merge(tables, plan.owners, config, executor=ex)
     assert item_table_digest(merged) == item_table_digest(serial)
     assert len(owners) == len(merged)
 

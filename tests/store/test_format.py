@@ -90,17 +90,6 @@ class TestRoundTrip:
         for entry in manifest["arrays"].values():
             assert entry["offset"] % 64 == 0
 
-    def test_buffer_roundtrip(self, sample_arrays):
-        writer = SnapshotWriter()
-        for name, array in sample_arrays.items():
-            writer.add_array(name, array)
-        writer.set_meta({"via": "buffer"})
-        buffer = bytearray(writer.required_size())
-        writer.write_into(buffer)
-        snap = Snapshot.from_buffer(buffer)
-        assert snap.meta == {"via": "buffer"}
-        assert snap.array("vectors").tobytes() == sample_arrays["vectors"].tobytes()
-
     def test_shared_buffers_stored_once(self, tmp_path):
         """Registering the same array under several names writes one segment.
 
@@ -313,12 +302,6 @@ class TestErrors:
         with Snapshot.open(path) as snap:
             with pytest.raises(StoreError, match="no array"):
                 snap.array("nope")
-
-    def test_too_small_buffer_rejected(self, sample_arrays):
-        writer = SnapshotWriter()
-        writer.add_array("v", sample_arrays["vectors"])
-        with pytest.raises(StoreError, match="buffer holds"):
-            writer.write_into(bytearray(16))
 
 
 class TestTupleTagging:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,110 @@ class TestQueryMany:
             assert context is not None
             session.query_many(probe_texts[1:3], k=2)
             assert session._query_context is context
+
+
+def _cache_lookups(cache) -> int:
+    stats = cache.stats
+    return stats.exact_hits + stats.prefix_hits + stats.misses
+
+
+class TestQueryIndexHolder:
+    """The query index is looked up once per integrated table, not per call."""
+
+    def test_cache_is_consulted_once_per_table(self, snapshot_path, split):
+        base, held_out = split
+        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:3]
+        with MatchSession.load(snapshot_path) as session:
+            cache = session.matcher._index_cache
+            before = _cache_lookups(cache)
+            first = session.query_many(texts, k=2)
+            assert _cache_lookups(cache) == before + 1
+            for _ in range(5):
+                assert session.query_many(texts, k=2) == first
+            assert _cache_lookups(cache) == before + 1
+            session.match_new_table(held_out)  # publishes a new table object
+            before = _cache_lookups(cache)
+            for _ in range(5):
+                session.query_many(texts, k=2)
+            assert _cache_lookups(cache) == before + 1
+
+    def test_cacheless_session_builds_once_per_table(self, split, monkeypatch):
+        from repro.store import session as session_module
+
+        base, held_out = split
+        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:3]
+        config = paper_default_config(base.name).with_overrides(merging={"index_cache": False})
+        builds = []
+        real_create_index = session_module.create_index
+
+        def counting_create_index(*args, **kwargs):
+            builds.append(1)
+            return real_create_index(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "create_index", counting_create_index)
+        with IncrementalMultiEM(config) as matcher:
+            matcher.fit(base)
+            assert matcher._index_cache is None
+            session = MatchSession(matcher)
+            for _ in range(6):
+                session.query_many(texts, k=2)
+            assert len(builds) == 1
+            session.match_new_table(held_out)
+            for _ in range(5):
+                session.query_many(texts, k=2)
+            assert len(builds) == 2
+
+
+def _rewrite_manifest_config(source, target, edit) -> None:
+    """Copy a snapshot file, passing its manifest's config tree through ``edit``."""
+    data = source.read_bytes()
+    magic, version, offset, length = struct.unpack("<8sQQQ", data[:32])
+    manifest = json.loads(data[offset : offset + length])
+    edit(manifest["meta"]["config"])
+    encoded = json.dumps(manifest, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    header = struct.pack("<8sQQQ", magic, version, offset, len(encoded))
+    target.write_bytes(header + data[32:offset] + encoded)
+
+
+class TestRetiredConfigKeys:
+    """Snapshots written before the process / shm transports were removed."""
+
+    def test_old_transport_keys_load_with_warnings_and_same_answers(
+        self, snapshot_path, split, tmp_path, caplog
+    ):
+        base, held_out = split
+        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:4]
+        old = tmp_path / "old.snap"
+        _rewrite_manifest_config(
+            snapshot_path,
+            old,
+            lambda config: config["parallel"].update(
+                backend="process", shared_memory=True, reuse_pool=False
+            ),
+        )
+        with caplog.at_level("WARNING", logger="repro.store"):
+            session = MatchSession.load(old)
+        messages = [record.getMessage() for record in caplog.records]
+        for key in ("parallel.backend", "parallel.shared_memory", "parallel.reuse_pool"):
+            assert sum(key in m and str(old) in m for m in messages) == 1, messages
+        assert len(messages) == 3
+        with session, MatchSession.load(snapshot_path) as reference:
+            assert session.matcher.config == reference.matcher.config
+            assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
+            got = session.match_new_table(held_out)
+            want = reference.match_new_table(held_out)
+            assert got.tuples == want.tuples
+            assert item_table_digest(session.matcher.integrated_table) == item_table_digest(
+                reference.matcher.integrated_table
+            )
+
+    def test_unknown_config_key_is_a_store_error(self, snapshot_path, tmp_path):
+        bad = tmp_path / "bad.snap"
+        _rewrite_manifest_config(
+            snapshot_path, bad, lambda config: config["pruning"].update(warp_factor=9)
+        )
+        with pytest.raises(StoreError, match=r"bad\.snap.*pruning\.warp_factor"):
+            MatchSession.load(bad)
 
 
 class TestSessionErrors:
