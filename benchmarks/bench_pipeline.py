@@ -190,84 +190,6 @@ def _pool_bench_tables(num_tables: int, rows: int) -> tuple[list, EmbeddingStore
     return tables, store
 
 
-def run_lsh_dedup_bench(rows: int = 10_000, repeats: int = 3) -> dict:
-    """LSH candidate dedup: in-place numpy sort vs the native radix kernel.
-
-    Captures the real (pre-dedup) candidate key stream an LSH query batch
-    produces on the twin-cloud workload, then times both dedup paths on
-    fresh copies (best of N) and asserts their outputs identical. Also times
-    the full query batch so the record carries the dedup share the ROADMAP
-    flagged (~40% of LSH query time on the numpy path).
-    """
-    from repro.ann import engine
-    from repro.ann import native as native_mod
-    from repro.ann.lsh import LSHIndex
-
-    rng = np.random.default_rng(42)
-    left = rng.normal(size=(rows, 64)).astype(np.float32)
-    right = left[rng.permutation(rows)] + rng.normal(scale=0.01, size=(rows, 64)).astype(np.float32)
-    index = LSHIndex(seed=0).build(left)
-    keys = index._candidate_keys(right)
-    assert keys is not None and keys.size > 0
-
-    def best_of(function):
-        best = None
-        result = None
-        for _ in range(max(repeats, 1)):
-            fresh = keys.copy()
-            started = time.perf_counter()
-            result = function(fresh)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
-
-    sort_seconds, sort_result = best_of(
-        lambda fresh: engine.dedup_sorted_keys(fresh, use_native=False)
-    )
-    native_enabled = native_mod.get_kernel() is not None
-    if native_enabled:
-        # Force the kernel so the record genuinely compares both
-        # implementations; auto mode picks the winner per machine
-        # (calibrated once per process) and the verdict rides alongside.
-        radix_seconds, radix_result = best_of(
-            lambda fresh: engine.dedup_sorted_keys(fresh, use_native=True)
-        )
-        assert np.array_equal(sort_result, radix_result), "dedup outputs diverged"
-    else:
-        radix_seconds = None  # no kernel on this box: nothing to compare against
-    auto_prefers_native = engine.dedup_native_preferred()
-    auto_seconds = (
-        min(sort_seconds, radix_seconds) if radix_seconds is not None else sort_seconds
-    )
-    query_started = time.perf_counter()
-    index.query(right, 1)
-    query_seconds = time.perf_counter() - query_started
-    # What the same query batch would cost with the sort-based dedup: the
-    # two paths differ only in the dedup step, so swap its time back in.
-    sort_query_seconds = query_seconds - auto_seconds + sort_seconds
-    return {
-        "dataset": f"lsh-dedup-{rows}x2",
-        "profile": "tiny" if rows < 10_000 else "bench",
-        "backend": "lsh",
-        "kind": "lsh_candidate_dedup",
-        "rows": 2 * rows,
-        "repeats": max(repeats, 1),
-        "stream_keys": int(keys.shape[0]),
-        "unique_keys": int(sort_result.shape[0]),
-        "native_enabled": native_enabled,
-        "auto_prefers_native": auto_prefers_native,
-        "seconds_sort_dedup": round(sort_seconds, 4),
-        "seconds_radix_dedup": None if radix_seconds is None else round(radix_seconds, 4),
-        "dedup_speedup": (
-            None if radix_seconds is None else round(sort_seconds / max(radix_seconds, 1e-9), 2)
-        ),
-        "seconds_full_query": round(query_seconds, 4),
-        "query_delta_seconds": round(sort_seconds - auto_seconds, 4),
-        "sort_dedup_share_of_query": round(sort_seconds / max(sort_query_seconds, 1e-9), 3),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
 def _encode_dataset_vectors(dataset_name: str, profile: str) -> np.ndarray:
     """All-table embedding matrix for a benchmark dataset (row-concatenated)."""
     from repro.core.representation import EntityRepresenter
@@ -317,22 +239,18 @@ print(json.dumps({{"seconds": best, "variant": native.kernel_variant(), "digest"
 def run_kernel_rerank_bench(
     dataset_name: str = "music-200", profile: str = "tiny", repeats: int = 3, segment: int = 64
 ) -> dict:
-    """Short-segment re-rank per kernel variant, plus the threaded-build timing.
+    """Short-segment re-rank per kernel variant.
 
     Times the same CSR re-rank workload (real ``dataset_name`` embeddings,
     ``segment``-row candidate lists — the shape the SIMD micro-kernels serve)
     in three subprocess legs: the ``REPRO_NATIVE=0`` numpy engine, the scalar
     C variant, and the AVX2 variant where the CPU supports it. Output digests
     are asserted identical across all legs — the variants are alternative
-    implementations, never alternative results. The record also carries an
-    HNSW build timing at ``kernel_threads`` 1 vs 2 with the graphs asserted
-    byte-identical; on a single-core box the threaded number measures
-    speculation overhead, not speedup (see ``threads_caveat``).
+    implementations, never alternative results.
     """
     import tempfile
 
     from repro.ann import native as native_mod
-    from repro.ann.hnsw import HNSWIndex
     from repro.ann.native import _cpu_supports_avx2
 
     vectors = _encode_dataset_vectors(dataset_name, profile)
@@ -368,26 +286,6 @@ def run_kernel_rerank_bench(
             else:
                 assert avx2_leg["digest"] == python_leg["digest"], "AVX2 re-rank diverged"
 
-    # Threaded build: byte-identity asserted here, wall-clock recorded.
-    def time_build(threads: int) -> tuple[float, bytes]:
-        best = None
-        state = None
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            index = HNSWIndex("cosine", seed=0, kernel_threads=threads).build(vectors)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-            n = len(index._node_levels)
-            state = b"".join(
-                index._layer_neighbors[layer][:n].tobytes()
-                for layer in range(len(index._layer_neighbors))
-            )
-        return best, state
-
-    build_1, graph_1 = time_build(1)
-    build_2, graph_2 = time_build(2)
-    assert graph_1 == graph_2, "threaded build graph diverged"
     return {
         "dataset": dataset_name,
         "profile": profile,
@@ -403,70 +301,6 @@ def run_kernel_rerank_bench(
         "seconds_rerank_scalar": round(scalar_leg["seconds"], 4),
         "seconds_rerank_avx2": None if avx2_leg is None else round(avx2_leg["seconds"], 4),
         "rerank_digest": python_leg["digest"],
-        "seconds_build_threads_1": round(build_1, 4),
-        "seconds_build_threads_2": round(build_2, 4),
-        "threads_caveat": (
-            "single-core bench box: kernel_threads=2 measures speculation overhead, "
-            "not speedup; graphs asserted byte-identical"
-        ),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def run_quantized_scan_bench(
-    dataset_name: str = "music-200", profile: str = "tiny", repeats: int = 3, k: int = 5
-) -> dict:
-    """Opt-in int8 coarse scan + exact re-rank vs the dense exact scan.
-
-    Both paths answer the same top-``k`` queries over real ``dataset_name``
-    embeddings (best of N each); neighbour ids are asserted identical
-    (recall == 1 on this workload) with distances matching to float32
-    round-off. The quantized path is never a default — this record tracks
-    what the opt-in buys.
-    """
-    from repro.ann import native as native_mod
-    from repro.ann.brute_force import BruteForceIndex
-
-    vectors = _encode_dataset_vectors(dataset_name, profile)
-    rng = np.random.default_rng(42)
-    num_queries = min(2000, vectors.shape[0])
-    queries = vectors[:num_queries] + rng.normal(
-        scale=0.01, size=(num_queries, vectors.shape[1])
-    ).astype(np.float32)
-
-    exact = BruteForceIndex("cosine").build(vectors)
-    quantized = BruteForceIndex("cosine", quantized_scan=True).build(vectors)
-
-    def best_of(index) -> tuple[float, tuple]:
-        best = None
-        result = None
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            result = index.query(queries, k)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
-
-    exact_seconds, (exact_idx, exact_dist) = best_of(exact)
-    quant_seconds, (quant_idx, quant_dist) = best_of(quantized)
-    assert np.array_equal(exact_idx, quant_idx), "quantized scan recall < 1"
-    assert np.allclose(exact_dist, quant_dist, rtol=1e-6, atol=1e-6)
-    return {
-        "dataset": dataset_name,
-        "profile": profile,
-        "backend": "brute-force-quantized",
-        "kind": "quantized_scan",
-        "rows": int(vectors.shape[0]),
-        "dim": int(vectors.shape[1]),
-        "num_queries": num_queries,
-        "k": k,
-        "repeats": max(repeats, 1),
-        "native_enabled": native_mod.get_kernel() is not None,
-        "recall_vs_exact": 1.0,
-        "seconds_exact_scan": round(exact_seconds, 4),
-        "seconds_quantized_scan": round(quant_seconds, 4),
-        "quantized_speedup": round(exact_seconds / max(quant_seconds, 1e-9), 2),
-        "note": "opt-in only (quantized_scan=True); single-core bench box",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
@@ -745,27 +579,8 @@ def test_bench_snapshot_delta(bench_profile):
         )
 
 
-def test_bench_lsh_dedup(bench_profile):
-    """Sort-based vs native radix candidate dedup on a real LSH key stream."""
-    rows = 2000 if bench_profile == "tiny" else 10_000
-    record = run_lsh_dedup_bench(rows=rows, repeats=3 if bench_profile != "tiny" else 1)
-    write_bench_record(record)
-    radix = record["seconds_radix_dedup"]
-    radix_part = (
-        f"vs radix {radix*1e3:.1f}ms ({record['dedup_speedup']:.2f}x, "
-        if radix is not None
-        else "(no native kernel, "
-    )
-    print(
-        f"\n  lsh dedup over {record['stream_keys']} keys "
-        f"({record['unique_keys']} unique): sort {record['seconds_sort_dedup']*1e3:.1f}ms "
-        f"{radix_part}query delta {record['query_delta_seconds']*1e3:.1f}ms)"
-    )
-    assert record["unique_keys"] > 0
-
-
 def test_bench_kernel_rerank(bench_profile):
-    """Per-variant short-segment re-rank + threaded HNSW build timings."""
+    """Per-variant short-segment re-rank timings."""
     import shutil
 
     if shutil.which(os.environ.get("CC", "gcc")) is None:
@@ -779,25 +594,9 @@ def test_bench_kernel_rerank(bench_profile):
     print(
         f"\n  rerank over {record['rows']}x{record['dim']} (seg {record['segment']}): "
         f"python {record['seconds_rerank_python']*1e3:.1f}ms, "
-        f"scalar {record['seconds_rerank_scalar']*1e3:.1f}ms{avx2_part}; "
-        f"build 1t {record['seconds_build_threads_1']:.2f}s vs "
-        f"2t {record['seconds_build_threads_2']:.2f}s (single-core box)"
+        f"scalar {record['seconds_rerank_scalar']*1e3:.1f}ms{avx2_part}"
     )
     assert record["seconds_rerank_scalar"] > 0
-
-
-def test_bench_quantized_scan(bench_profile):
-    """Opt-in quantized coarse scan vs the dense exact scan (recall == 1)."""
-    record = run_quantized_scan_bench("music-200", bench_profile, repeats=3)
-    write_bench_record(record)
-    print(
-        f"\n  quantized scan over {record['rows']}x{record['dim']} "
-        f"({record['num_queries']} queries, k={record['k']}): exact "
-        f"{record['seconds_exact_scan']:.3f}s vs quantized "
-        f"{record['seconds_quantized_scan']:.3f}s "
-        f"({record['quantized_speedup']:.2f}x, recall 1.0)"
-    )
-    assert record["recall_vs_exact"] == 1.0
 
 
 def test_bench_sharded_merge(bench_profile):

@@ -229,7 +229,7 @@ from repro.ann import native
 rng = np.random.default_rng(7)
 vectors = rng.standard_normal((250, 36)).astype(np.float32)
 queries = rng.standard_normal((25, 36)).astype(np.float32)
-index = HNSWIndex(seed=4, kernel_threads={threads}).build(vectors[:180])
+index = HNSWIndex(seed=4).build(vectors[:180])
 index.extend(vectors[180:])
 idx, dist = index.query(queries, 4)
 digest = hashlib.blake2b(digest_size=16)
@@ -245,12 +245,12 @@ print("DIGEST", digest.hexdigest())
 
 @pytest.mark.smoke
 def test_smoke_kernel_compile_matrix():
-    """One graph digest across every kernel tier: off / scalar / AVX2 / threaded.
+    """One graph digest across the python fallback and both kernel variants.
 
     Each leg runs in a subprocess with its own ``REPRO_NATIVE`` /
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
     HNSW index, and prints a digest over the full graph and query output. All
-    legs must agree byte-for-byte — the kernel tiers are alternative
+    legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.
     """
@@ -260,16 +260,15 @@ def test_smoke_kernel_compile_matrix():
     base_env.pop("REPRO_NATIVE", None)
     base_env.pop("REPRO_NATIVE_VARIANT", None)
 
-    legs = [("python-fallback", {"REPRO_NATIVE": "0"}, 1)]
+    legs = [("python-fallback", {"REPRO_NATIVE": "0"})]
     have_compiler = shutil.which(os.environ.get("CC", "gcc")) is not None
     native_disabled = os.environ.get("REPRO_NATIVE", "").lower() in ("0", "off", "false")
     if have_compiler and not native_disabled:
-        legs.append(("native-scalar", {"REPRO_NATIVE_VARIANT": "scalar"}, 1))
-        legs.append(("native-threads-2", {"REPRO_NATIVE_VARIANT": "scalar"}, 2))
+        legs.append(("native-scalar", {"REPRO_NATIVE_VARIANT": "scalar"}))
         from repro.ann.native import _cpu_supports_avx2
 
         if _cpu_supports_avx2():
-            legs.append(("native-avx2", {"REPRO_NATIVE_VARIANT": "avx2"}, 1))
+            legs.append(("native-avx2", {"REPRO_NATIVE_VARIANT": "avx2"}))
         else:
             print("\n  skipping native-avx2 leg: CPU lacks AVX2+FMA3")
     else:
@@ -277,10 +276,10 @@ def test_smoke_kernel_compile_matrix():
         pytest.skip(f"only the python-fallback leg is runnable here: {reason}")
 
     digests: dict[str, str] = {}
-    for name, extra_env, threads in legs:
+    for name, extra_env in legs:
         env = {**base_env, **extra_env}
         completed = subprocess.run(
-            [sys.executable, "-c", _MATRIX_SNIPPET.format(threads=threads)],
+            [sys.executable, "-c", _MATRIX_SNIPPET],
             capture_output=True,
             text=True,
             env=env,

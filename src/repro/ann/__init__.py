@@ -35,38 +35,26 @@ forces the fallback for everything the kernel governs;
 ``REPRO_NATIVE=require`` makes unavailability a hard error (used by the
 benchmark smoke leg).
 
-Kernel tiers
-------------
-The distance hot path escalates through three tiers, every one producing
-byte-identical results (each native tier must pass the load-time self-test
-against the numpy reference before it serves):
+Kernel variants
+---------------
+The native kernel is one sequential HNSW build / query plus the shared CSR
+re-rank, compiled in two variants that both produce the numpy paths' bytes
+(each must pass the load-time self-test against the numpy reference before
+it serves; ``REPRO_NATIVE=0`` forces the numpy paths):
 
-1. **numpy fallback** — always available; forced with ``REPRO_NATIVE=0``.
-2. **native scalar** — the C kernel compiled portably (``-O2``), calling
-   the wheel-bundled OpenBLAS for GEMV/GEMM exactly as numpy does.
-3. **native AVX2** — the same source compiled a second time with
-   ``-mavx2 -mfma -ffp-contract=off``, replacing the BLAS dot/GEMV calls
-   with hand-scheduled micro-kernels that reproduce OpenBLAS's SkylakeX
-   reduction order bit for bit. Selected automatically when the CPU
-   supports AVX2 *and* the compiled variant passes the identity self-test;
-   otherwise the scalar variant serves. ``REPRO_NATIVE_VARIANT`` ∈
-   ``auto`` (default) | ``scalar`` | ``avx2`` pins the choice. Compiled
-   variants are cached keyed on (source digest, flags, CPU features).
+* **scalar** — the C kernel compiled portably (``-O2``), calling the
+  wheel-bundled OpenBLAS for GEMV / dot exactly as numpy does.
+* **AVX2** — the same source compiled a second time with
+  ``-mavx2 -mfma -ffp-contract=off``, replacing the BLAS dot/GEMV calls
+  with hand-scheduled micro-kernels that reproduce OpenBLAS's SkylakeX
+  reduction order bit for bit. Selected automatically when the CPU
+  supports AVX2 *and* the compiled variant passes the identity self-test;
+  otherwise the scalar variant serves. ``REPRO_NATIVE_VARIANT`` ∈
+  ``auto`` (default) | ``scalar`` | ``avx2`` pins the choice. Compiled
+  variants are cached keyed on (source digest, flags, CPU features).
 
-Two orthogonal, explicitly-opted knobs ride on the native kernel:
-
-* ``kernel_threads`` (``MergingConfig`` / ``ParallelConfig``, default 1) —
-  the HNSW build speculates candidate searches on a pthread pool and
-  commits them in insertion order, validating each speculation's read set;
-  the graph is byte-identical at any thread count, so the knob is
-  *content-neutral*: excluded from index-cache keys and never persisted in
-  snapshots.
-* ``quantized_scan`` (``MergingConfig``, default off, **opt-in only**) —
-  the brute-force backend scores an int8-quantized copy of the corpus
-  first, over-fetches coarse candidates, then re-ranks them exactly in
-  float32. Neighbour ids match the dense exact scan (recall == 1 on the
-  pinned tests); distances may differ in the last float32 bit, which is
-  why the knob is never a default and *is* part of the cache key.
+The exact scan (one blocked GEMM per query batch) and the LSH candidate
+dedup (numpy's in-place sort plus a neighbour mask) have no native variant.
 
 Index reuse
 -----------

@@ -46,26 +46,9 @@ from ..exceptions import ConfigurationError
 from .base import NearestNeighborIndex
 
 
-#: Index kwargs that never change index *content* — e.g. the native build's
-#: thread count, which alters only wall-clock time (the threaded build commits
-#: in insertion order and is byte-identical at any setting). Excluding them
-#: from params keys lets indexes built at different thread counts share cache
-#: entries; content-affecting knobs (including ``quantized_scan``, which
-#: changes the query path) always stay in the key.
-CONTENT_NEUTRAL_PARAMS = frozenset({"kernel_threads"})
-
-
 def index_params_key(backend: str, metric: str, kwargs: dict) -> tuple:
-    """Canonical cache params key for an index build.
-
-    ``(backend, metric, sorted kwargs)`` with :data:`CONTENT_NEUTRAL_PARAMS`
-    dropped, so two builds that produce byte-identical indexes always map to
-    the same key regardless of performance-only knobs.
-    """
-    items = tuple(
-        sorted((k, v) for k, v in kwargs.items() if k not in CONTENT_NEUTRAL_PARAMS)
-    )
-    return (backend, metric, items)
+    """Canonical cache params key for an index build: ``(backend, metric, sorted kwargs)``."""
+    return (backend, metric, tuple(sorted(kwargs.items())))
 
 
 def fingerprint_vectors(vectors: np.ndarray) -> str:

@@ -66,11 +66,6 @@ class HNSWIndex(NearestNeighborIndex):
         ef_search: candidate-list size during queries (raised to ``k`` when a
             query asks for more than ``ef_search`` neighbours).
         seed: level-sampling seed, making index construction deterministic.
-        kernel_threads: worker threads for the native build's speculative
-            insert pipeline (``1`` = sequential). Content-neutral: the commit
-            order is the insertion order at any thread count, so the graph is
-            byte-identical regardless — the knob is deliberately excluded
-            from snapshot meta and index-cache keys.
     """
 
     batch_invariant = True
@@ -82,20 +77,16 @@ class HNSWIndex(NearestNeighborIndex):
         ef_construction: int = 100,
         ef_search: int = 64,
         seed: int = 0,
-        kernel_threads: int = 1,
     ) -> None:
         super().__init__(metric)
         if max_degree < 2:
             raise IndexError_("max_degree must be >= 2")
         if ef_construction < 1 or ef_search < 1:
             raise IndexError_("ef parameters must be >= 1")
-        if kernel_threads < 1:
-            raise IndexError_("kernel_threads must be >= 1")
         self.max_degree = max_degree
         self.ef_construction = ef_construction
         self.ef_search = ef_search
         self.seed = seed
-        self.kernel_threads = int(kernel_threads)
         self._level_mult = 1.0 / math.log(max_degree)
         # Per-layer flat adjacency: neighbours / distances are (num_nodes, cap)
         # arrays (cap = max degree + 1 slack for the pre-prune overflow slot).
@@ -348,7 +339,6 @@ class HNSWIndex(NearestNeighborIndex):
             query_sqs.ctypes.data,
             entry_io.ctypes.data,
             max_level_io.ctypes.data,
-            int(self.kernel_threads),
         )
         if status != 0:  # pragma: no cover - allocation failure
             del self._node_levels[start:]
@@ -445,7 +435,6 @@ class HNSWIndex(NearestNeighborIndex):
             ef_construction=self.ef_construction,
             ef_search=self.ef_search,
             seed=self.seed,
-            kernel_threads=self.kernel_threads,
         )
         dup._vectors = self._vectors
         dup._prepared = None if self._prepared is None else self._prepared.copy()

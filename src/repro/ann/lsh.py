@@ -189,12 +189,10 @@ class LSHIndex(NearestNeighborIndex):
         keys = self._candidate_keys(queries)
         if keys is None:
             return indices, distances
-        # Sorted dedup of the key stream — the native radix kernel when
-        # available, one in-place sort + mask otherwise. Output-identical to
-        # ``np.unique`` (the sorted unique set is algorithm-independent), but
-        # never numpy >= 2.4's hash-based ``np.unique`` path, which is ~25x
-        # slower at this stream size and dominated the whole query.
-        keys = engine.dedup_sorted_keys(keys, use_native=self._use_native)
+        # Sorted dedup of the key stream: one in-place sort + mask, same
+        # output as ``np.unique`` but never numpy >= 2.4's hash-based path,
+        # which is ~25x slower at this stream size and dominated the query.
+        keys = engine.dedup_sorted_keys(keys)
         num_nodes = np.int64(self._vectors.shape[0])
         # Decoded keys are (query, node) sorted lexicographically, so the
         # flat candidate array is already a per-query CSR stream with each

@@ -49,20 +49,15 @@ def create_index(
     lsh_num_bits: int = 12,
     lsh_probe_neighbors: bool = True,
     seed: int = 0,
-    kernel_threads: int = 1,
-    quantized_scan: bool = False,
 ) -> NearestNeighborIndex:
     """Instantiate an ANN backend by name.
 
     ``"auto"`` chooses brute force for small sides and HNSW for large ones,
     matching the practical advice that graph indexes only pay off at scale.
-    ``kernel_threads`` feeds the HNSW native build (content-neutral);
-    ``quantized_scan`` opts the brute-force backend into the int8 coarse
-    scan + exact re-rank path.
     """
     backend = resolve_backend(backend, size_hint, brute_force_limit)
     if backend == "brute-force":
-        return BruteForceIndex(metric=metric, quantized_scan=quantized_scan)
+        return BruteForceIndex(metric=metric)
     if backend == "hnsw":
         return HNSWIndex(
             metric=metric,
@@ -70,7 +65,6 @@ def create_index(
             ef_construction=hnsw_ef_construction,
             ef_search=hnsw_ef_search,
             seed=seed,
-            kernel_threads=kernel_threads,
         )
     if backend == "lsh":
         return LSHIndex(

@@ -71,7 +71,7 @@ class NativeKernel:
         lib.ann_kernel_variant.restype = i32
         lib.hnsw_build.argtypes = [
             vp, vp, i64, i32, i32, pvp, pvp, pvp, vp, i64, i64,
-            vp, i64, i64, vp, vp, vp, vp, i64,
+            vp, i64, i64, vp, vp, vp, vp,
         ]
         lib.hnsw_build.restype = i32
         lib.hnsw_query.argtypes = [
@@ -83,17 +83,9 @@ class NativeKernel:
             vp, vp, i64, i32, vp, vp, i64, vp, vp, i64, vp, vp,
         ]
         lib.ann_rerank_csr.restype = i32
-        lib.ann_dedup_i64.argtypes = [vp, i64]
-        lib.ann_dedup_i64.restype = i64
-        lib.ann_quantized_scan.argtypes = [
-            vp, vp, i64, i64, i64, vp, i32, vp, vp, i64, i64, vp,
-        ]
-        lib.ann_quantized_scan.restype = i32
         self.build = lib.hnsw_build
         self.query = lib.hnsw_query
         self.rerank = lib.ann_rerank_csr
-        self.dedup = lib.ann_dedup_i64
-        self.quantized_scan = lib.ann_quantized_scan
         if int(lib.ann_kernel_variant()) != (1 if variant == "avx2" else 0):
             raise OSError(f"compiled object does not match requested variant {variant!r}")
 
@@ -181,9 +173,8 @@ def _build_directory() -> str:
 #: compiler cannot fuse the micro-kernels' scalar tails into FMAs — every FMA
 #: in that build is an explicit intrinsic, matching OpenBLAS's code exactly.
 _VARIANT_FLAGS: dict[str, tuple[str, ...]] = {
-    "scalar": ("-O2", "-pthread"),
-    "avx2": ("-O2", "-pthread", "-mavx2", "-mfma", "-ffp-contract=off",
-             "-DANN_VARIANT_AVX2"),
+    "scalar": ("-O2",),
+    "avx2": ("-O2", "-mavx2", "-mfma", "-ffp-contract=off", "-DANN_VARIANT_AVX2"),
 }
 
 
@@ -210,7 +201,7 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
     compiler = os.environ.get("CC", "gcc")
     flags = _VARIANT_FLAGS[variant]
     # Cache key = (source, compiler, flags, cpu-feature set): toggling
-    # SIMD/thread flags or moving a cached .so across machines can never
+    # SIMD flags or moving a cached .so across machines can never
     # serve a stale or wrong-ISA kernel.
     enabled_features = sorted(name for name, on in _cpu_features().items() if on)
     hasher = hashlib.sha256(source)
@@ -245,7 +236,7 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
 
 
 def _hnsw_pair_error(vectors, queries, metric: str, split: int, ks=(1, 5),
-                     kernel_threads: int = 1, label: str = "", **kwargs) -> str | None:
+                     label: str = "", **kwargs) -> str | None:
     """Byte-compare a python-path vs native-path HNSW build/extend/query pair."""
     import numpy as np
 
@@ -255,7 +246,7 @@ def _hnsw_pair_error(vectors, queries, metric: str, split: int, ks=(1, 5),
     python_index = HNSWIndex(metric=metric, **kwargs)
     python_index._use_native = False
     python_index.build(vectors[:split]).extend(vectors[split:])
-    native_index = HNSWIndex(metric=metric, kernel_threads=kernel_threads, **kwargs)
+    native_index = HNSWIndex(metric=metric, **kwargs)
     native_index._use_native = True
     native_index.build(vectors[:split]).extend(vectors[split:])
     n = vectors.shape[0]
@@ -305,11 +296,6 @@ def _self_test() -> str | None:
                                  label=f" d={d}", **extra_kwargs)
         if error is not None:
             return error
-    # Threaded build: byte-identical at kernel_threads=2 (speculative rounds).
-    error = _hnsw_pair_error(vectors, queries, "cosine", 120, kernel_threads=2,
-                             label=" kernel_threads=2", **base_kwargs)
-    if error is not None:
-        return error
     # LSH probe + re-rank: duplicate rows (exact distance ties), probe
     # variants, and far-away all-miss queries all byte-compare through the
     # shared CSR re-rank.
@@ -326,39 +312,6 @@ def _self_test() -> str | None:
             n_idx, n_dist = index.query(lsh_queries, 5)
             if not np.array_equal(p_idx, n_idx) or p_dist.tobytes() != n_dist.tobytes():
                 return f"{metric}: LSH re-rank (probe_neighbors={probe_neighbors}) diverged"
-    # Radix dedup: the native sorted-unique must match numpy's on duplicate-
-    # heavy, single-value, and large-key streams (all non-negative).
-    from . import engine
-
-    dedup_cases = [
-        rng.integers(0, 40, size=257).astype(np.int64),
-        np.zeros(31, dtype=np.int64),
-        rng.integers(0, np.int64(2) ** 62, size=300, dtype=np.int64),
-        np.array([5], dtype=np.int64),
-    ]
-    for case in dedup_cases:
-        expected = np.unique(case)
-        got = engine.dedup_sorted_keys(case.copy(), use_native=True)
-        if not np.array_equal(got, expected):
-            return "radix dedup diverged from sorted unique"
-    # Quantized coarse scan: the native int8 scan must emit the exact
-    # candidate segments the numpy fallback emits (same int32 dots, same
-    # float32 score ops, same stable selection).
-    from .distances import PreparedVectors
-
-    for metric in ("cosine", "euclidean"):
-        prepared = PreparedVectors(vectors, metric)
-        plane = engine.QuantizedPlane(prepared)
-        qcodes, qscales = plane.quantize_queries(prepared.prepare_queries(queries))
-        for c in (3, 17):
-            native_rows = engine.quantized_scan_rows(
-                plane, qcodes, qscales, c, use_native=True
-            )
-            python_rows = engine.quantized_scan_rows(
-                plane, qcodes, qscales, c, use_native=False
-            )
-            if not np.array_equal(native_rows, python_rows):
-                return f"{metric}: quantized scan (c={c}) diverged"
     return None
 
 

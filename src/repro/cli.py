@@ -89,10 +89,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
         config = config.with_overrides(merging={"m": args.m})
     if args.epsilon is not None:
         config = config.with_overrides(pruning={"epsilon": args.epsilon})
-    if args.kernel_threads is not None:
-        config = config.with_overrides(parallel={"kernel_threads": args.kernel_threads})
-    if args.quantized_scan:
-        config = config.with_overrides(merging={"quantized_scan": True})
     if args.shards > 1:
         config = config.with_overrides(
             merging={"shards": args.shards, "shard_key": args.shard_key}
@@ -426,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--parallel", action="store_true")
     match.add_argument("--m", type=float, default=None, help="merging distance threshold")
     match.add_argument("--epsilon", type=float, default=None, help="pruning radius")
-    match.add_argument(
-        "--kernel-threads", type=int, default=None,
-        help="native HNSW build threads (content-neutral; graphs are byte-identical)",
-    )
-    match.add_argument(
-        "--quantized-scan", action="store_true",
-        help="opt the brute-force backend into the int8 coarse scan + exact re-rank",
-    )
     match.add_argument(
         "--shards", type=int, default=1,
         help="partition the merge across N shards via the blocking-key "

@@ -9,7 +9,7 @@ merging and euclidean distance for pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from .exceptions import ConfigurationError
@@ -26,6 +26,22 @@ PAPER_GAMMA_GRID = (0.8, 0.9)
 REPRO_M_GRID = (0.35, 0.5, 0.65, 0.8)
 REPRO_EPSILON_GRID = (0.8, 1.0, 1.2, 1.4)
 REPRO_GAMMA_GRID = (0.8, 0.85, 0.9, 0.95)
+
+#: Removed config keys, per section, with what runs in their place. None of
+#: them ever changed result bytes, so snapshots that carry one still load
+#: (``repro.store.codecs.config_from_meta`` drops it with a warning), while
+#: ``with_overrides`` refuses it by name.
+RETIRED_KEYS: dict[str, dict[str, str]] = {
+    "merging": {
+        "kernel_threads": "the native HNSW build is sequential",
+        "quantized_scan": "the brute-force backend always runs the exact scan",
+    },
+    "parallel": {
+        "kernel_threads": "the native HNSW build is sequential",
+        "shared_memory": "tasks run on one persistent thread pool",
+        "reuse_pool": "tasks run on one persistent thread pool",
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -88,14 +104,6 @@ class MergingConfig:
             across hierarchy levels (and across ``add_table`` calls in the
             incremental matcher). Reuse is exact, so results are unchanged.
         index_cache_entries: LRU capacity of that cache.
-        kernel_threads: worker threads for the native HNSW build (``1`` =
-            sequential). Content-neutral — the threaded build commits in
-            insertion order and produces byte-identical graphs at any
-            setting. Usually set via ``ParallelConfig.kernel_threads``,
-            which the pipeline copies here.
-        quantized_scan: opt the brute-force backend into the int8 coarse
-            scan + exact float32 re-rank path (never a default; see
-            :func:`repro.ann.engine.quantized_topk`).
         seed: seed controlling the random pairing of tables at each hierarchy
             level (Figure 6(b) studies sensitivity to this order).
         shards: number of merge shards (``1`` = the classic unsharded pass).
@@ -124,8 +132,6 @@ class MergingConfig:
     lsh_probe_neighbors: bool = True
     index_cache: bool = True
     index_cache_entries: int = 8
-    kernel_threads: int = 1
-    quantized_scan: bool = False
     seed: int = 0
     shards: int = 1
     shard_key: str = "lsh"
@@ -145,8 +151,6 @@ class MergingConfig:
             raise ConfigurationError("lsh_num_tables and lsh_num_bits must be >= 1")
         if self.index_cache_entries < 1:
             raise ConfigurationError("index_cache_entries must be >= 1")
-        if self.kernel_threads < 1:
-            raise ConfigurationError("kernel_threads must be >= 1")
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         if self.shard_key not in ("lsh", "token"):
@@ -211,11 +215,6 @@ class ParallelConfig:
         max_retries: pool-restart rounds before serial degradation.
         retry_backoff: base sleep (seconds) between rounds, doubled each
             round.
-        kernel_threads: worker threads inside the native HNSW build kernel
-            (``1`` = sequential). Orthogonal to the pool knobs above — this
-            parallelises *within* one index build rather than across tasks —
-            and content-neutral: graphs are byte-identical at any setting.
-            The pipeline copies it onto ``MergingConfig.kernel_threads``.
     """
 
     enabled: bool = False
@@ -225,7 +224,6 @@ class ParallelConfig:
     task_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.1
-    kernel_threads: int = 1
 
     def validate(self) -> None:
         if self.backend == "process":
@@ -236,8 +234,6 @@ class ParallelConfig:
             raise ConfigurationError(f"unknown parallel backend {self.backend!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")
-        if self.kernel_threads < 1:
-            raise ConfigurationError("kernel_threads must be >= 1")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError("task_timeout must be > 0 when given")
         if self.max_retries < 0:
@@ -275,6 +271,13 @@ class MultiEMConfig:
             if current is None:
                 raise ConfigurationError(f"unknown config section {name!r}")
             if isinstance(value, dict):
+                known = {f.name for f in fields(current)}
+                for key in value:
+                    removed = RETIRED_KEYS.get(name, {}).get(key)
+                    if removed:
+                        raise ConfigurationError(f"config key {name}.{key} was removed: {removed}")
+                    if key not in known:
+                        raise ConfigurationError(f"unknown config key {name}.{key}")
                 sections[name] = replace(current, **value)
             else:
                 sections[name] = value

@@ -307,8 +307,6 @@ def merge_index_kwargs(config: MergingConfig) -> dict:
         "lsh_num_tables": config.lsh_num_tables,
         "lsh_num_bits": config.lsh_num_bits,
         "lsh_probe_neighbors": config.lsh_probe_neighbors,
-        "kernel_threads": config.kernel_threads,
-        "quantized_scan": config.quantized_scan,
         "seed": config.seed,
     }
 

@@ -15,7 +15,6 @@ disabled for the Table IV ablations (``w/o EER`` and ``w/o DP``).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from ..config import MultiEMConfig
@@ -82,17 +81,7 @@ class MultiEM:
 
         # Stage M: table-wise hierarchical merging (Algorithms 2-3), run on
         # flat ItemTables end to end; items only materialize after pruning.
-        # ParallelConfig.kernel_threads is the user-facing knob for the
-        # native build's internal threading; copy it onto the merging config
-        # (content-neutral — graphs are byte-identical at any setting).
         merging_config = self.config.merging
-        if (
-            self.config.parallel.kernel_threads > 1
-            and self.config.parallel.kernel_threads != merging_config.kernel_threads
-        ):
-            merging_config = dataclasses.replace(
-                merging_config, kernel_threads=self.config.parallel.kernel_threads
-            )
         started = time.perf_counter()
         item_tables = [ItemTable.from_embeddings(embeddings[table.name]) for table in dataset.table_list()]
         item_owners = None

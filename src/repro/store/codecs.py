@@ -55,6 +55,7 @@ from ..ann.cache import IndexCache
 from ..ann.hnsw import HNSWIndex
 from ..ann.lsh import LSHIndex
 from ..config import (
+    RETIRED_KEYS,
     MergingConfig,
     MultiEMConfig,
     ParallelConfig,
@@ -203,6 +204,27 @@ def index_cache_state(cache: IndexCache):
     )
 
 
+def _without_retired_index_kwargs(params_key):
+    """A restored cache key minus index kwargs that no longer exist.
+
+    ``merge_index_kwargs`` stopped emitting them, so an entry saved while
+    they existed must key like a fresh build's to be hit again. Only the
+    ``index_params_key`` shape is touched; any other key passes through.
+    """
+    if not (
+        isinstance(params_key, tuple)
+        and len(params_key) == 3
+        and isinstance(params_key[2], tuple)
+    ):
+        return params_key
+    backend, metric, items = params_key
+    retired = RETIRED_KEYS["merging"]
+    kept = tuple(
+        item for item in items if not (isinstance(item, tuple) and item and item[0] in retired)
+    )
+    return (backend, metric, kept)
+
+
 def index_cache_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> IndexCache:
     cache = IndexCache(max_entries=meta["max_entries"])
     entries = []
@@ -213,7 +235,7 @@ def index_cache_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> In
         }
         entries.append(
             (
-                untag_tuples(entry_meta["params_key"]),
+                _without_retired_index_kwargs(untag_tuples(entry_meta["params_key"])),
                 arrays[f"e{i}/vectors"],
                 index_from_state(index_meta, index_arrays),
             )
@@ -452,11 +474,6 @@ def config_to_meta(config: MultiEMConfig) -> dict:
     return asdict(config)
 
 
-#: Config keys older snapshots may carry that no longer exist, per section.
-#: They only ever chose a transport, never result bytes, so they are dropped.
-_RETIRED_CONFIG_KEYS = {"parallel": ("shared_memory", "reuse_pool")}
-
-
 def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
     """Rebuild the pipeline config a snapshot manifest carries.
 
@@ -473,7 +490,7 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
         ("parallel", ParallelConfig),
     ):
         values = dict(meta[name])
-        for key in _RETIRED_CONFIG_KEYS.get(name, ()):
+        for key in RETIRED_KEYS.get(name, ()):
             if key in values:
                 del values[key]
                 logger.warning(

@@ -1,11 +1,11 @@
-"""Candidate-key dedup: the native radix path must equal sorted unique exactly."""
+"""Candidate-key dedup: ``dedup_sorted_keys`` must equal sorted unique exactly."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ann import engine, native
+from repro.ann import engine
 from repro.ann.lsh import LSHIndex
 
 
@@ -24,10 +24,9 @@ class TestDedupEquivalence:
         else:
             keys = rng.integers(0, np.int64(2) ** 62, size=size, dtype=np.int64)
         want = reference(keys)
-        for use_native in (False, None):
-            got = engine.dedup_sorted_keys(keys.copy(), use_native=use_native)
-            assert np.array_equal(got, want)
-            assert got.dtype == np.int64
+        got = engine.dedup_sorted_keys(keys.copy())
+        assert np.array_equal(got, want)
+        assert got.dtype == np.int64
 
     def test_edge_streams(self):
         cases = [
@@ -39,41 +38,18 @@ class TestDedupEquivalence:
             np.array([np.iinfo(np.int64).max, 0, np.iinfo(np.int64).max], dtype=np.int64),
         ]
         for keys in cases:
-            want = reference(keys)
-            for use_native in (False, None):
-                got = engine.dedup_sorted_keys(keys.copy(), use_native=use_native)
-                assert np.array_equal(got, want)
+            got = engine.dedup_sorted_keys(keys.copy())
+            assert np.array_equal(got, reference(keys))
 
     def test_constant_high_digits(self):
-        """LSH-shaped keys: high 16-bit digits constant → radix passes skipped."""
+        """LSH-shaped keys: everything above the low 20 bits is constant."""
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 2**20, size=4096).astype(np.int64)
-        got = engine.dedup_sorted_keys(keys.copy(), use_native=None)
+        got = engine.dedup_sorted_keys(keys.copy())
         assert np.array_equal(got, reference(keys))
-
-    @pytest.mark.skipif(native.get_kernel() is None, reason="native kernel unavailable")
-    def test_native_kernel_direct(self):
-        keys = np.array([5, 3, 3, 9, 5, 1, 1, 1], dtype=np.int64)
-        count = native.get_kernel().dedup(keys.ctypes.data, keys.shape[0])
-        assert count == 4
-        assert keys[:count].tolist() == [1, 3, 5, 9]
 
 
 class TestLSHIntegration:
-    def test_query_identical_across_dedup_paths(self):
-        """LSH query results are identical with native and numpy dedup."""
-        rng = np.random.default_rng(2)
-        vectors = rng.normal(size=(800, 24)).astype(np.float32)
-        vectors[100] = vectors[50]  # exact ties survive dedup identically
-        queries = vectors[:60] + rng.normal(scale=0.01, size=(60, 24)).astype(np.float32)
-        index = LSHIndex(num_tables=4, num_bits=8, seed=3).build(vectors)
-        index._use_native = False
-        numpy_i, numpy_d = index.query(queries, 5)
-        index._use_native = None
-        auto_i, auto_d = index.query(queries, 5)
-        assert np.array_equal(numpy_i, auto_i)
-        assert numpy_d.tobytes() == auto_d.tobytes()
-
     def test_candidate_keys_contract(self):
         """The raw stream is non-negative and dedups to the query/node pairs."""
         rng = np.random.default_rng(4)

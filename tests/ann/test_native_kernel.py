@@ -94,3 +94,33 @@ def test_native_kernel_active_when_toolchain_present():
     if kernel is None and native.disabled_reason and "OpenBLAS" in native.disabled_reason:
         pytest.skip(f"environment limitation: {native.disabled_reason}")
     assert kernel is not None, f"native kernel regressed: {native.disabled_reason}"
+
+
+def test_kernel_source_has_no_dead_helper_or_orphaned_export():
+    """Every variant compiles warning-free and every export is bound.
+
+    ``-Wunused-function`` catches a ``static`` helper whose last caller was
+    deleted; the export check catches a public entry point ``NativeKernel``
+    no longer reaches.
+    """
+    import inspect
+    import re
+    import shutil
+    import subprocess
+
+    compiler = os.environ.get("CC", "gcc")
+    if shutil.which(compiler) is None:
+        pytest.skip("no C compiler on this machine")
+    for variant, flags in native._VARIANT_FLAGS.items():
+        completed = subprocess.run(
+            [compiler, *flags, "-fsyntax-only", "-Wall", "-Wunused-function",
+             "-Wunused-variable", "-Werror", native._SOURCE],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, f"{variant}: {completed.stderr[-2000:]}"
+    with open(native._SOURCE) as handle:
+        source = handle.read()
+    exported = set(re.findall(r"^(?!static\b)\w[\w \*]*?\b(\w+)\([^;]*?\)\s*\{", source, re.M))
+    bound = set(re.findall(r"lib\.(\w+)\.argtypes", inspect.getsource(native.NativeKernel)))
+    assert exported and exported == bound

@@ -74,6 +74,26 @@ def test_with_overrides_returns_new_config():
         config.with_overrides(nonexistent={"x": 1})
 
 
+def test_with_overrides_rejects_unknown_keys_by_name():
+    config = MultiEMConfig()
+    with pytest.raises(ConfigurationError, match=r"unknown config key merging\.bogus"):
+        config.with_overrides(merging={"m": 0.2, "bogus": 1})
+    assert config.with_overrides(merging={"m": 0.2}).merging.m == 0.2
+
+
+@pytest.mark.parametrize(
+    "section, key, runs",
+    [
+        ("merging", "kernel_threads", "sequential"),
+        ("parallel", "kernel_threads", "sequential"),
+        ("merging", "quantized_scan", "exact scan"),
+    ],
+)
+def test_with_overrides_says_a_removed_key_was_removed(section, key, runs):
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key} was removed.*{runs}"):
+        MultiEMConfig().with_overrides(**{section: {key: 2}})
+
+
 def test_paper_default_config_known_datasets():
     for name in ["geo", "music-20", "music-200", "music-2000", "person", "shopee"]:
         config = paper_default_config(name)

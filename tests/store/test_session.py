@@ -8,12 +8,15 @@ import struct
 import numpy as np
 import pytest
 
+from repro.ann.cache import index_params_key
 from repro.config import paper_default_config
 from repro.core.incremental import IncrementalMultiEM
+from repro.core.merging import merge_index_kwargs
 from repro.data.serialization import serialize_table
 from repro.exceptions import DataError, StoreError
 from repro.store import MatchSession, load_matcher, save_session
 from repro.store.codecs import embedding_store_digest, item_table_digest, tuples_digest
+from repro.store.format import tag_tuples, untag_tuples
 
 
 @pytest.fixture(scope="module")
@@ -202,19 +205,19 @@ class TestQueryIndexHolder:
             assert len(builds) == 2
 
 
-def _rewrite_manifest_config(source, target, edit) -> None:
-    """Copy a snapshot file, passing its manifest's config tree through ``edit``."""
+def _rewrite_manifest_meta(source, target, edit) -> None:
+    """Copy a snapshot file, passing its manifest's meta tree through ``edit``."""
     data = source.read_bytes()
     magic, version, offset, length = struct.unpack("<8sQQQ", data[:32])
     manifest = json.loads(data[offset : offset + length])
-    edit(manifest["meta"]["config"])
+    edit(manifest["meta"])
     encoded = json.dumps(manifest, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     header = struct.pack("<8sQQQ", magic, version, offset, len(encoded))
     target.write_bytes(header + data[32:offset] + encoded)
 
 
 class TestRetiredConfigKeys:
-    """Snapshots written before the process / shm transports were removed."""
+    """Snapshots written before a config key was removed still load."""
 
     def test_old_transport_keys_load_with_warnings_and_same_answers(
         self, snapshot_path, split, tmp_path, caplog
@@ -222,10 +225,10 @@ class TestRetiredConfigKeys:
         base, held_out = split
         texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:4]
         old = tmp_path / "old.snap"
-        _rewrite_manifest_config(
+        _rewrite_manifest_meta(
             snapshot_path,
             old,
-            lambda config: config["parallel"].update(
+            lambda meta: meta["config"]["parallel"].update(
                 backend="process", shared_memory=True, reuse_pool=False
             ),
         )
@@ -245,10 +248,54 @@ class TestRetiredConfigKeys:
                 reference.matcher.integrated_table
             )
 
+    @pytest.mark.parametrize("kernel_threads, quantized_scan", [(1, False), (4, True)])
+    def test_old_kernel_keys_load_with_warnings_and_same_answers(
+        self, snapshot_path, split, tmp_path, caplog, kernel_threads, quantized_scan
+    ):
+        """The threaded build and the int8 scan never changed a neighbour id."""
+        base, held_out = split
+        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:4]
+        old = tmp_path / "old.snap"
+
+        def as_written_before_removal(meta):
+            meta["config"]["merging"].update(
+                kernel_threads=kernel_threads, quantized_scan=quantized_scan
+            )
+            meta["config"]["parallel"]["kernel_threads"] = kernel_threads
+            assert meta["cache"]["entries"]
+            for entry in meta["cache"]["entries"]:
+                backend, metric, items = untag_tuples(entry["params_key"])
+                items = tuple(sorted(items + (("quantized_scan", quantized_scan),)))
+                entry["params_key"] = tag_tuples((backend, metric, items))
+                if entry["index"]["backend"] == "brute-force":
+                    entry["index"]["quantized_scan"] = quantized_scan
+
+        _rewrite_manifest_meta(snapshot_path, old, as_written_before_removal)
+        with caplog.at_level("WARNING", logger="repro.store"):
+            session = MatchSession.load(old)
+        messages = [record.getMessage() for record in caplog.records]
+        for key in ("merging.kernel_threads", "merging.quantized_scan", "parallel.kernel_threads"):
+            assert sum(key in m and str(old) in m for m in messages) == 1, messages
+        assert len(messages) == 3
+        with session, MatchSession.load(snapshot_path) as reference:
+            merging = session.matcher.config.merging
+            assert session.matcher.config == reference.matcher.config
+            for params_key, _, _ in session.matcher._index_cache.snapshot():
+                assert params_key == index_params_key(
+                    params_key[0], merging.metric, merge_index_kwargs(merging)
+                )
+            assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
+            assert session.match_new_table(held_out).tuples == (
+                reference.match_new_table(held_out).tuples
+            )
+            assert item_table_digest(session.matcher.integrated_table) == item_table_digest(
+                reference.matcher.integrated_table
+            )
+
     def test_unknown_config_key_is_a_store_error(self, snapshot_path, tmp_path):
         bad = tmp_path / "bad.snap"
-        _rewrite_manifest_config(
-            snapshot_path, bad, lambda config: config["pruning"].update(warp_factor=9)
+        _rewrite_manifest_meta(
+            snapshot_path, bad, lambda meta: meta["config"]["pruning"].update(warp_factor=9)
         )
         with pytest.raises(StoreError, match=r"bad\.snap.*pruning\.warp_factor"):
             MatchSession.load(bad)
