@@ -238,6 +238,24 @@ for layer in range(len(index._layer_neighbors)):
     digest.update(index._layer_dists[layer][:250].tobytes())
 digest.update(idx.tobytes())
 digest.update(dist.tobytes())
+
+# The pipeline under the default (thread pool) config and its serial twin:
+# one tuple set inside a leg, and (through the digest) across the legs.
+from repro.config import paper_default_config
+from repro.core import MultiEM
+from repro.data.generators import load_benchmark
+
+dataset = load_benchmark("music-20", profile="tiny")
+tuple_sets = []
+for parallel in (True, False):
+    config = paper_default_config("music-20", parallel=parallel).with_overrides(
+        merging={"index": "hnsw"}
+    )
+    result = MultiEM(config).match(dataset)
+    assert result.method == ("MultiEM (parallel)" if parallel else "MultiEM")
+    tuple_sets.append(sorted(sorted((r.source, r.index) for r in t) for t in result.tuples))
+assert tuple_sets[0] == tuple_sets[1], "serial and threaded pipelines disagree"
+digest.update(repr(tuple_sets[0]).encode())
 print("VARIANT", native.kernel_variant())
 print("DIGEST", digest.hexdigest())
 """
@@ -249,7 +267,9 @@ def test_smoke_kernel_compile_matrix():
 
     Each leg runs in a subprocess with its own ``REPRO_NATIVE`` /
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
-    HNSW index, and prints a digest over the full graph and query output. All
+    HNSW index, runs the tiny pipeline under the default (thread pool) config
+    and under ``parallel=False``, and prints a digest over the full graph,
+    the query output and the (equal) tuple set. All
     legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.
@@ -264,11 +284,11 @@ def test_smoke_kernel_compile_matrix():
     have_compiler = shutil.which(os.environ.get("CC", "gcc")) is not None
     native_disabled = os.environ.get("REPRO_NATIVE", "").lower() in ("0", "off", "false")
     if have_compiler and not native_disabled:
-        legs.append(("native-scalar", {"REPRO_NATIVE_VARIANT": "scalar"}))
+        legs.append(("native-scalar", {"REPRO_NATIVE": "require", "REPRO_NATIVE_VARIANT": "scalar"}))
         from repro.ann.native import _cpu_supports_avx2
 
         if _cpu_supports_avx2():
-            legs.append(("native-avx2", {"REPRO_NATIVE_VARIANT": "avx2"}))
+            legs.append(("native-avx2", {"REPRO_NATIVE": "require", "REPRO_NATIVE_VARIANT": "avx2"}))
         else:
             print("\n  skipping native-avx2 leg: CPU lacks AVX2+FMA3")
     else:

@@ -24,14 +24,13 @@ HNSW traversals *and* the LSH probe re-rank — run through a runtime-compiled
 native kernel that is byte-identical to the numpy paths (``REPRO_NATIVE=0``
 forces the fallback for both backends, ``REPRO_NATIVE=require`` hard-fails
 when the kernel cannot load). With ``MergingConfig.index_cache`` enabled
-(default, capacity ``index_cache_entries``), indexes built during
-hierarchical merging are reused across levels — and across
-:meth:`IncrementalMultiEM.add_table` calls — whenever reuse is
-byte-identical to rebuilding (exact content match or incremental extension
-of a prefix), so cached runs return exactly the same tuples.
-``MultiEM(parallel)`` executes merge and prune fan-outs on one persistent
-thread pool (the heavy kernels release the GIL; ``ParallelConfig.backend``
-is ``"thread"`` or ``"serial"``). ``python -m pytest benchmarks -q -m smoke`` exercises
+(default, capacity ``index_cache_entries``), :class:`IncrementalMultiEM`
+reuses indexes across :meth:`IncrementalMultiEM.add_table` calls whenever
+reuse is byte-identical to rebuilding (exact content match or incremental
+extension of a prefix), so cached runs return exactly the same tuples.
+By default every merge level and the pruning pass fan out on one persistent
+thread pool (the heavy kernels release the GIL; ``ParallelConfig.enabled =
+False`` is the paper's serial variant, byte-identical output either way). ``python -m pytest benchmarks -q -m smoke`` exercises
 this layer at tiny scale; ``benchmarks/bench_substrates.py`` and
 ``benchmarks/bench_pipeline.py`` measure it at 10k rows.
 

@@ -59,11 +59,11 @@ dedup (numpy's in-place sort plus a neighbour mask) have no native variant.
 Index reuse
 -----------
 :class:`IndexCache` (``MergingConfig.index_cache`` /
-``index_cache_entries``) caches built indexes across the merge hierarchy and
-across ``IncrementalMultiEM.add_table`` calls. Reuse happens only when it is
-byte-identical to a fresh build — an exact content match, or a cached matrix
-that is a prefix of the requested one extended incrementally — so enabling
-the cache never changes pair output.
+``index_cache_entries``) carries built indexes across
+``IncrementalMultiEM.add_table`` calls (one ``match`` hierarchy indexes every
+table once and uses none). Reuse happens only when it is byte-identical to a
+fresh build — an exact content match, or a cached matrix that is a prefix of
+the requested one extended incrementally — so it never changes pair output.
 
 All distance kernels live in :mod:`repro.ann.distances`;
 :class:`~repro.ann.distances.PreparedVectors` hoists per-row statistics

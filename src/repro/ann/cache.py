@@ -26,10 +26,10 @@ merely overlap (rows dropped or replaced mid-table) are rebuilt from scratch:
 an approximate-reuse path would change mutual-pair output, which the
 reproduction treats as non-negotiable.
 
-The cache is safe to share across the worker threads of
-``MultiEM(parallel)``: bookkeeping happens under a lock, while index builds
-and clone-extends run outside it (a racing duplicate build is benign — last
-writer wins).
+The merge level loop keeps all cache traffic (:meth:`IndexCache.plan` and its
+``commit``) on its own thread in serial side order and sends only the build
+bodies to workers, so LRU order — which snapshots persist — is deterministic.
+Bookkeeping still happens under a lock; builds run outside it.
 """
 
 from __future__ import annotations
@@ -125,31 +125,47 @@ class IndexCache:
             params_key: hashable description of everything that shapes the
                 index besides its vectors (backend, metric, hyper-parameters).
         """
+        work, commit = self.plan(vectors, build, params_key=params_key)
+        return commit(work())
+
+    def plan(
+        self,
+        vectors: np.ndarray,
+        build: Callable[[], NearestNeighborIndex],
+        *,
+        params_key: Hashable = (),
+    ) -> "tuple[Callable[[], NearestNeighborIndex], Callable[[NearestNeighborIndex], NearestNeighborIndex]]":
+        """:meth:`get_or_build` split at its lock boundary: ``(work, commit)``.
+
+        The lookup happens here. ``work()`` is the lock-free body — the cached
+        index, a clone-and-extend of a prefix entry, or ``build()`` — and may
+        run on a worker thread; ``commit(index)`` records the statistics and
+        the LRU touch / put. The merge level loop keeps ``plan`` and
+        ``commit`` on its own thread, in serial side order, so LRU order (it
+        is persisted into snapshots) never follows thread completion order.
+        """
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float32))
         digest = fingerprint_vectors(vectors)
-        key = (params_key, digest)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.exact_hits += 1
-                self.stats.saved_rows += int(vectors.shape[0])
-                return entry.index
-            prefix_entry = self._find_prefix_entry(params_key, vectors)
-        if prefix_entry is not None:
-            extended = prefix_entry.index.clone().extend(  # type: ignore[attr-defined]
-                vectors[prefix_entry.vectors.shape[0] :]
-            )
+            entry = self._entries.get((params_key, digest))
+            prefix = None if entry is not None else self._find_prefix_entry(params_key, vectors)
+        if entry is not None:
+            stat, saved, work = "exact_hits", int(vectors.shape[0]), lambda: entry.index
+            vectors = entry.vectors
+        elif prefix is not None:
+            stat, saved = "prefix_hits", int(prefix.vectors.shape[0])
+            work = lambda: prefix.index.clone().extend(vectors[saved:])  # type: ignore[attr-defined]
+        else:
+            stat, saved, work = "misses", 0, build
+
+        def commit(index: NearestNeighborIndex) -> NearestNeighborIndex:
             with self._lock:
-                self.stats.prefix_hits += 1
-                self.stats.saved_rows += int(prefix_entry.vectors.shape[0])
-            self._put(params_key, digest, vectors, extended)
-            return extended
-        index = build()
-        with self._lock:
-            self.stats.misses += 1
-        self._put(params_key, digest, vectors, index)
-        return index
+                setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+                self.stats.saved_rows += saved
+            self._put(params_key, digest, vectors, index)
+            return index
+
+        return work, commit
 
     def _find_prefix_entry(self, params_key: Hashable, vectors: np.ndarray) -> _CacheEntry | None:
         """Longest cached entry whose matrix is a byte-identical prefix of ``vectors``.

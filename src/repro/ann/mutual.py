@@ -4,6 +4,12 @@ The two-table merging strategy accepts a pair ``(e, e')`` only when each is in
 the other's top-K *and* their distance is at most ``m``::
 
     P_m = {(e, e') | e ∈ topK(e') ∧ e' ∈ topK(e) ∧ dist(e, e') ≤ m}
+
+One merge is four steps — plan/build both indexes, forward query, backward
+query trimmed to the rows forward returned, intersection — each a function
+here. :func:`mutual_top_k` composes them serially for one pair; the merge
+level loop in :mod:`repro.core.merging` runs each step for a wave of pairs as
+one flat fan-out, and :mod:`repro.shard.boundary` splits steps 2-3 by owner.
 """
 
 from __future__ import annotations
@@ -77,31 +83,131 @@ def create_index(
     raise ConfigurationError(f"unknown ANN backend {backend!r}")
 
 
-def _top_k_pair_array(
-    index: NearestNeighborIndex, queries: np.ndarray, k: int, max_distance: float
-) -> np.ndarray:
-    """Directed top-K pairs as a deduplicated ``(p, 2)`` int64 array.
+_BACKENDS = {"brute-force": BruteForceIndex, "hnsw": HNSWIndex, "lsh": LSHIndex}
 
-    One boolean-mask pass over the batched query results replaces the
-    per-element Python loop: a slot survives when its neighbour is real
-    (``>= 0``), its distance finite, and within ``max_distance``. Rows are
-    sorted (and de-duplicated) by ``(query_row, index_row)`` via ``np.unique``
-    — exactly the historical set's membership.
+
+def batch_invariant(resolved_backend: str) -> bool:
+    """Whether a resolved backend answers each query row independently of the batch.
+
+    Decided from the backend *name*, not from the index object: what a cache
+    hands back may be a wrapper that exposes only ``query``.
     """
-    indices, distances = index.query(queries, k)
+    return bool(getattr(_BACKENDS.get(resolved_backend), "batch_invariant", False))
+
+
+def plan_side_index(
+    vectors: np.ndarray,
+    *,
+    metric: str,
+    backend: str,
+    brute_force_limit: int,
+    index_kwargs: dict | None = None,
+    cache: IndexCache | None = None,
+):
+    """Step 1 of a merge — one side's index as ``(resolved_backend, work, commit)``.
+
+    ``work()`` is the build body and may run on a worker thread;
+    ``commit(index)`` is the cache bookkeeping (see :meth:`IndexCache.plan`)
+    and belongs to the calling thread. Without a cache it is the identity.
+    """
+    kwargs = dict(index_kwargs or {})
+    resolved = resolve_backend(backend, vectors.shape[0], brute_force_limit)
+
+    def build() -> NearestNeighborIndex:
+        return create_index(
+            backend, metric, size_hint=vectors.shape[0], brute_force_limit=brute_force_limit, **kwargs
+        ).build(vectors)
+
+    if cache is None:
+        return resolved, build, lambda index: index
+    params_key = index_params_key(resolved, metric, kwargs)
+    return (resolved, *cache.plan(vectors, build, params_key=params_key))
+
+
+def row_chunks(rows: "int | np.ndarray", parts: int) -> "list[slice | np.ndarray]":
+    """At most ``parts`` contiguous, non-empty chunks of ``rows``.
+
+    ``rows`` is an ascending row-id array or a row count meaning *all* rows;
+    chunks of the latter are slices, so one chunk is the whole matrix, viewed.
+    """
+    if isinstance(rows, np.ndarray):
+        return [chunk for chunk in np.array_split(rows, parts) if chunk.size]
+    bounds = [rows * part // parts for part in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def directed_pairs(
+    index: NearestNeighborIndex,
+    queries: np.ndarray,
+    k: int,
+    max_distance: float,
+    rows: "slice | np.ndarray" = slice(None),
+) -> np.ndarray:
+    """Steps 2 and 3 — directed top-K pairs as a deduplicated ``(p, 2)`` int64 array.
+
+    One boolean-mask pass over the batched query results: a slot survives
+    when its neighbour is real (``>= 0``), its distance finite, and within
+    ``max_distance``. Rows are sorted (and de-duplicated) by
+    ``(query_row, index_row)`` via ``np.unique``. ``rows`` restricts the
+    query to ``queries[rows]`` and labels the answers with those global row
+    ids; on a :func:`batch_invariant` backend that is exactly the whole-batch
+    array restricted to ``rows``, so chunk results concatenate to it.
+    """
+    indices, distances = index.query(queries[rows], k)
     keep = (indices >= 0) & np.isfinite(distances) & (distances <= max_distance)
-    query_rows = np.broadcast_to(
-        np.arange(indices.shape[0], dtype=np.int64)[:, None], indices.shape
-    )[keep]
-    pairs = np.stack([query_rows, indices[keep]], axis=1)
+    query_ids = np.arange(queries.shape[0], dtype=np.int64)[rows]
+    pairs = np.stack(
+        [np.broadcast_to(query_ids[:, None], indices.shape)[keep], indices[keep]], axis=1
+    )
     return np.unique(pairs, axis=0)
+
+
+def backward_rows(forward: np.ndarray, resolved_a: str, n_b: int) -> "int | np.ndarray":
+    """The side-B rows the backward direction has to ask (for :func:`row_chunks`).
+
+    A mutual pair ``(a, b)`` needs ``b`` among ``a``'s forward answers, so
+    every other row's backward answer is discarded by the intersection: only
+    the rows ``forward`` returned are asked. A backend that is not batch
+    invariant (the GEMM scan) is asked whole and untrimmed.
+    """
+    return np.unique(forward[:, 1]) if batch_invariant(resolved_a) else n_b
+
+
+def mutual_pairs(
+    forward: "list[np.ndarray]",
+    backward: "list[np.ndarray]",
+    vectors_a: np.ndarray,
+    vectors_b: np.ndarray,
+    metric: str,
+) -> list[MutualPair]:
+    """Step 4 — chunked forward ∩ swapped backward, exact distances, canonical order."""
+    pair_dtype = np.dtype([("left", np.int64), ("right", np.int64)])
+
+    def rows_view(chunks: "list[np.ndarray]", columns: slice) -> np.ndarray:
+        stacked = np.concatenate([np.zeros((0, 2), dtype=np.int64), *chunks])
+        return np.ascontiguousarray(stacked[:, columns]).view(pair_dtype).reshape(-1)
+
+    # Mutual pairs = forward ∩ swapped backward, intersected as structured
+    # rows (each (left, right) pair is one comparable element).
+    mutual = np.intersect1d(
+        rows_view(forward, slice(None)), rows_view(backward, slice(None, None, -1)), assume_unique=True
+    )
+    if mutual.size == 0:
+        return []
+    lefts = mutual["left"]
+    rights = mutual["right"]
+    from .distances import paired_distances  # local import to avoid cycle at module load
+
+    dists = paired_distances(vectors_a[lefts], vectors_b[rights], metric)
+    order = np.lexsort((rights, lefts, dists))
+    return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
 
 
 def top_k_pairs(
     index: NearestNeighborIndex, queries: np.ndarray, k: int, max_distance: float
 ) -> set[tuple[int, int]]:
     """Directed top-K pairs (query_row, index_row) within ``max_distance``."""
-    array = _top_k_pair_array(index, queries, k, max_distance)
+    array = directed_pairs(index, queries, k, max_distance)
     return {(int(left), int(right)) for left, right in array}
 
 
@@ -138,43 +244,17 @@ def mutual_top_k(
     """
     if vectors_a.shape[0] == 0 or vectors_b.shape[0] == 0:
         return []
-    kwargs = dict(index_kwargs or {})
-
-    def build_side(vectors: np.ndarray) -> NearestNeighborIndex:
-        def build() -> NearestNeighborIndex:
-            return create_index(
-                backend,
-                metric,
-                size_hint=vectors.shape[0],
-                brute_force_limit=brute_force_limit,
-                **kwargs,
-            ).build(vectors)
-
-        if cache is None:
-            return build()
-        resolved = resolve_backend(backend, vectors.shape[0], brute_force_limit)
-        params_key = index_params_key(resolved, metric, kwargs)
-        return cache.get_or_build(vectors, build, params_key=params_key)
-
-    index_b = build_side(vectors_b)
-    index_a = build_side(vectors_a)
-
-    forward = _top_k_pair_array(index_b, vectors_a, k, max_distance)  # a -> b
-    backward = _top_k_pair_array(index_a, vectors_b, k, max_distance)  # b -> a
-    # Mutual pairs = forward ∩ swapped backward, intersected as structured
-    # rows (each (left, right) pair is one comparable element).
-    pair_dtype = np.dtype([("left", np.int64), ("right", np.int64)])
-    forward_view = np.ascontiguousarray(forward).view(pair_dtype).reshape(-1)
-    backward_view = np.ascontiguousarray(backward[:, ::-1]).view(pair_dtype).reshape(-1)
-    mutual = np.intersect1d(forward_view, backward_view, assume_unique=True)
-    if mutual.size == 0:
-        return []
-    lefts = mutual["left"]
-    rights = mutual["right"]
-    from .distances import paired_distances  # local import to avoid cycle at module load
-
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], metric)
-    order = np.lexsort((rights, lefts, dists))
-    return [
-        MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order
+    side = dict(
+        metric=metric, backend=backend, brute_force_limit=brute_force_limit,
+        index_kwargs=index_kwargs, cache=cache,
+    )
+    _, work, commit = plan_side_index(vectors_b, **side)
+    index_b = commit(work())
+    resolved_a, work, commit = plan_side_index(vectors_a, **side)
+    index_a = commit(work())
+    forward = directed_pairs(index_b, vectors_a, k, max_distance)  # a -> b
+    backward = [  # b -> a
+        directed_pairs(index_a, vectors_b, k, max_distance, rows)
+        for rows in row_chunks(backward_rows(forward, resolved_a, vectors_b.shape[0]), 1)
     ]
+    return mutual_pairs([forward], backward, vectors_a, vectors_b, metric)

@@ -419,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("dataset", help="benchmark name or dataset directory")
     match.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
     match.add_argument("--seed", type=int, default=0)
-    match.add_argument("--parallel", action="store_true")
+    match.add_argument(
+        "--parallel", action=argparse.BooleanOptionalAction, default=True,
+        help="thread pool for merging and pruning (--no-parallel: the paper's serial MultiEM)",
+    )
     match.add_argument("--m", type=float, default=None, help="merging distance threshold")
     match.add_argument("--epsilon", type=float, default=None, help="pruning radius")
     match.add_argument(
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_save.add_argument("dataset", help="benchmark name or dataset directory")
     snap_save.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
     snap_save.add_argument("--seed", type=int, default=0)
-    snap_save.add_argument("--parallel", action="store_true")
+    snap_save.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True)
     snap_save.add_argument(
         "--exclude", action="append", default=[], metavar="TABLE",
         help="leave this source table out of the fit (repeatable); "

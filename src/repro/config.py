@@ -99,10 +99,11 @@ class MergingConfig:
         lsh_num_tables / lsh_num_bits / lsh_probe_neighbors: LSH knobs (hash
             tables, signature bits, Hamming-1 neighbour probing) for the
             backend-ablation benchmark.
-        index_cache: consult an :class:`repro.ann.cache.IndexCache` before
-            building per-merge ANN indexes, reusing carried-forward indexes
-            across hierarchy levels (and across ``add_table`` calls in the
-            incremental matcher). Reuse is exact, so results are unchanged.
+        index_cache: give :class:`~repro.core.incremental.IncrementalMultiEM`
+            a persistent :class:`repro.ann.cache.IndexCache`, so ``add_table``
+            reuses the index over a carried-forward integrated table. Reuse is
+            exact, so results are unchanged. One ``match`` hierarchy indexes
+            every table exactly once and uses no cache unless handed one.
         index_cache_entries: LRU capacity of that cache.
         seed: seed controlling the random pairing of tables at each hierarchy
             level (Figure 6(b) studies sensitivity to this order).
@@ -193,15 +194,19 @@ class PruningConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Settings for the parallel variant MultiEM(parallel).
+    """Settings for the worker pool behind merging and pruning.
 
     Attributes:
-        enabled: run merging and pruning through a worker pool.
+        enabled: run merging and pruning through a worker pool (the default;
+            output bytes are identical either way). ``False`` is the paper's
+            serial MultiEM. Snapshots written while the default was ``False``
+            carry ``enabled: false`` and keep running serially once loaded.
         backend: ``"thread"`` (one persistent thread pool per
             :class:`~repro.core.parallel.ParallelExecutor`; the heavy lifting
             is released-GIL numpy and native-kernel work) or ``"serial"``
             (run in the caller even when ``enabled``).
-        max_workers: pool size (``None`` lets the executor decide).
+        max_workers: pool size (``None``: the usable CPU count, see
+            :attr:`repro.core.parallel.ParallelExecutor.workers`).
         self_heal: recover from a wedged pool instead of waiting on it — a
             task exceeding ``task_timeout`` abandons the pool, re-dispatches
             the missing tasks on a fresh one with exponential backoff
@@ -217,7 +222,7 @@ class ParallelConfig:
             round.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     backend: str = "thread"
     max_workers: int | None = None
     self_heal: bool = True
@@ -284,7 +289,7 @@ class MultiEMConfig:
         return replace(self, **sections)
 
 
-def paper_default_config(dataset_name: str | None = None, *, parallel: bool = False) -> MultiEMConfig:
+def paper_default_config(dataset_name: str | None = None, *, parallel: bool = True) -> MultiEMConfig:
     """Return the configuration the paper reports for a given dataset.
 
     The paper tunes ``m``, ``epsilon`` and ``gamma`` by grid search per

@@ -153,7 +153,7 @@ class IncrementalMultiEM:
             )
         else:
             merged, _ = merge_item_tables(
-                self._table, new_table, merging, cache=self._index_cache
+                self._table, new_table, merging, cache=self._index_cache, executor=self._executor
             )
             merged_owners = None
         # Commit state only after the merge succeeded, so a failed add_table

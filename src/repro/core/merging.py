@@ -36,9 +36,9 @@ because numpy's pairwise summation makes ``np.add.reduceat`` (sequential)
 diverge from ``ndarray.sum(axis=0)`` for three or more rows, while a
 ``(t, s, d).sum(axis=1)`` is bit-equal to each slice's ``(s, d).sum(axis=0)``
 on this platform (pinned by ``tests/core/test_flat_equivalence.py``). The
-public list-of-:class:`MergeItem` API is preserved as a thin view over the
-flat tables, so callers and :class:`~repro.ann.cache.IndexCache` reuse are
-untouched.
+public list-of-:class:`MergeItem` API is a thin view over the flat tables. A
+hierarchy level runs as waves of pairs, each wave four flat fan-outs
+(:func:`_merge_wave`); output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -49,13 +49,20 @@ from typing import Sequence
 import numpy as np
 
 from ..ann.cache import IndexCache
-from ..ann.mutual import mutual_top_k
+from ..ann.mutual import (
+    backward_rows,
+    batch_invariant,
+    directed_pairs,
+    mutual_pairs,
+    plan_side_index,
+    row_chunks,
+)
 from ..arrays import csr_positions
 from ..config import MergingConfig
 from ..data.entity import EntityRef
 from ..embedding.base import normalize_rows
 from ..embedding.pooling import medoid_pool
-from .parallel import ParallelExecutor
+from .parallel import ParallelExecutor, default_executor
 from .representation import TableEmbeddings
 
 
@@ -293,13 +300,7 @@ def _grouped_mean_vectors(
 
 
 def merge_index_kwargs(config: MergingConfig) -> dict:
-    """The per-merge ANN index kwargs a :class:`MergingConfig` implies.
-
-    Every caller that builds (or cache-keys) a merge index must pass exactly
-    this dict — :func:`merge_item_tables` and the sharded boundary pass in
-    :mod:`repro.shard.boundary` both funnel through it, so their cache
-    ``params_key`` values and index builds agree bit for bit.
-    """
+    """The per-merge ANN index kwargs a :class:`MergingConfig` implies."""
     return {
         "hnsw_max_degree": config.hnsw_max_degree,
         "hnsw_ef_construction": config.hnsw_ef_construction,
@@ -311,6 +312,24 @@ def merge_index_kwargs(config: MergingConfig) -> dict:
     }
 
 
+def plan_merge_index(vectors: np.ndarray, config: MergingConfig, cache: IndexCache | None):
+    """:func:`~repro.ann.mutual.plan_side_index` for one side of a merge under ``config``.
+
+    Every merge index — the level loop's and the sharded boundary pass's in
+    :mod:`repro.shard.boundary` — is planned here, so cache ``params_key``
+    values and index builds agree bit for bit.
+    """
+    return plan_side_index(
+        vectors,
+        metric=config.metric,
+        backend=config.index,
+        brute_force_limit=config.brute_force_limit,
+        index_kwargs=merge_index_kwargs(config),
+        cache=cache,
+    )
+
+
+@default_executor
 def merge_item_tables(
     left: ItemTable,
     right: ItemTable,
@@ -318,35 +337,87 @@ def merge_item_tables(
     *,
     representative: str = "mean",
     cache: IndexCache | None = None,
+    executor: ParallelExecutor | None = None,
 ) -> tuple[ItemTable, int]:
     """Algorithm 3 on flat tables: merge two item tables into one.
 
     ``cache`` (an :class:`~repro.ann.cache.IndexCache`) lets the mutual top-K
-    step reuse an ANN index built for the same item table at an earlier
-    hierarchy level instead of rebuilding it; reuse is exact, so the merged
-    output is unchanged.
+    step reuse an ANN index built for the same item table by an earlier
+    merge instead of rebuilding it; reuse is exact, so the merged output is
+    unchanged. ``executor`` fans the merge's two builds and its query chunks
+    out (see :func:`_merge_wave`); without one a default executor serves the
+    call and is closed with it.
 
     Returns:
         ``(merged_table, num_matched_pairs)`` — the merged table and how many
         mutual pairs were accepted (diagnostic).
     """
-    if len(left) == 0:
-        return right, 0
-    if len(right) == 0:
-        return left, 0
-    pairs = mutual_top_k(
-        left.vectors,
-        right.vectors,
-        k=config.k,
-        max_distance=config.m,
-        metric=config.metric,
-        backend=config.index,
-        brute_force_limit=config.brute_force_limit,
-        index_kwargs=merge_index_kwargs(config),
-        cache=cache,
-    )
-    merged, _ = merge_tables_with_pairs(left, right, pairs, representative=representative)
-    return merged, len(pairs)
+    return _merge_wave(
+        [(left, right)], config, executor, representative=representative, cache=cache
+    )[0]
+
+
+def _merge_wave(
+    pairs: "Sequence[tuple[ItemTable, ItemTable]]",
+    config: MergingConfig,
+    executor: ParallelExecutor,
+    *,
+    representative: str,
+    cache: IndexCache | None,
+) -> list[tuple[ItemTable, int]]:
+    """Algorithm 3 for a wave of independent pairs, as four flat fan-outs.
+
+    Build → forward → trimmed backward → finish, each one ``executor.map``
+    issued from this thread (no task ever submits to the bounded pool), so a
+    lone pair still builds its two graphs and answers its query chunks on
+    every worker. Each ``build()`` and ``index.query()`` is the call the
+    serial merge makes on the same rows, or on a subset of them where the
+    backend is batch invariant — output bytes do not depend on the workers.
+    """
+    results = [(left if len(left) else right, 0) for left, right in pairs]  # kept where a side is empty
+    slots = [slot for slot, (left, right) in enumerate(pairs) if len(left) and len(right)]
+    lefts, rights = [pairs[slot][0] for slot in slots], [pairs[slot][1] for slot in slots]
+    # (1) build, ``b`` then ``a`` per pair. Cache lookups (plan) and puts
+    # (commit) stay on this thread in that order; only the bodies fan out.
+    plans = [
+        plan_merge_index(table.vectors, config, cache) for pair in zip(rights, lefts) for table in pair
+    ]
+    built = executor.map(lambda plan: plan[1](), plans)
+    indexes = [commit(index) for (_, _, commit), index in zip(plans, built)]
+    backends = [plan[0] for plan in plans]
+
+    def directed(indexes: list, backends: list, tables: list, rows: list) -> list[list[np.ndarray]]:
+        """Per pair, the directed pair arrays of its row chunks — one flat map over all chunks."""
+        tasks = [
+            (j, chunk)
+            for j, backend in enumerate(backends)
+            for chunk in row_chunks(rows[j], executor.workers if batch_invariant(backend) else 1)
+        ]
+        found = executor.map(
+            lambda t: directed_pairs(indexes[t[0]], tables[t[0]].vectors, config.k, config.m, t[1]),
+            tasks,
+        )
+        return [[f for (i, _), f in zip(tasks, found) if i == j] for j in range(len(tables))]
+
+    # (2) forward: a-rows against index_b. (3) backward: only the b-rows a
+    # forward answer returned, against index_a.
+    forward = directed(indexes[0::2], backends[0::2], lefts, [len(left) for left in lefts])
+    asked = [
+        backward_rows(np.concatenate(found), backend, len(right))
+        for found, backend, right in zip(forward, backends[1::2], rights)
+    ]
+    backward = directed(indexes[1::2], backends[1::2], rights, asked)
+    del built, indexes  # the union needs no index: free them before it allocates
+
+    # (4) finish: intersection, distances, order, union-find.
+    def finish(j: int) -> tuple[ItemTable, int]:
+        left, right = lefts[j], rights[j]
+        found = mutual_pairs(forward[j], backward[j], left.vectors, right.vectors, config.metric)
+        return merge_tables_with_pairs(left, right, found, representative=representative)[0], len(found)
+
+    for slot, result in zip(slots, executor.map(finish, range(len(slots)))):
+        results[slot] = result
+    return results
 
 
 def merge_tables_with_pairs(
@@ -517,6 +588,7 @@ def merge_two_tables(
     return merged.to_items(), matched
 
 
+@default_executor
 def hierarchical_merge_tables(
     tables: "list[ItemTable | list[MergeItem]]",
     config: MergingConfig,
@@ -530,14 +602,14 @@ def hierarchical_merge_tables(
 
     Tables are randomly paired at every level (seeded by ``config.seed``);
     with an odd number of tables the leftover table passes to the next level
-    untouched. Pair merges within a level are independent and are dispatched
-    through ``executor`` when one is provided.
+    untouched. A level runs as waves of at most ``executor.workers`` pairs,
+    each wave four flat fan-outs (:func:`_merge_wave`), so both a wide level
+    and a lone pair keep every worker busy.
 
-    When ``config.index_cache`` is set (the default), per-merge ANN indexes
-    are kept in an :class:`~repro.ann.cache.IndexCache` shared across the
-    whole hierarchy, so a table carried forward unchanged (odd leftovers, or
-    merges that matched nothing) is never re-indexed from scratch. Pass an
-    explicit ``cache`` to share reuse across several hierarchies.
+    Inside one hierarchy every table is indexed exactly once, by the one
+    merge that consumes it, so no index cache is created here. An explicit
+    ``cache`` (e.g. :class:`~repro.core.incremental.IncrementalMultiEM`'s
+    persistent one) is consulted and filled by the calling thread only.
 
     With ``config.shards > 1`` the level loop is delegated to the sharded
     merge plane (:mod:`repro.shard`): per-table owner arrays (``owners``, or
@@ -561,9 +633,6 @@ def hierarchical_merge_tables(
             cache=cache,
         )
         return merged, stats
-    executor = executor or ParallelExecutor()
-    if cache is None and config.index_cache:
-        cache = IndexCache(max_entries=config.index_cache_entries)
     stats = MergeStats()
     rng = np.random.default_rng(config.seed)
     current: list[ItemTable] = [as_item_table(table) for table in tables]
@@ -572,27 +641,24 @@ def hierarchical_merge_tables(
     while len(current) > 1:
         stats.levels += 1
         order = rng.permutation(len(current))
-        pairs: list[tuple[ItemTable, ItemTable]] = []
-        leftover: list[ItemTable] = []
-        for i in range(0, len(order) - 1, 2):
-            pairs.append((current[order[i]], current[order[i + 1]]))
-        if len(order) % 2 == 1:
-            leftover.append(current[order[-1]])
-
-        merge_results = executor.map(
-            lambda pair: merge_item_tables(
-                pair[0], pair[1], config, representative=representative, cache=cache
-            ),
-            pairs,
-        )
-        matched_this_level = 0
+        pairs = [(current[order[i]], current[order[i + 1]]) for i in range(0, len(order) - 1, 2)]
         next_level: list[ItemTable] = []
-        for merged, matched in merge_results:
-            next_level.append(merged)
-            matched_this_level += matched
+        matched_this_level = 0
+        # Waves of at most ``workers`` pairs bound how many indexes are alive.
+        for start in range(0, len(pairs), executor.workers):
+            for merged, matched in _merge_wave(
+                pairs[start : start + executor.workers],
+                config,
+                executor,
+                representative=representative,
+                cache=cache,
+            ):
+                next_level.append(merged)
+                matched_this_level += matched
         stats.pair_merges += len(pairs)
         stats.matched_pairs_per_level.append(matched_this_level)
-        next_level.extend(leftover)
+        if len(order) % 2 == 1:
+            next_level.append(current[order[-1]])
         current = next_level
     return current[0], stats
 

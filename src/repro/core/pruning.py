@@ -40,7 +40,7 @@ from ..arrays import csr_positions
 from ..config import PruningConfig
 from ..data.entity import EntityRef
 from .merging import ItemTable, MergeItem, bucketed_weighted_mean, weighted_mean_vector
-from .parallel import ParallelExecutor, partition
+from .parallel import ParallelExecutor, default_executor, partition
 from .representation import EmbeddingStore
 
 
@@ -242,6 +242,7 @@ def _prune_chunk(
     return _assemble_survivors(chunk, member_matrix, offsets, config)
 
 
+@default_executor
 def prune_items(
     items: list[MergeItem],
     embedding_lookup: Mapping[EntityRef, np.ndarray],
@@ -256,15 +257,13 @@ def prune_items(
     tuples keep their object identity, and the output is byte-identical
     regardless of worker count (chunking never changes a slice's arithmetic).
     """
-    executor = executor or ParallelExecutor()
     candidates = [item for item in items if item.size >= 2]
     if not config.enabled:
         return candidates
     if not candidates:
         return []
     if executor.is_parallel:
-        workers = executor.config.max_workers or 4
-        chunks = partition(candidates, max(workers, 1) * 2)
+        chunks = partition(candidates, executor.workers * 2)
         results = executor.map(
             lambda chunk: _prune_chunk(chunk, embedding_lookup, config), chunks
         )
@@ -272,6 +271,7 @@ def prune_items(
     return _prune_chunk(candidates, embedding_lookup, config)
 
 
+@default_executor
 def prune_item_table(
     table: ItemTable,
     store: EmbeddingStore,
@@ -297,7 +297,6 @@ def prune_item_table(
     the flat-equivalence tests) the output is byte-identical to the
     unsharded call.
     """
-    executor = executor or ParallelExecutor()
     candidates = table.filter(table.sizes >= 2)
     if not config.enabled:
         return candidates.to_items()
@@ -323,8 +322,7 @@ def prune_item_table(
         tagged.sort(key=lambda pair: pair[0])
         return [item for _, item in tagged]
     if executor.is_parallel:
-        workers = executor.config.max_workers or 4
-        bounds = _chunk_bounds(len(candidates), max(workers, 1) * 2)
+        bounds = _chunk_bounds(len(candidates), executor.workers * 2)
     else:
         bounds = [(0, len(candidates))]
     mapped = executor.map(

@@ -37,7 +37,8 @@ MethodFactory = Callable[[str, int], Matcher]
 
 
 def _multiem(dataset_name: str, seed: int) -> Matcher:
-    config = paper_default_config(dataset_name).with_overrides(
+    # Serial on purpose: Table V / Figure 5 compare it against "MultiEM (parallel)".
+    config = paper_default_config(dataset_name, parallel=False).with_overrides(
         representation={"seed": seed}, merging={"seed": seed}
     )
     return MultiEM(config)

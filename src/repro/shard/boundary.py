@@ -11,20 +11,19 @@ table. This module therefore keeps the *index* global and decomposes the
    LSH — pinned per-row by the serving-plane tests) answer each group's rows
    bit-identically to the whole-batch call, so the union of per-group
    directed pair arrays equals the global directed set exactly: query rows
-   are disjoint across groups and :func:`~repro.ann.mutual._top_k_pair_array`
+   are disjoint across groups and :func:`~repro.ann.mutual.directed_pairs`
    dedups per query row only. The brute-force backend is *not* batch
    invariant (GEMM vs GEMV last-ulp), so directions it answers stay
-   whole-batch in the parent; if neither direction can be decomposed the
-   classic ``mutual_top_k`` runs unchanged.
+   whole-batch in the parent.
 2. The boundary pass intersects the forward union with the swapped backward
    union — one structured-dtype ``intersect1d`` over all shards' candidate
    pairs at once, which is precisely the cross-shard stitch: a mutual pair
    whose sides live in different shards (or in the spill set) survives here
    exactly as it would have in the monolithic pass.
-3. Distances and ordering are recomputed verbatim from ``mutual_top_k``'s
-   tail (one ``paired_distances`` call, the ``(distance, left, right)``
-   lexsort), so the returned :class:`~repro.ann.mutual.MutualPair` list is
-   the unsharded list, element for element.
+3. Distances and ordering come from ``mutual_top_k``'s own tail
+   (:func:`repro.ann.mutual.mutual_pairs`), so the returned
+   :class:`~repro.ann.mutual.MutualPair` list is the unsharded list, element
+   for element.
 
 Parallel dispatch: both full-side indexes are built once in the parent, and
 the owner groups of a direction fan out over the executor's thread pool
@@ -35,97 +34,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ann.brute_force import BruteForceIndex
-from ..ann.cache import IndexCache, index_params_key
-from ..ann.engine import query_rows
-from ..ann.hnsw import HNSWIndex
-from ..ann.lsh import LSHIndex
-from ..ann.mutual import MutualPair, _top_k_pair_array, create_index, mutual_top_k, resolve_backend
+from ..ann.cache import IndexCache
+from ..ann.mutual import MutualPair, batch_invariant, directed_pairs, mutual_pairs
 from ..config import MergingConfig
-from ..core.merging import merge_index_kwargs
-from ..core.parallel import ParallelExecutor
-
-_BACKEND_CLASSES = {"brute-force": BruteForceIndex, "hnsw": HNSWIndex, "lsh": LSHIndex}
-
-
-def _batch_invariant(resolved_backend: str) -> bool:
-    """Whether a resolved backend answers each query row independently of the batch."""
-    cls = _BACKEND_CLASSES.get(resolved_backend)
-    return bool(getattr(cls, "batch_invariant", False))
-
-
-def _build_index(
-    vectors: np.ndarray,
-    resolved_backend: str,
-    config: MergingConfig,
-    cache: IndexCache | None,
-):
-    """Build (or fetch) a full-side index exactly like ``mutual_top_k``'s build_side.
-
-    Same ``create_index`` kwargs, same cache ``params_key`` — so a sharded
-    merge and an unsharded merge sharing one cache interchange hits freely.
-    """
-    kwargs = merge_index_kwargs(config)
-
-    def build():
-        return create_index(
-            resolved_backend,
-            config.metric,
-            size_hint=vectors.shape[0],
-            brute_force_limit=config.brute_force_limit,
-            **kwargs,
-        ).build(vectors)
-
-    if cache is None:
-        return build()
-    params_key = index_params_key(resolved_backend, config.metric, kwargs)
-    return cache.get_or_build(vectors, build, params_key=params_key)
-
-
-def directed_pairs_for_rows(
-    index, queries: np.ndarray, rows: np.ndarray, k: int, max_distance: float
-) -> np.ndarray:
-    """One owner group's directed top-K pairs, labelled with global query rows.
-
-    ``queries`` are the group's gathered query vectors and ``rows`` their
-    global row ids (ascending). Per-group output is exactly the global
-    :func:`~repro.ann.mutual._top_k_pair_array` restricted to these rows:
-    the keep mask, the ``np.unique`` dedup (per query row — groups are
-    disjoint) and the ``(query_row, index_row)`` sort all commute with the
-    row restriction when the index answers are batch invariant.
-    """
-    indices, distances = query_rows(index, queries, k)
-    keep = (indices >= 0) & np.isfinite(distances) & (distances <= max_distance)
-    query_ids = np.broadcast_to(np.asarray(rows, dtype=np.int64)[:, None], indices.shape)[keep]
-    pairs = np.stack([query_ids, indices[keep]], axis=1)
-    return np.unique(pairs, axis=0)
-
-
-def _owner_groups(owners: np.ndarray) -> list[np.ndarray]:
-    """Row-id arrays per present owner (ascending owner id; spill rides last)."""
-    return [np.flatnonzero(owners == owner) for owner in np.unique(owners)]
+from ..core.merging import plan_merge_index
+from ..core.parallel import ParallelExecutor, default_executor
 
 
 def _directed_union(
     executor: ParallelExecutor,
     index,
+    resolved_backend: str,
     query_vectors: np.ndarray,
     owners: np.ndarray,
     config: MergingConfig,
-) -> np.ndarray:
-    """One direction's full directed pair set, unioned over owner groups."""
-    chunks = executor.map(
-        lambda rows: directed_pairs_for_rows(
-            index, query_vectors[rows], rows, config.k, config.m
-        ),
-        _owner_groups(owners),
+) -> list[np.ndarray]:
+    """One direction's directed pair arrays, one per owner group (ascending owner id).
+
+    Each group's array is the whole-batch :func:`~repro.ann.mutual.directed_pairs`
+    restricted to its rows: the keep mask and the per-query-row ``np.unique``
+    commute with a row restriction when the index is batch invariant, and
+    groups are disjoint. A batch-shape-sensitive backend (brute force) could
+    drift in the last ulp per group, so it is asked once, whole-batch.
+    """
+    if batch_invariant(resolved_backend):
+        groups = [np.flatnonzero(owners == owner) for owner in np.unique(owners)]
+    else:
+        groups = [slice(None)]
+    return executor.map(
+        lambda rows: directed_pairs(index, query_vectors, config.k, config.m, rows), groups
     )
-    real = [chunk for chunk in chunks if chunk.size]
-    if not real:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(real)
 
 
+@default_executor
 def sharded_mutual_pairs(
     vectors_a: np.ndarray,
     vectors_b: np.ndarray,
@@ -145,53 +86,13 @@ def sharded_mutual_pairs(
     """
     if vectors_a.shape[0] == 0 or vectors_b.shape[0] == 0:
         return []
-    executor = executor or ParallelExecutor()
-    resolved_b = resolve_backend(config.index, vectors_b.shape[0], config.brute_force_limit)
-    resolved_a = resolve_backend(config.index, vectors_a.shape[0], config.brute_force_limit)
-    decompose_forward = _batch_invariant(resolved_b)  # a-rows query the b-index
-    decompose_backward = _batch_invariant(resolved_a)  # b-rows query the a-index
-    if not decompose_forward and not decompose_backward:
-        # Both sides resolve to a batch-shape-sensitive backend (brute force):
-        # per-group queries could drift in the last ulp, so run the classic
-        # whole-batch path — the sharded result is *defined* as its output.
-        return mutual_top_k(
-            vectors_a,
-            vectors_b,
-            k=config.k,
-            max_distance=config.m,
-            metric=config.metric,
-            backend=config.index,
-            brute_force_limit=config.brute_force_limit,
-            index_kwargs=merge_index_kwargs(config),
-            cache=cache,
-        )
-
     # Both sides are built here, in mutual_top_k's order (b first, then a)
-    # against the shared cache.
-    index_b = _build_index(vectors_b, resolved_b, config, cache)
-    index_a = _build_index(vectors_a, resolved_a, config, cache)
-    if decompose_forward:
-        forward = _directed_union(executor, index_b, vectors_a, owners_a, config)
-    else:
-        forward = _top_k_pair_array(index_b, vectors_a, config.k, config.m)
-    if decompose_backward:
-        backward = _directed_union(executor, index_a, vectors_b, owners_b, config)
-    else:
-        backward = _top_k_pair_array(index_a, vectors_b, config.k, config.m)
-
-    # ------------------------------------------------ cross-shard stitch
-    # Verbatim mutual_top_k tail: structured-row intersection, one exact
-    # paired-distance pass, (distance, left, right) lexsort.
-    pair_dtype = np.dtype([("left", np.int64), ("right", np.int64)])
-    forward_view = np.ascontiguousarray(forward).view(pair_dtype).reshape(-1)
-    backward_view = np.ascontiguousarray(backward[:, ::-1]).view(pair_dtype).reshape(-1)
-    mutual = np.intersect1d(forward_view, backward_view, assume_unique=True)
-    if mutual.size == 0:
-        return []
-    lefts = mutual["left"]
-    rights = mutual["right"]
-    from ..ann.distances import paired_distances
-
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], config.metric)
-    order = np.lexsort((rights, lefts, dists))
-    return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
+    # against the shared cache, through the same step function.
+    resolved_b, work, commit = plan_merge_index(vectors_b, config, cache)
+    index_b = commit(work())
+    resolved_a, work, commit = plan_merge_index(vectors_a, config, cache)
+    index_a = commit(work())
+    forward = _directed_union(executor, index_b, resolved_b, vectors_a, owners_a, config)
+    backward = _directed_union(executor, index_a, resolved_a, vectors_b, owners_b, config)
+    # The cross-shard stitch is mutual_top_k's own tail.
+    return mutual_pairs(forward, backward, vectors_a, vectors_b, config.metric)

@@ -14,12 +14,11 @@ of its first constituent node — pure load-balancing bookkeeping; output bytes
 never depend on it) and finally into owner-grouped density pruning
 (:func:`sharded_prune_item_table`).
 
-Parallelism shape: the unsharded level loop fans out across *pairs within a
-level*; the sharded loop runs pairs sequentially and fans out *within* each
-merge across owner groups. On a single-core box the decomposition is pure
-overhead (honestly recorded by ``benchmarks/bench_pipeline.py``'s
-``sharded_merge`` record); its value is that the per-shard query units are
-the work-splitting boundary a multi-machine merge needs.
+Parallelism shape: the sharded loop runs pairs sequentially and fans each
+direction out across owner groups, where the unsharded loop splits the same
+direction into contiguous row chunks (and builds and finishes pairs side by
+side). Owner groups are the work-splitting boundary a multi-machine merge
+would need; on one box they buy nothing over chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from ..core.merging import (
     as_item_table,
     merge_tables_with_pairs,
 )
-from ..core.parallel import ParallelExecutor
+from ..core.parallel import ParallelExecutor, default_executor
 from ..core.pruning import prune_item_table
 from ..core.representation import EmbeddingStore
 from ..exceptions import ShardError
@@ -93,6 +92,7 @@ def sharded_merge_item_tables(
     return merged, len(pairs), np.ascontiguousarray(merged_owners, dtype=np.int32)
 
 
+@default_executor
 def sharded_hierarchical_merge(
     tables: Sequence,
     owners: Sequence[np.ndarray],
@@ -112,9 +112,6 @@ def sharded_hierarchical_merge(
     """
     if len(tables) != len(owners):
         raise ShardError(f"{len(tables)} tables but {len(owners)} owner arrays")
-    executor = executor or ParallelExecutor()
-    if cache is None and config.index_cache:
-        cache = IndexCache(max_entries=config.index_cache_entries)
     stats = MergeStats()
     current: list[ItemTable] = [as_item_table(table) for table in tables]
     current_owners: list[np.ndarray] = [

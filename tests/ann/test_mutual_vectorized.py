@@ -148,21 +148,21 @@ def test_merge_output_invariant_to_pair_order(monkeypatch):
     config = MergingConfig(m=0.6, index="brute-force")
     base, base_pairs = merge_item_tables(left, right, config)
 
-    original = merging_module.mutual_top_k
+    original = merging_module.mutual_pairs  # the pair-list step of the merge
     for trial in range(3):
         def shuffled(*args, _trial=trial, **kwargs):
             pairs = original(*args, **kwargs)
             order = np.random.default_rng(_trial).permutation(len(pairs))
             return [pairs[i] for i in order]
 
-        monkeypatch.setattr(merging_module, "mutual_top_k", shuffled)
+        monkeypatch.setattr(merging_module, "mutual_pairs", shuffled)
         merged, num_pairs = merge_item_tables(left, right, config)
         assert num_pairs == base_pairs
         assert np.array_equal(merged.vectors, base.vectors)
         assert np.array_equal(merged.member_sources, base.member_sources)
         assert np.array_equal(merged.member_indices, base.member_indices)
         assert np.array_equal(merged.member_offsets, base.member_offsets)
-    monkeypatch.setattr(merging_module, "mutual_top_k", original)
+    monkeypatch.setattr(merging_module, "mutual_pairs", original)
 
 
 def lsh_query_reference(index, queries, k):

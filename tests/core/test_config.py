@@ -111,5 +111,5 @@ def test_paper_default_config_unknown_dataset_uses_defaults():
 
 
 def test_paper_default_config_parallel_flag():
-    assert paper_default_config("geo", parallel=True).parallel.enabled is True
-    assert paper_default_config("geo").parallel.enabled is False
+    assert paper_default_config("geo").parallel.enabled is True  # the default since PR 23
+    assert paper_default_config("geo", parallel=False).parallel.enabled is False

@@ -344,7 +344,9 @@ def test_prune_serial_equals_parallel_across_worker_counts():
     rng = np.random.default_rng(7)
     items, lookup = _random_prune_case(rng, 60)
     config = PruningConfig(epsilon=1.0, min_pts=2)
-    serial = prune_items(items, lookup, config)
+    serial = prune_items(
+        items, lookup, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
+    )
     for workers in (1, 2, 3, 5, 8):
         executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=workers))
         parallel = prune_items(items, lookup, config, executor=executor)

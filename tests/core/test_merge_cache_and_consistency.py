@@ -130,7 +130,7 @@ class TestIncrementalParallel:
         names = sorted(music_tiny.tables)
         subset = music_tiny.subset(names[:3])
         extra = music_tiny.tables[names[3]]
-        serial = IncrementalMultiEM(MultiEMConfig())
+        serial = IncrementalMultiEM(MultiEMConfig().with_overrides(parallel={"enabled": False}))
         serial.fit(subset)
         serial_result = serial.add_table(extra)
         parallel = IncrementalMultiEM(

@@ -93,9 +93,11 @@ def test_hierarchical_merge_parallel_matches_serial(music_tiny, representer):
     embeddings = representer.encode_dataset(music_tiny)
     tables = [items_from_embeddings(embeddings[t.name]) for t in music_tiny.table_list()]
     config = MergingConfig(m=0.6, seed=0)
-    serial, _ = hierarchical_merge(tables, config)
     from repro.config import ParallelConfig
 
+    serial, _ = hierarchical_merge(
+        tables, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
+    )
     parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2))
     parallel, _ = hierarchical_merge(tables, config, executor=parallel_exec)
     serial_groups = {frozenset(item.members) for item in serial}

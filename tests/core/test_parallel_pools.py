@@ -17,6 +17,9 @@ from repro.data.entity import EntityRef
 from repro.exceptions import ConfigurationError
 
 
+SERIAL = ParallelExecutor(ParallelConfig(enabled=False))  # the default is the thread pool
+
+
 def _tables(num_tables=5, rows=120, dim=16):
     tables = []
     for seed in range(num_tables):
@@ -62,11 +65,11 @@ def _table_equal(a: ItemTable, b: ItemTable) -> bool:
 def serial_reference():
     tables = _tables()
     config = MergingConfig(index="brute-force", m=0.6)
-    merged, stats = hierarchical_merge_tables([t for t in tables], config)
+    merged, stats = hierarchical_merge_tables([t for t in tables], config, executor=SERIAL)
     store = _store(tables)
     pruning = PruningConfig(epsilon=1.0, min_pts=2)
     candidates = merged.filter(merged.sizes >= 2).to_items()
-    pruned = prune_items(candidates, store, pruning)
+    pruned = prune_items(candidates, store, pruning, executor=SERIAL)
     return tables, config, store, pruning, merged, stats, pruned
 
 
@@ -93,8 +96,8 @@ def test_thread_merge_and_table_prune_equal_serial(index):
     store = _store(tables)
     merging = MergingConfig(index=index, m=0.5)
     pruning = PruningConfig(epsilon=1.0)
-    merged_ref, _ = hierarchical_merge_tables([t for t in tables], merging)
-    pruned_ref = prune_item_table(merged_ref, store, pruning)
+    merged_ref, _ = hierarchical_merge_tables([t for t in tables], merging, executor=SERIAL)
+    pruned_ref = prune_item_table(merged_ref, store, pruning, executor=SERIAL)
     with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
         merged, _ = hierarchical_merge_tables([t for t in tables], merging, executor=ex)
         pruned = prune_item_table(merged, store, pruning, executor=ex)
@@ -143,9 +146,11 @@ def test_pipeline_tuples_identical_across_backends():
     from repro.data.generators import load_benchmark
 
     dataset = load_benchmark("music-20", profile="tiny")
-    config = paper_default_config("music-20").with_overrides(merging={"index": "hnsw"})
+    config = paper_default_config("music-20", parallel=False).with_overrides(
+        merging={"index": "hnsw"}
+    )
     serial = MultiEM(config).match(dataset)
-    assert serial.tuples
+    assert serial.tuples and serial.method == "MultiEM"
     parallel_config = config.with_overrides(
         parallel={"enabled": True, "backend": "thread", "max_workers": 2}
     )
@@ -181,6 +186,243 @@ def test_process_backend_is_refused_by_name():
         ParallelConfig(backend="process").validate()
     with pytest.raises(ConfigurationError, match="removed"):
         ParallelExecutor(ParallelConfig(enabled=True, backend="process"))
+
+
+@pytest.mark.parametrize("num_tables", [5, 20])
+@pytest.mark.parametrize("index", ["brute-force", "hnsw"])
+def test_level_schedule_digest_is_worker_count_invariant(num_tables, index):
+    """enabled=False == 1, 2, 3 workers; 1 worker with many pairs must not deadlock."""
+    import faulthandler
+    import threading
+
+    from repro.store.codecs import item_table_digest
+
+    tables = _tables(num_tables=num_tables, rows=60, dim=12)
+    config = MergingConfig(index=index, m=0.5)
+    want, want_stats = hierarchical_merge_tables(list(tables), config, executor=SERIAL)
+    for workers in (1, 2, 3):
+        done = {}
+
+        def run():
+            with ParallelExecutor(ParallelConfig(enabled=True, max_workers=workers)) as ex:
+                done["result"] = hierarchical_merge_tables(list(tables), config, executor=ex)
+
+        # A task that submitted to the bounded pool would hang here (nested-map guard).
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)  # a guard against "never", not a speed assertion
+        if thread.is_alive():
+            faulthandler.dump_traceback(all_threads=True)
+            pytest.fail(f"level loop wedged with {workers} worker(s); stacks are on stderr")
+        merged, stats = done["result"]
+        assert item_table_digest(merged) == item_table_digest(want)
+        assert stats.matched_pairs_per_level == want_stats.matched_pairs_per_level
+
+
+def test_workers_is_the_one_answer():
+    import os
+
+    assert SERIAL.workers == 1
+    assert ParallelExecutor(ParallelConfig(enabled=True, backend="serial")).workers == 1
+    assert ParallelExecutor(ParallelConfig(max_workers=3)).workers == 3
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert ParallelExecutor().workers == usable
+    with ParallelExecutor() as ex:
+        ex.map(_double, [1, 2, 3])
+        assert ex._pool._max_workers == ex.workers
+
+
+def test_threaded_cache_order_equals_serial(music_tiny):
+    """Cache traffic stays on the calling thread: LRU order (persisted) is deterministic."""
+    from repro.config import MultiEMConfig
+    from repro.core import IncrementalMultiEM
+
+    names = sorted(music_tiny.tables)
+    keys = {}
+    for label, parallel in (("serial", {"enabled": False}), ("thread", {"max_workers": 3})):
+        config = MultiEMConfig().with_overrides(merging={"index": "hnsw"}, parallel=parallel)
+        with IncrementalMultiEM(config) as matcher:
+            matcher.fit(music_tiny.subset(names[:-2]))
+            matcher.add_table(music_tiny.tables[names[-2]])
+            matcher.add_table(music_tiny.tables[names[-1]])
+            entries = matcher._index_cache.snapshot()
+            keys[label] = [(key, vectors.tobytes()) for key, vectors, _ in entries]
+            stats = matcher._index_cache.stats.as_dict()
+        keys[label].append(stats)
+    assert keys["thread"] == keys["serial"]
+
+
+def test_match_builds_no_cache_and_explicit_cache_still_counts(monkeypatch):
+    import repro.ann.cache as cache_module
+    from repro.ann import IndexCache
+    from repro.config import paper_default_config
+    from repro.core import MultiEM
+    from repro.data.generators import load_benchmark
+
+    calls = []
+    original = cache_module.fingerprint_vectors
+    monkeypatch.setattr(
+        cache_module, "fingerprint_vectors", lambda v: calls.append(1) or original(v)
+    )
+    dataset = load_benchmark("music-20", profile="tiny")
+    assert MultiEM(paper_default_config("music-20")).match(dataset).tuples
+    assert calls == [], "MultiEM.match fingerprinted a table: a per-call cache is back"
+
+    tables = _tables(num_tables=5, rows=40, dim=8)
+    cache = IndexCache(max_entries=16)
+    _, stats = hierarchical_merge_tables(list(tables), MergingConfig(index="hnsw"), cache=cache)
+    assert cache.stats.as_dict() == {
+        "exact_hits": 0, "prefix_hits": 0, "misses": 2 * stats.pair_merges, "saved_rows": 0
+    }
+    assert len(calls) == 2 * stats.pair_merges
+
+
+def test_self_made_executors_are_closed_and_a_callers_is_not(monkeypatch):
+    """No pool thread outlives the call that made the pool; a passed executor stays open."""
+    import threading
+
+    import repro.core.merging as merging_module
+    from repro.core.merging import merge_item_tables
+    from repro.shard import sharded_hierarchical_merge
+
+    tables = _tables(num_tables=4, rows=40, dim=8)
+    store, config = _store(tables), MergingConfig(index="hnsw", m=0.5)
+    owners = [np.arange(len(table), dtype=np.int32) % 2 for table in tables]
+    before = threading.active_count()
+    merged, _ = hierarchical_merge_tables(list(tables), config)
+    assert threading.active_count() == before
+    assert prune_item_table(merged, store, PruningConfig(epsilon=1.0))
+    assert prune_items(merged.to_items(), store, PruningConfig(epsilon=1.0))
+    merge_item_tables(tables[0], tables[1], config)
+    sharded_hierarchical_merge(list(tables), owners, config)
+    assert threading.active_count() == before
+    with monkeypatch.context() as patched:  # a failing call releases its pool too
+        patched.setattr(merging_module, "mutual_pairs", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            hierarchical_merge_tables(list(tables), config)
+    assert threading.active_count() == before
+    with ParallelExecutor(ParallelConfig(max_workers=2)) as ex:
+        hierarchical_merge_tables(list(tables), config, executor=ex)
+        assert ex._pool is not None, "the caller's executor was closed by the callee"
+        assert threading.active_count() == before + 2
+    assert threading.active_count() == before
+
+
+def test_constructing_and_loading_start_no_thread(music_tiny, tmp_path):
+    """Pools are lazy: a process that forks after these calls forks single-threaded."""
+    import threading
+
+    from repro.config import paper_default_config
+    from repro.core import IncrementalMultiEM, MultiEM
+    from repro.store import MatchSession
+
+    config = paper_default_config("music-20")
+    path = str(tmp_path / "fitted.snap")
+    with IncrementalMultiEM(config) as fitted:
+        fitted.fit(music_tiny)
+        fitted.save(path, mode="full")
+    before = threading.active_count()
+    MultiEM(config)
+    matcher = IncrementalMultiEM(config)
+    session = MatchSession.load(path, mmap=True)
+    assert session.matcher.config.parallel.enabled
+    assert threading.active_count() == before
+    session.close()
+    matcher.close()
+
+
+_EXIT_SNIPPET = """
+import sys
+sys.path.insert(0, {src!r})
+from repro import IncrementalMultiEM, MultiEM, load_benchmark, paper_default_config
+
+dataset = load_benchmark("music-20", "tiny", seed=0)
+config = paper_default_config("music-20").with_overrides(merging={{"index": "hnsw"}})
+assert config.parallel.enabled
+print(len(MultiEM(config).match(dataset).tuples))
+print(len(IncrementalMultiEM(config).fit(dataset).tuples))  # never closed: exit must not hang
+"""
+
+
+@pytest.mark.parametrize("native", ["0", "1"])
+def test_process_exits_cleanly_without_close(native):
+    """``python -c '...match(...)'`` with no ``close()``: exit 0, nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _EXIT_SNIPPET.format(src=src)],
+        capture_output=True, text=True, timeout=300,  # a guard against "never"
+        env={**os.environ, "REPRO_NATIVE": native},
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    first, second = map(int, done.stdout.split())
+    assert first == second > 0
+
+
+_ARENA_SNIPPET = """
+import ctypes, os, sys, tempfile
+sys.path.insert(0, {src!r})
+from concurrent.futures import ThreadPoolExecutor
+from repro.config import ParallelConfig
+from repro.core.parallel import ParallelExecutor
+
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+
+def arenas():
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "malloc_info.xml")
+        handle = libc.fopen(path.encode(), b"w")
+        libc.malloc_info(0, handle)
+        libc.fclose(handle)
+        return open(path).read().count("<heap nr=")
+
+def allocate(i):
+    blocks = [bytearray(60_000) for _ in range(200)]  # malloc'd, under the mmap threshold
+    return len(blocks)
+
+if {capped}:
+    with ParallelExecutor(ParallelConfig(enabled=True, max_workers=4)) as ex:
+        assert ex.map(allocate, list(range(16))) == [200] * 16
+else:  # the control: the same work on a bare pool, no arena cap
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(allocate, range(16))) == [200] * 16
+print(arenas())
+"""
+
+
+def test_pool_threads_stay_on_the_main_malloc_arena():
+    import ctypes
+    import os
+    import subprocess
+    import sys
+
+    if "MALLOC_ARENA_MAX" in os.environ:
+        pytest.skip("MALLOC_ARENA_MAX is set: the allocator is already capped from outside")
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt, libc.malloc_info, libc.fopen  # noqa: B018 - attribute probe
+    except (OSError, AttributeError):
+        pytest.skip("libc has no mallopt / malloc_info (not glibc)")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+    def arenas_after(capped: bool) -> int:
+        done = subprocess.run(
+            [sys.executable, "-c", _ARENA_SNIPPET.format(src=src, capped=capped)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    if arenas_after(capped=False) <= 1:
+        pytest.skip("this allocator keeps uncapped pool threads on one arena: nothing to show")
+    assert arenas_after(capped=True) == 1, "worker threads opened their own malloc arenas"
 
 
 def _double(x):

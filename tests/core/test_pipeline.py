@@ -10,7 +10,9 @@ class TestMultiEMPipeline:
     def test_match_returns_valid_result(self, geo_tiny):
         result = MultiEM(paper_default_config("geo")).match(geo_tiny)
         assert isinstance(result, MatchResult)
-        assert result.method == "MultiEM"
+        assert result.method == "MultiEM (parallel)"  # the thread pool is the default
+        serial = MultiEM(paper_default_config("geo", parallel=False)).match(geo_tiny)
+        assert serial.method == "MultiEM" and serial.tuples == result.tuples
         assert all(len(tup) >= 2 for tup in result.tuples)
         known = set(geo_tiny.all_refs())
         for tup in result.tuples:

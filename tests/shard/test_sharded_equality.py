@@ -104,7 +104,11 @@ def test_sharded_merge_through_thread_executor():
     """The per-shard fan-out over the thread pool, against parent-built indexes."""
     tables = _synthetic_tables()
     config = MergingConfig(index="hnsw", m=0.5, shards=2, shard_key="lsh")
-    serial, _ = hierarchical_merge_tables(tables, MergingConfig(index="hnsw", m=0.5))
+    serial, _ = hierarchical_merge_tables(
+        tables,
+        MergingConfig(index="hnsw", m=0.5),
+        executor=ParallelExecutor(ParallelConfig(enabled=False)),
+    )
     plan = plan_from_item_tables([t for t in tables], config)
     with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
         merged, _, owners = sharded_hierarchical_merge(tables, plan.owners, config, executor=ex)
