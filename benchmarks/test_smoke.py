@@ -256,6 +256,18 @@ for parallel in (True, False):
     tuple_sets.append(sorted(sorted((r.source, r.index) for r in t) for t in result.tuples))
 assert tuple_sets[0] == tuple_sets[1], "serial and threaded pipelines disagree"
 digest.update(repr(tuple_sets[0]).encode())
+
+# The exact scan, which neither leg above reaches: duplicated rows on both
+# sides put exact distance ties on its top-1 fallback; k = 2 is the full body.
+from repro.ann import mutual_top_k
+
+base = np.round(rng.standard_normal((30, 12)), 1).astype(np.float32)
+side_a = base[rng.integers(30, size=70)]
+side_b = base[rng.integers(30, size=50)]
+for k in (1, 2):
+    pairs = mutual_top_k(side_a, side_b, k=k, max_distance=0.5, backend="brute-force")
+    assert pairs, "the tied tables produced no mutual pair"
+    digest.update(repr([(p.left, p.right, p.distance) for p in pairs]).encode())
 print("VARIANT", native.kernel_variant())
 print("DIGEST", digest.hexdigest())
 """
@@ -268,8 +280,9 @@ def test_smoke_kernel_compile_matrix():
     Each leg runs in a subprocess with its own ``REPRO_NATIVE`` /
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
     HNSW index, runs the tiny pipeline under the default (thread pool) config
-    and under ``parallel=False``, and prints a digest over the full graph,
-    the query output and the (equal) tuple set. All
+    and under ``parallel=False``, runs the exact scan's mutual top-1 and top-2
+    over two tables of duplicated rows, and prints a digest over the full
+    graph, the query output, the (equal) tuple set and both pair lists. All
     legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.

@@ -11,7 +11,8 @@ them via ``MergingConfig.index``:
   has at most ``brute_force_limit`` rows (default 4096, where one blocked
   distance-matrix pass beats graph construction), :class:`HNSWIndex` above it.
 * ``"brute-force"`` — always exact; the reference the HNSW recall tests
-  compare against. Queries take the engine's blocked dense top-k path.
+  compare against. Queries take the engine's blocked dense top-k path
+  (``k = 1``: ``argmin``, with ``argpartition`` deciding exact ties as before).
 * ``"hnsw"`` — array-backed navigable-small-world graph (flat CSR-style
   neighbour tables, batched distance kernels, incremental ``extend``).
   Tuned by ``hnsw_max_degree`` / ``hnsw_ef_construction`` / ``hnsw_ef_search``.

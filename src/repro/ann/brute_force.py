@@ -24,7 +24,9 @@ class BruteForceIndex(NearestNeighborIndex):
     :func:`~repro.ann.distances.distance_matrix` would redo. Queries run
     through the shared engine's dense path
     (:func:`repro.ann.engine.exact_topk_blocked` — candidate generation is
-    "all rows"); results are bit-identical to the unprepared kernel.
+    "all rows"); results are bit-identical to the unprepared kernel. A
+    ``k = 1`` query holds one float32 distance block plus a boolean tie mask
+    per ``batch_size`` queries, not the int64 ``argpartition`` slab.
     """
 
     def __init__(self, metric: str = "cosine", batch_size: int = 2048) -> None:

@@ -16,7 +16,8 @@ is the single implementation of the re-rank half of that contract:
 * :func:`exact_topk_blocked` — the dense exact path (brute force): blocked
   full distance rows with ``argpartition`` selection, preserving
   :class:`~repro.ann.brute_force.BruteForceIndex`'s historical op order
-  exactly.
+  exactly; at ``k = 1`` one ``argmin`` pass answers every row whose minimum
+  is unique and only the tied rows take that selection (same bytes).
 
 Byte-identity contract
 ----------------------
@@ -233,6 +234,13 @@ def exact_topk_blocked(
     ``argpartition`` + ``argsort`` — op-for-op the historical
     ``BruteForceIndex.query`` body, preserving its selection (and tie)
     behaviour exactly.
+
+    At ``k = 1`` (MultiEM's K) that body runs only on the query rows whose
+    minimum is *not* attained exactly once (exact ties, ``±0.0``, NaN):
+    ``argpartition`` selects per row, so re-selecting those rows alone returns
+    what the whole block would. Every other row has one possible answer and
+    ``argmin`` reads it in one pass, without the block-sized int64 index slab
+    (both halves are pinned by ``tests/ann/test_exact_scan.py``).
     """
     num_rows = prepared.size
     num_queries = prepared_queries.shape[0]
@@ -240,15 +248,26 @@ def exact_topk_blocked(
     for start in range(0, num_queries, batch_size):
         stop = min(start + batch_size, num_queries)
         block = prepared.block_distances(prepared_queries[start:stop])
+        out = slice(start, stop)
+        if effective_k == 1 and num_rows > 1:
+            nearest = np.argmin(block, axis=1)
+            best = block[np.arange(stop - start), nearest]
+            indices[out, 0] = nearest
+            distances[out, 0] = best
+            redo = np.flatnonzero(np.count_nonzero(block == best[:, None], axis=1) != 1)
+            if redo.size == 0:
+                continue
+            block = block[redo]
+            out = start + redo
         if effective_k < num_rows:
             top = np.argpartition(block, effective_k - 1, axis=1)[:, :effective_k]
         else:
-            top = np.tile(np.arange(num_rows), (stop - start, 1))
-        row_index = np.arange(stop - start)[:, None]
+            top = np.tile(np.arange(num_rows), (len(block), 1))
+        row_index = np.arange(len(block))[:, None]
         top_distances = block[row_index, top]
         order = np.argsort(top_distances, axis=1)
-        indices[start:stop, :effective_k] = top[row_index, order]
-        distances[start:stop, :effective_k] = top_distances[row_index, order]
+        indices[out, :effective_k] = top[row_index, order]
+        distances[out, :effective_k] = top_distances[row_index, order]
 
 
 def query_rows(index, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
