@@ -40,6 +40,11 @@ RETIRED_KEYS: dict[str, dict[str, str]] = {
         "kernel_threads": "the native HNSW build is sequential",
         "shared_memory": "tasks run on one persistent thread pool",
         "reuse_pool": "tasks run on one persistent thread pool",
+        "backend": "tasks run on one persistent thread pool; enabled=False runs serially",
+        "self_heal": "every task is waited on; the first task exception propagates",
+        "task_timeout": "every task is waited on; the first task exception propagates",
+        "max_retries": "every task is waited on; the first task exception propagates",
+        "retry_backoff": "every task is waited on; the first task exception propagates",
     },
 }
 
@@ -197,54 +202,22 @@ class ParallelConfig:
     """Settings for the worker pool behind merging and pruning.
 
     Attributes:
-        enabled: run merging and pruning through a worker pool (the default;
+        enabled: run merging and pruning on one persistent thread pool per
+            :class:`~repro.core.parallel.ParallelExecutor` (the default; the
+            heavy lifting is released-GIL numpy and native-kernel work, and
             output bytes are identical either way). ``False`` is the paper's
             serial MultiEM. Snapshots written while the default was ``False``
             carry ``enabled: false`` and keep running serially once loaded.
-        backend: ``"thread"`` (one persistent thread pool per
-            :class:`~repro.core.parallel.ParallelExecutor`; the heavy lifting
-            is released-GIL numpy and native-kernel work) or ``"serial"``
-            (run in the caller even when ``enabled``).
         max_workers: pool size (``None``: the usable CPU count, see
             :attr:`repro.core.parallel.ParallelExecutor.workers`).
-        self_heal: recover from a wedged pool instead of waiting on it — a
-            task exceeding ``task_timeout`` abandons the pool, re-dispatches
-            the missing tasks on a fresh one with exponential backoff
-            (``max_retries`` rounds), and finally degrades to in-parent
-            serial execution of whatever is still missing. Tasks are pure,
-            so healing changes wall-clock and metrics only, never result
-            bytes. Genuine task exceptions still propagate un-retried.
-        task_timeout: seconds to wait for any single task before declaring
-            the pool wedged (``None`` waits forever — hung workers are then
-            only caught by the caller).
-        max_retries: pool-restart rounds before serial degradation.
-        retry_backoff: base sleep (seconds) between rounds, doubled each
-            round.
     """
 
     enabled: bool = True
-    backend: str = "thread"
     max_workers: int | None = None
-    self_heal: bool = True
-    task_timeout: float | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.1
 
     def validate(self) -> None:
-        if self.backend == "process":
-            raise ConfigurationError(
-                'the "process" parallel backend was removed; use backend="thread"'
-            )
-        if self.backend not in ("thread", "serial"):
-            raise ConfigurationError(f"unknown parallel backend {self.backend!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigurationError("task_timeout must be > 0 when given")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ConfigurationError("retry_backoff must be >= 0")
 
 
 @dataclass(frozen=True)

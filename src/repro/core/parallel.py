@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from ..config import ParallelConfig
 from ..exceptions import ConfigurationError
-
-logger = logging.getLogger("repro.parallel")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -47,22 +42,11 @@ class ParallelExecutor:
         self.config = config or ParallelConfig()
         self.config.validate()
         self._pool: ThreadPoolExecutor | None = None  # persistent, lazily created
-        #: Healing counters, cumulative over the executor's lifetime:
-        #: ``pool_restarts`` (pools discarded after a timeout),
-        #: ``retries`` (re-dispatch rounds), ``timeouts`` (tasks that
-        #: exceeded ``task_timeout``), ``serial_fallbacks`` (maps that
-        #: finished degraded, in-parent).
-        self.metrics: dict[str, int] = {
-            "pool_restarts": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "serial_fallbacks": 0,
-        }
 
     @property
     def is_parallel(self) -> bool:
         """Whether calls will actually fan out to the thread pool."""
-        return self.config.enabled and self.config.backend != "serial"
+        return self.config.enabled
 
     @property
     def workers(self) -> int:
@@ -112,97 +96,15 @@ class ParallelExecutor:
     def map(self, function: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``function`` to every item, preserving input order.
 
-        Falls back to serial execution for empty or single-item input, where a
-        pool would only add overhead (the paper observes the same effect on
-        the small Geo dataset).
-
-        With ``ParallelConfig.self_heal`` (the default), a wedged pool is
-        recovered instead of waited on forever — see :meth:`_map_healing`.
-        Because every dispatched task is pure (a function of immutable
-        arrays), re-running one in a fresh pool or in the parent produces the
-        same bytes; healing changes wall-clock, never results.
+        Runs inline when serial or for empty / single-item input, where a pool
+        would only add overhead (the paper observes the same effect on the
+        small Geo dataset). Otherwise every task is waited on; the first
+        exception in input order propagates, and tasks not yet started are
+        cancelled. The executor stays usable afterwards.
         """
         if not self.is_parallel or len(items) <= 1:
             return [function(item) for item in items]
-        if self.config.self_heal:
-            return self._map_healing(function, items)
         return list(self._ensure_pool().map(function, items))
-
-    def _map_healing(self, function: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Dispatch with per-task timeouts, pool restarts, and serial fallback.
-
-        Rounds: submit every still-missing task, collect results in order;
-        on a task timeout, harvest whatever finished, abandon the pool, back
-        off, and re-dispatch the remainder in a fresh pool — up to
-        ``max_retries`` rounds, after which the remainder runs serially in
-        the parent. Hung threads cannot be killed; they are leaked (they
-        finish eventually) and the executor simply stops routing work to
-        their pool. Genuine task exceptions propagate immediately,
-        un-retried: retrying a deterministic failure would just fail again,
-        and silently swallowing it could mask a real bug.
-        """
-        config = self.config
-        results: dict[int, R] = {}
-        pending = list(range(len(items)))
-        rounds = 0
-        while pending:
-            pool = self._ensure_pool()
-            failure: FutureTimeoutError | None = None
-            try:
-                futures = {index: pool.submit(function, items[index]) for index in pending}
-                for index in pending:
-                    future = futures[index]
-                    if failure is None:
-                        try:
-                            results[index] = future.result(timeout=config.task_timeout)
-                        except FutureTimeoutError as exc:
-                            self.metrics["timeouts"] += 1
-                            failure = exc
-                    # Past the first timeout: harvest tasks that did finish
-                    # so only genuinely-missing ones are re-dispatched.
-                    elif future.done() and not future.cancelled():
-                        results[index] = future.result()
-            finally:
-                if failure is not None:
-                    self.metrics["pool_restarts"] += 1
-                    self._pool = None
-                    pool.shutdown(wait=False, cancel_futures=True)
-            pending = [index for index in pending if index not in results]
-            if not pending:
-                break
-            if rounds >= config.max_retries:
-                self.metrics["serial_fallbacks"] += 1
-                logger.warning(
-                    "worker pool failed %d time(s) (%s); degrading %d task(s) to "
-                    "serial in-parent execution (results are unaffected)",
-                    rounds + 1,
-                    failure,
-                    len(pending),
-                )
-                for index in pending:
-                    results[index] = function(items[index])
-                break
-            rounds += 1
-            self.metrics["retries"] += 1
-            backoff = config.retry_backoff * (2 ** (rounds - 1))
-            logger.warning(
-                "worker pool failure (%s: %s); restarting pool and retrying "
-                "%d task(s) after %.2fs (round %d/%d)",
-                type(failure).__name__,
-                failure,
-                len(pending),
-                backoff,
-                rounds,
-                config.max_retries,
-            )
-            if backoff > 0:
-                time.sleep(backoff)
-        return [results[index] for index in range(len(items))]
-
-    def starmap(self, function: Callable[..., R], items: Iterable[tuple]) -> list[R]:
-        """Like :meth:`map` but unpacking argument tuples."""
-        materialized = list(items)
-        return self.map(lambda args: function(*args), materialized)
 
 
 def default_executor(function: Callable[..., R]) -> Callable[..., R]:

@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection for the store and parallel planes.
+"""Deterministic, seeded fault injection for the store and serving planes.
 
 The durability claims of :mod:`repro.store` (crash-safe saves, fsck/repair,
 chain GC) and the self-healing claims of :mod:`repro.serve.dispatch` (retry
@@ -13,11 +13,11 @@ the single switchboard those failures come through:
   :func:`read_bytes`). With no plan active every hook is a thin passthrough;
   with a plan active the hooks count operation boundaries and fire the
   plan's faults at exact, reproducible points.
-* **Pool-worker faults** — :mod:`repro.serve.dispatch` asks
+* **Serve-worker faults** — :mod:`repro.serve.dispatch` asks
   :func:`claim_worker_fault` per dispatched request; a claimed fault travels to
-  the worker, which executes it (``os._exit`` for *kill*, a long sleep for
-  *hang*) before touching the task. Claims happen parent-side, so a
-  one-shot fault stays one-shot even though the faulted worker dies.
+  the worker, which executes it (``os._exit`` for *kill*) before touching the
+  task. Claims happen parent-side, so a one-shot fault stays one-shot even
+  though the faulted worker dies.
 
 Activation
 ----------
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 from dataclasses import dataclass, field
 
 from .exceptions import ReproError
@@ -105,14 +104,13 @@ class FaultPlan:
     flip_read: int | None = None
     #: Byte offset of the flip; ``None`` derives one from ``seed`` and size.
     flip_offset: int | None = None
-    #: Pool-worker fault: ``"kill"`` (``os._exit``) or ``"hang"`` (sleep).
+    #: Serve-worker fault: ``"kill"`` (``os._exit``) is the only kind.
     worker_fault: str | None = None
-    #: Task index (within one ``map`` round) the worker fault attaches to.
+    #: Dispatch attempt (0-based, per ``WorkerPlane``) the worker fault attaches to.
     worker_fault_task: int = 0
-    #: Re-arm the worker fault after every claim (tests the retry-exhausted →
-    #: serial-degradation path); default is one-shot.
+    #: Re-arm the worker fault after every claim (drives serving's
+    #: sibling-retry exhaustion); default is one-shot.
     worker_fault_repeat: bool = False
-    worker_hang_seconds: float = 3600.0
     #: Operation-boundary counts observed so far (also the observer output).
     counters: dict = field(default_factory=dict)
 
@@ -138,7 +136,6 @@ _SPEC_FIELDS = {
     "worker": str,
     "worker_task": int,
     "worker_repeat": int,
-    "hang_seconds": float,
 }
 
 _SPEC_TO_ATTR = {
@@ -147,7 +144,6 @@ _SPEC_TO_ATTR = {
     "worker": "worker_fault",
     "worker_task": "worker_fault_task",
     "worker_repeat": "worker_fault_repeat",
-    "hang_seconds": "worker_hang_seconds",
 }
 
 
@@ -175,8 +171,8 @@ def plan_from_spec(spec: str) -> FaultPlan:
         if attr in ("drop_fsync", "worker_fault_repeat"):
             value = bool(value)
         setattr(plan, attr, value)
-    if plan.worker_fault is not None and plan.worker_fault not in ("kill", "hang"):
-        raise InjectedFault(f"unknown worker fault {plan.worker_fault!r}; use kill or hang")
+    if plan.worker_fault is not None and plan.worker_fault != "kill":
+        raise InjectedFault(f"unknown worker fault {plan.worker_fault!r}; use kill")
     return plan
 
 
@@ -320,7 +316,7 @@ def read_bytes(path: str) -> bytes:
     return bytes(mutated)
 
 
-# --------------------------------------------------------------- pool workers
+# -------------------------------------------------------------- serve workers
 def claim_worker_fault(task_index: int) -> dict | None:
     """Claim the plan's worker fault for one dispatched task (parent side).
 
@@ -336,14 +332,11 @@ def claim_worker_fault(task_index: int) -> dict | None:
     if not plan.worker_fault_repeat and plan.counters.get("worker_fault_claimed"):
         return None
     plan.counters["worker_fault_claimed"] = plan.counters.get("worker_fault_claimed", 0) + 1
-    return {"kind": plan.worker_fault, "hang_seconds": plan.worker_hang_seconds}
+    return {"kind": plan.worker_fault}
 
 
 def execute_worker_fault(spec: dict) -> None:
-    """Run a claimed worker fault inside the pool worker."""
+    """Run a claimed worker fault inside the serve worker."""
     if spec["kind"] == "kill":
         os._exit(86)  # simulate SIGKILL: no cleanup, no exception, just gone
-    if spec["kind"] == "hang":
-        time.sleep(spec["hang_seconds"])
-        return
     raise InjectedFault(f"unknown worker fault kind {spec['kind']!r}")

@@ -1,7 +1,6 @@
 """Serving-plane metrics: counters, batch-size histogram, latency quantiles.
 
-Plain-dict counters in the style of ``ParallelExecutor.metrics`` — the
-``/metrics`` endpoint serializes :meth:`ServeMetrics.snapshot` straight to
+Plain counters — the ``/metrics`` endpoint serializes :meth:`ServeMetrics.snapshot` straight to
 JSON, no exposition format. Latencies keep a bounded ring of recent samples
 (default 4096) so p50/p99 reflect current behaviour and memory stays flat
 under sustained load; quantiles use the nearest-rank method on a sorted copy

@@ -45,7 +45,7 @@ what the append-only snapshot chain stores per
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from typing import Mapping
 
 import numpy as np
@@ -477,10 +477,10 @@ def config_to_meta(config: MultiEMConfig) -> dict:
 def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
     """Rebuild the pipeline config a snapshot manifest carries.
 
-    Snapshots outlive config fields: retired keys are dropped and the removed
-    ``backend="process"`` reads as ``"thread"`` (same bytes, one transport),
-    each with one warning naming the key and ``source``; any other key this
-    version does not know raises :class:`StoreError` instead of guessing.
+    Snapshots outlive config fields: a key in :data:`repro.config.RETIRED_KEYS`
+    (none of which ever changed result bytes) is dropped with one warning
+    naming it and ``source``; any other key this version does not know raises
+    :class:`StoreError` instead of guessing.
     """
     sections = {}
     for name, cls in (
@@ -500,12 +500,6 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
         if unknown:
             raise StoreError(f"snapshot {source}: unknown config key {name}.{unknown[0]}")
         sections[name] = cls(**values)
-    if sections["parallel"].backend == "process":
-        logger.warning(
-            'snapshot %s: config key parallel.backend="process" was removed; using "thread"',
-            source,
-        )
-        sections["parallel"] = replace(sections["parallel"], backend="thread")
     config = MultiEMConfig(**sections)
     config.validate()
     return config

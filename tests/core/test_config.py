@@ -1,8 +1,11 @@
 """Tests for repro.config."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import (
+    RETIRED_KEYS,
     MergingConfig,
     MultiEMConfig,
     ParallelConfig,
@@ -56,10 +59,9 @@ def test_pruning_config_validation():
 
 def test_parallel_config_validation():
     with pytest.raises(ConfigurationError):
-        ParallelConfig(backend="mpi").validate()
-    with pytest.raises(ConfigurationError):
         ParallelConfig(max_workers=0).validate()
-    ParallelConfig(backend="thread", max_workers=2).validate()
+    ParallelConfig(max_workers=2).validate()
+    ParallelConfig(enabled=False, max_workers=None).validate()
 
 
 def test_with_overrides_returns_new_config():
@@ -87,11 +89,23 @@ def test_with_overrides_rejects_unknown_keys_by_name():
         ("merging", "kernel_threads", "sequential"),
         ("parallel", "kernel_threads", "sequential"),
         ("merging", "quantized_scan", "exact scan"),
+        ("parallel", "backend", "enabled=False runs serially"),
+        ("parallel", "self_heal", "waited on"),
+        ("parallel", "task_timeout", "waited on"),
+        ("parallel", "max_retries", "waited on"),
+        ("parallel", "retry_backoff", "waited on"),
     ],
 )
 def test_with_overrides_says_a_removed_key_was_removed(section, key, runs):
     with pytest.raises(ConfigurationError, match=rf"{section}\.{key} was removed.*{runs}"):
         MultiEMConfig().with_overrides(**{section: {key: 2}})
+
+
+def test_retired_keys_never_return_as_fields():
+    """A retired name cannot silently come back as a live field of its section."""
+    for section, retired in RETIRED_KEYS.items():
+        live = {f.name for f in fields(getattr(MultiEMConfig(), section))}
+        assert not live & set(retired), (section, sorted(live & set(retired)))
 
 
 def test_paper_default_config_known_datasets():

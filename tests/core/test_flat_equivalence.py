@@ -348,7 +348,7 @@ def test_prune_serial_equals_parallel_across_worker_counts():
         items, lookup, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
     )
     for workers in (1, 2, 3, 5, 8):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=workers))
+        executor = ParallelExecutor(ParallelConfig(enabled=True, max_workers=workers))
         parallel = prune_items(items, lookup, config, executor=executor)
         _assert_items_identical(parallel, serial)
         for serial_item, parallel_item in zip(serial, parallel):

@@ -116,7 +116,7 @@ class TestRepresentativeConsistency:
 class TestIncrementalParallel:
     def test_parallel_config_is_threaded_through(self, music_tiny):
         config = MultiEMConfig().with_overrides(
-            parallel={"enabled": True, "backend": "thread", "max_workers": 2}
+            parallel={"enabled": True, "max_workers": 2}
         )
         names = sorted(music_tiny.tables)
         matcher = IncrementalMultiEM(config)

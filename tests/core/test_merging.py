@@ -98,7 +98,7 @@ def test_hierarchical_merge_parallel_matches_serial(music_tiny, representer):
     serial, _ = hierarchical_merge(
         tables, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
     )
-    parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2))
+    parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, max_workers=2))
     parallel, _ = hierarchical_merge(tables, config, executor=parallel_exec)
     serial_groups = {frozenset(item.members) for item in serial}
     parallel_groups = {frozenset(item.members) for item in parallel}

@@ -73,11 +73,12 @@ def serial_reference():
     return tables, config, store, pruning, merged, stats, pruned
 
 
-@pytest.mark.parametrize("backend", ["thread"])
-def test_backend_merge_prune_equals_serial(serial_reference, backend):
-    """serial == thread, bit for bit, merge and prune alike."""
+@pytest.mark.parametrize("enabled", [True, False], ids=["thread", "serial"])
+def test_backend_merge_prune_equals_serial(serial_reference, enabled):
+    """serial == thread (and serial == serial), bit for bit, merge and prune alike."""
     tables, config, store, pruning, merged_ref, stats_ref, pruned_ref = serial_reference
-    with ParallelExecutor(ParallelConfig(enabled=True, backend=backend, max_workers=2)) as ex:
+    with ParallelExecutor(ParallelConfig(enabled=enabled, max_workers=2)) as ex:
+        assert ex.is_parallel is enabled
         merged, stats = hierarchical_merge_tables([t for t in tables], config, executor=ex)
         assert _table_equal(merged, merged_ref)
         assert stats.matched_pairs_per_level == stats_ref.matched_pairs_per_level
@@ -98,7 +99,7 @@ def test_thread_merge_and_table_prune_equal_serial(index):
     pruning = PruningConfig(epsilon=1.0)
     merged_ref, _ = hierarchical_merge_tables([t for t in tables], merging, executor=SERIAL)
     pruned_ref = prune_item_table(merged_ref, store, pruning, executor=SERIAL)
-    with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
+    with ParallelExecutor(ParallelConfig(enabled=True, max_workers=2)) as ex:
         merged, _ = hierarchical_merge_tables([t for t in tables], merging, executor=ex)
         pruned = prune_item_table(merged, store, pruning, executor=ex)
     assert _table_equal(merged, merged_ref)
@@ -109,20 +110,22 @@ def test_thread_merge_and_table_prune_equal_serial(index):
     )
 
 
-@pytest.mark.parametrize("backend", ["thread"])
-def test_pool_persists_across_map_calls(backend):
-    ex = ParallelExecutor(ParallelConfig(enabled=True, backend=backend, max_workers=2))
+@pytest.mark.parametrize("enabled", [True, False], ids=["thread", "serial"])
+def test_pool_persists_across_map_calls(enabled):
+    """A thread executor makes one pool and keeps it; a serial one never makes any."""
+    ex = ParallelExecutor(ParallelConfig(enabled=enabled, max_workers=2))
     try:
-        ex.map(_double, [1, 2, 3])
+        assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
         pool_first = ex._pool
-        assert pool_first is not None, "first parallel map must create the pool"
-        ex.map(_double, [4, 5, 6])
+        assert (pool_first is not None) is enabled, "only a parallel map creates the pool"
+        assert ex.map(_double, [4, 5, 6]) == [8, 10, 12]
         assert ex._pool is pool_first
     finally:
         ex.close()
     assert ex._pool is None
     # A closed executor lazily re-creates its pool instead of failing.
     assert ex.map(_double, [7, 8]) == [14, 16]
+    assert (ex._pool is not None) is enabled
     ex.close()
 
 
@@ -130,7 +133,7 @@ def test_serial_and_single_item_paths_stay_inline():
     ex = ParallelExecutor(ParallelConfig(enabled=False))
     assert not ex.is_parallel
     assert ex.map(_double, [3]) == [6]
-    parallel = ParallelExecutor(ParallelConfig(enabled=True, backend="thread"))
+    parallel = ParallelExecutor(ParallelConfig(enabled=True))
     try:
         # Single-item maps never touch the pool.
         assert parallel.map(lambda x: x + 1, [41]) == [42]
@@ -151,11 +154,9 @@ def test_pipeline_tuples_identical_across_backends():
     )
     serial = MultiEM(config).match(dataset)
     assert serial.tuples and serial.method == "MultiEM"
-    parallel_config = config.with_overrides(
-        parallel={"enabled": True, "backend": "thread", "max_workers": 2}
-    )
+    parallel_config = config.with_overrides(parallel={"enabled": True, "max_workers": 2})
     result = MultiEM(parallel_config).match(dataset)
-    assert result.tuples == serial.tuples, "thread backend changed predictions"
+    assert result.tuples == serial.tuples, "the thread pool changed predictions"
     assert result.method == "MultiEM (parallel)"
 
 
@@ -167,7 +168,7 @@ def test_incremental_matcher_close_is_idempotent():
     dataset = load_benchmark("music-20", profile="tiny")
     with IncrementalMultiEM(
         paper_default_config("music-20").with_overrides(
-            parallel={"enabled": True, "backend": "thread", "max_workers": 2}
+            parallel={"enabled": True, "max_workers": 2}
         )
     ) as matcher:
         result = matcher.fit(dataset)
@@ -176,16 +177,48 @@ def test_incremental_matcher_close_is_idempotent():
     matcher.close()  # and again after __exit__
 
 
+def test_genuine_task_exception_propagates_unretried():
+    """The first failing task's exception surfaces in input order; the pool survives it."""
+    calls = []
+
+    def boom(x):
+        calls.append(x)
+        if x in (3, 5):
+            raise ValueError(f"task {x} is genuinely broken")
+        return x
+
+    with ParallelExecutor(ParallelConfig(enabled=True, max_workers=2)) as ex:
+        with pytest.raises(ValueError, match="task 3 is genuinely broken"):
+            ex.map(boom, list(range(6)))
+        assert calls.count(3) == 1, "a failing task was retried"
+        # The executor stays usable after the failure.
+        assert ex.map(_square, [2, 3]) == [4, 9]
+
+
 def test_partition_unchanged_contract():
     assert partition(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
     assert partition([], 2) == []
 
 
 def test_process_backend_is_refused_by_name():
-    with pytest.raises(ConfigurationError, match=r'removed.*"thread"'):
-        ParallelConfig(backend="process").validate()
-    with pytest.raises(ConfigurationError, match="removed"):
-        ParallelExecutor(ParallelConfig(enabled=True, backend="process"))
+    """``backend`` and the healing knobs are retired keys: refused by name, not reinterpreted."""
+    from dataclasses import fields
+
+    from repro.config import MultiEMConfig
+
+    assert [f.name for f in fields(ParallelConfig)] == ["enabled", "max_workers"]
+    for key, value in (
+        ("backend", "process"),
+        ("backend", "serial"),
+        ("self_heal", True),
+        ("task_timeout", 1.0),
+        ("max_retries", 2),
+        ("retry_backoff", 0.1),
+    ):
+        with pytest.raises(ConfigurationError, match=rf"parallel\.{key} was removed"):
+            MultiEMConfig().with_overrides(parallel={key: value})
+        with pytest.raises(TypeError):
+            ParallelConfig(**{key: value})
 
 
 @pytest.mark.parametrize("num_tables", [5, 20])
@@ -223,7 +256,7 @@ def test_workers_is_the_one_answer():
     import os
 
     assert SERIAL.workers == 1
-    assert ParallelExecutor(ParallelConfig(enabled=True, backend="serial")).workers == 1
+    assert ParallelExecutor(ParallelConfig(enabled=False, max_workers=3)).workers == 1
     assert ParallelExecutor(ParallelConfig(max_workers=3)).workers == 3
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert ParallelExecutor().workers == usable
@@ -427,3 +460,7 @@ def test_pool_threads_stay_on_the_main_malloc_arena():
 
 def _double(x):
     return 2 * x
+
+
+def _square(x):
+    return x * x

@@ -16,25 +16,19 @@ class TestParallelExecutor:
         assert not executor.is_parallel
 
     def test_thread_map_preserves_order(self):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=4))
+        executor = ParallelExecutor(ParallelConfig(enabled=True, max_workers=4))
         assert executor.is_parallel
         assert executor.map(lambda x: x + 1, list(range(50))) == list(range(1, 51))
 
-    def test_serial_backend_with_enabled_flag(self):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="serial"))
-        assert not executor.is_parallel
-
     def test_single_item_stays_serial(self):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread"))
+        executor = ParallelExecutor(ParallelConfig(enabled=True))
         assert executor.map(lambda x: x, [42]) == [42]
-
-    def test_starmap(self):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2))
-        assert executor.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
+        assert executor._pool is None
 
     def test_empty_items(self):
-        executor = ParallelExecutor(ParallelConfig(enabled=True, backend="thread"))
+        executor = ParallelExecutor(ParallelConfig(enabled=True))
         assert executor.map(lambda x: x, []) == []
+        assert executor._pool is None
 
 
 class TestPartition:

@@ -117,7 +117,7 @@ def test_prune_items_parallel_matches_serial():
         items.append(_item({r: lookup[r] for r in refs}))
     config = PruningConfig(epsilon=0.5, min_pts=2)
     serial = prune_items(items, lookup, config)
-    parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=3))
+    parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, max_workers=3))
     parallel = prune_items(items, lookup, config, executor=parallel_exec)
     assert {frozenset(i.members) for i in serial} == {frozenset(i.members) for i in parallel}
     # Every surviving item lost its far-away fourth member.

@@ -110,10 +110,11 @@ def test_sharded_merge_through_thread_executor():
         executor=ParallelExecutor(ParallelConfig(enabled=False)),
     )
     plan = plan_from_item_tables([t for t in tables], config)
-    with ParallelExecutor(ParallelConfig(enabled=True, backend="thread", max_workers=2)) as ex:
-        merged, _, owners = sharded_hierarchical_merge(tables, plan.owners, config, executor=ex)
-    assert item_table_digest(merged) == item_table_digest(serial)
-    assert len(owners) == len(merged)
+    for enabled in (True, False):
+        with ParallelExecutor(ParallelConfig(enabled=enabled, max_workers=2)) as ex:
+            merged, _, owners = sharded_hierarchical_merge(tables, plan.owners, config, executor=ex)
+        assert item_table_digest(merged) == item_table_digest(serial), enabled
+        assert len(owners) == len(merged)
 
 
 _NATIVE_OFF_SNIPPET = """\

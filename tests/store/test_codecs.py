@@ -222,7 +222,7 @@ class TestEncoders:
 class TestConfig:
     def test_config_roundtrip(self):
         config = MultiEMConfig(
-            parallel=ParallelConfig(enabled=True, backend="thread", max_workers=2)
+            parallel=ParallelConfig(enabled=True, max_workers=2)
         ).with_overrides(merging={"m": 0.35, "index": "lsh"}, pruning={"epsilon": 1.2})
         restored = codecs.config_from_meta(codecs.config_to_meta(config))
         assert restored == config
@@ -231,14 +231,18 @@ class TestConfig:
         """Manifests written before the transports were removed still decode."""
         config = MultiEMConfig(parallel=ParallelConfig(enabled=True, max_workers=2))
         meta = codecs.config_to_meta(config)
-        meta["parallel"].update(backend="process", shared_memory=True, reuse_pool=False)
+        old_keys = dict(
+            backend="process", shared_memory=True, reuse_pool=False, self_heal=True,
+            task_timeout=None, max_retries=2, retry_backoff=0.1,
+        )
+        meta["parallel"].update(old_keys)
         with caplog.at_level("WARNING", logger="repro.store"):
             restored = codecs.config_from_meta(meta, source="old.snap")
         assert restored == config
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 3 and all("old.snap" in m for m in messages)
-        for key in ("parallel.backend", "parallel.shared_memory", "parallel.reuse_pool"):
-            assert sum(key in m for m in messages) == 1
+        assert len(messages) == len(old_keys) and all("old.snap" in m for m in messages)
+        for key in old_keys:
+            assert sum(f"parallel.{key} " in m for m in messages) == 1
         meta = codecs.config_to_meta(config)
         meta["merging"]["warp_factor"] = 9
         with pytest.raises(StoreError, match=r"old\.snap.*merging\.warp_factor"):

@@ -234,16 +234,17 @@ class TestFaultPlumbing:
         assert plan.worker_fault == "kill" and plan.worker_fault_task == 2
         with pytest.raises(faults.InjectedFault):
             faults.plan_from_spec("crash_wirte=3")
-        with pytest.raises(faults.InjectedFault):
-            faults.plan_from_spec("worker=explode")
+        for rejected in ("worker=explode", "worker=hang", "hang_seconds=1"):
+            with pytest.raises(faults.InjectedFault):
+                faults.plan_from_spec(rejected)
 
     def test_worker_fault_claims_are_one_shot(self):
         with faults.inject(faults.FaultPlan(worker_fault="kill", worker_fault_task=1)):
             assert faults.claim_worker_fault(0) is None
-            assert faults.claim_worker_fault(1) == {"kind": "kill", "hang_seconds": 3600.0}
+            assert faults.claim_worker_fault(1) == {"kind": "kill"}
             assert faults.claim_worker_fault(1) is None, "claim must be one-shot"
         with faults.inject(
-            faults.FaultPlan(worker_fault="hang", worker_fault_task=0, worker_fault_repeat=True)
+            faults.FaultPlan(worker_fault="kill", worker_fault_task=0, worker_fault_repeat=True)
         ):
             assert faults.claim_worker_fault(0) is not None
             assert faults.claim_worker_fault(0) is not None
