@@ -1,4 +1,6 @@
-"""Design-choice ablations listed in DESIGN.md (beyond the paper's own ablations)."""
+"""Design-choice ablations beyond the paper's own: mutual vs directed top-K,
+exact vs HNSW vs LSH search, mean vs medoid representatives, and density vs
+no vs centroid pruning (see :mod:`repro.experiments.ablations`)."""
 
 from repro.evaluation import format_table
 from repro.experiments import (

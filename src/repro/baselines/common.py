@@ -7,12 +7,10 @@ not leak into its competitors.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from ..config import RepresentationConfig
-from ..core.representation import EntityRepresenter, TableEmbeddings
+from ..core.representation import EmbeddingStore, EntityRepresenter, TableEmbeddings
 from ..data.dataset import MultiTableDataset
 from ..data.entity import EntityRef
 from ..data.serialization import serialize_entity
@@ -21,12 +19,12 @@ from ..text.tokenizer import text_ngrams, word_tokens
 
 def vanilla_embeddings(
     dataset: MultiTableDataset, *, dimension: int = 384, seed: int = 0
-) -> tuple[dict[str, TableEmbeddings], Mapping[EntityRef, np.ndarray]]:
+) -> tuple[dict[str, TableEmbeddings], EmbeddingStore]:
     """Embed every table with the plain (non-enhanced) representation."""
     config = RepresentationConfig(attribute_selection=False, dimension=dimension, seed=seed)
     representer = EntityRepresenter(config)
     embeddings = representer.encode_dataset(dataset)
-    return embeddings, EntityRepresenter.embedding_lookup(embeddings)
+    return embeddings, EmbeddingStore.from_embeddings(embeddings)
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..ann.brute_force import BruteForceIndex
 from ..config import RepresentationConfig
-from ..core.representation import EntityRepresenter
+from ..core.representation import EmbeddingStore, EntityRepresenter
 from ..data.dataset import MultiTableDataset
 from ..data.entity import EntityRef
 from ..data.serialization import serialize_table
@@ -110,7 +110,7 @@ class EmbeddingPairClassifier(TwoTableMatcher):
         )
         self._representer.fit(dataset)
         embeddings = self._representer.encode_dataset(dataset)
-        self._vectors = EntityRepresenter.embedding_lookup(embeddings)
+        self._vectors = EmbeddingStore.from_embeddings(embeddings)
         self._texts = serialized_lookup(dataset)
         sample = sample_labeled_pairs(
             dataset,

@@ -5,8 +5,9 @@ The merging and pruning stages run on flat column-store tables
 :class:`~repro.core.representation.EmbeddingStore`) with a byte-identity
 contract: the vectorized engines reproduce the historical per-item
 implementations bit for bit (see the ``merging`` / ``pruning`` module
-docstrings and ``tests/core/test_flat_equivalence.py``). The per-item
-list APIs remain as thin views over the flat layout.
+docstrings and ``tests/core/test_flat_equivalence.py``). Both stages take
+only the flat types; :class:`~repro.core.merging.MergeItem` is the record
+pruning returns.
 """
 
 from .attribute_selection import AttributeSelectionResult, select_attributes
@@ -15,23 +16,13 @@ from .merging import (
     ItemTable,
     MergeItem,
     MergeStats,
-    candidate_tuples,
-    hierarchical_merge,
     hierarchical_merge_tables,
-    items_from_embeddings,
     merge_item_tables,
-    merge_two_tables,
     weighted_mean_vector,
 )
 from .parallel import ParallelExecutor, partition
 from .pipeline import MultiEM
-from .pruning import (
-    EntityClassification,
-    classify_entities,
-    prune_item,
-    prune_item_table,
-    prune_items,
-)
+from .pruning import EntityClassification, classify_entities, prune_item_table
 from .representation import EmbeddingStore, EntityRepresenter, TableEmbeddings
 from .result import MatchResult, StageTimings, tuples_to_pairs
 
@@ -50,17 +41,11 @@ __all__ = [
     "MergeItem",
     "MergeStats",
     "merge_item_tables",
-    "merge_two_tables",
-    "hierarchical_merge",
     "hierarchical_merge_tables",
     "weighted_mean_vector",
-    "items_from_embeddings",
-    "candidate_tuples",
     "EntityClassification",
     "classify_entities",
-    "prune_item",
     "prune_item_table",
-    "prune_items",
     "ParallelExecutor",
     "partition",
 ]

@@ -35,8 +35,7 @@ bytes of every representative vector. The per-group-size batching exists
 because numpy's pairwise summation makes ``np.add.reduceat`` (sequential)
 diverge from ``ndarray.sum(axis=0)`` for three or more rows, while a
 ``(t, s, d).sum(axis=1)`` is bit-equal to each slice's ``(s, d).sum(axis=0)``
-on this platform (pinned by ``tests/core/test_flat_equivalence.py``). The
-public list-of-:class:`MergeItem` API is a thin view over the flat tables. A
+on this platform (pinned by ``tests/core/test_flat_equivalence.py``). A
 hierarchy level runs as waves of pairs, each wave four flat fan-outs
 (:func:`_merge_wave`); output bytes do not depend on the worker count.
 """
@@ -85,14 +84,6 @@ class MergeStats:
     levels: int = 0
     pair_merges: int = 0
     matched_pairs_per_level: list[int] = field(default_factory=list)
-
-
-def items_from_embeddings(embeddings: TableEmbeddings) -> list[MergeItem]:
-    """Wrap each record of a table as a singleton merge item."""
-    return [
-        MergeItem(members=(ref,), vector=vector)
-        for ref, vector in zip(embeddings.refs, embeddings.vectors)
-    ]
 
 
 def weighted_mean_vector(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -235,13 +226,6 @@ class ItemTable:
             offsets,
             self.sources,
         )
-
-
-def as_item_table(table: "ItemTable | Sequence[MergeItem]") -> ItemTable:
-    """Coerce either representation to a flat :class:`ItemTable`."""
-    if isinstance(table, ItemTable):
-        return table
-    return ItemTable.from_items(table)
 
 
 def _union_sources(left: ItemTable, right: ItemTable) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -560,37 +544,9 @@ def merge_tables_with_pairs(
     return merged, node_of_group
 
 
-def merge_two_tables(
-    left: list[MergeItem],
-    right: list[MergeItem],
-    config: MergingConfig,
-    *,
-    representative: str = "mean",
-    cache: IndexCache | None = None,
-) -> tuple[list[MergeItem], int]:
-    """Algorithm 3: merge two item tables into one (list-of-items API).
-
-    Thin wrapper over :func:`merge_item_tables`; output items, their order and
-    their vector bytes are identical to the historical per-item
-    implementation.
-
-    Returns:
-        ``(merged_items, num_matched_pairs)`` — the merged table and how many
-        mutual pairs were accepted (diagnostic).
-    """
-    if not left:
-        return list(right), 0
-    if not right:
-        return list(left), 0
-    merged, matched = merge_item_tables(
-        as_item_table(left), as_item_table(right), config, representative=representative, cache=cache
-    )
-    return merged.to_items(), matched
-
-
 @default_executor
 def hierarchical_merge_tables(
-    tables: "list[ItemTable | list[MergeItem]]",
+    tables: list[ItemTable],
     config: MergingConfig,
     *,
     executor: ParallelExecutor | None = None,
@@ -621,11 +577,10 @@ def hierarchical_merge_tables(
         from ..shard.executor import sharded_hierarchical_merge
         from ..shard.plan import build_shard_plan
 
-        flat = [as_item_table(table) for table in tables]
         if owners is None:
-            owners = build_shard_plan(config, item_tables=flat).owners
+            owners = build_shard_plan(config, item_tables=tables).owners
         merged, stats, _ = sharded_hierarchical_merge(
-            flat,
+            tables,
             list(owners),
             config,
             executor=executor,
@@ -635,7 +590,7 @@ def hierarchical_merge_tables(
         return merged, stats
     stats = MergeStats()
     rng = np.random.default_rng(config.seed)
-    current: list[ItemTable] = [as_item_table(table) for table in tables]
+    current = list(tables)
     if not current:
         return ItemTable.empty(), stats
     while len(current) > 1:
@@ -661,37 +616,3 @@ def hierarchical_merge_tables(
             next_level.append(current[order[-1]])
         current = next_level
     return current[0], stats
-
-
-def hierarchical_merge(
-    tables: "list[list[MergeItem] | ItemTable]",
-    config: MergingConfig,
-    *,
-    executor: ParallelExecutor | None = None,
-    representative: str = "mean",
-    cache: IndexCache | None = None,
-) -> tuple[list[MergeItem], MergeStats]:
-    """Algorithm 2: merge all tables hierarchically until one remains.
-
-    List-of-items wrapper over :func:`hierarchical_merge_tables`; see there
-    for the pairing, parallelism and index-cache behaviour.
-    """
-    if not tables:
-        return [], MergeStats()
-    if len(tables) == 1:
-        only = tables[0]
-        stats = MergeStats()
-        if isinstance(only, ItemTable):
-            return only.to_items(), stats
-        return list(only), stats
-    integrated, stats = hierarchical_merge_tables(
-        tables, config, executor=executor, representative=representative, cache=cache
-    )
-    return integrated.to_items(), stats
-
-
-def candidate_tuples(items: "list[MergeItem] | ItemTable") -> list[MergeItem]:
-    """Items with at least two members — the merging stage's candidate tuples."""
-    if isinstance(items, ItemTable):
-        return items.filter(items.sizes >= 2).to_items()
-    return [item for item in items if item.size >= 2]

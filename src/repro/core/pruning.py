@@ -10,16 +10,16 @@ Vectorized layout and byte-identity contract
 --------------------------------------------
 
 :func:`classify_entities` remains the single-tuple reference implementation;
-the production path (:func:`prune_items` / :func:`prune_item_table`) batches
-every candidate's members into one contiguous matrix, buckets candidates by
-member count ``u``, and classifies each bucket with one
+the production path (:func:`prune_item_table`) batches every candidate's
+members into one contiguous matrix, buckets candidates by member count
+``u``, and classifies each bucket with one
 :func:`~repro.ann.distances.batched_pairwise_distances` call and boolean
 masks — no per-tuple Python loop. Because every batched slice is bit-equal
 to the per-tuple kernel (see the batched kernel's docstring), the surviving
-member sets, the rebuilt representative vectors, and even object identity
-for untouched tuples are identical to the historical per-item path —
-``tests/core/test_flat_equivalence.py`` pins this on randomized inputs, and
-the result is independent of how candidates are chunked across workers.
+member sets and the rebuilt representative vectors are identical to the
+historical per-item path — ``tests/core/test_flat_equivalence.py`` pins this
+on randomized inputs, and the result is independent of how candidates are
+chunked across workers.
 
 ``PruningConfig.batch_rows`` caps how many member rows one *classification
 block* gathers, bounding the per-block ``(t, u, u)`` distance allocations for
@@ -31,7 +31,6 @@ of a chunk is gathered up front, and a single tuple with more than
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from ..ann.distances import batched_pairwise_distances, pairwise_distances
 from ..arrays import csr_positions
 from ..config import PruningConfig
 from ..data.entity import EntityRef
-from .merging import ItemTable, MergeItem, bucketed_weighted_mean, weighted_mean_vector
+from .merging import ItemTable, MergeItem, bucketed_weighted_mean
 from .parallel import ParallelExecutor, default_executor, partition
 from .representation import EmbeddingStore
 
@@ -59,7 +58,7 @@ def classify_entities(
     """Classify the members of one data item (Algorithm 4).
 
     This is the single-tuple reference implementation; the batched path in
-    :func:`prune_items` reproduces it bit for bit via boolean masks.
+    :func:`prune_item_table` reproduces it bit for bit via boolean masks.
 
     Args:
         vectors: ``(u, d)`` member embeddings of the data item.
@@ -156,33 +155,6 @@ def _rebuild_vectors(
     return vectors  # type: ignore[return-value]
 
 
-def prune_item(
-    item: MergeItem,
-    embedding_lookup: Mapping[EntityRef, np.ndarray],
-    config: PruningConfig,
-) -> MergeItem | None:
-    """Prune one candidate tuple; return ``None`` if fewer than 2 members survive.
-
-    Single-tuple reference path (the batched pipeline reproduces it exactly).
-    """
-    if item.size < 2:
-        return None
-    vectors = np.stack([embedding_lookup[ref] for ref in item.members])
-    classification = classify_entities(vectors, config.epsilon, config.min_pts, config.metric)
-    keep_indices = sorted(classification.core + classification.reachable)
-    if len(keep_indices) < 2:
-        return None
-    if len(keep_indices) == item.size:
-        return item
-    members = tuple(item.members[i] for i in keep_indices)
-    # Same member-count-weighted representative the merging stage computes
-    # (each survivor is one entity, weight 1), so pruned items feed later
-    # incremental merges with a consistent vector.
-    survivors = vectors[keep_indices]
-    vector = weighted_mean_vector(survivors, np.ones(len(keep_indices), dtype=np.float32))
-    return MergeItem(members=members, vector=vector.astype(np.float32))
-
-
 def _assemble_survivors(
     candidates: list[MergeItem],
     member_matrix: np.ndarray,
@@ -209,7 +181,7 @@ def _assemble_survivors(
         if kept_rows is not None:
             kept_rows.append(i)
         if count == item.size:
-            survivors.append(item)  # untouched tuples keep their identity
+            survivors.append(item)  # untouched: members and vector as merged
             continue
         start = int(offsets[i])
         kept_local = np.flatnonzero(keep[start : int(offsets[i + 1])])
@@ -223,54 +195,6 @@ def _assemble_survivors(
     return survivors
 
 
-def _prune_chunk(
-    chunk: list[MergeItem],
-    embedding_lookup: Mapping[EntityRef, np.ndarray],
-    config: PruningConfig,
-) -> list[MergeItem]:
-    """Batched pruning of one chunk of candidate items."""
-    if not chunk:
-        return []
-    sizes = np.fromiter((item.size for item in chunk), dtype=np.int64, count=len(chunk))
-    offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    members = [ref for item in chunk for ref in item.members]
-    if isinstance(embedding_lookup, EmbeddingStore):
-        member_matrix = embedding_lookup.matrix[embedding_lookup.rows(members)]
-    else:
-        member_matrix = np.stack([embedding_lookup[ref] for ref in members])
-    return _assemble_survivors(chunk, member_matrix, offsets, config)
-
-
-@default_executor
-def prune_items(
-    items: list[MergeItem],
-    embedding_lookup: Mapping[EntityRef, np.ndarray],
-    config: PruningConfig,
-    *,
-    executor: ParallelExecutor | None = None,
-) -> list[MergeItem]:
-    """Prune every candidate tuple, optionally in parallel over partitions.
-
-    Only items with >= 2 members are considered (singletons are not
-    predictions); the survivors keep their original relative order, untouched
-    tuples keep their object identity, and the output is byte-identical
-    regardless of worker count (chunking never changes a slice's arithmetic).
-    """
-    candidates = [item for item in items if item.size >= 2]
-    if not config.enabled:
-        return candidates
-    if not candidates:
-        return []
-    if executor.is_parallel:
-        chunks = partition(candidates, executor.workers * 2)
-        results = executor.map(
-            lambda chunk: _prune_chunk(chunk, embedding_lookup, config), chunks
-        )
-        return [item for chunk_result in results for item in chunk_result]
-    return _prune_chunk(candidates, embedding_lookup, config)
-
-
 @default_executor
 def prune_item_table(
     table: ItemTable,
@@ -282,13 +206,13 @@ def prune_item_table(
 ) -> list[MergeItem]:
     """Prune candidates straight off a flat :class:`~repro.core.merging.ItemTable`.
 
-    The pipeline fast path: member *row resolution* runs through
-    :meth:`EmbeddingStore.member_rows` as pure integer arithmetic (the dict
-    lookup the historical path did per member). Candidate ``EntityRef`` /
+    Member *row resolution* runs through :meth:`EmbeddingStore.member_rows`
+    as pure integer arithmetic (no per-member lookup). Candidate ``EntityRef`` /
     :class:`MergeItem` objects are still materialized — candidates are a small
     fraction of the table — and the surviving tuples come back as item views.
-    Survivor member sets are identical to
-    ``prune_items(candidate_tuples(table), store, config)``.
+    Only items with >= 2 members are candidates (singletons are not
+    predictions); survivors keep their relative order and exactly the core and
+    reachable members :func:`classify_entities` finds in each tuple alone.
 
     ``owners`` (a per-item ``int32`` array from the sharded merge plane)
     switches chunking from contiguous ranges to owner groups, so each shard's
@@ -335,10 +259,10 @@ def prune_item_table(
 
 
 def _chunk_bounds(num_items: int, num_parts: int) -> list[tuple[int, int]]:
-    """Contiguous (first, last) item ranges, delegating to :func:`partition`.
+    """Contiguous (first, last) item ranges, split by :func:`partition`.
 
-    Reusing the same splitter keeps the flat-table path's chunking in lockstep
-    with the list path's, which the serial == parallel equivalence tests pin.
+    Chunking never changes a slice's arithmetic, so the output is the same
+    for every worker count; the serial == parallel equivalence tests pin it.
     """
     return [(chunk[0], chunk[-1] + 1) for chunk in partition(range(num_items), num_parts)]
 

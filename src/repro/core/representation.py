@@ -4,9 +4,9 @@ This is stage (I) of the pipeline (Figure 3). The representer owns the
 encoder, serializes every record (optionally restricted to the attributes
 selected by Algorithm 1), and produces one embedding matrix per source table
 plus an :class:`EmbeddingStore` — a flat column-store over every encoded row
-that the pruning stage batch-gathers from. The store still implements the
-``ref -> vector`` mapping protocol the historical dict lookup provided, so
-existing callers are untouched.
+that the pruning stage batch-gathers from. The store also reads as a
+``ref -> vector`` mapping, which is how the baselines and the centroid
+ablation use it.
 """
 
 from __future__ import annotations
@@ -318,12 +318,3 @@ class EntityRepresenter:
         # the corpus's token strings (and the source tables) in memory.
         self._fit_token_tables = {}
         return embeddings
-
-    @staticmethod
-    def embedding_lookup(embeddings: dict[str, TableEmbeddings]) -> EmbeddingStore:
-        """Flatten per-table embeddings into a ``ref -> vector`` mapping.
-
-        Returns an :class:`EmbeddingStore` — a drop-in read-only replacement
-        for the dict this used to build, with batched row resolution on top.
-        """
-        return EmbeddingStore.from_embeddings(embeddings)

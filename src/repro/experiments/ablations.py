@@ -1,12 +1,18 @@
 """Design-choice ablations beyond the paper's own w/o-EER and w/o-DP rows.
 
-DESIGN.md lists the internal design choices worth ablating; this module runs
-them so the ablation benchmark can report how much each choice matters:
+Each ablation swaps one internal design choice of MultiEM and reports how
+much it matters:
 
 * mutual top-K vs one-directional top-K acceptance in two-table merging;
 * mean vs medoid representative vector for merged items;
 * exact brute-force vs HNSW vs LSH neighbour search;
 * density pruning vs no pruning vs a simple distance-to-centroid filter.
+
+The swapped variants run the pipeline's own merge and prune stages
+(:func:`~repro.core.merging.hierarchical_merge_tables` and
+:func:`~repro.core.pruning.prune_item_table`), so with nothing swapped the
+variant predicts the tuples :class:`~repro.core.MultiEM` does (pinned by
+``tests/experiments/test_experiments.py``).
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import numpy as np
 
 from ..ann.mutual import create_index, top_k_pairs
 from ..config import paper_default_config
-from ..core import MultiEM
-from ..core.merging import hierarchical_merge, items_from_embeddings, candidate_tuples
-from ..core.pruning import prune_items
-from ..core.representation import EntityRepresenter
+from ..core.attribute_selection import select_attributes
+from ..core.merging import ItemTable, hierarchical_merge_tables
+from ..core.pruning import prune_item_table
+from ..core.representation import EmbeddingStore, EntityRepresenter
 from ..core.result import MatchResult, StageTimings
 from ..data.dataset import MultiTableDataset
 from ..data.generators import load_benchmark
@@ -40,26 +46,23 @@ def _pipeline_with(
     config = paper_default_config(dataset_name)
     if index_backend is not None:
         config = config.with_overrides(merging={"index": index_backend})
+    if pruning == "none":
+        config = config.with_overrides(pruning={"enabled": False})
     representer = EntityRepresenter(config.representation)
-    from ..core.attribute_selection import select_attributes
-
     selection = select_attributes(dataset, representer, config.representation)
     representer.fit(dataset, selection.selected)
     embeddings = representer.encode_dataset(dataset, selection.selected)
-    lookup = EntityRepresenter.embedding_lookup(embeddings)
-    item_tables = [items_from_embeddings(embeddings[t.name]) for t in dataset.table_list()]
-    integrated, _ = hierarchical_merge(
+    store = EmbeddingStore.from_embeddings(embeddings)
+    item_tables = [ItemTable.from_embeddings(embeddings[t.name]) for t in dataset.table_list()]
+    integrated, _ = hierarchical_merge_tables(
         item_tables, config.merging, representative=representative
     )
-    candidates = candidate_tuples(integrated)
-    if pruning == "density":
-        pruned = prune_items(candidates, lookup, config.pruning)
-    elif pruning == "none":
-        pruned = candidates
+    if pruning != "centroid":  # "none" disabled pruning above: candidates pass through
+        pruned = prune_item_table(integrated, store, config.pruning)
     else:  # centroid: drop members farther than epsilon from the tuple centroid
         pruned = []
-        for item in candidates:
-            vectors = np.stack([lookup[ref] for ref in item.members])
+        for item in integrated.filter(integrated.sizes >= 2).to_items():
+            vectors = np.stack([store[ref] for ref in item.members])
             centroid = vectors.mean(axis=0)
             distances = np.linalg.norm(vectors - centroid, axis=1)
             keep = [ref for ref, d in zip(item.members, distances) if d <= config.pruning.epsilon]

@@ -29,13 +29,7 @@ import numpy as np
 
 from ..ann.cache import IndexCache
 from ..config import MergingConfig, PruningConfig
-from ..core.merging import (
-    ItemTable,
-    MergeItem,
-    MergeStats,
-    as_item_table,
-    merge_tables_with_pairs,
-)
+from ..core.merging import ItemTable, MergeItem, MergeStats, merge_tables_with_pairs
 from ..core.parallel import ParallelExecutor, default_executor
 from ..core.pruning import prune_item_table
 from ..core.representation import EmbeddingStore
@@ -94,7 +88,7 @@ def sharded_merge_item_tables(
 
 @default_executor
 def sharded_hierarchical_merge(
-    tables: Sequence,
+    tables: Sequence[ItemTable],
     owners: Sequence[np.ndarray],
     config: MergingConfig,
     *,
@@ -113,7 +107,7 @@ def sharded_hierarchical_merge(
     if len(tables) != len(owners):
         raise ShardError(f"{len(tables)} tables but {len(owners)} owner arrays")
     stats = MergeStats()
-    current: list[ItemTable] = [as_item_table(table) for table in tables]
+    current = list(tables)
     current_owners: list[np.ndarray] = [
         _check_owners(table, owner, f"table {i}")
         for i, (table, owner) in enumerate(zip(current, owners))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.config import MultiEMConfig, RepresentationConfig
-from repro.core.representation import EntityRepresenter
-from repro.data import MultiTableDataset, Table
+from repro.core.representation import EmbeddingStore, EntityRepresenter, TableEmbeddings
+from repro.data import EntityRef, MultiTableDataset, Table
 from repro.data.generators import GeneratorConfig, MusicGenerator, load_benchmark
 
 
@@ -64,7 +64,6 @@ def handmade_dataset() -> MultiTableDataset:
         ("apple iphone 8 plus 64 gb 12mp", "silver"),
         ("canon eos 2000d camera", "black"),
     ])
-    from repro.data import EntityRef
     truth = [
         [EntityRef("A", 0), EntityRef("B", 0), EntityRef("C", 0)],
         [EntityRef("A", 1), EntityRef("B", 1)],
@@ -81,6 +80,30 @@ def default_config() -> MultiEMConfig:
 def representer() -> EntityRepresenter:
     """A reusable vanilla representer (no attribute selection)."""
     return EntityRepresenter(RepresentationConfig(attribute_selection=False))
+
+
+@pytest.fixture(scope="session")
+def store_from_lookup():
+    """Factory: the :class:`EmbeddingStore` holding a ``ref -> vector`` dict.
+
+    Each source becomes one block of rows ``0..max index``; rows the dict does
+    not name are zero and never read.
+    """
+
+    def build(lookup: dict[EntityRef, np.ndarray]) -> EmbeddingStore:
+        store = EmbeddingStore()
+        per_source: dict[str, dict[int, np.ndarray]] = {}
+        for ref, vector in lookup.items():
+            per_source.setdefault(ref.source, {})[ref.index] = vector
+        for name, by_row in per_source.items():
+            rows = np.zeros((max(by_row) + 1, len(next(iter(by_row.values())))), dtype=np.float32)
+            for index, vector in by_row.items():
+                rows[index] = vector
+            refs = [EntityRef(name, i) for i in range(rows.shape[0])]
+            store.add_table(TableEmbeddings(table_name=name, refs=refs, vectors=rows))
+        return store
+
+    return build
 
 
 @pytest.fixture()

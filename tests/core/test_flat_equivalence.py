@@ -4,9 +4,9 @@ The merging and pruning stages were rewritten onto flat column-store arrays
 (``ItemTable`` / ``EmbeddingStore`` + batched kernels). The references below
 are verbatim copies of the historical per-item implementations; the new
 engines must reproduce them **bit for bit** — group composition, output
-order, member tuples, raw vector bytes, and object identity for untouched
-items — on randomized inputs covering ties, singletons, empty tables,
-shared/duplicate refs, and all-outlier tuples.
+order, member tuples and raw vector bytes, untouched items included — on
+randomized inputs covering ties, singletons, empty tables, shared/duplicate
+refs, and all-outlier tuples.
 """
 
 import numpy as np
@@ -16,19 +16,15 @@ from repro.ann.distances import batched_pairwise_distances, pairwise_distances
 from repro.ann.mutual import mutual_top_k
 from repro.config import MergingConfig, ParallelConfig, PruningConfig
 from repro.core import (
-    EmbeddingStore,
     ItemTable,
     MergeItem,
     classify_entities,
-    hierarchical_merge,
-    merge_two_tables,
-    prune_item,
+    hierarchical_merge_tables,
+    merge_item_tables,
     prune_item_table,
-    prune_items,
     weighted_mean_vector,
 )
 from repro.core.parallel import ParallelExecutor
-from repro.core.representation import TableEmbeddings
 from repro.data import EntityRef
 from repro.embedding.base import normalize_rows
 from repro.embedding.pooling import medoid_pool
@@ -170,6 +166,13 @@ def _random_items(rng, n, d, sources, *, tie_rate=0.3, multi_rate=0.3, max_membe
     return items
 
 
+def _merge(left, right, config, **kwargs):
+    merged, matched = merge_item_tables(
+        ItemTable.from_items(left), ItemTable.from_items(right), config, **kwargs
+    )
+    return merged.to_items(), matched
+
+
 def _assert_items_identical(got, want):
     assert len(got) == len(want)
     for new_item, ref_item in zip(got, want):
@@ -190,7 +193,7 @@ def test_merge_two_tables_matches_reference(seed, representative):
     config = MergingConfig(m=float(rng.choice([0.3, 0.6, 1.2])), seed=seed)
     left = _random_items(rng, int(rng.integers(0, 40)), 8, ["A", "B"])
     right = _random_items(rng, int(rng.integers(0, 40)), 8, ["B", "C"])
-    got, got_matched = merge_two_tables(left, right, config, representative=representative)
+    got, got_matched = _merge(left, right, config, representative=representative)
     want, want_matched = reference_merge_two_tables(left, right, config, representative=representative)
     assert got_matched == want_matched
     _assert_items_identical(got, want)
@@ -199,9 +202,11 @@ def test_merge_two_tables_matches_reference(seed, representative):
 def test_merge_two_tables_empty_and_singleton_edges():
     config = MergingConfig(m=0.5)
     item = MergeItem(members=(EntityRef("A", 0),), vector=np.asarray([1.0, 0.0], dtype=np.float32))
-    assert merge_two_tables([], [item], config) == ([item], 0)
-    assert merge_two_tables([item], [], config) == ([item], 0)
-    got, _ = merge_two_tables([item], [item], config)
+    for left, right in (([], [item]), ([item], [])):
+        got, matched = _merge(left, right, config)
+        assert matched == 0
+        _assert_items_identical(got, [item])
+    got, _ = _merge([item], [item], config)
     want, _ = reference_merge_two_tables([item], [item], config)
     _assert_items_identical(got, want)
 
@@ -215,7 +220,8 @@ def test_hierarchical_merge_matches_reference_levels(seed):
         _random_items(rng, int(rng.integers(1, 25)), 8, [chr(ord("A") + t)])
         for t in range(int(rng.integers(2, 6)))
     ]
-    got, got_stats = hierarchical_merge([list(t) for t in tables], config)
+    got, got_stats = hierarchical_merge_tables([ItemTable.from_items(t) for t in tables], config)
+    got = got.to_items()
 
     # Reference: replay Algorithm 2 with the seed's per-pair merge.
     level_rng = np.random.default_rng(config.seed)
@@ -280,7 +286,7 @@ def _random_prune_case(rng, num_items, d=6):
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-def test_prune_items_matches_reference(seed, metric):
+def test_prune_items_matches_reference(seed, metric, store_from_lookup):
     rng = np.random.default_rng(seed)
     items, lookup = _random_prune_case(rng, int(rng.integers(0, 40)))
     config = PruningConfig(
@@ -289,71 +295,58 @@ def test_prune_items_matches_reference(seed, metric):
         metric=metric,
         batch_rows=int(rng.choice([1, 7, 8192])),
     )
-    got = prune_items(items, lookup, config)
+    got = prune_item_table(ItemTable.from_items(items), store_from_lookup(lookup), config)
     want = reference_prune_items(items, lookup, config)
     _assert_items_identical(got, want)
-    # untouched tuples must keep object identity, like the seed path
+    # untouched tuples keep the seed path's members and vector bytes
     for new_item, ref_item in zip(got, want):
         if ref_item in items:
-            assert new_item is ref_item
+            assert new_item.members == ref_item.members
+            assert new_item.vector.tobytes() == ref_item.vector.tobytes()
 
 
-def test_prune_items_all_outlier_tuples_dropped():
+def test_prune_items_all_outlier_tuples_dropped(store_from_lookup):
     lookup = {
         EntityRef("A", 0): np.asarray([0.0, 0.0], dtype=np.float32),
         EntityRef("B", 0): np.asarray([50.0, 50.0], dtype=np.float32),
         EntityRef("C", 0): np.asarray([-50.0, 90.0], dtype=np.float32),
     }
     item = MergeItem(members=tuple(sorted(lookup)), vector=np.zeros(2, dtype=np.float32))
-    assert prune_items([item], lookup, PruningConfig(epsilon=0.5, min_pts=2)) == []
+    table = ItemTable.from_items([item])
+    store = store_from_lookup(lookup)
+    assert prune_item_table(table, store, PruningConfig(epsilon=0.5, min_pts=2)) == []
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_prune_item_table_matches_list_path(seed):
-    """The flat-table pruning path returns the same survivors as the list path."""
+def test_prune_item_table_matches_list_path(seed, store_from_lookup):
+    """The flat-table pruning path returns the per-item reference's survivors."""
     rng = np.random.default_rng(200 + seed)
     items, lookup = _random_prune_case(rng, 30)
     config = PruningConfig(epsilon=1.0, min_pts=2)
-    # Build an EmbeddingStore with canonical per-source blocks.
-    per_source: dict[str, dict[int, np.ndarray]] = {}
-    for ref, vector in lookup.items():
-        per_source.setdefault(ref.source, {})[ref.index] = vector
-    store = EmbeddingStore()
-    d = len(next(iter(lookup.values())))
-    for name, by_row in per_source.items():
-        rows = np.zeros((max(by_row) + 1, d), dtype=np.float32)
-        for index, vector in by_row.items():
-            rows[index] = vector
-        store.add_table(
-            TableEmbeddings(
-                table_name=name,
-                refs=[EntityRef(name, i) for i in range(rows.shape[0])],
-                vectors=rows,
-            )
-        )
-    table = ItemTable.from_items(items)
-    got = prune_item_table(table, store, config)
-    want = prune_items(items, store, config)
-    _assert_items_identical(got, want)
+    store = store_from_lookup(lookup)  # canonical per-source blocks
+    got = prune_item_table(ItemTable.from_items(items), store, config)
     wanted_ref = reference_prune_items(items, store, config)
     _assert_items_identical(got, wanted_ref)
 
 
-def test_prune_serial_equals_parallel_across_worker_counts():
+def test_prune_serial_equals_parallel_across_worker_counts(store_from_lookup):
     """Chunking is deterministic w.r.t. worker count: serial == parallel, exactly."""
     rng = np.random.default_rng(7)
     items, lookup = _random_prune_case(rng, 60)
+    table, store = ItemTable.from_items(items), store_from_lookup(lookup)
     config = PruningConfig(epsilon=1.0, min_pts=2)
-    serial = prune_items(
-        items, lookup, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
+    serial = prune_item_table(
+        table, store, config, executor=ParallelExecutor(ParallelConfig(enabled=False))
     )
+    by_members = {item.members: item for item in items}
     for workers in (1, 2, 3, 5, 8):
         executor = ParallelExecutor(ParallelConfig(enabled=True, max_workers=workers))
-        parallel = prune_items(items, lookup, config, executor=executor)
+        parallel = prune_item_table(table, store, config, executor=executor)
         _assert_items_identical(parallel, serial)
         for serial_item, parallel_item in zip(serial, parallel):
-            if serial_item in items:  # untouched items keep identity in both modes
-                assert parallel_item is serial_item
+            original = by_members.get(serial_item.members)
+            if original is not None:  # untouched items keep their bytes in both modes
+                assert parallel_item.vector.tobytes() == original.vector.tobytes()
 
 
 # --------------------------------------------------------------------------

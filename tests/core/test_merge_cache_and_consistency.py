@@ -5,9 +5,9 @@ import pytest
 
 from repro.ann import IndexCache
 from repro.config import MergingConfig, MultiEMConfig, PruningConfig
-from repro.core import hierarchical_merge, items_from_embeddings, merge_two_tables, prune_item
+from repro.core import hierarchical_merge_tables, merge_item_tables, prune_item_table
 from repro.core.incremental import IncrementalMultiEM
-from repro.core.merging import MergeItem, weighted_mean_vector
+from repro.core.merging import ItemTable, MergeItem, weighted_mean_vector
 from repro.data import EntityRef
 
 
@@ -16,6 +16,13 @@ def _items(source: str, vectors: np.ndarray) -> list[MergeItem]:
         MergeItem(members=(EntityRef(source, i),), vector=v.astype(np.float32))
         for i, v in enumerate(vectors)
     ]
+
+
+def _merge(left: list[MergeItem], right: list[MergeItem], config, **kwargs):
+    merged, matched = merge_item_tables(
+        ItemTable.from_items(left), ItemTable.from_items(right), config, **kwargs
+    )
+    return merged.to_items(), matched
 
 
 @pytest.fixture()
@@ -27,12 +34,14 @@ def vector_tables():
 
 class TestMergeIndexCache:
     def test_hierarchical_merge_with_cache_matches_without(self, vector_tables):
-        tables = [_items(f"T{i}", m) for i, m in enumerate(vector_tables)]
+        tables = [ItemTable.from_items(_items(f"T{i}", m)) for i, m in enumerate(vector_tables)]
         config_cached = MergingConfig(m=0.8, seed=0, index="hnsw", index_cache=True)
         config_plain = MergingConfig(m=0.8, seed=0, index="hnsw", index_cache=False)
-        cached, cached_stats = hierarchical_merge(tables, config_cached)
-        plain, plain_stats = hierarchical_merge(tables, config_plain)
-        assert {frozenset(i.members) for i in cached} == {frozenset(i.members) for i in plain}
+        cached, cached_stats = hierarchical_merge_tables(tables, config_cached)
+        plain, plain_stats = hierarchical_merge_tables(tables, config_plain)
+        assert {frozenset(i.members) for i in cached.to_items()} == {
+            frozenset(i.members) for i in plain.to_items()
+        }
         assert cached_stats.matched_pairs_per_level == plain_stats.matched_pairs_per_level
 
     def test_merge_two_tables_shared_cache_avoids_rebuild(self, vector_tables):
@@ -40,10 +49,10 @@ class TestMergeIndexCache:
         right = _items("R", vector_tables[1])
         config = MergingConfig(m=0.2, seed=0, index="hnsw")
         cache = IndexCache(max_entries=4)
-        first, _ = merge_two_tables(left, right, config, cache=cache)
+        first, _ = _merge(left, right, config, cache=cache)
         assert cache.stats.misses == 2
         # Re-merging the same (unchanged) tables is served from the cache.
-        second, _ = merge_two_tables(left, right, config, cache=cache)
+        second, _ = _merge(left, right, config, cache=cache)
         assert cache.stats.exact_hits == 2
         assert [i.members for i in first] == [i.members for i in second]
 
@@ -55,10 +64,10 @@ class TestMergeIndexCache:
         right = _items("R", vector_tables[1])
         config = MergingConfig(m=1e-6, seed=0, index="hnsw")
         cache = IndexCache(max_entries=4)
-        merged, matched = merge_two_tables(left, right, config, cache=cache)
+        merged, matched = _merge(left, right, config, cache=cache)
         assert matched == 0 and len(merged) == len(left) + len(right)
         third = _items("X", vector_tables[2])
-        merge_two_tables(merged, third, config, cache=cache)
+        _merge(merged, third, config, cache=cache)
         assert cache.stats.prefix_hits >= 1
         assert cache.stats.saved_rows >= len(left)
 
@@ -81,7 +90,7 @@ class TestMergeIndexCache:
 
 
 class TestRepresentativeConsistency:
-    def test_prune_item_uses_merge_weighted_representative(self):
+    def test_prune_item_uses_merge_weighted_representative(self, store_from_lookup):
         rng = np.random.default_rng(1)
         base = np.zeros(8, dtype=np.float32)
         base[0] = 1.0
@@ -93,8 +102,13 @@ class TestRepresentativeConsistency:
         lookup[refs[4]] = outlier
         item = MergeItem(members=refs, vector=cluster.mean(axis=0))
         # Tight epsilon drops the outlier; survivors keep the merge-stage form.
-        pruned = prune_item(item, lookup, PruningConfig(epsilon=0.5, min_pts=2))
-        assert pruned is not None
+        survivors = prune_item_table(
+            ItemTable.from_items([item]),
+            store_from_lookup(lookup),
+            PruningConfig(epsilon=0.5, min_pts=2),
+        )
+        assert len(survivors) == 1
+        pruned = survivors[0]
         assert len(pruned.members) == 4
         expected = weighted_mean_vector(
             np.stack([lookup[r] for r in pruned.members]),

@@ -11,7 +11,7 @@ import pytest
 from repro.config import MergingConfig, ParallelConfig, PruningConfig
 from repro.core.merging import ItemTable, hierarchical_merge_tables
 from repro.core.parallel import ParallelExecutor, partition
-from repro.core.pruning import prune_item_table, prune_items
+from repro.core.pruning import prune_item_table
 from repro.core.representation import EmbeddingStore, TableEmbeddings
 from repro.data.entity import EntityRef
 from repro.exceptions import ConfigurationError
@@ -68,8 +68,7 @@ def serial_reference():
     merged, stats = hierarchical_merge_tables([t for t in tables], config, executor=SERIAL)
     store = _store(tables)
     pruning = PruningConfig(epsilon=1.0, min_pts=2)
-    candidates = merged.filter(merged.sizes >= 2).to_items()
-    pruned = prune_items(candidates, store, pruning, executor=SERIAL)
+    pruned = prune_item_table(merged, store, pruning, executor=SERIAL)
     return tables, config, store, pruning, merged, stats, pruned
 
 
@@ -82,8 +81,7 @@ def test_backend_merge_prune_equals_serial(serial_reference, enabled):
         merged, stats = hierarchical_merge_tables([t for t in tables], config, executor=ex)
         assert _table_equal(merged, merged_ref)
         assert stats.matched_pairs_per_level == stats_ref.matched_pairs_per_level
-        candidates = merged.filter(merged.sizes >= 2).to_items()
-        pruned = prune_items(candidates, store, pruning, executor=ex)
+        pruned = prune_item_table(merged, store, pruning, executor=ex)
     assert len(pruned) == len(pruned_ref)
     for got, want in zip(pruned, pruned_ref):
         assert got.members == want.members
@@ -325,7 +323,8 @@ def test_self_made_executors_are_closed_and_a_callers_is_not(monkeypatch):
     merged, _ = hierarchical_merge_tables(list(tables), config)
     assert threading.active_count() == before
     assert prune_item_table(merged, store, PruningConfig(epsilon=1.0))
-    assert prune_items(merged.to_items(), store, PruningConfig(epsilon=1.0))
+    halves = np.arange(len(merged), dtype=np.int32) % 2  # the owner-grouped arm
+    assert prune_item_table(merged, store, PruningConfig(epsilon=1.0), owners=halves)
     merge_item_tables(tables[0], tables[1], config)
     sharded_hierarchical_merge(list(tables), owners, config)
     assert threading.active_count() == before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ParallelConfig, PruningConfig
-from repro.core import MergeItem, classify_entities, prune_item, prune_items
+from repro.core import ItemTable, MergeItem, classify_entities, prune_item_table
 from repro.core.parallel import ParallelExecutor
 from repro.data import EntityRef
 
@@ -48,13 +48,26 @@ def test_classify_pairwise_far_apart_all_outliers():
     assert sorted(result.outliers) == [0, 1]
 
 
+
+
 def _item(vectors: dict[EntityRef, np.ndarray]) -> MergeItem:
     members = tuple(sorted(vectors))
     stacked = np.stack([vectors[m] for m in members]).mean(axis=0)
     return MergeItem(members=members, vector=stacked.astype(np.float32))
 
 
-def test_prune_item_removes_outlier():
+@pytest.fixture()
+def prune(store_from_lookup):
+    """``prune_item_table`` over the items' table and the lookup's store."""
+
+    def run(items, lookup, config, **kwargs):
+        table = ItemTable.from_items(items)
+        return prune_item_table(table, store_from_lookup(lookup), config, **kwargs)
+
+    return run
+
+
+def test_prune_item_removes_outlier(prune):
     lookup = {
         EntityRef("A", 0): np.asarray([0.0, 0.0], dtype=np.float32),
         EntityRef("B", 0): np.asarray([0.1, 0.0], dtype=np.float32),
@@ -62,49 +75,52 @@ def test_prune_item_removes_outlier():
         EntityRef("D", 0): np.asarray([8.0, 8.0], dtype=np.float32),
     }
     item = _item(lookup)
-    pruned = prune_item(item, lookup, PruningConfig(epsilon=0.5, min_pts=2))
-    assert pruned is not None
-    assert EntityRef("D", 0) not in pruned.members
-    assert len(pruned.members) == 3
+    pruned = prune([item], lookup, PruningConfig(epsilon=0.5, min_pts=2))
+    assert len(pruned) == 1
+    assert EntityRef("D", 0) not in pruned[0].members
+    assert len(pruned[0].members) == 3
 
 
-def test_prune_item_unchanged_when_all_dense():
+def test_prune_item_unchanged_when_all_dense(prune):
     lookup = {
         EntityRef("A", 0): np.asarray([0.0, 0.0], dtype=np.float32),
         EntityRef("B", 0): np.asarray([0.1, 0.0], dtype=np.float32),
     }
     item = _item(lookup)
-    pruned = prune_item(item, lookup, PruningConfig(epsilon=0.5, min_pts=2))
-    assert pruned is item  # untouched object when nothing is removed
+    [pruned] = prune([item], lookup, PruningConfig(epsilon=0.5, min_pts=2))
+    # untouched when nothing is removed: same members, same merged vector
+    assert pruned.members == item.members
+    assert pruned.vector.tobytes() == item.vector.tobytes()
 
 
-def test_prune_item_dropped_when_all_members_far():
+def test_prune_item_dropped_when_all_members_far(prune):
     lookup = {
         EntityRef("A", 0): np.asarray([0.0, 0.0], dtype=np.float32),
         EntityRef("B", 0): np.asarray([9.0, 9.0], dtype=np.float32),
     }
     item = _item(lookup)
-    assert prune_item(item, lookup, PruningConfig(epsilon=0.5, min_pts=2)) is None
+    assert prune([item], lookup, PruningConfig(epsilon=0.5, min_pts=2)) == []
 
 
-def test_prune_item_singleton_returns_none():
+def test_prune_item_singleton_returns_none(prune):
     ref = EntityRef("A", 0)
     lookup = {ref: np.zeros(2, dtype=np.float32)}
     item = MergeItem(members=(ref,), vector=np.zeros(2, dtype=np.float32))
-    assert prune_item(item, lookup, PruningConfig()) is None
+    assert prune([item], lookup, PruningConfig()) == []
 
 
-def test_prune_items_disabled_passes_candidates_through():
+def test_prune_items_disabled_passes_candidates_through(prune):
     lookup = {
         EntityRef("A", 0): np.asarray([0.0, 0.0], dtype=np.float32),
         EntityRef("B", 0): np.asarray([9.0, 9.0], dtype=np.float32),
     }
     item = _item(lookup)
-    kept = prune_items([item], lookup, PruningConfig(enabled=False))
-    assert kept == [item]
+    [kept] = prune([item], lookup, PruningConfig(enabled=False))
+    assert kept.members == item.members
+    assert kept.vector.tobytes() == item.vector.tobytes()
 
 
-def test_prune_items_parallel_matches_serial():
+def test_prune_items_parallel_matches_serial(prune):
     rng = np.random.default_rng(0)
     lookup: dict[EntityRef, np.ndarray] = {}
     items = []
@@ -116,13 +132,13 @@ def test_prune_items_parallel_matches_serial():
             lookup[ref] = (center + offset).astype(np.float32)
         items.append(_item({r: lookup[r] for r in refs}))
     config = PruningConfig(epsilon=0.5, min_pts=2)
-    serial = prune_items(items, lookup, config)
+    serial = prune(items, lookup, config)
     parallel_exec = ParallelExecutor(ParallelConfig(enabled=True, max_workers=3))
-    parallel = prune_items(items, lookup, config, executor=parallel_exec)
+    parallel = prune(items, lookup, config, executor=parallel_exec)
     assert {frozenset(i.members) for i in serial} == {frozenset(i.members) for i in parallel}
     # Every surviving item lost its far-away fourth member.
     assert all(len(i.members) == 3 for i in serial)
 
 
-def test_prune_items_empty_input():
-    assert prune_items([], {}, PruningConfig()) == []
+def test_prune_items_empty_input(prune):
+    assert prune([], {}, PruningConfig()) == []

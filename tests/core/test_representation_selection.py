@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import RepresentationConfig
 from repro.core import EntityRepresenter, select_attributes
-from repro.core.representation import TableEmbeddings
+from repro.core.representation import EmbeddingStore, TableEmbeddings
 
 
 class TestEntityRepresenter:
@@ -20,7 +20,7 @@ class TestEntityRepresenter:
         representer = EntityRepresenter(RepresentationConfig(dimension=64))
         embeddings = representer.encode_dataset(geo_tiny)
         assert set(embeddings) == set(geo_tiny.tables)
-        lookup = EntityRepresenter.embedding_lookup(embeddings)
+        lookup = EmbeddingStore.from_embeddings(embeddings)
         assert len(lookup) == geo_tiny.num_entities
 
     def test_attribute_subset_changes_embeddings(self, music_tiny):

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.config import paper_default_config
+from repro.core import MultiEM
+from repro.data.generators import load_benchmark
 from repro.experiments import (
     METHOD_REGISTRY,
     TABLE4_METHODS,
     TABLE5_METHODS,
+    ablation_index_backend,
     ablation_mutual_vs_directed,
     ablation_pruning_strategy,
+    ablation_representative,
     create_method,
     figure5_module_times,
     figure6_m,
@@ -20,6 +25,7 @@ from repro.experiments import (
     table6_memory,
     table7_selected_attributes,
 )
+from repro.experiments.ablations import _pipeline_with
 from repro.exceptions import ConfigurationError
 
 
@@ -131,3 +137,33 @@ class TestAblations:
         rows = ablation_pruning_strategy(["geo"], profile="tiny")
         strategies = {row["pruning"] for row in rows}
         assert strategies == {"density", "none", "centroid"}
+
+    @pytest.mark.parametrize("name, num_tuples", [("geo", 31), ("music-20", 57)])
+    def test_unswapped_variant_is_the_multiem_pipeline(self, name, num_tuples):
+        """With no design choice swapped, the ablation harness predicts what MultiEM does."""
+        dataset = load_benchmark(name, profile="tiny")
+        matcher = MultiEM(paper_default_config(name))
+        tuples = _pipeline_with(dataset, name).tuples
+        assert len(tuples) == num_tuples
+        assert tuples == matcher.match(dataset).tuples
+        unpruned = _pipeline_with(dataset, name, pruning="none").tuples
+        assert unpruned == matcher.without_pruning().match(dataset).tuples
+
+    def test_index_backend_rows(self):
+        rows = ablation_index_backend(["geo"], profile="tiny")
+        assert [_untimed(row) for row in rows] == [
+            {"dataset": "geo", "index": "brute-force", "F1": 93.5, "pair-F1": 97.5},
+            {"dataset": "geo", "index": "hnsw", "F1": 93.5, "pair-F1": 97.5},
+            {"dataset": "geo", "index": "lsh", "F1": 87.1, "pair-F1": 94.9},
+        ]
+
+    def test_representative_rows(self):
+        rows = ablation_representative(["music-20"], profile="tiny")
+        assert rows == [
+            {"dataset": "music-20", "representative": "mean", "F1": 78.9, "pair-F1": 93.9},
+            {"dataset": "music-20", "representative": "medoid", "F1": 68.4, "pair-F1": 90.0},
+        ]
+
+
+def _untimed(row: dict) -> dict:
+    return {key: value for key, value in row.items() if key != "time (s)"}
