@@ -70,20 +70,24 @@ def test_smoke_index_cache_extend_beats_rebuild(smoke_vectors):
 
 @pytest.mark.smoke
 def test_smoke_pipeline_module_times():
-    """Tiny end-to-end pipeline run; appends its timings to BENCH_pipeline.json.
+    """Tiny end-to-end HNSW pipeline run with its per-stage (S/R/M/P) timings.
 
-    Keeps the per-module benchmark harness (bench_pipeline.py) exercised by
-    tier-1 and catches order-of-magnitude pipeline regressions early.
+    Catches order-of-magnitude pipeline regressions early; the measured
+    breakdown at benchmark scale is ``python3 bench/run.py``'s job.
     """
-    from bench_pipeline import _format_record, run_pipeline_bench, write_bench_record
+    from repro.config import paper_default_config
+    from repro.core import MultiEM
+    from repro.data.generators import load_benchmark
 
+    dataset = load_benchmark("music-20", profile="tiny")
+    config = paper_default_config("music-20").with_overrides(merging={"index": "hnsw"})
     started = time.perf_counter()
-    record = run_pipeline_bench("music-20", "tiny")
+    result = MultiEM(config).match(dataset)
     elapsed = time.perf_counter() - started
-    write_bench_record(record)
-    print("\n  " + _format_record(record))
-    assert record["num_tuples"] > 0
-    assert all(value >= 0 for value in record["stages"].values())
+    stages = result.timings.as_dict()
+    print("\n  " + " ".join(f"{name}={seconds:.2f}s" for name, seconds in stages.items()))
+    assert len(result.tuples) > 0
+    assert all(seconds >= 0 for seconds in stages.values())
     assert elapsed < MERGE_CEILING_SECONDS, f"tiny pipeline took {elapsed:.1f}s"
 
 

@@ -30,9 +30,9 @@ reuse is byte-identical to rebuilding (exact content match or incremental
 extension of a prefix), so cached runs return exactly the same tuples.
 By default every merge level and the pruning pass fan out on one persistent
 thread pool (the heavy kernels release the GIL; ``ParallelConfig.enabled =
-False`` is the paper's serial variant, byte-identical output either way). ``python -m pytest benchmarks -q -m smoke`` exercises
-this layer at tiny scale; ``benchmarks/bench_substrates.py`` and
-``benchmarks/bench_pipeline.py`` measure it at 10k rows.
+False`` is the paper's serial variant, byte-identical output either way).
+``python -m pytest benchmarks -q -m smoke`` exercises this layer at tiny
+scale; ``python3 bench/run.py`` measures it at benchmark scale.
 
 Persistence and serving
 -----------------------

@@ -279,6 +279,7 @@ def _cmd_snapshot_gc(args: argparse.Namespace) -> int:
 
 def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     from .store import Snapshot
+    from .store.fsck import chain_link_failure, check_snapshot_file
 
     with Snapshot.open(args.snapshot) as snapshot:
         print(f"{args.snapshot}: format version {snapshot.format_version}")
@@ -310,49 +311,18 @@ def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
                 ops[spec["op"]] = ops.get(spec["op"], 0) + 1
             summary = ", ".join(f"{op}={count}" for op, count in sorted(ops.items()))
             print(f"delta ops over {len(snapshot.delta['arrays'])} logical arrays: {summary}")
-        failures = [
-            (name, detail)
-            for name, passed, detail in snapshot.verify_segments()
-            if not passed
-        ]
-        recorded = (meta.get("digests") or {}).get("payload") if isinstance(meta, dict) else None
-        if recorded is not None:
-            try:
-                derived = snapshot.payload_digest()
-            except ReproError as exc:
-                failures.append(("<payload>", str(exc)))
-            else:
-                if derived != recorded:
-                    failures.append(
-                        ("<payload>",
-                         f"payload digest mismatch (recorded {recorded}, derived {derived})")
-                    )
-        if snapshot.chain is not None:
-            from .store import Snapshot as _Snapshot
-
-            parent_path = Path(args.snapshot).resolve().parent / snapshot.chain["parent"]
-            if not parent_path.exists():
-                failures.append(("<chain>", f"parent {snapshot.chain['parent']!r} is missing"))
-            else:
-                try:
-                    with _Snapshot.open(parent_path) as parent:
-                        derived_parent = parent.payload_digest()
-                except ReproError as exc:
-                    failures.append(("<chain>", f"parent is unreadable: {exc}"))
-                else:
-                    if derived_parent != snapshot.chain["parent_payload"]:
-                        failures.append(
-                            ("<chain>",
-                             "link broken: recorded parent payload "
-                             f"{snapshot.chain['parent_payload']}, parent derives {derived_parent}")
-                        )
-        if failures:
-            print("verification: FAILED")
-            width = max(len(name) for name, _ in failures)
-            for name, detail in failures:
-                print(f"  {name:<{width}}  {detail}")
-            return 1
-        print("verification: ok (segments, payload digest, chain link)")
+    status = check_snapshot_file(args.snapshot)
+    if status.ok and status.parent is not None:
+        parent_path = Path(args.snapshot).resolve().parent / status.parent
+        parent = check_snapshot_file(parent_path) if parent_path.exists() else None
+        failure = chain_link_failure(status, parent)
+        if failure is not None:
+            status.status, status.detail = failure
+    if not status.ok:
+        print(f"verification: FAILED ({status.status})")
+        print(f"  {status.detail}")
+        return 1
+    print("verification: ok (segments, payload digest, chain link)")
     return 0
 
 
@@ -391,7 +361,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         max_inflight=args.max_inflight,
@@ -569,10 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="listen port (0 picks an ephemeral port)")
     serve_http.add_argument("--workers", type=int, default=2,
                             help="forked worker processes sharing the snapshot via mmap")
-    serve_http.add_argument("--no-coalesce", action="store_true",
-                            help="dispatch every request alone (the batching-off baseline)")
     serve_http.add_argument("--max-batch", type=int, default=32,
-                            help="coalescer flushes as soon as a batch holds this many texts")
+                            help="coalescer flushes as soon as a batch holds this many "
+                            "texts (1 dispatches every request alone)")
     serve_http.add_argument("--max-wait-ms", type=float, default=2.0,
                             help="how long the first request of a batch waits for company")
     serve_http.add_argument("--max-inflight", type=int, default=256,

@@ -35,10 +35,6 @@ class SentenceEncoder(ABC):
         """
         return self
 
-    def encode_one(self, text: str) -> np.ndarray:
-        """Encode a single text (convenience wrapper)."""
-        return self.encode([text])[0]
-
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize rows in place-safe fashion; zero rows stay zero."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from ..exceptions import ConfigurationError, DataError
@@ -76,10 +75,3 @@ class TfidfSvdEncoder(SentenceEncoder):
             assert self._projection is not None
             dense = self._projection.transform(features)
         return normalize_rows(dense)
-
-
-def _as_dense(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
-    """Densify a (small) sparse matrix for tests and diagnostics."""
-    if sparse.issparse(matrix):
-        return np.asarray(matrix.todense())
-    return np.asarray(matrix)

@@ -26,7 +26,7 @@ computed from torn state. ``/healthz`` and ``/metrics`` expose liveness and
 the counters in :class:`~repro.serve.metrics.ServeMetrics` as plain JSON.
 
 Run it: ``python -m repro.cli serve SNAPSHOT --port 8600 --workers 2``;
-load-test it: ``benchmarks/bench_serve.py``.
+load-test it: ``python3 bench/run.py --workload serve-query``.
 """
 
 from .coalescer import QueryCoalescer

@@ -45,8 +45,7 @@ class QueryCoalescer:
         runner: ``await runner(texts, k, max_distance)`` → one row list per
             text, batch-composition-invariant.
         max_batch: flush as soon as a batch holds this many texts
-            (``<= 1`` disables coalescing: every request dispatches alone,
-            the exact behaviour the batching-off benchmark leg measures).
+            (``<= 1`` disables coalescing: every request dispatches alone).
         max_wait: seconds the first request of a batch waits for company.
         metrics: optional :class:`~repro.serve.metrics.ServeMetrics`;
             batches and the batch-size histogram are recorded there.

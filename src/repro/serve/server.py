@@ -54,8 +54,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8600  #: 0 asks the OS for an ephemeral port (tests use this).
     workers: int = 2
-    coalesce: bool = True
-    max_batch: int = 32
+    max_batch: int = 32  #: 1 turns coalescing off: every request dispatches alone.
     max_wait_ms: float = 2.0
     max_inflight: int = 256
     deadline_ms: float = 30_000.0
@@ -127,10 +126,9 @@ class MatchServer:
         self.plane = WorkerPlane(
             self._snapshot_path, config.workers, metrics=self.metrics
         )
-        max_batch = config.max_batch if config.coalesce else 1
         self.coalescer = QueryCoalescer(
             self._query_runner,
-            max_batch=max_batch,
+            max_batch=config.max_batch,
             max_wait=config.max_wait_ms / 1e3,
             metrics=self.metrics,
         )

@@ -20,8 +20,6 @@ package makes those arrays *move* without serialization:
   Restores adopt the stored bytes verbatim; the only recomputed arrays are
   the prepared distance row statistics, a deterministic per-row function of
   the stored vectors — so save → load → continue stays byte-identical.
-  Every core type also exposes a *delta state* diffing its bundle against a
-  base bundle (``*_delta_state``).
 * :mod:`repro.store.delta` — the delta ops themselves (``ref`` / ``alias``
   / row-``patch`` / ``full``), bundle-level diff/replay, and chain folding.
 * :mod:`repro.store.session` — :func:`save_session` /

@@ -19,27 +19,6 @@ The one exception is the prepared distance row statistics (normalized rows /
 squared norms), which are a deterministic per-row function of the stored
 vectors and are recomputed byte-identically on restore instead of being
 persisted — they were the largest derived plane in every snapshot.
-
-Alongside its full state, every core type also has a **delta state** — the
-same bundle diffed against a base bundle through :mod:`repro.store.delta`
-(``*_delta_state(obj, base_obj) -> (meta, delta_spec, segments)``), which is
-what the append-only snapshot chain stores per
-:meth:`~repro.core.incremental.IncrementalMultiEM.save`:
-
-* :func:`item_table_delta_state` — the merge keeps untouched items at their
-  positions with identical bytes, so the dominant ``(n, d)`` vector plane
-  row-patches (changed representatives + appended tail) while the small CSR
-  member columns fall back to full storage automatically;
-* :func:`embedding_store_delta_state` — strictly append-only: new source
-  blocks store outright, existing blocks become zero-byte refs;
-* :func:`index_cache_delta_state` — entries are aligned to the base by
-  params key and content (:func:`index_cache_pairing`), so a carried-over
-  entry refs its old segments even after LRU reordering and a
-  prefix-extended HNSW index stores only its adjacency-CSR extension (the
-  rewired rows + appended rows per layer) with the advanced PCG64 RNG state
-  riding in the entry meta;
-* :func:`encoder_delta_state` — fitted encoders never change after ``fit``,
-  so their arrays all collapse to refs.
 """
 
 from __future__ import annotations
@@ -65,7 +44,7 @@ from ..config import (
 from ..core.merging import ItemTable
 from ..core.representation import EmbeddingStore
 from ..exceptions import StoreError
-from .delta import apply_bundle, bytes_equal, diff_bundle
+from .delta import bytes_equal
 from .format import (
     Snapshot,
     SnapshotWriter,
@@ -358,51 +337,7 @@ def encoder_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
     raise StoreError(f"unknown encoder kind {meta['kind']!r} in snapshot")
 
 
-# --------------------------------------------------------------- delta states
-def _bundle_delta(new_state, base_state, pairing: "dict[str, str] | None" = None):
-    """Shared ``(meta, delta_spec, segments)`` shape of every delta codec."""
-    meta, arrays = new_state
-    _, base_arrays = base_state
-    spec, segments = diff_bundle(arrays, base_arrays, pairing=pairing)
-    meta = dict(meta)
-    meta["__arrays__"] = list(arrays)
-    return meta, spec, segments
-
-
-def _bundle_from_delta(meta: dict, spec: dict, segments, base_state):
-    _, base_arrays = base_state
-    return apply_bundle(spec, base_arrays, lambda name: segments[name])
-
-
-def item_table_delta_state(table: ItemTable, base_table: ItemTable):
-    """Delta bundle of an item table against a base table (row patches)."""
-    return _bundle_delta(item_table_state(table), item_table_state(base_table))
-
-
-def item_table_from_delta(
-    meta: dict, spec: dict, segments, base_table: ItemTable
-) -> ItemTable:
-    arrays = _bundle_from_delta(meta, spec, segments, item_table_state(base_table))
-    return item_table_from_state(meta, arrays)
-
-
-def embedding_store_delta_state(store: EmbeddingStore, base_store: EmbeddingStore):
-    """Delta bundle of an embedding store (new blocks only; old blocks ref)."""
-    return _bundle_delta(embedding_store_state(store), embedding_store_state(base_store))
-
-
-def embedding_store_from_delta(
-    meta: dict, spec: dict, segments, base_store: EmbeddingStore
-) -> EmbeddingStore:
-    arrays = _bundle_from_delta(meta, spec, segments, embedding_store_state(base_store))
-    return embedding_store_from_state(meta, arrays)
-
-
-def encoder_delta_state(encoder, base_encoder):
-    """Delta bundle of a fitted encoder (all refs — encoders are fit-frozen)."""
-    return _bundle_delta(encoder_state(encoder), encoder_state(base_encoder))
-
-
+# --------------------------------------------------------------- delta pairing
 def index_cache_pairing(new_state, base_state) -> "dict[str, str]":
     """Align cache entries of a new state onto a base state's segments.
 
@@ -452,20 +387,6 @@ def index_cache_pairing(new_state, base_state) -> "dict[str, str]":
         for name in entry["index"]["__arrays__"]:
             pairing[f"e{j}/index/{name}"] = f"e{pick}/index/{name}"
     return pairing
-
-
-def index_cache_delta_state(cache: IndexCache, base_cache: IndexCache):
-    """Delta bundle of an index cache (entries aligned, extensions patched)."""
-    new_state = index_cache_state(cache)
-    base_state = index_cache_state(base_cache)
-    return _bundle_delta(new_state, base_state, index_cache_pairing(new_state, base_state))
-
-
-def index_cache_from_delta(
-    meta: dict, spec: dict, segments, base_cache: IndexCache
-) -> IndexCache:
-    arrays = _bundle_from_delta(meta, spec, segments, index_cache_state(base_cache))
-    return index_cache_from_state(meta, arrays)
 
 
 # --------------------------------------------------------------------- config

@@ -102,8 +102,9 @@ class FileStatus:
     detail: str = ""
     #: Derived payload digest (ok snapshot files only; feeds link checks).
     payload: str | None = None
-    #: Parent basename recorded in the manifest (delta files only).
+    #: Parent basename and payload digest recorded in the manifest (delta files only).
     parent: str | None = None
+    parent_payload: str | None = None
     depth: int = 0
 
     @property
@@ -154,22 +155,24 @@ def check_snapshot_file(path) -> FileStatus:
     except (StoreError, OSError, ValueError, struct.error) as exc:
         return FileStatus(name, "unknown", "damaged", f"unreadable: {exc}")
     with snapshot:
+        chain = snapshot.chain or {}
         kind = "delta" if snapshot.chain is not None else "base"
-        parent = snapshot.chain.get("parent") if snapshot.chain else None
-        depth = int(snapshot.chain["depth"]) if snapshot.chain else 0
+        link = {
+            "parent": chain.get("parent"),
+            "parent_payload": chain.get("parent_payload"),
+            "depth": int(chain.get("depth", 0)),
+        }
         failures = [
             f"{segment}: {detail}"
             for segment, passed, detail in snapshot.verify_segments()
             if not passed
         ]
         if failures:
-            return FileStatus(
-                name, kind, "damaged", "; ".join(failures), parent=parent, depth=depth
-            )
+            return FileStatus(name, kind, "damaged", "; ".join(failures), **link)
         try:
             payload = snapshot.payload_digest()
         except StoreError as exc:
-            return FileStatus(name, kind, "damaged", str(exc), parent=parent, depth=depth)
+            return FileStatus(name, kind, "damaged", str(exc), **link)
         meta = snapshot.meta
         recorded = (meta.get("digests") or {}).get("payload") if isinstance(meta, dict) else None
         if recorded is not None and recorded != payload:
@@ -178,17 +181,40 @@ def check_snapshot_file(path) -> FileStatus:
                 kind,
                 "damaged",
                 f"payload digest mismatch (recorded {recorded}, derived {payload})",
-                parent=parent,
-                depth=depth,
+                **link,
             )
         if snapshot.chain is not None and snapshot.delta is None:
-            return FileStatus(
-                name, kind, "damaged", "chain link without a delta spec",
-                parent=parent, depth=depth,
-            )
-        return FileStatus(
-            name, kind, "ok", "verified", payload=payload, parent=parent, depth=depth
+            return FileStatus(name, kind, "damaged", "chain link without a delta spec", **link)
+        return FileStatus(name, kind, "ok", "verified", payload=payload, **link)
+
+
+def chain_link_failure(
+    status: FileStatus, parent: "FileStatus | None"
+) -> "tuple[str, str] | None":
+    """Why an intact delta's link to its parent fails, as ``(status, detail)``.
+
+    ``status`` is a verified delta's verdict and ``parent`` its parent
+    file's (``None`` when the parent is missing). Returns ``None`` when the
+    link holds: the parent verifies, sits one level shallower, and still
+    derives the payload digest the delta was appended onto.
+    """
+    if parent is None:
+        return "orphaned", f"parent {status.parent!r} is missing from the directory"
+    if parent.status != "ok":
+        return "orphaned", (
+            f"chain link broken: ancestry runs through {status.parent!r} ({parent.status})"
         )
+    if status.depth != parent.depth + 1:
+        return "damaged", (
+            f"chain depth {status.depth} does not follow parent depth {parent.depth}"
+        )
+    if status.parent_payload != parent.payload:
+        return "damaged", (
+            f"chain link broken: appended onto parent payload {status.parent_payload}, "
+            f"but {status.parent!r} now derives {parent.payload} "
+            "(parent modified or replaced)"
+        )
+    return None
 
 
 # -------------------------------------------------------------------- fsck
@@ -238,44 +264,17 @@ def fsck_store(directory, *, repair: bool = False) -> FsckReport:
                 continue
             statuses[name] = check_snapshot_file(path)
 
-        # Chain-link verification between individually-intact files.
-        for name, status in statuses.items():
-            if status.status != "ok" or status.parent is None:
-                continue
-            parent = statuses.get(status.parent)
-            if parent is None:
-                status.status = "orphaned"
-                status.detail = f"parent {status.parent!r} is missing from the directory"
-            elif parent.status != "ok":
-                pass  # propagated below once the parent's verdict is final
-            elif status.depth != parent.depth + 1:
-                status.status = "damaged"
-                status.detail = (
-                    f"chain depth {status.depth} does not follow parent depth {parent.depth}"
-                )
-            else:
-                recorded = None
-                with Snapshot.open(os.path.join(directory, name)) as snapshot:
-                    recorded = snapshot.chain.get("parent_payload")
-                if recorded != parent.payload:
-                    status.status = "damaged"
-                    status.detail = (
-                        f"chain link broken: appended onto parent payload {recorded}, "
-                        f"but {status.parent!r} now derives {parent.payload} "
-                        "(parent modified or replaced)"
-                    )
-
-        # Orphan propagation: a descendant of damage can never reconstruct.
+        # Chain links between individually-intact files, to a fixed point: a
+        # descendant of damage can never reconstruct.
         changed = True
         while changed:
             changed = False
             for status in statuses.values():
                 if status.status != "ok" or status.parent is None:
                     continue
-                parent = statuses.get(status.parent)
-                if parent is not None and not parent.status == "ok":
-                    status.status = "orphaned"
-                    status.detail = f"ancestry runs through {status.parent!r} ({parent.status})"
+                failure = chain_link_failure(status, statuses.get(status.parent))
+                if failure is not None:
+                    status.status, status.detail = failure
                     changed = True
 
         if repair:

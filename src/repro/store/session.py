@@ -43,8 +43,8 @@ from ..core.merging import merge_index_kwargs
 from ..data.table import Table
 from ..exceptions import StoreError
 from . import codecs
-from .delta import diff_bundle, resolve_chain_arrays, snapshot_arrays
-from .format import DeltaWriter, Snapshot, SnapshotChain, SnapshotWriter
+from .delta import diff_bundle, resolve_chain_arrays
+from .format import DeltaWriter, SnapshotChain, SnapshotWriter
 from .fsck import deepest_intact, sweep_partials, write_retirement_marker
 from .lock import StoreLock
 
@@ -277,21 +277,6 @@ def _restore_state(
     )
 
 
-def _restore(snapshot: Snapshot, *, verify: bool) -> IncrementalMultiEM:
-    if snapshot.chain is not None:
-        raise StoreError(
-            "this snapshot is a chain delta; open it through MatchSession.load / "
-            "load_matcher (or SnapshotChain) so its ancestry is resolved"
-        )
-    return _restore_state(
-        snapshot.meta,
-        snapshot_arrays(snapshot),
-        verify=verify,
-        payload_digest=snapshot.payload_digest,
-        source=snapshot.path,
-    )
-
-
 def _open_chain_once(path, *, mmap: bool, verify: bool):
     chain = SnapshotChain.open(path, mmap=mmap)
     try:
@@ -495,18 +480,6 @@ class MatchSession:
         self.matcher = matcher
         self.digests = dict(digests or {})
         self._query_context: _QueryContext | None = None
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Snapshot, *, verify: bool = True) -> "MatchSession":
-        """Build a session over an already-open :class:`Snapshot`.
-
-        Lets a caller that needs the raw manifest (array names, payload
-        size) open the file once and reuse the same mapping for the restore
-        instead of parsing it twice.
-        """
-        matcher = _restore(snapshot, verify=verify)
-        meta = snapshot.meta
-        return cls(matcher, meta.get("digests") if isinstance(meta, dict) else None)
 
     @classmethod
     def load(

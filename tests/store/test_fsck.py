@@ -19,6 +19,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.config import paper_default_config
@@ -27,6 +28,7 @@ from repro.exceptions import StoreError, StoreLockedError
 from repro.store import (
     MatchSession,
     Snapshot,
+    SnapshotWriter,
     StoreLock,
     deepest_intact,
     fsck_store,
@@ -393,6 +395,31 @@ class TestCli:
         _flip_byte(clone2 / "s.snap", _segment_offset(clone2 / "s.snap", "store/"))
         assert main(["snapshot", "inspect", str(clone2 / "s.snap.d1")]) == 1
         assert "link broken" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "delta, expected",
+        [(None, "chain link without a delta spec"), ({"arrays": {}}, "chain depth 5")],
+        ids=["no-delta-spec", "delta-spec"],
+    )
+    def test_inspect_agrees_with_fsck_on_a_malformed_link(
+        self, chain_template, tmp_path, capsys, delta, expected
+    ):
+        """A hand-written link to an intact parent, at the wrong depth."""
+        from repro.cli import main
+
+        clone, _ = _clone(chain_template, tmp_path)
+        with Snapshot.open(clone / "s.snap") as parent:
+            parent_payload = parent.payload_digest()
+        writer = SnapshotWriter(segment_digests=True)
+        writer.add_array("x", np.arange(4, dtype=np.int64))
+        writer.set_chain({"parent": "s.snap", "parent_payload": parent_payload, "depth": 5})
+        writer.set_delta(delta)
+        writer.save(clone / "bad.snap.d5")
+        assert main(["snapshot", "inspect", str(clone / "bad.snap.d5")]) == 1
+        out = capsys.readouterr().out
+        assert "verification: FAILED" in out and expected in out
+        status = fsck_store(clone).status_of("bad.snap.d5")
+        assert status.status == "damaged" and expected in status.detail
 
     def test_fsck_verb(self, chain_template, tmp_path, capsys):
         from repro.cli import main
