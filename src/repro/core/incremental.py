@@ -23,9 +23,9 @@ from ..config import MultiEMConfig
 from ..data.dataset import MultiTableDataset
 from ..data.table import Table
 from ..exceptions import DataError, SchemaError
-from .attribute_selection import select_attributes
-from .merging import ItemTable, hierarchical_merge_tables, merge_item_tables
+from .merging import ItemTable, merge_item_tables
 from .parallel import ParallelExecutor
+from .pipeline import fit_stages
 from .pruning import prune_item_table
 from .representation import EmbeddingStore, EntityRepresenter
 from .result import MatchResult, StageTimings
@@ -75,43 +75,16 @@ class IncrementalMultiEM:
 
     def fit(self, dataset: MultiTableDataset) -> MatchResult:
         """Run the full pipeline on the initial dataset and keep its state."""
+        fitted = fit_stages(dataset, self.config, self._executor, cache=self._index_cache)
+        # Commit state only after every stage succeeded, so a failed refit
+        # leaves the previous fit (and its snapshot lineage) intact.
         self._base = None  # a refit starts a new snapshot lineage
         self._schema = dataset.schema
-        self._representer = EntityRepresenter(self.config.representation)
-        if self.config.representation.attribute_selection and len(self._schema) > 1:
-            selection = select_attributes(dataset, self._representer, self.config.representation)
-            self._attributes = selection.selected
-        else:
-            self._attributes = self._schema
-        self._representer.fit(dataset, self._attributes)
-        embeddings = self._representer.encode_dataset(dataset, self._attributes)
-        self._store = EmbeddingStore.from_embeddings(embeddings)
-        item_tables = [ItemTable.from_embeddings(embeddings[t.name]) for t in dataset.table_list()]
-        if self.config.merging.shards > 1:
-            from ..shard import build_shard_plan, sharded_hierarchical_merge
-
-            plan = build_shard_plan(
-                self.config.merging,
-                item_tables=item_tables,
-                raw_tables=dataset.table_list(),
-                attributes=self._attributes,
-            )
-            integrated, _, self._item_owners = sharded_hierarchical_merge(
-                item_tables,
-                plan.owners,
-                self.config.merging,
-                executor=self._executor,
-                cache=self._index_cache,
-            )
-        else:
-            self._item_owners = None
-            integrated, _ = hierarchical_merge_tables(
-                item_tables,
-                self.config.merging,
-                executor=self._executor,
-                cache=self._index_cache,
-            )
-        self._table = integrated
+        self._representer = fitted.representer
+        self._attributes = fitted.attributes
+        self._store = fitted.store
+        self._table = fitted.integrated
+        self._item_owners = fitted.item_owners
         self._known_sources = set(dataset.tables)
         return self._result()
 
@@ -167,11 +140,7 @@ class IncrementalMultiEM:
     # ---------------------------------------------------------------- result
     def _result(self) -> MatchResult:
         pruned = prune_item_table(
-            self._table,
-            self._store,
-            self.config.pruning,
-            executor=self._executor,
-            owners=self._item_owners,
+            self._table, self._store, self.config.pruning, executor=self._executor
         )
         method = (
             "IncrementalMultiEM (parallel)" if self._executor.is_parallel else "IncrementalMultiEM"

@@ -300,8 +300,9 @@ def plan_merge_index(vectors: np.ndarray, config: MergingConfig, cache: IndexCac
     """:func:`~repro.ann.mutual.plan_side_index` for one side of a merge under ``config``.
 
     Every merge index — the level loop's and the sharded boundary pass's in
-    :mod:`repro.shard.boundary` — is planned here, so cache ``params_key``
-    values and index builds agree bit for bit.
+    :mod:`repro.shard.boundary` — and the serving session's query index are
+    planned here, so cache ``params_key`` values and index builds agree bit
+    for bit.
     """
     return plan_side_index(
         vectors,
@@ -552,7 +553,6 @@ def hierarchical_merge_tables(
     executor: ParallelExecutor | None = None,
     representative: str = "mean",
     cache: IndexCache | None = None,
-    owners: "Sequence[np.ndarray] | None" = None,
 ) -> tuple[ItemTable, MergeStats]:
     """Algorithm 2 on flat tables: merge all tables hierarchically until one remains.
 
@@ -567,27 +567,10 @@ def hierarchical_merge_tables(
     ``cache`` (e.g. :class:`~repro.core.incremental.IncrementalMultiEM`'s
     persistent one) is consulted and filled by the calling thread only.
 
-    With ``config.shards > 1`` the level loop is delegated to the sharded
-    merge plane (:mod:`repro.shard`): per-table owner arrays (``owners``, or
-    a plan built here from the item vectors for the ``"lsh"`` shard key)
-    decompose every merge's query workload by shard, and the boundary pass
-    stitches the result back byte-identical to the unsharded merge.
+    The sharded merge plane (:mod:`repro.shard`) is chosen by
+    :func:`~repro.core.pipeline.fit_stages`, not here: this loop ignores the
+    shard count.
     """
-    if config.shards > 1:
-        from ..shard.executor import sharded_hierarchical_merge
-        from ..shard.plan import build_shard_plan
-
-        if owners is None:
-            owners = build_shard_plan(config, item_tables=tables).owners
-        merged, stats, _ = sharded_hierarchical_merge(
-            tables,
-            list(owners),
-            config,
-            executor=executor,
-            representative=representative,
-            cache=cache,
-        )
-        return merged, stats
     stats = MergeStats()
     rng = np.random.default_rng(config.seed)
     current = list(tables)

@@ -16,16 +16,110 @@ disabled for the Table IV ablations (``w/o EER`` and ``w/o DP``).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
+import numpy as np
+
+from ..ann.cache import IndexCache
 from ..config import MultiEMConfig
 from ..data.dataset import MultiTableDataset
 from ..embedding.base import SentenceEncoder
 from .attribute_selection import AttributeSelectionResult, select_attributes
-from .merging import ItemTable, hierarchical_merge_tables
+from .merging import ItemTable, MergeStats, hierarchical_merge_tables
 from .parallel import ParallelExecutor
 from .pruning import prune_item_table
 from .representation import EmbeddingStore, EntityRepresenter
 from .result import MatchResult, StageTimings
+
+
+@dataclass
+class FittedStages:
+    """What stages S, R and M leave behind for pruning (P) and matcher state.
+
+    ``item_owners`` is the integrated table's per-item shard owner array when
+    the merging config is sharded (``MergingConfig.shards > 1``), else None.
+    ``timings`` has the S, R and M fields filled; pruning is the caller's.
+    """
+
+    representer: EntityRepresenter
+    attributes: tuple[str, ...]
+    selection: AttributeSelectionResult | None
+    store: EmbeddingStore
+    integrated: ItemTable
+    merge_stats: MergeStats
+    item_owners: np.ndarray | None
+    timings: StageTimings
+
+
+def fit_stages(
+    dataset: MultiTableDataset,
+    config: MultiEMConfig,
+    executor: ParallelExecutor,
+    *,
+    encoder: SentenceEncoder | None = None,
+    cache: IndexCache | None = None,
+    representative: str = "mean",
+) -> FittedStages:
+    """Stages S, R and M of Figure 3, timed: the one place they run in order.
+
+    :class:`MultiEM`, :class:`~repro.core.incremental.IncrementalMultiEM` and
+    the design ablations all call this and add their own pruning; a new entry
+    point should too. ``cache`` is handed to the merges (see
+    :func:`~repro.core.merging.hierarchical_merge_tables`), ``representative``
+    picks the merged items' representative vector.
+    """
+    timings = StageTimings()
+    representer = EntityRepresenter(config.representation, encoder=encoder)
+
+    # Stage S: automated attribute selection (Algorithm 1). Optional —
+    # disabling it gives the "w/o EER" ablation where all attributes are
+    # serialized with the vanilla encoder.
+    selection: AttributeSelectionResult | None = None
+    attributes = dataset.schema
+    if config.representation.attribute_selection and len(attributes) > 1:
+        started = time.perf_counter()
+        selection = select_attributes(dataset, representer, config.representation)
+        timings.attribute_selection = time.perf_counter() - started
+        attributes = selection.selected
+
+    # Stage R: serialize and encode every table.
+    started = time.perf_counter()
+    representer.fit(dataset, attributes)
+    embeddings = representer.encode_dataset(dataset, attributes)
+    store = EmbeddingStore.from_embeddings(embeddings)
+    timings.representation = time.perf_counter() - started
+
+    # Stage M: table-wise hierarchical merging (Algorithms 2-3), run on
+    # flat ItemTables end to end; items only materialize after pruning.
+    merging = config.merging
+    started = time.perf_counter()
+    item_tables = [ItemTable.from_embeddings(embeddings[table.name]) for table in dataset.table_list()]
+    item_owners = None
+    if merging.shards > 1:
+        # Sharded plane: partition rows by blocking key and run the same
+        # hierarchy with per-shard query fan-out. Output bytes are identical
+        # to the unsharded path (see repro.shard); the owners ride along.
+        from ..shard import build_shard_plan, sharded_hierarchical_merge
+
+        plan = build_shard_plan(
+            merging, item_tables=item_tables, raw_tables=dataset.table_list(), attributes=attributes
+        )
+        integrated, merge_stats, item_owners = sharded_hierarchical_merge(
+            item_tables,
+            plan.owners,
+            merging,
+            executor=executor,
+            representative=representative,
+            cache=cache,
+        )
+    else:
+        integrated, merge_stats = hierarchical_merge_tables(
+            item_tables, merging, executor=executor, representative=representative, cache=cache
+        )
+    timings.merging = time.perf_counter() - started
+    return FittedStages(
+        representer, attributes, selection, store, integrated, merge_stats, item_owners, timings
+    )
 
 
 class MultiEM:
@@ -49,85 +143,28 @@ class MultiEM:
         The parallel executor's persistent worker pool is shared by the
         merging and pruning stages and released when the run finishes.
         """
-        executor = ParallelExecutor(self.config.parallel)
-        try:
-            return self._match(dataset, executor)
-        finally:
-            executor.close()
-
-    def _match(self, dataset: MultiTableDataset, executor: ParallelExecutor) -> MatchResult:
-        timings = StageTimings()
-        representer = EntityRepresenter(self.config.representation, encoder=self._encoder_override)
-
-        # Stage S: automated attribute selection (Algorithm 1). Optional —
-        # disabling it gives the "w/o EER" ablation where all attributes are
-        # serialized with the vanilla encoder.
-        selection: AttributeSelectionResult | None = None
-        schema = dataset.schema
-        if self.config.representation.attribute_selection and len(schema) > 1:
+        with ParallelExecutor(self.config.parallel) as executor:
+            fitted = fit_stages(dataset, self.config, executor, encoder=self._encoder_override)
+            # Stage P: density-based pruning (Algorithm 4), batched off the flat table.
             started = time.perf_counter()
-            selection = select_attributes(dataset, representer, self.config.representation)
-            timings.attribute_selection = time.perf_counter() - started
-            attributes: tuple[str, ...] = selection.selected
-        else:
-            attributes = schema
-
-        # Stage R: serialize and encode every table.
-        started = time.perf_counter()
-        representer.fit(dataset, attributes)
-        embeddings = representer.encode_dataset(dataset, attributes)
-        store = EmbeddingStore.from_embeddings(embeddings)
-        timings.representation = time.perf_counter() - started
-
-        # Stage M: table-wise hierarchical merging (Algorithms 2-3), run on
-        # flat ItemTables end to end; items only materialize after pruning.
-        merging_config = self.config.merging
-        started = time.perf_counter()
-        item_tables = [ItemTable.from_embeddings(embeddings[table.name]) for table in dataset.table_list()]
-        item_owners = None
-        if merging_config.shards > 1:
-            # Sharded plane: partition rows by blocking key, run the same
-            # hierarchy with per-shard query fan-out, and carry the owner
-            # array into owner-grouped pruning. Output bytes are identical
-            # to the unsharded path (see repro.shard).
-            from ..shard import build_shard_plan, sharded_hierarchical_merge
-
-            plan = build_shard_plan(
-                merging_config,
-                item_tables=item_tables,
-                raw_tables=dataset.table_list(),
-                attributes=attributes,
+            pruned = prune_item_table(
+                fitted.integrated, fitted.store, self.config.pruning, executor=executor
             )
-            integrated, merge_stats, item_owners = sharded_hierarchical_merge(
-                item_tables, plan.owners, merging_config, executor=executor
-            )
-        else:
-            integrated, merge_stats = hierarchical_merge_tables(
-                item_tables, merging_config, executor=executor
-            )
-        num_candidates = int((integrated.sizes >= 2).sum())
-        timings.merging = time.perf_counter() - started
+            fitted.timings.pruning = time.perf_counter() - started
+            method = "MultiEM (parallel)" if executor.is_parallel else "MultiEM"
 
-        # Stage P: density-based pruning (Algorithm 4), batched off the flat table.
-        started = time.perf_counter()
-        pruned = prune_item_table(
-            integrated, store, self.config.pruning, executor=executor, owners=item_owners
-        )
-        timings.pruning = time.perf_counter() - started
-
-        tuples = {frozenset(item.members) for item in pruned if item.size >= 2}
-        method = "MultiEM (parallel)" if executor.is_parallel else "MultiEM"
+        stats = fitted.merge_stats
         return MatchResult(
-            tuples=tuples,
-            selected_attributes=attributes,
-            significance_scores=dict(selection.scores) if selection else {},
-            timings=timings,
+            tuples={frozenset(item.members) for item in pruned},
+            selected_attributes=fitted.attributes,
+            significance_scores=dict(fitted.selection.scores) if fitted.selection else {},
+            timings=fitted.timings,
             method=method,
             metadata={
-                "num_candidate_tuples": num_candidates,
-                "merge_levels": merge_stats.levels,
-                "merge_pair_merges": merge_stats.pair_merges,
-                "matched_pairs_per_level": list(merge_stats.matched_pairs_per_level),
+                "num_candidate_tuples": int((fitted.integrated.sizes >= 2).sum()),
+                "merge_levels": stats.levels,
+                "merge_pair_merges": stats.pair_merges,
+                "matched_pairs_per_level": list(stats.matched_pairs_per_level),
                 "config": self.config,
             },
         )
@@ -144,12 +181,5 @@ class MultiEM:
         """Return a copy configured as the "w/o DP" ablation."""
         return MultiEM(
             self.config.with_overrides(pruning={"enabled": False}),
-            encoder=self._encoder_override,
-        )
-
-    def parallelized(self, max_workers: int | None = None) -> "MultiEM":
-        """Return the MultiEM(parallel) variant of this pipeline."""
-        return MultiEM(
-            self.config.with_overrides(parallel={"enabled": True, "max_workers": max_workers}),
             encoder=self._encoder_override,
         )

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ann.distances import batched_pairwise_distances, pairwise_distances
-from ..arrays import csr_positions
 from ..config import PruningConfig
 from ..data.entity import EntityRef
 from .merging import ItemTable, MergeItem, bucketed_weighted_mean
@@ -160,15 +159,8 @@ def _assemble_survivors(
     member_matrix: np.ndarray,
     offsets: np.ndarray,
     config: PruningConfig,
-    kept_rows: list[int] | None = None,
 ) -> list[MergeItem]:
-    """Classify a gathered candidate chunk and build its surviving items.
-
-    When ``kept_rows`` is given, the chunk-local index of every surviving
-    candidate is appended to it (survivor-aligned) — the owner-grouped
-    sharded path uses this to stitch per-group survivor lists back into the
-    original candidate order.
-    """
+    """Classify a gathered candidate chunk and build its surviving items."""
     keep, keep_counts = _classify_members(member_matrix, offsets, config)
     survivors: list[MergeItem] = []
     partial_slots: list[int] = []
@@ -178,8 +170,6 @@ def _assemble_survivors(
         count = int(keep_counts[i])
         if count < 2:
             continue
-        if kept_rows is not None:
-            kept_rows.append(i)
         if count == item.size:
             survivors.append(item)  # untouched: members and vector as merged
             continue
@@ -202,7 +192,6 @@ def prune_item_table(
     config: PruningConfig,
     *,
     executor: ParallelExecutor | None = None,
-    owners: np.ndarray | None = None,
 ) -> list[MergeItem]:
     """Prune candidates straight off a flat :class:`~repro.core.merging.ItemTable`.
 
@@ -213,13 +202,8 @@ def prune_item_table(
     Only items with >= 2 members are candidates (singletons are not
     predictions); survivors keep their relative order and exactly the core and
     reachable members :func:`classify_entities` finds in each tuple alone.
-
-    ``owners`` (a per-item ``int32`` array from the sharded merge plane)
-    switches chunking from contiguous ranges to owner groups, so each shard's
-    candidates classify together; survivors are stitched back into original
-    candidate order, and since classification is chunk-invariant (pinned by
-    the flat-equivalence tests) the output is byte-identical to the
-    unsharded call.
+    With a parallel executor the candidates split into contiguous chunks;
+    classification is chunk-invariant, so the output does not depend on it.
     """
     candidates = table.filter(table.sizes >= 2)
     if not config.enabled:
@@ -228,23 +212,6 @@ def prune_item_table(
         return []
     rows = store.member_rows(candidates.sources, candidates.member_sources, candidates.member_indices)
     refs = candidates.member_refs()
-    if owners is not None:
-        candidate_owners = np.asarray(owners, dtype=np.int32)[
-            np.asarray(table.sizes >= 2, dtype=bool)
-        ]
-        groups = [
-            np.flatnonzero(candidate_owners == owner).astype(np.int64)
-            for owner in np.unique(candidate_owners)
-        ]
-        mapped_rows = executor.map(
-            lambda g: _prune_table_rows(candidates, store, rows, refs, g, config),
-            groups,
-        )
-        tagged: list[tuple[int, MergeItem]] = []
-        for kept_rows, survivors in mapped_rows:
-            tagged.extend(zip(kept_rows.tolist(), survivors))
-        tagged.sort(key=lambda pair: pair[0])
-        return [item for _, item in tagged]
     if executor.is_parallel:
         bounds = _chunk_bounds(len(candidates), executor.workers * 2)
     else:
@@ -285,34 +252,3 @@ def _prune_table_chunk(
         for i, (o0, o1) in enumerate(zip(chunk_offsets[:-1].tolist(), chunk_offsets[1:].tolist()))
     ]
     return _assemble_survivors(chunk_items, member_matrix, chunk_offsets, config)
-
-
-def _prune_table_rows(
-    candidates: ItemTable,
-    store: EmbeddingStore,
-    rows: np.ndarray,
-    refs: list[EntityRef],
-    group_rows: np.ndarray,
-    config: PruningConfig,
-) -> tuple[np.ndarray, list[MergeItem]]:
-    """Prune an arbitrary candidate row set (one owner group).
-
-    Returns the surviving global candidate rows alongside the survivors so
-    the caller can stitch groups back into the original candidate order.
-    """
-    counts = candidates.sizes[group_rows]
-    chunk_offsets = np.zeros(len(group_rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=chunk_offsets[1:])
-    positions = csr_positions(candidates.member_offsets[group_rows], counts)
-    member_matrix = store.matrix[rows[positions]]
-    starts = candidates.member_offsets[group_rows].tolist()
-    chunk_items = [
-        MergeItem(
-            members=tuple(refs[start : start + int(count)]),
-            vector=candidates.vectors[int(row)],
-        )
-        for row, start, count in zip(group_rows.tolist(), starts, counts.tolist())
-    ]
-    kept: list[int] = []
-    survivors = _assemble_survivors(chunk_items, member_matrix, chunk_offsets, config, kept_rows=kept)
-    return group_rows[np.asarray(kept, dtype=np.int64)], survivors

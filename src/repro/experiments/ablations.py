@@ -8,8 +8,8 @@ much it matters:
 * exact brute-force vs HNSW vs LSH neighbour search;
 * density pruning vs no pruning vs a simple distance-to-centroid filter.
 
-The swapped variants run the pipeline's own merge and prune stages
-(:func:`~repro.core.merging.hierarchical_merge_tables` and
+The swapped variants run the pipeline's own stages
+(:func:`~repro.core.pipeline.fit_stages` and
 :func:`~repro.core.pruning.prune_item_table`), so with nothing swapped the
 variant predicts the tuples :class:`~repro.core.MultiEM` does (pinned by
 ``tests/experiments/test_experiments.py``).
@@ -24,10 +24,10 @@ import numpy as np
 
 from ..ann.mutual import create_index, top_k_pairs
 from ..config import paper_default_config
-from ..core.attribute_selection import select_attributes
-from ..core.merging import ItemTable, hierarchical_merge_tables
+from ..core.parallel import ParallelExecutor
+from ..core.pipeline import fit_stages
 from ..core.pruning import prune_item_table
-from ..core.representation import EmbeddingStore, EntityRepresenter
+from ..core.representation import EntityRepresenter
 from ..core.result import MatchResult, StageTimings
 from ..data.dataset import MultiTableDataset
 from ..data.generators import load_benchmark
@@ -48,26 +48,20 @@ def _pipeline_with(
         config = config.with_overrides(merging={"index": index_backend})
     if pruning == "none":
         config = config.with_overrides(pruning={"enabled": False})
-    representer = EntityRepresenter(config.representation)
-    selection = select_attributes(dataset, representer, config.representation)
-    representer.fit(dataset, selection.selected)
-    embeddings = representer.encode_dataset(dataset, selection.selected)
-    store = EmbeddingStore.from_embeddings(embeddings)
-    item_tables = [ItemTable.from_embeddings(embeddings[t.name]) for t in dataset.table_list()]
-    integrated, _ = hierarchical_merge_tables(
-        item_tables, config.merging, representative=representative
-    )
-    if pruning != "centroid":  # "none" disabled pruning above: candidates pass through
-        pruned = prune_item_table(integrated, store, config.pruning)
-    else:  # centroid: drop members farther than epsilon from the tuple centroid
-        pruned = []
-        for item in integrated.filter(integrated.sizes >= 2).to_items():
-            vectors = np.stack([store[ref] for ref in item.members])
-            centroid = vectors.mean(axis=0)
-            distances = np.linalg.norm(vectors - centroid, axis=1)
-            keep = [ref for ref, d in zip(item.members, distances) if d <= config.pruning.epsilon]
-            if len(keep) >= 2:
-                pruned.append(type(item)(members=tuple(keep), vector=item.vector))
+    with ParallelExecutor(config.parallel) as executor:
+        fitted = fit_stages(dataset, config, executor, representative=representative)
+        integrated, store = fitted.integrated, fitted.store
+        if pruning != "centroid":  # "none" disabled pruning above: candidates pass through
+            pruned = prune_item_table(integrated, store, config.pruning, executor=executor)
+        else:  # centroid: drop members farther than epsilon from the tuple centroid
+            pruned = []
+            for item in integrated.filter(integrated.sizes >= 2).to_items():
+                vectors = np.stack([store[ref] for ref in item.members])
+                centroid = vectors.mean(axis=0)
+                distances = np.linalg.norm(vectors - centroid, axis=1)
+                keep = [ref for ref, d in zip(item.members, distances) if d <= config.pruning.epsilon]
+                if len(keep) >= 2:
+                    pruned.append(type(item)(members=tuple(keep), vector=item.vector))
     tuples = {frozenset(item.members) for item in pruned}
     return MatchResult(tuples=tuples, method="ablation", timings=StageTimings())
 

@@ -29,9 +29,8 @@ count, key family, or executor backend:
 * :mod:`repro.shard.executor` — the driver: the same seeded level loop as
   :func:`~repro.core.merging.hierarchical_merge_tables`, with every pair
   merge fanned out per owner group through
-  :class:`~repro.core.parallel.ParallelExecutor` (serial or thread pool),
-  owner propagation through the vectorized union-find, and owner-grouped
-  density pruning.
+  :class:`~repro.core.parallel.ParallelExecutor` (serial or thread pool) and
+  owner propagation through the vectorized union-find.
 
 Equality contract
 -----------------
@@ -48,11 +47,7 @@ fit.
 """
 
 from .boundary import sharded_mutual_pairs
-from .executor import (
-    sharded_hierarchical_merge,
-    sharded_merge_item_tables,
-    sharded_prune_item_table,
-)
+from .executor import sharded_hierarchical_merge, sharded_merge_item_tables
 from .partition import assign_owners, lsh_row_keys, token_row_keys
 from .plan import ShardPlan, build_shard_plan, plan_from_item_tables, plan_from_tables
 
@@ -66,6 +61,5 @@ __all__ = [
     "sharded_hierarchical_merge",
     "sharded_merge_item_tables",
     "sharded_mutual_pairs",
-    "sharded_prune_item_table",
     "token_row_keys",
 ]

@@ -11,8 +11,8 @@ pool, against indexes built once in the parent), while the union-find stitch
 runs once in the parent via :func:`~repro.core.merging.merge_tables_with_pairs`.
 Owner arrays propagate through every merge (a merged item inherits the owner
 of its first constituent node — pure load-balancing bookkeeping; output bytes
-never depend on it) and finally into owner-grouped density pruning
-(:func:`sharded_prune_item_table`).
+never depend on it). Pruning does not read them: it chunks candidates the
+same way at every shard count.
 
 Parallelism shape: the sharded loop runs pairs sequentially and fans each
 direction out across owner groups, where the unsharded loop splits the same
@@ -28,11 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from ..ann.cache import IndexCache
-from ..config import MergingConfig, PruningConfig
-from ..core.merging import ItemTable, MergeItem, MergeStats, merge_tables_with_pairs
+from ..config import MergingConfig
+from ..core.merging import ItemTable, MergeStats, merge_tables_with_pairs
 from ..core.parallel import ParallelExecutor, default_executor
-from ..core.pruning import prune_item_table
-from ..core.representation import EmbeddingStore
 from ..exceptions import ShardError
 from .boundary import sharded_mutual_pairs
 
@@ -145,22 +143,3 @@ def sharded_hierarchical_merge(
         current = next_level
         current_owners = next_owners
     return current[0], stats, current_owners[0]
-
-
-def sharded_prune_item_table(
-    table: ItemTable,
-    item_owners: np.ndarray,
-    store: EmbeddingStore,
-    config: PruningConfig,
-    *,
-    executor: ParallelExecutor | None = None,
-) -> list[MergeItem]:
-    """Owner-grouped density pruning of the integrated table.
-
-    Each shard's candidates (plus the spill group) classify as one chunk
-    through the executor; classification is chunk-invariant, so survivors —
-    stitched back into original candidate order — are byte-identical to the
-    unsharded :func:`~repro.core.pruning.prune_item_table` call.
-    """
-    item_owners = _check_owners(table, item_owners, "integrated table")
-    return prune_item_table(table, store, config, executor=executor, owners=item_owners)

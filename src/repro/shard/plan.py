@@ -9,9 +9,9 @@ pairwise disjoint and jointly exhaustive — which the property tests pin
 across all four dataset generators and adversarially skewed inputs.
 
 Owner arrays ride through every merge level (propagated via the union-find's
-first-node map) and into owner-grouped pruning; they are snapshot into the
-session bundle (:func:`repro.store.codecs.shard_plan_state`) so a sharded
-fit can save → load → append.
+first-node map); they are snapshot into the session bundle
+(:func:`repro.store.codecs.shard_plan_state`) so a sharded fit can save →
+load → append.
 """
 
 from __future__ import annotations

@@ -69,13 +69,12 @@ from ..exceptions import StoreError
 
 
 @contextlib.contextmanager
-def atomic_output(path: str | os.PathLike, mode: str = "wb", *, fsync: bool = True):
+def atomic_output(path: str | os.PathLike, mode: str = "wb"):
     """Open a sibling temp file; publish it over ``path`` only on success.
 
-    The commit protocol shared by snapshot saves, retirement markers and the
-    benchmark JSON trail: write ``<path>.tmp.<pid>``, fsync it, publish with
-    one atomic ``os.replace``, then fsync the directory so the rename itself
-    is durable. An interrupted writer can never leave a truncated file
+    The commit protocol shared by snapshot saves and retirement markers:
+    write ``<path>.tmp.<pid>``, fsync it, publish with one atomic
+    ``os.replace``, then fsync the directory so the rename itself is durable. An interrupted writer can never leave a truncated file
     behind — the previous contents survive untouched and the temp file is
     removed on ordinary failure. A *crash* (a killed process — simulated by
     :class:`repro.faults.InjectedCrash`) leaves the partial temp file on
@@ -93,13 +92,11 @@ def atomic_output(path: str | os.PathLike, mode: str = "wb", *, fsync: bool = Tr
         handle = _faults.open_for_write(tmp_path, mode)
         try:
             yield handle
-            if fsync:
-                _faults.fsync_handle(handle)
+            _faults.fsync_handle(handle)
         finally:
             handle.close()
         _faults.replace(tmp_path, path)
-        if fsync:
-            _faults.fsync_dir(os.path.dirname(path) or ".")
+        _faults.fsync_dir(os.path.dirname(path) or ".")
     except BaseException as exc:
         # A simulated crash means the machine died mid-write: leave the
         # partial exactly as a real crash would, for recovery to deal with.

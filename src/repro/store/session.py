@@ -9,7 +9,7 @@ fitted encoder (IDF vocabulary / SVD basis), the integrated
 :class:`MatchSession` (or :func:`load_matcher`) restores it without
 re-running any pipeline stage: with ``mmap=True`` every vector plane is a
 zero-copy view over the mapped file, so a cold process starts answering
-``match_new_table`` / ``query`` calls in the time it takes to parse the
+``match_new_table`` / ``query_many`` calls in the time it takes to parse the
 manifest.
 
 Restores are exact: the snapshot records content digests of the integrated
@@ -36,10 +36,8 @@ import os
 
 import numpy as np
 
-from ..ann.cache import index_params_key
-from ..ann.mutual import create_index, resolve_backend
 from ..core.incremental import IncrementalMultiEM
-from ..core.merging import merge_index_kwargs
+from ..core.merging import plan_merge_index
 from ..data.table import Table
 from ..exceptions import StoreError
 from . import codecs
@@ -409,8 +407,8 @@ class _QueryContext:
     """Per-session query plumbing, resolved once instead of per request.
 
     Hoists everything a lookup needs that does not depend on the texts: the
-    encoder handle, the merge stage's index kwargs, the default distance
-    cutoff, and the query index itself. The index is held against the
+    encoder handle, the merging config, the default distance cutoff, and the
+    query index itself. The index is held against the
     identity of the integrated :class:`~repro.core.merging.ItemTable` it was
     looked up for — ``add_table`` and reload publish a new table object, and
     a published table is never mutated — so the cache (whose lookup
@@ -422,7 +420,6 @@ class _QueryContext:
         "representer",
         "merging",
         "cache",
-        "index_kwargs",
         "default_max_distance",
         "_table",
         "_index",
@@ -435,7 +432,6 @@ class _QueryContext:
         self.merging = merging
         self.cache = matcher._index_cache
         self.default_max_distance = merging.m
-        self.index_kwargs = merge_index_kwargs(merging)
         self._table = None
         self._index = None
 
@@ -447,25 +443,10 @@ class _QueryContext:
         return self._index
 
     def _lookup(self, table):
-        merging = self.merging
-        size = int(table.vectors.shape[0])
-
-        def build():
-            return create_index(
-                merging.index,
-                merging.metric,
-                size_hint=size,
-                brute_force_limit=merging.brute_force_limit,
-                **self.index_kwargs,
-            ).build(table.vectors)
-
-        if self.cache is None:
-            return build()
-        # Same params key the merge stage uses, so the lookup content-hits the
-        # index a previous merge already built (and a later merge hits this one).
-        resolved = resolve_backend(merging.index, size, merging.brute_force_limit)
-        params_key = index_params_key(resolved, merging.metric, self.index_kwargs)
-        return self.cache.get_or_build(table.vectors, build, params_key=params_key)
+        # Planned exactly as a merge plans its index, so the lookup content-hits
+        # the index a previous merge already built (and a later merge hits this one).
+        _, work, commit = plan_merge_index(table.vectors, self.merging, self.cache)
+        return commit(work())
 
 
 class MatchSession:
@@ -506,8 +487,8 @@ class MatchSession:
         """
         return self.matcher.add_table(table)
 
-    def query(self, texts, k: int = 1, max_distance: float | None = None):
-        """Nearest integrated tuples for raw serialized texts.
+    def query_many(self, texts, k: int = 1, max_distance: float | None = None):
+        """Nearest integrated tuples for raw serialized texts, batched.
 
         Encodes ``texts`` with the restored encoder and searches the
         integrated table with the configured ANN backend (the index is
@@ -516,12 +497,7 @@ class MatchSession:
         it — and held until ``add_table`` publishes a new table). Returns one list
         per text of ``(members, distance)`` pairs, nearest first; pairs
         beyond ``max_distance`` (default: the merging threshold ``m``) are
-        dropped. A thin alias of :meth:`query_many`.
-        """
-        return self.query_many(texts, k=k, max_distance=max_distance)
-
-    def query_many(self, texts, k: int = 1, max_distance: float | None = None):
-        """Batched nearest-tuple lookup; per-text answers are batch-invariant.
+        dropped.
 
         The serving plane's hot path: all per-session config plumbing lives
         in a prepared :class:`_QueryContext` built on first use, and the

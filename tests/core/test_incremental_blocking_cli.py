@@ -47,6 +47,53 @@ class TestIncrementalMultiEM:
         with pytest.raises(DataError):
             matcher.add_table(music_tiny.tables[names[0]])
 
+    def test_failed_refit_keeps_the_previous_fit(self, music_tiny, tmp_path, monkeypatch):
+        """A refit that dies in merging leaves no mix of new encoder and old table."""
+        import repro.core.merging as merging_module
+        from repro.store.codecs import embedding_store_digest, item_table_digest
+
+        def state(matcher):
+            return (
+                matcher.known_sources,
+                item_table_digest(matcher.integrated_table),
+                embedding_store_digest(matcher._store),
+            )
+
+        names = sorted(music_tiny.tables)
+        with IncrementalMultiEM(paper_default_config("music-20")) as matcher:
+            matcher.fit(music_tiny.subset(names[:3]))
+            matcher.save(tmp_path / "fit.snap")
+            before, representer, base = state(matcher), matcher._representer, matcher._base
+            assert base is not None
+
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError("injected")
+
+            monkeypatch.setattr(merging_module, "_merge_wave", out_of_memory)
+            with pytest.raises(MemoryError, match="injected"):
+                matcher.fit(music_tiny)
+            assert state(matcher) == before
+            assert matcher._representer is representer
+            assert matcher._base is base
+
+
+@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("parallel", (False, True))
+@pytest.mark.parametrize(
+    "fixture, name, num_tuples",
+    [("geo_tiny", "geo", 31), ("music_tiny", "music-20", 57), ("shopee_tiny", "shopee", 69)],
+)
+def test_fit_predicts_what_match_does(request, fixture, name, num_tuples, parallel, shards):
+    """``IncrementalMultiEM.fit`` and ``MultiEM.match`` run one pipeline body."""
+    dataset = request.getfixturevalue(fixture)
+    config = paper_default_config(name, parallel=parallel).with_overrides(
+        merging={"shards": shards}
+    )
+    with IncrementalMultiEM(config) as matcher:
+        fitted = matcher.fit(dataset).tuples
+    assert len(fitted) == num_tuples
+    assert fitted == MultiEM(config).match(dataset).tuples
+
 
 class TestBlocking:
     def test_token_blocking_recall_on_geo(self, geo_tiny):

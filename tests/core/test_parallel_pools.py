@@ -323,8 +323,6 @@ def test_self_made_executors_are_closed_and_a_callers_is_not(monkeypatch):
     merged, _ = hierarchical_merge_tables(list(tables), config)
     assert threading.active_count() == before
     assert prune_item_table(merged, store, PruningConfig(epsilon=1.0))
-    halves = np.arange(len(merged), dtype=np.int32) % 2  # the owner-grouped arm
-    assert prune_item_table(merged, store, PruningConfig(epsilon=1.0), owners=halves)
     merge_item_tables(tables[0], tables[1], config)
     sharded_hierarchical_merge(list(tables), owners, config)
     assert threading.active_count() == before

@@ -57,7 +57,7 @@ class TestMultiEMPipeline:
     def test_parallel_variant_same_predictions(self, geo_tiny):
         config = paper_default_config("geo")
         serial = MultiEM(config).match(geo_tiny)
-        parallel = MultiEM(config).parallelized(max_workers=2).match(geo_tiny)
+        parallel = MultiEM(config.with_overrides(parallel={"max_workers": 2})).match(geo_tiny)
         assert parallel.method == "MultiEM (parallel)"
         assert serial.tuples == parallel.tuples
 

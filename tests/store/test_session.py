@@ -85,7 +85,7 @@ class TestSessionRoundTrip:
         table = base.table_list()[0]
         texts = serialize_table(table, None, max_tokens=64)[:3]
         with MatchSession.load(snapshot_path) as session:
-            hits = session.query(texts, k=2)
+            hits = session.query_many(texts, k=2)
             assert len(hits) == 3
             # Each serialized record must find an integrated tuple containing it.
             for row, row_hits in enumerate(hits):
@@ -96,7 +96,7 @@ class TestSessionRoundTrip:
 
     def test_query_far_text_returns_nothing(self, snapshot_path):
         with MatchSession.load(snapshot_path) as session:
-            assert session.query(["zzz qqqqq xyzzy 000000 nothing alike"], k=1) == [[]]
+            assert session.query_many(["zzz qqqqq xyzzy 000000 nothing alike"], k=1) == [[]]
 
     def test_known_sources_and_digests(self, snapshot_path, split):
         base, _ = split
@@ -129,10 +129,6 @@ class TestQueryMany:
             front = session.query_many(probe_texts[:2], k=3)
             back = session.query_many(probe_texts[2:], k=3)
             assert front + back == batched
-
-    def test_query_is_a_thin_alias(self, snapshot_path, probe_texts):
-        with MatchSession.load(snapshot_path) as session:
-            assert session.query(probe_texts, k=2) == session.query_many(probe_texts, k=2)
 
     def test_max_distance_filtering_matches_serial(self, snapshot_path, probe_texts):
         with MatchSession.load(snapshot_path) as session:
@@ -179,30 +175,37 @@ class TestQueryIndexHolder:
             assert _cache_lookups(cache) == before + 1
 
     def test_cacheless_session_builds_once_per_table(self, split, monkeypatch):
-        from repro.store import session as session_module
+        from repro.ann import mutual as mutual_module
 
         base, held_out = split
         texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:3]
         config = paper_default_config(base.name).with_overrides(merging={"index_cache": False})
         builds = []
-        real_create_index = session_module.create_index
+        real_create_index = mutual_module.create_index
 
         def counting_create_index(*args, **kwargs):
             builds.append(1)
             return real_create_index(*args, **kwargs)
 
-        monkeypatch.setattr(session_module, "create_index", counting_create_index)
+        # Merges build through the same function: count the query loops only.
+        monkeypatch.setattr(mutual_module, "create_index", counting_create_index)
+        query_builds = []
+
+        def query_loop(calls: int) -> None:
+            before = len(builds)
+            for _ in range(calls):
+                session.query_many(texts, k=2)
+            query_builds.append(len(builds) - before)
+
         with IncrementalMultiEM(config) as matcher:
             matcher.fit(base)
             assert matcher._index_cache is None
             session = MatchSession(matcher)
-            for _ in range(6):
-                session.query_many(texts, k=2)
-            assert len(builds) == 1
+            query_loop(6)
+            assert sum(query_builds) == 1
             session.match_new_table(held_out)
-            for _ in range(5):
-                session.query_many(texts, k=2)
-            assert len(builds) == 2
+            query_loop(5)
+            assert sum(query_builds) == 2
 
 
 def _rewrite_manifest_meta(source, target, edit) -> None:
