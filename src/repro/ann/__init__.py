@@ -84,7 +84,6 @@ from .distances import (
     euclidean_distance_matrix,
     paired_distances,
     pairwise_distances,
-    point_distances,
 )
 from .hnsw import HNSWIndex
 from .lsh import LSHIndex
@@ -111,5 +110,4 @@ __all__ = [
     "paired_distances",
     "pairwise_distances",
     "batched_pairwise_distances",
-    "point_distances",
 ]

@@ -1,8 +1,8 @@
 """Vectorized distance kernels used by the ANN indexes and the pruning stage.
 
 The paper uses cosine distance in the merging phase and euclidean distance in
-the pruning phase; both are provided in pairwise (matrix) and point-to-set
-forms.
+the pruning phase; both are provided in pairwise (matrix), row-wise paired
+and prepared one-query-to-rows forms.
 """
 
 from __future__ import annotations
@@ -282,8 +282,3 @@ class PreparedVectors:
         squared = query_sq + self._squared_norms[rows] - 2.0 * products
         np.maximum(squared, 0.0, out=squared)
         return np.sqrt(squared)
-
-
-def point_distances(query: np.ndarray, points: np.ndarray, metric: str = "cosine") -> np.ndarray:
-    """Distances from a single query vector to every row of ``points``."""
-    return distance_matrix(query[None, :], points, metric)[0]

@@ -93,8 +93,10 @@ class LSHIndex(NearestNeighborIndex):
         seed: int = 0,
     ) -> None:
         super().__init__(metric)
-        if num_tables < 1 or num_bits < 1:
-            raise IndexError_("num_tables and num_bits must be >= 1")
+        if num_tables < 1:
+            raise IndexError_("num_tables must be >= 1")
+        if not 1 <= num_bits <= 63:  # signatures are int64 bit patterns
+            raise IndexError_("num_bits must be in [1, 63]")
         self.num_tables = num_tables
         self.num_bits = num_bits
         self.probe_neighbors = probe_neighbors

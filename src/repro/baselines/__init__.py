@@ -3,14 +3,13 @@
 from .almser import ALMSERGraphBoosted
 from .autofj import AutoFuzzyJoin
 from .common import jaccard, pair_features, serialized_lookup, vanilla_embeddings
-from .extension import pairs_to_tuples, tuples_from_pair_lists
+from .extension import pairs_to_tuples
 from .mscd import MSCDAP, MSCDHAC
 from .supervised import DittoMatcher, EmbeddingPairClassifier, LogisticRegression, PromptEMMatcher
 from .two_table import ChainMatchingDriver, MatchedPair, PairwiseMatchingDriver, TwoTableMatcher
 
 __all__ = [
     "pairs_to_tuples",
-    "tuples_from_pair_lists",
     "TwoTableMatcher",
     "MatchedPair",
     "PairwiseMatchingDriver",

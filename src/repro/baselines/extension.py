@@ -25,15 +25,3 @@ def pairs_to_tuples(pairs: Iterable[tuple[EntityRef, EntityRef]]) -> set[MatchTu
     """
     groups = match_groups(pairs, min_size=2)
     return {frozenset(group) for group in groups}
-
-
-def tuples_from_pair_lists(pair_lists: Iterable[Iterable[tuple[EntityRef, EntityRef]]]) -> set[MatchTuple]:
-    """Union several per-table-pair match lists, then convert to tuples.
-
-    Pairwise and chain matching both produce one pair list per two-table run;
-    the union of those lists feeds Algorithm 5.
-    """
-    all_pairs: list[tuple[EntityRef, EntityRef]] = []
-    for pair_list in pair_lists:
-        all_pairs.extend(pair_list)
-    return pairs_to_tuples(all_pairs)

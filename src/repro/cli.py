@@ -51,7 +51,7 @@ from .config import paper_default_config
 from .core import MultiEM
 from .data import EntityRef, load_dataset, save_dataset
 from .data.dataset import MultiTableDataset
-from .data.generators import DATASET_NAMES, load_benchmark
+from .data.generators import DATASET_NAMES, PROFILES, load_benchmark
 from .data.io import refs_to_json
 from .evaluation import evaluate_tuples, format_table
 from .exceptions import ReproError
@@ -379,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="write a synthetic benchmark to disk")
     generate.add_argument("dataset", choices=list(DATASET_NAMES) + ["product"])
-    generate.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    generate.add_argument("--profile", default="tiny", choices=PROFILES)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--output", required=True)
     generate.set_defaults(func=_cmd_generate)
 
     match = sub.add_parser("match", help="run MultiEM on a benchmark or dataset directory")
     match.add_argument("dataset", help="benchmark name or dataset directory")
-    match.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    match.add_argument("--profile", default="tiny", choices=PROFILES)
     match.add_argument("--seed", type=int, default=0)
     match.add_argument(
         "--parallel", action=argparse.BooleanOptionalAction, default=True,
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd = sub.add_parser("evaluate", help="score a predictions JSON file")
     evaluate_cmd.add_argument("dataset", help="benchmark name or dataset directory")
     evaluate_cmd.add_argument("predictions", help="JSON file written by `match --output`")
-    evaluate_cmd.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    evaluate_cmd.add_argument("--profile", default="tiny", choices=PROFILES)
     evaluate_cmd.add_argument("--seed", type=int, default=0)
     evaluate_cmd.add_argument("--method", default="custom")
     evaluate_cmd.set_defaults(func=_cmd_evaluate)
@@ -417,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="regenerate one of the paper's tables")
     report.add_argument("table", choices=("table3", "table4", "table5", "table6", "table7"))
     report.add_argument("--datasets", nargs="+", default=["geo", "music-20"])
-    report.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    report.add_argument("--profile", default="tiny", choices=PROFILES)
     report.set_defaults(func=_cmd_report)
 
     snapshot = sub.add_parser("snapshot", help="save or inspect fitted pipeline snapshots")
     snapshot_sub = snapshot.add_subparsers(dest="snapshot_command", required=True)
     snap_save = snapshot_sub.add_parser("save", help="fit a dataset and snapshot the state")
     snap_save.add_argument("dataset", help="benchmark name or dataset directory")
-    snap_save.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    snap_save.add_argument("--profile", default="tiny", choices=PROFILES)
     snap_save.add_argument("--seed", type=int, default=0)
     snap_save.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True)
     snap_save.add_argument(
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_append.add_argument("snapshot", help="base snapshot or chain tip to extend")
     snap_append.add_argument("dataset", help="benchmark name or dataset directory holding the new table")
     snap_append.add_argument("--table", required=True, help="name of the table to fold in")
-    snap_append.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    snap_append.add_argument("--profile", default="tiny", choices=PROFILES)
     snap_append.add_argument("--seed", type=int, default=0)
     snap_append.add_argument("--copy", action="store_true",
                              help="materialize arrays instead of memory-mapping them")
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("snapshot", help="snapshot file written by `snapshot save`")
     serve.add_argument("dataset", help="benchmark name or dataset directory holding the new table")
     serve.add_argument("--table", required=True, help="name of the table to fold in")
-    serve.add_argument("--profile", default="tiny", choices=("tiny", "bench", "paper"))
+    serve.add_argument("--profile", default="tiny", choices=PROFILES)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--copy", action="store_true",
                        help="materialize arrays instead of memory-mapping them")

@@ -145,16 +145,22 @@ class MergingConfig:
     def validate(self) -> None:
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
-        if self.m < 0:
-            raise ConfigurationError("m must be non-negative")
+        if not self.m >= 0:  # also rejects NaN; inf is legal
+            raise ConfigurationError("m must be a non-negative number")
         if self.metric not in ("cosine", "euclidean"):
             raise ConfigurationError(f"unknown merging metric {self.metric!r}")
         if self.index not in ("auto", "hnsw", "brute-force", "lsh"):
             raise ConfigurationError(f"unknown index backend {self.index!r}")
         if self.brute_force_limit < 1:
             raise ConfigurationError("brute_force_limit must be >= 1")
-        if self.lsh_num_tables < 1 or self.lsh_num_bits < 1:
-            raise ConfigurationError("lsh_num_tables and lsh_num_bits must be >= 1")
+        if self.hnsw_max_degree < 2:
+            raise ConfigurationError("hnsw_max_degree must be >= 2")
+        if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
+            raise ConfigurationError("hnsw_ef_construction and hnsw_ef_search must be >= 1")
+        if self.lsh_num_tables < 1:
+            raise ConfigurationError("lsh_num_tables must be >= 1")
+        if not 1 <= self.lsh_num_bits <= 63:  # signatures are int64 bit patterns
+            raise ConfigurationError("lsh_num_bits must be in [1, 63]")
         if self.index_cache_entries < 1:
             raise ConfigurationError("index_cache_entries must be >= 1")
         if self.shards < 1:
@@ -178,6 +184,13 @@ class PruningConfig:
             cap). Any value yields byte-identical output (blocking never
             changes a tuple's arithmetic); it only trades peak block memory
             for call count.
+
+    When pruning is a no-op: embeddings are unit-norm, so
+    ``‖a − b‖ = √(2 · d_cos(a, b))`` and a pair merged at cosine distance
+    ≤ ``m`` lies within euclidean distance ``√(2m)``. With ``min_pts = 2``
+    (self included) both members of a two-member tuple are then core for any
+    ``epsilon ≥ √(2m)``, so pruning cannot touch such a tuple
+    (``tests/core/test_pruning.py`` pins this on three generators).
     """
 
     enabled: bool = True
@@ -187,8 +200,8 @@ class PruningConfig:
     batch_rows: int = 8192
 
     def validate(self) -> None:
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not self.epsilon > 0:  # also rejects NaN; inf is legal
+            raise ConfigurationError("epsilon must be a positive number")
         if self.min_pts < 1:
             raise ConfigurationError("min_pts must be >= 1")
         if self.metric not in ("cosine", "euclidean"):

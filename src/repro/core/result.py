@@ -75,7 +75,3 @@ class MatchResult:
     def pairs(self) -> set[tuple[EntityRef, EntityRef]]:
         """Predicted matched pairs implied by the predicted tuples."""
         return tuples_to_pairs(self.tuples)
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs())

@@ -8,7 +8,7 @@ ground-truth matched tuples used for evaluation (Definition 2 in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..exceptions import DataError, SchemaError
 from .entity import Entity, EntityRef
@@ -101,11 +101,6 @@ class MultiTableDataset:
         for table in self.table_list():
             refs.extend(table.refs())
         return refs
-
-    def iter_entities(self) -> Iterator[Entity]:
-        """Iterate over every entity in every table."""
-        for table in self.table_list():
-            yield from table.entities()
 
     def truth_pairs(self) -> set[tuple[EntityRef, EntityRef]]:
         """Expand ground-truth tuples into the set of matched pairs.

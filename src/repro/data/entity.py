@@ -57,17 +57,6 @@ class Entity:
         """Return the value of ``attribute`` or ``default`` if absent."""
         return self.values.get(attribute, default)
 
-    def project(self, attributes: list[str] | tuple[str, ...]) -> "Entity":
-        """Return a copy of the entity restricted to ``attributes``.
-
-        Unknown attribute names raise :class:`SchemaError` — the enhanced
-        representation module relies on this to catch configuration slips.
-        """
-        missing = [a for a in attributes if a not in self.values]
-        if missing:
-            raise SchemaError(f"entity {self.ref} is missing attributes {missing}")
-        return Entity(self.ref, {a: self.values[a] for a in attributes})
-
     def items(self) -> Iterator[tuple[str, str]]:
         """Iterate over ``(attribute, value)`` pairs in schema order."""
         return iter(self.values.items())

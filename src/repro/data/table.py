@@ -119,16 +119,6 @@ class Table:
         clone._rows = new_rows
         return clone
 
-    def project(self, attributes: Sequence[str]) -> "Table":
-        """Return a copy restricted to ``attributes`` (keeping row order)."""
-        missing = [a for a in attributes if a not in self.schema]
-        if missing:
-            raise SchemaError(f"table {self.name!r} has no attributes {missing}")
-        positions = [self.schema.index(a) for a in attributes]
-        clone = Table(self.name, tuple(attributes))
-        clone._rows = [tuple(row[p] for p in positions) for row in self._rows]
-        return clone
-
     def sample(self, ratio: float, rng: np.random.Generator) -> "Table":
         """Return a random sample of the rows (at least one row)."""
         if not 0 < ratio <= 1:

@@ -1,4 +1,4 @@
-"""Embedding substrate: Sentence-BERT substitutes and pooling utilities.
+"""Embedding substrate: Sentence-BERT substitutes and the medoid pooling ablation.
 
 The default :class:`HashedNGramEncoder` runs on the columnar CSR token
 layout from :mod:`repro.text.tokenizer`: one flat token array plus per-text
@@ -13,7 +13,7 @@ integer splices of a shared column token index).
 from .base import SentenceEncoder, normalize_rows
 from .cache import CachingEncoder
 from .hashed import HashedNGramEncoder
-from .pooling import max_pool, mean_pool, medoid_pool
+from .pooling import medoid_pool
 from .random_projection import GaussianRandomProjection
 from .svd import TfidfSvdEncoder
 
@@ -24,8 +24,6 @@ __all__ = [
     "TfidfSvdEncoder",
     "CachingEncoder",
     "GaussianRandomProjection",
-    "mean_pool",
-    "max_pool",
     "medoid_pool",
 ]
 

@@ -1,9 +1,9 @@
-"""Pooling operators over token-level embedding matrices.
+"""Medoid pooling for the representative-vector design ablation.
 
-The paper uses mean pooling over Sentence-BERT token embeddings. The encoders
-in this package pool internally, but the operators are exposed for reuse (for
-example the merging stage mean-pools member embeddings into the representative
-vector of a merged item).
+The paper uses mean pooling over Sentence-BERT token embeddings; the encoders
+in this package pool internally, and the merging stage computes a merged
+item's mean representative with ``core/merging.py::bucketed_weighted_mean``.
+The medoid is the alternative the design ablation compares against it.
 """
 
 from __future__ import annotations
@@ -11,30 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import DataError
-
-
-def mean_pool(vectors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted mean of row vectors (uniform weights by default)."""
-    vectors = np.asarray(vectors, dtype=np.float32)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise DataError("mean_pool expects a non-empty (n, d) matrix")
-    if weights is None:
-        return vectors.mean(axis=0)
-    weights = np.asarray(weights, dtype=np.float32)
-    if weights.shape[0] != vectors.shape[0]:
-        raise DataError("weights length must match number of vectors")
-    total = float(weights.sum())
-    if total <= 0:
-        return vectors.mean(axis=0)
-    return (weights[:, None] * vectors).sum(axis=0) / total
-
-
-def max_pool(vectors: np.ndarray) -> np.ndarray:
-    """Element-wise maximum of row vectors."""
-    vectors = np.asarray(vectors, dtype=np.float32)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise DataError("max_pool expects a non-empty (n, d) matrix")
-    return vectors.max(axis=0)
 
 
 def medoid_pool(vectors: np.ndarray) -> np.ndarray:

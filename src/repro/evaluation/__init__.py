@@ -9,7 +9,7 @@ from .metrics import (
     tuple_scores,
 )
 from .profiler import ProfiledRun, format_duration, format_memory, profile_call
-from .report import format_table, markdown_table
+from .report import format_table
 from .sampling import LabeledPair, PairSample, sample_labeled_pairs
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "format_duration",
     "format_memory",
     "format_table",
-    "markdown_table",
 ]

@@ -36,10 +36,6 @@ class PrecisionRecallF1:
         f1 = 2 * precision * recall / denominator if denominator else 0.0
         return PrecisionRecallF1(precision, recall, f1)
 
-    def as_percentages(self) -> tuple[float, float, float]:
-        """The triple scaled to 0-100 (as reported in the paper's tables)."""
-        return (100 * self.precision, 100 * self.recall, 100 * self.f1)
-
 
 @dataclass(frozen=True)
 class EvaluationReport:

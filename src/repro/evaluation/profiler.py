@@ -25,10 +25,6 @@ class ProfiledRun:
     elapsed_seconds: float
     peak_memory_bytes: int
 
-    @property
-    def peak_memory_mb(self) -> float:
-        return self.peak_memory_bytes / (1024 * 1024)
-
 
 def profile_call(function: Callable[[], T]) -> ProfiledRun:
     """Run ``function`` once, measuring wall-clock time and peak memory."""

@@ -47,17 +47,3 @@ def _render(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.1f}"
     return str(value)
-
-
-def markdown_table(
-    rows: Sequence[Mapping[str, object]], columns: Sequence[str] | None = None, missing: str = "-"
-) -> str:
-    """Render rows as a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-    if not rows:
-        return "(no rows)"
-    columns = list(columns) if columns is not None else list(rows[0].keys())
-    lines = ["| " + " | ".join(str(c) for c in columns) + " |"]
-    lines.append("|" + "|".join("---" for _ in columns) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_render(row.get(c, missing)) for c in columns) + " |")
-    return "\n".join(lines)

@@ -28,10 +28,6 @@ class PairSample:
     valid: list[LabeledPair] = field(default_factory=list)
     test: list[LabeledPair] = field(default_factory=list)
 
-    @property
-    def num_train_positive(self) -> int:
-        return sum(1 for _, _, label in self.train if label)
-
 
 def _random_negative(
     dataset: MultiTableDataset,

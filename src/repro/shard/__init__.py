@@ -7,10 +7,10 @@ keeping the output **byte-identical to the unsharded pipeline** at any shard
 count, key family, or executor backend:
 
 * :mod:`repro.shard.partition` — the deterministic partitioner: every input
-  row hashes to a shard through the existing blocking machinery, either its
+  row hashes to a shard through code the pipeline already runs, either its
   LSH bucket signatures (:func:`repro.ann.lsh.bucket_keys`, the same planes
-  an ``LSHIndex`` draws) or its token-blocking keys
-  (:mod:`repro.blocking.token_blocking`'s serialization + tokenizer). A row's
+  an ``LSHIndex`` draws) or its token keys (the distinct word tokens of its
+  serialized record, three characters or longer). A row's
   keys vote; the plurality shard owns the row, and rows whose keys straddle
   shards without a winner land in the *spill* set.
 * :mod:`repro.shard.plan` — :class:`ShardPlan`: per-table ``int32`` owner

@@ -1,4 +1,4 @@
-"""Deterministic row-to-shard assignment via the existing blocking machinery.
+"""Deterministic row-to-shard assignment from LSH signatures or record tokens.
 
 Two key families, both reusing code paths the pipeline already trusts:
 
@@ -7,10 +7,9 @@ Two key families, both reusing code paths the pipeline already trusts:
   arithmetic to what an :class:`~repro.ann.lsh.LSHIndex` buckets internally);
   each signature is mixed with its table id through a splitmix64 finalizer
   and reduced mod ``num_shards``.
-* ``"token"`` — each record serializes and tokenizes exactly like
-  :class:`~repro.blocking.token_blocking.TokenBlocker` (same serializer, same
-  tokenizer, same minimum token length), and every blocking token hashes to a
-  shard through BLAKE2b.
+* ``"token"`` — each record is serialized (:func:`serialize_entity`) and
+  tokenized (:func:`word_tokens`); every distinct token of at least
+  ``MIN_TOKEN_LENGTH`` characters hashes to a shard through BLAKE2b.
 
 A row's keys then *vote*: the plurality shard owns the row; a tie between
 shards, or a row with no keys at all, goes to the spill set (owner id
@@ -34,7 +33,7 @@ from ..data.table import Table
 from ..exceptions import ShardError
 from ..text.tokenizer import word_tokens
 
-#: Token-blocking minimum key length, mirroring ``TokenBlocker``'s default.
+#: Shortest word token that counts as a row's key (shorter ones are too common).
 MIN_TOKEN_LENGTH = 3
 
 
@@ -54,10 +53,11 @@ def token_row_keys(
     *,
     min_token_length: int = MIN_TOKEN_LENGTH,
 ) -> list[list[str]]:
-    """Per-row token blocking keys, mirroring ``TokenBlocker._blocking_keys``.
+    """Per-row token keys.
 
-    Each row's keys are its deduplicated word tokens of at least
-    ``min_token_length`` characters, sorted for a deterministic vote order.
+    Each row's keys are the deduplicated word tokens of its serialized record
+    of at least ``min_token_length`` characters, sorted for a deterministic
+    vote order.
     """
     keys: list[list[str]] = []
     for entity in table.entities():

@@ -453,13 +453,3 @@ def embedding_store_digest(store: EmbeddingStore) -> str:
     """Content digest of an embedding store (per-source blocks, in order)."""
     meta, arrays = embedding_store_state(store)
     return arrays_digest(arrays, *meta["tables"])
-
-
-def tuples_digest(tuples) -> str:
-    """Order-independent digest of predicted match tuples."""
-    import hashlib
-
-    canonical = sorted(
-        ",".join(f"{ref.source}:{ref.index}" for ref in sorted(group)) for group in tuples
-    )
-    return hashlib.blake2b("|".join(canonical).encode(), digest_size=16).hexdigest()

@@ -170,11 +170,6 @@ class SnapshotWriter:
         self._by_buffer[buffer_key] = name
         self._arrays[name] = array
 
-    def add_strings(self, name: str, strings: Iterable[str]) -> None:
-        """Register a list of strings as a UTF-8 bytes + offsets array pair."""
-        for suffix, array in string_table_arrays(strings).items():
-            self.add_array(name + suffix, array)
-
     def set_meta(self, meta: Any) -> None:
         """Attach the manifest's ``meta`` tree (must be JSON-serializable)."""
         self._meta = meta
@@ -424,10 +419,6 @@ class Snapshot:
             raise StoreError(f"snapshot has no array {name!r}")
         return self._view(self._buffer, name)
 
-    def strings(self, name: str) -> list[str]:
-        """Decode a string list written by :meth:`SnapshotWriter.add_strings`."""
-        return strings_from_arrays({suffix: self.array(name + suffix) for suffix in _STRING_SUFFIXES}, "")
-
     def total_bytes(self) -> int:
         """Total unique segment bytes (aliased entries share one segment)."""
         return sum(
@@ -660,14 +651,12 @@ def decode_strings(utf8: np.ndarray, offsets: np.ndarray) -> list[str]:
     return [blob[start:stop].decode("utf-8") for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-#: The array-name suffixes one string table occupies — the single definition
-#: of the convention shared by :meth:`SnapshotWriter.add_strings`,
-#: :meth:`Snapshot.strings`, and the object codecs.
-_STRING_SUFFIXES = ("#utf8", "#offsets")
-
-
 def string_table_arrays(strings: Iterable[str]) -> "dict[str, np.ndarray]":
-    """A string list as its ``{suffix: array}`` table (see ``_STRING_SUFFIXES``)."""
+    """A string list as its ``{"#utf8": bytes, "#offsets": bounds}`` table.
+
+    The object codecs store it under a name prefix; :func:`strings_from_arrays`
+    reads it back.
+    """
     utf8, offsets = encode_strings(strings)
     return {"#utf8": utf8, "#offsets": offsets}
 

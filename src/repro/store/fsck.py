@@ -124,12 +124,6 @@ class FsckReport:
         """No unresolved damage (quarantined/swept files count as handled)."""
         return all(status.ok for status in self.files)
 
-    def status_of(self, name: str) -> "FileStatus | None":
-        for status in self.files:
-            if status.name == name:
-                return status
-        return None
-
     def format_table(self) -> str:
         """Human-readable per-file status table (the CLI's output)."""
         width = max([len(s.name) for s in self.files] + [4])

@@ -1,9 +1,8 @@
 """Text substrate: normalization, tokenizers, vocabulary, TF-IDF, hashing.
 
-Corpus-level batch entry points (:func:`normalize_batch`,
-:func:`word_tokens_batch`) tokenize whole lists into a flat CSR
-:class:`TokenTable` (one token array + per-text offsets); the hashed encoder
-and Algorithm 1 run off that columnar layout.
+The corpus-level batch entry point :func:`word_tokens_batch` tokenizes whole
+lists into a flat CSR :class:`TokenTable` (one token array + per-text
+offsets); the hashed encoder and Algorithm 1 run off that columnar layout.
 """
 
 from .hashing import bucket, fnv1a_64, signed_bucket
@@ -12,7 +11,6 @@ from .tokenizer import (
     TokenTable,
     char_ngrams,
     normalize,
-    normalize_batch,
     text_ngrams,
     truncate_tokens,
     word_tokens,
@@ -22,7 +20,6 @@ from .vocab import Vocabulary
 
 __all__ = [
     "normalize",
-    "normalize_batch",
     "word_tokens",
     "word_tokens_batch",
     "TokenTable",

@@ -8,20 +8,15 @@ Two tokenizers are provided:
   robust to the typos and abbreviations the corruption model (and real data)
   introduce.
 
-Corpus-level batch APIs back the columnar text substrate:
-
-* :func:`normalize_batch` — :func:`normalize` over a whole list with an
-  ASCII fast path that skips the per-character Unicode machinery.
-* :func:`word_tokens_batch` — tokenizes a whole corpus into a
-  :class:`TokenTable`, a flat CSR token table: one flat token array plus
-  per-text offsets (``tokens[offsets[i]:offsets[i + 1]]`` are text ``i``'s
-  tokens, in order). The corpus is joined and normalized in one pass and the
-  regex scan runs offset-windowed over that single flat string, so no
-  per-text intermediate strings are materialized on the ASCII path.
-
-Both batch APIs produce byte-identical tokens to their per-string
-counterparts (property-tested), which the hashed encoder and Algorithm 1
-rely on for end-to-end byte identity.
+The corpus-level batch API backs the columnar text substrate:
+:func:`word_tokens_batch` tokenizes a whole corpus into a
+:class:`TokenTable`, a flat CSR token table: one flat token array plus
+per-text offsets (``tokens[offsets[i]:offsets[i + 1]]`` are text ``i``'s
+tokens, in order). The corpus is joined and normalized in one pass and the
+regex scan runs offset-windowed over that single flat string, so no per-text
+intermediate strings are materialized on the ASCII path. Its tokens are
+byte-identical to :func:`word_tokens`' (property-tested), which the hashed
+encoder and Algorithm 1 rely on for end-to-end byte identity.
 """
 
 from __future__ import annotations
@@ -92,19 +87,6 @@ class TokenTable:
             base += table.offsets[-1]
         return cls(tokens=tokens, offsets=np.concatenate(parts))
 
-    @classmethod
-    def from_lists(cls, token_lists: Sequence[Sequence[str]]) -> "TokenTable":
-        """Build a table from per-text token lists."""
-        offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in token_lists], out=offsets[1:])
-        flat: list[str] = []
-        for row in token_lists:
-            flat.extend(row)
-        tokens = np.empty(len(flat), dtype=object)
-        if flat:
-            tokens[:] = flat
-        return cls(tokens=tokens, offsets=offsets)
-
 
 def _batch_corpus(texts: Sequence[str]) -> tuple[str, list[int]]:
     """Join + normalize a corpus in one pass; returns ``(corpus, lengths)``.
@@ -126,15 +108,6 @@ def _batch_corpus(texts: Sequence[str]) -> tuple[str, list[int]]:
         stripped = "".join(c for c in nfkd if not unicodedata.combining(c))
         parts.append(stripped.lower())
     return _BATCH_SEPARATOR.join(parts), [len(part) for part in parts]
-
-
-def normalize_batch(texts: Sequence[str]) -> list[str]:
-    """:func:`normalize` over a whole corpus (ASCII fast path)."""
-    if not texts:
-        return []
-    if _BATCH_SEPARATOR.join(texts).isascii():
-        return [" ".join(text.lower().split()) for text in texts]
-    return [normalize(text) for text in texts]
 
 
 def word_tokens_batch(texts: Sequence[str]) -> TokenTable:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -84,7 +84,3 @@ class Vocabulary:
         if df == 0:
             return 0.0
         return float(np.log(self.num_documents / df))
-
-    def idf_vector(self, tokens: Sequence[str]) -> np.ndarray:
-        """IDF weights for a token sequence (out-of-vocabulary gets max weight)."""
-        return np.array([self.idf(token) for token in tokens], dtype=np.float64)

@@ -8,7 +8,6 @@ from repro.ann import (
     distance_matrix,
     euclidean_distance_matrix,
     pairwise_distances,
-    point_distances,
 )
 from repro.exceptions import ConfigurationError
 
@@ -62,10 +61,3 @@ def test_pairwise_distances_symmetric_zero_diagonal():
     matrix = pairwise_distances(vectors, "euclidean")
     assert np.allclose(matrix, matrix.T, atol=1e-5)
     assert np.allclose(np.diag(matrix), 0.0, atol=1e-4)
-
-
-def test_point_distances_shape():
-    points = np.random.default_rng(2).normal(size=(7, 3))
-    distances = point_distances(points[0], points, "cosine")
-    assert distances.shape == (7,)
-    assert np.isclose(distances[0], 0.0, atol=1e-5)

@@ -7,7 +7,6 @@ from repro.baselines import (
     PairwiseMatchingDriver,
     TwoTableMatcher,
     pairs_to_tuples,
-    tuples_from_pair_lists,
 )
 from repro.data import EntityRef, Table
 from repro.exceptions import BaselineUnsupportedError
@@ -41,13 +40,6 @@ class TestPairsToTuples:
         tuples = pairs_to_tuples(pairs)
         assert len(tuples) == 1
         assert len(next(iter(tuples))) == 4
-
-    def test_tuples_from_pair_lists_unions(self):
-        list_a = [(_ref("A", 0), _ref("B", 0))]
-        list_b = [(_ref("B", 0), _ref("C", 0))]
-        tuples = tuples_from_pair_lists([list_a, list_b])
-        assert len(tuples) == 1
-
 
 class ExactTitleMatcher(TwoTableMatcher):
     """Toy matcher: exact match on the first attribute."""

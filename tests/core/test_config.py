@@ -57,6 +57,44 @@ def test_pruning_config_validation():
         PruningConfig(metric="other").validate()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, cli_flag",
+    [
+        ("merging", "m", float("nan"), "--m"),
+        ("pruning", "epsilon", float("nan"), "--epsilon"),
+        ("merging", "hnsw_max_degree", 1, None),
+        ("merging", "hnsw_ef_search", 0, None),
+        ("merging", "hnsw_ef_construction", 0, None),
+        ("merging", "lsh_num_bits", 64, None),
+        ("merging", "lsh_num_bits", 200, None),
+    ],
+)
+def test_values_that_would_change_or_break_output_are_refused(section, key, value, cli_flag, capsys):
+    """NaN thresholds used to match nothing; bad index knobs failed at the first build."""
+    from repro import MultiEM
+    from repro.ann import LSHIndex
+    from repro.cli import main as cli_main
+    from repro.exceptions import IndexError_
+
+    config = MultiEMConfig().with_overrides(**{section: {key: value}})
+    with pytest.raises(ConfigurationError):
+        config.validate()
+    with pytest.raises(ConfigurationError):
+        MultiEM(config)
+    if key == "lsh_num_bits":
+        with pytest.raises(IndexError_):
+            LSHIndex(num_bits=value)
+    if cli_flag is not None:
+        assert cli_main(["match", "geo", cli_flag, str(value)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_infinite_thresholds_stay_legal():
+    MergingConfig(m=float("inf")).validate()
+    PruningConfig(epsilon=float("inf")).validate()
+    MergingConfig(hnsw_max_degree=2, hnsw_ef_search=1, hnsw_ef_construction=1, lsh_num_bits=63).validate()
+
+
 def test_parallel_config_validation():
     with pytest.raises(ConfigurationError):
         ParallelConfig(max_workers=0).validate()

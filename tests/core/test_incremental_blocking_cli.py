@@ -1,17 +1,15 @@
-"""Tests for incremental matching, the blocking substrate, and the CLI."""
+"""Tests for incremental matching and the CLI."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import MultiEM, evaluate, paper_default_config
-from repro.blocking import TokenBlocker, neighborhood_candidates
 from repro.cli import main as cli_main
 from repro.core.incremental import IncrementalMultiEM
 from repro.core.representation import EntityRepresenter
 from repro.data import Table
-from repro.exceptions import ConfigurationError, DataError, SchemaError
+from repro.exceptions import DataError, SchemaError
 
 
 class TestIncrementalMultiEM:
@@ -93,60 +91,6 @@ def test_fit_predicts_what_match_does(request, fixture, name, num_tuples, parall
         fitted = matcher.fit(dataset).tuples
     assert len(fitted) == num_tuples
     assert fitted == MultiEM(config).match(dataset).tuples
-
-
-class TestBlocking:
-    def test_token_blocking_recall_on_geo(self, geo_tiny):
-        blocker = TokenBlocker()
-        tables = geo_tiny.table_list()
-        all_pairs = set()
-        for i, left in enumerate(tables):
-            for right in tables[i + 1 :]:
-                pairs, stats = blocker.candidate_pairs(left, right)
-                all_pairs |= pairs
-                assert stats.num_blocks > 0
-        recall = blocker.recall(all_pairs, geo_tiny.truth_pairs())
-        assert recall > 0.8
-
-    def test_token_blocking_skips_huge_blocks(self):
-        rows = [(f"common word{i}",) for i in range(30)]
-        left = Table("L", ("t",), rows)
-        right = Table("R", ("t",), rows)
-        blocker = TokenBlocker(max_block_size=3)
-        pairs, stats = blocker.candidate_pairs(left, right)
-        assert stats.num_skipped_blocks >= 1
-
-    def test_token_blocking_validation(self):
-        with pytest.raises(ConfigurationError):
-            TokenBlocker(max_block_size=1)
-        with pytest.raises(ConfigurationError):
-            TokenBlocker(min_token_length=0)
-
-    def test_neighborhood_blocking_contains_truth_neighbours(self, geo_tiny, representer):
-        tables = geo_tiny.table_list()[:2]
-        left_emb = representer.encode_table(tables[0])
-        right_emb = representer.encode_table(tables[1])
-        result = neighborhood_candidates(
-            left_emb.refs, left_emb.vectors, right_emb.refs, right_emb.vectors, k=3
-        )
-        assert result.candidates_per_record <= 3 + 1e-9
-        truth_between = {
-            (a, b)
-            for a, b in geo_tiny.truth_pairs()
-            if {a.source, b.source} == {tables[0].name, tables[1].name}
-        }
-        if truth_between:
-            covered = sum(
-                1 for a, b in truth_between
-                if (a, b) in result.pairs or (b, a) in result.pairs
-            )
-            assert covered / len(truth_between) > 0.6
-
-    def test_neighborhood_blocking_validation(self):
-        with pytest.raises(ConfigurationError):
-            neighborhood_candidates([], np.zeros((0, 4)), [], np.zeros((0, 4)), k=0)
-        empty = neighborhood_candidates([], np.zeros((0, 4)), [], np.zeros((0, 4)), k=2)
-        assert empty.pairs == set()
 
 
 class TestCLI:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ParallelConfig
-from repro.core import MatchResult, StageTimings, partition, tuples_to_pairs
+from repro.core import StageTimings, partition, tuples_to_pairs
 from repro.core.parallel import ParallelExecutor
 from repro.data import EntityRef
 from repro.exceptions import ConfigurationError
@@ -53,16 +53,6 @@ class TestResults:
         pairs = tuples_to_pairs(tuples)
         assert len(pairs) == 3
         assert all(a < b for a, b in pairs)
-
-    def test_match_result_pair_count(self):
-        result = MatchResult(
-            tuples={
-                frozenset({EntityRef("A", 0), EntityRef("B", 0)}),
-                frozenset({EntityRef("A", 1), EntityRef("B", 1), EntityRef("C", 1)}),
-            }
-        )
-        assert result.num_tuples == 2
-        assert result.num_pairs == 1 + 3
 
     def test_stage_timings_total(self):
         timings = StageTimings(attribute_selection=1.0, representation=2.0, merging=3.0, pruning=4.0)

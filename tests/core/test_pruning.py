@@ -142,3 +142,23 @@ def test_prune_items_parallel_matches_serial(prune):
 
 def test_prune_items_empty_input(prune):
     assert prune([], {}, PruningConfig()) == []
+
+
+@pytest.mark.parametrize("m", (0.35, 0.5))
+@pytest.mark.parametrize(
+    "fixture, name", [("geo_tiny", "geo"), ("music_tiny", "music-20"), ("shopee_tiny", "shopee")]
+)
+def test_pair_tuples_survive_once_epsilon_covers_the_merge_threshold(request, fixture, name, m):
+    """Unit-norm vectors: a pair merged at d_cos <= m is within euclidean √(2m)."""
+    from repro import MultiEM, paper_default_config
+
+    dataset = request.getfixturevalue(fixture)
+    config = paper_default_config(name, parallel=False).with_overrides(
+        merging={"m": m}, pruning={"epsilon": float(np.sqrt(2 * m)) + 1e-4}
+    )
+    assert config.merging.metric == "cosine" and config.pruning.metric == "euclidean"
+    assert config.pruning.min_pts == 2
+    unpruned = MultiEM(config.with_overrides(pruning={"enabled": False})).match(dataset).tuples
+    pairs = {group for group in unpruned if len(group) == 2}
+    assert pairs
+    assert pairs <= MultiEM(config).match(dataset).tuples

@@ -94,8 +94,3 @@ def test_subset_drops_tuples_with_single_survivor():
     assert len(sub.ground_truth) == 1
     sub2 = ds.subset(["B", "C"])
     assert len(sub2.ground_truth) == 1
-
-
-def test_iter_entities_covers_every_row():
-    ds = _dataset()
-    assert sum(1 for _ in ds.iter_entities()) == ds.num_entities

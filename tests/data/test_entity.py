@@ -34,20 +34,6 @@ def test_entity_value_unknown_attribute_raises():
         entity.value("color")
 
 
-def test_entity_project_subset_and_order():
-    entity = Entity(EntityRef("A", 0), {"a": "1", "b": "2", "c": "3"})
-    projected = entity.project(["c", "a"])
-    assert projected.attributes == ("c", "a")
-    assert projected.value("c") == "3"
-    assert projected.ref == entity.ref
-
-
-def test_entity_project_missing_attribute_raises():
-    entity = Entity(EntityRef("A", 0), {"a": "1"})
-    with pytest.raises(SchemaError):
-        entity.project(["a", "zzz"])
-
-
 def test_entity_items_preserves_order():
     entity = Entity(EntityRef("A", 0), {"x": "1", "y": "2"})
     assert list(entity.items()) == [("x", "1"), ("y", "2")]

@@ -72,14 +72,6 @@ def test_with_column_shuffled_unknown_attribute(table):
         table.with_column_shuffled("nope", np.random.default_rng(0))
 
 
-def test_project_keeps_rows_and_order(table):
-    projected = table.project(["color"])
-    assert projected.schema == ("color",)
-    assert projected.column("color") == table.column("color")
-    with pytest.raises(SchemaError):
-        table.project(["missing"])
-
-
 def test_sample_bounds(table):
     rng = np.random.default_rng(0)
     sampled = table.sample(0.5, rng)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.embedding.base import normalize_rows
 from repro.embedding.hashed import HashedNGramEncoder
-from repro.text.tokenizer import TokenTable, truncate_tokens, word_tokens, word_tokens_batch
+from repro.text.tokenizer import truncate_tokens, word_tokens, word_tokens_batch
 
 
 def encode_reference(encoder: HashedNGramEncoder, texts) -> np.ndarray:
@@ -127,6 +127,6 @@ def test_zero_weights_fall_back_to_uniform_pooling():
 
 def test_empty_token_table_encodes_to_zeros():
     encoder = HashedNGramEncoder(dimension=16)
-    table = TokenTable.from_lists([[], []])
+    table = word_tokens_batch(["", ""])
     assert np.array_equal(encoder.encode_token_table(table), np.zeros((2, 16), dtype=np.float32))
     assert encoder.encode([]).shape == (0, 16)

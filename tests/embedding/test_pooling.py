@@ -1,41 +1,8 @@
 """Tests for repro.embedding.pooling."""
 
 import numpy as np
-import pytest
 
-from repro.embedding import max_pool, mean_pool, medoid_pool
-from repro.exceptions import DataError
-
-
-def test_mean_pool_uniform():
-    vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(mean_pool(vectors), [0.5, 0.5])
-
-
-def test_mean_pool_weighted():
-    vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pooled = mean_pool(vectors, weights=np.array([3.0, 1.0]))
-    assert np.allclose(pooled, [0.75, 0.25])
-
-
-def test_mean_pool_zero_weights_fall_back_to_uniform():
-    vectors = np.array([[2.0, 0.0], [0.0, 2.0]])
-    pooled = mean_pool(vectors, weights=np.array([0.0, 0.0]))
-    assert np.allclose(pooled, [1.0, 1.0])
-
-
-def test_mean_pool_validation():
-    with pytest.raises(DataError):
-        mean_pool(np.empty((0, 3)))
-    with pytest.raises(DataError):
-        mean_pool(np.ones((2, 2)), weights=np.ones(3))
-
-
-def test_max_pool():
-    vectors = np.array([[1.0, -5.0], [0.5, 2.0]])
-    assert np.allclose(max_pool(vectors), [1.0, 2.0])
-    with pytest.raises(DataError):
-        max_pool(np.empty((0, 2)))
+from repro.embedding import medoid_pool
 
 
 def test_medoid_pool_returns_member():

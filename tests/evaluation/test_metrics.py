@@ -39,11 +39,6 @@ class TestPrecisionRecallF1:
         metrics = PrecisionRecallF1.from_counts(0, 0, 0)
         assert metrics.precision == metrics.recall == metrics.f1 == 0.0
 
-    def test_percentages(self):
-        metrics = PrecisionRecallF1.from_counts(1, 1, 1)
-        assert metrics.as_percentages() == (100.0, 100.0, 100.0)
-
-
 class TestTupleAndPairScores:
     def test_exact_tuple_match_required(self):
         truth = {frozenset({_ref("A", 0), _ref("B", 0), _ref("C", 0)})}

@@ -21,6 +21,8 @@ from repro.store.format import (
     atomic_output,
     decode_strings,
     encode_strings,
+    string_table_arrays,
+    strings_from_arrays,
     tag_tuples,
     untag_tuples,
 )
@@ -119,12 +121,14 @@ class TestRoundTrip:
     def test_strings_roundtrip(self, tmp_path):
         strings = ["", "plain", "ünïcode ✓", "with\nnewline", "nul\0byte"]
         writer = SnapshotWriter()
-        writer.add_strings("names", strings)
+        for suffix, array in string_table_arrays(strings).items():
+            writer.add_array("names" + suffix, array)
         writer.set_meta({})
         path = tmp_path / "s.bin"
         writer.save(path)
         with Snapshot.open(path) as snap:
-            assert snap.strings("names") == strings
+            arrays = {name: snap.array(name) for name in ("names#utf8", "names#offsets")}
+            assert strings_from_arrays(arrays, "names") == strings
         utf8, offsets = encode_strings(strings)
         assert decode_strings(utf8, offsets) == strings
 

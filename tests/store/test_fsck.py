@@ -212,10 +212,11 @@ class TestFsck:
         _flip_byte(clone / "s.snap.d1", _segment_offset(clone / "s.snap.d1", "table/"))
         report = fsck_store(clone)
         assert not report.ok
-        assert report.status_of("s.snap").status == "ok"
-        assert report.status_of("s.snap.d1").status == "damaged"
-        assert report.status_of("s.snap.d2").status == "orphaned"
-        assert "ancestry runs through" in report.status_of("s.snap.d2").detail
+        files = {status.name: status for status in report.files}
+        assert files["s.snap"].status == "ok"
+        assert files["s.snap.d1"].status == "damaged"
+        assert files["s.snap.d2"].status == "orphaned"
+        assert "ancestry runs through" in files["s.snap.d2"].detail
 
     def test_repair_quarantines_and_leaves_loadable_store(self, chain_template, tmp_path):
         clone, states = _clone(chain_template, tmp_path)
@@ -232,8 +233,9 @@ class TestFsck:
         os.unlink(clone / "s.snap.d1")
         report = fsck_store(clone)
         assert not report.ok
-        assert report.status_of("s.snap.d2").status == "orphaned"
-        assert "missing" in report.status_of("s.snap.d2").detail
+        files = {status.name: status for status in report.files}
+        assert files["s.snap.d2"].status == "orphaned"
+        assert "missing" in files["s.snap.d2"].detail
 
     def test_rollback_serves_deepest_intact_ancestor(self, chain_template, tmp_path):
         clone, states = _clone(chain_template, tmp_path)
@@ -418,7 +420,7 @@ class TestCli:
         assert main(["snapshot", "inspect", str(clone / "bad.snap.d5")]) == 1
         out = capsys.readouterr().out
         assert "verification: FAILED" in out and expected in out
-        status = fsck_store(clone).status_of("bad.snap.d5")
+        status = {s.name: s for s in fsck_store(clone).files}["bad.snap.d5"]
         assert status.status == "damaged" and expected in status.detail
 
     def test_fsck_verb(self, chain_template, tmp_path, capsys):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.text.tokenizer import (
-    TokenTable,
-    normalize,
-    normalize_batch,
-    word_tokens,
-    word_tokens_batch,
-)
+from repro.text.tokenizer import word_tokens, word_tokens_batch
 from repro.text.vocab import Vocabulary
 
 TRICKY_TEXTS = [
@@ -47,17 +41,12 @@ def test_word_tokens_batch_matches_per_string(texts):
     assert table.offsets[-1] == table.tokens.size
 
 
-@pytest.mark.parametrize("texts", [TRICKY_TEXTS, _random_corpus(1, 100), []])
-def test_normalize_batch_matches_per_string(texts):
-    assert normalize_batch(texts) == [normalize(text) for text in texts]
-
-
-def test_token_table_counts_and_from_lists():
+def test_token_table_counts_and_rows():
     lists = [["a", "b"], [], ["c"]]
-    table = TokenTable.from_lists(lists)
+    table = word_tokens_batch([" ".join(row) for row in lists])
     assert table.counts.tolist() == [2, 0, 1]
     assert [table.row(i) for i in range(3)] == lists
-    empty = TokenTable.from_lists([])
+    empty = word_tokens_batch([])
     assert len(empty) == 0 and empty.tokens.size == 0
 
 

@@ -58,13 +58,6 @@ def test_idf_monotonicity():
     assert vocab.idf("unseen") >= vocab.idf("rare")
 
 
-def test_idf_vector_shape():
-    vocab = Vocabulary.build(["a b c"])
-    weights = vocab.idf_vector(["a", "b", "zzz"])
-    assert weights.shape == (3,)
-    assert np.all(weights > 0)
-
-
 # ------------------------------------------------------------------- tfidf
 def test_tfidf_fit_transform_shapes():
     corpus = ["apple iphone silver", "samsung galaxy black", "apple iphone gold"]
