@@ -272,6 +272,25 @@ for k in (1, 2):
     pairs = mutual_top_k(side_a, side_b, k=k, max_distance=0.5, backend="brute-force")
     assert pairs, "the tied tables produced no mutual pair"
     digest.update(repr([(p.left, p.right, p.distance) for p in pairs]).encode())
+
+# The LSH re-rank on both sides of the AVX2 envelope: at d = 36 the kernel
+# reads candidate rows in place, at d = 37 (and for every 257-row segment)
+# it gathers them for the BLAS sgemv call.
+from repro.ann import engine
+from repro.ann.distances import PreparedVectors
+
+for d in (36, 37):
+    rows = rng.standard_normal((300, d)).astype(np.float32)
+    segments = [np.sort(rng.choice(300, size=n, replace=False)) for n in (1, 5, 257)]
+    candidates = np.concatenate(segments).astype(np.int64)
+    offsets = np.array([0, 1, 6, 263], dtype=np.int64)
+    for metric in ("cosine", "euclidean"):
+        prepared = PreparedVectors(rows, metric)
+        prepared_queries = prepared.prepare_queries(rng.standard_normal((3, d)).astype(np.float32))
+        indices, distances = engine.alloc_topk(3, 257)
+        engine.rerank_csr(prepared, prepared_queries, candidates, offsets, 257, indices, distances)
+        digest.update(indices.tobytes())
+        digest.update(distances.tobytes())
 print("VARIANT", native.kernel_variant())
 print("DIGEST", digest.hexdigest())
 """
@@ -285,8 +304,10 @@ def test_smoke_kernel_compile_matrix():
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
     HNSW index, runs the tiny pipeline under the default (thread pool) config
     and under ``parallel=False``, runs the exact scan's mutual top-1 and top-2
-    over two tables of duplicated rows, and prints a digest over the full
-    graph, the query output, the (equal) tuple set and both pair lists. All
+    over two tables of duplicated rows, re-ranks CSR segments of 1, 5 and 257
+    rows at d = 36 and d = 37 (in-place and gathered kernel paths), and prints
+    a digest over the full graph, the query output, the (equal) tuple set,
+    both pair lists and the re-rank outputs. All
     legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.

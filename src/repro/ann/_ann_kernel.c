@@ -82,9 +82,11 @@ int ann_kernel_variant(void) {
  * Bit-exact emulations of OpenBLAS's SkylakeX `sdot_k` / `sgemv_t` kernels
  * (inc == 1, row-major, alpha == 1, beta == 0), derived from disassembly of
  * numpy's bundled libscipy_openblas64_.  They exist to skip the BLAS call
- * overhead on the short gather segments this kernel feeds; the dispatch in
- * `base_row_distances` only uses them inside the envelope the emulation was
- * verified on and falls back to the real BLAS pointers elsewhere.  This
+ * overhead on the short candidate-row segments this kernel feeds, and they
+ * take one pointer per row, so those rows are read in place from the base
+ * matrix; the dispatch in `base_row_distances` only uses them inside the
+ * envelope the emulation was verified on and falls back to the real BLAS
+ * pointers (on gathered rows) elsewhere.  This
  * translation unit is compiled with `-ffp-contract=off` so the compiler
  * cannot fuse the scalar tail ops — every FMA below is explicit. */
 
@@ -225,16 +227,20 @@ static void kernel_4x1(int64_t n, const float *a, const float *x, float *yb) {
     yb[0] = _mm_cvtss_f32(ce);
 }
 
-/* Row-major k x d (contiguous, lda == d), alpha == 1, beta == 0:
- * out[j] = dot(row_j, x).  Requires d % 4 == 0, 8 < d <= 4096, k >= 1.
+/* k row pointers into `base` (row j is base + rows[j] * d, row stride d),
+ * alpha == 1, beta == 0: out[j] = dot(row_j, x) — what OpenBLAS computes for
+ * the same rows gathered into a contiguous k x d matrix, in the same 4/2/1
+ * row grouping.  Requires d % 4 == 0, 8 < d <= 4096, k >= 1.
  * `+ 0.0f` launders -0.0f to +0.0f exactly as the OpenBLAS epilogue does. */
-static void sgemv_sky(int64_t k, int64_t d, const float *a, const float *x, float *out) {
+static void sgemv_sky(int64_t k, int64_t d, const float *base, const int64_t *rows,
+                      const float *x, float *out) {
     int64_t j = 0;
     int64_t n1 = k >> 2;
     float yb[4];
     for (int64_t g = 0; g < n1; g++) {
-        const float *base = a + 4 * g * d;
-        kernel_4x4(d, base, base + d, base + 2 * d, base + 3 * d, x, yb);
+        const int64_t *r = rows + 4 * g;
+        kernel_4x4(d, base + r[0] * d, base + r[1] * d, base + r[2] * d, base + r[3] * d,
+                   x, yb);
         out[4 * g] = yb[0] + 0.0f;
         out[4 * g + 1] = yb[1] + 0.0f;
         out[4 * g + 2] = yb[2] + 0.0f;
@@ -242,13 +248,13 @@ static void sgemv_sky(int64_t k, int64_t d, const float *a, const float *x, floa
     }
     j = 4 * n1;
     if (k & 2) {
-        kernel_4x2(d, a + j * d, a + (j + 1) * d, x, yb);
+        kernel_4x2(d, base + rows[j] * d, base + rows[j + 1] * d, x, yb);
         out[j] = yb[0] + 0.0f;
         out[j + 1] = yb[1] + 0.0f;
         j += 2;
     }
     if (k & 1) {
-        kernel_4x1(d, a + j * d, x, yb);
+        kernel_4x1(d, base + rows[j] * d, x, yb);
         out[j] = yb[0] + 0.0f;
     }
 }
@@ -329,29 +335,34 @@ HEAP_OPS(maxheap, lt_max)
 /* distances from the prepared query to base[rows], replicating
  * PreparedVectors.row_distances (including numpy's k == 1 sdot dispatch).
  * Shared by the HNSW traversal and the CSR re-rank entry point, so the
- * byte-identity argument is carried in one place. */
+ * byte-identity argument is carried in one place.  `base` is C-contiguous
+ * with row stride d (PreparedVectors.native_views), so sdot and the AVX2
+ * micro-kernels read each candidate row in place; only the BLAS sgemv_fn
+ * call needs a contiguous k x d matrix and copies the rows into `gather`. */
 static void base_row_distances(const float *base, const float *sq_norms, int64_t d,
                                int metric, const float *query, float query_sq,
                                const int64_t *rows, int64_t k, float *gather,
                                float *out) {
-    for (int64_t i = 0; i < k; i++) {
-        memcpy(gather + i * d, base + rows[i] * d, (size_t)d * sizeof(float));
-    }
     if (k == 1) {
 #ifdef ANN_VARIANT_AVX2
         if (d <= 4096) {
-            out[0] = sdot_sky(d, gather, query);
+            out[0] = sdot_sky(d, base + rows[0] * d, query);
         } else
 #endif
-        out[0] = sdot_fn(d, gather, 1, query, 1);
+        out[0] = sdot_fn(d, base + rows[0] * d, 1, query, 1);
     } else {
 #ifdef ANN_VARIANT_AVX2
         if (k <= 256 && d > 8 && d <= 4096 && (d & 3) == 0) {
-            sgemv_sky(k, d, gather, query, out);
+            sgemv_sky(k, d, base, rows, query, out);
         } else
 #endif
-        sgemv_fn(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, k, d, 1.0f, gather, d, query, 1, 0.0f,
-                 out, 1);
+        {
+            for (int64_t i = 0; i < k; i++) {
+                memcpy(gather + i * d, base + rows[i] * d, (size_t)d * sizeof(float));
+            }
+            sgemv_fn(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, k, d, 1.0f, gather, d, query, 1,
+                     0.0f, out, 1);
+        }
     }
     /* Clip via "replace only when strictly out of range" so NaN passes
      * through untouched, exactly like np.maximum / np.clip on the numpy
@@ -385,7 +396,7 @@ typedef struct {
     item_t *result;  /* max-heap scratch */
     item_t *found;   /* search output buffer (>= ef entries) */
     int64_t *fresh;  /* unvisited-neighbour ids, cap entries */
-    float *gather;   /* (cap, d) gather buffer */
+    float *gather;   /* (cap, d) rows copied for the BLAS sgemv_fn fallback only */
     float *dist;     /* cap distances */
     int64_t *stamps; /* (n,) visit epochs */
 } scratch_t;
@@ -395,9 +406,7 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
                             int layer, int64_t epoch, scratch_t *s) {
     const int64_t cap = g->caps[layer];
     const int64_t *neighbors_table = g->neighbors[layer];
-    const float *dists_table = (const float *)g->dists[layer];
     const int64_t *degrees = g->degrees[layer];
-    (void)dists_table;
     int64_t cand_size = 0, res_size = 0;
     for (int64_t i = 0; i < num_entries; i++) {
         s->stamps[entries[i].node] = epoch;
@@ -716,8 +725,8 @@ static int cmp_rerank_items(const void *pa, const void *pb) {
 }
 
 /* Exact re-rank of a flat CSR (query -> candidates) stream: for every query
- * segment, gather the candidate rows, evaluate exact distances through the
- * same sgemv/sdot dispatch as PreparedVectors.row_distances, and emit the
+ * segment, evaluate exact distances to its candidate rows through the same
+ * sgemv/sdot dispatch as PreparedVectors.row_distances, and emit the
  * top-k in ascending (distance, segment position) order.  Output arrays must
  * be pre-filled with -1 / inf by the caller; empty segments are skipped.
  * Returns 0 on success, -1 on allocation failure (outputs untouched, the

@@ -147,6 +147,54 @@ def test_rerank_csr_matches_row_distances_reference(metric):
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("d", [8, 12, 36, 384, 4096, 4100])
+def test_rerank_csr_matches_gathered_reference_at_every_dispatch_edge(metric, d):
+    """Rows read in place by the kernel == the gathered numpy reference, to the byte.
+
+    The kernel hands each candidate row to its distance routine straight from
+    the base matrix; only the BLAS sgemv fallback gathers them. The widths and
+    segment lengths straddle every dispatch edge of ``base_row_distances``:
+    k = 1 (sdot), 2 ≤ k ≤ 256 (AVX2 micro-kernels), k = 257 (BLAS sgemv), and
+    d ≤ 8 / d % 4 ≠ 0 / d > 4096 (BLAS on either variant). Segments are
+    sorted but spread over the whole base, and include a duplicated vector
+    pair placed far apart, so the position tie-break is exercised too.
+    """
+    rng = np.random.default_rng(d)
+    n = 320
+    vectors = rng.normal(size=(n, d)).astype(np.float32)
+    vectors[301] = vectors[3]  # exact tie, far apart in the base
+    prepared = PreparedVectors(vectors, metric)
+    lengths = (1, 2, 3, 4, 5, 7, 255, 256, 257)
+    segments = []
+    for length in lengths:
+        for _ in range(2):
+            rest = rng.choice(np.setdiff1d(np.arange(n), [3, 301]), size=max(length - 2, 0),
+                              replace=False)
+            chosen = [3] if length == 1 else [3, 301]
+            segments.append(np.sort(np.concatenate([chosen, rest])).astype(np.int64))
+    num_queries = len(segments)
+    queries = rng.normal(size=(num_queries, d)).astype(np.float32)
+    queries[1::2] = vectors[3]  # half the queries sit on the duplicated pair
+    prepared_queries = prepared.prepare_queries(queries)
+    candidates = np.concatenate(segments)
+    offsets = np.zeros(num_queries + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in segments], out=offsets[1:])
+    k = max(lengths)
+    want_idx, want_dist = engine.alloc_topk(num_queries, k)
+    for row, segment in enumerate(segments):
+        dists = prepared.row_distances(prepared_queries[row], segment)
+        order = np.argsort(dists, kind="stable")
+        want_idx[row, : len(order)] = segment[order]
+        want_dist[row, : len(order)] = dists[order]
+    indices, distances = engine.alloc_topk(num_queries, k)
+    engine.rerank_csr(
+        prepared, prepared_queries, candidates, offsets, k, indices, distances, use_native=True
+    )
+    assert np.array_equal(indices, want_idx)
+    assert distances.tobytes() == want_dist.tobytes()
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_batched_matmul_matches_row_matvec(metric):
     """The numpy fallback's core equality: (t, s, d) @ (t, d, 1) == per-row matvec.
 

@@ -67,6 +67,51 @@ def test_native_extend_bitwise_matches_python_extend():
         )
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_native_build_extend_query_match_python_at_bench_width(metric):
+    """d = 384 (the benchmark's width): the load-time self-test covers 32, 72 and 37."""
+    rng = np.random.default_rng(384)
+    vectors = rng.normal(size=(200, 384)).astype(np.float32)
+    vectors[150] = vectors[20]  # exact duplicate rows → distance ties
+    error = native._hnsw_pair_error(
+        vectors, vectors[:30], metric, 140, ks=(1, 4), label=" d=384",
+        max_degree=6, ef_construction=32, ef_search=20, seed=5,
+    )
+    assert error is None, error
+
+
+def test_loader_rejects_a_variant_that_fails_its_self_test(monkeypatch):
+    """A non-bit-equal AVX2 variant is never served: auto falls back to scalar,
+    a pinned ``avx2`` disables the kernel with the self-test failure as reason."""
+    import shutil
+
+    if os.environ.get("REPRO_NATIVE", "").lower() in ("0", "off", "false"):
+        pytest.skip("native kernel explicitly disabled")
+    if shutil.which(os.environ.get("CC", "gcc")) is None:
+        pytest.skip("no C compiler on this machine")
+    if not native._cpu_supports_avx2():
+        pytest.skip("CPU lacks AVX2+FMA3")
+    if native.get_kernel() is None:
+        pytest.skip(f"environment limitation: {native.disabled_reason}")
+    real_self_test = native._self_test
+
+    def failing_on_avx2():
+        if native._probing is not None and native._probing.variant == "avx2":
+            return "forced divergence"
+        return real_self_test()
+
+    # monkeypatch restores the module globals, so later tests see the real kernel.
+    monkeypatch.setattr(native, "_self_test", failing_on_avx2)
+    for variant, want in (("auto", "scalar"), ("avx2", None)):
+        monkeypatch.setenv("REPRO_NATIVE_VARIANT", variant)
+        monkeypatch.setattr(native, "_loaded", False)
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native, "disabled_reason", None)
+        kernel = native._load_kernel()
+        assert (None if kernel is None else kernel.variant) == want
+    assert "byte-identity self-test failed" in native.disabled_reason
+
+
 def test_native_kernel_status_is_deterministic():
     """get_kernel() caches its decision; a disabled kernel reports why."""
     first = native.get_kernel()
