@@ -74,7 +74,7 @@ class AutoFuzzyJoin(TwoTableMatcher):
         right_texts = self._serialize(right)
         if not left_texts or not right_texts:
             return []
-        vectorizer = TfidfVectorizer(analyzer="char", ngram_range=(3, 4))
+        vectorizer = TfidfVectorizer()
         vectorizer.fit(left_texts + right_texts)
         left_matrix = vectorizer.transform(left_texts)
         right_matrix = vectorizer.transform(right_texts)

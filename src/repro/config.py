@@ -27,11 +27,16 @@ REPRO_M_GRID = (0.35, 0.5, 0.65, 0.8)
 REPRO_EPSILON_GRID = (0.8, 1.0, 1.2, 1.4)
 REPRO_GAMMA_GRID = (0.8, 0.85, 0.9, 0.95)
 
-#: Removed config keys, per section, with what runs in their place. None of
-#: them ever changed result bytes, so snapshots that carry one still load
-#: (``repro.store.codecs.config_from_meta`` drops it with a warning), while
-#: ``with_overrides`` refuses it by name.
+#: Removed config keys, per section, with what runs in their place. Snapshots
+#: that carry one still load (``repro.store.codecs.config_from_meta`` drops it
+#: with a warning), while ``with_overrides`` refuses it by name. Dropping a
+#: retired key never changes what a loaded snapshot computes: the one retired
+#: value that ever changed result bytes, ``representation.encoder`` naming the
+#: removed TF-IDF+SVD encoder, is refused by that snapshot's own encoder bundle.
 RETIRED_KEYS: dict[str, dict[str, str]] = {
+    "representation": {
+        "encoder": "HashedNGramEncoder is the only sentence encoder",
+    },
     "merging": {
         "kernel_threads": "the native HNSW build is sequential",
         "quantized_scan": "the brute-force backend always runs the exact scan",
@@ -54,8 +59,6 @@ class RepresentationConfig:
     """Settings for the enhanced entity representation stage.
 
     Attributes:
-        encoder: which sentence encoder to use (``"hashed-ngram"`` or
-            ``"tfidf-svd"``); both are Sentence-BERT substitutes.
         dimension: embedding dimensionality (the paper's MiniLM is 384-d).
         max_sequence_length: maximum number of tokens kept per serialized
             entity (paper: 64).
@@ -63,10 +66,10 @@ class RepresentationConfig:
             turning this off gives the "w/o EER" ablation.
         gamma: significance threshold γ for attribute selection.
         sample_ratio: row sampling ratio r used when scoring attributes.
-        seed: RNG seed for sampling and shuffling inside Algorithm 1.
+        seed: RNG seed for sampling and shuffling inside Algorithm 1, and
+            the sentence encoder's hashing seed.
     """
 
-    encoder: str = "hashed-ngram"
     dimension: int = 384
     max_sequence_length: int = 64
     attribute_selection: bool = True
@@ -81,8 +84,6 @@ class RepresentationConfig:
             raise ConfigurationError("sample_ratio must be in (0, 1]")
         if self.max_sequence_length <= 0:
             raise ConfigurationError("max_sequence_length must be positive")
-        if self.encoder not in ("hashed-ngram", "tfidf-svd"):
-            raise ConfigurationError(f"unknown encoder {self.encoder!r}")
         if not 0 <= self.gamma <= 1:
             raise ConfigurationError("gamma must be in [0, 1]")
 
@@ -257,10 +258,11 @@ class MultiEMConfig:
             0.2
         """
         sections: dict[str, Any] = {}
+        section_names = {f.name for f in fields(self)}
         for name, value in overrides.items():
-            current = getattr(self, name, None)
-            if current is None:
+            if name not in section_names:
                 raise ConfigurationError(f"unknown config section {name!r}")
+            current = getattr(self, name)
             if isinstance(value, dict):
                 known = {f.name for f in fields(current)}
                 for key in value:
@@ -270,8 +272,13 @@ class MultiEMConfig:
                     if key not in known:
                         raise ConfigurationError(f"unknown config key {name}.{key}")
                 sections[name] = replace(current, **value)
-            else:
+            elif isinstance(value, type(current)):
                 sections[name] = value
+            else:
+                raise ConfigurationError(
+                    f"config section {name!r} takes a dict or a {type(current).__name__},"
+                    f" not {type(value).__name__}"
+                )
         return replace(self, **sections)
 
 

@@ -137,7 +137,7 @@ def _spliced_scores(
     config: RepresentationConfig,
     rng: np.random.Generator,
 ) -> dict[str, float]:
-    """Score every attribute off the shared column token index (fast path)."""
+    """Score every attribute off the shared column token index."""
     index = _ColumnTokenIndex(columns)
     n = index.num_rows
     vectors, weights = encoder.token_vectors_and_weights(index.vocabulary.tolist())
@@ -185,28 +185,6 @@ def _spliced_scores(
     return scores
 
 
-def _text_path_scores(
-    columns: list[list[str]],
-    schema: tuple[str, ...],
-    base_texts: list[str],
-    representer: EntityRepresenter,
-    config: RepresentationConfig,
-    rng: np.random.Generator,
-) -> dict[str, float]:
-    """Serialize-and-encode scoring for encoders without a CSR kernel."""
-    base_embeddings = representer.encode_texts(base_texts)
-    scores: dict[str, float] = {}
-    for position, attribute in enumerate(schema):
-        permutation = rng.permutation(len(base_texts))
-        shuffled_columns = list(columns)
-        shuffled_columns[position] = [columns[position][int(j)] for j in permutation]
-        shuffled_texts = serialize_columns(shuffled_columns, max_tokens=config.max_sequence_length)
-        shuffled_embeddings = representer.encode_texts(shuffled_texts)
-        similarity = np.einsum("ij,ij->i", base_embeddings, shuffled_embeddings)
-        scores[attribute] = float(np.mean(1.0 - similarity))
-    return scores
-
-
 def select_attributes(
     dataset: MultiTableDataset,
     representer: EntityRepresenter,
@@ -246,14 +224,9 @@ def select_attributes(
     base_texts = serialize_columns(columns, max_tokens=config.max_sequence_length)
     representer.encoder.fit(base_texts)
 
-    # Lines 5-11: per-attribute shuffle, re-embed, score. The hashed encoder
-    # scores every shuffle off the shared column token index (one tokenize
-    # pass total); other encoders re-serialize per attribute.
-    inner = getattr(representer.encoder, "inner", representer.encoder)
-    if isinstance(inner, HashedNGramEncoder):
-        scores = _spliced_scores(columns, schema, base_texts, inner, config, rng)
-    else:
-        scores = _text_path_scores(columns, schema, base_texts, representer, config, rng)
+    # Lines 5-11: per-attribute shuffle, re-embed, score — every shuffle off
+    # the shared column token index (one tokenize pass total).
+    scores = _spliced_scores(columns, schema, base_texts, representer.encoder.inner, config, rng)
 
     threshold = 1.0 - config.gamma
     selected = tuple(a for a in schema if scores[a] >= threshold)

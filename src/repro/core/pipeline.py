@@ -23,7 +23,7 @@ import numpy as np
 from ..ann.cache import IndexCache
 from ..config import MultiEMConfig
 from ..data.dataset import MultiTableDataset
-from ..embedding.base import SentenceEncoder
+from ..embedding.hashed import HashedNGramEncoder
 from .attribute_selection import AttributeSelectionResult, select_attributes
 from .merging import ItemTable, MergeStats, hierarchical_merge_tables
 from .parallel import ParallelExecutor
@@ -56,7 +56,7 @@ def fit_stages(
     config: MultiEMConfig,
     executor: ParallelExecutor,
     *,
-    encoder: SentenceEncoder | None = None,
+    encoder: HashedNGramEncoder | None = None,
     cache: IndexCache | None = None,
     representative: str = "mean",
 ) -> FittedStages:
@@ -127,11 +127,13 @@ class MultiEM:
 
     Args:
         config: pipeline configuration; defaults mirror the paper's settings.
-        encoder: optional pre-built sentence encoder (overrides the config's
-            encoder choice); useful for injecting a custom embedding model.
+        encoder: optional pre-built sentence encoder, used in place of one
+            built from the representation config's dimension and seed.
     """
 
-    def __init__(self, config: MultiEMConfig | None = None, encoder: SentenceEncoder | None = None) -> None:
+    def __init__(
+        self, config: MultiEMConfig | None = None, encoder: HashedNGramEncoder | None = None
+    ) -> None:
         self.config = config or MultiEMConfig()
         self.config.validate()
         self._encoder_override = encoder

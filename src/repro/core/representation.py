@@ -21,7 +21,7 @@ from ..data.dataset import MultiTableDataset
 from ..data.entity import EntityRef
 from ..data.serialization import serialize_table
 from ..data.table import Table
-from ..embedding import CachingEncoder, HashedNGramEncoder, SentenceEncoder, create_encoder
+from ..embedding import CachingEncoder, HashedNGramEncoder
 from ..exceptions import DataError
 from ..text.tokenizer import TokenTable, word_tokens_batch
 
@@ -229,18 +229,16 @@ class EmbeddingStore(Mapping):
 
 
 class EntityRepresenter:
-    """Serializes and encodes tables with a configurable encoder."""
+    """Serializes and encodes tables with the hashed n-gram encoder (built, or injected)."""
 
     def __init__(
         self,
         config: RepresentationConfig | None = None,
-        encoder: SentenceEncoder | None = None,
+        encoder: HashedNGramEncoder | None = None,
     ) -> None:
         self.config = config or RepresentationConfig()
         self.config.validate()
-        inner = encoder or create_encoder(
-            self.config.encoder, dimension=self.config.dimension, seed=self.config.seed
-        )
+        inner = encoder or HashedNGramEncoder(dimension=self.config.dimension, seed=self.config.seed)
         self.encoder = CachingEncoder(inner)
         self._fitted = False
         # Per-table CSR token tables captured during fit(); encode_table()
@@ -253,25 +251,16 @@ class EntityRepresenter:
 
     # ------------------------------------------------------------------- fit
     def fit(self, dataset: MultiTableDataset, attributes: Sequence[str] | None = None) -> "EntityRepresenter":
-        """Fit corpus statistics (IDF / SVD basis) on the serialized dataset."""
+        """Fit the encoder's IDF statistics on the serialized dataset."""
         key = tuple(attributes) if attributes is not None else None
-        inner = self.encoder.inner
-        columnar = isinstance(inner, HashedNGramEncoder)
         self._fit_token_tables = {}
-        corpus: list[str] = []
         tables: list[TokenTable] = []
         for table in dataset.table_list():
             texts = serialize_table(table, attributes, max_tokens=self.config.max_sequence_length)
-            if columnar:
-                token_table = word_tokens_batch(texts)
-                tables.append(token_table)
-                self._fit_token_tables[table.name] = (key, table, token_table)
-            else:
-                corpus.extend(texts)
-        if columnar:
-            self.encoder.fit_token_table(TokenTable.concat(tables))
-        else:
-            self.encoder.fit(corpus)
+            token_table = word_tokens_batch(texts)
+            tables.append(token_table)
+            self._fit_token_tables[table.name] = (key, table, token_table)
+        self.encoder.fit_token_table(TokenTable.concat(tables))
         self._fitted = True
         return self
 
@@ -286,22 +275,20 @@ class EntityRepresenter:
         """
         key = tuple(attributes) if attributes is not None else None
         stashed = self._fit_token_tables.get(table.name)
-        inner = self.encoder.inner
         if (
             stashed is not None
             and stashed[0] == key
             and stashed[1] is table
             and len(stashed[2]) == len(table)
-            and isinstance(inner, HashedNGramEncoder)
         ):
-            vectors = inner.encode_token_table(stashed[2])
+            vectors = self.encoder.inner.encode_token_table(stashed[2])
         else:
             texts = serialize_table(table, attributes, max_tokens=self.config.max_sequence_length)
             vectors = self.encoder.encode(texts)
         return TableEmbeddings(table_name=table.name, refs=table.refs(), vectors=vectors)
 
     def encode_texts(self, texts: Sequence[str]) -> np.ndarray:
-        """Encode raw serialized texts (used by Algorithm 1)."""
+        """Encode raw texts through the exact-text cache (``query_many``, the baselines)."""
         return self.encoder.encode(texts)
 
     def encode_dataset(

@@ -1,8 +1,12 @@
 """In-memory embedding cache keyed by exact text.
 
-The enhanced-representation stage (Algorithm 1) re-encodes the same rows with
-one column shuffled; many values repeat, so caching exact serialized strings
-removes a large fraction of redundant encoder calls without changing results.
+The representer wraps its encoder in this cache for the paths that encode raw
+serialized texts: ``EntityRepresenter.encode_table`` when it has no token
+table stashed by ``fit`` (every ``IncrementalMultiEM.add_table``), and
+``EntityRepresenter.encode_texts``, which serves ``MatchSession.query_many``
+and the supervised baselines. A repeated text (a hot query, a duplicate row)
+is encoded once, with the same result. Algorithm 1 and the stashed
+``encode_table`` path pool token tables and bypass the cache.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import SentenceEncoder
+from .hashed import HashedNGramEncoder
 
 
-class CachingEncoder(SentenceEncoder):
-    """Wrap any encoder with an exact-match text cache."""
+class CachingEncoder:
+    """Wrap the sentence encoder with an exact-match text cache."""
 
-    def __init__(self, inner: SentenceEncoder, max_entries: int = 1_000_000) -> None:
+    def __init__(self, inner: HashedNGramEncoder, max_entries: int = 1_000_000) -> None:
         self.inner = inner
         self.dimension = inner.dimension
         self.max_entries = max_entries
@@ -27,17 +31,12 @@ class CachingEncoder(SentenceEncoder):
 
     def fit(self, texts: Sequence[str]) -> "CachingEncoder":
         self.inner.fit(texts)
-        # Fitting may change the inner encoder's output dimensionality (e.g.
-        # an SVD whose attainable rank depends on the corpus); refresh it so
-        # encode() allocates correctly-shaped results.
-        self.dimension = self.inner.dimension
         self._cache.clear()
         return self
 
     def fit_token_table(self, table) -> "CachingEncoder":
-        """:meth:`fit` from a pre-tokenized corpus (inner must support it)."""
+        """:meth:`fit` from a pre-tokenized corpus."""
         self.inner.fit_token_table(table)
-        self.dimension = self.inner.dimension
         self._cache.clear()
         return self
 

@@ -43,7 +43,7 @@ from ..exceptions import ConfigurationError
 from ..text.hashing import signed_bucket, signed_bucket_batch, signed_ngram_buckets
 from ..text.tokenizer import TokenTable, char_ngrams, word_tokens_batch
 from ..text.vocab import Vocabulary
-from .base import SentenceEncoder, normalize_rows
+from .base import normalize_rows
 
 #: Cap on elements of one pooled ``(texts, tokens, dim)`` block; bounds peak
 #: gather memory (32M float32 elements = 128 MB) without changing any values
@@ -51,7 +51,7 @@ from .base import SentenceEncoder, normalize_rows
 _POOL_BLOCK_ELEMENTS = 32_000_000
 
 
-class HashedNGramEncoder(SentenceEncoder):
+class HashedNGramEncoder:
     """Deterministic hashed n-gram sentence encoder.
 
     Args:
@@ -215,7 +215,11 @@ class HashedNGramEncoder(SentenceEncoder):
 
     # --------------------------------------------------------------- encoding
     def encode(self, texts: Sequence[str]) -> np.ndarray:
-        """Encode texts into unit-norm vectors via weighted mean pooling."""
+        """Encode texts into unit-norm vectors via weighted mean pooling.
+
+        Returns a ``(len(texts), dimension)`` float32 matrix; empty texts get
+        zero rows.
+        """
         return self.encode_token_table(word_tokens_batch(texts))
 
     def encode_token_table(self, table: TokenTable) -> np.ndarray:

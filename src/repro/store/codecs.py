@@ -225,116 +225,76 @@ def index_cache_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> In
 
 # ------------------------------------------------------------------- encoders
 def encoder_state(encoder):
-    """State bundle of a fitted sentence encoder.
+    """State bundle of a fitted :class:`~repro.embedding.hashed.HashedNGramEncoder`.
 
     Accepts the pipeline's :class:`~repro.embedding.cache.CachingEncoder`
-    wrapper (unwrapped transparently — the exact-text cache is a rebuildable
-    optimization, not state) around either from-scratch encoder.
+    wrapper too, unwrapped transparently: the exact-text cache is a
+    rebuildable optimization, not state.
     """
     from ..embedding import CachingEncoder, HashedNGramEncoder
-    from ..embedding.svd import TfidfSvdEncoder
 
     if isinstance(encoder, CachingEncoder):
         encoder = encoder.inner
-    if isinstance(encoder, HashedNGramEncoder):
-        meta = {
-            "type": "encoder",
-            "kind": "hashed-ngram",
-            "dimension": encoder.dimension,
-            "ngram_range": list(encoder.ngram_range),
-            "max_tokens": encoder.max_tokens,
-            "token_weight": encoder.token_weight,
-            "use_idf": encoder.use_idf,
-            "numeric_weight_floor": encoder.numeric_weight_floor,
-            "seed": encoder.seed,
-            "vocabulary": None,
-        }
-        arrays: dict[str, np.ndarray] = {}
-        vocabulary = encoder._vocabulary
-        if vocabulary is not None:
-            tokens = sorted(vocabulary.token_to_index, key=vocabulary.token_to_index.get)
-            meta["vocabulary"] = {"num_documents": vocabulary.num_documents}
-            arrays.update(_prefixed("vocab/tokens", string_table_arrays(tokens)))
-            arrays["vocab/df"] = np.fromiter(
-                (vocabulary.document_frequency[token] for token in tokens),
-                dtype=np.int64,
-                count=len(tokens),
-            )
-        return meta, arrays
-    if isinstance(encoder, TfidfSvdEncoder):
-        vectorizer = encoder._vectorizer
-        if encoder._basis is None and encoder._projection is None:
-            raise StoreError("cannot snapshot an unfitted TfidfSvdEncoder")
-        terms = sorted(vectorizer.vocabulary_, key=vectorizer.vocabulary_.get)
-        meta = {
-            "type": "encoder",
-            "kind": "tfidf-svd",
-            "dimension": encoder.dimension,
-            "seed": encoder.seed,
-            "analyzer": vectorizer.analyzer,
-            "min_df": vectorizer.min_df,
-            "ngram_range": list(vectorizer.ngram_range),
-            "projection_features": (
-                None if encoder._projection is None else encoder._projection._input_dim
-            ),
-        }
-        arrays = dict(_prefixed("terms", string_table_arrays(terms)))
-        arrays["idf"] = vectorizer.idf_
-        if encoder._basis is not None:
-            arrays["basis"] = encoder._basis
-        return meta, arrays
-    raise StoreError(f"encoder type {type(encoder).__name__} does not support snapshots")
+    if not isinstance(encoder, HashedNGramEncoder):
+        raise StoreError(f"encoder type {type(encoder).__name__} does not support snapshots")
+    meta = {
+        "type": "encoder",
+        "kind": "hashed-ngram",
+        "dimension": encoder.dimension,
+        "ngram_range": list(encoder.ngram_range),
+        "max_tokens": encoder.max_tokens,
+        "token_weight": encoder.token_weight,
+        "use_idf": encoder.use_idf,
+        "numeric_weight_floor": encoder.numeric_weight_floor,
+        "seed": encoder.seed,
+        "vocabulary": None,
+    }
+    arrays: dict[str, np.ndarray] = {}
+    vocabulary = encoder._vocabulary
+    if vocabulary is not None:
+        tokens = sorted(vocabulary.token_to_index, key=vocabulary.token_to_index.get)
+        meta["vocabulary"] = {"num_documents": vocabulary.num_documents}
+        arrays.update(_prefixed("vocab/tokens", string_table_arrays(tokens)))
+        arrays["vocab/df"] = np.fromiter(
+            (vocabulary.document_frequency[token] for token in tokens),
+            dtype=np.int64,
+            count=len(tokens),
+        )
+    return meta, arrays
 
 
 def encoder_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
     from ..embedding import HashedNGramEncoder
-    from ..embedding.svd import TfidfSvdEncoder
 
-    if meta["kind"] == "hashed-ngram":
-        encoder = HashedNGramEncoder(
-            dimension=meta["dimension"],
-            ngram_range=tuple(meta["ngram_range"]),
-            max_tokens=meta["max_tokens"],
-            token_weight=meta["token_weight"],
-            use_idf=meta["use_idf"],
-            numeric_weight_floor=meta["numeric_weight_floor"],
-            seed=meta["seed"],
-        )
-        if meta["vocabulary"] is not None:
-            from collections import Counter
-
-            from ..text.vocab import Vocabulary
-
-            tokens = strings_from_arrays(arrays, "vocab/tokens")
-            df = arrays["vocab/df"].tolist()
-            encoder._vocabulary = Vocabulary(
-                token_to_index={token: i for i, token in enumerate(tokens)},
-                document_frequency=Counter(dict(zip(tokens, df))),
-                num_documents=meta["vocabulary"]["num_documents"],
-            )
-        return encoder
     if meta["kind"] == "tfidf-svd":
-        encoder = TfidfSvdEncoder(
-            dimension=meta["dimension"],
-            analyzer=meta["analyzer"],
-            ngram_range=tuple(meta["ngram_range"]),
-            min_df=meta["min_df"],
-            seed=meta["seed"],
+        raise StoreError(
+            f"snapshot encoder kind {meta['kind']!r}: the TF-IDF+SVD encoder was removed;"
+            " refit the matcher and save a new snapshot"
         )
-        terms = strings_from_arrays(arrays, "terms")
-        encoder._vectorizer.vocabulary_ = {term: i for i, term in enumerate(terms)}
-        encoder._vectorizer.idf_ = arrays["idf"]
-        if meta["projection_features"] is not None:
-            from ..embedding.random_projection import GaussianRandomProjection
+    if meta["kind"] != "hashed-ngram":
+        raise StoreError(f"unknown encoder kind {meta['kind']!r} in snapshot")
+    encoder = HashedNGramEncoder(
+        dimension=meta["dimension"],
+        ngram_range=tuple(meta["ngram_range"]),
+        max_tokens=meta["max_tokens"],
+        token_weight=meta["token_weight"],
+        use_idf=meta["use_idf"],
+        numeric_weight_floor=meta["numeric_weight_floor"],
+        seed=meta["seed"],
+    )
+    if meta["vocabulary"] is not None:
+        from collections import Counter
 
-            encoder._projection = GaussianRandomProjection(meta["dimension"], seed=meta["seed"])
-            encoder._projection.fit(meta["projection_features"])
-            encoder._basis = None
-        else:
-            encoder._basis = arrays["basis"]
-            encoder._projection = None
-        return encoder
-    raise StoreError(f"unknown encoder kind {meta['kind']!r} in snapshot")
+        from ..text.vocab import Vocabulary
+
+        tokens = strings_from_arrays(arrays, "vocab/tokens")
+        df = arrays["vocab/df"].tolist()
+        encoder._vocabulary = Vocabulary(
+            token_to_index={token: i for i, token in enumerate(tokens)},
+            document_frequency=Counter(dict(zip(tokens, df))),
+            num_documents=meta["vocabulary"]["num_documents"],
+        )
+    return encoder
 
 
 # --------------------------------------------------------------- delta pairing
@@ -399,9 +359,9 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
     """Rebuild the pipeline config a snapshot manifest carries.
 
     Snapshots outlive config fields: a key in :data:`repro.config.RETIRED_KEYS`
-    (none of which ever changed result bytes) is dropped with one warning
-    naming it and ``source``; any other key this version does not know raises
-    :class:`StoreError` instead of guessing.
+    (dropping one never changes what the snapshot computes) is dropped with one
+    warning naming it and ``source``; any other key this version does not know
+    raises :class:`StoreError` instead of guessing.
     """
     sections = {}
     for name, cls in (

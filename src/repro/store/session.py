@@ -2,7 +2,7 @@
 
 :func:`save_session` writes the complete fitted state of an
 :class:`~repro.core.incremental.IncrementalMultiEM` — pipeline config, the
-fitted encoder (IDF vocabulary / SVD basis), the integrated
+fitted encoder (its IDF vocabulary), the integrated
 :class:`~repro.core.merging.ItemTable`, the
 :class:`~repro.core.representation.EmbeddingStore`, and the live
 :class:`~repro.ann.cache.IndexCache` — into one snapshot file.

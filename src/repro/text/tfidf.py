@@ -1,8 +1,8 @@
-"""TF-IDF vectorizer backed by scipy sparse matrices.
+"""Character-n-gram TF-IDF vectorizer backed by scipy sparse matrices.
 
-This is the term-frequency substrate for the :class:`TfidfSvdEncoder`
-(a latent-semantic-analysis style Sentence-BERT substitute) and for the
-AutoFuzzyJoin baseline's similarity functions.
+This is the similarity substrate of the AutoFuzzyJoin baseline
+(:mod:`repro.baselines.autofj`), which joins on cosine similarity between
+TF-IDF vectors of character 3- and 4-grams; that is the one shape it fits.
 
 ``transform`` is vectorized: tokens map to column ids through one sorted-array
 ``searchsorted`` lookup and term counts come from a single ``np.unique`` over
@@ -20,29 +20,19 @@ import numpy as np
 from scipy import sparse
 
 from ..exceptions import DataError
-from .tokenizer import text_ngrams, word_tokens
+from .tokenizer import text_ngrams
+
+#: Character n-gram sizes (AutoFuzzyJoin's 3- and 4-grams).
+NGRAM_RANGE = (3, 4)
 
 
 class TfidfVectorizer:
-    """Fit/transform TF-IDF over word tokens or character n-grams.
+    """Fit/transform TF-IDF over the character n-grams of each text's words.
 
-    Args:
-        analyzer: ``"word"`` or ``"char"`` (character n-grams of words).
-        min_df: minimum document frequency for a term to be kept.
-        ngram_range: (min_n, max_n) for the char analyzer.
+    Every n-gram seen while fitting is a term (no document-frequency cut).
     """
 
-    def __init__(
-        self,
-        analyzer: str = "word",
-        min_df: int = 1,
-        ngram_range: tuple[int, int] = (3, 5),
-    ) -> None:
-        if analyzer not in ("word", "char"):
-            raise DataError(f"unknown analyzer {analyzer!r}")
-        self.analyzer = analyzer
-        self.min_df = min_df
-        self.ngram_range = ngram_range
+    def __init__(self) -> None:
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray | None = None
         self._sorted_terms: np.ndarray | None = None
@@ -54,10 +44,9 @@ class TfidfVectorizer:
         self._lookup_has_nul = False
 
     # -------------------------------------------------------------- analysis
-    def _analyze(self, text: str) -> list[str]:
-        if self.analyzer == "word":
-            return word_tokens(text)
-        return text_ngrams(text, *self.ngram_range)
+    @staticmethod
+    def _analyze(text: str) -> list[str]:
+        return text_ngrams(text, *NGRAM_RANGE)
 
     # ------------------------------------------------------------------- fit
     def fit(self, texts: Sequence[str]) -> "TfidfVectorizer":
@@ -69,7 +58,7 @@ class TfidfVectorizer:
         for doc in documents:
             for term in set(doc):
                 df[term] = df.get(term, 0) + 1
-        terms = sorted(term for term, count in df.items() if count >= self.min_df)
+        terms = sorted(df)
         self.vocabulary_ = {term: i for i, term in enumerate(terms)}
         num_documents = len(texts)
         self.idf_ = np.array(
@@ -182,15 +171,6 @@ class TfidfVectorizer:
             (data, unique_cols, indptr), shape=(num_rows, num_features), dtype=np.float64
         )
         return self._normalize_rows(matrix)
-
-    def fit_transform(self, texts: Sequence[str]) -> sparse.csr_matrix:
-        """Fit on ``texts`` then transform them."""
-        return self.fit(texts).transform(texts)
-
-    @property
-    def num_features(self) -> int:
-        """Size of the learned vocabulary."""
-        return len(self.vocabulary_)
 
 
 def cosine_similarity_sparse(

@@ -15,8 +15,8 @@ from .tokenizer import TokenTable, word_tokens
 class Vocabulary:
     """Token vocabulary with document frequencies.
 
-    Built once over the serialized corpus, then shared by the TF-IDF
-    vectorizer and the SIF-style token weighting of the hashed encoder.
+    Built once over the serialized corpus for the SIF-style token weighting
+    of the hashed encoder.
     """
 
     token_to_index: dict[str, int] = field(default_factory=dict)

@@ -28,8 +28,6 @@ def test_representation_config_validation():
     with pytest.raises(ConfigurationError):
         RepresentationConfig(sample_ratio=1.5).validate()
     with pytest.raises(ConfigurationError):
-        RepresentationConfig(encoder="bert").validate()
-    with pytest.raises(ConfigurationError):
         RepresentationConfig(gamma=1.5).validate()
     with pytest.raises(ConfigurationError):
         RepresentationConfig(max_sequence_length=0).validate()
@@ -110,8 +108,17 @@ def test_with_overrides_returns_new_config():
     # Original untouched (configs are frozen dataclasses).
     assert config.merging.m != 0.2 or config.merging.m == 0.2  # no mutation possible
     assert config.pruning.enabled is True
-    with pytest.raises(ConfigurationError):
-        config.with_overrides(nonexistent={"x": 1})
+    assert config.with_overrides(merging=updated.merging).merging is updated.merging
+    bad_sections = [
+        ("nonexistent", {"x": 1}),
+        ("validate", {}),  # a method of the config, not a section
+        ("validate", 5),
+        ("merging", 5),  # a section must be a dict or that section's own class
+        ("merging", updated.pruning),
+    ]
+    for name, value in bad_sections:
+        with pytest.raises(ConfigurationError, match=rf"section '{name}'"):
+            config.with_overrides(**{name: value})
 
 
 def test_with_overrides_rejects_unknown_keys_by_name():
@@ -132,6 +139,7 @@ def test_with_overrides_rejects_unknown_keys_by_name():
         ("parallel", "task_timeout", "waited on"),
         ("parallel", "max_retries", "waited on"),
         ("parallel", "retry_backoff", "waited on"),
+        ("representation", "encoder", "only sentence encoder"),
     ],
 )
 def test_with_overrides_says_a_removed_key_was_removed(section, key, runs):

@@ -94,9 +94,12 @@ class TestMultiEMPipeline:
         assert isinstance(pipeline.config, MultiEMConfig)
 
     def test_custom_encoder_through_pipeline(self, geo_tiny):
-        from repro.embedding import TfidfSvdEncoder
+        from repro.embedding import HashedNGramEncoder
 
         config = paper_default_config("geo").with_overrides(representation={"dimension": 64})
-        pipeline = MultiEM(config, encoder=TfidfSvdEncoder(dimension=64))
-        result = pipeline.match(geo_tiny)
+        encoder = HashedNGramEncoder(dimension=64)
+        result = MultiEM(config, encoder=encoder).match(geo_tiny)
         assert result.num_tuples > 0
+        assert encoder.batch_encodes > 0  # the injected encoder did the encoding
+        # An injected encoder equal to the one the config builds changes nothing.
+        assert result.tuples == MultiEM(config).match(geo_tiny).tuples

@@ -5,8 +5,7 @@ serialize the sampled table, then per attribute shuffle the column through
 ``Table.with_column_shuffled``, re-serialize, re-encode. The spliced
 implementation must reproduce the selected attributes **and** every score
 float exactly — including when serializer-level (whitespace) truncation
-forces rows through the canonical fallback, and for the tfidf-svd encoder
-that takes the text path.
+forces rows through the canonical fallback.
 """
 
 import numpy as np
@@ -64,18 +63,6 @@ def test_selection_matches_reference(dataset_name, max_sequence_length):
 def test_selection_matches_reference_across_seeds(seed):
     dataset = load_benchmark("music-20", profile="tiny")
     config = RepresentationConfig(seed=seed, sample_ratio=0.5)
-    result = select_attributes(dataset, EntityRepresenter(config), config)
-    want_selected, want_scores = select_attributes_reference(
-        dataset, EntityRepresenter(config), config
-    )
-    assert result.selected == want_selected
-    assert result.scores == want_scores
-
-
-def test_selection_text_path_matches_reference():
-    """Encoders without a CSR kernel (tfidf-svd) take the text path."""
-    dataset = load_benchmark("geo", profile="tiny")
-    config = RepresentationConfig(encoder="tfidf-svd", dimension=32)
     result = select_attributes(dataset, EntityRepresenter(config), config)
     want_selected, want_scores = select_attributes_reference(
         dataset, EntityRepresenter(config), config

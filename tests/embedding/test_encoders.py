@@ -1,17 +1,10 @@
-"""Tests for the sentence encoders (Sentence-BERT substitutes)."""
+"""Tests for the sentence encoder (the Sentence-BERT substitute) and its text cache."""
 
 import numpy as np
 import pytest
 
-from repro.embedding import (
-    CachingEncoder,
-    GaussianRandomProjection,
-    HashedNGramEncoder,
-    TfidfSvdEncoder,
-    create_encoder,
-    normalize_rows,
-)
-from repro.exceptions import ConfigurationError, DataError
+from repro.embedding import CachingEncoder, HashedNGramEncoder, normalize_rows
+from repro.exceptions import ConfigurationError
 
 
 CORPUS = [
@@ -22,38 +15,6 @@ CORPUS = [
     "logitech mx master 3 wireless mouse graphite",
     "canon eos 2000d dslr camera kit",
 ]
-
-
-class _LateDimensionEncoder:
-    """Encoder whose true dimension is only known after fitting (like a
-    corpus-rank-limited SVD)."""
-
-    def __init__(self, declared: int) -> None:
-        self.dimension = declared
-
-    def fit(self, texts):
-        # The attainable rank turns out smaller than declared.
-        self.dimension = min(self.dimension, len(texts))
-        return self
-
-    def encode(self, texts):
-        out = np.zeros((len(texts), self.dimension), dtype=np.float32)
-        out[:, 0] = 1.0
-        return out
-
-
-def test_caching_encoder_refreshes_dimension_after_fit():
-    inner = _LateDimensionEncoder(declared=128)
-    caching = CachingEncoder(inner)
-    assert caching.dimension == 128
-    caching.fit(CORPUS)  # inner dimension collapses to len(CORPUS)
-    assert caching.dimension == inner.dimension == len(CORPUS)
-    encoded = caching.encode(CORPUS[:3])
-    assert encoded.shape == (3, len(CORPUS))
-    # Cached re-encode keeps the corrected shape too.
-    again = caching.encode(CORPUS[:3])
-    assert again.shape == (3, len(CORPUS))
-    assert caching.hits > 0
 
 
 def test_normalize_rows_unit_norm_and_zero_rows():
@@ -143,36 +104,6 @@ class TestHashedNGramEncoder:
         assert not np.allclose(before, after)
 
 
-class TestTfidfSvdEncoder:
-    def test_requires_fit(self):
-        with pytest.raises(DataError):
-            TfidfSvdEncoder(dimension=16).encode(["x"])
-
-    def test_fit_encode_shapes(self):
-        encoder = TfidfSvdEncoder(dimension=4)
-        encoder.fit(CORPUS)
-        vectors = encoder.encode(CORPUS)
-        assert vectors.shape == (len(CORPUS), 4)
-        norms = np.linalg.norm(vectors, axis=1)
-        assert np.all(norms <= 1.0 + 1e-5)
-
-    def test_small_corpus_falls_back_to_projection(self):
-        encoder = TfidfSvdEncoder(dimension=64)
-        encoder.fit(["only", "two docs"])  # rank < dimension -> random projection
-        vectors = encoder.encode(["only"])
-        assert vectors.shape == (1, 64)
-
-    def test_variant_similarity(self):
-        encoder = TfidfSvdEncoder(dimension=4)
-        encoder.fit(CORPUS)
-        vectors = encoder.encode(CORPUS)
-        assert float(vectors[0] @ vectors[1]) > float(vectors[0] @ vectors[3])
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(DataError):
-            TfidfSvdEncoder().fit([])
-
-
 class TestCachingEncoder:
     def test_cache_hits_and_consistency(self):
         inner = HashedNGramEncoder(dimension=64)
@@ -201,34 +132,3 @@ class TestCachingEncoder:
         inner = HashedNGramEncoder(dimension=64)
         cached = CachingEncoder(HashedNGramEncoder(dimension=64))
         assert np.allclose(cached.encode(CORPUS), inner.encode(CORPUS))
-
-
-class TestRandomProjection:
-    def test_shapes_and_validation(self):
-        projection = GaussianRandomProjection(output_dim=8, seed=0).fit(100)
-        dense = np.random.default_rng(0).normal(size=(5, 100))
-        projected = projection.transform(dense)
-        assert projected.shape == (5, 8)
-        with pytest.raises(ConfigurationError):
-            GaussianRandomProjection(output_dim=0)
-        with pytest.raises(ConfigurationError):
-            GaussianRandomProjection(output_dim=4).transform(dense)
-        with pytest.raises(ConfigurationError):
-            projection.transform(np.zeros((2, 7)))
-
-    def test_preserves_relative_distances_roughly(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(20, 200))
-        projection = GaussianRandomProjection(output_dim=64, seed=0).fit(200)
-        projected = projection.transform(data)
-        original = np.linalg.norm(data[0] - data[1])
-        reduced = np.linalg.norm(projected[0] - projected[1])
-        assert reduced > 0
-        assert 0.3 < reduced / original < 3.0
-
-
-def test_create_encoder_factory():
-    assert isinstance(create_encoder("hashed-ngram"), HashedNGramEncoder)
-    assert isinstance(create_encoder("tfidf-svd"), TfidfSvdEncoder)
-    with pytest.raises(ValueError):
-        create_encoder("bert-large")

@@ -203,20 +203,16 @@ class TestEncoders:
         loaded = roundtrip(codecs.encoder_state(encoder), codecs.encoder_from_state, tmp_path)
         assert loaded.encode(["a c"]).tobytes() == encoder.inner.encode(["a c"]).tobytes()
 
-    def test_tfidf_svd_roundtrip_same_vectors(self, tmp_path):
-        from repro.embedding.svd import TfidfSvdEncoder
-
-        corpus = [f"record number {i} with shared words" for i in range(30)]
-        encoder = TfidfSvdEncoder(dimension=8, seed=1).fit(corpus)
-        loaded = roundtrip(codecs.encoder_state(encoder), codecs.encoder_from_state, tmp_path)
-        texts = ["record number 3 with shared words", "completely different"]
-        assert loaded.encode(texts).tobytes() == encoder.encode(texts).tobytes()
-
-    def test_unfitted_tfidf_rejected(self):
-        from repro.embedding.svd import TfidfSvdEncoder
-
-        with pytest.raises(StoreError, match="unfitted"):
-            codecs.encoder_state(TfidfSvdEncoder())
+    def test_removed_tfidf_svd_encoder_is_refused_by_name(self):
+        """A snapshot of the removed TF-IDF+SVD encoder says so instead of guessing."""
+        meta = {
+            "type": "encoder", "kind": "tfidf-svd", "dimension": 8, "seed": 1,
+            "analyzer": "char", "min_df": 1, "ngram_range": [3, 4], "projection_features": None,
+        }
+        with pytest.raises(StoreError, match=r"'tfidf-svd'.*removed.*refit"):
+            codecs.encoder_from_state(meta, {})
+        with pytest.raises(StoreError, match="unknown encoder kind 'bert'"):
+            codecs.encoder_from_state(dict(meta, kind="bert"), {})
 
 
 class TestConfig:
@@ -236,13 +232,15 @@ class TestConfig:
             task_timeout=None, max_retries=2, retry_backoff=0.1,
         )
         meta["parallel"].update(old_keys)
+        meta["representation"]["encoder"] = "hashed-ngram"
         with caplog.at_level("WARNING", logger="repro.store"):
             restored = codecs.config_from_meta(meta, source="old.snap")
         assert restored == config
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == len(old_keys) and all("old.snap" in m for m in messages)
+        assert len(messages) == len(old_keys) + 1 and all("old.snap" in m for m in messages)
         for key in old_keys:
             assert sum(f"parallel.{key} " in m for m in messages) == 1
+        assert sum("representation.encoder " in m for m in messages) == 1
         meta = codecs.config_to_meta(config)
         meta["merging"]["warp_factor"] = 9
         with pytest.raises(StoreError, match=r"old\.snap.*merging\.warp_factor"):

@@ -297,6 +297,36 @@ class TestRetiredConfigKeys:
                 reference.matcher.integrated_table
             )
 
+    def test_old_encoder_key_loads_with_one_warning_and_same_answers(
+        self, split, tmp_path, caplog, monkeypatch
+    ):
+        """Manifests written while ``representation.encoder`` existed carry it."""
+        from repro.store import codecs
+
+        base, _ = split
+        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:4]
+        matcher = IncrementalMultiEM(paper_default_config(base.name))
+        matcher.fit(base)
+        config_to_meta = codecs.config_to_meta
+
+        def as_written_before_removal(config):
+            meta = config_to_meta(config)
+            meta["representation"]["encoder"] = "hashed-ngram"
+            return meta
+
+        old = tmp_path / "old.snap"
+        with monkeypatch.context() as patch:
+            patch.setattr(codecs, "config_to_meta", as_written_before_removal)
+            matcher.save(old)
+        with caplog.at_level("WARNING", logger="repro.store"):
+            session = MatchSession.load(old)
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 1 and "representation.encoder " in messages[0], messages
+        assert str(old) in messages[0]
+        with session, MatchSession(matcher) as reference:
+            assert session.matcher.config == matcher.config
+            assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
+
     def test_unknown_config_key_is_a_store_error(self, snapshot_path, tmp_path):
         bad = tmp_path / "bad.snap"
         _rewrite_manifest_meta(

@@ -61,9 +61,12 @@ def test_idf_monotonicity():
 # ------------------------------------------------------------------- tfidf
 def test_tfidf_fit_transform_shapes():
     corpus = ["apple iphone silver", "samsung galaxy black", "apple iphone gold"]
-    vectorizer = TfidfVectorizer(analyzer="word")
-    matrix = vectorizer.fit_transform(corpus)
-    assert matrix.shape == (3, vectorizer.num_features)
+    vectorizer = TfidfVectorizer()
+    matrix = vectorizer.fit(corpus).transform(corpus)
+    assert matrix.shape == (3, len(vectorizer.vocabulary_))
+    # Terms are the words' character 3- and 4-grams ("<" / ">" mark word edges).
+    assert {"app", "appl", "er>"} <= set(vectorizer.vocabulary_)
+    assert "apple" not in vectorizer.vocabulary_ and "ap" not in vectorizer.vocabulary_
     norms = np.asarray(np.sqrt(matrix.multiply(matrix).sum(axis=1))).ravel()
     assert np.allclose(norms[norms > 0], 1.0, atol=1e-6)
 
@@ -74,8 +77,8 @@ def test_tfidf_similarity_orders_duplicates_first():
         "apple iphone 8 plus 64 gb sv",
         "bosch washing machine 8kg",
     ]
-    vectorizer = TfidfVectorizer(analyzer="char", ngram_range=(3, 4))
-    matrix = vectorizer.fit_transform(corpus)
+    vectorizer = TfidfVectorizer()
+    matrix = vectorizer.fit(corpus).transform(corpus)
     sims = cosine_similarity_sparse(matrix[0], matrix[1:])
     assert sims[0, 0] > sims[0, 1]
 
@@ -91,20 +94,7 @@ def test_tfidf_empty_corpus_raises():
 
 
 def test_tfidf_unknown_terms_produce_zero_rows():
-    vectorizer = TfidfVectorizer(analyzer="word")
+    vectorizer = TfidfVectorizer()
     vectorizer.fit(["alpha beta", "gamma delta"])
-    matrix = vectorizer.transform(["omega sigma"])
+    matrix = vectorizer.transform(["xyz qqq"])
     assert matrix.nnz == 0
-
-
-def test_tfidf_unknown_analyzer_rejected():
-    with pytest.raises(DataError):
-        TfidfVectorizer(analyzer="sentence")
-
-
-def test_tfidf_min_df():
-    corpus = ["a b", "a c", "a d"]
-    vectorizer = TfidfVectorizer(analyzer="word", min_df=2)
-    vectorizer.fit(corpus)
-    assert "a" in vectorizer.vocabulary_
-    assert "b" not in vectorizer.vocabulary_
