@@ -36,10 +36,11 @@ scale; ``python3 bench/run.py`` measures it at benchmark scale.
 
 Persistence and serving
 -----------------------
-:mod:`repro.store` snapshots every fitted artifact — integrated
-``ItemTable``, embedding store, ANN indexes with their cache, the fitted
-encoder — into one versioned, memory-mappable file: ``load(mmap=True)``
-restores zero-copy and byte-identical. :class:`repro.store.MatchSession`
+:mod:`repro.store` snapshots what a fitted matcher computes with —
+integrated ``ItemTable``, embedding store, the fitted encoder — into one
+versioned, memory-mappable file: ``load(mmap=True)`` restores zero-copy and
+byte-identical. ANN indexes are not persisted; a restored matcher rebuilds
+the one it needs. :class:`repro.store.MatchSession`
 serves ``match_new_table`` / nearest-tuple queries from a snapshot without
 refitting (CLI: ``snapshot save|load``, ``serve-match``).
 """

@@ -61,38 +61,6 @@ class BruteForceIndex(NearestNeighborIndex):
         dup._prepared = None if self._prepared is None else self._prepared.copy()
         return dup
 
-    # --------------------------------------------------------------- snapshot
-    def snapshot_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """State bundle for :mod:`repro.store`: JSON-able meta + named arrays.
-
-        The prepared row statistics are not stored: they are a deterministic
-        per-row function of the vectors, recomputed byte-identically by
-        :meth:`~repro.ann.distances.PreparedVectors.from_state` on restore.
-        """
-        if self._vectors is None:
-            raise IndexError_("cannot snapshot an unbuilt index")
-        assert self._prepared is not None
-        arrays: dict[str, np.ndarray] = {"vectors": self._prepared.vectors}
-        meta = {"backend": "brute-force", "metric": self.metric, "batch_size": self.batch_size}
-        return meta, arrays
-
-    @classmethod
-    def from_snapshot_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "BruteForceIndex":
-        """Rebuild an index from :meth:`snapshot_state` output (arrays adopted as-is).
-
-        A ``quantized_scan`` entry in meta written before the int8 scan was
-        removed is ignored: the exact scan returned the same neighbour ids.
-        """
-        index = cls(metric=meta["metric"], batch_size=meta["batch_size"])
-        index._prepared = PreparedVectors.from_state(
-            arrays["vectors"],
-            meta["metric"],
-            normed=arrays.get("normed"),
-            squared_norms=arrays.get("squared_norms"),
-        )
-        index._vectors = index._prepared.vectors
-        return index
-
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         queries = np.asarray(queries, dtype=np.float32)

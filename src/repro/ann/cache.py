@@ -26,10 +26,12 @@ merely overlap (rows dropped or replaced mid-table) are rebuilt from scratch:
 an approximate-reuse path would change mutual-pair output, which the
 reproduction treats as non-negotiable.
 
-The merge level loop keeps all cache traffic (:meth:`IndexCache.plan` and its
-``commit``) on its own thread in serial side order and sends only the build
-bodies to workers, so LRU order — which snapshots persist — is deterministic.
-Bookkeeping still happens under a lock; builds run outside it.
+The cache lives in memory only: snapshots do not persist it, and a restored
+matcher starts with an empty one. The merge level loop keeps all cache
+traffic (:meth:`IndexCache.plan` and its ``commit``) on its own thread in
+serial side order and sends only the build bodies to workers, so LRU order,
+and with it which entries are evicted, is deterministic. Bookkeeping still
+happens under a lock; builds run outside it.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class IndexCache:
         index, a clone-and-extend of a prefix entry, or ``build()`` — and may
         run on a worker thread; ``commit(index)`` records the statistics and
         the LRU touch / put. The merge level loop keeps ``plan`` and
-        ``commit`` on its own thread, in serial side order, so LRU order (it
-        is persisted into snapshots) never follows thread completion order.
+        ``commit`` on its own thread, in serial side order, so LRU order (and
+        so eviction) never follows thread completion order.
         """
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float32))
         digest = fingerprint_vectors(vectors)
@@ -213,28 +215,6 @@ class IndexCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-
-    def snapshot(self) -> list[tuple[Hashable, np.ndarray, NearestNeighborIndex]]:
-        """``(params_key, vectors, index)`` entries, LRU order.
-
-        The returned arrays and indexes are the live (read-only by contract)
-        cached objects. ``repro.store.codecs`` persists them
-        (``index_cache_state`` / ``index_cache_from_state``) into the
-        mmap-able snapshot format and restores them through :meth:`seed`;
-        because cache reuse is exact, a restored cache keeps content-hit and
-        prefix-extend reuse — in this process or any other (pinned by
-        ``tests/store/test_cache_store_roundtrip.py``).
-        """
-        with self._lock:
-            return [
-                (entry.params_key, entry.vectors, entry.index)
-                for entry in self._entries.values()
-            ]
-
-    def seed(self, entries: "list[tuple[Hashable, np.ndarray, NearestNeighborIndex]]") -> None:
-        """Install :meth:`snapshot` entries (oldest first, normal LRU rules)."""
-        for params_key, vectors, index in entries:
-            self._put(params_key, fingerprint_vectors(vectors), vectors, index)
 
     def clear(self) -> None:
         """Drop every entry and reset the statistics."""

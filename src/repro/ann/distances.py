@@ -197,37 +197,6 @@ class PreparedVectors:
         dup._squared_norms = self._squared_norms
         return dup
 
-    @classmethod
-    def from_state(
-        cls,
-        vectors: np.ndarray,
-        metric: str,
-        *,
-        normed: np.ndarray | None = None,
-        squared_norms: np.ndarray | None = None,
-    ) -> "PreparedVectors":
-        """Rehydrate for the snapshot restore path.
-
-        Prepared arrays, when given (older snapshots stored them), are
-        adopted verbatim. Current snapshots omit them: the row statistics
-        are a deterministic per-row function of the vectors, so recomputing
-        them here reproduces the exact bytes the saved kernel held — and
-        drops the largest derived plane from every snapshot file.
-        """
-        _check_metric(metric)
-        if normed is None and squared_norms is None:
-            return cls(vectors, metric)
-        if normed is not None and squared_norms is not None:
-            raise ConfigurationError("at most one of normed/squared_norms may be given")
-        if (normed is None) != (metric != "cosine"):
-            raise ConfigurationError(f"prepared arrays do not match metric {metric!r}")
-        prepared = object.__new__(cls)
-        prepared.metric = metric
-        prepared.vectors = np.asarray(vectors, dtype=np.float32)
-        prepared._normed = normed
-        prepared._squared_norms = squared_norms
-        return prepared
-
     def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
         """Precompute the query-side row statistics (normalization for cosine)."""
         queries = np.asarray(queries, dtype=np.float32)

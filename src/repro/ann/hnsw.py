@@ -350,83 +350,6 @@ class HNSWIndex(NearestNeighborIndex):
         self._build_epoch = 0
         return True
 
-    # ------------------------------------------------------------- snapshot
-    def snapshot_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """State bundle for :mod:`repro.store`: JSON-able meta + named arrays.
-
-        Adjacency tables are trimmed to the ``n`` inserted nodes (spare
-        capacity rows are an allocation detail, not state). The prepared
-        distance arrays are *not* stored — they are a deterministic per-row
-        function of the vectors, recomputed byte-identically on restore.
-        The level-sampling RNG state rides in the meta, which is what lets
-        ``extend`` continue the stream after a save → load round trip
-        exactly as it would have in memory.
-        """
-        if self._vectors is None or self._rng is None:
-            raise IndexError_("cannot snapshot an unbuilt index")
-        n = len(self._node_levels)
-        assert self._prepared is not None
-        arrays: dict[str, np.ndarray] = {
-            "vectors": self._prepared.vectors,
-            "node_levels": np.asarray(self._node_levels, dtype=np.int64),
-        }
-        for layer in range(len(self._layer_neighbors)):
-            arrays[f"layer{layer}/neighbors"] = self._layer_neighbors[layer][:n]
-            arrays[f"layer{layer}/dists"] = self._layer_dists[layer][:n]
-            arrays[f"layer{layer}/degrees"] = self._layer_degrees[layer][:n]
-        meta = {
-            "backend": "hnsw",
-            "metric": self.metric,
-            "max_degree": self.max_degree,
-            "ef_construction": self.ef_construction,
-            "ef_search": self.ef_search,
-            "seed": self.seed,
-            "entry_point": self._entry_point,
-            "max_level": self._max_level,
-            "num_layers": len(self._layer_neighbors),
-            "rng_state": self._rng.bit_generator.state,
-        }
-        return meta, arrays
-
-    @classmethod
-    def from_snapshot_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "HNSWIndex":
-        """Rebuild an index from :meth:`snapshot_state` output.
-
-        Arrays are adopted as-is (possibly read-only, memory-mapped views);
-        the first ``extend`` reallocates the adjacency tables through
-        ``_ensure_capacity`` before any in-place write, so mapped snapshots
-        are never mutated.
-        """
-        index = cls(
-            metric=meta["metric"],
-            max_degree=meta["max_degree"],
-            ef_construction=meta["ef_construction"],
-            ef_search=meta["ef_search"],
-            seed=meta["seed"],
-        )
-        index._prepared = PreparedVectors.from_state(
-            arrays["vectors"],
-            meta["metric"],
-            normed=arrays.get("normed"),
-            squared_norms=arrays.get("squared_norms"),
-        )
-        index._vectors = index._prepared.vectors
-        index._node_levels = arrays["node_levels"].tolist()
-        index._layer_neighbors = [
-            arrays[f"layer{layer}/neighbors"] for layer in range(meta["num_layers"])
-        ]
-        index._layer_dists = [arrays[f"layer{layer}/dists"] for layer in range(meta["num_layers"])]
-        index._layer_degrees = [
-            arrays[f"layer{layer}/degrees"] for layer in range(meta["num_layers"])
-        ]
-        index._entry_point = None if meta["entry_point"] is None else int(meta["entry_point"])
-        index._max_level = int(meta["max_level"])
-        index._build_stamps = np.zeros(len(index._node_levels), dtype=np.int64)
-        index._build_epoch = 0
-        index._rng = np.random.default_rng()
-        index._rng.bit_generator.state = meta["rng_state"]
-        return index
-
     def clone(self) -> "HNSWIndex":
         """Independent copy; extending the clone leaves the original untouched."""
         dup = HNSWIndex(

@@ -213,57 +213,3 @@ class LSHIndex(NearestNeighborIndex):
             use_native=self._use_native,
         )
         return indices, distances
-
-    # --------------------------------------------------------------- snapshot
-    def snapshot_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """State bundle for :mod:`repro.store`: JSON-able meta + named arrays.
-
-        Saves the hyperplanes and CSR bucket tables verbatim (they are
-        derived from the seed, but storing the bytes keeps restored probes
-        exact under any future RNG change). The prepared distance arrays
-        are not stored — they are a deterministic per-row function of the
-        vectors, recomputed byte-identically on restore.
-        """
-        if self._vectors is None:
-            raise IndexError_("cannot snapshot an unbuilt index")
-        assert self._prepared is not None
-        arrays: dict[str, np.ndarray] = {"vectors": self._prepared.vectors}
-        for t in range(self.num_tables):
-            arrays[f"table{t}/planes"] = self._planes[t]
-            arrays[f"table{t}/signatures"] = self._bucket_signatures[t]
-            arrays[f"table{t}/offsets"] = self._bucket_offsets[t]
-            arrays[f"table{t}/nodes"] = self._bucket_nodes[t]
-        meta = {
-            "backend": "lsh",
-            "metric": self.metric,
-            "num_tables": self.num_tables,
-            "num_bits": self.num_bits,
-            "probe_neighbors": self.probe_neighbors,
-            "seed": self.seed,
-        }
-        return meta, arrays
-
-    @classmethod
-    def from_snapshot_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "LSHIndex":
-        """Rebuild an index from :meth:`snapshot_state` output (arrays adopted as-is)."""
-        index = cls(
-            metric=meta["metric"],
-            num_tables=meta["num_tables"],
-            num_bits=meta["num_bits"],
-            probe_neighbors=meta["probe_neighbors"],
-            seed=meta["seed"],
-        )
-        index._prepared = PreparedVectors.from_state(
-            arrays["vectors"],
-            meta["metric"],
-            normed=arrays.get("normed"),
-            squared_norms=arrays.get("squared_norms"),
-        )
-        index._vectors = index._prepared.vectors
-        index._planes = [arrays[f"table{t}/planes"] for t in range(meta["num_tables"])]
-        index._bucket_signatures = [
-            arrays[f"table{t}/signatures"] for t in range(meta["num_tables"])
-        ]
-        index._bucket_offsets = [arrays[f"table{t}/offsets"] for t in range(meta["num_tables"])]
-        index._bucket_nodes = [arrays[f"table{t}/nodes"] for t in range(meta["num_tables"])]
-        return index

@@ -15,8 +15,8 @@ Subcommands:
   only the changed state as an append-only chain delta next to it;
 * ``snapshot compact`` — collapse a base + delta chain back into one
   self-contained snapshot file (byte-identical to a direct full save);
-* ``snapshot inspect`` — dump a single file's format version, segment
-  layout, alias map, chain parentage, and delta op summary;
+* ``snapshot inspect`` — dump a single file's format version, bytes per
+  bundle, segment layout, alias map, chain parentage, and delta op summary;
 * ``serve-match`` — restore a snapshot and fold one new source table into it
   without refitting (the load-and-serve path);
 * ``serve`` — run the long-lived async match-serving service
@@ -277,6 +277,28 @@ def _cmd_snapshot_gc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bundle_bytes(snapshot) -> str:
+    """``table … B, store … B, …``: this file's non-alias segment bytes per bundle.
+
+    A segment counts under its first path component, so a delta's
+    ``table/vectors#d/tail`` counts under ``table``. A bundle the manifest
+    describes (a meta entry with an ``__arrays__`` list) but this file stores
+    no bytes of, because a delta refs it, shows 0 B.
+    """
+    meta = snapshot.meta if isinstance(snapshot.meta, dict) else {}
+    sizes = {
+        bundle: 0
+        for bundle, bundle_meta in meta.items()
+        if isinstance(bundle_meta, dict) and "__arrays__" in bundle_meta
+    }
+    for name in snapshot.names():
+        entry = snapshot.entry(name)
+        if "alias_of" not in entry:
+            bundle = name.split("/", 1)[0]
+            sizes[bundle] = sizes.get(bundle, 0) + entry["nbytes"]
+    return ", ".join(f"{bundle} {size} B" for bundle, size in sizes.items())
+
+
 def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     from .store import Snapshot
     from .store.fsck import chain_link_failure, check_snapshot_file
@@ -295,6 +317,7 @@ def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
         aliases = snapshot.alias_map()
         print(f"segments: {len(snapshot.names())} entries, "
               f"{snapshot.total_bytes()} payload bytes, {len(aliases)} aliased")
+        print(f"bundles: {_bundle_bytes(snapshot)}")
         for name in snapshot.names():
             entry = snapshot.entry(name)
             if "alias_of" in entry:

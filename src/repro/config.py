@@ -28,11 +28,13 @@ REPRO_EPSILON_GRID = (0.8, 1.0, 1.2, 1.4)
 REPRO_GAMMA_GRID = (0.8, 0.85, 0.9, 0.95)
 
 #: Removed config keys, per section, with what runs in their place. Snapshots
-#: that carry one still load (``repro.store.codecs.config_from_meta`` drops it
+#: that carry one still load (``repro.store.codecs.drop_retired`` drops it
 #: with a warning), while ``with_overrides`` refuses it by name. Dropping a
 #: retired key never changes what a loaded snapshot computes: the one retired
 #: value that ever changed result bytes, ``representation.encoder`` naming the
 #: removed TF-IDF+SVD encoder, is refused by that snapshot's own encoder bundle.
+#: The ``"session"`` entry lists manifest bundles rather than config keys; it
+#: is not a config section, so ``with_overrides`` never consults it.
 RETIRED_KEYS: dict[str, dict[str, str]] = {
     "representation": {
         "encoder": "HashedNGramEncoder is the only sentence encoder",
@@ -50,6 +52,9 @@ RETIRED_KEYS: dict[str, dict[str, str]] = {
         "task_timeout": "every task is waited on; the first task exception propagates",
         "max_retries": "every task is waited on; the first task exception propagates",
         "retry_backoff": "every task is waited on; the first task exception propagates",
+    },
+    "session": {
+        "cache": "the index cache lives in memory only; a restored matcher builds its indexes",
     },
 }
 
@@ -106,7 +111,8 @@ class MergingConfig:
             tables, signature bits, Hamming-1 neighbour probing) for the
             backend-ablation benchmark.
         index_cache: give :class:`~repro.core.incremental.IncrementalMultiEM`
-            a persistent :class:`repro.ann.cache.IndexCache`, so ``add_table``
+            an in-memory :class:`repro.ann.cache.IndexCache`, kept across its
+            ``add_table`` calls (snapshots do not persist it), so ``add_table``
             reuses the index over a carried-forward integrated table. Reuse is
             exact, so results are unchanged. One ``match`` hierarchy indexes
             every table exactly once and uses no cache unless handed one.

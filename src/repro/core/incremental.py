@@ -204,7 +204,9 @@ class IncrementalMultiEM:
 
         Consumed by :mod:`repro.store.session`; every value is either a
         config object, a flat-array structure with its own codec, or a plain
-        JSON-able scalar/sequence.
+        JSON-able scalar/sequence — except ``index_cache``, the live in-memory
+        :class:`~repro.ann.cache.IndexCache` (or ``None``), which is reported
+        for its reuse statistics and which the store does not persist.
         """
         if not self.is_fitted:
             raise DataError("cannot snapshot an unfitted matcher; call fit() first")
@@ -233,13 +235,13 @@ class IncrementalMultiEM:
         table: ItemTable,
         store: EmbeddingStore,
         known_sources,
-        index_cache: IndexCache | None,
         item_owners: np.ndarray | None = None,
     ) -> "IncrementalMultiEM":
         """Rehydrate a fitted matcher from restored state (snapshot load path).
 
         ``encoder`` is the restored *inner* sentence encoder; the representer
         re-wraps it in its caching layer exactly as :meth:`fit` would have.
+        The matcher starts with an empty index cache, as a new one does.
         """
         matcher = cls(config)
         matcher._representer = EntityRepresenter(config.representation, encoder=encoder)
@@ -249,7 +251,6 @@ class IncrementalMultiEM:
         matcher._table = table
         matcher._store = store
         matcher._known_sources = set(known_sources)
-        matcher._index_cache = index_cache
         matcher._item_owners = item_owners
         return matcher
 

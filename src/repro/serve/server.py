@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
@@ -362,11 +363,15 @@ class MatchServer:
         ):
             raise HTTPError(400, "'texts' must be a non-empty list of strings")
         k = body.get("k", 1)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise HTTPError(400, "'k' must be a positive integer")
         max_distance = body.get("max_distance")
-        if max_distance is not None and not isinstance(max_distance, (int, float)):
-            raise HTTPError(400, "'max_distance' must be a number")
+        if max_distance is not None and (
+            isinstance(max_distance, bool)
+            or not isinstance(max_distance, (int, float))
+            or math.isnan(max_distance)  # json.loads accepts NaN; it would disable the cutoff
+        ):
+            raise HTTPError(400, "'max_distance' must be a number, not NaN")
         rows = await self.coalescer.submit(texts, k=k, max_distance=max_distance)
         return 200, canonical_json({"rows": rows}), None
 

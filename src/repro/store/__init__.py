@@ -13,13 +13,11 @@ package makes those arrays *move* without serialization:
   the module docstring for the full policy and version history).
 * :mod:`repro.store.codecs` — ``(meta, arrays)`` state bundles for the
   flat-array core types: :class:`~repro.core.merging.ItemTable`,
-  :class:`~repro.core.representation.EmbeddingStore`, all three ANN indexes
-  (HNSW snapshots include adjacency CSR and the level-RNG state, so
-  ``extend`` after a load continues the exact stream), :class:`~repro.ann.
-  cache.IndexCache` contents, fitted encoders, and the pipeline config.
-  Restores adopt the stored bytes verbatim; the only recomputed arrays are
-  the prepared distance row statistics, a deterministic per-row function of
-  the stored vectors — so save → load → continue stays byte-identical.
+  :class:`~repro.core.representation.EmbeddingStore`, the shard plan, fitted
+  encoders, and the pipeline config. Restores adopt the stored bytes
+  verbatim, so save → load → continue stays byte-identical. ANN indexes and
+  the in-memory :class:`~repro.ann.cache.IndexCache` are not persisted: a
+  restored matcher builds the index it needs, with the same bytes.
 * :mod:`repro.store.delta` — the delta ops themselves (``ref`` / ``alias``
   / row-``patch`` / ``full``), bundle-level diff/replay, and chain folding.
 * :mod:`repro.store.session` — :func:`save_session` /
@@ -35,14 +33,14 @@ Delta chains (rolling ingest)
 A fitted matcher's first ``save`` writes a self-contained **base**; after
 further ``add_table`` calls, ``save`` emits an **append-only delta** next to
 it (:func:`save_session_delta`) holding only the changed bytes — unchanged
-arrays become zero-byte refs onto the parent, the integrated vector plane
-row-patches, and carried-over index-cache entries ref their old segments.
+arrays become zero-byte refs onto the parent and the integrated vector
+plane row-patches.
 Each delta's manifest links its parent by basename plus payload digest, so
 :class:`SnapshotChain` can resolve and verify a whole ancestry;
 ``load_matcher`` / :meth:`MatchSession.load` accept any chain tip and
 reconstruct a state byte-identical to a single full snapshot.
-:func:`compact_session` collapses a chain back into one aliased base file
-(byte-identical to a direct full save, buffer aliasing included).
+:func:`compact_session` collapses a chain back into one base file
+(byte-identical to a direct full save).
 
 Durability (crash safety, fsck, GC)
 -----------------------------------

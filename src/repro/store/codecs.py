@@ -8,17 +8,12 @@ Every codec is a pure pair of functions::
 where ``meta`` is a JSON-serializable tree and the arrays dict holds raw
 numpy buffers. :func:`pack` / :func:`unpack` shuttle a bundle into / out of a
 :class:`~repro.store.format.SnapshotWriter` / ``Snapshot`` under a name
-prefix (the array-name list rides in the meta under ``"__arrays__"``), so
-bundles nest — an :class:`~repro.ann.cache.IndexCache` entry embeds a whole
-index bundle under an ``e{i}/index/`` prefix.
+prefix (the array-name list rides in the meta under ``"__arrays__"``).
 
 Restored arrays are adopted **verbatim** (zero-copy when the snapshot is
-memory-mapped): a loaded object computes the exact bytes the saved one did —
-CSR bucket tables, adjacency, and RNG states all round-trip as raw state.
-The one exception is the prepared distance row statistics (normalized rows /
-squared norms), which are a deterministic per-row function of the stored
-vectors and are recomputed byte-identically on restore instead of being
-persisted — they were the largest derived plane in every snapshot.
+memory-mapped): a loaded object computes the exact bytes the saved one did.
+ANN indexes have no codec: a restored matcher rebuilds the index it needs
+from the restored vectors, which gives the same bytes a fresh build would.
 """
 
 from __future__ import annotations
@@ -29,10 +24,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..ann.brute_force import BruteForceIndex
-from ..ann.cache import IndexCache
-from ..ann.hnsw import HNSWIndex
-from ..ann.lsh import LSHIndex
 from ..config import (
     RETIRED_KEYS,
     MergingConfig,
@@ -43,15 +34,12 @@ from ..config import (
 )
 from ..core.merging import ItemTable
 from ..core.representation import EmbeddingStore
-from ..exceptions import StoreError
-from .delta import bytes_equal
+from ..exceptions import ConfigurationError, StoreError
 from .format import (
     Snapshot,
     SnapshotWriter,
     string_table_arrays,
     strings_from_arrays,
-    tag_tuples,
-    untag_tuples,
 )
 
 logger = logging.getLogger("repro.store")
@@ -142,87 +130,6 @@ def embedding_store_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -
     )
 
 
-# -------------------------------------------------------------------- indexes
-_INDEX_TYPES = {"hnsw": HNSWIndex, "lsh": LSHIndex, "brute-force": BruteForceIndex}
-
-
-def index_state(index):
-    """State bundle of any snapshot-capable ANN index."""
-    snapshot_state = getattr(index, "snapshot_state", None)
-    if snapshot_state is None:
-        raise StoreError(f"index type {type(index).__name__} does not support snapshots")
-    return snapshot_state()
-
-
-def index_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
-    cls = _INDEX_TYPES.get(meta.get("backend"))
-    if cls is None:
-        raise StoreError(f"unknown index backend {meta.get('backend')!r} in snapshot")
-    return cls.from_snapshot_state(meta, dict(arrays))
-
-
-# ----------------------------------------------------------------- IndexCache
-def index_cache_state(cache: IndexCache):
-    """State bundle of an index cache — entries in LRU order (oldest first).
-
-    ``params_key`` tuples are JSON-tagged so they restore as *tuples* and
-    hash-compare equal to the keys future lookups construct at runtime.
-    """
-    entries_meta = []
-    arrays: dict[str, np.ndarray] = {}
-    for i, (params_key, vectors, index) in enumerate(cache.snapshot()):
-        index_meta, index_arrays = index_state(index)
-        index_meta = dict(index_meta)
-        index_meta["__arrays__"] = list(index_arrays)
-        arrays[f"e{i}/vectors"] = vectors
-        arrays.update(_prefixed(f"e{i}/index/", index_arrays))
-        entries_meta.append({"params_key": tag_tuples(params_key), "index": index_meta})
-    return (
-        {"type": "index_cache", "max_entries": cache.max_entries, "entries": entries_meta},
-        arrays,
-    )
-
-
-def _without_retired_index_kwargs(params_key):
-    """A restored cache key minus index kwargs that no longer exist.
-
-    ``merge_index_kwargs`` stopped emitting them, so an entry saved while
-    they existed must key like a fresh build's to be hit again. Only the
-    ``index_params_key`` shape is touched; any other key passes through.
-    """
-    if not (
-        isinstance(params_key, tuple)
-        and len(params_key) == 3
-        and isinstance(params_key[2], tuple)
-    ):
-        return params_key
-    backend, metric, items = params_key
-    retired = RETIRED_KEYS["merging"]
-    kept = tuple(
-        item for item in items if not (isinstance(item, tuple) and item and item[0] in retired)
-    )
-    return (backend, metric, kept)
-
-
-def index_cache_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> IndexCache:
-    cache = IndexCache(max_entries=meta["max_entries"])
-    entries = []
-    for i, entry_meta in enumerate(meta["entries"]):
-        index_meta = entry_meta["index"]
-        index_arrays = {
-            name: arrays[f"e{i}/index/{name}"] for name in index_meta["__arrays__"]
-        }
-        entries.append(
-            (
-                _without_retired_index_kwargs(untag_tuples(entry_meta["params_key"])),
-                arrays[f"e{i}/vectors"],
-                index_from_state(index_meta, index_arrays),
-            )
-        )
-    cache.seed(entries)
-    return cache
-
-
 # ------------------------------------------------------------------- encoders
 def encoder_state(encoder):
     """State bundle of a fitted :class:`~repro.embedding.hashed.HashedNGramEncoder`.
@@ -297,71 +204,36 @@ def encoder_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
     return encoder
 
 
-# --------------------------------------------------------------- delta pairing
-def index_cache_pairing(new_state, base_state) -> "dict[str, str]":
-    """Align cache entries of a new state onto a base state's segments.
-
-    Returns a ``{new_name: base_name}`` pairing (bundle-relative ``e{j}/…``
-    names) mapping each new entry onto the base entry it evolved from: the
-    first byte-identical twin with the same params key, else the longest
-    plausible prefix (same params key, fewer rows, matching first/last
-    prefix rows — a cheap screen; the byte-exact row diff downstream decides
-    what actually changed, so a miscast pairing can only cost bytes, never
-    correctness). Unpaired entries diff against nothing and store outright.
-    """
-    new_meta, new_arrays = new_state
-    base_meta, base_arrays = base_state
-    pairing: dict[str, str] = {}
-    used: set[int] = set()
-    for j, entry in enumerate(new_meta["entries"]):
-        new_vectors = new_arrays[f"e{j}/vectors"]
-        exact = None
-        best = None
-        best_rows = 0
-        for i, base_entry in enumerate(base_meta["entries"]):
-            if i in used or base_entry["params_key"] != entry["params_key"]:
-                continue
-            base_vectors = base_arrays.get(f"e{i}/vectors")
-            if (
-                base_vectors is None
-                or base_vectors.dtype != new_vectors.dtype
-                or base_vectors.shape[1:] != new_vectors.shape[1:]
-            ):
-                continue
-            if bytes_equal(base_vectors, new_vectors):
-                exact = i
-                break
-            rows = base_vectors.shape[0]
-            if (
-                0 < rows < new_vectors.shape[0]
-                and rows > best_rows
-                and bytes_equal(base_vectors[:1], new_vectors[:1])
-                and bytes_equal(base_vectors[rows - 1 : rows], new_vectors[rows - 1 : rows])
-            ):
-                best, best_rows = i, rows
-        pick = exact if exact is not None else best
-        if pick is None:
-            continue
-        used.add(pick)
-        pairing[f"e{j}/vectors"] = f"e{pick}/vectors"
-        for name in entry["index"]["__arrays__"]:
-            pairing[f"e{j}/index/{name}"] = f"e{pick}/index/{name}"
-    return pairing
-
-
 # --------------------------------------------------------------------- config
 def config_to_meta(config: MultiEMConfig) -> dict:
     """JSON tree of a pipeline config (tuples are only in per-field defaults)."""
     return asdict(config)
 
 
+def drop_retired(values: dict, section: str, *, source: str, what: str = "config key") -> dict:
+    """``values`` minus the keys :data:`repro.config.RETIRED_KEYS` lists for ``section``.
+
+    Each dropped key logs one warning naming it and ``source``. This is the one
+    compatibility path for snapshots that outlive a config field or a manifest
+    bundle: dropping a retired key never changes what the snapshot computes.
+    """
+    values = dict(values)
+    for key in RETIRED_KEYS.get(section, ()):
+        if key in values:
+            del values[key]
+            logger.warning(
+                "snapshot %s: %s %s.%s was retired and is ignored", source, what, section, key
+            )
+    return values
+
+
 def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
     """Rebuild the pipeline config a snapshot manifest carries.
 
-    Snapshots outlive config fields: a key in :data:`repro.config.RETIRED_KEYS`
-    (dropping one never changes what the snapshot computes) is dropped with one
-    warning naming it and ``source``; any other key this version does not know
-    raises :class:`StoreError` instead of guessing.
+    Snapshots outlive config fields: a retired key is dropped with one warning
+    (:func:`drop_retired`); any other key this version does not know, a
+    missing or malformed section, or a value the config rejects raises
+    :class:`StoreError` naming ``source`` and the section instead of guessing.
     """
     sections = {}
     for name, cls in (
@@ -370,20 +242,18 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
         ("pruning", PruningConfig),
         ("parallel", ParallelConfig),
     ):
-        values = dict(meta[name])
-        for key in RETIRED_KEYS.get(name, ()):
-            if key in values:
-                del values[key]
-                logger.warning(
-                    "snapshot %s: config key %s.%s was retired and is ignored", source, name, key
-                )
-        unknown = sorted(set(values) - {f.name for f in fields(cls)})
-        if unknown:
-            raise StoreError(f"snapshot {source}: unknown config key {name}.{unknown[0]}")
-        sections[name] = cls(**values)
-    config = MultiEMConfig(**sections)
-    config.validate()
-    return config
+        try:
+            values = drop_retired(meta[name], name, source=source)
+            unknown = sorted(set(values) - {f.name for f in fields(cls)})
+            if unknown:
+                raise StoreError(f"snapshot {source}: unknown config key {name}.{unknown[0]}")
+            sections[name] = cls(**values)
+            sections[name].validate()
+        except KeyError as exc:
+            raise StoreError(f"snapshot {source}: config section {name} is missing") from exc
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise StoreError(f"snapshot {source}: invalid config section {name}: {exc}") from exc
+    return MultiEMConfig(**sections)
 
 
 # -------------------------------------------------------------------- digests

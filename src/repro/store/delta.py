@@ -6,13 +6,13 @@ this module defines what they mean. A delta file's manifest carries a spec
 reconstructed state, in order. Ops:
 
 * ``{"op": "ref", "of": base_name}`` — unchanged; reuse the base's array
-  (zero bytes stored). ``of`` may differ from the logical name (an LRU
-  index-cache entry that moved slots still refs its old segment).
+  (zero bytes stored). The writer always refs the same name; readers accept
+  any ``of``, because files written while the index cache was persisted ref
+  renamed segments.
 * ``{"op": "alias", "of": new_name}`` — this name shares the *same buffer*
-  as another name of the new state (e.g. the integrated table's vector plane
-  doubling as an index-cache entry's key matrix). Reconstruction binds the
-  two names to one object, which is what lets compaction re-discover the
-  writer's pointer-aliasing and keep the aliased-base size saving.
+  as another name of the new state. Reconstruction binds the two names to
+  one object, which is what lets compaction re-discover the writer's
+  pointer-aliasing.
 * ``{"op": "patch", "of": base_name, ...}`` — row-level delta: the new array
   extends the base (same dtype and trailing dims, at least as many rows);
   only the changed prefix rows, their indices, and the appended tail are
@@ -23,11 +23,10 @@ reconstructed state, in order. Ops:
   whenever a patch would not be smaller).
 
 :func:`diff_bundle` produces the spec plus the physical segments from the
-new state's ordered arrays, the base state's arrays, and an optional
-``pairing`` (new name → base name) for arrays whose identity moved;
-:func:`apply_bundle` replays a spec over the base arrays and yields the new
-state byte-for-byte, which is what makes base → delta → load equivalent to a
-single full snapshot.
+new state's ordered arrays and the base state's arrays, pairing each name
+with the base array of the same name; :func:`apply_bundle` replays a spec
+over the base arrays and yields the new state byte-for-byte, which is what
+makes base → delta → load equivalent to a single full snapshot.
 """
 
 from __future__ import annotations
@@ -52,15 +51,6 @@ def _byte_rows(array: np.ndarray) -> np.ndarray:
     if array.size == 0:
         return np.zeros((rows, 0), dtype=np.uint8)
     return np.ascontiguousarray(array).view(np.uint8).reshape(rows, -1)
-
-
-def bytes_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exact byte equality (shape + dtype + raw bytes; NaN-safe)."""
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    a_flat = np.ascontiguousarray(a).reshape(-1).view(np.uint8)
-    b_flat = np.ascontiguousarray(b).reshape(-1).view(np.uint8)
-    return bool(np.array_equal(a_flat, b_flat))
 
 
 def changed_rows(new_prefix: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -157,8 +147,6 @@ def apply_array(
 def diff_bundle(
     new_arrays: "Mapping[str, np.ndarray]",
     base_arrays: "Mapping[str, np.ndarray]",
-    *,
-    pairing: "Mapping[str, str] | None" = None,
 ) -> tuple[dict, "dict[str, np.ndarray]"]:
     """Diff an ordered logical state against a base state.
 
@@ -167,16 +155,10 @@ def diff_bundle(
     order) and the physical segments to store. Names sharing one buffer in
     the new state collapse to one canonical diff plus ``alias`` ops, exactly
     mirroring :class:`~repro.store.format.SnapshotWriter`'s pointer dedup.
-    ``pairing`` redirects a logical name to a differently-named base array.
     """
-    pairing = dict(pairing or {})
     specs: dict[str, dict] = {}
     segments: dict[str, np.ndarray] = {}
     by_buffer: dict[tuple, str] = {}
-    base_by_content_key: dict[tuple, list[str]] = {}
-    for base_name, base_array in base_arrays.items():
-        key = (base_array.dtype.str, base_array.shape)
-        base_by_content_key.setdefault(key, []).append(base_name)
     for name, array in new_arrays.items():
         array = np.ascontiguousarray(array)
         buffer_key = (
@@ -189,20 +171,9 @@ def diff_bundle(
             specs[name] = {"op": "alias", "of": canonical}
             continue
         by_buffer[buffer_key] = name
-        base_name = pairing.get(name, name)
-        spec, array_segments = diff_array(array, base_arrays.get(base_name))
+        spec, array_segments = diff_array(array, base_arrays.get(name))
         if spec["op"] in ("ref", "patch"):
-            spec["of"] = base_name
-        elif spec["op"] == "full":
-            # Content fallback: an array that moved names entirely — e.g.
-            # the pre-merge integrated plane resurfacing as a new
-            # index-cache entry's key matrix — still refs any byte-identical
-            # base segment instead of being stored again.
-            for candidate in base_by_content_key.get((array.dtype.str, array.shape), ()):
-                if bytes_equal(array, base_arrays[candidate]):
-                    spec = {"op": "ref", "of": candidate}
-                    array_segments = {}
-                    break
+            spec["of"] = name
         specs[name] = spec
         for suffix, segment in array_segments.items():
             segments[name + suffix] = segment

@@ -147,11 +147,11 @@ class SnapshotWriter:
 
         Arrays that share storage are written once: registering the same
         underlying buffer (same data pointer, dtype and shape) under a second
-        name produces a manifest alias onto the first segment. The fitted
-        pipeline aliases heavily — an index cache entry's key matrix *is* the
-        index's vector matrix *is* the integrated table's vector plane — so
-        this keeps snapshots at unique-data size instead of multiplying the
-        dominant plane per referencing object.
+        name produces a manifest alias onto the first segment, so a plane
+        that two bundles reference is stored at unique-data size. Today's
+        session bundles share no buffer, so a session save writes no alias;
+        files written while the index cache was persisted carry many, and
+        readers resolve them (:meth:`Snapshot.alias_map`).
         """
         if name in self._arrays or name in self._aliases:
             raise StoreError(f"duplicate array name {name!r} in snapshot")
@@ -664,26 +664,3 @@ def string_table_arrays(strings: Iterable[str]) -> "dict[str, np.ndarray]":
 def strings_from_arrays(arrays: "Mapping[str, np.ndarray]", prefix: str) -> list[str]:
     """Decode a string table stored under ``prefix`` inside an arrays mapping."""
     return decode_strings(arrays[prefix + "#utf8"], arrays[prefix + "#offsets"])
-
-
-# ----------------------------------------------------------- JSON-safe tuples
-def tag_tuples(value: Any) -> Any:
-    """Recursively encode tuples as ``{"__tuple__": [...]}`` for JSON."""
-    if isinstance(value, tuple):
-        return {"__tuple__": [tag_tuples(v) for v in value]}
-    if isinstance(value, list):
-        return [tag_tuples(v) for v in value]
-    if isinstance(value, Mapping):
-        return {k: tag_tuples(v) for k, v in value.items()}
-    return value
-
-
-def untag_tuples(value: Any) -> Any:
-    """Inverse of :func:`tag_tuples` (exact tuple/list round trip)."""
-    if isinstance(value, dict):
-        if set(value) == {"__tuple__"}:
-            return tuple(untag_tuples(v) for v in value["__tuple__"])
-        return {k: untag_tuples(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [untag_tuples(v) for v in value]
-    return value

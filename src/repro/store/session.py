@@ -1,16 +1,23 @@
 """Load-and-serve matching: snapshot a fitted pipeline, restore, keep matching.
 
-:func:`save_session` writes the complete fitted state of an
-:class:`~repro.core.incremental.IncrementalMultiEM` — pipeline config, the
-fitted encoder (its IDF vocabulary), the integrated
+:func:`save_session` writes what a restored
+:class:`~repro.core.incremental.IncrementalMultiEM` computes with — pipeline
+config, the fitted encoder (its IDF vocabulary), the integrated
 :class:`~repro.core.merging.ItemTable`, the
-:class:`~repro.core.representation.EmbeddingStore`, and the live
-:class:`~repro.ann.cache.IndexCache` — into one snapshot file.
-:class:`MatchSession` (or :func:`load_matcher`) restores it without
+:class:`~repro.core.representation.EmbeddingStore`, and the shard plan of a
+sharded fit — into one snapshot file. The in-memory
+:class:`~repro.ann.cache.IndexCache` is not persisted: a restored matcher
+starts with an empty one and builds the indexes it needs.
+:class:`MatchSession` (or :func:`load_matcher`) restores a snapshot without
 re-running any pipeline stage: with ``mmap=True`` every vector plane is a
 zero-copy view over the mapped file, so a cold process starts answering
 ``match_new_table`` / ``query_many`` calls in the time it takes to parse the
 manifest.
+
+Files written before the index cache stopped being persisted carry a
+``cache`` bundle; it is dropped on load with one warning
+(:data:`repro.config.RETIRED_KEYS`, section ``"session"``), and its segments
+stay covered by the payload digest and ``fsck``.
 
 Restores are exact: the snapshot records content digests of the integrated
 table and the embedding store at save time, ``load`` re-derives and verifies
@@ -26,12 +33,13 @@ for the diff ops). ``load_matcher`` / :meth:`MatchSession.load` accept a
 chain tip transparently: the chain is resolved, link digests verified, and
 the reconstructed state is byte-identical to a single full snapshot of the
 same matcher — which :func:`compact_session` can then write out, collapsing
-any chain back into one self-contained, buffer-aliased base file.
+any chain back into one self-contained base file.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 
 import numpy as np
@@ -39,7 +47,7 @@ import numpy as np
 from ..core.incremental import IncrementalMultiEM
 from ..core.merging import plan_merge_index
 from ..data.table import Table
-from ..exceptions import StoreError
+from ..exceptions import DataError, StoreError
 from . import codecs
 from .delta import diff_bundle, resolve_chain_arrays
 from .format import DeltaWriter, SnapshotChain, SnapshotWriter
@@ -61,8 +69,8 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
 
     ``arrays`` is the ordered flat logical-array mapping every save path
     (full, delta, compacted) works over — ``table/…``, ``store/…``,
-    ``encoder/…``, ``cache/…`` — and ``bundle_metas`` holds the four bundle
-    meta trees (``cache`` is ``None`` when the matcher runs cacheless), each
+    ``encoder/…`` and, for a sharded fit, ``shard/…`` — and ``bundle_metas``
+    holds the bundle meta trees (``shard`` is ``None`` when unsharded), each
     carrying its ``__arrays__`` name list.
     """
     parts = [
@@ -70,8 +78,6 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
         ("store", "store/", codecs.embedding_store_state(state["store"])),
         ("encoder", "encoder/", codecs.encoder_state(state["encoder"])),
     ]
-    if state["index_cache"] is not None:
-        parts.append(("cache", "cache/", codecs.index_cache_state(state["index_cache"])))
     if state.get("item_owners") is not None:
         merging = state["config"].merging
         parts.append(
@@ -83,7 +89,7 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
                 ),
             )
         )
-    metas: dict = {"cache": None, "shard": None}
+    metas: dict = {"shard": None}
     arrays: dict = {}
     for key, prefix, (meta, bundle) in parts:
         meta = dict(meta)
@@ -96,8 +102,7 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
 
 def _session_meta(state, metas: dict, digests: dict) -> dict:
     # Key order is part of the byte-pinned manifest; do not reorder. The
-    # "shard" key is appended last and only for sharded fits, so unsharded
-    # snapshot bytes are unchanged by the sharding feature.
+    # "shard" key is appended last and only for sharded fits.
     meta = {
         "type": SESSION_TYPE,
         "config": codecs.config_to_meta(state["config"]),
@@ -108,7 +113,6 @@ def _session_meta(state, metas: dict, digests: dict) -> dict:
         "table": metas["table"],
         "store": metas["store"],
         "encoder": metas["encoder"],
-        "cache": metas["cache"],
     }
     if metas.get("shard") is not None:
         meta["shard"] = metas["shard"]
@@ -126,10 +130,10 @@ def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, de
     """Remember the matcher's on-disk base so the next save can emit a delta.
 
     Captured by reference, not by re-reading the file: the pipeline never
-    mutates published arrays (stores append blocks, caches clone before
-    extending, merges build fresh arrays), so the captured objects stay the
-    exact bytes the snapshot holds. Snapshots without a recorded payload
-    digest (pre-chain files) cannot anchor a chain, so no base is recorded.
+    mutates published arrays (stores append blocks, merges build fresh
+    arrays), so the captured objects stay the exact bytes the snapshot holds.
+    Snapshots without a recorded payload digest (pre-chain files) cannot
+    anchor a chain, so no base is recorded.
     """
     payload = (meta.get("digests") or {}).get("payload")
     matcher._base = (
@@ -139,7 +143,6 @@ def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, de
             "path": os.path.abspath(os.fspath(path)),
             "payload": payload,
             "depth": int(depth),
-            "meta": meta,
             "arrays": dict(arrays),
         }
     )
@@ -153,10 +156,10 @@ def save_session(matcher: IncrementalMultiEM, path) -> dict:
     for name, array in arrays.items():
         writer.add_array(name, array)
     digests = _state_digests(state)
-    # Whole-payload digest: every segment of every embedded object
-    # (encoder, index cache, config arrays included), so load-time
-    # verification covers the entire snapshot, not just the two core
-    # structures whose object-level digests are reported above.
+    # Whole-payload digest: every segment of every bundle (the encoder
+    # included), so load-time verification covers the entire snapshot, not
+    # just the two core structures whose object-level digests are reported
+    # above.
     digests["payload"] = writer.payload_digest()
     meta = _session_meta(state, metas, digests)
     writer.set_meta(meta)
@@ -170,11 +173,10 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
     """Write only what changed since the matcher's recorded base snapshot.
 
     Produces a chain segment next to the base (parents resolve by basename):
-    unchanged arrays become zero-byte refs, the integrated table's vector
-    plane row-patches, carried-over index-cache entries ref their old
-    segments even after LRU reordering. The manifest still carries the
-    *complete* session meta plus the reconstructed-state digests, so a chain
-    tip describes the whole logical state. Returns the digest record.
+    unchanged arrays become zero-byte refs and the integrated table's vector
+    plane row-patches. The manifest still carries the *complete* session
+    meta plus the reconstructed-state digests, so a chain tip describes the
+    whole logical state. Returns the digest record.
     """
     base = getattr(matcher, "_base", None)
     if base is None:
@@ -189,17 +191,7 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
         )
     state = matcher.snapshot_state()
     metas, arrays = session_state_bundle(state)
-    pairing: dict = {}
-    if metas["cache"] is not None and base["meta"].get("cache") is not None:
-        new_cache = {n[len("cache/"):]: a for n, a in arrays.items() if n.startswith("cache/")}
-        base_cache = {
-            n[len("cache/"):]: a for n, a in base["arrays"].items() if n.startswith("cache/")
-        }
-        entry_pairing = codecs.index_cache_pairing(
-            (metas["cache"], new_cache), (base["meta"]["cache"], base_cache)
-        )
-        pairing = {"cache/" + new: "cache/" + old for new, old in entry_pairing.items()}
-    spec, segments = diff_bundle(arrays, base["arrays"], pairing=pairing)
+    spec, segments = diff_bundle(arrays, base["arrays"])
     writer = DeltaWriter(
         base["path"], base["payload"], base["depth"] + 1, segment_digests=True
     )
@@ -226,10 +218,12 @@ def _restore_state(
 
     ``payload_digest`` is a zero-arg callable deriving the digest to check
     against the recorded one (only invoked when ``verify`` needs it);
-    ``source`` is the file the state came from, for messages.
+    ``source`` is the file the state came from, for messages. Retired
+    bundles (an old file's ``cache``) are dropped with one warning.
     """
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
         raise StoreError("snapshot does not hold a MultiEM session")
+    meta = codecs.drop_retired(meta, "session", source=str(source), what="manifest bundle")
     table = codecs.item_table_from_state(
         meta["table"], codecs.unpack_arrays(arrays, "table/", meta["table"])
     )
@@ -252,11 +246,6 @@ def _restore_state(
     encoder = codecs.encoder_from_state(
         meta["encoder"], codecs.unpack_arrays(arrays, "encoder/", meta["encoder"])
     )
-    cache = None
-    if meta.get("cache") is not None:
-        cache = codecs.index_cache_from_state(
-            meta["cache"], codecs.unpack_arrays(arrays, "cache/", meta["cache"])
-        )
     item_owners = None
     if meta.get("shard") is not None:
         item_owners = codecs.shard_plan_from_state(
@@ -270,7 +259,6 @@ def _restore_state(
         table=table,
         store=store,
         known_sources=meta["known_sources"],
-        index_cache=cache,
         item_owners=item_owners,
     )
 
@@ -351,9 +339,9 @@ def compact_session(
     """Collapse the chain ending at ``path`` into one base file at ``out_path``.
 
     The output is a self-contained session snapshot, byte-identical to the
-    full snapshot the tip matcher would have saved directly — buffer
-    aliasing included, because chain reconstruction binds aliased segments
-    back to single objects. The source chain is left untouched; with
+    full snapshot the tip matcher would have saved directly (a chain written
+    while the index cache was persisted compacts without its ``cache``
+    bundle). The source chain is left untouched; with
     ``retire=True`` (chain and output in the same directory) a retirement
     marker is written next to the output naming the superseded chain files,
     which authorizes a later ``gc_store`` pass to delete them once the
@@ -492,12 +480,14 @@ class MatchSession:
 
         Encodes ``texts`` with the restored encoder and searches the
         integrated table with the configured ANN backend (the index is
-        looked up once per integrated table — through the restored index
-        cache, so a cache warmed by a previous ``add_table`` never rebuilds
-        it — and held until ``add_table`` publishes a new table). Returns one list
-        per text of ``(members, distance)`` pairs, nearest first; pairs
-        beyond ``max_distance`` (default: the merging threshold ``m``) are
-        dropped.
+        looked up once per integrated table — through the matcher's
+        in-memory index cache, so an index a previous ``add_table`` in this
+        process built is not rebuilt — and held until ``add_table`` publishes
+        a new table). Returns one list per text of ``(members, distance)``
+        pairs, nearest first; pairs beyond ``max_distance`` (default: the
+        merging threshold ``m``) are dropped. A NaN ``max_distance`` raises
+        :class:`~repro.exceptions.DataError`: no distance compares greater
+        than NaN, so it would drop nothing.
 
         The serving plane's hot path: all per-session config plumbing lives
         in a prepared :class:`_QueryContext` built on first use, and the
@@ -508,6 +498,8 @@ class MatchSession:
         slice per-request results back out byte-identically (pinned by
         ``tests/serve/test_coalescer.py``).
         """
+        if max_distance is not None and math.isnan(max_distance):
+            raise DataError("max_distance must be a number, not NaN")
         table = self.matcher.integrated_table
         if len(table) == 0:
             return [[] for _ in texts]

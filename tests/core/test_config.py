@@ -149,9 +149,18 @@ def test_with_overrides_says_a_removed_key_was_removed(section, key, runs):
 
 def test_retired_keys_never_return_as_fields():
     """A retired name cannot silently come back as a live field of its section."""
-    for section, retired in RETIRED_KEYS.items():
+    sections = {f.name for f in fields(MultiEMConfig)}
+    # "session" lists retired manifest bundles, not config keys.
+    assert set(RETIRED_KEYS) - sections == {"session"}
+    for section in sections & set(RETIRED_KEYS):
         live = {f.name for f in fields(getattr(MultiEMConfig(), section))}
-        assert not live & set(retired), (section, sorted(live & set(retired)))
+        retired = set(RETIRED_KEYS[section])
+        assert not live & retired, (section, sorted(live & retired))
+
+
+def test_with_overrides_refuses_the_session_entry_as_a_section():
+    with pytest.raises(ConfigurationError, match="unknown config section 'session'"):
+        MultiEMConfig().with_overrides(session={"cache": True})
 
 
 def test_paper_default_config_known_datasets():

@@ -264,7 +264,7 @@ def test_workers_is_the_one_answer():
 
 
 def test_threaded_cache_order_equals_serial(music_tiny):
-    """Cache traffic stays on the calling thread: LRU order (persisted) is deterministic."""
+    """Cache traffic stays on the calling thread: LRU order (so eviction) is deterministic."""
     from repro.config import MultiEMConfig
     from repro.core import IncrementalMultiEM
 
@@ -276,8 +276,8 @@ def test_threaded_cache_order_equals_serial(music_tiny):
             matcher.fit(music_tiny.subset(names[:-2]))
             matcher.add_table(music_tiny.tables[names[-2]])
             matcher.add_table(music_tiny.tables[names[-1]])
-            entries = matcher._index_cache.snapshot()
-            keys[label] = [(key, vectors.tobytes()) for key, vectors, _ in entries]
+            entries = matcher._index_cache._entries.values()
+            keys[label] = [(entry.params_key, entry.vectors.tobytes()) for entry in entries]
             stats = matcher._index_cache.stats.as_dict()
         keys[label].append(stats)
     assert keys["thread"] == keys["serial"]

@@ -77,6 +77,9 @@ def test_server_end_to_end(serve_snapshot, serve_session, serve_split, query_tex
                 ({"texts": []}, "/query", 400),
                 ({"texts": [1, 2]}, "/query", 400),
                 ({"texts": ["x"], "k": 0}, "/query", 400),
+                ({"texts": ["x"], "k": True}, "/query", 400),
+                ({"texts": ["x"], "max_distance": float("nan")}, "/query", 400),
+                ({"texts": ["x"], "max_distance": True}, "/query", 400),
                 (None, "/nope", 404),
                 ({"table": "not-an-object"}, "/match-table", 400),
             ]:

@@ -163,6 +163,10 @@ class TestChainCli:
         assert "format version 2" in out
         assert "chain: base snapshot (no parent)" in out
         assert "aliased" in out
+        bundles = next(line for line in out.splitlines() if line.startswith("bundles: "))
+        sizes = dict(part.rsplit(" ", 2)[:2] for part in bundles[len("bundles: "):].split(", "))
+        assert list(sizes) == ["table", "store", "encoder"]
+        assert all(int(size) > 0 for size in sizes.values())
 
         assert cli_main(["snapshot", "inspect", str(chain / "fit.snap.d1")]) == 0
         out = capsys.readouterr().out

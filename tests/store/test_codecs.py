@@ -5,10 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann.brute_force import BruteForceIndex
-from repro.ann.cache import IndexCache
-from repro.ann.hnsw import HNSWIndex
-from repro.ann.lsh import LSHIndex
 from repro.config import MultiEMConfig, ParallelConfig
 from repro.core.merging import ItemTable, MergeItem
 from repro.core.representation import EmbeddingStore, TableEmbeddings
@@ -95,95 +91,6 @@ class TestEmbeddingStore:
         assert rows.tolist() == store.member_rows(("t0", "t1"), np.array([0, 1]), np.array([2, 3])).tolist()
 
 
-@pytest.fixture
-def vectors():
-    rng = np.random.default_rng(11)
-    return rng.normal(size=(120, 16)).astype(np.float32)
-
-
-class TestIndexes:
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_hnsw_roundtrip_queries_and_graph(self, vectors, metric, tmp_path):
-        index = HNSWIndex(metric=metric, max_degree=6, ef_construction=30, seed=7).build(vectors)
-        loaded = roundtrip(codecs.index_state(index), codecs.index_from_state, tmp_path)
-        queries = vectors[:20]
-        got_i, got_d = loaded.query(queries, 3)
-        want_i, want_d = index.query(queries, 3)
-        assert np.array_equal(got_i, want_i)
-        assert got_d.tobytes() == want_d.tobytes()
-        n = len(index._node_levels)
-        for layer in range(index._max_level + 1):
-            assert np.array_equal(
-                loaded._layer_neighbors[layer][:n], index._layer_neighbors[layer][:n]
-            )
-
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_hnsw_extend_after_load_continues_rng_stream(self, vectors, tmp_path, mmap):
-        """save → load → extend is byte-identical to build-all-at-once."""
-        head, tail = vectors[:90], vectors[90:]
-        index = HNSWIndex(max_degree=6, ef_construction=30, seed=3).build(head)
-        loaded = roundtrip(
-            codecs.index_state(index), codecs.index_from_state, tmp_path, mmap=mmap
-        )
-        loaded.extend(tail)
-        reference = HNSWIndex(max_degree=6, ef_construction=30, seed=3).build(vectors)
-        n = vectors.shape[0]
-        assert loaded._entry_point == reference._entry_point
-        assert loaded._max_level == reference._max_level
-        for layer in range(reference._max_level + 1):
-            assert np.array_equal(
-                loaded._layer_neighbors[layer][:n], reference._layer_neighbors[layer][:n]
-            )
-            assert (
-                loaded._layer_dists[layer][:n].tobytes()
-                == reference._layer_dists[layer][:n].tobytes()
-            )
-        got_i, got_d = loaded.query(vectors[:25], 4)
-        want_i, want_d = reference.query(vectors[:25], 4)
-        assert np.array_equal(got_i, want_i)
-        assert got_d.tobytes() == want_d.tobytes()
-
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_lsh_roundtrip(self, vectors, metric, tmp_path):
-        index = LSHIndex(metric=metric, num_tables=3, num_bits=6, seed=5).build(vectors)
-        loaded = roundtrip(codecs.index_state(index), codecs.index_from_state, tmp_path)
-        queries = vectors[:30] + np.float32(0.01)
-        got_i, got_d = loaded.query(queries, 4)
-        want_i, want_d = index.query(queries, 4)
-        assert np.array_equal(got_i, want_i)
-        assert got_d.tobytes() == want_d.tobytes()
-
-    def test_brute_force_roundtrip(self, vectors, tmp_path):
-        index = BruteForceIndex(batch_size=32).build(vectors)
-        loaded = roundtrip(codecs.index_state(index), codecs.index_from_state, tmp_path)
-        got_i, got_d = loaded.query(vectors[:10], 5)
-        want_i, want_d = index.query(vectors[:10], 5)
-        assert np.array_equal(got_i, want_i)
-        assert got_d.tobytes() == want_d.tobytes()
-
-    def test_unbuilt_index_rejected(self):
-        with pytest.raises(Exception, match="unbuilt"):
-            codecs.index_state(HNSWIndex())
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(StoreError, match="unknown index backend"):
-            codecs.index_from_state({"backend": "flann"}, {})
-
-
-class TestIndexCache:
-    def test_cache_roundtrip_preserves_hits(self, vectors, tmp_path):
-        cache = IndexCache(max_entries=4)
-        key = ("hnsw", "cosine", (("seed", 0),))
-        cache.get_or_build(vectors, lambda: HNSWIndex(seed=0).build(vectors), params_key=key)
-        loaded = roundtrip(codecs.index_cache_state(cache), codecs.index_cache_from_state, tmp_path)
-        assert len(loaded) == 1
-        # Content hit with the exact runtime-constructed key.
-        loaded.get_or_build(
-            vectors, lambda: pytest.fail("should have hit"), params_key=key
-        )
-        assert loaded.stats.exact_hits == 1
-
-
 class TestEncoders:
     def test_hashed_encoder_roundtrip_same_vectors(self, tmp_path):
         from repro.embedding import HashedNGramEncoder
@@ -245,3 +152,24 @@ class TestConfig:
         meta["merging"]["warp_factor"] = 9
         with pytest.raises(StoreError, match=r"old\.snap.*merging\.warp_factor"):
             codecs.config_from_meta(meta, source="old.snap")
+
+    @pytest.mark.parametrize(
+        "damage, message, cause",
+        [
+            (lambda meta: meta.pop("parallel"), "section parallel is missing", KeyError),
+            (lambda meta: meta.update(pruning=7), "section pruning: 'int' object", TypeError),
+            (lambda meta: 7, "section representation: 'int' object", TypeError),
+            (lambda meta: meta["merging"].update(k="x"), "section merging: '<' not", TypeError),
+        ],
+        ids=["missing-section", "non-dict-section", "non-dict-config", "wrong-value-type"],
+    )
+    def test_malformed_config_is_a_store_error_naming_source_and_section(
+        self, damage, message, cause
+    ):
+        meta = codecs.config_to_meta(MultiEMConfig())
+        replaced = damage(meta)
+        if isinstance(replaced, int):
+            meta = replaced
+        with pytest.raises(StoreError, match=rf"bad\.snap: .*{message}") as excinfo:
+            codecs.config_from_meta(meta, source="bad.snap")
+        assert isinstance(excinfo.value.__cause__, cause)

@@ -9,11 +9,15 @@ from repro.exceptions import StoreError
 from repro.store.delta import (
     apply_array,
     apply_bundle,
-    bytes_equal,
     changed_rows,
     diff_array,
     diff_bundle,
 )
+
+
+def bytes_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Exact byte equality (shape + dtype + raw bytes; NaN-safe)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _roundtrip(new, base):
@@ -128,22 +132,19 @@ class TestDiffBundle:
         restored = apply_bundle(spec, {}, lambda name: segments[name])
         assert restored["cache/vectors"] is restored["table/vectors"]
 
-    def test_pairing_redirects_to_renamed_base_segment(self):
+    def test_apply_bundle_follows_a_ref_to_another_name(self):
+        """Files written while the index cache was persisted ref renamed segments."""
         plane = np.random.default_rng(7).normal(size=(9, 2)).astype(np.float32)
-        spec, segments = diff_bundle(
-            {"e0/v": plane}, {"e3/v": plane}, pairing={"e0/v": "e3/v"}
-        )
-        assert spec["arrays"]["e0/v"] == {"op": "ref", "of": "e3/v"}
-        assert segments == {}
-        restored = apply_bundle(spec, {"e3/v": plane}, lambda name: segments[name])
-        assert restored["e0/v"] is plane
+        spec = {"arrays": {"cache/e0/vectors": {"op": "ref", "of": "table/vectors"}}}
+        restored = apply_bundle(spec, {"table/vectors": plane}, lambda name: None)
+        assert restored["cache/e0/vectors"] is plane
 
-    def test_content_fallback_refs_identical_base_under_any_name(self):
-        """An array that moved names entirely still refs its old segment."""
+    def test_an_array_under_a_new_name_is_stored_outright(self):
+        """The writer pairs names only: a byte-identical base array elsewhere is not reffed."""
         plane = np.random.default_rng(8).normal(size=(11, 4)).astype(np.float32)
-        spec, segments = diff_bundle({"cache/e5/vectors": plane.copy()}, {"table/vectors": plane})
-        assert spec["arrays"]["cache/e5/vectors"] == {"op": "ref", "of": "table/vectors"}
-        assert segments == {}
+        spec, segments = diff_bundle({"store/block1": plane.copy()}, {"table/vectors": plane})
+        assert spec["arrays"]["store/block1"] == {"op": "full"}
+        assert bytes_equal(segments["store/block1"], plane)
 
     def test_apply_bundle_rejects_dangling_links(self):
         with pytest.raises(StoreError, match="unknown name"):

@@ -23,8 +23,6 @@ from repro.store.format import (
     encode_strings,
     string_table_arrays,
     strings_from_arrays,
-    tag_tuples,
-    untag_tuples,
 )
 
 
@@ -95,9 +93,9 @@ class TestRoundTrip:
     def test_shared_buffers_stored_once(self, tmp_path):
         """Registering the same array under several names writes one segment.
 
-        A fitted pipeline aliases its vector plane heavily (integrated
-        table, cache entry key, index vectors are one ndarray); the snapshot
-        must stay at unique-data size.
+        Files written while the index cache was persisted aliased the vector
+        plane heavily (integrated table, cache entry key, index vectors were
+        one ndarray); the snapshot must stay at unique-data size.
         """
         vectors = np.random.default_rng(1).normal(size=(256, 64)).astype(np.float32)
         writer = SnapshotWriter()
@@ -306,13 +304,3 @@ class TestErrors:
         with Snapshot.open(path) as snap:
             with pytest.raises(StoreError, match="no array"):
                 snap.array("nope")
-
-
-class TestTupleTagging:
-    def test_nested_tuples_roundtrip_exactly(self):
-        key = ("hnsw", "cosine", (("ef", 100), ("probe", True), ("ratio", 0.25)))
-        encoded = json.loads(json.dumps(tag_tuples(key)))
-        restored = untag_tuples(encoded)
-        assert restored == key
-        assert hash(restored) == hash(key)
-        assert untag_tuples(json.loads(json.dumps(tag_tuples([1, (2, [3, ()])])))) == [1, (2, [3, ()])]

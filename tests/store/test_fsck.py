@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import struct
 import subprocess
@@ -46,6 +47,8 @@ pytestmark = pytest.mark.faults
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
 )
+#: A full save written while the index cache was persisted (see test_seed_snapshots.py).
+SEED_BASE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "seed-base.snap")
 
 
 def _flip_byte(path, offset: int) -> None:
@@ -161,9 +164,14 @@ class TestCorruptionMessages:
 
     @pytest.mark.parametrize("prefix", ["table/", "store/", "encoder/", "cache/"])
     def test_payload_flip_names_the_corrupted_bundle(self, chain_template, tmp_path, prefix):
-        """One flipped byte in any codec's segments names that codec's bundle."""
+        """One flipped byte in any codec's segments names that codec's bundle.
+
+        New files have no ``cache/`` segment; that case damages an old file's.
+        """
         clone, _ = _clone(chain_template, tmp_path)
         target = clone / "s.snap"
+        if prefix == "cache/":
+            shutil.copy(SEED_BASE, target)
         _flip_byte(target, _segment_offset(target, prefix))
         with Snapshot.open(target) as snapshot:
             failures = [(n, d) for n, ok, d in snapshot.verify_segments() if not ok]

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from repro.ann.cache import index_params_key
 from repro.config import paper_default_config
 from repro.core.incremental import IncrementalMultiEM
-from repro.core.merging import merge_index_kwargs
 from repro.data.serialization import serialize_table
 from repro.exceptions import DataError, StoreError
 from repro.store import MatchSession, load_matcher, save_session
 from repro.store.codecs import embedding_store_digest, item_table_digest
-from repro.store.format import tag_tuples, untag_tuples
+from repro.store.format import Snapshot
+
+#: A full save written while the index cache was persisted (see test_seed_snapshots.py).
+SEED_BASE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "seed-base.snap")
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,13 @@ class TestQueryMany:
             assert batched == serial
             assert batched[-1] == []  # the far text filters to an empty row
 
+    def test_nan_max_distance_is_a_data_error(self, snapshot_path, probe_texts):
+        """NaN compares false with every distance, so it would return every neighbour."""
+        with MatchSession.load(snapshot_path) as session:
+            with pytest.raises(DataError, match="NaN"):
+                session.query_many(probe_texts, k=3, max_distance=float("nan"))
+            assert session.query_many(probe_texts, k=3, max_distance=float("inf"))[-1]
+
     def test_query_context_is_prepared_once(self, snapshot_path, probe_texts):
         with MatchSession.load(snapshot_path) as session:
             assert session._query_context is None
@@ -149,6 +158,30 @@ class TestQueryMany:
             assert context is not None
             session.query_many(probe_texts[1:3], k=2)
             assert session._query_context is context
+
+
+class TestPersistedBundles:
+    """A snapshot holds what a restore computes with, never the index cache."""
+
+    def test_full_and_delta_saves_hold_no_index_cache(self, split, tmp_path):
+        base, held_out = split
+        with IncrementalMultiEM(paper_default_config(base.name)) as matcher:
+            matcher.fit(base)
+            assert len(matcher._index_cache) > 0  # the live cache is not empty
+            matcher.save(tmp_path / "s.snap", mode="full")
+            matcher.add_table(held_out)
+            matcher.save(tmp_path / "s.snap.d1", mode="delta")
+        for name in ("s.snap", "s.snap.d1"):
+            with Snapshot.open(tmp_path / name) as snap:
+                assert not [n for n in snap.names() if n.startswith("cache/")], name
+                assert "cache" not in snap.meta, name
+                logical = snap.delta["arrays"] if snap.delta else {}
+                assert not [n for n in logical if n.startswith("cache/")], name
+                assert {"table", "store", "encoder"} <= set(snap.meta), name
+
+    def test_a_restored_matcher_starts_with_an_empty_cache(self, snapshot_path):
+        with MatchSession.load(snapshot_path) as session:
+            assert len(session.matcher._index_cache) == 0
 
 
 def _cache_lookups(cache) -> int:
@@ -267,13 +300,6 @@ class TestRetiredConfigKeys:
                 kernel_threads=kernel_threads, quantized_scan=quantized_scan
             )
             meta["config"]["parallel"]["kernel_threads"] = kernel_threads
-            assert meta["cache"]["entries"]
-            for entry in meta["cache"]["entries"]:
-                backend, metric, items = untag_tuples(entry["params_key"])
-                items = tuple(sorted(items + (("quantized_scan", quantized_scan),)))
-                entry["params_key"] = tag_tuples((backend, metric, items))
-                if entry["index"]["backend"] == "brute-force":
-                    entry["index"]["quantized_scan"] = quantized_scan
 
         _rewrite_manifest_meta(snapshot_path, old, as_written_before_removal)
         with caplog.at_level("WARNING", logger="repro.store"):
@@ -283,12 +309,7 @@ class TestRetiredConfigKeys:
             assert sum(key in m and str(old) in m for m in messages) == 1, messages
         assert len(messages) == 3
         with session, MatchSession.load(snapshot_path) as reference:
-            merging = session.matcher.config.merging
             assert session.matcher.config == reference.matcher.config
-            for params_key, _, _ in session.matcher._index_cache.snapshot():
-                assert params_key == index_params_key(
-                    params_key[0], merging.metric, merge_index_kwargs(merging)
-                )
             assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
             assert session.match_new_table(held_out).tuples == (
                 reference.match_new_table(held_out).tuples
@@ -353,9 +374,13 @@ class TestSessionErrors:
 
     @pytest.mark.parametrize("prefix", ["encoder/", "cache/"])
     def test_corruption_outside_core_structures_detected(self, snapshot_path, tmp_path, prefix):
-        """The payload digest covers every segment, not just table and store."""
-        from repro.store import Snapshot
+        """The payload digest covers every segment, not just table and store.
 
+        New files have no ``cache/`` segment; that case damages an old file's,
+        whose dropped bundle is still under the digest.
+        """
+        if prefix == "cache/":
+            snapshot_path = SEED_BASE
         with Snapshot.open(snapshot_path) as snap:
             target = next(
                 name
@@ -364,7 +389,8 @@ class TestSessionErrors:
                 and "alias_of" not in snap._entries[name]
             )
             entry = snap._entries[target]
-        data = bytearray(snapshot_path.read_bytes())
+        with open(snapshot_path, "rb") as handle:
+            data = bytearray(handle.read())
         data[entry["offset"]] ^= 0xFF
         corrupted = tmp_path / "corrupt2.snap"
         corrupted.write_bytes(bytes(data))
