@@ -38,6 +38,7 @@ from ..exceptions import ConfigurationError, StoreError
 from .format import (
     Snapshot,
     SnapshotWriter,
+    raw_bytes,
     string_table_arrays,
     strings_from_arrays,
 )
@@ -258,7 +259,11 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
 
 # -------------------------------------------------------------------- digests
 def arrays_digest(arrays: "Mapping[str, np.ndarray]", *labels: str) -> str:
-    """BLAKE2b content digest over named arrays (shape + dtype + raw bytes)."""
+    """BLAKE2b content digest over named arrays (shape + dtype + raw bytes).
+
+    The bytes are hashed in place (:func:`~repro.store.format.raw_bytes`), so
+    a digest costs no copy of the arrays and releases the GIL while it reads.
+    """
     import hashlib
 
     digest = hashlib.blake2b(digest_size=16)
@@ -269,7 +274,7 @@ def arrays_digest(arrays: "Mapping[str, np.ndarray]", *labels: str) -> str:
         digest.update(name.encode())
         digest.update(str(array.shape).encode())
         digest.update(str(array.dtype).encode())
-        digest.update(array.tobytes())
+        digest.update(raw_bytes(array))
     return digest.hexdigest()
 
 

@@ -36,6 +36,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..exceptions import StoreError
+from .format import buffer_key
 
 #: Segment-name suffixes of one row-patch (changed rows, their indices, tail).
 _PATCH_SUFFIXES = ("#d/rows", "#d/idx", "#d/tail")
@@ -71,6 +72,12 @@ def diff_array(
     ``base=None`` (or an incompatible base) falls back to ``full``; a
     byte-identical base yields ``ref``; otherwise a row patch is produced
     unless storing the array outright would be at least as small.
+
+    When ``new`` *is* the base's buffer (same data pointer, dtype and shape)
+    the answer is ``ref`` without comparing a byte: a session's recorded base
+    holds the very arrays it published, and published arrays are never
+    mutated (see ``repro.store.session._record_base``). An equal-bytes array
+    in another buffer still goes through the row compare.
     """
     new = np.ascontiguousarray(new)
     if (
@@ -83,6 +90,8 @@ def diff_array(
     ):
         return {"op": "full"}, {"": new}
     base = np.ascontiguousarray(base)
+    if buffer_key(base) == buffer_key(new):
+        return {"op": "ref"}, {}
     base_rows = base.shape[0]
     changed = changed_rows(new[:base_rows], base)
     if base_rows == new.shape[0] and changed.size == 0:
@@ -161,16 +170,12 @@ def diff_bundle(
     by_buffer: dict[tuple, str] = {}
     for name, array in new_arrays.items():
         array = np.ascontiguousarray(array)
-        buffer_key = (
-            array.__array_interface__["data"][0],
-            array.dtype.str,
-            array.shape,
-        )
-        canonical = by_buffer.get(buffer_key)
+        key = buffer_key(array)
+        canonical = by_buffer.get(key)
         if canonical is not None:
             specs[name] = {"op": "alias", "of": canonical}
             continue
-        by_buffer[buffer_key] = name
+        by_buffer[key] = name
         spec, array_segments = diff_array(array, base_arrays.get(name))
         if spec["op"] in ("ref", "patch"):
             spec["of"] = name

@@ -60,7 +60,7 @@ import json
 import mmap as mmap_module
 import os
 import struct
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -141,6 +141,7 @@ class SnapshotWriter:
         self._chain: dict | None = None
         self._delta: dict | None = None
         self._segment_digests = segment_digests
+        self._computed_digests: dict[str, str] = {}  # handed in by the caller
 
     def add_array(self, name: str, array: np.ndarray) -> None:
         """Register one array under ``name`` (unique per snapshot).
@@ -158,16 +159,12 @@ class SnapshotWriter:
         array = np.ascontiguousarray(array)
         if array.dtype.hasobject:
             raise StoreError(f"array {name!r} has object dtype; snapshots store raw buffers only")
-        buffer_key = (
-            array.__array_interface__["data"][0],
-            array.dtype.str,
-            array.shape,
-        )
-        canonical = self._by_buffer.get(buffer_key)
+        key = buffer_key(array)
+        canonical = self._by_buffer.get(key)
         if canonical is not None:
             self._aliases[name] = canonical
             return
-        self._by_buffer[buffer_key] = name
+        self._by_buffer[key] = name
         self._arrays[name] = array
 
     def set_meta(self, meta: Any) -> None:
@@ -187,6 +184,31 @@ class SnapshotWriter:
         """Attach the manifest's ``delta`` spec (see :mod:`repro.store.delta`)."""
         self._delta = None if delta is None else dict(delta)
 
+    # ------------------------------------------------------------- digests
+    def segment_digest_tasks(self) -> "dict[str, tuple[int, Callable[[], str]]]":
+        """``{name: (nbytes, compute)}``: one independent digest task per segment.
+
+        Empty unless the writer records per-segment digests. A caller that runs
+        the tasks itself (a save spreads them over a thread pool) hands the
+        results back through :meth:`set_segment_digests`; otherwise
+        :meth:`save` computes each digest when it lays out the manifest.
+        """
+        if not self._segment_digests:
+            return {}
+        return {
+            name: (
+                int(array.nbytes),
+                lambda name=name, array=array: segment_digest(
+                    name, array.dtype.str, array.shape, array
+                ),
+            )
+            for name, array in self._arrays.items()
+        }
+
+    def set_segment_digests(self, digests: "Mapping[str, str]") -> None:
+        """Adopt the results of :meth:`segment_digest_tasks` so :meth:`save` skips them."""
+        self._computed_digests = dict(digests)
+
     # ------------------------------------------------------------- layout
     def _layout(self) -> tuple[dict[str, dict], int, bytes]:
         """Segment offsets, manifest offset, and the manifest bytes."""
@@ -201,9 +223,10 @@ class SnapshotWriter:
                 "nbytes": int(array.nbytes),
             }
             if self._segment_digests:
-                entries[name]["digest"] = segment_digest(
-                    name, array.dtype.str, array.shape, array
-                )
+                digest = self._computed_digests.get(name)
+                if digest is None:
+                    digest = segment_digest(name, array.dtype.str, array.shape, array)
+                entries[name]["digest"] = digest
             offset += int(array.nbytes)
         for name, canonical in self._aliases.items():
             entries[name] = dict(entries[canonical])  # same segment, own entry
@@ -327,8 +350,16 @@ class Snapshot:
             return snapshot
         if mmap:
             with open(path, "rb") as handle:
+                if os.fstat(handle.fileno()).st_size < _HEADER.size:
+                    # mmap refuses an empty file with a bare ValueError; refuse
+                    # any file shorter than a header the way the copy path does.
+                    raise StoreError("buffer too small to be a snapshot")
                 mapped = mmap_module.mmap(handle.fileno(), 0, access=mmap_module.ACCESS_READ)
-            manifest = cls._parse(mapped)
+            try:
+                manifest = cls._parse(mapped)
+            except BaseException:
+                mapped.close()
+                raise
             snapshot = cls(manifest, mapped, copy=False, closer=mapped.close)
         else:
             with open(path, "rb") as handle:
@@ -620,11 +651,26 @@ def _new_payload_digest():
     return hashlib.blake2b(digest_size=16)
 
 
+def buffer_key(array: np.ndarray) -> tuple:
+    """``(data pointer, dtype, shape)``: equal keys of C-contiguous arrays mean one buffer."""
+    return (array.__array_interface__["data"][0], array.dtype.str, array.shape)
+
+
+def raw_bytes(array: np.ndarray) -> np.ndarray:
+    """The C-order bytes of ``array`` as a flat ``uint8`` view, for hashing in place.
+
+    Equal to ``array.tobytes()`` byte for byte, without the copy when the
+    array is already C-contiguous; hashlib releases the GIL while it reads a
+    large buffer, so digests of different arrays can run on different threads.
+    """
+    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+
+
 def _digest_segment(digest, name: str, dtype_str: str, shape, array: np.ndarray) -> None:
     digest.update(name.encode())
     digest.update(str(dtype_str).encode())
     digest.update(str(tuple(shape)).encode())
-    digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(raw_bytes(array))
 
 
 def segment_digest(name: str, dtype_str: str, shape, array: np.ndarray) -> str:

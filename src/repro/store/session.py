@@ -119,11 +119,35 @@ def _session_meta(state, metas: dict, digests: dict) -> dict:
     return meta
 
 
-def _state_digests(state) -> dict:
-    return {
-        "item_table": codecs.item_table_digest(state["table"]),
-        "embedding_store": codecs.embedding_store_digest(state["store"]),
-    }
+def _save_digests(matcher: IncrementalMultiEM, state, arrays: dict, writer) -> dict:
+    """Every digest a save records, as one flat fan-out on the matcher's pool.
+
+    The item-table, embedding-store and payload digests and each per-segment
+    digest are independent BLAKE2b streams over buffers nothing mutates, and
+    hashlib releases the GIL while it reads them in place, so they run as one
+    ``executor.map`` from the calling thread, largest first (inline, in the
+    same order, when the executor is serial: the digests are the same either
+    way). The segment digests go back to ``writer`` so its layout does not
+    hash the segments again. This may start the matcher's lazy pool; it runs
+    before the file is opened, so a failing task leaves nothing on disk.
+    Returns the manifest's digest record.
+    """
+
+    def size(prefix: str) -> int:
+        return sum(array.nbytes for name, array in arrays.items() if name.startswith(prefix))
+
+    segments = writer.segment_digest_tasks()
+    tasks = [
+        ("item_table", size("table/"), lambda: codecs.item_table_digest(state["table"])),
+        ("embedding_store", size("store/"), lambda: codecs.embedding_store_digest(state["store"])),
+        ("payload", sum(nbytes for nbytes, _ in segments.values()), writer.payload_digest),
+    ]
+    tasks += [(("segment", name), nbytes, task) for name, (nbytes, task) in segments.items()]
+    tasks.sort(key=lambda task: -task[1])
+    keys = [key for key, _, _ in tasks]
+    results = dict(zip(keys, matcher._executor.map(lambda task: task[2](), tasks)))
+    writer.set_segment_digests({name: results[("segment", name)] for name in segments})
+    return {key: results[key] for key in ("item_table", "embedding_store", "payload")}
 
 
 def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, depth: int) -> None:
@@ -132,8 +156,12 @@ def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, de
     Captured by reference, not by re-reading the file: the pipeline never
     mutates published arrays (stores append blocks, merges build fresh
     arrays), so the captured objects stay the exact bytes the snapshot holds.
-    Snapshots without a recorded payload digest (pre-chain files) cannot
-    anchor a chain, so no base is recorded.
+    The next delta save relies on that twice: an array that is still the
+    base's own buffer is a ``ref`` without a byte compare
+    (:func:`repro.store.delta.diff_array`), and only what changed is
+    written. It runs after the file is published, so a save that fails
+    leaves the previous base in place. Snapshots without a recorded payload
+    digest (pre-chain files) cannot anchor a chain, so no base is recorded.
     """
     payload = (meta.get("digests") or {}).get("payload")
     matcher._base = (
@@ -155,12 +183,10 @@ def save_session(matcher: IncrementalMultiEM, path) -> dict:
     writer = SnapshotWriter(segment_digests=True)
     for name, array in arrays.items():
         writer.add_array(name, array)
-    digests = _state_digests(state)
-    # Whole-payload digest: every segment of every bundle (the encoder
+    # The payload digest covers every segment of every bundle (the encoder
     # included), so load-time verification covers the entire snapshot, not
-    # just the two core structures whose object-level digests are reported
-    # above.
-    digests["payload"] = writer.payload_digest()
+    # just the two core structures that have object-level digests.
+    digests = _save_digests(matcher, state, arrays, writer)
     meta = _session_meta(state, metas, digests)
     writer.set_meta(meta)
     with StoreLock(_store_dir(path)):
@@ -174,9 +200,14 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
 
     Produces a chain segment next to the base (parents resolve by basename):
     unchanged arrays become zero-byte refs and the integrated table's vector
-    plane row-patches. The manifest still carries the *complete* session
-    meta plus the reconstructed-state digests, so a chain tip describes the
-    whole logical state. Returns the digest record.
+    plane row-patches. An array that is still the base's own buffer (every
+    embedding block a previous save published) is a ``ref`` without a byte
+    compare. The manifest still carries the *complete* session meta plus the
+    reconstructed-state digests, so a chain tip describes the whole logical
+    state; those digests, the payload digest over this file's segments and
+    the per-segment digests are computed in one fan-out on the matcher's
+    pool before the file is opened (:func:`_save_digests`). Returns the
+    digest record.
     """
     base = getattr(matcher, "_base", None)
     if base is None:
@@ -198,11 +229,11 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
     for name, segment in segments.items():
         writer.add_array(name, segment)
     writer.set_delta(spec)
-    digests = _state_digests(state)
-    # Over this file's own segments only; parent payloads are covered by the
-    # chain links (each child records the payload digest it was diffed
-    # against, re-checked by SnapshotChain.verify_links).
-    digests["payload"] = writer.payload_digest()
+    # The payload digest is over this file's own segments only; parent
+    # payloads are covered by the chain links (each child records the
+    # payload digest it was diffed against, re-checked by
+    # SnapshotChain.verify_links).
+    digests = _save_digests(matcher, state, arrays, writer)
     meta = _session_meta(state, metas, digests)
     writer.set_meta(meta)
     with StoreLock(_store_dir(path)):

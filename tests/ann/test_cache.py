@@ -27,6 +27,18 @@ def test_fingerprint_distinguishes_content_and_shape(vectors):
     assert fingerprint_vectors(vectors) != fingerprint_vectors(vectors[:100])
 
 
+def test_fingerprint_hashes_in_place_the_bytes_tobytes_would_give(vectors):
+    """Cache keys written before the in-place fingerprint stay valid."""
+    import hashlib
+
+    for array in (vectors, vectors[::2, 3:]):
+        historical = hashlib.blake2b(digest_size=16)
+        historical.update(str(array.shape).encode())
+        historical.update(str(array.dtype).encode())
+        historical.update(np.ascontiguousarray(array).tobytes())
+        assert fingerprint_vectors(array) == historical.hexdigest()
+
+
 def test_exact_hit_returns_same_index(vectors):
     cache = IndexCache(max_entries=2)
     builds = []

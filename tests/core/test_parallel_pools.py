@@ -344,19 +344,27 @@ def test_constructing_and_loading_start_no_thread(music_tiny, tmp_path):
 
     from repro.config import paper_default_config
     from repro.core import IncrementalMultiEM, MultiEM
-    from repro.store import MatchSession
+    from repro.store import MatchSession, compact_session, load_matcher
 
     config = paper_default_config("music-20")
     path = str(tmp_path / "fitted.snap")
+    names = sorted(music_tiny.tables)
     with IncrementalMultiEM(config) as fitted:
-        fitted.fit(music_tiny)
+        fitted.fit(music_tiny.subset(names[:-1], name=music_tiny.name))
         fitted.save(path, mode="full")
+        fitted.add_table(music_tiny.tables[names[-1]])
+        fitted.save(path + ".d1", mode="delta")  # saves hash on the pool; close joins it
     before = threading.active_count()
     MultiEM(config)
     matcher = IncrementalMultiEM(config)
     session = MatchSession.load(path, mmap=True)
     assert session.matcher.config.parallel.enabled
     assert threading.active_count() == before
+    tip = load_matcher(path + ".d1", verify=True)  # chain links and digests re-hashed
+    assert threading.active_count() == before
+    compact_session(path + ".d1", str(tmp_path / "compact.snap"))  # saves on the restored pool
+    assert threading.active_count() == before
+    tip.close()
     session.close()
     matcher.close()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StoreError
+from repro.store import delta as delta_module
 from repro.store.delta import (
     apply_array,
     apply_bundle,
@@ -102,6 +103,44 @@ class TestDiffArray:
                 base,
                 lambda s: None,
             )
+
+
+class TestSharedBufferRef:
+    """A base that *is* the new buffer is a ``ref`` without a byte compare."""
+
+    @pytest.fixture()
+    def base(self) -> np.ndarray:
+        base = np.arange(48, dtype=np.float32).reshape(12, 4)
+        base.flags.writeable = False  # published arrays are never mutated
+        return base
+
+    def test_the_base_buffer_is_a_ref_without_a_compare(self, base, monkeypatch):
+        def no_compare(*args):
+            raise AssertionError("compared the bytes of a shared buffer")
+
+        monkeypatch.setattr(delta_module, "changed_rows", no_compare)
+        assert diff_array(base, base) == ({"op": "ref"}, {})
+        assert diff_array(base[:], base) == ({"op": "ref"}, {})  # new object, one buffer
+
+    def test_equal_bytes_in_another_buffer_still_compare(self, base, monkeypatch):
+        calls = []
+
+        def counting(new_prefix, old):
+            calls.append(new_prefix.shape)
+            return changed_rows(new_prefix, old)
+
+        monkeypatch.setattr(delta_module, "changed_rows", counting)
+        assert diff_array(base.copy(), base) == ({"op": "ref"}, {})
+        assert calls == [base.shape]
+
+    def test_same_pointer_with_another_shape_or_dtype_is_not_identical(self):
+        longer = np.arange(4096, dtype=np.float32).reshape(256, 16)
+        prefix = longer[:250]  # same data pointer, fewer rows
+        spec, restored = _roundtrip(longer, prefix)
+        assert spec["op"] == "patch" and bytes_equal(restored, longer)
+        for other in (longer.view(np.int32), longer.reshape(128, 32)):
+            spec, restored = _roundtrip(other, longer)
+            assert spec["op"] == "full" and bytes_equal(restored, other)
 
 
 class TestDiffBundle:

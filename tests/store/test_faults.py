@@ -19,8 +19,10 @@ import sys
 import pytest
 
 from repro import faults
-from repro.config import paper_default_config
+from repro.config import ParallelConfig, paper_default_config
+from repro.core import incremental
 from repro.core.incremental import IncrementalMultiEM
+from repro.core.parallel import ParallelExecutor
 from repro.exceptions import StoreError
 from repro.store import Snapshot, fsck_store, load_matcher, save_session
 from repro.store.codecs import embedding_store_digest, item_table_digest
@@ -51,14 +53,26 @@ def split(music_tiny):
     return base, music_tiny.tables[names[-2]], music_tiny.tables[names[-1]]
 
 
-@pytest.fixture(scope="module")
-def fitted(split):
-    """One fitted matcher reused by every crash scenario (saves are pure)."""
+@pytest.fixture(scope="module", params=[False, True], ids=["serial", "threaded"])
+def fitted(split, request):
+    """One fitted matcher reused by every crash scenario (saves are pure).
+
+    Built once per executor setting: a save hashes on the matcher's pool, so
+    every crash matrix runs with a serial and with a 2-thread executor. The
+    executor class is patched in the matcher module, so compaction's restored
+    matcher gets the same setting while every manifest byte stays the same.
+    """
     base, t1, _ = split
-    matcher = IncrementalMultiEM(paper_default_config(base.name))
-    matcher.fit(base)
-    yield matcher
-    matcher.close()
+
+    def make(_config) -> ParallelExecutor:
+        return ParallelExecutor(ParallelConfig(enabled=request.param, max_workers=2))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "ParallelExecutor", make)
+        matcher = IncrementalMultiEM(paper_default_config(base.name))
+        matcher.fit(base)
+        yield matcher
+        matcher.close()
 
 
 def _crash_boundaries(probe_counters: dict) -> list[faults.FaultPlan]:

@@ -290,6 +290,30 @@ class TestErrors:
         with pytest.raises(StoreError, match="past the buffer end"):
             Snapshot.open(path)
 
+    def test_a_mapping_that_fails_to_parse_is_closed(self, tmp_path, sample_arrays, monkeypatch):
+        import mmap as real_mmap
+        import types
+
+        from repro.store import format as format_module
+
+        path = tmp_path / "snap.bin"
+        _write(path, sample_arrays, {})
+        path.write_bytes(b"NOTASNAP" + path.read_bytes()[8:])
+        opened = []
+
+        def recording_mmap(*args, **kwargs):
+            opened.append(real_mmap.mmap(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(
+            format_module,
+            "mmap_module",
+            types.SimpleNamespace(mmap=recording_mmap, ACCESS_READ=real_mmap.ACCESS_READ),
+        )
+        with pytest.raises(StoreError, match="bad magic"):
+            Snapshot.open(path, mmap=True)
+        assert len(opened) == 1 and opened[0].closed
+
     def test_duplicate_and_object_arrays_rejected(self):
         writer = SnapshotWriter()
         writer.add_array("a", np.zeros(3))

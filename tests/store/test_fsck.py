@@ -108,32 +108,39 @@ def _clone(chain_template, tmp_path):
 
 
 # --------------------------------------------------------- corruption matrix
+#: Damage to a file's header or length, and the message each must produce.
+_HEADER_DAMAGE = pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (lambda p: _flip_byte(p, 0), "bad magic"),
+        (
+            lambda p: p.write_bytes(
+                _HEADER.pack(b"REPROSNP", 99, *_HEADER.unpack(p.read_bytes()[: _HEADER.size])[2:])
+                + p.read_bytes()[_HEADER.size :]
+            ),
+            "version 99 is not supported",
+        ),
+        (lambda p: p.write_bytes(p.read_bytes()[: _HEADER.size + 64]), "extends past the buffer end"),
+        (lambda p: p.write_bytes(p.read_bytes()[:-16]), "extends past the buffer end"),
+        (lambda p: p.write_bytes(b""), "buffer too small to be a snapshot"),
+    ],
+    ids=["magic", "version", "truncated-deep", "truncated-tail", "zero-bytes"],
+)
+
+
 class TestCorruptionMessages:
     """Every damage class gets its own actionable message, no silent loads."""
 
-    @pytest.mark.parametrize(
-        "mutate, expected",
-        [
-            (lambda p: _flip_byte(p, 0), "bad magic"),
-            (
-                lambda p: p.write_bytes(
-                    _HEADER.pack(b"REPROSNP", 99, *_HEADER.unpack(p.read_bytes()[: _HEADER.size])[2:])
-                    + p.read_bytes()[_HEADER.size :]
-                ),
-                "version 99 is not supported",
-            ),
-            (lambda p: p.write_bytes(p.read_bytes()[: _HEADER.size + 64]), "extends past the buffer end"),
-            (lambda p: p.write_bytes(p.read_bytes()[:-16]), "extends past the buffer end"),
-        ],
-        ids=["magic", "version", "truncated-deep", "truncated-tail"],
-    )
-    def test_header_and_truncation(self, chain_template, tmp_path, mutate, expected):
+    @_HEADER_DAMAGE
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_header_and_truncation(self, chain_template, tmp_path, mutate, expected, mmap):
         clone, _ = _clone(chain_template, tmp_path)
         target = clone / "s.snap"
         mutate(target)
-        with pytest.raises(StoreError) as excinfo:
-            Snapshot.open(target)
-        assert expected in str(excinfo.value)
+        for load in (Snapshot.open, load_matcher, MatchSession.load):
+            with pytest.raises(StoreError) as excinfo:
+                load(target, mmap=mmap)
+            assert expected in str(excinfo.value), load
 
     def test_manifest_garbage(self, chain_template, tmp_path):
         clone, _ = _clone(chain_template, tmp_path)
@@ -405,6 +412,18 @@ class TestCli:
         _flip_byte(clone2 / "s.snap", _segment_offset(clone2 / "s.snap", "store/"))
         assert main(["snapshot", "inspect", str(clone2 / "s.snap.d1")]) == 1
         assert "link broken" in capsys.readouterr().out
+
+    @_HEADER_DAMAGE
+    def test_inspect_reports_header_damage_in_one_line(
+        self, chain_template, tmp_path, capsys, mutate, expected
+    ):
+        from repro.cli import main
+
+        clone, _ = _clone(chain_template, tmp_path)
+        mutate(clone / "s.snap")
+        assert main(["snapshot", "inspect", str(clone / "s.snap")]) != 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and expected in err, err
 
     @pytest.mark.parametrize(
         "delta, expected",
