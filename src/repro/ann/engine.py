@@ -73,25 +73,6 @@ def query_squared_norms(prepared: PreparedVectors, prepared_queries: np.ndarray)
     return np.ascontiguousarray((prepared_queries * prepared_queries).sum(axis=1))
 
 
-def dedup_sorted_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted unique of a **non-negative** int64 key stream, destructively.
-
-    The LSH candidate dedup: ``keys`` (scrambled in place — pass a fresh
-    array) comes back as its ascending unique values: one in-place numpy
-    ``sort`` plus a neighbour mask. It deliberately avoids numpy >= 2.4's
-    hash-table ``np.unique`` path, which is ~25x slower at the ~1M-key
-    streams an LSH query batch produces. The keys are non-negative by
-    construction (``query * num_nodes + node``).
-    """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return keys
-    keys.sort()
-    fresh = np.ones(keys.shape[0], dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    return keys[fresh]
-
-
 def rerank_csr(
     prepared: PreparedVectors,
     prepared_queries: np.ndarray,

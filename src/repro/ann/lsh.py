@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..arrays import csr_positions
+from ..arrays import csr_positions, dedup_sorted_keys
 from ..exceptions import IndexError_
 from . import engine
 from .base import NearestNeighborIndex
@@ -194,7 +194,7 @@ class LSHIndex(NearestNeighborIndex):
         # Sorted dedup of the key stream: one in-place sort + mask, same
         # output as ``np.unique`` but never numpy >= 2.4's hash-based path,
         # which is ~25x slower at this stream size and dominated the query.
-        keys = engine.dedup_sorted_keys(keys)
+        keys = dedup_sorted_keys(keys)
         num_nodes = np.int64(self._vectors.shape[0])
         # Decoded keys are (query, node) sorted lexicographically, so the
         # flat candidate array is already a per-query CSR stream with each

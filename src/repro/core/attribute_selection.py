@@ -35,13 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arrays import csr_positions
+from ..arrays import csr_positions, unique_inverse
 from ..config import RepresentationConfig
 from ..data.dataset import MultiTableDataset
 from ..data.serialization import serialize_columns
 from ..data.table import Table
 from ..embedding.hashed import HashedNGramEncoder
-from ..text.tokenizer import word_tokens_batch
+from ..text.tokenizer import TokenTable, word_tokens_batch
 from .representation import EntityRepresenter
 
 
@@ -85,15 +85,8 @@ class _ColumnTokenIndex:
             [[len(value.split()) for value in column] for column in processed], dtype=np.int64
         )
         tables = [word_tokens_batch(column) for column in processed]
-        sizes = [table.tokens.size for table in tables]
-        if sum(sizes):
-            flat_tokens = np.concatenate([table.tokens for table in tables])
-            self.vocabulary, flat_ids = np.unique(flat_tokens, return_inverse=True)
-            splits = np.cumsum(sizes)[:-1]
-            self.column_ids = np.split(np.asarray(flat_ids, dtype=np.int64), splits)
-        else:
-            self.vocabulary = np.empty(0, dtype=object)
-            self.column_ids = [np.empty(0, dtype=np.int64) for _ in tables]
+        self.vocabulary, flat_ids = unique_inverse(TokenTable.concat(tables).tokens)
+        self.column_ids = np.split(flat_ids, np.cumsum([table.tokens.size for table in tables])[:-1])
         self.column_counts = [table.counts for table in tables]
         self.column_offsets = [table.offsets for table in tables]
 

@@ -82,10 +82,10 @@ def fit_stages(
         timings.attribute_selection = time.perf_counter() - started
         attributes = selection.selected
 
-    # Stage R: serialize and encode every table.
+    # Stage R: serialize and encode every table (pooled on the executor).
     started = time.perf_counter()
     representer.fit(dataset, attributes)
-    embeddings = representer.encode_dataset(dataset, attributes)
+    embeddings = representer.encode_dataset(dataset, attributes, executor=executor)
     store = EmbeddingStore.from_embeddings(embeddings)
     timings.representation = time.perf_counter() - started
 

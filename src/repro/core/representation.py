@@ -16,6 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..arrays import unique_inverse
 from ..config import RepresentationConfig
 from ..data.dataset import MultiTableDataset
 from ..data.entity import EntityRef
@@ -24,6 +25,7 @@ from ..data.table import Table
 from ..embedding import CachingEncoder, HashedNGramEncoder
 from ..exceptions import DataError
 from ..text.tokenizer import TokenTable, word_tokens_batch
+from .parallel import ParallelExecutor
 
 
 @dataclass
@@ -241,50 +243,38 @@ class EntityRepresenter:
         inner = encoder or HashedNGramEncoder(dimension=self.config.dimension, seed=self.config.seed)
         self.encoder = CachingEncoder(inner)
         self._fitted = False
-        # Per-table CSR token tables captured during fit(); encode_table()
-        # replays them straight into the encoder's pooling kernel instead of
-        # re-serializing and re-tokenizing the corpus. Guarded by the table
-        # *object* (kept referenced, so its identity cannot be recycled), the
-        # attribute subset, and the row count (a table appended to after fit
-        # falls back to fresh serialization).
-        self._fit_token_tables: dict[str, tuple[tuple[str, ...] | None, Table, TokenTable]] = {}
+        # fit()'s corpus id space, pooled by encode_dataset(): the sorted
+        # distinct tokens and, per table, ((attributes, table, rows), ids,
+        # counts). The guard holds the table *object* (its identity cannot be
+        # recycled) and its row count (a table grown since is re-serialized).
+        self._fit_tokens: list[str] = []
+        self._fit_token_ids: dict[str, tuple[tuple, np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------- fit
     def fit(self, dataset: MultiTableDataset, attributes: Sequence[str] | None = None) -> "EntityRepresenter":
-        """Fit the encoder's IDF statistics on the serialized dataset."""
+        """Fit the encoder's IDF statistics on the serialized dataset (one corpus dedup)."""
         key = tuple(attributes) if attributes is not None else None
-        self._fit_token_tables = {}
-        tables: list[TokenTable] = []
-        for table in dataset.table_list():
-            texts = serialize_table(table, attributes, max_tokens=self.config.max_sequence_length)
-            token_table = word_tokens_batch(texts)
-            tables.append(token_table)
-            self._fit_token_tables[table.name] = (key, table, token_table)
-        self.encoder.fit_token_table(TokenTable.concat(tables))
+        tables = dataset.table_list()
+        max_tokens = self.config.max_sequence_length
+        texts = (serialize_table(table, attributes, max_tokens=max_tokens) for table in tables)
+        token_tables = [word_tokens_batch(table_texts) for table_texts in texts]
+        corpus = TokenTable.concat(token_tables)
+        tokens, token_ids = unique_inverse(corpus.tokens)
+        self.encoder.fit_token_ids(tokens, token_ids, corpus.counts)
+        self._fit_tokens = tokens.tolist()
+        splits = np.cumsum([token_table.tokens.size for token_table in token_tables])[:-1]
+        self._fit_token_ids = {
+            table.name: ((key, table, len(table)), ids, token_table.counts)
+            for table, token_table, ids in zip(tables, token_tables, np.split(token_ids, splits))
+        }
         self._fitted = True
         return self
 
     # ---------------------------------------------------------------- encode
     def encode_table(self, table: Table, attributes: Sequence[str] | None = None) -> TableEmbeddings:
-        """Encode one table into a :class:`TableEmbeddings`.
-
-        When :meth:`fit` already tokenized this table under the same
-        attribute subset (and the table has not grown since), the stashed
-        CSR token table feeds the encoder's pooling kernel directly —
-        byte-identical output, no second serialize/tokenize pass.
-        """
-        key = tuple(attributes) if attributes is not None else None
-        stashed = self._fit_token_tables.get(table.name)
-        if (
-            stashed is not None
-            and stashed[0] == key
-            and stashed[1] is table
-            and len(stashed[2]) == len(table)
-        ):
-            vectors = self.encoder.inner.encode_token_table(stashed[2])
-        else:
-            texts = serialize_table(table, attributes, max_tokens=self.config.max_sequence_length)
-            vectors = self.encoder.encode(texts)
+        """Serialize and encode one table into a :class:`TableEmbeddings`."""
+        texts = serialize_table(table, attributes, max_tokens=self.config.max_sequence_length)
+        vectors = self.encoder.encode(texts)
         return TableEmbeddings(table_name=table.name, refs=table.refs(), vectors=vectors)
 
     def encode_texts(self, texts: Sequence[str]) -> np.ndarray:
@@ -292,16 +282,35 @@ class EntityRepresenter:
         return self.encoder.encode(texts)
 
     def encode_dataset(
-        self, dataset: MultiTableDataset, attributes: Sequence[str] | None = None
+        self,
+        dataset: MultiTableDataset,
+        attributes: Sequence[str] | None = None,
+        executor: ParallelExecutor | None = None,
     ) -> dict[str, TableEmbeddings]:
-        """Encode every table; fits the encoder first if not already fitted."""
+        """Encode every table; fits the encoder first if not already fitted.
+
+        Tables :meth:`fit` stashed pool from its corpus ids, one task each of
+        a flat map on ``executor`` (inline when None or serial); any other
+        table takes :meth:`encode_table`. Same bytes either way.
+        """
         if not self._fitted:
             self.fit(dataset, attributes)
-        embeddings = {
-            table.name: self.encode_table(table, attributes) for table in dataset.table_list()
+        key = tuple(attributes) if attributes is not None else None
+        # Drop the stash as it is consumed: one pooling per table, and the
+        # representer does not pin the corpus ids (or the source tables).
+        stash, self._fit_token_ids = self._fit_token_ids, {}
+        jobs = {
+            table.name: entry[1:]
+            for table in dataset.table_list()
+            if (entry := stash.get(table.name)) and entry[0] == (key, table, len(table))
         }
-        # The stashed token tables have served their purpose (one replay per
-        # table); drop them so the representer does not pin a duplicate of
-        # the corpus's token strings (and the source tables) in memory.
-        self._fit_token_tables = {}
-        return embeddings
+        inner = self.encoder.inner
+        vectors, weights = inner.token_vectors_and_weights(self._fit_tokens if jobs else [])
+        self._fit_tokens = []
+        matrices = inner.encode_token_id_tables(list(jobs.values()), vectors, weights, executor)
+        pooled = dict(zip(jobs, matrices))
+        return {
+            table.name: TableEmbeddings(table.name, table.refs(), pooled[table.name])
+            if table.name in pooled else self.encode_table(table, attributes)
+            for table in dataset.table_list()
+        }

@@ -1,12 +1,12 @@
 """In-memory embedding cache keyed by exact text.
 
 The representer wraps its encoder in this cache for the paths that encode raw
-serialized texts: ``EntityRepresenter.encode_table`` when it has no token
-table stashed by ``fit`` (every ``IncrementalMultiEM.add_table``), and
-``EntityRepresenter.encode_texts``, which serves ``MatchSession.query_many``
-and the supervised baselines. A repeated text (a hot query, a duplicate row)
-is encoded once, with the same result. Algorithm 1 and the stashed
-``encode_table`` path pool token tables and bypass the cache.
+serialized texts: ``EntityRepresenter.encode_table`` (every
+``IncrementalMultiEM.add_table``, or a table ``fit`` stashed no ids for) and
+``EntityRepresenter.encode_texts`` (``MatchSession.query_many``, the
+supervised baselines). A repeated text (a hot query, a duplicate row) is
+encoded once, with the same result. Algorithm 1 and ``encode_dataset``'s
+stashed tables pool token ids straight into the kernel, bypassing the cache.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class CachingEncoder:
         self._cache.clear()
         return self
 
-    def fit_token_table(self, table) -> "CachingEncoder":
-        """:meth:`fit` from a pre-tokenized corpus."""
-        self.inner.fit_token_table(table)
+    def fit_token_ids(self, tokens, token_ids, counts) -> "CachingEncoder":
+        """:meth:`fit` from a corpus mapped onto its sorted distinct tokens."""
+        self.inner.fit_token_ids(tokens, token_ids, counts)
         self._cache.clear()
         return self
 

@@ -24,30 +24,34 @@ achieves this with three ingredients:
 Encoding runs on the columnar CSR token substrate: the corpus is batch
 tokenized into one flat token array plus per-text offsets
 (:func:`~repro.text.tokenizer.word_tokens_batch`), tokens are de-duplicated
-corpus-wide with one ``np.unique``, each *unique* token's vector and pooling
-weight are built once, and every text is pooled with size-bucketed
-CSR-weighted segment sums — one gather + multiply + axis-sum pass per
-distinct text length instead of a per-text Python loop. The bucketed axis
-sums reproduce the historical sequential accumulation bit for bit (the same
-summation-order property the flat merging engine relies on), so embeddings
-are byte-identical to the per-text implementation.
+corpus-wide by the sort-free :func:`~repro.arrays.unique_inverse`, each
+*unique* token's vector and pooling weight are built once, and every text is
+pooled with size-bucketed CSR-weighted segment sums — one gather + multiply +
+axis-sum pass per distinct text length, one executor task per table. The
+bucketed axis sums reproduce the historical sequential accumulation bit for
+bit (the same summation-order property the flat merging engine relies on), so
+embeddings are byte-identical to the per-text implementation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..arrays import unique_inverse
 from ..exceptions import ConfigurationError
 from ..text.hashing import signed_bucket, signed_bucket_batch, signed_ngram_buckets
 from ..text.tokenizer import TokenTable, char_ngrams, word_tokens_batch
 from ..text.vocab import Vocabulary
 from .base import normalize_rows
 
+if TYPE_CHECKING:
+    from ..core.parallel import ParallelExecutor
+
 #: Cap on elements of one pooled ``(texts, tokens, dim)`` block; bounds peak
-#: gather memory (32M float32 elements = 128 MB) without changing any values
-#: (blocking is per-text, every text still pools whole).
+#: gather memory (32M float32 elements = 128 MB, split across pool workers)
+#: without changing any values (blocking is per-text, texts pool whole).
 _POOL_BLOCK_ELEMENTS = 32_000_000
 
 
@@ -102,12 +106,14 @@ class HashedNGramEncoder:
     # ------------------------------------------------------------------- fit
     def fit(self, texts: Sequence[str]) -> "HashedNGramEncoder":
         """Learn corpus IDF weights used for SIF-style pooling."""
-        return self.fit_token_table(word_tokens_batch(texts))
-
-    def fit_token_table(self, table: TokenTable) -> "HashedNGramEncoder":
-        """:meth:`fit` from a pre-tokenized corpus (identical IDF statistics)."""
         if self.use_idf:
-            self._vocabulary = Vocabulary.from_token_table(table)
+            self._vocabulary = Vocabulary.from_token_table(word_tokens_batch(texts))
+        return self
+
+    def fit_token_ids(self, tokens, token_ids, counts) -> "HashedNGramEncoder":
+        """:meth:`fit` from a corpus mapped onto its sorted distinct ``tokens`` (same IDF)."""
+        if self.use_idf:
+            self._vocabulary = Vocabulary.from_token_ids(tokens, token_ids, counts)
         return self
 
     # ----------------------------------------------------------- token level
@@ -229,14 +235,9 @@ class HashedNGramEncoder:
         and weight once, then pools every text with the bucketed CSR segment
         sum. Byte-identical to encoding the originating texts.
         """
-        if table.tokens.size == 0:
-            self.batch_encodes += 1
-            return normalize_rows(np.zeros((len(table), self.dimension), dtype=np.float32))
-        unique, inverse = np.unique(table.tokens, return_inverse=True)
+        unique, inverse = unique_inverse(table.tokens)
         vectors, weights = self.token_vectors_and_weights(unique.tolist())
-        return self.encode_token_ids(
-            np.asarray(inverse, dtype=np.int64), table.counts, vectors, weights
-        )
+        return self.encode_token_ids(inverse, table.counts, vectors, weights)
 
     def encode_token_ids(
         self,
@@ -259,20 +260,39 @@ class HashedNGramEncoder:
             ``(len(counts), dimension)`` unit-norm float32 matrix,
             byte-identical to the per-text reference pooling.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        kept_counts = np.minimum(counts, self.max_tokens)
-        if token_ids.size and (counts > self.max_tokens).any():
-            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            positions = np.arange(token_ids.size, dtype=np.int64) - np.repeat(
-                offsets[:-1], counts
-            )
-            token_ids = token_ids[positions < self.max_tokens]
-        self.batch_encodes += 1
-        self.tokens_pooled += int(token_ids.size)
-        matrix = self._pool_token_ids(token_ids, kept_counts, vectors, weights)
-        return normalize_rows(matrix)
+        return self.encode_token_id_tables([(token_ids, counts)], vectors, weights)[0]
+
+    def encode_token_id_tables(
+        self, tables, vectors: np.ndarray, weights: np.ndarray, executor: ParallelExecutor | None = None
+    ) -> list[np.ndarray]:
+        """:meth:`encode_token_ids` over many ``(token_ids, counts)`` tables, one task each.
+
+        One flat ``executor.map`` (inline when None or serial); truncation and
+        the counters stay on the calling thread. Each task's gather blocks are
+        capped at ``_POOL_BLOCK_ELEMENTS // executor.workers``: same bytes,
+        and no more gather memory at once than one serial block.
+        """
+        jobs = []
+        for token_ids, counts in tables:
+            token_ids = np.asarray(token_ids, dtype=np.int64)
+            counts = np.asarray(counts, dtype=np.int64)
+            if token_ids.size and (counts > self.max_tokens).any():
+                offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+                np.cumsum(counts, out=offsets[1:])
+                positions = np.arange(token_ids.size, dtype=np.int64) - np.repeat(
+                    offsets[:-1], counts
+                )
+                token_ids = token_ids[positions < self.max_tokens]
+            jobs.append((token_ids, np.minimum(counts, self.max_tokens)))
+            self.batch_encodes += 1
+            self.tokens_pooled += int(token_ids.size)
+        run, workers = (map, 1) if executor is None else (executor.map, executor.workers)
+        block = _POOL_BLOCK_ELEMENTS // workers
+
+        def pool(job: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+            return normalize_rows(self._pool_token_ids(*job, vectors, weights, block))
+
+        return list(run(pool, jobs))
 
     def _pool_token_ids(
         self,
@@ -280,6 +300,7 @@ class HashedNGramEncoder:
         counts: np.ndarray,
         vectors: np.ndarray,
         weights: np.ndarray,
+        block_elements: int,
     ) -> np.ndarray:
         """Weighted-mean pooling of CSR token-id streams, size-bucketed.
 
@@ -289,7 +310,7 @@ class HashedNGramEncoder:
         accumulate sequentially, reproducing the historical per-token
         ``pooled += weight * vector`` loop bit for bit; per-text weight
         totals likewise match the 1-d pairwise ``weights.sum()``. Buckets are
-        further split so no block exceeds ``_POOL_BLOCK_ELEMENTS`` elements
+        further split so no block exceeds ``block_elements`` elements
         (value-neutral: blocking is per-text).
         """
         matrix = np.zeros((len(counts), self.dimension), dtype=np.float32)
@@ -303,7 +324,7 @@ class HashedNGramEncoder:
             if size == 0:
                 continue
             bucket_rows = np.flatnonzero(counts == size)
-            block = max(1, _POOL_BLOCK_ELEMENTS // (size * self.dimension))
+            block = max(1, block_elements // (size * self.dimension))
             for start in range(0, len(bucket_rows), block):
                 rows = bucket_rows[start : start + block]
                 gather = offsets[rows][:, None] + np.arange(size, dtype=np.int64)

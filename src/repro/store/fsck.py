@@ -430,7 +430,7 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
         tips = {name for name in parents if name not in referenced}
 
         superseded_by_marker: dict[str, dict] = {}
-        honoured: list[str] = []
+        honoured_compacted: list[str] = []
         for marker_name in markers:
             marker_path = os.path.join(directory, marker_name)
             try:
@@ -460,7 +460,7 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
             if verdict is not None:
                 report.kept.append((marker_name, f"not honoured: {verdict}"))
                 continue
-            honoured.append(marker_name)
+            honoured_compacted.append(compacted)
             superseded_by_marker[marker_name] = superseded
 
         all_superseded = {
@@ -468,12 +468,11 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
         }
         surviving_tips = {name for name in tips if name not in all_superseded}
         live = _ancestry_closure(surviving_tips, parents)
-        for marker_name in honoured:
-            live.add(json.load(open(os.path.join(directory, marker_name), encoding="utf-8"))["compacted"])
+        live.update(honoured_compacted)
 
-        for marker_name in honoured:
+        for marker_name, superseded in superseded_by_marker.items():
             remaining = 0
-            for name in sorted(superseded_by_marker[marker_name]):
+            for name in sorted(superseded):
                 path = os.path.join(directory, name)
                 if not os.path.exists(path):
                     continue  # a previous (crashed) gc pass got it

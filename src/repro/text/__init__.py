@@ -1,4 +1,4 @@
-"""Text substrate: normalization, tokenizers, vocabulary, TF-IDF, hashing.
+"""Text substrate: normalization, tokenizers, vocabulary, hashing.
 
 The corpus-level batch entry point :func:`word_tokens_batch` tokenizes whole
 lists into a flat CSR :class:`TokenTable` (one token array + per-text
@@ -6,7 +6,6 @@ offsets); the hashed encoder and Algorithm 1 run off that columnar layout.
 """
 
 from .hashing import bucket, fnv1a_64, signed_bucket
-from .tfidf import TfidfVectorizer, cosine_similarity_sparse
 from .tokenizer import (
     TokenTable,
     char_ngrams,
@@ -27,8 +26,6 @@ __all__ = [
     "text_ngrams",
     "truncate_tokens",
     "Vocabulary",
-    "TfidfVectorizer",
-    "cosine_similarity_sparse",
     "fnv1a_64",
     "bucket",
     "signed_bucket",

@@ -8,6 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..arrays import dedup_sorted_keys, unique_inverse
 from .tokenizer import TokenTable, word_tokens
 
 
@@ -43,21 +44,29 @@ class Vocabulary:
     def from_token_table(cls, table: TokenTable, min_df: int = 1) -> "Vocabulary":
         """Build a vocabulary from a pre-tokenized corpus (CSR token table).
 
-        Identical to :meth:`build` over the originating texts: document
-        frequencies count distinct texts per token (de-duplicated through one
-        ``np.unique`` over (text, token) pairs instead of a per-text set),
-        and the kept tokens stay in sorted order.
+        Identical to :meth:`build` over the originating texts: the sort-free
+        :func:`~repro.arrays.unique_inverse`, then :meth:`from_token_ids`.
         """
-        num_documents = len(table)
-        if table.tokens.size == 0:
+        return cls.from_token_ids(*unique_inverse(table.tokens), table.counts, min_df)
+
+    @classmethod
+    def from_token_ids(cls, tokens, token_ids, counts, min_df: int = 1) -> "Vocabulary":
+        """Build a vocabulary from ``unique_inverse`` output plus per-text ``counts``.
+
+        Document frequencies count distinct texts per token, (text, token)
+        pairs de-duplicated by :func:`~repro.arrays.dedup_sorted_keys`; the
+        kept tokens stay in sorted order.
+        """
+        num_documents = len(counts)
+        if token_ids.size == 0:
             return cls(num_documents=num_documents)
-        unique_tokens, token_ids = np.unique(table.tokens, return_inverse=True)
-        text_ids = np.repeat(np.arange(num_documents, dtype=np.int64), table.counts)
+        vocabulary_size = np.int64(len(tokens))
+        text_ids = np.repeat(np.arange(num_documents, dtype=np.int64), counts)
         # One (text, token) pair per distinct occurrence; df = pairs per token.
-        pair_keys = np.unique(text_ids * np.int64(len(unique_tokens)) + token_ids)
-        df_counts = np.bincount(pair_keys % np.int64(len(unique_tokens)), minlength=len(unique_tokens))
+        pair_keys = dedup_sorted_keys(text_ids * vocabulary_size + token_ids)
+        df_counts = np.bincount(pair_keys % vocabulary_size, minlength=len(tokens))
         kept = np.flatnonzero(df_counts >= min_df)
-        kept_tokens = [str(unique_tokens[i]) for i in kept]
+        kept_tokens = [str(tokens[i]) for i in kept]
         return cls(
             token_to_index={token: i for i, token in enumerate(kept_tokens)},
             document_frequency=Counter(

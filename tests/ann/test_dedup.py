@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann import engine
+from repro.arrays import dedup_sorted_keys
 from repro.ann.lsh import LSHIndex
 
 
@@ -24,7 +24,7 @@ class TestDedupEquivalence:
         else:
             keys = rng.integers(0, np.int64(2) ** 62, size=size, dtype=np.int64)
         want = reference(keys)
-        got = engine.dedup_sorted_keys(keys.copy())
+        got = dedup_sorted_keys(keys.copy())
         assert np.array_equal(got, want)
         assert got.dtype == np.int64
 
@@ -38,14 +38,14 @@ class TestDedupEquivalence:
             np.array([np.iinfo(np.int64).max, 0, np.iinfo(np.int64).max], dtype=np.int64),
         ]
         for keys in cases:
-            got = engine.dedup_sorted_keys(keys.copy())
+            got = dedup_sorted_keys(keys.copy())
             assert np.array_equal(got, reference(keys))
 
     def test_constant_high_digits(self):
         """LSH-shaped keys: everything above the low 20 bits is constant."""
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 2**20, size=4096).astype(np.int64)
-        got = engine.dedup_sorted_keys(keys.copy())
+        got = dedup_sorted_keys(keys.copy())
         assert np.array_equal(got, reference(keys))
 
 
@@ -57,5 +57,5 @@ class TestLSHIntegration:
         index = LSHIndex(num_tables=3, num_bits=5, seed=1).build(vectors)
         keys = index._candidate_keys(vectors[:40])
         assert keys is not None and (keys >= 0).all()
-        unique = engine.dedup_sorted_keys(keys.copy())
+        unique = dedup_sorted_keys(keys.copy())
         assert np.array_equal(unique, np.unique(keys))

@@ -3,7 +3,7 @@
 The reference below is the pre-columnar implementation verbatim: per text,
 tokenize, truncate, weight per token, then a sequential
 ``pooled += weight * vector`` accumulation. The batch path (corpus-wide
-``np.unique`` dedup + size-bucketed CSR segment sums) must reproduce every
+sort-free dedup + size-bucketed CSR segment sums) must reproduce every
 float bit of it.
 """
 

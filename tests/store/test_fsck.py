@@ -11,6 +11,7 @@ tip still needs.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +296,20 @@ class TestGc:
         assert sorted(os.listdir(clone)) == ["c.snap"]
         matcher = load_matcher(clone / "c.snap")
         assert item_table_digest(matcher.integrated_table) == states[2][0]
+
+    def test_gc_closes_every_marker_it_reads(self, chain_template, tmp_path, monkeypatch):
+        """A leaked file object warns when it is finalized; gc must leak none."""
+        clone, _ = _clone(chain_template, tmp_path)
+        compact_session(clone / "s.snap.d2", clone / "c.snap", retire=True)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            gc_store(clone, dry_run=True)
+            report = gc_store(clone)
+            gc.collect()
+        assert report.markers_cleared == ["c.snap.retired.json"]
+        assert [hook.exc_value for hook in unraisable] == []
 
     def test_gc_never_deletes_files_reachable_from_surviving_tips(
         self, chain_template, tmp_path, split

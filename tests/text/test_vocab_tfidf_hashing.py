@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError
-from repro.text import (
-    TfidfVectorizer,
-    Vocabulary,
-    bucket,
-    cosine_similarity_sparse,
-    fnv1a_64,
-    signed_bucket,
-)
+from repro.text import Vocabulary, bucket, fnv1a_64, signed_bucket
+from repro.text.tfidf import TfidfVectorizer, cosine_similarity_sparse
 
 
 # ------------------------------------------------------------------ hashing
