@@ -13,6 +13,8 @@ them via ``MergingConfig.index``:
 * ``"brute-force"`` — always exact; the reference the HNSW recall tests
   compare against. Queries take the engine's blocked dense top-k path
   (``k = 1``: ``argmin``, with ``argpartition`` deciding exact ties as before).
+  A K = 1 merge of two exact sides is one scan and builds no index
+  (:func:`~repro.ann.mutual.exact_top1_pairs`).
 * ``"hnsw"`` — array-backed navigable-small-world graph (flat CSR-style
   neighbour tables, batched distance kernels, incremental ``extend``).
   Tuned by ``hnsw_max_degree`` / ``hnsw_ef_construction`` / ``hnsw_ef_search``.

@@ -14,6 +14,9 @@ from . import engine
 from .base import NearestNeighborIndex
 from .distances import PreparedVectors
 
+#: Query rows per exact-scan block; its shape picks the BLAS kernel, so answers depend on it.
+BATCH_SIZE = 2048
+
 
 class BruteForceIndex(NearestNeighborIndex):
     """Exact top-K search; O(n·q) distance evaluations per query batch.
@@ -29,7 +32,7 @@ class BruteForceIndex(NearestNeighborIndex):
     per ``batch_size`` queries, not the int64 ``argpartition`` slab.
     """
 
-    def __init__(self, metric: str = "cosine", batch_size: int = 2048) -> None:
+    def __init__(self, metric: str = "cosine", batch_size: int = BATCH_SIZE) -> None:
         super().__init__(metric)
         if batch_size < 1:
             raise IndexError_("batch_size must be >= 1")

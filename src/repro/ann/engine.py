@@ -207,6 +207,7 @@ def exact_topk_blocked(
     batch_size: int,
     indices: np.ndarray,
     distances: np.ndarray,
+    visit=None,
 ) -> None:
     """Dense exact top-k over every indexed row, blocked by query batch.
 
@@ -221,7 +222,8 @@ def exact_topk_blocked(
     ``argpartition`` selects per row, so re-selecting those rows alone returns
     what the whole block would. Every other row has one possible answer and
     ``argmin`` reads it in one pass, without the block-sized int64 index slab
-    (both halves are pinned by ``tests/ann/test_exact_scan.py``).
+    (both halves are pinned by ``tests/ann/test_exact_scan.py``). ``visit``,
+    if given, is called with each distance block before selection reads it.
     """
     num_rows = prepared.size
     num_queries = prepared_queries.shape[0]
@@ -229,6 +231,8 @@ def exact_topk_blocked(
     for start in range(0, num_queries, batch_size):
         stop = min(start + batch_size, num_queries)
         block = prepared.block_distances(prepared_queries[start:stop])
+        if visit is not None:
+            visit(block)
         out = slice(start, stop)
         if effective_k == 1 and num_rows > 1:
             nearest = np.argmin(block, axis=1)

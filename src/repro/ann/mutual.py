@@ -10,18 +10,24 @@ query trimmed to the rows forward returned, intersection — each a function
 here. :func:`mutual_top_k` composes them serially for one pair; the merge
 level loop in :mod:`repro.core.merging` runs each step for a wave of pairs as
 one flat fan-out, and :mod:`repro.shard.boundary` splits steps 2-3 by owner.
+An exact K = 1 pair is one step instead, :func:`exact_top1_pairs`; every path
+ends in :func:`canonical_pairs`.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, IndexError_
+from . import engine
 from .base import NearestNeighborIndex
-from .brute_force import BruteForceIndex
+from .brute_force import BATCH_SIZE, BruteForceIndex
 from .cache import IndexCache, index_params_key
+from .distances import METRICS, PreparedVectors, paired_distances
 from .hnsw import HNSWIndex
 from .lsh import LSHIndex
 
@@ -168,7 +174,7 @@ def backward_rows(forward: np.ndarray, resolved_a: str, n_b: int) -> "int | np.n
     A mutual pair ``(a, b)`` needs ``b`` among ``a``'s forward answers, so
     every other row's backward answer is discarded by the intersection: only
     the rows ``forward`` returned are asked. A backend that is not batch
-    invariant (the GEMM scan) is asked whole and untrimmed.
+    invariant (the GEMM scan, off :func:`one_pass_pair`) is asked whole.
     """
     return np.unique(forward[:, 1]) if batch_invariant(resolved_a) else n_b
 
@@ -180,7 +186,7 @@ def mutual_pairs(
     vectors_b: np.ndarray,
     metric: str,
 ) -> list[MutualPair]:
-    """Step 4 — chunked forward ∩ swapped backward, exact distances, canonical order."""
+    """Step 4 — chunked forward ∩ swapped backward, then :func:`canonical_pairs`."""
     pair_dtype = np.dtype([("left", np.int64), ("right", np.int64)])
 
     def rows_view(chunks: "list[np.ndarray]", columns: slice) -> np.ndarray:
@@ -192,15 +198,101 @@ def mutual_pairs(
     mutual = np.intersect1d(
         rows_view(forward, slice(None)), rows_view(backward, slice(None, None, -1)), assume_unique=True
     )
-    if mutual.size == 0:
-        return []
-    lefts = mutual["left"]
-    rights = mutual["right"]
-    from .distances import paired_distances  # local import to avoid cycle at module load
+    return canonical_pairs(mutual["left"], mutual["right"], vectors_a, vectors_b, metric)
 
+
+def canonical_pairs(
+    lefts: np.ndarray, rights: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray, metric: str
+) -> list[MutualPair]:
+    """The tail of every mutual top-K path: exact distances, ``(distance, left, right)`` order."""
     dists = paired_distances(vectors_a[lefts], vectors_b[rights], metric)
     order = np.lexsort((rights, lefts, dists))
     return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
+
+
+@functools.cache
+def _scans_transpose() -> bool:
+    """Probe, once per process: is each exact scan the reverse one transposed, to the bit?
+
+    A BLAS property, checked per shape class :func:`one_pass_pair` admits.
+    """
+
+    def blocks(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
+        prepared, found = PreparedVectors(vectors, metric), []
+        indices, distances = engine.alloc_topk(len(queries), 1)
+        queries = prepared.prepare_queries(queries)
+        engine.exact_topk_blocked(prepared, queries, 1, BATCH_SIZE, indices, distances, found.append)
+        return np.concatenate(found)
+
+    rng = np.random.default_rng(0)
+    for n_a, n_b, dim in ((1, 29, 16), (37, 29, 16), (BATCH_SIZE + 150, 300, 32)):
+        a, b = (rng.standard_normal((n, dim), dtype=np.float32) for n in (n_a, n_b))
+        for metric in METRICS:
+            if blocks(b, a, metric).T.tobytes() != blocks(a, b, metric).tobytes():
+                reason = f"{metric} scans of {n_a} x {n_b} x {dim} vectors do not transpose"
+                warnings.warn(f"{reason} on this BLAS: exact merges take two scans", RuntimeWarning)
+                return False
+    return True
+
+
+def one_pass_pair(
+    vectors_a: np.ndarray, vectors_b: np.ndarray, k: int, backend: str, brute_force_limit: int
+) -> bool:
+    """Whether a pair's mutual top-K is :func:`exact_top1_pairs` rather than two scans.
+
+    K = 1, both sides exact, and backward blocks made of forward block cells:
+    one block each way is one product and its transpose; over more, each
+    block is a GEMM of over 2^20 multiply-adds (OpenBLAS 0.3.31 sends smaller
+    ones, and a GEMV, to kernels that sum in another order).
+    """
+    (n_a, dim), n_b = vectors_a.shape, vectors_b.shape[0]
+    if k != 1 or {resolve_backend(backend, n, brute_force_limit) for n in (n_a, n_b)} != {"brute-force"}:
+        return False
+    sides = ((n_a, n_b), (n_b, n_a))
+    blocks = [(min(BATCH_SIZE, n - s), other) for n, other in sides for s in range(0, n, BATCH_SIZE)]
+    large = all(rows > 1 and other > 1 and rows * other * dim > 1 << 20 for rows, other in blocks)
+    return (max(n_a, n_b) <= BATCH_SIZE or large) and _scans_transpose()
+
+
+def exact_top1_pairs(
+    vectors_a: np.ndarray, vectors_b: np.ndarray, max_distance: float, metric: str
+) -> list[MutualPair]:
+    """Mutual top-1 pairs from one exact scan a → b: the two-scan list, same bytes.
+
+    The scan also keeps each column's running minimum and how many cells
+    equal it. Column ``j`` is b-row ``j``'s backward row, so a forward pair
+    ``(i, j)`` is mutual when that minimum is unique and is ``d(i, j)``. If it
+    is tied or NaN and ``d(i, j)`` attains it, the backward block holding
+    ``j`` is asked, shaped as two scans ask it, and its tie rule decides.
+    """
+    prepared = PreparedVectors(vectors_b, metric)
+    minimum = np.full(prepared.size, np.inf, dtype=np.float32)
+    count = np.zeros(prepared.size, dtype=np.int64)
+
+    def columns(block: np.ndarray) -> None:
+        low = block.min(axis=0)
+        ties = np.count_nonzero(block == low, axis=0)
+        merged = np.minimum(minimum, low)
+        count[:] = np.where(minimum == merged, count, 0) + np.where(low == merged, ties, 0)
+        minimum[:] = merged
+
+    indices, distances = engine.alloc_topk(vectors_a.shape[0], 1)
+    queries = prepared.prepare_queries(vectors_a)
+    engine.exact_topk_blocked(prepared, queries, 1, BATCH_SIZE, indices, distances, columns)
+    rights, found = indices[:, 0], distances[:, 0]
+    keep = np.isfinite(found) & (found <= max_distance)
+    unique = count[rights] == 1
+    mutual = keep & unique & (found == minimum[rights])
+    resolve = np.flatnonzero(keep & ~unique & ~(found > minimum[rights]))
+    if resolve.size:
+        index_a = BruteForceIndex(metric).build(vectors_a)
+        winner = np.full(prepared.size, -1)  # b-row -> its backward answer within max_distance
+        for start in np.unique(rights[resolve] // BATCH_SIZE) * BATCH_SIZE:
+            back = directed_pairs(index_a, vectors_b, 1, max_distance, slice(start, start + BATCH_SIZE))
+            winner[back[:, 0]] = back[:, 1]
+        mutual[resolve] = winner[rights[resolve]] == resolve
+    lefts = np.flatnonzero(mutual)
+    return canonical_pairs(lefts, rights[lefts], vectors_a, vectors_b, metric)
 
 
 def top_k_pairs(
@@ -241,9 +333,18 @@ def mutual_top_k(
 
     Returns:
         List of :class:`MutualPair`, sorted by distance ascending.
+
+    Raises ``IndexError_`` unless both inputs are 2-d of one width, and
+    ``ConfigurationError`` for a NaN or negative ``max_distance``.
     """
+    if vectors_a.ndim != 2 or vectors_b.ndim != 2 or vectors_a.shape[1] != vectors_b.shape[1]:
+        raise IndexError_(f"need 2-d inputs of one width, got {vectors_a.shape} and {vectors_b.shape}")
+    if not max_distance >= 0:
+        raise ConfigurationError(f"max_distance must be >= 0, got {max_distance!r}")
     if vectors_a.shape[0] == 0 or vectors_b.shape[0] == 0:
         return []
+    if one_pass_pair(vectors_a, vectors_b, k, backend, brute_force_limit):
+        return exact_top1_pairs(vectors_a, vectors_b, max_distance, metric)
     side = dict(
         metric=metric, backend=backend, brute_force_limit=brute_force_limit,
         index_kwargs=index_kwargs, cache=cache,

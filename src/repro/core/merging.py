@@ -43,6 +43,7 @@ hierarchy level runs as waves of pairs, each wave four flat fan-outs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +53,9 @@ from ..ann.mutual import (
     backward_rows,
     batch_invariant,
     directed_pairs,
+    exact_top1_pairs,
     mutual_pairs,
+    one_pass_pair,
     plan_side_index,
     row_chunks,
 )
@@ -355,49 +358,56 @@ def _merge_wave(
     Build → forward → trimmed backward → finish, each one ``executor.map``
     issued from this thread (no task ever submits to the bounded pool), so a
     lone pair still builds its two graphs and answers its query chunks on
-    every worker. Each ``build()`` and ``index.query()`` is the call the
-    serial merge makes on the same rows, or on a subset of them where the
-    backend is batch invariant — output bytes do not depend on the workers.
+    every worker; an exact K = 1 pair builds nothing and is one forward task.
+    Each ``build()`` and ``index.query()`` is the call the serial merge makes
+    on the same rows, or on a subset of them where the backend is batch
+    invariant — output bytes do not depend on the workers.
     """
     results = [(left if len(left) else right, 0) for left, right in pairs]  # kept where a side is empty
     slots = [slot for slot, (left, right) in enumerate(pairs) if len(left) and len(right)]
     lefts, rights = [pairs[slot][0] for slot in slots], [pairs[slot][1] for slot in slots]
-    # (1) build, ``b`` then ``a`` per pair. Cache lookups (plan) and puts
-    # (commit) stay on this thread in that order; only the bodies fan out.
+    one_pass = [
+        j for j, (left, right) in enumerate(zip(lefts, rights))
+        if one_pass_pair(left.vectors, right.vectors, config.k, config.index, config.brute_force_limit)
+    ]
+    scanned = [j for j in range(len(slots)) if j not in one_pass]
+    # (1) build, ``b`` then ``a`` per two-scan pair. Cache lookups (plan) and
+    # puts (commit) stay on this thread in that order; only the bodies fan out.
     plans = [
-        plan_merge_index(table.vectors, config, cache) for pair in zip(rights, lefts) for table in pair
+        plan_merge_index(side.vectors, config, cache) for j in scanned for side in (rights[j], lefts[j])
     ]
     built = executor.map(lambda plan: plan[1](), plans)
     indexes = [commit(index) for (_, _, commit), index in zip(plans, built)]
     backends = [plan[0] for plan in plans]
 
-    def directed(indexes: list, backends: list, tables: list, rows: list) -> list[list[np.ndarray]]:
-        """Per pair, the directed pair arrays of its row chunks — one flat map over all chunks."""
-        tasks = [
-            (j, chunk)
-            for j, backend in enumerate(backends)
-            for chunk in row_chunks(rows[j], executor.workers if batch_invariant(backend) else 1)
+    def directed(indexes: list, backends: list, tables: list, rows: list, extra=()) -> list[list]:
+        """Per pair, the results of its tasks — one flat map over ``extra`` and all row chunks."""
+        tasks = [*extra] + [
+            (j, partial(directed_pairs, index, tables[j].vectors, config.k, config.m, chunk))
+            for j, index, backend, asked in zip(scanned, indexes, backends, rows)
+            for chunk in row_chunks(asked, executor.workers if batch_invariant(backend) else 1)
         ]
-        found = executor.map(
-            lambda t: directed_pairs(indexes[t[0]], tables[t[0]].vectors, config.k, config.m, t[1]),
-            tasks,
-        )
-        return [[f for (i, _), f in zip(tasks, found) if i == j] for j in range(len(tables))]
+        found = executor.map(lambda task: task[1](), tasks)
+        return [[f for (i, _), f in zip(tasks, found) if i == j] for j in range(len(slots))]
 
-    # (2) forward: a-rows against index_b. (3) backward: only the b-rows a
-    # forward answer returned, against index_a.
-    forward = directed(indexes[0::2], backends[0::2], lefts, [len(left) for left in lefts])
+    # (2) forward: each one-pass pair whole, and a-rows against index_b.
+    # (3) backward: only the b-rows a forward answer returned, against index_a.
+    top1 = partial(exact_top1_pairs, max_distance=config.m, metric=config.metric)
+    single = [(j, partial(top1, lefts[j].vectors, rights[j].vectors)) for j in one_pass]
+    forward = directed(indexes[0::2], backends[0::2], lefts, [len(lefts[j]) for j in scanned], single)
     asked = [
-        backward_rows(np.concatenate(found), backend, len(right))
-        for found, backend, right in zip(forward, backends[1::2], rights)
+        backward_rows(np.concatenate(forward[j]), backend, len(rights[j]))
+        for j, backend in zip(scanned, backends[1::2])
     ]
     backward = directed(indexes[1::2], backends[1::2], rights, asked)
     del built, indexes  # the union needs no index: free them before it allocates
 
-    # (4) finish: intersection, distances, order, union-find.
+    # (4) finish: intersection, distances, order (one-pass pairs have them), union-find.
     def finish(j: int) -> tuple[ItemTable, int]:
         left, right = lefts[j], rights[j]
-        found = mutual_pairs(forward[j], backward[j], left.vectors, right.vectors, config.metric)
+        found = forward[j][0] if j in one_pass else mutual_pairs(
+            forward[j], backward[j], left.vectors, right.vectors, config.metric
+        )
         return merge_tables_with_pairs(left, right, found, representative=representative)[0], len(found)
 
     for slot, result in zip(slots, executor.map(finish, range(len(slots)))):

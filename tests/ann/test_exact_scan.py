@@ -5,7 +5,9 @@ the ``k = 1`` ``argmin`` step existed: whole-block ``argpartition`` +
 ``argsort`` at every ``k``. The shipped function must return the same
 ``(indices, distances)`` bytes on inputs built to have non-unique minima
 (duplicates, quantised rows, zero vectors, signed zeros, NaN, overflow) —
-through the function itself and through every caller that reaches it.
+through the function itself and through every caller that reaches it,
+including the one-pass mutual top-1 (``exact_top1_pairs``), which must equal
+the two-scan composition ``_reference_mutual`` byte for byte.
 """
 
 import tracemalloc
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ann.mutual as mutual_module
 from repro.ann import BruteForceIndex, mutual_top_k, top_k_pairs
 from repro.ann import engine
 from repro.ann.distances import PreparedVectors, paired_distances
@@ -284,6 +287,94 @@ def test_sharded_brute_merge_on_tied_tables_equals_unsharded(k):
     )
 
 
+# ---------------------------------------------------- one pass == two scans
+def _pair_bytes(pairs):
+    """Pair ids and the raw bytes of the distances: NaN equals NaN, a zero's sign counts."""
+    return [(left, right) for left, right, _ in pairs], np.array(
+        [distance for _, _, distance in pairs], dtype=np.float64
+    ).tobytes()
+
+
+def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, one_pass=True):
+    """``mutual_top_k`` at K = 1 on exact sides against the two-scan reference, with a spy."""
+    calls = []
+    original = mutual_module.exact_top1_pairs
+    with pytest.MonkeyPatch.context() as patched, np.errstate(all="ignore"):
+        patched.setattr(
+            mutual_module, "exact_top1_pairs", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+        )
+        got = mutual_top_k(
+            vectors_a, vectors_b, k=1, max_distance=max_distance, metric=metric,
+            backend="brute-force",
+        )
+        want = _reference_mutual(vectors_a, vectors_b, 1, max_distance, metric)
+    assert calls == ([1] if one_pass else []), "the one-pass path did not run as routed"
+    assert _pair_bytes([(p.left, p.right, p.distance) for p in got]) == _pair_bytes(want)
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    metric=st.sampled_from(METRICS),
+    n_a=st.sampled_from(SIZES),
+    n_b=st.sampled_from(SIZES),
+    max_distance=st.sampled_from((0.3, 1.0, np.inf)),
+    perturbations=st.sets(st.sampled_from(PERTURBATIONS)),
+    seed=st.integers(0, 2**16),
+)
+def test_one_pass_equals_two_scan_composition(metric, n_a, n_b, max_distance, perturbations, seed):
+    """Every tie source, both metrics, 1-row sides (GEMV) to 300-row ones."""
+    index, queries = _inputs(seed, n_b, n_a, perturbations)
+    _one_pass_equals_two_scans(queries, index, max_distance, metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize(
+    "n_a, n_b, one_pass",
+    [(2048 + 700, 2400, True), (2100, 2 * 2048 + 500, True), (2048 + 3, 500, False)],
+    ids=["2-blocks-each", "2-by-3-blocks", "3-row-tail-refused"],
+)
+def test_one_pass_over_several_blocks_equals_two_scans(metric, n_a, n_b, one_pass):
+    """Sides of 2+ scan blocks, duplicated rows both ways. A tail block too small for the
+    blocked GEMM is refused and takes two scans; either way the bytes are the reference's."""
+    index, queries = _inputs(
+        n_a + n_b, n_b, n_a, {"quantised", "duplicate_index", "queries_from_index"}
+    )
+    queries[::3] += np.float32(0.05)  # not every query a copy: unique minima beside the ties
+    assert _one_pass_equals_two_scans(queries, index, 1.0, metric, one_pass=one_pass)
+
+
+def _scan_blocks(vectors, queries, metric):
+    """Every distance block an exact scan computes, stacked (through the scan's own hook)."""
+    prepared, blocks = PreparedVectors(vectors, metric), []
+    indices, distances = engine.alloc_topk(len(queries), 1)
+    engine.exact_topk_blocked(
+        prepared, prepared.prepare_queries(queries), 1, 2048, indices, distances, blocks.append
+    )
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize(
+    "n_a, n_b, dim, admitted",
+    [
+        (1, 500, 384, True), (2, 2048, 64, True), (37, 29, 16, True), (300, 200, 64, True),
+        (2048 + 55, 300, 64, True),  # a 55-row tail block: just over 2^20 multiply-adds
+        (2048 + 2, 2048 + 600, 384, True),  # a 2-row tail, large enough for the blocked GEMM
+        (2048 + 1, 2500, 384, False),  # a one-row tail block is a GEMV
+        (2048 + 3, 500, 64, False), (2050, 2500, 64, False),  # small-matrix tail blocks
+    ],
+)
+def test_one_pass_admits_only_shapes_that_transpose(metric, n_a, n_b, dim, admitted):
+    """What the one pass rests on: an admitted shape's two scans transpose to the bit."""
+    rng = np.random.default_rng(n_a + n_b)
+    vectors_a = rng.standard_normal((n_a, dim)).astype(np.float32)
+    vectors_b = rng.standard_normal((n_b, dim)).astype(np.float32)
+    assert mutual_module.one_pass_pair(vectors_a, vectors_b, 1, "brute-force", 10**6) == admitted
+    forward = _scan_blocks(vectors_b, vectors_a, metric)
+    assert forward.T.tobytes() == _scan_blocks(vectors_a, vectors_b, metric).tobytes() or not admitted
+
+
 # ------------------------------------------------------------ allocation guard
 def test_top1_query_allocates_no_index_slab():
     """Peak traced memory of a k = 1 query stays near the one float32 distance block.
@@ -299,6 +390,21 @@ def test_top1_query_allocates_no_index_slab():
     tracemalloc.start()
     try:
         index.query(queries, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (2048 * 4000 * 4)
+
+
+def test_one_pass_holds_one_block():
+    """The one pass over a 2048 x 4000 block: one block alive, never both tie masks."""
+    rng = np.random.default_rng(0)
+    vectors_a = rng.standard_normal((2048, 64)).astype(np.float32)
+    vectors_b = rng.standard_normal((4000, 64)).astype(np.float32)
+    mutual_module.exact_top1_pairs(vectors_a[:8], vectors_b, 0.5, "cosine")
+    tracemalloc.start()
+    try:
+        mutual_module.exact_top1_pairs(vectors_a, vectors_b, 0.5, "cosine")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ann import BruteForceIndex, create_index, mutual_top_k, top_k_pairs
+import repro.ann.mutual as mutual_module
 from repro.ann.mutual import MutualPair
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, IndexError_
 
 
 def _unit(rows: list[list[float]]) -> np.ndarray:
@@ -125,3 +126,41 @@ def test_create_index_auto_switches_backend():
     assert type(large).__name__ == "HNSWIndex"
     with pytest.raises(ConfigurationError):
         create_index("annoy", "cosine")
+
+
+# ------------------------------------------------------------------ boundary
+@pytest.fixture
+def no_index(monkeypatch):
+    """Fails any index build: the boundary checks must run before one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an index was built before the inputs were checked")
+
+    monkeypatch.setattr(mutual_module, "plan_side_index", refuse)
+    monkeypatch.setattr(mutual_module, "exact_top1_pairs", refuse, raising=False)
+
+
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw"])
+def test_mutual_top_k_refuses_mismatched_widths(no_index, backend):
+    a, b = np.ones((3, 4), dtype=np.float32), np.ones((5, 6), dtype=np.float32)
+    with pytest.raises(IndexError_, match=r"\(3, 4\) and \(5, 6\)"):
+        mutual_top_k(a, b, k=1, max_distance=0.5, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw"])
+def test_mutual_top_k_refuses_a_non_2d_input(no_index, backend):
+    a, b = np.ones((3, 4), dtype=np.float32), np.ones(4, dtype=np.float32)
+    with pytest.raises(IndexError_, match=r"\(3, 4\) and \(4,\)"):
+        mutual_top_k(a, b, k=1, max_distance=0.5, backend=backend)
+
+
+def test_mutual_top_k_refuses_a_nan_max_distance(no_index):
+    a = _unit([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigurationError, match="max_distance"):
+        mutual_top_k(a, a, k=1, max_distance=float("nan"))
+
+
+def test_mutual_top_k_refuses_a_negative_max_distance(no_index):
+    a = _unit([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigurationError, match="max_distance"):
+        mutual_top_k(a, a, k=1, max_distance=-0.1)

@@ -4,12 +4,13 @@
 schedule existed: two whole-batch directed queries, untrimmed. The pair list
 of a merge must equal it element for element — for the serial composition
 (``mutual_top_k``) and for the wave (``merge_item_tables`` with an executor)
-at every worker count.
+at every worker count, and on the one-pass path exact K = 1 pairs take.
 """
 
 import numpy as np
 import pytest
 
+import repro.ann.mutual as mutual_module
 import repro.core.merging as merging_module
 from repro.ann import BruteForceIndex, create_index, mutual_top_k
 from repro.ann.distances import paired_distances
@@ -64,21 +65,23 @@ def _table(vectors, name):
 
 
 def _wave_pairs(monkeypatch, vectors_a, vectors_b, config, workers):
-    """The MutualPair list ``merge_item_tables`` unions, captured at the pair-list step."""
+    """The MutualPair list ``merge_item_tables`` unions, captured at the pair-list tail."""
     seen = []
-    original = merging_module.mutual_pairs
+    original = mutual_module.canonical_pairs
 
     def spy(*args, **kwargs):
         seen.append(original(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(merging_module, "mutual_pairs", spy)
+    monkeypatch.setattr(mutual_module, "canonical_pairs", spy)
     with ParallelExecutor(ParallelConfig(enabled=True, max_workers=workers)) as executor:
         _, matched = merge_item_tables(
             _table(vectors_a, "A"), _table(vectors_b, "B"), config, executor=executor
         )
-    monkeypatch.setattr(merging_module, "mutual_pairs", original)
-    pairs = seen[0] if seen else []  # an empty side never reaches the pair-list step
+    monkeypatch.setattr(mutual_module, "canonical_pairs", original)
+    # one merge, one pair list; an empty side never reaches the pair-list tail
+    assert len(seen) == (len(vectors_a) > 0 and len(vectors_b) > 0)
+    pairs = seen[0] if seen else []
     assert matched == len(pairs)
     return [(p.left, p.right, p.distance) for p in pairs]
 
@@ -106,7 +109,7 @@ def _overlapping(n_a, n_b, dim=12, seed=0):
     return a, b
 
 
-@pytest.mark.parametrize("backend", ["hnsw", "lsh"])
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw", "lsh"])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_trimmed_chunked_pairs_equal_whole_batch_reference(monkeypatch, backend, metric, k):
@@ -116,7 +119,7 @@ def test_trimmed_chunked_pairs_equal_whole_batch_reference(monkeypatch, backend,
     assert _check_all_schedules(monkeypatch, a, b, config), "the case must match something"
 
 
-@pytest.mark.parametrize("backend", ["hnsw", "lsh"])
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw", "lsh"])
 def test_edge_shapes(monkeypatch, backend):
     rng = np.random.default_rng(3)
     a, b = _overlapping(40, 30, seed=3)
@@ -158,3 +161,82 @@ def test_auto_pair_keeps_the_brute_direction_whole_and_untrimmed(monkeypatch):
         b, a, k=config.k, max_distance=config.m, metric=config.metric, backend="auto",
         brute_force_limit=64, index_kwargs=merge_index_kwargs(config),
     )
+
+
+# ------------------------------------------------------------ one-pass exact pairs
+def _merged_bytes(table):
+    return tuple(
+        getattr(table, name).tobytes()
+        for name in ("vectors", "member_sources", "member_indices", "member_offsets")
+    ) + (table.sources,)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+    )
+    return calls
+
+
+def test_mixed_wave_is_worker_count_invariant(monkeypatch):
+    """One exact K = 1 pair beside one graph pair in a wave: the same tables at any worker count."""
+    small, big = _overlapping(40, 35, seed=7), _overlapping(120, 100, seed=8)
+    pairs = [
+        (_table(small[0], "A"), _table(small[1], "B")),
+        (_table(big[0], "C"), _table(big[1], "D")),
+    ]
+    config = MergingConfig(index="auto", brute_force_limit=64, m=0.6)
+    with ParallelExecutor(ParallelConfig(enabled=False)) as serial:
+        alone = [merge_item_tables(left, right, config, executor=serial) for left, right in pairs]
+    one_pass = _counting(monkeypatch, merging_module, "exact_top1_pairs")
+    for workers in (None, 2, 5):
+        parallel = {"enabled": False} if workers is None else {"max_workers": workers}
+        with ParallelExecutor(ParallelConfig(**parallel)) as executor:
+            wave = merging_module._merge_wave(
+                pairs, config, executor, representative="mean", cache=None
+            )
+        assert [(_merged_bytes(t), n) for t, n in wave] == [(_merged_bytes(t), n) for t, n in alone]
+    assert len(one_pass) == 3, "the exact pair must take the one pass, the graph pair must not"
+    assert alone[0][1] and alone[1][1]
+
+
+def test_a_failed_probe_sends_exact_pairs_to_two_scans(monkeypatch):
+    """With the transposition probe failing, exact pairs take two scans: same bytes, one warning."""
+    import warnings
+
+    from repro.ann.distances import PreparedVectors
+
+    a, b = _overlapping(90, 70)
+    config = MergingConfig(index="brute-force", m=0.6)
+    want = reference_mutual_top_k(
+        a, b, k=1, max_distance=0.6, metric="cosine", backend="brute-force"
+    )
+    merged = merge_item_tables(_table(a, "A"), _table(b, "B"), config)
+
+    class Skewed(PreparedVectors):  # a BLAS whose scans do not transpose
+        def block_distances(self, prepared_queries, rows=None):
+            return super().block_distances(prepared_queries, rows) + prepared_queries.shape[0]
+
+    monkeypatch.setattr(mutual_module, "PreparedVectors", Skewed)
+    one_pass = _counting(monkeypatch, merging_module, "exact_top1_pairs")
+    one_pass_direct = _counting(monkeypatch, mutual_module, "exact_top1_pairs")
+    mutual_module._scans_transpose.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            serial = mutual_top_k(a, b, k=1, max_distance=0.6, backend="brute-force")
+            waves = []
+            for workers in (1, 2):
+                with ParallelExecutor(ParallelConfig(max_workers=workers)) as executor:
+                    tables = _table(a, "A"), _table(b, "B")
+                    waves.append(merge_item_tables(*tables, config, executor=executor))
+    finally:
+        mutual_module._scans_transpose.cache_clear()
+    messages = [str(warning.message) for warning in caught]
+    assert len(messages) == 1 and "exact merges take two scans" in messages[0], messages
+    assert one_pass == [] and one_pass_direct == []
+    assert [(p.left, p.right, p.distance) for p in serial] == want
+    for table, matched in waves:
+        assert (_merged_bytes(table), matched) == (_merged_bytes(merged[0]), merged[1])

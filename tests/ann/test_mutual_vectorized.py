@@ -124,7 +124,7 @@ def test_merge_output_invariant_to_pair_order(monkeypatch):
     relabeling keys on each component's first member in scan order — both
     independent of the order unions are applied in.
     """
-    import repro.core.merging as merging_module
+    import repro.ann.mutual as mutual_module
     from repro.config import MergingConfig
     from repro.core.merging import ItemTable, merge_item_tables
 
@@ -148,21 +148,25 @@ def test_merge_output_invariant_to_pair_order(monkeypatch):
     config = MergingConfig(m=0.6, index="brute-force")
     base, base_pairs = merge_item_tables(left, right, config)
 
-    original = merging_module.mutual_pairs  # the pair-list step of the merge
+    original = mutual_module.canonical_pairs  # the pair-list tail of every merge path
     for trial in range(3):
+        shuffles = []
+
         def shuffled(*args, _trial=trial, **kwargs):
             pairs = original(*args, **kwargs)
             order = np.random.default_rng(_trial).permutation(len(pairs))
+            shuffles.append(not np.array_equal(order, np.arange(len(pairs))))
             return [pairs[i] for i in order]
 
-        monkeypatch.setattr(merging_module, "mutual_pairs", shuffled)
+        monkeypatch.setattr(mutual_module, "canonical_pairs", shuffled)
         merged, num_pairs = merge_item_tables(left, right, config)
+        assert shuffles == [True], "the merge did not reach the pair-list tail, or kept its order"
         assert num_pairs == base_pairs
         assert np.array_equal(merged.vectors, base.vectors)
         assert np.array_equal(merged.member_sources, base.member_sources)
         assert np.array_equal(merged.member_indices, base.member_indices)
         assert np.array_equal(merged.member_offsets, base.member_offsets)
-    monkeypatch.setattr(merging_module, "mutual_pairs", original)
+    monkeypatch.setattr(mutual_module, "canonical_pairs", original)
 
 
 def lsh_query_reference(index, queries, k):

@@ -296,7 +296,9 @@ def test_match_builds_no_cache_and_explicit_cache_still_counts(monkeypatch):
         cache_module, "fingerprint_vectors", lambda v: calls.append(1) or original(v)
     )
     dataset = load_benchmark("music-20", profile="tiny")
-    assert MultiEM(paper_default_config("music-20")).match(dataset).tuples
+    # Graph merges: an exact top-1 merge builds no index, so it could not show a cache.
+    config = paper_default_config("music-20").with_overrides(merging={"index": "hnsw"})
+    assert MultiEM(config).match(dataset).tuples
     assert calls == [], "MultiEM.match fingerprinted a table: a per-call cache is back"
 
     tables = _tables(num_tables=5, rows=40, dim=8)

@@ -165,7 +165,9 @@ class TestPersistedBundles:
 
     def test_full_and_delta_saves_hold_no_index_cache(self, split, tmp_path):
         base, held_out = split
-        with IncrementalMultiEM(paper_default_config(base.name)) as matcher:
+        # Exact top-1 merges build no index: graph merges fill the live cache.
+        config = paper_default_config(base.name).with_overrides(merging={"index": "hnsw"})
+        with IncrementalMultiEM(config) as matcher:
             matcher.fit(base)
             assert len(matcher._index_cache) > 0  # the live cache is not empty
             matcher.save(tmp_path / "s.snap", mode="full")
