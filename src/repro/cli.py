@@ -385,7 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_inflight=args.max_inflight,
         deadline_ms=args.deadline_ms,
         reload_poll_s=args.reload_poll_s,
@@ -562,10 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--workers", type=int, default=2,
                             help="forked worker processes sharing the snapshot via mmap")
     serve_http.add_argument("--max-batch", type=int, default=32,
-                            help="coalescer flushes as soon as a batch holds this many "
-                            "texts (1 dispatches every request alone)")
-    serve_http.add_argument("--max-wait-ms", type=float, default=2.0,
-                            help="how long the first request of a batch waits for company")
+                            help="most texts one coalesced batch carries; requests that "
+                            "queue behind busy workers ride together up to this cap "
+                            "(1 dispatches every request alone)")
     serve_http.add_argument("--max-inflight", type=int, default=256,
                             help="admission high-water; past it requests get a fast 503")
     serve_http.add_argument("--deadline-ms", type=float, default=30_000.0,

@@ -8,14 +8,16 @@ Architecture, front to back::
                            │  per-request deadline → 504
                            ▼
                        request coalescer
-                           │  concurrent /query calls folded into ONE
+                           │  one batch in flight per worker; /query calls
+                           │  that queue behind busy workers fold into ONE
                            │  batched encode + ONE batched index query
-                           │  (time/size windows; per-request slices are
-                           │  byte-identical to serial answers)
+                           │  (per-request slices are byte-identical to
+                           │  serial answers)
                            ▼
                        worker plane (N forked processes)
                            │  round-robin over framed unix socketpairs,
-                           │  sibling retry + respawn on worker death
+                           │  idle workers first, sibling retry + respawn
+                           │  on worker death
                            ▼
                        MatchSession.load(snapshot, mmap=True) × N
                               one snapshot file → one page-cache copy

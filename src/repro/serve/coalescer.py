@@ -11,12 +11,14 @@ is only honest because the whole query path is batch-composition-invariant
 are byte-identical to what a serial one-at-a-time call would have returned —
 pinned by ``tests/serve/test_coalescer.py``.
 
-Windowing is time/size-bounded: the first request for a ``(k,
-max_distance)`` key opens a batch and arms a ``max_wait`` timer; requests
-arriving inside the window join it; the batch flushes early the moment it
-holds ``max_batch`` texts. Requests with different ``(k, max_distance)``
-parameters never share a batch — a batched index query has a single ``k``,
-and distance filtering is per request.
+Batching is work-conserving and never waits on a clock: at most ``slots``
+batches are in flight (the server passes its worker count). The first
+request for a ``(k, max_distance)`` key opens a batch whose flush task takes
+a slot; with one free it dispatches on the next loop tick, else the batch
+grows until one frees (or it holds ``max_batch`` texts and detaches).
+Requests with different ``(k, max_distance)`` parameters never share a
+batch — a batched index query has a single ``k``, and distance filtering is
+per request.
 
 The coalescer is transport-agnostic: ``runner(texts, k, max_distance)`` is
 any awaitable returning one row list per text. The server wires it to the
@@ -30,41 +32,42 @@ import asyncio
 
 
 class _Batch:
-    __slots__ = ("requests", "num_texts", "ready")
+    __slots__ = ("requests", "num_texts")
 
     def __init__(self) -> None:
         self.requests: list[tuple[list, asyncio.Future]] = []
         self.num_texts = 0
-        self.ready = asyncio.Event()
 
 
 class QueryCoalescer:
-    """Time/size-windowed batcher over an async ``runner``.
+    """Work-conserving batcher over an async ``runner``.
 
     Args:
         runner: ``await runner(texts, k, max_distance)`` → one row list per
             text, batch-composition-invariant.
-        max_batch: flush as soon as a batch holds this many texts
-            (``<= 1`` disables coalescing: every request dispatches alone).
-        max_wait: seconds the first request of a batch waits for company.
+        max_batch: detach a batch as soon as it holds this many texts
+            (``1`` disables coalescing: every request dispatches alone).
+        slots: batches in flight at once; a batch waits for a free slot and
+            gathers the requests that arrive meanwhile.
         metrics: optional :class:`~repro.serve.metrics.ServeMetrics`;
             batches and the batch-size histogram are recorded there.
     """
 
-    def __init__(self, runner, *, max_batch: int = 32, max_wait: float = 0.002, metrics=None):
+    def __init__(self, runner, *, max_batch: int = 32, slots: int = 1, metrics=None):
         self.runner = runner
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.metrics = metrics
+        self._slots = asyncio.Semaphore(slots)
         self._pending: dict[tuple, _Batch] = {}
+        self._flush_tasks: set[asyncio.Task] = set()
 
     @property
     def enabled(self) -> bool:
-        return self.max_batch > 1 and self.max_wait > 0
+        return self.max_batch > 1
 
     @property
     def pending_texts(self) -> int:
-        """Texts currently waiting in open windows (the queue-depth gauge)."""
+        """Texts waiting for a slot (the queue-depth gauge)."""
         return sum(batch.num_texts for batch in self._pending.values())
 
     async def submit(self, texts, k: int = 1, max_distance: float | None = None):
@@ -78,7 +81,9 @@ class QueryCoalescer:
         batch = self._pending.get(key)
         if batch is None:
             batch = self._pending[key] = _Batch()
-            asyncio.ensure_future(self._flush_after_window(key, batch))
+            task = asyncio.ensure_future(self._flush(key, batch))
+            self._flush_tasks.add(task)
+            task.add_done_callback(self._flush_tasks.discard)
         future = asyncio.get_running_loop().create_future()
         batch.requests.append((texts, future))
         batch.num_texts += len(texts)
@@ -86,16 +91,22 @@ class QueryCoalescer:
             # Detach synchronously so a request landing after the size
             # trigger opens a fresh batch instead of growing a full one.
             del self._pending[key]
-            batch.ready.set()
         return await future
 
-    async def _flush_after_window(self, key: tuple, batch: _Batch) -> None:
+    async def _flush(self, key: tuple, batch: _Batch) -> None:
         try:
-            await asyncio.wait_for(batch.ready.wait(), self.max_wait)
-        except asyncio.TimeoutError:
-            pass
-        if self._pending.get(key) is batch:
-            del self._pending[key]
+            async with self._slots:
+                if self._pending.get(key) is batch:
+                    del self._pending[key]
+                await self._dispatch(key, batch)
+        except asyncio.CancelledError:
+            if self._pending.get(key) is batch:
+                del self._pending[key]
+            for _, future in batch.requests:
+                future.cancel()
+            raise
+
+    async def _dispatch(self, key: tuple, batch: _Batch) -> None:
         texts = [text for request_texts, _ in batch.requests for text in request_texts]
         if self.metrics is not None:
             self.metrics.record_batch(len(texts), len(batch.requests))
@@ -105,7 +116,7 @@ class QueryCoalescer:
                 raise RuntimeError(
                     f"runner returned {len(rows)} rows for {len(texts)} texts"
                 )
-        except BaseException as exc:  # noqa: BLE001 - every waiter must hear it
+        except Exception as exc:  # every waiter must hear a runner failure
             for _, future in batch.requests:
                 if not future.done():
                     future.set_exception(exc)

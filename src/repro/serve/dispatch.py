@@ -9,8 +9,9 @@ has no other holder and the parent observes a clean EOF the instant the
 process exits.
 
 Dispatch is round-robin over healthy workers with a per-worker lock (one
-in-flight frame per worker — the coalescer upstream is what keeps workers
-busy with *large* frames rather than many small ones). A dispatch that hits
+in-flight frame per worker), idle first: a frame goes to the first worker in
+rotation order whose lock is free, else to the rotation head, so it never
+queues behind a busy worker while a sibling idles. A dispatch that hits
 EOF or a connection error marks the worker dead, schedules a respawn, and
 retries the frame on a sibling — bounded at ``num_workers + 1`` attempts so
 a frame that kills every worker it touches cannot retry forever. Fault
@@ -91,7 +92,7 @@ class WorkerPlane:
     Args:
         snapshot_path: snapshot file every worker ``mmap``'s.
         num_workers: plane size; dispatch is round-robin across the
-            currently-healthy subset.
+            currently-healthy subset, idle workers first.
         metrics: optional :class:`~repro.serve.metrics.ServeMetrics` for
             dispatch counters (requests, retries, deaths, restarts).
         respawn: replace dead workers automatically (the fault test turns
@@ -119,14 +120,14 @@ class WorkerPlane:
         return self.workers[start:] + self.workers[:start]
 
     async def request(self, frame: dict) -> dict:
-        """Round-robin one frame, retrying siblings if a worker dies."""
+        """Round-robin one frame, idle workers first, retrying siblings if one dies."""
         last_error: Exception | None = None
         attempts = 0
         for _ in range(len(self.workers) + 1):
             candidates = [w for w in self._rotation() if w.alive]
             if not candidates:
                 break
-            worker = candidates[0]
+            worker = next((w for w in candidates if not w.lock.locked()), candidates[0])
             self.dispatch_count += 1
             attempts += 1
             fault = faults.claim_worker_fault(self.dispatch_count - 1)

@@ -4,9 +4,10 @@ One process runs the event loop; all matching happens in the forked worker
 plane. A request's life: the connection handler parses HTTP
 (:mod:`repro.serve.http`), admission control either takes it in-flight or
 answers an immediate 503 with ``Retry-After``, ``/query`` bodies enter the
-coalescer (which folds concurrent requests into one batched worker frame)
-under an ``asyncio.wait_for`` deadline that turns into a 504, and the
-response is serialized once through :func:`repro.serve.protocol.canonical_json`.
+coalescer (one batch in flight per worker; requests queued behind busy workers
+fold into one batched frame) under an ``asyncio.wait_for`` deadline that turns
+into a 504, and the response is serialized once through
+:func:`repro.serve.protocol.canonical_json`.
 
 Hot reload: a watcher polls the snapshot path's ``(mtime_ns, size, inode)``
 signature — a publisher landing a new snapshot with ``os.replace`` flips all
@@ -39,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..exceptions import ReproError, ServeError
+from ..exceptions import ConfigurationError, ReproError, ServeError
 from .coalescer import QueryCoalescer
 from .dispatch import WorkerPlane
 from .http import HTTPError, Request, read_request, response_bytes
@@ -56,11 +57,20 @@ class ServeConfig:
     port: int = 8600  #: 0 asks the OS for an ephemeral port (tests use this).
     workers: int = 2
     max_batch: int = 32  #: 1 turns coalescing off: every request dispatches alone.
-    max_wait_ms: float = 2.0
     max_inflight: int = 256
     deadline_ms: float = 30_000.0
-    reload_poll_s: float = 1.0
+    reload_poll_s: float = 1.0  #: 0 disables hot reload.
     drain_timeout_s: float = 10.0
+
+    def validate(self) -> None:
+        for name in ("workers", "max_batch", "max_inflight"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        for name in ("deadline_ms", "drain_timeout_s"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ConfigurationError(f"{name} must be a positive finite number")
+        if not self.reload_poll_s >= 0:  # also rejects NaN
+            raise ConfigurationError("reload_poll_s must be a non-negative number")
 
 
 def _snapshot_signature(path: str) -> tuple | None:
@@ -110,6 +120,7 @@ class MatchServer:
     """The serving plane, assembled: plane + coalescer + HTTP front end."""
 
     def __init__(self, config: ServeConfig, *, metrics: ServeMetrics | None = None):
+        config.validate()
         self.config = config
         self.metrics = metrics or ServeMetrics()
         self._chain_dir = (
@@ -130,7 +141,7 @@ class MatchServer:
         self.coalescer = QueryCoalescer(
             self._query_runner,
             max_batch=config.max_batch,
-            max_wait=config.max_wait_ms / 1e3,
+            slots=config.workers,
             metrics=self.metrics,
         )
         self._server: asyncio.AbstractServer | None = None

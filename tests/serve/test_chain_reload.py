@@ -29,7 +29,6 @@ def _serve(snapshot_path, **overrides):
         snapshot_path=str(snapshot_path),
         port=0,
         workers=2,
-        max_wait_ms=1.0,
         reload_poll_s=0.0,
     )
     defaults.update(overrides)

@@ -87,7 +87,7 @@ def test_server_answers_through_a_worker_kill(
     async def scenario():
         config = ServeConfig(
             snapshot_path=str(serve_snapshot), port=0, workers=2,
-            max_wait_ms=1.0, reload_poll_s=0.0,
+            reload_poll_s=0.0,
         )
         server = MatchServer(config)
         server.plane.respawn = False  # hold the degraded state for inspection

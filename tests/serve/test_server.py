@@ -29,7 +29,6 @@ def _serve(snapshot_path, **overrides):
         snapshot_path=str(snapshot_path),
         port=0,
         workers=2,
-        max_wait_ms=1.0,
         reload_poll_s=0.0,  # individual tests opt into the watcher
     )
     defaults.update(overrides)
@@ -127,16 +126,27 @@ def test_server_end_to_end(serve_snapshot, serve_session, serve_split, query_tex
 
 def test_admission_control_rejects_past_high_water(serve_snapshot, query_texts, http_request):
     async def scenario():
-        server = _serve(serve_snapshot, max_inflight=0)
+        # One admitted request parks on the only worker's held dispatch lock,
+        # filling the single in-flight slot; the next one is past high water.
+        server = _serve(serve_snapshot, workers=1, max_inflight=1)
         await server.start()
         try:
-            status, headers, body = await http_request(
-                server.port, "POST", "/query", {"texts": query_texts[:1]}
-            )
+            doc = {"texts": query_texts[:1]}
+            async with server.plane.workers[0].lock:
+                parked = asyncio.ensure_future(
+                    http_request(server.port, "POST", "/query", doc)
+                )
+                for _ in range(200):
+                    _, _, body = await http_request(server.port, "GET", "/metrics")
+                    if json.loads(body)["inflight"] == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                status, headers, body = await http_request(server.port, "POST", "/query", doc)
             assert status == 503
             assert headers["retry-after"] == "1"
             assert b"capacity" in body
             assert server.metrics.rejected_queue_full == 1
+            assert (await parked)[0] == 200
             # Reads are never gated by admission control.
             status, _, _ = await http_request(server.port, "GET", "/healthz")
             assert status == 200
@@ -148,14 +158,15 @@ def test_admission_control_rejects_past_high_water(serve_snapshot, query_texts, 
 
 def test_deadline_budget_maps_to_504(serve_snapshot, query_texts, http_request):
     async def scenario():
-        # The coalescer window (200 ms) alone exceeds the 5 ms budget, so the
-        # request times out deterministically without any load.
-        server = _serve(serve_snapshot, deadline_ms=5.0, max_wait_ms=200.0)
+        # The only worker's dispatch lock is held across the request, so the
+        # frame cannot be sent and the 5 ms budget runs out deterministically.
+        server = _serve(serve_snapshot, workers=1, deadline_ms=5.0)
         await server.start()
         try:
-            status, _, body = await http_request(
-                server.port, "POST", "/query", {"texts": query_texts[:1]}
-            )
+            async with server.plane.workers[0].lock:
+                status, _, body = await http_request(
+                    server.port, "POST", "/query", {"texts": query_texts[:1]}
+                )
             assert status == 504
             assert b"deadline" in body
             assert server.metrics.rejected_deadline == 1
