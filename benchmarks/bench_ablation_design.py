@@ -1,5 +1,5 @@
 """Design-choice ablations beyond the paper's own: mutual vs directed top-K,
-exact vs HNSW vs LSH search, mean vs medoid representatives, and density vs
+exact vs HNSW search, mean vs medoid representatives, and density vs
 no vs centroid pruning (see :mod:`repro.experiments.ablations`)."""
 
 from repro.evaluation import format_table
@@ -20,7 +20,7 @@ def test_ablation_mutual_vs_directed(benchmark, bench_profile, bench_datasets):
 
 
 def test_ablation_index_backend(benchmark, bench_profile, bench_datasets):
-    """Exact, HNSW, and LSH backends inside the merging stage."""
+    """Exact and HNSW backends inside the merging stage."""
     rows = benchmark(lambda: ablation_index_backend(bench_datasets[:1], profile=bench_profile))
     print("\n" + format_table(rows, title="Ablation: ANN backend"))
     by_backend = {row["index"]: row for row in rows}

@@ -127,7 +127,7 @@ def test_smoke_encoder_batch_fast_path_is_exercised():
 
 _REQUIRE_SNIPPET = """\
 import numpy as np
-from repro.ann import HNSWIndex, LSHIndex, mutual_top_k
+from repro.ann import HNSWIndex, mutual_top_k
 from repro.ann import native
 
 assert native.get_kernel() is not None  # require-mode would have raised already
@@ -135,16 +135,15 @@ rng = np.random.default_rng(0)
 vectors = rng.normal(size=(300, 32)).astype(np.float32)
 queries = vectors[:40] + rng.normal(scale=0.01, size=(40, 32)).astype(np.float32)
 hnsw_idx, _ = HNSWIndex(seed=0).build(vectors).query(queries, 3)
-lsh_idx, _ = LSHIndex(seed=0).build(vectors).query(queries, 3)
-assert (hnsw_idx[:, 0] >= 0).all() and (lsh_idx >= 0).any()
-pairs = mutual_top_k(vectors[:150], vectors[150:], k=1, max_distance=0.5, backend="lsh")
+assert (hnsw_idx[:, 0] >= 0).all()
+pairs = mutual_top_k(vectors[:150], vectors[150:], k=1, max_distance=0.5, backend="hnsw")
 print("REQUIRE-OK", len(pairs))
 """
 
 
 @pytest.mark.smoke
 def test_smoke_native_require_leg():
-    """``REPRO_NATIVE=require`` end-to-end: the kernel must engage for both backends.
+    """``REPRO_NATIVE=require`` end-to-end: the kernel must engage for HNSW.
 
     Runs a subprocess so the strict mode is exercised from a cold import:
     any compile, BLAS-resolution, or byte-identity regression fails loudly
@@ -273,22 +272,17 @@ for k in (1, 2):
     assert pairs, "the tied tables produced no mutual pair"
     digest.update(repr([(p.left, p.right, p.distance) for p in pairs]).encode())
 
-# The LSH re-rank on both sides of the AVX2 envelope: at d = 36 the kernel
-# reads candidate rows in place, at d = 37 (and for every 257-row segment)
-# it gathers them for the BLAS sgemv call.
-from repro.ann import engine
-from repro.ann.distances import PreparedVectors
-
+# HNSW on both sides of the AVX2 envelope: at d = 36 the kernel reads
+# candidate rows in place, at d = 37 it gathers them for the BLAS sgemv call.
+# Level 0 holds up to 2 * 129 = 258 neighbours, so expansions also evaluate
+# more than 256 rows at once (the BLAS path at either width).
 for d in (36, 37):
-    rows = rng.standard_normal((300, d)).astype(np.float32)
-    segments = [np.sort(rng.choice(300, size=n, replace=False)) for n in (1, 5, 257)]
-    candidates = np.concatenate(segments).astype(np.int64)
-    offsets = np.array([0, 1, 6, 263], dtype=np.int64)
+    rows = rng.standard_normal((320, d)).astype(np.float32)
     for metric in ("cosine", "euclidean"):
-        prepared = PreparedVectors(rows, metric)
-        prepared_queries = prepared.prepare_queries(rng.standard_normal((3, d)).astype(np.float32))
-        indices, distances = engine.alloc_topk(3, 257)
-        engine.rerank_csr(prepared, prepared_queries, candidates, offsets, 257, indices, distances)
+        wide = HNSWIndex(metric=metric, max_degree=129, ef_construction=200, seed=d)
+        wide.build(rows[:256]).extend(rows[256:])
+        indices, distances = wide.query(rows[:8] + 0.01, 5)
+        digest.update(wide._layer_neighbors[0][:320].tobytes())
         digest.update(indices.tobytes())
         digest.update(distances.tobytes())
 print("VARIANT", native.kernel_variant())
@@ -304,10 +298,10 @@ def test_smoke_kernel_compile_matrix():
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
     HNSW index, runs the tiny pipeline under the default (thread pool) config
     and under ``parallel=False``, runs the exact scan's mutual top-1 and top-2
-    over two tables of duplicated rows, re-ranks CSR segments of 1, 5 and 257
-    rows at d = 36 and d = 37 (in-place and gathered kernel paths), and prints
-    a digest over the full graph, the query output, the (equal) tuple set,
-    both pair lists and the re-rank outputs. All
+    over two tables of duplicated rows, builds + queries a wide-degree HNSW
+    index at d = 36 and d = 37 (in-place and gathered kernel paths), and
+    prints a digest over the full graph, the query output, the (equal) tuple
+    set, both pair lists and the wide indexes' graphs and answers. All
     legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.

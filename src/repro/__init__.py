@@ -15,15 +15,12 @@ ANN backends and index reuse
 The merging stage's mutual top-K searches run on a pluggable ANN layer
 (:mod:`repro.ann`). ``MergingConfig.index`` selects the backend: ``"auto"``
 (exact brute force up to ``brute_force_limit`` rows, HNSW beyond),
-``"brute-force"``, ``"hnsw"`` (knobs: ``hnsw_max_degree``,
-``hnsw_ef_construction``, ``hnsw_ef_search``) or ``"lsh"`` (knobs:
-``lsh_num_tables``, ``lsh_num_bits``, ``lsh_probe_neighbors``). All
-backends share one candidate-generation → exact-re-rank query engine
-(:mod:`repro.ann.engine`); with a C toolchain present its hot loops — the
-HNSW traversals *and* the LSH probe re-rank — run through a runtime-compiled
-native kernel that is byte-identical to the numpy paths (``REPRO_NATIVE=0``
-forces the fallback for both backends, ``REPRO_NATIVE=require`` hard-fails
-when the kernel cannot load). With ``MergingConfig.index_cache`` enabled
+``"brute-force"`` or ``"hnsw"`` (knobs: ``hnsw_max_degree``,
+``hnsw_ef_construction``, ``hnsw_ef_search``). Both backends fill the same
+top-K outputs (:mod:`repro.ann.engine`); with a C toolchain present the
+HNSW traversals run through a runtime-compiled native kernel that is
+byte-identical to the numpy paths (``REPRO_NATIVE=0`` forces the fallback,
+``REPRO_NATIVE=require`` hard-fails when the kernel cannot load). With ``MergingConfig.index_cache`` enabled
 (default, capacity ``index_cache_entries``), :class:`IncrementalMultiEM`
 reuses indexes across :meth:`IncrementalMultiEM.add_table` calls whenever
 reuse is byte-identical to rebuilding (exact content match or incremental

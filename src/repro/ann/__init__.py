@@ -1,11 +1,11 @@
-"""Approximate nearest-neighbour substrate: brute force, HNSW, LSH, mutual top-K.
+"""Approximate nearest-neighbour substrate: brute force, HNSW, mutual top-K.
 
 Backend selection
 -----------------
 Every backend implements :class:`NearestNeighborIndex` (``build`` then batched
-``query``) and funnels through the shared candidate-generation →
-exact-re-rank engine (:mod:`repro.ann.engine`), so the merging stage swaps
-them via ``MergingConfig.index``:
+``query``) and fills the top-K outputs of the shared query engine
+(:mod:`repro.ann.engine`), so the merging stage swaps them via
+``MergingConfig.index``:
 
 * ``"auto"`` (default) — exact :class:`BruteForceIndex` when the indexed side
   has at most ``brute_force_limit`` rows (default 4096, where one blocked
@@ -18,21 +18,16 @@ them via ``MergingConfig.index``:
 * ``"hnsw"`` — array-backed navigable-small-world graph (flat CSR-style
   neighbour tables, batched distance kernels, incremental ``extend``).
   Tuned by ``hnsw_max_degree`` / ``hnsw_ef_construction`` / ``hnsw_ef_search``.
-* ``"lsh"`` — sign-random-projection hashing with CSR bucket tables and exact
-  re-ranking; the cheap-and-cheerful option for the design ablation. Tuned by
-  ``lsh_num_tables`` / ``lsh_num_bits`` / ``lsh_probe_neighbors``. The probe
-  stream re-ranks as one flat CSR (query → candidates) segment-top-k.
 
 Native kernel
 -------------
 With a C toolchain present *and* a wheel-bundled ILP64 OpenBLAS (the
 ``scipy-openblas64`` builds standard numpy/scipy wheels ship — MKL- or
-distro-linked numpy is not recognized), the hot loops of **both** ANN
-backends — HNSW's insert/search traversals and the LSH probe re-rank — run
-through the runtime-compiled shared kernel (:mod:`repro.ann.native`,
+distro-linked numpy is not recognized), HNSW's insert/search traversals run
+through the runtime-compiled kernel (:mod:`repro.ann.native`,
 ``repro/ann/_ann_kernel.c``): same algorithms, same OpenBLAS calls,
-byte-identical graphs and results, gated by one load-time self-test
-covering both backends. Otherwise the pure-Python/numpy paths run, with the
+byte-identical graphs and results, gated by one load-time self-test.
+Otherwise the pure-Python/numpy paths run, with the
 reason recorded in ``repro.ann.native.disabled_reason``. ``REPRO_NATIVE=0``
 forces the fallback for everything the kernel governs;
 ``REPRO_NATIVE=require`` makes unavailability a hard error (used by the
@@ -40,8 +35,7 @@ benchmark smoke leg).
 
 Kernel variants
 ---------------
-The native kernel is one sequential HNSW build / query plus the shared CSR
-re-rank, compiled in two variants that both produce the numpy paths' bytes
+The native kernel is one sequential HNSW build / query, compiled in two variants that both produce the numpy paths' bytes
 (each must pass the load-time self-test against the numpy reference before
 it serves; ``REPRO_NATIVE=0`` forces the numpy paths):
 
@@ -56,8 +50,7 @@ it serves; ``REPRO_NATIVE=0`` forces the numpy paths):
   ``auto`` (default) | ``scalar`` | ``avx2`` pins the choice. Compiled
   variants are cached keyed on (source digest, flags, CPU features).
 
-The exact scan (one blocked GEMM per query batch) and the LSH candidate
-dedup (numpy's in-place sort plus a neighbour mask) have no native variant.
+The exact scan (one blocked GEMM per query batch) has no native variant.
 
 Index reuse
 -----------
@@ -88,14 +81,12 @@ from .distances import (
     pairwise_distances,
 )
 from .hnsw import HNSWIndex
-from .lsh import LSHIndex
 from .mutual import MutualPair, create_index, mutual_top_k, resolve_backend, top_k_pairs
 
 __all__ = [
     "NearestNeighborIndex",
     "BruteForceIndex",
     "HNSWIndex",
-    "LSHIndex",
     "IndexCache",
     "IndexCacheStats",
     "fingerprint_vectors",

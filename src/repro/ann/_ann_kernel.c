@@ -1,5 +1,4 @@
-/* Native ANN kernel: HNSW insert/search loops plus the shared exact
- * re-rank used by the LSH backend.
+/* Native ANN kernel: HNSW insert/search loops.
  *
  * This file is compiled at runtime by repro/ann/native.py (plain `gcc -O2
  * -shared -fPIC`, no build system) and drives the same algorithms as the
@@ -19,15 +18,9 @@
  *  - Neighbour selection sorts by the same strict total order, and the
  *    overflow prune replicates `np.argsort(kind="stable")` with a stable
  *    insertion sort.
- *  - The CSR re-rank (`ann_rerank_csr`) selects top-k per query segment in
- *    ascending (distance, segment position) order, NaN distances last —
- *    candidate positions are unique and the comparator classifies NaN
- *    explicitly, so it is a strict total order (no qsort UB on NaN) and the
- *    result matches `np.argsort(dists, kind="stable")[:k]` exactly,
- *    including numpy's NaN-last placement.
  *
  * The Python wrapper verifies all of this empirically at load time (build +
- * query + re-rank byte-comparison against the pure-Python paths) and refuses
+ * extend + query byte-comparison against the pure-Python path) and refuses
  * to enable the kernel otherwise; `tests/ann/` re-checks it on every run.
  *
  * ANN_VARIANT_AVX2 (same contract): the file is compiled a second time with
@@ -230,8 +223,15 @@ static void kernel_4x1(int64_t n, const float *a, const float *x, float *yb) {
 /* k row pointers into `base` (row j is base + rows[j] * d, row stride d),
  * alpha == 1, beta == 0: out[j] = dot(row_j, x) — what OpenBLAS computes for
  * the same rows gathered into a contiguous k x d matrix, in the same 4/2/1
- * row grouping.  Requires d % 4 == 0, 8 < d <= 4096, k >= 1.
+ * row grouping.  Requires d % 4 == 0, 8 < d <= 4096, k >= 1, and
+ * k * d < SGEMV_THREADED_MN.
  * `+ 0.0f` launders -0.0f to +0.0f exactly as the OpenBLAS epilogue does. */
+/* OpenBLAS's sgemv interface runs single-threaded only below this m * n
+ * (115200 * GEMM_MULTITHREAD_THRESHOLD, default 4); above it the rows are
+ * split across threads, which changes their 4/2/1 grouping, so larger shapes
+ * go to the BLAS function pointer itself. */
+#define SGEMV_THREADED_MN 460800
+
 static void sgemv_sky(int64_t k, int64_t d, const float *base, const int64_t *rows,
                       const float *x, float *out) {
     int64_t j = 0;
@@ -333,9 +333,8 @@ HEAP_OPS(maxheap, lt_max)
 /* ----------------------------------------------------------- distances */
 
 /* distances from the prepared query to base[rows], replicating
- * PreparedVectors.row_distances (including numpy's k == 1 sdot dispatch).
- * Shared by the HNSW traversal and the CSR re-rank entry point, so the
- * byte-identity argument is carried in one place.  `base` is C-contiguous
+ * PreparedVectors.row_distances (including numpy's k == 1 sdot dispatch),
+ * so the byte-identity argument is carried in one place.  `base` is C-contiguous
  * with row stride d (PreparedVectors.native_views), so sdot and the AVX2
  * micro-kernels read each candidate row in place; only the BLAS sgemv_fn
  * call needs a contiguous k x d matrix and copies the rows into `gather`. */
@@ -352,7 +351,7 @@ static void base_row_distances(const float *base, const float *sq_norms, int64_t
         out[0] = sdot_fn(d, base + rows[0] * d, 1, query, 1);
     } else {
 #ifdef ANN_VARIANT_AVX2
-        if (k <= 256 && d > 8 && d <= 4096 && (d & 3) == 0) {
+        if (k <= 256 && d > 8 && d <= 4096 && (d & 3) == 0 && k * d < SGEMV_THREADED_MN) {
             sgemv_sky(k, d, base, rows, query, out);
         } else
 #endif
@@ -697,79 +696,5 @@ int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
         }
     }
     scratch_free(s);
-    return 0;
-}
-
-/* ------------------------------------------------------- shared re-rank */
-
-/* Ascending (distance, position) with NaN distances last — the order of
- * np.argsort(dists, kind="stable") over a segment whose positions are the
- * node ids. cmp_items_asc alone is intransitive when NaN is present (NaN
- * compares "equal" to everything under <), which would be undefined
- * behaviour for qsort; classifying NaN explicitly restores a strict total
- * order. Among NaNs the position tie-break reproduces the stable sort's
- * original-order placement. */
-static int cmp_rerank_items(const void *pa, const void *pb) {
-    const item_t *a = (const item_t *)pa;
-    const item_t *b = (const item_t *)pb;
-    int a_nan = isnan(a->dist);
-    int b_nan = isnan(b->dist);
-    if (a_nan != b_nan) return a_nan ? 1 : -1;
-    if (!a_nan) {
-        if (a->dist < b->dist) return -1;
-        if (a->dist > b->dist) return 1;
-    }
-    if (a->node < b->node) return -1;
-    if (a->node > b->node) return 1;
-    return 0;
-}
-
-/* Exact re-rank of a flat CSR (query -> candidates) stream: for every query
- * segment, evaluate exact distances to its candidate rows through the same
- * sgemv/sdot dispatch as PreparedVectors.row_distances, and emit the
- * top-k in ascending (distance, segment position) order.  Output arrays must
- * be pre-filled with -1 / inf by the caller; empty segments are skipped.
- * Returns 0 on success, -1 on allocation failure (outputs untouched, the
- * Python caller falls back to the byte-identical numpy path). */
-int ann_rerank_csr(const float *base, const float *sq_norms, int64_t d, int metric,
-                   const int64_t *candidates, const int64_t *offsets,
-                   int64_t num_queries, const float *prepared_queries,
-                   const float *query_sqs, int64_t k, int64_t *out_indices,
-                   double *out_distances) {
-    int64_t max_c = 0;
-    for (int64_t q = 0; q < num_queries; q++) {
-        int64_t c = offsets[q + 1] - offsets[q];
-        if (c > max_c) max_c = c;
-    }
-    if (max_c == 0) return 0;
-    float *gather = (float *)malloc((size_t)(max_c * d) * sizeof(float));
-    float *dist = (float *)malloc((size_t)max_c * sizeof(float));
-    item_t *items = (item_t *)malloc((size_t)max_c * sizeof(item_t));
-    if (!gather || !dist || !items) {
-        free(gather);
-        free(dist);
-        free(items);
-        return -1;
-    }
-    for (int64_t q = 0; q < num_queries; q++) {
-        int64_t c = offsets[q + 1] - offsets[q];
-        if (c == 0) continue;
-        const int64_t *segment = candidates + offsets[q];
-        base_row_distances(base, sq_norms, d, metric, prepared_queries + q * d,
-                           query_sqs[q], segment, c, gather, dist);
-        for (int64_t j = 0; j < c; j++) {
-            items[j].dist = dist[j];
-            items[j].node = j; /* segment position — the stable tie-break */
-        }
-        qsort(items, (size_t)c, sizeof(item_t), cmp_rerank_items);
-        int64_t count = c < k ? c : k;
-        for (int64_t j = 0; j < count; j++) {
-            out_indices[q * k + j] = segment[items[j].node];
-            out_distances[q * k + j] = (double)items[j].dist;
-        }
-    }
-    free(gather);
-    free(dist);
-    free(items);
     return 0;
 }

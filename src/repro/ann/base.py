@@ -1,6 +1,6 @@
 """Nearest-neighbour index protocol.
 
-Every index backend (brute force, HNSW, LSH) implements the same contract so
+Every index backend (brute force, HNSW) implements the same contract so
 the merging stage can swap backends via configuration: build over a matrix of
 item vectors, then answer batched top-K queries with distances.
 """

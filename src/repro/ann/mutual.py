@@ -29,7 +29,6 @@ from .brute_force import BATCH_SIZE, BruteForceIndex
 from .cache import IndexCache, index_params_key
 from .distances import METRICS, PreparedVectors, paired_distances
 from .hnsw import HNSWIndex
-from .lsh import LSHIndex
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ def create_index(
     hnsw_max_degree: int = 16,
     hnsw_ef_construction: int = 100,
     hnsw_ef_search: int = 64,
-    lsh_num_tables: int = 8,
-    lsh_num_bits: int = 12,
-    lsh_probe_neighbors: bool = True,
     seed: int = 0,
 ) -> NearestNeighborIndex:
     """Instantiate an ANN backend by name.
@@ -78,18 +74,10 @@ def create_index(
             ef_search=hnsw_ef_search,
             seed=seed,
         )
-    if backend == "lsh":
-        return LSHIndex(
-            metric=metric,
-            num_tables=lsh_num_tables,
-            num_bits=lsh_num_bits,
-            probe_neighbors=lsh_probe_neighbors,
-            seed=seed,
-        )
     raise ConfigurationError(f"unknown ANN backend {backend!r}")
 
 
-_BACKENDS = {"brute-force": BruteForceIndex, "hnsw": HNSWIndex, "lsh": LSHIndex}
+_BACKENDS = {"brute-force": BruteForceIndex, "hnsw": HNSWIndex}
 
 
 def batch_invariant(resolved_backend: str) -> bool:
@@ -323,8 +311,7 @@ def mutual_top_k(
         k: neighbourhood size (paper default 1).
         max_distance: the threshold ``m``.
         metric: distance metric.
-        backend: ANN backend name (``"auto"``, ``"brute-force"``, ``"hnsw"``,
-            ``"lsh"``).
+        backend: ANN backend name (``"auto"``, ``"brute-force"``, ``"hnsw"``).
         brute_force_limit: size cut-off for the ``"auto"`` backend.
         index_kwargs: extra keyword arguments for :func:`create_index`.
         cache: optional :class:`~repro.ann.cache.IndexCache` consulted before

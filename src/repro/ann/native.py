@@ -4,17 +4,16 @@ The pure-Python ANN hot loops spend most of their wall clock on per-step
 numpy dispatch overhead (tiny fancy-index gathers, matvecs over a handful of
 rows, heap bookkeeping), not on arithmetic. This module compiles
 ``repro/ann/_ann_kernel.c`` with the system C compiler at first use and runs
-those loops natively — the HNSW insert/search traversals *and* the shared
-CSR re-rank the LSH backend funnels through
-(:func:`repro.ann.engine.rerank_csr`) — calling the *same* OpenBLAS
+those loops natively — the HNSW insert/search traversals — calling the
+*same* OpenBLAS
 ``cblas_sgemv`` / ``cblas_sdot`` routines numpy dispatches to, resolved by
 ``dlopen``-ing the shared library bundled inside the installed numpy itself,
 so every distance comes out bit-for-bit identical to the numpy path.
 
 Safety model: the kernel is only enabled after a load-time **self-test**
-builds, extends and queries small HNSW *and* LSH indexes through both paths
-(both metrics, probe-neighbour variants, duplicate rows, all-miss queries)
-and byte-compares the graphs and results. Any environment where the
+builds, extends and queries small HNSW indexes through both paths (both
+metrics, three dimensions, duplicate rows) and byte-compares the graphs and
+results. Any environment where the
 toolchain, BLAS symbols, or bit-identity assumptions do not hold silently
 falls back to the pure-Python implementations — same outputs, just slower.
 Set ``REPRO_NATIVE=0`` to force the fallback, ``REPRO_NATIVE=require`` to
@@ -79,13 +78,8 @@ class NativeKernel:
             vp, vp, vp, i64, i64, i64, i64, i64, vp, vp,
         ]
         lib.hnsw_query.restype = i32
-        lib.ann_rerank_csr.argtypes = [
-            vp, vp, i64, i32, vp, vp, i64, vp, vp, i64, vp, vp,
-        ]
-        lib.ann_rerank_csr.restype = i32
         self.build = lib.hnsw_build
         self.query = lib.hnsw_query
-        self.rerank = lib.ann_rerank_csr
         if int(lib.ann_kernel_variant()) != (1 if variant == "avx2" else 0):
             raise OSError(f"compiled object does not match requested variant {variant!r}")
 
@@ -275,8 +269,6 @@ def _self_test() -> str | None:
     """Build/extend/query small indexes through both paths; return error or None."""
     import numpy as np
 
-    from .lsh import LSHIndex
-
     rng = np.random.default_rng(1234)
     vectors = rng.normal(size=(160, 32)).astype(np.float32)
     vectors[17] = vectors[3]  # exercise exact ties
@@ -296,22 +288,6 @@ def _self_test() -> str | None:
                                  label=f" d={d}", **extra_kwargs)
         if error is not None:
             return error
-    # LSH probe + re-rank: duplicate rows (exact distance ties), probe
-    # variants, and far-away all-miss queries all byte-compare through the
-    # shared CSR re-rank.
-    lsh_queries = np.concatenate([vectors[:20], -100.0 * vectors[:4]])
-    for metric in ("cosine", "euclidean"):
-        for probe_neighbors in (True, False):
-            index = LSHIndex(
-                metric=metric, num_tables=3, num_bits=6,
-                probe_neighbors=probe_neighbors, seed=11,
-            ).build(vectors)
-            index._use_native = False
-            p_idx, p_dist = index.query(lsh_queries, 5)
-            index._use_native = True
-            n_idx, n_dist = index.query(lsh_queries, 5)
-            if not np.array_equal(p_idx, n_idx) or p_dist.tobytes() != n_dist.tobytes():
-                return f"{metric}: LSH re-rank (probe_neighbors={probe_neighbors}) diverged"
     return None
 
 

@@ -1,9 +1,9 @@
 """Flat-array (CSR) index helpers shared by the columnar engines.
 
-The merge/prune engine, the LSH candidate gather, and Algorithm 1's column
-splice all gather variable-length ranges out of flat arrays; this module
-holds the one prefix-sum idiom they share, plus the sort-free dedups of
-int64 key streams and of token-string streams.
+The merge/prune engine, the n-gram hasher and Algorithm 1's column splice all
+gather variable-length ranges out of flat arrays; this module holds the one
+prefix-sum idiom they share, plus the sort-free dedups of int64 key streams
+and of token-string streams.
 """
 
 from __future__ import annotations

@@ -42,6 +42,9 @@ RETIRED_KEYS: dict[str, dict[str, str]] = {
     "merging": {
         "kernel_threads": "the native HNSW build is sequential",
         "quantized_scan": "the brute-force backend always runs the exact scan",
+        "lsh_num_tables": "the LSH index backend is gone; the lsh shard key hashes 8 tables",
+        "lsh_num_bits": "the LSH index backend is gone; the lsh shard key hashes 12 bits",
+        "lsh_probe_neighbors": "the LSH index backend is gone",
     },
     "parallel": {
         "kernel_threads": "the native HNSW build is sequential",
@@ -102,14 +105,11 @@ class MergingConfig:
         m: distance threshold for accepting a neighbour pair.
         metric: distance used during merging (paper: cosine).
         index: ANN backend — ``"auto"`` picks brute force below
-            ``brute_force_limit`` rows and HNSW above, ``"hnsw"``,
-            ``"brute-force"`` or ``"lsh"`` force a backend.
+            ``brute_force_limit`` rows and HNSW above; ``"hnsw"`` or
+            ``"brute-force"`` force a backend.
         brute_force_limit: table size under which exact search is used in
             ``"auto"`` mode.
         hnsw_ef_construction / hnsw_ef_search / hnsw_max_degree: HNSW knobs.
-        lsh_num_tables / lsh_num_bits / lsh_probe_neighbors: LSH knobs (hash
-            tables, signature bits, Hamming-1 neighbour probing) for the
-            backend-ablation benchmark.
         index_cache: give :class:`~repro.core.incremental.IncrementalMultiEM`
             an in-memory :class:`repro.ann.cache.IndexCache`, kept across its
             ``add_table`` calls (snapshots do not persist it), so ``add_table``
@@ -127,7 +127,8 @@ class MergingConfig:
             back together. Output is byte-identical to the unsharded merge at
             any shard count.
         shard_key: partitioning key family — ``"lsh"`` hashes representative
-            vectors through :func:`repro.ann.lsh.bucket_keys`, ``"token"``
+            vectors into sign-random-projection signatures
+            (:func:`repro.shard.partition.lsh_row_keys`), ``"token"``
             reuses the token-blocking keys of the raw records (only available
             to entry points that still hold the raw tables).
     """
@@ -140,9 +141,6 @@ class MergingConfig:
     hnsw_ef_construction: int = 100
     hnsw_ef_search: int = 64
     hnsw_max_degree: int = 16
-    lsh_num_tables: int = 8
-    lsh_num_bits: int = 12
-    lsh_probe_neighbors: bool = True
     index_cache: bool = True
     index_cache_entries: int = 8
     seed: int = 0
@@ -156,7 +154,7 @@ class MergingConfig:
             raise ConfigurationError("m must be a non-negative number")
         if self.metric not in ("cosine", "euclidean"):
             raise ConfigurationError(f"unknown merging metric {self.metric!r}")
-        if self.index not in ("auto", "hnsw", "brute-force", "lsh"):
+        if self.index not in ("auto", "hnsw", "brute-force"):
             raise ConfigurationError(f"unknown index backend {self.index!r}")
         if self.brute_force_limit < 1:
             raise ConfigurationError("brute_force_limit must be >= 1")
@@ -164,10 +162,6 @@ class MergingConfig:
             raise ConfigurationError("hnsw_max_degree must be >= 2")
         if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
             raise ConfigurationError("hnsw_ef_construction and hnsw_ef_search must be >= 1")
-        if self.lsh_num_tables < 1:
-            raise ConfigurationError("lsh_num_tables must be >= 1")
-        if not 1 <= self.lsh_num_bits <= 63:  # signatures are int64 bit patterns
-            raise ConfigurationError("lsh_num_bits must be in [1, 63]")
         if self.index_cache_entries < 1:
             raise ConfigurationError("index_cache_entries must be >= 1")
         if self.shards < 1:

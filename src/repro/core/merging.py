@@ -292,9 +292,6 @@ def merge_index_kwargs(config: MergingConfig) -> dict:
         "hnsw_max_degree": config.hnsw_max_degree,
         "hnsw_ef_construction": config.hnsw_ef_construction,
         "hnsw_ef_search": config.hnsw_ef_search,
-        "lsh_num_tables": config.lsh_num_tables,
-        "lsh_num_bits": config.lsh_num_bits,
-        "lsh_probe_neighbors": config.lsh_probe_neighbors,
         "seed": config.seed,
     }
 

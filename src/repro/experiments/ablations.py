@@ -5,7 +5,7 @@ much it matters:
 
 * mutual top-K vs one-directional top-K acceptance in two-table merging;
 * mean vs medoid representative vector for merged items;
-* exact brute-force vs HNSW vs LSH neighbour search;
+* exact brute-force vs HNSW neighbour search;
 * density pruning vs no pruning vs a simple distance-to-centroid filter.
 
 The swapped variants run the pipeline's own stages
@@ -72,11 +72,11 @@ def ablation_index_backend(
     profile: str = "bench",
     seed: int = 0,
 ) -> list[dict[str, object]]:
-    """Compare exact, HNSW, and LSH neighbour search inside the merging stage."""
+    """Compare exact and HNSW neighbour search inside the merging stage."""
     rows: list[dict[str, object]] = []
     for name in dataset_names:
         dataset = load_benchmark(name, profile=profile, seed=seed)
-        for backend in ("brute-force", "hnsw", "lsh"):
+        for backend in ("brute-force", "hnsw"):
             started = time.perf_counter()
             result = _pipeline_with(dataset, name, index_backend=backend)
             elapsed = time.perf_counter() - started

@@ -6,7 +6,10 @@ parent end is wrapped in asyncio streams and whose child end is handed to
 closes each child end immediately after forking, which is the load-bearing
 move for failure detection: no sibling inherits it, so a dead worker's end
 has no other holder and the parent observes a clean EOF the instant the
-process exits.
+process exits. The same holds the other way round: a child inherits the
+parent ends open at fork time (its own and its live siblings') and closes
+them first thing, so when the parent dies — even by ``SIGKILL`` — every
+worker reads EOF and exits instead of outliving it.
 
 Dispatch is round-robin over healthy workers with a per-worker lock (one
 in-flight frame per worker), idle first: a frame goes to the first worker in
@@ -37,21 +40,25 @@ _FORK = multiprocessing.get_context("fork")
 class _Worker:
     """One forked worker process plus the parent's framed pipe to it."""
 
-    __slots__ = ("worker_id", "process", "reader", "writer", "lock", "alive")
+    __slots__ = ("worker_id", "process", "parent_end", "reader", "writer", "lock", "alive")
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process = None
+        self.parent_end = None
         self.reader = None
         self.writer = None
         self.lock = asyncio.Lock()
         self.alive = False
 
-    async def spawn(self, snapshot_path: str) -> None:
-        parent_end, child_end = socket.socketpair()
+    async def spawn(self, snapshot_path: str, plane: "list[_Worker]") -> None:
+        """Fork this worker; ``plane`` is every worker of the plane, this one included."""
+        self.parent_end, child_end = socket.socketpair()
+        # The parent ends open at this fork, which the child closes first thing.
+        inherited = [w.parent_end.fileno() for w in plane if w.parent_end is not None]
         self.process = _FORK.Process(
             target=worker_main,
-            args=(snapshot_path, child_end, self.worker_id),
+            args=(snapshot_path, child_end, self.worker_id, [fd for fd in inherited if fd >= 0]),
             name=f"repro-serve-worker-{self.worker_id}",
             daemon=True,
         )
@@ -59,7 +66,7 @@ class _Worker:
         # Close the child end in the parent *now*: workers forked later must
         # not inherit it, or this worker's death would never read as EOF.
         child_end.close()
-        self.reader, self.writer = await asyncio.open_unix_connection(sock=parent_end)
+        self.reader, self.writer = await asyncio.open_unix_connection(sock=self.parent_end)
         self.alive = True
 
     def mark_dead(self) -> None:
@@ -68,6 +75,7 @@ class _Worker:
             self.writer.close()
             self.writer = None
         self.reader = None
+        self.parent_end = None
 
     async def request(self, frame: dict) -> dict:
         """One frame round-trip; raises ``ServeError`` if the worker dies."""
@@ -112,7 +120,7 @@ class WorkerPlane:
 
     async def start(self) -> None:
         for worker in self.workers:
-            await worker.spawn(self.snapshot_path)
+            await worker.spawn(self.snapshot_path, self.workers)
 
     # ------------------------------------------------------------- dispatch
     def _rotation(self) -> list[_Worker]:
@@ -159,7 +167,7 @@ class WorkerPlane:
                 return
             if worker.process is not None:
                 worker.process.join(timeout=5)
-            await worker.spawn(self.snapshot_path)
+            await worker.spawn(self.snapshot_path, self.workers)
         if self.metrics is not None:
             self.metrics.worker_restarts += 1
 

@@ -73,22 +73,32 @@ async def read_request(reader) -> Request | None:
         raise HTTPError(400, f"malformed request line {lines[0]!r}")
     method, path, version = parts
     headers: dict[str, str] = {}
+    lengths: list[str] = []
     for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise HTTPError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        headers[name] = value
+        if name == "content-length":
+            lengths.append(value)
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise HTTPError(501, "chunked transfer encoding is not supported")
     body = b""
-    if "content-length" in headers:
+    if lengths:
+        # Content-Length = 1*DIGIT; repeats must agree (RFC 9110, 8.6).
+        if not all(value.isascii() and value.isdigit() for value in lengths):
+            raise HTTPError(400, "malformed Content-Length")
         try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
-            raise HTTPError(400, "malformed Content-Length") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
+            values = {int(value) for value in lengths}
+        except ValueError as exc:  # more digits than int() converts
+            raise HTTPError(413, f"body exceeds the {MAX_BODY_BYTES} byte cap") from exc
+        if len(values) != 1:
+            raise HTTPError(400, "conflicting Content-Length headers")
+        (length,) = values
+        if length > MAX_BODY_BYTES:
             raise HTTPError(413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES} cap")
         try:
             body = await reader.readexactly(length)

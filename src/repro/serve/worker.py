@@ -130,14 +130,21 @@ _HANDLERS = {
 }
 
 
-def worker_main(snapshot_path: str, sock: socket.socket, worker_id: int) -> None:
+def worker_main(
+    snapshot_path: str, sock: socket.socket, worker_id: int, inherited_fds: list[int]
+) -> None:
     """Serve frames off ``sock`` until EOF or a ``shutdown`` frame.
 
-    Runs as the body of a forked process: signal dispositions are reset to
-    defaults so the parent's asyncio signal handlers don't leak in, and the
-    parent initiates drain by closing its end (EOF here) or sending
-    ``shutdown``.
+    Runs as the body of a forked process. It first closes ``inherited_fds``,
+    the dispatcher's ends of its own and its siblings' socketpairs, so that
+    the parent's end of ``sock`` has no holder but the parent: when the
+    parent dies, even by ``SIGKILL``, this worker reads EOF and exits. Signal
+    dispositions are reset to defaults so the parent's asyncio signal
+    handlers don't leak in, and the parent initiates drain by closing its end
+    (EOF here) or sending ``shutdown``.
     """
+    for fd in inherited_fds:
+        os.close(fd)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown, not ^C
     state = _WorkerState(snapshot_path)

@@ -7,10 +7,10 @@ keeping the output **byte-identical to the unsharded pipeline** at any shard
 count, key family, or executor backend:
 
 * :mod:`repro.shard.partition` — the deterministic partitioner: every input
-  row hashes to a shard through code the pipeline already runs, either its
-  LSH bucket signatures (:func:`repro.ann.lsh.bucket_keys`, the same planes
-  an ``LSHIndex`` draws) or its token keys (the distinct word tokens of its
-  serialized record, three characters or longer). A row's
+  row hashes to a shard through either its sign-random-projection
+  signatures (:func:`~repro.shard.partition.lsh_row_keys`, 8 hash tables of
+  12 bits seeded by ``MergingConfig.seed``) or its token keys (the distinct
+  word tokens of its serialized record, three characters or longer). A row's
   keys vote; the plurality shard owns the row, and rows whose keys straddle
   shards without a winner land in the *spill* set.
 * :mod:`repro.shard.plan` — :class:`ShardPlan`: per-table ``int32`` owner
@@ -21,8 +21,8 @@ count, key family, or executor backend:
 * :mod:`repro.shard.boundary` — the exactness engine. Rather than merging
   shards in isolation (whose per-shard neighbourhoods would diverge from the
   global ANN answer), each two-table merge keeps full-side indexes and
-  decomposes the *query* workload by owner group: batch-invariant backends
-  (HNSW, LSH) answer each group's rows bit-identically to the whole-batch
+  decomposes the *query* workload by owner group: the batch-invariant
+  backend (HNSW) answers each group's rows bit-identically to the whole-batch
   call, so the union of per-group directed pairs equals the global directed
   set, and one cross-shard boundary intersection rebuilds exactly the
   unsharded mutual-pair list — same pairs, same distances, same order.

@@ -7,8 +7,8 @@ table. This module therefore keeps the *index* global and decomposes the
 *query* workload by owner group instead:
 
 1. Both directed top-K passes of :func:`repro.ann.mutual.mutual_top_k` are
-   split by the query side's owner array. Batch-invariant backends (HNSW,
-   LSH — pinned per-row by the serving-plane tests) answer each group's rows
+   split by the query side's owner array. The batch-invariant backend (HNSW,
+   pinned per-row by the serving-plane tests) answers each group's rows
    bit-identically to the whole-batch call, so the union of per-group
    directed pair arrays equals the global directed set exactly: query rows
    are disjoint across groups and :func:`~repro.ann.mutual.directed_pairs`

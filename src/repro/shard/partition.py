@@ -1,12 +1,11 @@
 """Deterministic row-to-shard assignment from LSH signatures or record tokens.
 
-Two key families, both reusing code paths the pipeline already trusts:
+Two key families:
 
-* ``"lsh"`` — :func:`repro.ann.lsh.bucket_keys` hashes each representative
-  vector into one signature per hash table (identical planes, identical
-  arithmetic to what an :class:`~repro.ann.lsh.LSHIndex` buckets internally);
-  each signature is mixed with its table id through a splitmix64 finalizer
-  and reduced mod ``num_shards``.
+* ``"lsh"`` — :func:`lsh_row_keys` hashes each representative vector into
+  one sign-random-projection signature per hash table; each signature is
+  mixed with its table id through a splitmix64 finalizer and reduced mod
+  ``num_shards``.
 * ``"token"`` — each record is serialized (:func:`serialize_entity`) and
   tokenized (:func:`word_tokens`); every distinct token of at least
   ``MIN_TOKEN_LENGTH`` characters hashes to a shard through BLAKE2b.
@@ -26,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ann.lsh import bucket_keys
 from ..config import MergingConfig
 from ..data.serialization import serialize_entity
 from ..data.table import Table
@@ -36,15 +34,30 @@ from ..text.tokenizer import word_tokens
 #: Shortest word token that counts as a row's key (shorter ones are too common).
 MIN_TOKEN_LENGTH = 3
 
+#: Hash tables (one signature, so one shard vote, each) of the ``"lsh"`` key.
+LSH_NUM_TABLES = 8
+#: Hyperplanes, so signature bits, per hash table of the ``"lsh"`` key.
+LSH_NUM_BITS = 12
+
 
 def lsh_row_keys(vectors: np.ndarray, config: MergingConfig) -> np.ndarray:
-    """Per-row LSH bucket signatures under the config's LSH knobs, ``(n, T)`` int64."""
-    return bucket_keys(
-        np.asarray(vectors, dtype=np.float32),
-        num_tables=config.lsh_num_tables,
-        num_bits=config.lsh_num_bits,
-        seed=config.seed,
-    )
+    """Per-row sign-random-projection signatures, ``(n, LSH_NUM_TABLES)`` int64.
+
+    Column ``t`` holds bit ``b`` set where a row lies on the positive side of
+    table ``t``'s hyperplane ``b``. Every table's ``(LSH_NUM_BITS, d)``
+    float32 hyperplanes come from one ``np.random.default_rng(config.seed)``
+    stream, drawn in table order.
+    """
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if vectors.ndim != 2:
+        raise ShardError("lsh_row_keys expects a 2-d array of vectors")
+    rng = np.random.default_rng(config.seed)
+    weights = 1 << np.arange(LSH_NUM_BITS, dtype=np.int64)
+    keys = np.empty((vectors.shape[0], LSH_NUM_TABLES), dtype=np.int64)
+    for t in range(LSH_NUM_TABLES):
+        planes = rng.normal(size=(LSH_NUM_BITS, vectors.shape[1])).astype(np.float32)
+        keys[:, t] = ((vectors @ planes.T) > 0).astype(np.int64) @ weights
+    return keys
 
 
 def token_row_keys(

@@ -211,31 +211,42 @@ def config_to_meta(config: MultiEMConfig) -> dict:
     return asdict(config)
 
 
-def drop_retired(values: dict, section: str, *, source: str, what: str = "config key") -> dict:
+def drop_retired(values: dict, section: str, dropped: list, *, what: str = "config key") -> dict:
     """``values`` minus the keys :data:`repro.config.RETIRED_KEYS` lists for ``section``.
 
-    Each dropped key logs one warning naming it and ``source``. This is the one
-    compatibility path for snapshots that outlive a config field or a manifest
-    bundle: dropping a retired key never changes what the snapshot computes.
+    Each dropped key is appended to ``dropped`` as ``"<what> <section>.<key>
+    (<what runs in its place>)"``; :func:`warn_retired` then logs them all in
+    one warning. This is the one compatibility path for snapshots that outlive
+    a config field or a manifest bundle: dropping a retired key never changes
+    what the snapshot computes.
     """
     values = dict(values)
-    for key in RETIRED_KEYS.get(section, ()):
+    for key, reason in RETIRED_KEYS.get(section, {}).items():
         if key in values:
             del values[key]
-            logger.warning(
-                "snapshot %s: %s %s.%s was retired and is ignored", source, what, section, key
-            )
+            dropped.append(f"{what} {section}.{key} ({reason})")
     return values
 
 
-def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
+def warn_retired(dropped: list, source: str) -> None:
+    """One warning naming every retired name :func:`drop_retired` dropped from ``source``."""
+    if dropped:
+        logger.warning("snapshot %s: ignored retired %s", source, "; ".join(dropped))
+
+
+def config_from_meta(
+    meta: dict, *, source: str = "<memory>", dropped: list | None = None
+) -> MultiEMConfig:
     """Rebuild the pipeline config a snapshot manifest carries.
 
-    Snapshots outlive config fields: a retired key is dropped with one warning
-    (:func:`drop_retired`); any other key this version does not know, a
-    missing or malformed section, or a value the config rejects raises
-    :class:`StoreError` naming ``source`` and the section instead of guessing.
+    Snapshots outlive config fields: retired keys are dropped
+    (:func:`drop_retired`) and appended to ``dropped``; without a ``dropped``
+    list to report into, one warning names them all. Any other key this
+    version does not know, a missing or malformed section, or a value the
+    config rejects raises :class:`StoreError` naming ``source`` and the
+    section instead of guessing.
     """
+    report = [] if dropped is None else dropped
     sections = {}
     for name, cls in (
         ("representation", RepresentationConfig),
@@ -244,7 +255,7 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
         ("parallel", ParallelConfig),
     ):
         try:
-            values = drop_retired(meta[name], name, source=source)
+            values = drop_retired(meta[name], name, report)
             unknown = sorted(set(values) - {f.name for f in fields(cls)})
             if unknown:
                 raise StoreError(f"snapshot {source}: unknown config key {name}.{unknown[0]}")
@@ -254,6 +265,8 @@ def config_from_meta(meta: dict, *, source: str = "<memory>") -> MultiEMConfig:
             raise StoreError(f"snapshot {source}: config section {name} is missing") from exc
         except (ConfigurationError, TypeError, ValueError) as exc:
             raise StoreError(f"snapshot {source}: invalid config section {name}: {exc}") from exc
+    if dropped is None:
+        warn_retired(report, source)
     return MultiEMConfig(**sections)
 
 

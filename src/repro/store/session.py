@@ -250,11 +250,13 @@ def _restore_state(
     ``payload_digest`` is a zero-arg callable deriving the digest to check
     against the recorded one (only invoked when ``verify`` needs it);
     ``source`` is the file the state came from, for messages. Retired
-    bundles (an old file's ``cache``) are dropped with one warning.
+    bundles (an old file's ``cache``) and retired config keys are dropped
+    with one warning that names them all.
     """
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
         raise StoreError("snapshot does not hold a MultiEM session")
-    meta = codecs.drop_retired(meta, "session", source=str(source), what="manifest bundle")
+    dropped: list[str] = []
+    meta = codecs.drop_retired(meta, "session", dropped, what="manifest bundle")
     table = codecs.item_table_from_state(
         meta["table"], codecs.unpack_arrays(arrays, "table/", meta["table"])
     )
@@ -282,8 +284,10 @@ def _restore_state(
         item_owners = codecs.shard_plan_from_state(
             meta["shard"], codecs.unpack_arrays(arrays, "shard/", meta["shard"])
         )
+    config = codecs.config_from_meta(meta["config"], source=str(source), dropped=dropped)
+    codecs.warn_retired(dropped, str(source))
     return IncrementalMultiEM.from_snapshot_state(
-        config=codecs.config_from_meta(meta["config"], source=str(source)),
+        config=config,
         encoder=encoder,
         attributes=tuple(meta["attributes"]),
         schema=tuple(meta["schema"]),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, HNSWIndex, IndexCache, LSHIndex, mutual_top_k
+from repro.ann import BruteForceIndex, HNSWIndex, IndexCache, mutual_top_k
 from repro.ann.cache import fingerprint_vectors
 from repro.exceptions import ConfigurationError
 
@@ -88,10 +88,20 @@ def test_overlap_without_prefix_rebuilds(vectors):
     assert cache.stats.misses == 2
 
 
-def test_lsh_entries_never_prefix_extend(vectors):
+class _QueryOnly:
+    """A wrapper exposing only ``query``, as tracing and timing wrappers may."""
+
+    def __init__(self, index) -> None:
+        self._index = index
+
+    def query(self, queries, k):
+        return self._index.query(queries, k)
+
+
+def test_query_only_entries_never_prefix_extend(vectors):
     cache = IndexCache(max_entries=4)
-    cache.get_or_build(vectors[:100], lambda: LSHIndex(seed=0).build(vectors[:100]))
-    cache.get_or_build(vectors, lambda: LSHIndex(seed=0).build(vectors))
+    cache.get_or_build(vectors[:100], lambda: _QueryOnly(HNSWIndex(seed=0).build(vectors[:100])))
+    cache.get_or_build(vectors, lambda: _QueryOnly(HNSWIndex(seed=0).build(vectors)))
     assert cache.stats.prefix_hits == 0  # no clone/extend support
     assert cache.stats.misses == 2
 

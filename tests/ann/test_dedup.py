@@ -1,4 +1,4 @@
-"""Candidate-key dedup: ``dedup_sorted_keys`` must equal sorted unique exactly."""
+"""Int64 key dedup: ``dedup_sorted_keys`` must equal sorted unique exactly."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.arrays import dedup_sorted_keys
-from repro.ann.lsh import LSHIndex
 
 
 def reference(keys: np.ndarray) -> np.ndarray:
@@ -42,20 +41,9 @@ class TestDedupEquivalence:
             assert np.array_equal(got, reference(keys))
 
     def test_constant_high_digits(self):
-        """LSH-shaped keys: everything above the low 20 bits is constant."""
+        """Narrow keys: everything above the low 20 bits is constant."""
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 2**20, size=4096).astype(np.int64)
         got = dedup_sorted_keys(keys.copy())
         assert np.array_equal(got, reference(keys))
 
-
-class TestLSHIntegration:
-    def test_candidate_keys_contract(self):
-        """The raw stream is non-negative and dedups to the query/node pairs."""
-        rng = np.random.default_rng(4)
-        vectors = rng.normal(size=(200, 16)).astype(np.float32)
-        index = LSHIndex(num_tables=3, num_bits=5, seed=1).build(vectors)
-        keys = index._candidate_keys(vectors[:40])
-        assert keys is not None and (keys >= 0).all()
-        unique = dedup_sorted_keys(keys.copy())
-        assert np.array_equal(unique, np.unique(keys))

@@ -1,9 +1,9 @@
-"""Tests for the ANN indexes: brute force, HNSW, LSH."""
+"""Tests for the ANN indexes: brute force, HNSW."""
 
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, HNSWIndex, LSHIndex
+from repro.ann import BruteForceIndex, HNSWIndex
 from repro.exceptions import IndexError_
 
 
@@ -105,52 +105,3 @@ class TestHNSW:
         with pytest.raises(IndexError_):
             index.query(np.ones((1, 4)), 0)
 
-
-class TestLSH:
-    def test_recall_with_reranking(self, points):
-        exact = BruteForceIndex().build(points)
-        lsh = LSHIndex(num_tables=12, num_bits=10, seed=0).build(points)
-        exact_idx, _ = exact.query(points[:40], 1)
-        lsh_idx, _ = lsh.query(points[:40], 1)
-        found = [lsh_idx[i, 0] == exact_idx[i, 0] for i in range(40)]
-        assert float(np.mean(found)) >= 0.6
-
-    def test_missing_candidates_padded(self):
-        vectors = np.eye(4, dtype=np.float32)
-        lsh = LSHIndex(num_tables=1, num_bits=2, probe_neighbors=False, seed=0).build(vectors)
-        indices, _ = lsh.query(np.asarray([[0.0, 0.0, 0.0, 1.0]], dtype=np.float32), 4)
-        assert indices.shape == (1, 4)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(IndexError_):
-            LSHIndex(num_tables=0)
-        with pytest.raises(IndexError_):
-            LSHIndex(num_bits=0)
-        index = LSHIndex().build(np.ones((3, 4), dtype=np.float32))
-        with pytest.raises(IndexError_):
-            index.query(np.ones((1, 4)), 0)
-
-    def test_size_property(self, points):
-        index = LSHIndex().build(points)
-        assert index.size == len(points)
-
-    def test_empty_candidate_set_leaves_row_padded(self):
-        # A query hashing to a bucket with no members (and no neighbour
-        # probing) must fall through the empty-candidate path: the result row
-        # keeps its -1 / inf padding instead of crashing or fabricating hits.
-        vectors = np.asarray([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
-        index = LSHIndex(num_tables=2, num_bits=8, probe_neighbors=False, seed=0).build(vectors)
-        query = -vectors  # opposite orthant: every sign bit flips
-        indices, distances = index.query(query, 3)
-        assert np.all(indices == -1)
-        assert np.all(np.isinf(distances))
-
-    def test_empty_candidate_rows_mixed_with_hits(self, points):
-        index = LSHIndex(num_tables=1, num_bits=10, probe_neighbors=False, seed=3).build(
-            points[:50]
-        )
-        queries = np.vstack([points[0][None, :], -points[0][None, :]])
-        indices, distances = index.query(queries, 2)
-        assert indices[0, 0] == 0  # own bucket always contains the point itself
-        assert distances[0, 0] <= 1e-6
-        assert indices.shape == (2, 2)

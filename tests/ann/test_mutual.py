@@ -107,7 +107,7 @@ def test_mutual_top_k_tied_distances_sorted_stably():
 
 def test_mutual_top_k_backends_agree_on_duplicates():
     duplicates = _unit([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 2)
-    for backend in ("brute-force", "hnsw", "lsh"):
+    for backend in ("brute-force", "hnsw"):
         pairs = mutual_top_k(duplicates, duplicates, k=1, max_distance=0.1, backend=backend)
         rerun = mutual_top_k(duplicates, duplicates, k=1, max_distance=0.1, backend=backend)
         # Tie-breaking among identical vectors is deterministic...

@@ -109,7 +109,7 @@ def _overlapping(n_a, n_b, dim=12, seed=0):
     return a, b
 
 
-@pytest.mark.parametrize("backend", ["brute-force", "hnsw", "lsh"])
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw"])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_trimmed_chunked_pairs_equal_whole_batch_reference(monkeypatch, backend, metric, k):
@@ -119,7 +119,7 @@ def test_trimmed_chunked_pairs_equal_whole_batch_reference(monkeypatch, backend,
     assert _check_all_schedules(monkeypatch, a, b, config), "the case must match something"
 
 
-@pytest.mark.parametrize("backend", ["brute-force", "hnsw", "lsh"])
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw"])
 def test_edge_shapes(monkeypatch, backend):
     rng = np.random.default_rng(3)
     a, b = _overlapping(40, 30, seed=3)

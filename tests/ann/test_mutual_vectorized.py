@@ -1,7 +1,7 @@
-"""Vectorized mutual top-K and LSH candidate gather vs the loop references.
+"""Vectorized mutual top-K vs the loop references.
 
-``top_k_pairs`` and the LSH query gather must be exactly equivalent to the
-historical per-element Python loops. The recomputed mutual pair distances
+``top_k_pairs`` must be exactly equivalent to the historical per-element
+Python loop. The recomputed mutual pair distances
 now run through :func:`~repro.ann.distances.paired_distances` (O(m·d));
 they mirror the matrix kernel's formula but may drift by a float32 ulp from
 the old GEMM diagonal on shape-dependent BLAS builds, so the pair *set* is
@@ -13,7 +13,7 @@ pipeline digests stay byte-identical.
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, LSHIndex, mutual_top_k, top_k_pairs
+from repro.ann import BruteForceIndex, mutual_top_k, top_k_pairs
 from repro.ann.distances import distance_matrix, paired_distances
 from repro.ann.mutual import MutualPair, create_index
 
@@ -73,7 +73,7 @@ def test_top_k_pairs_empty_and_padded_slots():
     assert top_k_pairs(index, vectors, 5, -1.0) == set()
 
 
-@pytest.mark.parametrize("backend", ["brute-force", "hnsw", "lsh"])
+@pytest.mark.parametrize("backend", ["brute-force", "hnsw"])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_mutual_top_k_matches_reference_pairs(backend, metric):
     a, b = _twin_clouds(1, 150, 16)
@@ -168,65 +168,3 @@ def test_merge_output_invariant_to_pair_order(monkeypatch):
         assert np.array_equal(merged.member_offsets, base.member_offsets)
     monkeypatch.setattr(mutual_module, "canonical_pairs", original)
 
-
-def lsh_query_reference(index, queries, k):
-    """The historical per-row bucket-slice gather."""
-    queries = np.asarray(queries, dtype=np.float32)
-    num_queries = queries.shape[0]
-    indices = np.full((num_queries, k), -1, dtype=np.int64)
-    distances = np.full((num_queries, k), np.inf, dtype=np.float64)
-    prepared_queries = index._prepared.prepare_queries(queries)
-    per_table_hits = []
-    for t in range(index.num_tables):
-        probes = index._probe_signatures(index._signature(t, queries))
-        buckets = index._bucket_signatures[t]
-        if len(buckets):
-            positions = np.minimum(np.searchsorted(buckets, probes), len(buckets) - 1)
-            valid = buckets[positions] == probes
-        else:
-            positions = np.zeros(probes.shape, dtype=np.int64)
-            valid = np.zeros(probes.shape, dtype=bool)
-        per_table_hits.append((positions, valid))
-    for row in range(num_queries):
-        chunks = []
-        for t in range(index.num_tables):
-            positions, valid = per_table_hits[t]
-            offsets = index._bucket_offsets[t]
-            nodes = index._bucket_nodes[t]
-            for bucket in positions[row][valid[row]].tolist():
-                chunks.append(nodes[offsets[bucket] : offsets[bucket + 1]])
-        if not chunks:
-            continue
-        candidates = np.unique(np.concatenate(chunks))
-        dists = index._prepared.row_distances(prepared_queries[row], candidates)
-        order = np.argsort(dists)[:k]
-        idx, dist = index._pad(
-            candidates[order].tolist(), [float(dists[i]) for i in order], k
-        )
-        indices[row] = idx
-        distances[row] = dist
-    return indices, distances
-
-
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-@pytest.mark.parametrize("probe_neighbors", [True, False])
-def test_lsh_flat_gather_bit_identical(metric, probe_neighbors):
-    a, b = _twin_clouds(3, 200, 24)
-    index = LSHIndex(metric=metric, num_tables=4, num_bits=8,
-                     probe_neighbors=probe_neighbors, seed=5).build(a)
-    got_idx, got_dist = index.query(b, 4)
-    want_idx, want_dist = lsh_query_reference(index, b, 4)
-    assert np.array_equal(got_idx, want_idx)
-    assert np.array_equal(got_dist, want_dist)
-
-
-def test_lsh_flat_gather_handles_no_candidates():
-    # Distant queries that miss every bucket keep the -1 / inf padding.
-    rng = np.random.default_rng(4)
-    vectors = rng.normal(size=(20, 8)).astype(np.float32)
-    index = LSHIndex(num_tables=1, num_bits=12, probe_neighbors=False, seed=0).build(vectors)
-    queries = -100.0 * vectors[:4] + rng.normal(size=(4, 8)).astype(np.float32)
-    got_idx, got_dist = index.query(queries, 3)
-    want_idx, want_dist = lsh_query_reference(index, queries, 3)
-    assert np.array_equal(got_idx, want_idx)
-    assert np.array_equal(got_dist, want_dist)

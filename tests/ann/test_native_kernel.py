@@ -80,6 +80,40 @@ def test_native_build_extend_query_match_python_at_bench_width(metric):
     assert error is None, error
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("d", [8, 12, 36, 384, 4096, 4100])
+def test_native_hnsw_matches_python_at_every_distance_dispatch_edge(metric, d, monkeypatch):
+    """Build + extend + query bytes agree on both sides of every dispatch edge.
+
+    ``base_row_distances`` picks its routine by row count k and width d:
+    k = 1 (sdot), 2 ≤ k ≤ 256 (AVX2 micro-kernels), k > 256 (BLAS sgemv), and
+    d ≤ 8 / d % 4 ≠ 0 / d > 4096 (BLAS on either variant). Level 0 holds up to
+    ``2 * max_degree`` = 258 neighbours, so expanding a well-connected node
+    evaluates more than 256 rows at once; the python path's call sizes are
+    recorded to prove every k band was reached. A duplicated row adds ties.
+    """
+    from repro.ann.distances import PreparedVectors
+
+    sizes = set()
+    row_distances = PreparedVectors.row_distances
+
+    def recording(self, prepared_query, rows):
+        sizes.add(len(rows))
+        return row_distances(self, prepared_query, rows)
+
+    monkeypatch.setattr(PreparedVectors, "row_distances", recording)
+    rng = np.random.default_rng(d)
+    vectors = rng.normal(size=(320, d)).astype(np.float32)
+    vectors[291] = vectors[3]  # exact tie, far apart in the base
+    queries = np.concatenate([vectors[:6], rng.normal(size=(6, d)).astype(np.float32)])
+    error = native._hnsw_pair_error(
+        vectors, queries, metric, 256, ks=(1, 5), label=f" d={d}",
+        max_degree=129, ef_construction=200, ef_search=20, seed=d,
+    )
+    assert error is None, error
+    assert 1 in sizes and sizes & set(range(2, 257)) and max(sizes) > 256, sorted(sizes)
+
+
 def test_loader_rejects_a_variant_that_fails_its_self_test(monkeypatch):
     """A non-bit-equal AVX2 variant is never served: auto falls back to scalar,
     a pinned ``avx2`` disables the kernel with the self-test failure as reason."""

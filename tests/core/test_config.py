@@ -40,8 +40,9 @@ def test_merging_config_validation():
         MergingConfig(m=-0.1).validate()
     with pytest.raises(ConfigurationError):
         MergingConfig(metric="hamming").validate()
-    with pytest.raises(ConfigurationError):
-        MergingConfig(index="faiss").validate()
+    for index in ("faiss", "lsh"):
+        with pytest.raises(ConfigurationError, match=f"unknown index backend '{index}'"):
+            MergingConfig(index=index).validate()
     with pytest.raises(ConfigurationError):
         MergingConfig(brute_force_limit=0).validate()
 
@@ -63,25 +64,18 @@ def test_pruning_config_validation():
         ("merging", "hnsw_max_degree", 1, None),
         ("merging", "hnsw_ef_search", 0, None),
         ("merging", "hnsw_ef_construction", 0, None),
-        ("merging", "lsh_num_bits", 64, None),
-        ("merging", "lsh_num_bits", 200, None),
     ],
 )
 def test_values_that_would_change_or_break_output_are_refused(section, key, value, cli_flag, capsys):
     """NaN thresholds used to match nothing; bad index knobs failed at the first build."""
     from repro import MultiEM
-    from repro.ann import LSHIndex
     from repro.cli import main as cli_main
-    from repro.exceptions import IndexError_
 
     config = MultiEMConfig().with_overrides(**{section: {key: value}})
     with pytest.raises(ConfigurationError):
         config.validate()
     with pytest.raises(ConfigurationError):
         MultiEM(config)
-    if key == "lsh_num_bits":
-        with pytest.raises(IndexError_):
-            LSHIndex(num_bits=value)
     if cli_flag is not None:
         assert cli_main(["match", "geo", cli_flag, str(value)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -90,7 +84,7 @@ def test_values_that_would_change_or_break_output_are_refused(section, key, valu
 def test_infinite_thresholds_stay_legal():
     MergingConfig(m=float("inf")).validate()
     PruningConfig(epsilon=float("inf")).validate()
-    MergingConfig(hnsw_max_degree=2, hnsw_ef_search=1, hnsw_ef_construction=1, lsh_num_bits=63).validate()
+    MergingConfig(hnsw_max_degree=2, hnsw_ef_search=1, hnsw_ef_construction=1).validate()
 
 
 def test_parallel_config_validation():
@@ -134,6 +128,9 @@ def test_with_overrides_rejects_unknown_keys_by_name():
         ("merging", "kernel_threads", "sequential"),
         ("parallel", "kernel_threads", "sequential"),
         ("merging", "quantized_scan", "exact scan"),
+        ("merging", "lsh_num_tables", "shard key hashes 8 tables"),
+        ("merging", "lsh_num_bits", "shard key hashes 12 bits"),
+        ("merging", "lsh_probe_neighbors", "LSH index backend is gone"),
         ("parallel", "backend", "enabled=False runs serially"),
         ("parallel", "self_heal", "waited on"),
         ("parallel", "task_timeout", "waited on"),

@@ -154,7 +154,6 @@ class TestAblations:
         assert [_untimed(row) for row in rows] == [
             {"dataset": "geo", "index": "brute-force", "F1": 93.5, "pair-F1": 97.5},
             {"dataset": "geo", "index": "hnsw", "F1": 93.5, "pair-F1": 97.5},
-            {"dataset": "geo", "index": "lsh", "F1": 87.1, "pair-F1": 94.9},
         ]
 
     def test_representative_rows(self):

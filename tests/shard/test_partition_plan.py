@@ -9,6 +9,8 @@ and the assignment must be deterministic across calls.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.shard import (
     plan_from_item_tables,
     plan_from_tables,
 )
-from repro.shard.partition import lsh_owners, token_owners
+from repro.shard.partition import lsh_owners, lsh_row_keys, token_owners
 
 pytestmark = pytest.mark.shard
 
@@ -78,6 +80,34 @@ def test_lsh_plan_is_true_partition(name, shards):
     again = plan_from_item_tables(item_tables, config)
     for a, b in zip(plan.owners, again.owners):
         assert np.array_equal(a, b)
+
+
+def _lsh_key_vectors() -> np.ndarray:
+    return np.random.default_rng(3).normal(size=(80, 24)).astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [(0, "7bf9ffd2b34edbef7264b2656fa0dfaa"), (7, "3e4c4c6464abbfc70a7480adc72d08c3")],
+)
+def test_lsh_row_keys_are_the_signatures_of_8_tables_of_12_bits(seed, digest):
+    """Pinned to the bytes the keys had while the table and bit counts were config knobs."""
+    keys = lsh_row_keys(_lsh_key_vectors(), MergingConfig(seed=seed))
+    assert keys.shape == (80, 8) and keys.dtype == np.int64
+    assert 0 <= keys.min() and keys.max() < 1 << 12
+    assert hashlib.blake2b(keys.tobytes(), digest_size=16).hexdigest() == digest
+
+
+def test_lsh_row_keys_deterministic_and_seed_sensitive():
+    vectors = _lsh_key_vectors()
+    keys = lsh_row_keys(vectors, MergingConfig())
+    assert np.array_equal(keys, lsh_row_keys(vectors, MergingConfig()))
+    assert not np.array_equal(keys, lsh_row_keys(vectors, MergingConfig(seed=1)))
+
+
+def test_lsh_row_keys_rejects_non_matrix_input():
+    with pytest.raises(ShardError, match="2-d"):
+        lsh_row_keys(np.zeros(8, dtype=np.float32), MergingConfig())
 
 
 def test_lsh_plan_survives_single_hot_bucket():

@@ -83,7 +83,7 @@ def test_sharded_pipeline_equals_unsharded(music_tiny, shards, shard_key):
     assert sharded.metadata["num_candidate_tuples"] == reference.metadata["num_candidate_tuples"]
 
 
-@pytest.mark.parametrize("backend", ("hnsw", "lsh", "brute-force", "auto"))
+@pytest.mark.parametrize("backend", ("hnsw", "brute-force", "auto"))
 def test_sharded_merge_item_table_bytes(backend):
     """Merged ItemTables are byte-identical for every backend resolution."""
     tables = _synthetic_tables()

@@ -126,7 +126,7 @@ class TestConfig:
     def test_config_roundtrip(self):
         config = MultiEMConfig(
             parallel=ParallelConfig(enabled=True, max_workers=2)
-        ).with_overrides(merging={"m": 0.35, "index": "lsh"}, pruning={"epsilon": 1.2})
+        ).with_overrides(merging={"m": 0.35, "index": "hnsw"}, pruning={"epsilon": 1.2})
         restored = codecs.config_from_meta(codecs.config_to_meta(config))
         assert restored == config
 
@@ -140,17 +140,26 @@ class TestConfig:
         )
         meta["parallel"].update(old_keys)
         meta["representation"]["encoder"] = "hashed-ngram"
+        lsh_keys = dict(lsh_num_tables=8, lsh_num_bits=12, lsh_probe_neighbors=True)
+        meta["merging"].update(lsh_keys)
         with caplog.at_level("WARNING", logger="repro.store"):
             restored = codecs.config_from_meta(meta, source="old.snap")
         assert restored == config
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == len(old_keys) + 1 and all("old.snap" in m for m in messages)
-        for key in old_keys:
-            assert sum(f"parallel.{key} " in m for m in messages) == 1
-        assert sum("representation.encoder " in m for m in messages) == 1
+        assert len(messages) == 1 and "old.snap" in messages[0], messages
+        names = [f"parallel.{key} " for key in old_keys] + ["representation.encoder "]
+        names += [f"merging.{key} " for key in lsh_keys]
+        for name in names:
+            assert messages[0].count(name) == 1, (name, messages)
         meta = codecs.config_to_meta(config)
         meta["merging"]["warp_factor"] = 9
         with pytest.raises(StoreError, match=r"old\.snap.*merging\.warp_factor"):
+            codecs.config_from_meta(meta, source="old.snap")
+
+    def test_a_manifest_naming_the_removed_lsh_backend_is_refused(self):
+        meta = codecs.config_to_meta(MultiEMConfig())
+        meta["merging"]["index"] = "lsh"
+        with pytest.raises(StoreError, match=r"old\.snap: .*merging: .*'lsh'"):
             codecs.config_from_meta(meta, source="old.snap")
 
     @pytest.mark.parametrize(

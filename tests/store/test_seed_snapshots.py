@@ -112,6 +112,16 @@ def test_tip_loads_with_one_warning_and_the_same_answers(seed_dir, reference, ca
         assert len(session.matcher._index_cache) <= 1  # only what the queries built
 
 
+@pytest.mark.parametrize("name", FILES)
+def test_the_one_warning_also_names_the_retired_lsh_knobs(seed_dir, name, caplog):
+    """Both files were written while ``merging.lsh_*`` were config fields."""
+    with caplog.at_level("WARNING", logger="repro.store"):
+        load_matcher(seed_dir / name).close()
+    (message,) = [record.getMessage() for record in caplog.records]
+    for key in ("lsh_num_tables", "lsh_num_bits", "lsh_probe_neighbors"):
+        assert f"config key merging.{key} " in message, message
+
+
 def test_tip_loads_in_copy_mode_with_the_same_state(seed_dir, reference):
     matcher = load_matcher(seed_dir / "seed-tip.snap", mmap=False)
     with matcher:
