@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, HNSWIndex, IndexCache, mutual_top_k
+from repro.ann import BruteForceIndex, HNSWIndex, mutual_top_k
 
 # Generous ceilings: the operations below take well under a second on any
 # recent machine, so tripping these means an order-of-magnitude regression
@@ -46,26 +46,6 @@ def test_smoke_hnsw_merge_agrees_with_exact_and_is_fast(smoke_vectors):
     overlap = len(exact_pairs & approx_pairs) / max(len(exact_pairs), 1)
     assert overlap >= 0.95, f"HNSW recall collapsed: {overlap:.2%}"
     assert elapsed < MERGE_CEILING_SECONDS, f"HNSW merge path took {elapsed:.1f}s"
-
-
-@pytest.mark.smoke
-def test_smoke_index_cache_extend_beats_rebuild(smoke_vectors):
-    a, _ = smoke_vectors
-    cache = IndexCache(max_entries=2)
-    cache.get_or_build(a, lambda: HNSWIndex(seed=0).build(a))
-    tail = np.ascontiguousarray(a[:32] + np.float32(0.5))
-    grown = np.concatenate([a, tail])
-    started = time.perf_counter()
-    extended = cache.get_or_build(grown, lambda: HNSWIndex(seed=0).build(grown))
-    elapsed = time.perf_counter() - started
-    assert cache.stats.prefix_hits == 1, "prefix reuse did not trigger"
-    assert extended.size == len(grown)
-    assert elapsed < EXTEND_CEILING_SECONDS, f"prefix extend took {elapsed:.1f}s"
-    # Reuse must be exact: same results as a fresh build.
-    reference = HNSWIndex(seed=0).build(grown)
-    got, _ = extended.query(grown[:32], 3)
-    want, _ = reference.query(grown[:32], 3)
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.smoke

@@ -57,7 +57,6 @@ ALLOWLIST = {
     "text/tokenizer.py::truncate_tokens": "per-text reference for the hashed encoder's max_tokens cap",
     "core/merging.py::ItemTable.from_items": "test seam: builds an ItemTable from hand-written items",
     "faults.py::inject": "test seam: installs a fault plan in-process",
-    "shard/plan.py::ShardPlan.spill_rows": "leaves with repro.shard",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -10,8 +10,8 @@ Public API highlights:
   supervised pair classifiers, ALMSER-GB stand-in.
 * :mod:`repro.experiments` — regenerate every table and figure of the paper.
 
-ANN backends and index reuse
-----------------------------
+ANN backends
+------------
 The merging stage's mutual top-K searches run on a pluggable ANN layer
 (:mod:`repro.ann`). ``MergingConfig.index`` selects the backend: ``"auto"``
 (exact brute force up to ``brute_force_limit`` rows, HNSW beyond),
@@ -20,11 +20,8 @@ The merging stage's mutual top-K searches run on a pluggable ANN layer
 top-K outputs (:mod:`repro.ann.engine`); with a C toolchain present the
 HNSW traversals run through a runtime-compiled native kernel that is
 byte-identical to the numpy paths (``REPRO_NATIVE=0`` forces the fallback,
-``REPRO_NATIVE=require`` hard-fails when the kernel cannot load). With ``MergingConfig.index_cache`` enabled
-(default, capacity ``index_cache_entries``), :class:`IncrementalMultiEM`
-reuses indexes across :meth:`IncrementalMultiEM.add_table` calls whenever
-reuse is byte-identical to rebuilding (exact content match or incremental
-extension of a prefix), so cached runs return exactly the same tuples.
+``REPRO_NATIVE=require`` hard-fails when the kernel cannot load). Every
+merge builds the indexes it queries; nothing is cached across merges.
 By default every merge level and the pruning pass fan out on one persistent
 thread pool (the heavy kernels release the GIL; ``ParallelConfig.enabled =
 False`` is the paper's serial variant, byte-identical output either way).

@@ -54,12 +54,10 @@ The exact scan (one blocked GEMM per query batch) has no native variant.
 
 Index reuse
 -----------
-:class:`IndexCache` (``MergingConfig.index_cache`` /
-``index_cache_entries``) carries built indexes across
-``IncrementalMultiEM.add_table`` calls (one ``match`` hierarchy indexes every
-table once and uses none). Reuse happens only when it is byte-identical to a
-fresh build — an exact content match, or a cached matrix that is a prefix of
-the requested one extended incrementally — so it never changes pair output.
+Every merge builds the indexes it queries, and a serving session builds its
+query index once per integrated table. :class:`IndexCache` is only what the
+frozen benchmark replay still hands to merges (an exact-hit lookup); no
+production path creates one.
 
 All distance kernels live in :mod:`repro.ann.distances`;
 :class:`~repro.ann.distances.PreparedVectors` hoists per-row statistics
@@ -69,7 +67,7 @@ bit-for-bit compatible with :func:`~repro.ann.distances.distance_matrix`.
 
 from .base import NearestNeighborIndex
 from .brute_force import BruteForceIndex
-from .cache import IndexCache, IndexCacheStats, fingerprint_vectors
+from .cache import IndexCache  # bench compat: item 1 deletes
 from .distances import (
     METRICS,
     PreparedVectors,
@@ -87,9 +85,7 @@ __all__ = [
     "NearestNeighborIndex",
     "BruteForceIndex",
     "HNSWIndex",
-    "IndexCache",
-    "IndexCacheStats",
-    "fingerprint_vectors",
+    "IndexCache",  # bench compat: item 1 deletes
     "MutualPair",
     "create_index",
     "resolve_backend",

@@ -47,23 +47,6 @@ class BruteForceIndex(NearestNeighborIndex):
         self._prepared = PreparedVectors(vectors, self.metric)
         return self
 
-    def extend(self, vectors: np.ndarray) -> "BruteForceIndex":
-        """Append vectors; identical to rebuilding over the concatenation."""
-        if self._vectors is None:
-            return self.build(vectors)
-        vectors = self._validate_extension(vectors)
-        assert self._prepared is not None
-        self._prepared.append(vectors)
-        self._vectors = self._prepared.vectors
-        return self
-
-    def clone(self) -> "BruteForceIndex":
-        """Independent copy; extending the clone leaves the original untouched."""
-        dup = BruteForceIndex(metric=self.metric, batch_size=self.batch_size)
-        dup._vectors = self._vectors
-        dup._prepared = None if self._prepared is None else self._prepared.copy()
-        return dup
-
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         queries = np.asarray(queries, dtype=np.float32)

@@ -188,15 +188,6 @@ class PreparedVectors:
         self._squared_norms = np.ascontiguousarray(self._squared_norms)
         return self.vectors, self._squared_norms
 
-    def copy(self) -> "PreparedVectors":
-        """Shallow copy sharing the (never mutated in place) backing arrays."""
-        dup = object.__new__(PreparedVectors)
-        dup.metric = self.metric
-        dup.vectors = self.vectors
-        dup._normed = self._normed
-        dup._squared_norms = self._squared_norms
-        return dup
-
     def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
         """Precompute the query-side row statistics (normalization for cosine)."""
         queries = np.asarray(queries, dtype=np.float32)

@@ -34,8 +34,7 @@ Python path. Set ``REPRO_NATIVE=0`` to force the fallback.
 
 The index also supports :meth:`extend` — appending vectors continues the
 level-sampling RNG stream, so ``build(v).extend(w)`` produces byte-identical
-graphs to ``build(concatenate([v, w]))``. :class:`~repro.ann.cache.IndexCache`
-relies on this for cross-level index reuse in the merge hierarchy.
+graphs to ``build(concatenate([v, w]))``.
 """
 
 from __future__ import annotations
@@ -349,31 +348,6 @@ class HNSWIndex(NearestNeighborIndex):
         self._build_stamps = np.zeros(n_total, dtype=np.int64)
         self._build_epoch = 0
         return True
-
-    def clone(self) -> "HNSWIndex":
-        """Independent copy; extending the clone leaves the original untouched."""
-        dup = HNSWIndex(
-            metric=self.metric,
-            max_degree=self.max_degree,
-            ef_construction=self.ef_construction,
-            ef_search=self.ef_search,
-            seed=self.seed,
-        )
-        dup._vectors = self._vectors
-        dup._prepared = None if self._prepared is None else self._prepared.copy()
-        dup._layer_neighbors = [table.copy() for table in self._layer_neighbors]
-        dup._layer_dists = [table.copy() for table in self._layer_dists]
-        dup._layer_degrees = [table.copy() for table in self._layer_degrees]
-        dup._node_levels = list(self._node_levels)
-        dup._entry_point = self._entry_point
-        dup._max_level = self._max_level
-        dup._build_stamps = self._build_stamps.copy()
-        dup._build_epoch = self._build_epoch
-        dup._use_native = self._use_native
-        if self._rng is not None:
-            dup._rng = np.random.default_rng()
-            dup._rng.bit_generator.state = self._rng.bit_generator.state
-        return dup
 
     def _ensure_capacity(self, level: int, num_nodes: int) -> None:
         """Grow the flat adjacency tables to ``level`` layers × ``num_nodes`` rows."""

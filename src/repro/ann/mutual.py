@@ -9,9 +9,8 @@ One merge is four steps — plan/build both indexes, forward query, backward
 query trimmed to the rows forward returned, intersection — each a function
 here. :func:`mutual_top_k` composes them serially for one pair; the merge
 level loop in :mod:`repro.core.merging` runs each step for a wave of pairs as
-one flat fan-out, and :mod:`repro.shard.boundary` splits steps 2-3 by owner.
-An exact K = 1 pair is one step instead, :func:`exact_top1_pairs`; every path
-ends in :func:`canonical_pairs`.
+one flat fan-out. An exact K = 1 pair is one step instead,
+:func:`exact_top1_pairs`; every path ends in :func:`canonical_pairs`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from ..exceptions import ConfigurationError, IndexError_
 from . import engine
 from .base import NearestNeighborIndex
 from .brute_force import BATCH_SIZE, BruteForceIndex
-from .cache import IndexCache, index_params_key
+from .cache import index_params_key  # bench compat: item 1 deletes
 from .distances import METRICS, PreparedVectors, paired_distances
 from .hnsw import HNSWIndex
 
@@ -83,8 +82,8 @@ _BACKENDS = {"brute-force": BruteForceIndex, "hnsw": HNSWIndex}
 def batch_invariant(resolved_backend: str) -> bool:
     """Whether a resolved backend answers each query row independently of the batch.
 
-    Decided from the backend *name*, not from the index object: what a cache
-    hands back may be a wrapper that exposes only ``query``.
+    Decided from the backend *name*, not from the index object: what a
+    caller's build returns may be a wrapper that exposes only ``query``.
     """
     return bool(getattr(_BACKENDS.get(resolved_backend), "batch_invariant", False))
 
@@ -96,13 +95,11 @@ def plan_side_index(
     backend: str,
     brute_force_limit: int,
     index_kwargs: dict | None = None,
-    cache: IndexCache | None = None,
+    cache=None,  # bench compat: item 1 deletes
 ):
-    """Step 1 of a merge — one side's index as ``(resolved_backend, work, commit)``.
+    """Step 1 of a merge — one side's index as ``(resolved_backend, build)``.
 
-    ``work()`` is the build body and may run on a worker thread;
-    ``commit(index)`` is the cache bookkeeping (see :meth:`IndexCache.plan`)
-    and belongs to the calling thread. Without a cache it is the identity.
+    ``build()`` is the build body and may run on a worker thread.
     """
     kwargs = dict(index_kwargs or {})
     resolved = resolve_backend(backend, vectors.shape[0], brute_force_limit)
@@ -112,10 +109,10 @@ def plan_side_index(
             backend, metric, size_hint=vectors.shape[0], brute_force_limit=brute_force_limit, **kwargs
         ).build(vectors)
 
-    if cache is None:
-        return resolved, build, lambda index: index
-    params_key = index_params_key(resolved, metric, kwargs)
-    return (resolved, *cache.plan(vectors, build, params_key=params_key))
+    if cache is not None:  # bench compat: item 1 deletes
+        key = index_params_key(resolved, metric, kwargs)  # bench compat: item 1 deletes
+        build = cache.plan(vectors, build, params_key=key)  # bench compat: item 1 deletes
+    return resolved, build
 
 
 def row_chunks(rows: "int | np.ndarray", parts: int) -> "list[slice | np.ndarray]":
@@ -301,7 +298,7 @@ def mutual_top_k(
     backend: str = "auto",
     brute_force_limit: int = 4096,
     index_kwargs: dict | None = None,
-    cache: IndexCache | None = None,
+    cache=None,  # bench compat: item 1 deletes
 ) -> list[MutualPair]:
     """Find all mutual top-K pairs between two vector sets (Eq. 1).
 
@@ -314,9 +311,6 @@ def mutual_top_k(
         backend: ANN backend name (``"auto"``, ``"brute-force"``, ``"hnsw"``).
         brute_force_limit: size cut-off for the ``"auto"`` backend.
         index_kwargs: extra keyword arguments for :func:`create_index`.
-        cache: optional :class:`~repro.ann.cache.IndexCache` consulted before
-            building either side's index. Reuse is exact (byte-identical to a
-            fresh build), so pair output is unchanged.
 
     Returns:
         List of :class:`MutualPair`, sorted by distance ascending.
@@ -334,12 +328,11 @@ def mutual_top_k(
         return exact_top1_pairs(vectors_a, vectors_b, max_distance, metric)
     side = dict(
         metric=metric, backend=backend, brute_force_limit=brute_force_limit,
-        index_kwargs=index_kwargs, cache=cache,
+        index_kwargs=index_kwargs, cache=cache,  # bench compat: item 1 deletes
     )
-    _, work, commit = plan_side_index(vectors_b, **side)
-    index_b = commit(work())
-    resolved_a, work, commit = plan_side_index(vectors_a, **side)
-    index_a = commit(work())
+    index_b = plan_side_index(vectors_b, **side)[1]()
+    resolved_a, build_a = plan_side_index(vectors_a, **side)
+    index_a = build_a()
     forward = directed_pairs(index_b, vectors_a, k, max_distance)  # a -> b
     backward = [  # b -> a
         directed_pairs(index_a, vectors_b, k, max_distance, rows)

@@ -89,10 +89,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
         config = config.with_overrides(merging={"m": args.m})
     if args.epsilon is not None:
         config = config.with_overrides(pruning={"epsilon": args.epsilon})
-    if args.shards > 1:
-        config = config.with_overrides(
-            merging={"shards": args.shards, "shard_key": args.shard_key}
-        )
     result = MultiEM(config).match(dataset)
     print(f"selected attributes: {', '.join(result.selected_attributes)}")
     print(f"predicted tuples:    {result.num_tuples}")
@@ -151,10 +147,6 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
             raise ReproError("--exclude removed every table; nothing to fit")
         dataset = dataset.subset(keep, name=dataset.name)
     config = paper_default_config(dataset.name, parallel=args.parallel)
-    if args.shards > 1:
-        config = config.with_overrides(
-            merging={"shards": args.shards, "shard_key": args.shard_key}
-        )
     with IncrementalMultiEM(config) as matcher:
         result = matcher.fit(dataset)
         digests = matcher.save(args.output)
@@ -416,15 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     match.add_argument("--m", type=float, default=None, help="merging distance threshold")
     match.add_argument("--epsilon", type=float, default=None, help="pruning radius")
-    match.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the merge across N shards via the blocking-key "
-        "partitioner (output is byte-identical to --shards 1)",
-    )
-    match.add_argument(
-        "--shard-key", default="lsh", choices=("lsh", "token"),
-        help="blocking-key family the shard partitioner votes with",
-    )
     match.add_argument("--output", default=None, help="write predicted groups to this JSON file")
     match.set_defaults(func=_cmd_match)
 
@@ -453,15 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--exclude", action="append", default=[], metavar="TABLE",
         help="leave this source table out of the fit (repeatable); "
         "fold it back later with serve-match",
-    )
-    snap_save.add_argument(
-        "--shards", type=int, default=1,
-        help="fit with a sharded merge plane (owner arrays are snapshot too, "
-        "so the fit appends shard-aware)",
-    )
-    snap_save.add_argument(
-        "--shard-key", default="lsh", choices=("lsh", "token"),
-        help="blocking-key family the shard partitioner votes with",
     )
     snap_save.add_argument("--output", required=True, help="snapshot file to write")
     snap_save.set_defaults(func=_cmd_snapshot_save)

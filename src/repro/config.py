@@ -10,7 +10,7 @@ merging and euclidean distance for pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from .exceptions import ConfigurationError
 
@@ -42,9 +42,13 @@ RETIRED_KEYS: dict[str, dict[str, str]] = {
     "merging": {
         "kernel_threads": "the native HNSW build is sequential",
         "quantized_scan": "the brute-force backend always runs the exact scan",
-        "lsh_num_tables": "the LSH index backend is gone; the lsh shard key hashes 8 tables",
-        "lsh_num_bits": "the LSH index backend is gone; the lsh shard key hashes 12 bits",
+        "lsh_num_tables": "the LSH index backend is gone",
+        "lsh_num_bits": "the LSH index backend is gone",
         "lsh_probe_neighbors": "the LSH index backend is gone",
+        "index_cache": "merges build their indexes; no index cache is kept",
+        "index_cache_entries": "merges build their indexes; no index cache is kept",
+        "shards": "merges run unsharded on the table-wise pool; sharded output was identical",
+        "shard_key": "merges run unsharded on the table-wise pool; sharded output was identical",
     },
     "parallel": {
         "kernel_threads": "the native HNSW build is sequential",
@@ -57,7 +61,8 @@ RETIRED_KEYS: dict[str, dict[str, str]] = {
         "retry_backoff": "every task is waited on; the first task exception propagates",
     },
     "session": {
-        "cache": "the index cache lives in memory only; a restored matcher builds its indexes",
+        "cache": "indexes are not persisted; a restored matcher builds the one it needs",
+        "shard": "merges run unsharded; the shard owners changed no result byte",
     },
 }
 
@@ -110,27 +115,8 @@ class MergingConfig:
         brute_force_limit: table size under which exact search is used in
             ``"auto"`` mode.
         hnsw_ef_construction / hnsw_ef_search / hnsw_max_degree: HNSW knobs.
-        index_cache: give :class:`~repro.core.incremental.IncrementalMultiEM`
-            an in-memory :class:`repro.ann.cache.IndexCache`, kept across its
-            ``add_table`` calls (snapshots do not persist it), so ``add_table``
-            reuses the index over a carried-forward integrated table. Reuse is
-            exact, so results are unchanged. One ``match`` hierarchy indexes
-            every table exactly once and uses no cache unless handed one.
-        index_cache_entries: LRU capacity of that cache.
         seed: seed controlling the random pairing of tables at each hierarchy
             level (Figure 6(b) studies sensitivity to this order).
-        shards: number of merge shards (``1`` = the classic unsharded pass).
-            With ``shards > 1`` the merge plane routes every mutual top-K
-            query workload through the :mod:`repro.shard` subsystem: rows are
-            partitioned by blocking key, each shard's queries run
-            independently, and a boundary pass stitches cross-shard pairs
-            back together. Output is byte-identical to the unsharded merge at
-            any shard count.
-        shard_key: partitioning key family — ``"lsh"`` hashes representative
-            vectors into sign-random-projection signatures
-            (:func:`repro.shard.partition.lsh_row_keys`), ``"token"``
-            reuses the token-blocking keys of the raw records (only available
-            to entry points that still hold the raw tables).
     """
 
     k: int = 1
@@ -141,11 +127,10 @@ class MergingConfig:
     hnsw_ef_construction: int = 100
     hnsw_ef_search: int = 64
     hnsw_max_degree: int = 16
-    index_cache: bool = True
-    index_cache_entries: int = 8
     seed: int = 0
-    shards: int = 1
-    shard_key: str = "lsh"
+    shards: ClassVar[int] = 1  # bench compat: item 1 deletes
+    index_cache: ClassVar[bool] = True  # bench compat: item 1 deletes
+    index_cache_entries: ClassVar[int] = 8  # bench compat: item 1 deletes
 
     def validate(self) -> None:
         if self.k < 1:
@@ -162,12 +147,6 @@ class MergingConfig:
             raise ConfigurationError("hnsw_max_degree must be >= 2")
         if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
             raise ConfigurationError("hnsw_ef_construction and hnsw_ef_search must be >= 1")
-        if self.index_cache_entries < 1:
-            raise ConfigurationError("index_cache_entries must be >= 1")
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        if self.shard_key not in ("lsh", "token"):
-            raise ConfigurationError(f"unknown shard key {self.shard_key!r}")
 
 
 @dataclass(frozen=True)

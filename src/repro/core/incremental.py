@@ -16,9 +16,7 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..ann.cache import IndexCache
+from ..ann.cache import IndexCache  # bench compat: item 1 deletes
 from ..config import MultiEMConfig
 from ..data.dataset import MultiTableDataset
 from ..data.table import Table
@@ -46,22 +44,10 @@ class IncrementalMultiEM:
         self._representer: EntityRepresenter | None = None
         self._attributes: tuple[str, ...] = ()
         self._table: ItemTable = ItemTable.empty()
-        # Per-item shard owner ids when the merging config is sharded
-        # (``MergingConfig.shards > 1``); None for the classic single-shard
-        # path. Carried through add_table merges and snapshotted.
-        self._item_owners: np.ndarray | None = None
         self._store: EmbeddingStore = EmbeddingStore()
         self._known_sources: set[str] = set()
         self._schema: tuple[str, ...] = ()
         self._executor = ParallelExecutor(self.config.parallel)
-        # A persistent cache makes repeated add_table() calls reuse the index
-        # over the integrated table whenever it was carried forward unchanged
-        # (or merely appended to) by the previous merge.
-        self._index_cache: IndexCache | None = (
-            IndexCache(max_entries=self.config.merging.index_cache_entries)
-            if self.config.merging.index_cache
-            else None
-        )
         # On-disk base of the last save/load (path, payload digest, depth,
         # session meta, captured array references) — what makes save() emit
         # an append-only delta instead of a full rewrite. Maintained by
@@ -75,7 +61,7 @@ class IncrementalMultiEM:
 
     def fit(self, dataset: MultiTableDataset) -> MatchResult:
         """Run the full pipeline on the initial dataset and keep its state."""
-        fitted = fit_stages(dataset, self.config, self._executor, cache=self._index_cache)
+        fitted = fit_stages(dataset, self.config, self._executor)
         # Commit state only after every stage succeeded, so a failed refit
         # leaves the previous fit (and its snapshot lineage) intact.
         self._base = None  # a refit starts a new snapshot lineage
@@ -84,7 +70,6 @@ class IncrementalMultiEM:
         self._attributes = fitted.attributes
         self._store = fitted.store
         self._table = fitted.integrated
-        self._item_owners = fitted.item_owners
         self._known_sources = set(dataset.tables)
         return self._result()
 
@@ -102,38 +87,13 @@ class IncrementalMultiEM:
         assert self._representer is not None
         embeddings = self._representer.encode_table(table, self._attributes)
         new_table = ItemTable.from_embeddings(embeddings)
-        merging = self.config.merging
-        if merging.shards > 1:
-            from ..shard.executor import sharded_merge_item_tables
-            from ..shard.partition import lsh_owners, token_owners
-
-            if self._item_owners is None:
-                raise DataError(
-                    "sharded merging config but no owner state; refit or load a sharded snapshot"
-                )
-            if merging.shard_key == "token":
-                new_owners = token_owners(table, merging.shards, self._attributes)
-            else:
-                new_owners = lsh_owners(new_table.vectors, merging, merging.shards)
-            merged, _, merged_owners = sharded_merge_item_tables(
-                self._table,
-                new_table,
-                self._item_owners,
-                new_owners,
-                merging,
-                executor=self._executor,
-                cache=self._index_cache,
-            )
-        else:
-            merged, _ = merge_item_tables(
-                self._table, new_table, merging, cache=self._index_cache, executor=self._executor
-            )
-            merged_owners = None
+        merged, _ = merge_item_tables(
+            self._table, new_table, self.config.merging, executor=self._executor
+        )
         # Commit state only after the merge succeeded, so a failed add_table
         # (e.g. OOM at scale) leaves the matcher consistent and retryable.
         self._store.add_table(embeddings)
         self._table = merged
-        self._item_owners = merged_owners
         self._known_sources.add(table.name)
         return self._result()
 
@@ -204,13 +164,11 @@ class IncrementalMultiEM:
 
         Consumed by :mod:`repro.store.session`; every value is either a
         config object, a flat-array structure with its own codec, or a plain
-        JSON-able scalar/sequence — except ``index_cache``, the live in-memory
-        :class:`~repro.ann.cache.IndexCache` (or ``None``), which is reported
-        for its reuse statistics and which the store does not persist.
+        JSON-able scalar/sequence.
         """
         if not self.is_fitted:
             raise DataError("cannot snapshot an unfitted matcher; call fit() first")
-        state = {
+        return {
             "config": self.config,
             "encoder": self._representer.encoder if self._representer else None,
             "attributes": self._attributes,
@@ -218,11 +176,8 @@ class IncrementalMultiEM:
             "table": self._table,
             "store": self._store,
             "known_sources": sorted(self._known_sources),
-            "index_cache": self._index_cache,
+            "index_cache": IndexCache(),  # bench compat: item 1 deletes
         }
-        if self._item_owners is not None:
-            state["item_owners"] = self._item_owners
-        return state
 
     @classmethod
     def from_snapshot_state(
@@ -235,13 +190,11 @@ class IncrementalMultiEM:
         table: ItemTable,
         store: EmbeddingStore,
         known_sources,
-        item_owners: np.ndarray | None = None,
     ) -> "IncrementalMultiEM":
         """Rehydrate a fitted matcher from restored state (snapshot load path).
 
         ``encoder`` is the restored *inner* sentence encoder; the representer
         re-wraps it in its caching layer exactly as :meth:`fit` would have.
-        The matcher starts with an empty index cache, as a new one does.
         """
         matcher = cls(config)
         matcher._representer = EntityRepresenter(config.representation, encoder=encoder)
@@ -251,7 +204,6 @@ class IncrementalMultiEM:
         matcher._table = table
         matcher._store = store
         matcher._known_sources = set(known_sources)
-        matcher._item_owners = item_owners
         return matcher
 
     # -------------------------------------------------------------- teardown

@@ -48,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ann.cache import IndexCache
 from ..ann.mutual import (
     backward_rows,
     batch_invariant,
@@ -296,13 +295,15 @@ def merge_index_kwargs(config: MergingConfig) -> dict:
     }
 
 
-def plan_merge_index(vectors: np.ndarray, config: MergingConfig, cache: IndexCache | None):
+def plan_merge_index(
+    vectors: np.ndarray,
+    config: MergingConfig,
+    cache=None,  # bench compat: item 1 deletes
+):
     """:func:`~repro.ann.mutual.plan_side_index` for one side of a merge under ``config``.
 
-    Every merge index — the level loop's and the sharded boundary pass's in
-    :mod:`repro.shard.boundary` — and the serving session's query index are
-    planned here, so cache ``params_key`` values and index builds agree bit
-    for bit.
+    Every merge index and the serving session's query index are planned
+    here, so their index builds agree bit for bit.
     """
     return plan_side_index(
         vectors,
@@ -310,7 +311,7 @@ def plan_merge_index(vectors: np.ndarray, config: MergingConfig, cache: IndexCac
         backend=config.index,
         brute_force_limit=config.brute_force_limit,
         index_kwargs=merge_index_kwargs(config),
-        cache=cache,
+        cache=cache,  # bench compat: item 1 deletes
     )
 
 
@@ -321,25 +322,19 @@ def merge_item_tables(
     config: MergingConfig,
     *,
     representative: str = "mean",
-    cache: IndexCache | None = None,
     executor: ParallelExecutor | None = None,
 ) -> tuple[ItemTable, int]:
     """Algorithm 3 on flat tables: merge two item tables into one.
 
-    ``cache`` (an :class:`~repro.ann.cache.IndexCache`) lets the mutual top-K
-    step reuse an ANN index built for the same item table by an earlier
-    merge instead of rebuilding it; reuse is exact, so the merged output is
-    unchanged. ``executor`` fans the merge's two builds and its query chunks
-    out (see :func:`_merge_wave`); without one a default executor serves the
-    call and is closed with it.
+    ``executor`` fans the merge's two builds and its query chunks out (see
+    :func:`_merge_wave`); without one a default executor serves the call and
+    is closed with it.
 
     Returns:
         ``(merged_table, num_matched_pairs)`` — the merged table and how many
         mutual pairs were accepted (diagnostic).
     """
-    return _merge_wave(
-        [(left, right)], config, executor, representative=representative, cache=cache
-    )[0]
+    return _merge_wave([(left, right)], config, executor, representative=representative)[0]
 
 
 def _merge_wave(
@@ -348,7 +343,7 @@ def _merge_wave(
     executor: ParallelExecutor,
     *,
     representative: str,
-    cache: IndexCache | None,
+    cache=None,  # bench compat: item 1 deletes
 ) -> list[tuple[ItemTable, int]]:
     """Algorithm 3 for a wave of independent pairs, as four flat fan-outs.
 
@@ -368,13 +363,12 @@ def _merge_wave(
         if one_pass_pair(left.vectors, right.vectors, config.k, config.index, config.brute_force_limit)
     ]
     scanned = [j for j in range(len(slots)) if j not in one_pass]
-    # (1) build, ``b`` then ``a`` per two-scan pair. Cache lookups (plan) and
-    # puts (commit) stay on this thread in that order; only the bodies fan out.
+    # (1) build, ``b`` then ``a`` per two-scan pair; only the bodies fan out.
     plans = [
-        plan_merge_index(side.vectors, config, cache) for j in scanned for side in (rights[j], lefts[j])
+        plan_merge_index(side.vectors, config, cache)  # bench compat: item 1 deletes
+        for j in scanned for side in (rights[j], lefts[j])
     ]
-    built = executor.map(lambda plan: plan[1](), plans)
-    indexes = [commit(index) for (_, _, commit), index in zip(plans, built)]
+    indexes = executor.map(lambda plan: plan[1](), plans)
     backends = [plan[0] for plan in plans]
 
     def directed(indexes: list, backends: list, tables: list, rows: list, extra=()) -> list[list]:
@@ -397,7 +391,7 @@ def _merge_wave(
         for j, backend in zip(scanned, backends[1::2])
     ]
     backward = directed(indexes[1::2], backends[1::2], rights, asked)
-    del built, indexes  # the union needs no index: free them before it allocates
+    del indexes  # the union needs no index: free them before it allocates
 
     # (4) finish: intersection, distances, order (one-pass pairs have them), union-find.
     def finish(j: int) -> tuple[ItemTable, int]:
@@ -421,17 +415,14 @@ def merge_tables_with_pairs(
 ) -> tuple[ItemTable, np.ndarray]:
     """Union, relabel and materialize a two-table merge from given mutual pairs.
 
-    The post-pair half of :func:`merge_item_tables`, split out so the sharded
-    merge plane (:mod:`repro.shard`) can stitch its boundary-resolved pair
-    list through the exact same vectorized union-find. ``pairs`` must be the
+    The post-pair half of :func:`merge_item_tables`. ``pairs`` must be the
     :class:`~repro.ann.mutual.MutualPair` list in its canonical
     ``(distance, left, right)`` lexsort order — pair order drives the unions.
 
     Returns:
         ``(merged_table, node_of_group)`` where ``node_of_group[g]`` is the
         first concatenated node (left rows first, then right rows) of output
-        group ``g`` — callers propagating per-row side data (e.g. shard
-        owners) map it through this array.
+        group ``g``.
     """
     n_left, n_right = len(left), len(right)
     n = n_left + n_right
@@ -559,7 +550,7 @@ def hierarchical_merge_tables(
     *,
     executor: ParallelExecutor | None = None,
     representative: str = "mean",
-    cache: IndexCache | None = None,
+    cache=None,  # bench compat: item 1 deletes
 ) -> tuple[ItemTable, MergeStats]:
     """Algorithm 2 on flat tables: merge all tables hierarchically until one remains.
 
@@ -567,16 +558,8 @@ def hierarchical_merge_tables(
     with an odd number of tables the leftover table passes to the next level
     untouched. A level runs as waves of at most ``executor.workers`` pairs,
     each wave four flat fan-outs (:func:`_merge_wave`), so both a wide level
-    and a lone pair keep every worker busy.
-
-    Inside one hierarchy every table is indexed exactly once, by the one
-    merge that consumes it, so no index cache is created here. An explicit
-    ``cache`` (e.g. :class:`~repro.core.incremental.IncrementalMultiEM`'s
-    persistent one) is consulted and filled by the calling thread only.
-
-    The sharded merge plane (:mod:`repro.shard`) is chosen by
-    :func:`~repro.core.pipeline.fit_stages`, not here: this loop ignores the
-    shard count.
+    and a lone pair keep every worker busy. Inside one hierarchy every table
+    is indexed exactly once, by the one merge that consumes it.
     """
     stats = MergeStats()
     rng = np.random.default_rng(config.seed)
@@ -596,7 +579,7 @@ def hierarchical_merge_tables(
                 config,
                 executor,
                 representative=representative,
-                cache=cache,
+                cache=cache,  # bench compat: item 1 deletes
             ):
                 next_level.append(merged)
                 matched_this_level += matched

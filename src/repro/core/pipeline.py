@@ -18,9 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..ann.cache import IndexCache
 from ..config import MultiEMConfig
 from ..data.dataset import MultiTableDataset
 from ..embedding.hashed import HashedNGramEncoder
@@ -36,8 +33,6 @@ from .result import MatchResult, StageTimings
 class FittedStages:
     """What stages S, R and M leave behind for pruning (P) and matcher state.
 
-    ``item_owners`` is the integrated table's per-item shard owner array when
-    the merging config is sharded (``MergingConfig.shards > 1``), else None.
     ``timings`` has the S, R and M fields filled; pruning is the caller's.
     """
 
@@ -47,7 +42,6 @@ class FittedStages:
     store: EmbeddingStore
     integrated: ItemTable
     merge_stats: MergeStats
-    item_owners: np.ndarray | None
     timings: StageTimings
 
 
@@ -57,16 +51,14 @@ def fit_stages(
     executor: ParallelExecutor,
     *,
     encoder: HashedNGramEncoder | None = None,
-    cache: IndexCache | None = None,
     representative: str = "mean",
 ) -> FittedStages:
     """Stages S, R and M of Figure 3, timed: the one place they run in order.
 
     :class:`MultiEM`, :class:`~repro.core.incremental.IncrementalMultiEM` and
     the design ablations all call this and add their own pruning; a new entry
-    point should too. ``cache`` is handed to the merges (see
-    :func:`~repro.core.merging.hierarchical_merge_tables`), ``representative``
-    picks the merged items' representative vector.
+    point should too. ``representative`` picks the merged items'
+    representative vector.
     """
     timings = StageTimings()
     representer = EntityRepresenter(config.representation, encoder=encoder)
@@ -91,35 +83,13 @@ def fit_stages(
 
     # Stage M: table-wise hierarchical merging (Algorithms 2-3), run on
     # flat ItemTables end to end; items only materialize after pruning.
-    merging = config.merging
     started = time.perf_counter()
     item_tables = [ItemTable.from_embeddings(embeddings[table.name]) for table in dataset.table_list()]
-    item_owners = None
-    if merging.shards > 1:
-        # Sharded plane: partition rows by blocking key and run the same
-        # hierarchy with per-shard query fan-out. Output bytes are identical
-        # to the unsharded path (see repro.shard); the owners ride along.
-        from ..shard import build_shard_plan, sharded_hierarchical_merge
-
-        plan = build_shard_plan(
-            merging, item_tables=item_tables, raw_tables=dataset.table_list(), attributes=attributes
-        )
-        integrated, merge_stats, item_owners = sharded_hierarchical_merge(
-            item_tables,
-            plan.owners,
-            merging,
-            executor=executor,
-            representative=representative,
-            cache=cache,
-        )
-    else:
-        integrated, merge_stats = hierarchical_merge_tables(
-            item_tables, merging, executor=executor, representative=representative, cache=cache
-        )
-    timings.merging = time.perf_counter() - started
-    return FittedStages(
-        representer, attributes, selection, store, integrated, merge_stats, item_owners, timings
+    integrated, merge_stats = hierarchical_merge_tables(
+        item_tables, config.merging, executor=executor, representative=representative
     )
+    timings.merging = time.perf_counter() - started
+    return FittedStages(representer, attributes, selection, store, integrated, merge_stats, timings)
 
 
 class MultiEM:

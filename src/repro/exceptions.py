@@ -40,12 +40,6 @@ class StoreLockedError(StoreError):
     interleaving their temp files and chain links."""
 
 
-class ShardError(ReproError):
-    """A shard plan is inconsistent with the tables it partitions (wrong row
-    counts, owner ids out of range, or a key family the entry point cannot
-    compute from the data it holds)."""
-
-
 class ServeError(ReproError):
     """The match-serving plane failed (no healthy workers, malformed frame,
     worker protocol violation); HTTP-level misuse is reported to the client

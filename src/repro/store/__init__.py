@@ -13,10 +13,9 @@ package makes those arrays *move* without serialization:
   the module docstring for the full policy and version history).
 * :mod:`repro.store.codecs` — ``(meta, arrays)`` state bundles for the
   flat-array core types: :class:`~repro.core.merging.ItemTable`,
-  :class:`~repro.core.representation.EmbeddingStore`, the shard plan, fitted
-  encoders, and the pipeline config. Restores adopt the stored bytes
-  verbatim, so save → load → continue stays byte-identical. ANN indexes and
-  the in-memory :class:`~repro.ann.cache.IndexCache` are not persisted: a
+  :class:`~repro.core.representation.EmbeddingStore`, fitted encoders, and
+  the pipeline config. Restores adopt the stored bytes verbatim, so save →
+  load → continue stays byte-identical. ANN indexes are not persisted: a
   restored matcher builds the index it needs, with the same bytes.
 * :mod:`repro.store.delta` — the delta ops themselves (``ref`` / ``alias``
   / row-``patch`` / ``full``), bundle-level diff/replay, and chain folding.

@@ -97,26 +97,6 @@ def item_table_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> Ite
     )
 
 
-# ------------------------------------------------------------------ ShardPlan
-def shard_plan_state(item_owners: np.ndarray, num_shards: int, shard_key: str):
-    """State bundle of a sharded fit's owner assignment over the integrated table.
-
-    One ``int32`` owner id per integrated item (``0..num_shards-1`` cores,
-    ``num_shards`` spill); the key family and shard count ride in the meta so
-    a restored matcher can sanity-check them against its config.
-    """
-    return (
-        {"type": "shard_plan", "num_shards": int(num_shards), "shard_key": shard_key},
-        {"item_owners": np.ascontiguousarray(item_owners, dtype=np.int32)},
-    )
-
-
-def shard_plan_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> np.ndarray:
-    if meta.get("type") != "shard_plan":
-        raise StoreError(f"expected a shard_plan bundle, got {meta.get('type')!r}")
-    return arrays["item_owners"]
-
-
 # ------------------------------------------------------------- EmbeddingStore
 def embedding_store_state(store: EmbeddingStore):
     """State bundle of the flat embedding column store (one block per source)."""

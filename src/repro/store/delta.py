@@ -10,9 +10,9 @@ reconstructed state, in order. Ops:
   any ``of``, because files written while the index cache was persisted ref
   renamed segments.
 * ``{"op": "alias", "of": new_name}`` — this name shares the *same buffer*
-  as another name of the new state. Reconstruction binds the two names to
-  one object, which is what lets compaction re-discover the writer's
-  pointer-aliasing.
+  as another name of the new state; reconstruction binds the two names to
+  one object. Only files written while the index cache was persisted carry
+  it: the writer no longer emits one.
 * ``{"op": "patch", "of": base_name, ...}`` — row-level delta: the new array
   extends the base (same dtype and trailing dims, at least as many rows);
   only the changed prefix rows, their indices, and the appended tail are
@@ -161,21 +161,11 @@ def diff_bundle(
 
     Returns ``(spec, segments)``: the manifest ``delta`` tree (``{"arrays":
     {name: op}}``, enumerating every logical name of ``new_arrays`` in
-    order) and the physical segments to store. Names sharing one buffer in
-    the new state collapse to one canonical diff plus ``alias`` ops, exactly
-    mirroring :class:`~repro.store.format.SnapshotWriter`'s pointer dedup.
+    order) and the physical segments to store; every name gets its own op.
     """
     specs: dict[str, dict] = {}
     segments: dict[str, np.ndarray] = {}
-    by_buffer: dict[tuple, str] = {}
     for name, array in new_arrays.items():
-        array = np.ascontiguousarray(array)
-        key = buffer_key(array)
-        canonical = by_buffer.get(key)
-        if canonical is not None:
-            specs[name] = {"op": "alias", "of": canonical}
-            continue
-        by_buffer[key] = name
         spec, array_segments = diff_array(array, base_arrays.get(name))
         if spec["op"] in ("ref", "patch"):
             spec["of"] = name

@@ -33,7 +33,7 @@ next to the child, so a chain directory can be relocated as a unit.
 atomically, per-segment aligned exactly like a base snapshot), and
 :meth:`SnapshotChain.verify_links` proves every parent's payload is bit for
 bit the one its child was diffed against. Folding a chain back into one
-logical state — and compacting it into a fresh aliased base — lives in
+logical state — and compacting it into a fresh base — lives in
 :mod:`repro.store.delta` and :mod:`repro.store.session`.
 
 Format version policy
@@ -135,8 +135,6 @@ class SnapshotWriter:
 
     def __init__(self, *, segment_digests: bool = False) -> None:
         self._arrays: dict[str, np.ndarray] = {}
-        self._aliases: dict[str, str] = {}  # name -> canonical name, same bytes
-        self._by_buffer: dict[tuple, str] = {}
         self._meta: Any = {}
         self._chain: dict | None = None
         self._delta: dict | None = None
@@ -144,27 +142,17 @@ class SnapshotWriter:
         self._computed_digests: dict[str, str] = {}  # handed in by the caller
 
     def add_array(self, name: str, array: np.ndarray) -> None:
-        """Register one array under ``name`` (unique per snapshot).
+        """Register one array under ``name`` (unique per snapshot); each gets its own segment.
 
-        Arrays that share storage are written once: registering the same
-        underlying buffer (same data pointer, dtype and shape) under a second
-        name produces a manifest alias onto the first segment, so a plane
-        that two bundles reference is stored at unique-data size. Today's
-        session bundles share no buffer, so a session save writes no alias;
-        files written while the index cache was persisted carry many, and
-        readers resolve them (:meth:`Snapshot.alias_map`).
+        The writer emits no manifest alias. Files written while the index
+        cache was persisted carry many, and readers resolve them
+        (:meth:`Snapshot.alias_map`).
         """
-        if name in self._arrays or name in self._aliases:
+        if name in self._arrays:
             raise StoreError(f"duplicate array name {name!r} in snapshot")
         array = np.ascontiguousarray(array)
         if array.dtype.hasobject:
             raise StoreError(f"array {name!r} has object dtype; snapshots store raw buffers only")
-        key = buffer_key(array)
-        canonical = self._by_buffer.get(key)
-        if canonical is not None:
-            self._aliases[name] = canonical
-            return
-        self._by_buffer[key] = name
         self._arrays[name] = array
 
     def set_meta(self, meta: Any) -> None:
@@ -228,9 +216,6 @@ class SnapshotWriter:
                     digest = segment_digest(name, array.dtype.str, array.shape, array)
                 entries[name]["digest"] = digest
             offset += int(array.nbytes)
-        for name, canonical in self._aliases.items():
-            entries[name] = dict(entries[canonical])  # same segment, own entry
-            entries[name]["alias_of"] = canonical
         tree: dict[str, Any] = {"arrays": entries, "meta": self._meta}
         if self._chain is not None:
             tree["chain"] = self._chain

@@ -4,20 +4,18 @@
 :class:`~repro.core.incremental.IncrementalMultiEM` computes with — pipeline
 config, the fitted encoder (its IDF vocabulary), the integrated
 :class:`~repro.core.merging.ItemTable`, the
-:class:`~repro.core.representation.EmbeddingStore`, and the shard plan of a
-sharded fit — into one snapshot file. The in-memory
-:class:`~repro.ann.cache.IndexCache` is not persisted: a restored matcher
-starts with an empty one and builds the indexes it needs.
+:class:`~repro.core.representation.EmbeddingStore` — into one snapshot file.
+ANN indexes are not persisted: a restored matcher builds the index it needs.
 :class:`MatchSession` (or :func:`load_matcher`) restores a snapshot without
 re-running any pipeline stage: with ``mmap=True`` every vector plane is a
 zero-copy view over the mapped file, so a cold process starts answering
 ``match_new_table`` / ``query_many`` calls in the time it takes to parse the
 manifest.
 
-Files written before the index cache stopped being persisted carry a
-``cache`` bundle; it is dropped on load with one warning
-(:data:`repro.config.RETIRED_KEYS`, section ``"session"``), and its segments
-stay covered by the payload digest and ``fsck``.
+Files written while the index cache was persisted carry a ``cache`` bundle,
+and files of a sharded fit a ``shard`` bundle; either is dropped on load with
+one warning (:data:`repro.config.RETIRED_KEYS`, section ``"session"``), and
+its segments stay covered by the payload digest and ``fsck``.
 
 Restores are exact: the snapshot records content digests of the integrated
 table and the embedding store at save time, ``load`` re-derives and verifies
@@ -68,9 +66,8 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
     """Flatten a matcher's ``snapshot_state`` into ``(bundle_metas, arrays)``.
 
     ``arrays`` is the ordered flat logical-array mapping every save path
-    (full, delta, compacted) works over — ``table/…``, ``store/…``,
-    ``encoder/…`` and, for a sharded fit, ``shard/…`` — and ``bundle_metas``
-    holds the bundle meta trees (``shard`` is ``None`` when unsharded), each
+    (full, delta, compacted) works over — ``table/…``, ``store/…`` and
+    ``encoder/…`` — and ``bundle_metas`` holds the bundle meta trees, each
     carrying its ``__arrays__`` name list.
     """
     parts = [
@@ -78,18 +75,7 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
         ("store", "store/", codecs.embedding_store_state(state["store"])),
         ("encoder", "encoder/", codecs.encoder_state(state["encoder"])),
     ]
-    if state.get("item_owners") is not None:
-        merging = state["config"].merging
-        parts.append(
-            (
-                "shard",
-                "shard/",
-                codecs.shard_plan_state(
-                    state["item_owners"], merging.shards, merging.shard_key
-                ),
-            )
-        )
-    metas: dict = {"shard": None}
+    metas: dict = {}
     arrays: dict = {}
     for key, prefix, (meta, bundle) in parts:
         meta = dict(meta)
@@ -101,9 +87,8 @@ def session_state_bundle(state) -> "tuple[dict, dict[str, np.ndarray]]":
 
 
 def _session_meta(state, metas: dict, digests: dict) -> dict:
-    # Key order is part of the byte-pinned manifest; do not reorder. The
-    # "shard" key is appended last and only for sharded fits.
-    meta = {
+    # Key order is part of the byte-pinned manifest; do not reorder.
+    return {
         "type": SESSION_TYPE,
         "config": codecs.config_to_meta(state["config"]),
         "attributes": list(state["attributes"]),
@@ -114,9 +99,6 @@ def _session_meta(state, metas: dict, digests: dict) -> dict:
         "store": metas["store"],
         "encoder": metas["encoder"],
     }
-    if metas.get("shard") is not None:
-        meta["shard"] = metas["shard"]
-    return meta
 
 
 def _save_digests(matcher: IncrementalMultiEM, state, arrays: dict, writer) -> dict:
@@ -250,8 +232,8 @@ def _restore_state(
     ``payload_digest`` is a zero-arg callable deriving the digest to check
     against the recorded one (only invoked when ``verify`` needs it);
     ``source`` is the file the state came from, for messages. Retired
-    bundles (an old file's ``cache``) and retired config keys are dropped
-    with one warning that names them all.
+    bundles (an old file's ``cache`` or ``shard``) and retired config keys
+    are dropped with one warning that names them all.
     """
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
         raise StoreError("snapshot does not hold a MultiEM session")
@@ -279,11 +261,6 @@ def _restore_state(
     encoder = codecs.encoder_from_state(
         meta["encoder"], codecs.unpack_arrays(arrays, "encoder/", meta["encoder"])
     )
-    item_owners = None
-    if meta.get("shard") is not None:
-        item_owners = codecs.shard_plan_from_state(
-            meta["shard"], codecs.unpack_arrays(arrays, "shard/", meta["shard"])
-        )
     config = codecs.config_from_meta(meta["config"], source=str(source), dropped=dropped)
     codecs.warn_retired(dropped, str(source))
     return IncrementalMultiEM.from_snapshot_state(
@@ -294,7 +271,6 @@ def _restore_state(
         table=table,
         store=store,
         known_sources=meta["known_sources"],
-        item_owners=item_owners,
     )
 
 
@@ -374,13 +350,12 @@ def compact_session(
     """Collapse the chain ending at ``path`` into one base file at ``out_path``.
 
     The output is a self-contained session snapshot, byte-identical to the
-    full snapshot the tip matcher would have saved directly (a chain written
-    while the index cache was persisted compacts without its ``cache``
-    bundle). The source chain is left untouched; with
-    ``retire=True`` (chain and output in the same directory) a retirement
-    marker is written next to the output naming the superseded chain files,
-    which authorizes a later ``gc_store`` pass to delete them once the
-    compacted file re-verifies. Returns the digest record of the compacted
+    full snapshot the tip matcher would have saved directly (an old chain
+    compacts without its retired ``cache`` or ``shard`` bundle). The source
+    chain is left untouched; with ``retire=True`` (chain and output in the
+    same directory) a retirement marker is written next to the output naming
+    the superseded chain files, which authorizes a later ``gc_store`` pass to
+    delete them once the compacted file re-verifies. Returns the digest record of the compacted
     snapshot.
     """
     out_abs = os.path.abspath(os.fspath(out_path))
@@ -431,18 +406,16 @@ class _QueryContext:
 
     Hoists everything a lookup needs that does not depend on the texts: the
     encoder handle, the merging config, the default distance cutoff, and the
-    query index itself. The index is held against the
-    identity of the integrated :class:`~repro.core.merging.ItemTable` it was
-    looked up for — ``add_table`` and reload publish a new table object, and
-    a published table is never mutated — so the cache (whose lookup
-    fingerprints the whole vector plane) is consulted once per table, not
-    once per call.
+    query index itself. The index is held against the identity of the
+    integrated :class:`~repro.core.merging.ItemTable` it was built for —
+    ``add_table`` and reload publish a new table object, and a published
+    table is never mutated — so it is built once per table, not once per
+    call.
     """
 
     __slots__ = (
         "representer",
         "merging",
-        "cache",
         "default_max_distance",
         "_table",
         "_index",
@@ -453,23 +426,20 @@ class _QueryContext:
         self.representer = matcher._representer
         merging = matcher.config.merging
         self.merging = merging
-        self.cache = matcher._index_cache
         self.default_max_distance = merging.m
         self._table = None
         self._index = None
 
     def index_for(self, table):
-        """The query index over ``table.vectors``, looked up once per table object."""
+        """The query index over ``table.vectors``, built once per table object.
+
+        Planned exactly as a merge plans its index, so it is the index a merge
+        over the same vectors builds.
+        """
         if table is not self._table:
-            self._index = self._lookup(table)
+            self._index = plan_merge_index(table.vectors, self.merging)[1]()
             self._table = table
         return self._index
-
-    def _lookup(self, table):
-        # Planned exactly as a merge plans its index, so the lookup content-hits
-        # the index a previous merge already built (and a later merge hits this one).
-        _, work, commit = plan_merge_index(table.vectors, self.merging, self.cache)
-        return commit(work())
 
 
 class MatchSession:
@@ -514,11 +484,9 @@ class MatchSession:
         """Nearest integrated tuples for raw serialized texts, batched.
 
         Encodes ``texts`` with the restored encoder and searches the
-        integrated table with the configured ANN backend (the index is
-        looked up once per integrated table — through the matcher's
-        in-memory index cache, so an index a previous ``add_table`` in this
-        process built is not rebuilt — and held until ``add_table`` publishes
-        a new table). Returns one list per text of ``(members, distance)``
+        integrated table with the configured ANN backend (the index is built
+        once per integrated table and held until ``add_table`` publishes a
+        new table). Returns one list per text of ``(members, distance)``
         pairs, nearest first; pairs beyond ``max_distance`` (default: the
         merging threshold ``m``) are dropped. A NaN ``max_distance`` raises
         :class:`~repro.exceptions.DataError`: no distance compares greater

@@ -21,8 +21,6 @@ import repro.ann.mutual as mutual_module
 from repro.ann import BruteForceIndex, mutual_top_k, top_k_pairs
 from repro.ann import engine
 from repro.ann.distances import PreparedVectors, paired_distances
-from repro.config import MergingConfig
-from repro.shard.boundary import sharded_mutual_pairs
 
 METRICS = ("cosine", "euclidean")
 SIZES = (1, 2, 3, 17, 300)
@@ -270,21 +268,6 @@ def test_query_rows_keeps_the_coalescing_contract_on_a_tied_nearest_pair():
         alone = index.query(batch[row : row + 1], 1)
         _assert_same_answers((indices[row : row + 1], distances[row : row + 1]), alone)
         _assert_same_answers(alone, reference.query(batch[row : row + 1], 1))
-
-
-@pytest.mark.parametrize("k", (1, 2))
-def test_sharded_brute_merge_on_tied_tables_equals_unsharded(k):
-    vectors_a, vectors_b = _tables_with_duplicates()
-    config = MergingConfig(index="brute-force", k=k, m=0.5)
-    sharded = sharded_mutual_pairs(
-        vectors_a, vectors_b,
-        np.arange(len(vectors_a), dtype=np.int32) % 3,
-        np.arange(len(vectors_b), dtype=np.int32) % 3,
-        config,
-    )
-    assert sharded and sharded == mutual_top_k(
-        vectors_a, vectors_b, k=k, max_distance=0.5, backend="brute-force"
-    )
 
 
 # ---------------------------------------------------- one pass == two scans

@@ -103,21 +103,3 @@ def test_extend_dimension_mismatch_raises(fixture_vectors):
     index = HNSWIndex(seed=0).build(fixture_vectors[:40])
     with pytest.raises(IndexError_):
         index.extend(np.ones((3, 7), dtype=np.float32))
-
-
-def test_clone_is_independent_of_original(fixture_vectors):
-    original = HNSWIndex(seed=2).build(fixture_vectors[:200])
-    baseline_idx, baseline_dist = original.query(fixture_vectors[:20], 3)
-    clone = original.clone()
-    clone.extend(fixture_vectors[200:])
-    # Original untouched by the clone's growth...
-    after_idx, after_dist = original.query(fixture_vectors[:20], 3)
-    assert np.array_equal(baseline_idx, after_idx)
-    assert np.array_equal(baseline_dist, after_dist)
-    assert original.size == 200 and clone.size == 300
-    # ...and the clone matches a from-scratch build over the same rows.
-    reference = HNSWIndex(seed=2).build(fixture_vectors)
-    clone_idx, clone_dist = clone.query(fixture_vectors[:20], 3)
-    ref_idx, ref_dist = reference.query(fixture_vectors[:20], 3)
-    assert np.array_equal(clone_idx, ref_idx)
-    assert np.array_equal(clone_dist, ref_dist)

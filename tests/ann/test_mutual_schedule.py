@@ -194,9 +194,7 @@ def test_mixed_wave_is_worker_count_invariant(monkeypatch):
     for workers in (None, 2, 5):
         parallel = {"enabled": False} if workers is None else {"max_workers": workers}
         with ParallelExecutor(ParallelConfig(**parallel)) as executor:
-            wave = merging_module._merge_wave(
-                pairs, config, executor, representative="mean", cache=None
-            )
+            wave = merging_module._merge_wave(pairs, config, executor, representative="mean")
         assert [(_merged_bytes(t), n) for t, n in wave] == [(_merged_bytes(t), n) for t, n in alone]
     assert len(one_pass) == 3, "the exact pair must take the one pass, the graph pair must not"
     assert alone[0][1] and alone[1][1]

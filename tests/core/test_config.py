@@ -128,9 +128,13 @@ def test_with_overrides_rejects_unknown_keys_by_name():
         ("merging", "kernel_threads", "sequential"),
         ("parallel", "kernel_threads", "sequential"),
         ("merging", "quantized_scan", "exact scan"),
-        ("merging", "lsh_num_tables", "shard key hashes 8 tables"),
-        ("merging", "lsh_num_bits", "shard key hashes 12 bits"),
+        ("merging", "lsh_num_tables", "backend is gone"),
+        ("merging", "lsh_num_bits", "backend is gone"),
         ("merging", "lsh_probe_neighbors", "LSH index backend is gone"),
+        ("merging", "index_cache", "no index cache is kept"),
+        ("merging", "index_cache_entries", "no index cache is kept"),
+        ("merging", "shards", "merges run unsharded"),
+        ("merging", "shard_key", "merges run unsharded"),
         ("parallel", "backend", "enabled=False runs serially"),
         ("parallel", "self_heal", "waited on"),
         ("parallel", "task_timeout", "waited on"),

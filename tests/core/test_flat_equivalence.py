@@ -215,7 +215,7 @@ def test_merge_two_tables_empty_and_singleton_edges():
 def test_hierarchical_merge_matches_reference_levels(seed):
     """Multi-level merge: flat tables carried across levels vs per-level reference."""
     rng = np.random.default_rng(100 + seed)
-    config = MergingConfig(m=0.6, seed=seed, index_cache=False)
+    config = MergingConfig(m=0.6, seed=seed)
     tables = [
         _random_items(rng, int(rng.integers(1, 25)), 8, [chr(ord("A") + t)])
         for t in range(int(rng.integers(2, 6)))

@@ -75,18 +75,15 @@ class TestIncrementalMultiEM:
             assert matcher._base is base
 
 
-@pytest.mark.parametrize("shards", (1, 2))
 @pytest.mark.parametrize("parallel", (False, True))
 @pytest.mark.parametrize(
     "fixture, name, num_tuples",
     [("geo_tiny", "geo", 31), ("music_tiny", "music-20", 57), ("shopee_tiny", "shopee", 69)],
 )
-def test_fit_predicts_what_match_does(request, fixture, name, num_tuples, parallel, shards):
+def test_fit_predicts_what_match_does(request, fixture, name, num_tuples, parallel):
     """``IncrementalMultiEM.fit`` and ``MultiEM.match`` run one pipeline body."""
     dataset = request.getfixturevalue(fixture)
-    config = paper_default_config(name, parallel=parallel).with_overrides(
-        merging={"shards": shards}
-    )
+    config = paper_default_config(name, parallel=parallel)
     with IncrementalMultiEM(config) as matcher:
         fitted = matcher.fit(dataset).tuples
     assert len(fitted) == num_tuples

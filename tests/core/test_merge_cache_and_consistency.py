@@ -1,11 +1,11 @@
-"""Tests for index-cache reuse in merging and representative consistency."""
+"""Merging with an explicit index cache, and representative consistency."""
 
 import numpy as np
 import pytest
 
 from repro.ann import IndexCache
 from repro.config import MergingConfig, MultiEMConfig, PruningConfig
-from repro.core import hierarchical_merge_tables, merge_item_tables, prune_item_table
+from repro.core import hierarchical_merge_tables, prune_item_table
 from repro.core.incremental import IncrementalMultiEM
 from repro.core.merging import ItemTable, MergeItem, weighted_mean_vector
 from repro.data import EntityRef
@@ -18,13 +18,6 @@ def _items(source: str, vectors: np.ndarray) -> list[MergeItem]:
     ]
 
 
-def _merge(left: list[MergeItem], right: list[MergeItem], config, **kwargs):
-    merged, matched = merge_item_tables(
-        ItemTable.from_items(left), ItemTable.from_items(right), config, **kwargs
-    )
-    return merged.to_items(), matched
-
-
 @pytest.fixture()
 def vector_tables():
     rng = np.random.default_rng(5)
@@ -35,58 +28,15 @@ def vector_tables():
 class TestMergeIndexCache:
     def test_hierarchical_merge_with_cache_matches_without(self, vector_tables):
         tables = [ItemTable.from_items(_items(f"T{i}", m)) for i, m in enumerate(vector_tables)]
-        config_cached = MergingConfig(m=0.8, seed=0, index="hnsw", index_cache=True)
-        config_plain = MergingConfig(m=0.8, seed=0, index="hnsw", index_cache=False)
-        cached, cached_stats = hierarchical_merge_tables(tables, config_cached)
-        plain, plain_stats = hierarchical_merge_tables(tables, config_plain)
+        config = MergingConfig(m=0.8, seed=0, index="hnsw")
+        cache = IndexCache()
+        cached, cached_stats = hierarchical_merge_tables(tables, config, cache=cache)
+        plain, plain_stats = hierarchical_merge_tables(tables, config)
+        assert cache.stats.misses == 2 * plain_stats.pair_merges
         assert {frozenset(i.members) for i in cached.to_items()} == {
             frozenset(i.members) for i in plain.to_items()
         }
         assert cached_stats.matched_pairs_per_level == plain_stats.matched_pairs_per_level
-
-    def test_merge_two_tables_shared_cache_avoids_rebuild(self, vector_tables):
-        left = _items("L", vector_tables[0])
-        right = _items("R", vector_tables[1])
-        config = MergingConfig(m=0.2, seed=0, index="hnsw")
-        cache = IndexCache(max_entries=4)
-        first, _ = _merge(left, right, config, cache=cache)
-        assert cache.stats.misses == 2
-        # Re-merging the same (unchanged) tables is served from the cache.
-        second, _ = _merge(left, right, config, cache=cache)
-        assert cache.stats.exact_hits == 2
-        assert [i.members for i in first] == [i.members for i in second]
-
-    def test_no_match_merge_output_prefix_extends(self, vector_tables):
-        # Orthogonal-ish tables with a tight threshold: nothing matches, the
-        # merged output is [left rows; right rows], and indexing that output
-        # later reuses the cached left index via prefix extension.
-        left = _items("L", vector_tables[0])
-        right = _items("R", vector_tables[1])
-        config = MergingConfig(m=1e-6, seed=0, index="hnsw")
-        cache = IndexCache(max_entries=4)
-        merged, matched = _merge(left, right, config, cache=cache)
-        assert matched == 0 and len(merged) == len(left) + len(right)
-        third = _items("X", vector_tables[2])
-        _merge(merged, third, config, cache=cache)
-        assert cache.stats.prefix_hits >= 1
-        assert cache.stats.saved_rows >= len(left)
-
-    def test_incremental_add_table_reuses_cache(self, music_tiny):
-        config = MultiEMConfig().with_overrides(
-            merging={"index": "hnsw", "m": 1e-6, "index_cache": True}
-        )
-        names = sorted(music_tiny.tables)
-        matcher = IncrementalMultiEM(config)
-        matcher.fit(music_tiny.subset(names[:2]))
-        cache = matcher._index_cache
-        assert cache is not None
-        before = cache.stats.saved_rows
-        matcher.add_table(music_tiny.tables[names[2]])
-        matcher.add_table(music_tiny.tables[names[3]])
-        # The integrated side was carried forward (threshold ~0 matches
-        # nothing), so at least one add_table reused it instead of rebuilding.
-        assert cache.stats.exact_hits + cache.stats.prefix_hits >= 1
-        assert cache.stats.saved_rows > before
 
 
 class TestRepresentativeConsistency:

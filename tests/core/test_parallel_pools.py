@@ -1,8 +1,8 @@
 """Persistent-pool executor: thread == serial equality, pool reuse, teardown.
 
-The thread pool shares the parent's objects (tables, indexes, index cache).
-It must produce bit-identical merge + prune output to the serial path —
-cache reuse and chunking are performance-only.
+The thread pool shares the parent's objects (tables, indexes). It must
+produce bit-identical merge + prune output to the serial path — chunking is
+performance-only.
 """
 
 import numpy as np
@@ -263,48 +263,37 @@ def test_workers_is_the_one_answer():
         assert ex._pool._max_workers == ex.workers
 
 
-def test_threaded_cache_order_equals_serial(music_tiny):
-    """Cache traffic stays on the calling thread: LRU order (so eviction) is deterministic."""
-    from repro.config import MultiEMConfig
-    from repro.core import IncrementalMultiEM
-
-    names = sorted(music_tiny.tables)
-    keys = {}
-    for label, parallel in (("serial", {"enabled": False}), ("thread", {"max_workers": 3})):
-        config = MultiEMConfig().with_overrides(merging={"index": "hnsw"}, parallel=parallel)
-        with IncrementalMultiEM(config) as matcher:
-            matcher.fit(music_tiny.subset(names[:-2]))
-            matcher.add_table(music_tiny.tables[names[-2]])
-            matcher.add_table(music_tiny.tables[names[-1]])
-            entries = matcher._index_cache._entries.values()
-            keys[label] = [(entry.params_key, entry.vectors.tobytes()) for entry in entries]
-            stats = matcher._index_cache.stats.as_dict()
-        keys[label].append(stats)
-    assert keys["thread"] == keys["serial"]
-
-
 def test_match_builds_no_cache_and_explicit_cache_still_counts(monkeypatch):
-    import repro.ann.cache as cache_module
+    """No production path consults an index cache; one handed to a hierarchy counts its misses."""
     from repro.ann import IndexCache
     from repro.config import paper_default_config
-    from repro.core import MultiEM
+    from repro.core import IncrementalMultiEM, MultiEM
     from repro.data.generators import load_benchmark
+    from repro.store import MatchSession
 
     calls = []
-    original = cache_module.fingerprint_vectors
-    monkeypatch.setattr(
-        cache_module, "fingerprint_vectors", lambda v: calls.append(1) or original(v)
-    )
+    original = IndexCache.plan
+
+    def counting_plan(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IndexCache, "plan", counting_plan)
     dataset = load_benchmark("music-20", profile="tiny")
+    names = sorted(dataset.tables)
     # Graph merges: an exact top-1 merge builds no index, so it could not show a cache.
     config = paper_default_config("music-20").with_overrides(merging={"index": "hnsw"})
     assert MultiEM(config).match(dataset).tuples
-    assert calls == [], "MultiEM.match fingerprinted a table: a per-call cache is back"
+    with IncrementalMultiEM(config) as matcher:
+        matcher.fit(dataset.subset(names[:-1]))
+        matcher.add_table(dataset.tables[names[-1]])
+        assert MatchSession(matcher).query_many(["a title"], k=2)
+    assert calls == [], "a production path consulted an index cache"
 
     tables = _tables(num_tables=5, rows=40, dim=8)
     cache = IndexCache(max_entries=16)
     _, stats = hierarchical_merge_tables(list(tables), MergingConfig(index="hnsw"), cache=cache)
-    assert cache.stats.as_dict() == {
+    assert vars(cache.stats) == {
         "exact_hits": 0, "prefix_hits": 0, "misses": 2 * stats.pair_merges, "saved_rows": 0
     }
     assert len(calls) == 2 * stats.pair_merges
@@ -316,17 +305,14 @@ def test_self_made_executors_are_closed_and_a_callers_is_not(monkeypatch):
 
     import repro.core.merging as merging_module
     from repro.core.merging import merge_item_tables
-    from repro.shard import sharded_hierarchical_merge
 
     tables = _tables(num_tables=4, rows=40, dim=8)
     store, config = _store(tables), MergingConfig(index="hnsw", m=0.5)
-    owners = [np.arange(len(table), dtype=np.int32) % 2 for table in tables]
     before = threading.active_count()
     merged, _ = hierarchical_merge_tables(list(tables), config)
     assert threading.active_count() == before
     assert prune_item_table(merged, store, PruningConfig(epsilon=1.0))
     merge_item_tables(tables[0], tables[1], config)
-    sharded_hierarchical_merge(list(tables), owners, config)
     assert threading.active_count() == before
     with monkeypatch.context() as patched:  # a failing call releases its pool too
         patched.setattr(merging_module, "mutual_pairs", lambda *args: 1 / 0)

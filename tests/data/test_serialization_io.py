@@ -1,5 +1,7 @@
 """Tests for repro.data.serialization and repro.data.io."""
 
+import json
+
 import pytest
 
 from repro.data import (
@@ -89,3 +91,47 @@ def test_roundtrip_preserves_generated_dataset(tmp_path, geo_tiny):
 
 def _unused_type_check() -> MultiTableDataset:  # pragma: no cover - typing aid
     raise NotImplementedError
+
+
+def _corrupt(directory, case):
+    """Damage one file of a saved dataset; returns the file name the error must name."""
+    truth = directory / "ground_truth.json"
+    if case == "metadata-json":
+        (directory / "metadata.json").write_text("{not json", encoding="utf-8")
+        return "metadata.json"
+    if case == "csv-utf8":
+        (directory / "A.csv").write_bytes(b"title,color\n\xff\xfe bad,red\n")
+        return "A.csv"
+    members = {
+        "truth-json": None,
+        "member-not-a-pair": [["A", 0, 1], ["B", 0]],
+        "index-not-an-integer": [["A", "zero"], ["B", 0]],
+        "index-a-float": [["A", 1.5], ["B", 0]],
+        "unknown-table": [["Z", 0], ["B", 0]],
+        "index-past-the-end": [["A", 99], ["B", 0]],
+        "negative-index": [["A", -1], ["B", 0]],
+    }[case]
+    truth.write_text("[[" if members is None else json.dumps([members]), encoding="utf-8")
+    return "ground_truth.json"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "metadata-json", "truth-json", "csv-utf8", "member-not-a-pair", "index-not-an-integer",
+        "index-a-float", "unknown-table", "index-past-the-end", "negative-index",
+    ],
+)
+def test_a_malformed_dataset_directory_is_a_data_error(tmp_path, handmade_dataset, capsys, case):
+    """``match DIR`` prints ``error:`` naming the file and exits 2, never a traceback."""
+    from repro.cli import main as cli_main
+
+    directory = save_dataset(handmade_dataset, tmp_path / "handmade")
+    assert sorted(handmade_dataset.tables) == ["A", "B", "C"]
+    named = _corrupt(directory, case)
+    with pytest.raises(DataError, match=named):
+        load_dataset(directory)
+    capsys.readouterr()
+    assert cli_main(["match", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

@@ -3,7 +3,7 @@
 The contract under test: a chain of base + delta files reconstructs *exactly*
 the state a single full snapshot would hold — same item-table and store
 digests, same tuples from a subsequent ``add_table``, and a compaction whose
-file bytes equal a direct full save (buffer aliasing included).
+file bytes equal a direct full save.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Array deltas: diff/apply round trips, op selection, and bundle aliasing."""
+"""Array deltas: diff/apply round trips, op selection, and old files' alias ops."""
 
 from __future__ import annotations
 
@@ -163,12 +163,14 @@ class TestDiffBundle:
         for name in new:
             assert bytes_equal(restored[name], new[name])
 
-    def test_shared_buffers_become_aliases_bound_to_one_object(self):
+    def test_an_old_alias_op_is_bound_to_one_object(self):
+        """Old deltas (index cache persisted) carry ``alias`` ops; new ones do not."""
         plane = np.random.default_rng(6).normal(size=(8, 3)).astype(np.float32)
-        new = {"table/vectors": plane, "cache/vectors": plane}
-        spec, segments = diff_bundle(new, {})
-        assert spec["arrays"]["cache/vectors"] == {"op": "alias", "of": "table/vectors"}
-        restored = apply_bundle(spec, {}, lambda name: segments[name])
+        spec, segments = diff_bundle({"table/vectors": plane, "other": plane}, {})
+        assert spec["arrays"]["other"] == {"op": "full"}
+        alias = {"op": "alias", "of": "table/vectors"}
+        old = {"arrays": {"table/vectors": {"op": "full"}, "cache/vectors": alias}}
+        restored = apply_bundle(old, {}, lambda name: segments[name])
         assert restored["cache/vectors"] is restored["table/vectors"]
 
     def test_apply_bundle_follows_a_ref_to_another_name(self):

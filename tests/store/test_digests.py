@@ -1,7 +1,7 @@
 """In-place digests equal the historical ``tobytes()`` recipes, and copy nothing.
 
-Every digest the store records (and the index cache's content fingerprint)
-hashes a flat ``uint8`` view of the array instead of ``array.tobytes()``.
+Every digest the store records hashes a flat ``uint8`` view of the array
+instead of ``array.tobytes()``.
 The recipes below are the historical bodies, kept only as the reference the
 in-place digests must equal byte for byte on every dtype and layout a
 snapshot can hold.
@@ -15,7 +15,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.ann.cache import fingerprint_vectors
 from repro.store import Snapshot, SnapshotWriter
 from repro.store.codecs import arrays_digest
 from repro.store.format import segment_digest
@@ -44,15 +43,6 @@ def _historical_segment(digest, name, dtype_str, shape, array):
 def _historical_segment_digest(name, dtype_str, shape, array):
     digest = hashlib.blake2b(digest_size=16)
     _historical_segment(digest, name, dtype_str, shape, array)
-    return digest.hexdigest()
-
-
-def _historical_fingerprint(vectors):
-    vectors = np.ascontiguousarray(vectors)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(vectors.shape).encode())
-    digest.update(str(vectors.dtype).encode())
-    digest.update(vectors.tobytes())
     return digest.hexdigest()
 
 
@@ -111,11 +101,6 @@ def test_segment_digest_equals_the_tobytes_recipe(mapped):
         assert segment_digest(*args) == _historical_segment_digest(*args), name
 
 
-def test_fingerprint_equals_the_tobytes_recipe(mapped):
-    for name, array in _cases(mapped).items():
-        assert fingerprint_vectors(array) == _historical_fingerprint(array), name
-
-
 def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped):
     writer, snapshot = mapped
     historical = hashlib.blake2b(digest_size=16)
@@ -133,9 +118,8 @@ def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped):
     [
         lambda array: arrays_digest({"x": array}),
         lambda array: segment_digest("x", array.dtype.str, array.shape, array),
-        fingerprint_vectors,
     ],
-    ids=["arrays_digest", "segment_digest", "fingerprint_vectors"],
+    ids=["arrays_digest", "segment_digest"],
 )
 def test_hashing_a_16_mb_array_copies_nothing(digest):
     array = np.ones((4096, 1024), dtype=np.float32)  # 16 MiB

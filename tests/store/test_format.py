@@ -25,6 +25,9 @@ from repro.store.format import (
     strings_from_arrays,
 )
 
+#: A full save written while the index cache was persisted (see test_seed_snapshots.py).
+SEED_BASE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "seed-base.snap")
+
 
 @pytest.fixture
 def sample_arrays():
@@ -90,31 +93,19 @@ class TestRoundTrip:
         for entry in manifest["arrays"].values():
             assert entry["offset"] % 64 == 0
 
-    def test_shared_buffers_stored_once(self, tmp_path):
-        """Registering the same array under several names writes one segment.
-
-        Files written while the index cache was persisted aliased the vector
-        plane heavily (integrated table, cache entry key, index vectors were
-        one ndarray); the snapshot must stay at unique-data size.
-        """
-        vectors = np.random.default_rng(1).normal(size=(256, 64)).astype(np.float32)
+    def test_every_name_gets_its_own_segment(self, tmp_path):
+        """The writer emits no manifest alias, even for names sharing one buffer."""
+        vectors = np.random.default_rng(1).normal(size=(16, 8)).astype(np.float32)
         writer = SnapshotWriter()
-        writer.add_array("table/vectors", vectors)
-        writer.add_array("cache/e0/vectors", vectors)
-        writer.add_array("cache/e0/index/vectors", vectors)
-        writer.add_array("other", vectors.copy())  # distinct buffer: own segment
+        writer.add_array("a", vectors)
+        writer.add_array("b", vectors)
         writer.set_meta({})
-        path = tmp_path / "aliased.bin"
-        writer.save(path)
-        assert path.stat().st_size < 3 * vectors.nbytes  # not 4 copies + overhead
-        with Snapshot.open(path, mmap=True) as snap:
-            entries = snap._entries
-            assert entries["table/vectors"]["offset"] == entries["cache/e0/vectors"]["offset"]
-            assert entries["table/vectors"]["offset"] == entries["cache/e0/index/vectors"]["offset"]
-            assert entries["other"]["offset"] != entries["table/vectors"]["offset"]
+        writer.save(tmp_path / "s.bin")
+        with Snapshot.open(tmp_path / "s.bin") as snap:
+            assert snap.alias_map() == {}
+            assert snap.entry("a")["offset"] != snap.entry("b")["offset"]
             assert snap.total_bytes() == 2 * vectors.nbytes
-            for name in ("table/vectors", "cache/e0/vectors", "cache/e0/index/vectors", "other"):
-                assert snap.array(name).tobytes() == vectors.tobytes()
+            assert snap.array("b").tobytes() == vectors.tobytes()
 
     def test_strings_roundtrip(self, tmp_path):
         strings = ["", "plain", "ünïcode ✓", "with\nnewline", "nul\0byte"]
@@ -252,16 +243,16 @@ class TestDeltaWriterAndChain:
             with pytest.raises(StoreError, match="chain link broken"):
                 chain.verify_links()
 
-    def test_alias_map_and_entry_accessors(self, tmp_path):
-        vectors = np.arange(12, dtype=np.float32).reshape(3, 4)
-        writer = SnapshotWriter()
-        writer.add_array("a", vectors)
-        writer.add_array("b", vectors)  # same buffer → alias
-        writer.save(tmp_path / "s.bin")
-        with Snapshot.open(tmp_path / "s.bin") as snap:
-            assert snap.alias_map() == {"b": "a"}
-            assert snap.entry("a")["dtype"] == "<f4"
-            assert snap.entry("b")["alias_of"] == "a"
+    def test_alias_map_and_entry_accessors(self):
+        """Files written while the index cache was persisted carry manifest aliases."""
+        with Snapshot.open(SEED_BASE) as snap:
+            aliases = snap.alias_map()
+            assert aliases
+            for name, canonical in aliases.items():
+                assert snap.entry(name)["alias_of"] == canonical
+                assert snap.entry(name)["offset"] == snap.entry(canonical)["offset"]
+                assert snap.array(name).tobytes() == snap.array(canonical).tobytes()
+            assert snap.entry("table/vectors")["dtype"] == "<f4"
             with pytest.raises(StoreError, match="no array"):
                 snap.entry("missing")
 

@@ -16,6 +16,17 @@ cache: both manifests carry a non-null ``cache`` bundle, the base stores
         matcher.save("seed-base.snap", mode="full")
         matcher.add_table(ds.tables[names[3]])
         matcher.save("seed-tip.snap", mode="delta")
+
+``data/seed-sharded.snap`` was written by the last version with the sharded
+merge plane, so its manifest carries a ``shard`` bundle (one owner id per
+integrated item) and the ``merging.shards`` / ``shard_key`` / ``index_cache``
+/ ``index_cache_entries`` config keys. Generated with::
+
+    python -m repro.cli snapshot save geo --shards 2 --exclude source_D \
+        --output seed-sharded.snap
+
+Sharded output was byte-identical to unsharded by contract, so the file must
+load to exactly what an unsharded fit of the same tables computes.
 """
 
 from __future__ import annotations
@@ -109,7 +120,10 @@ def test_tip_loads_with_one_warning_and_the_same_answers(seed_dir, reference, ca
         assert embedding_store_digest(session.matcher._store) == reference["store_digest"]
         for k, answers in reference["answers"].items():
             assert session.query_many(reference["texts"], k=k) == answers
-        assert len(session.matcher._index_cache) <= 1  # only what the queries built
+
+
+#: Merging keys retired with the shard plane and the index cache; every fixture carries them.
+SHARD_AND_CACHE_KEYS = ("shards", "shard_key", "index_cache", "index_cache_entries")
 
 
 @pytest.mark.parametrize("name", FILES)
@@ -118,7 +132,7 @@ def test_the_one_warning_also_names_the_retired_lsh_knobs(seed_dir, name, caplog
     with caplog.at_level("WARNING", logger="repro.store"):
         load_matcher(seed_dir / name).close()
     (message,) = [record.getMessage() for record in caplog.records]
-    for key in ("lsh_num_tables", "lsh_num_bits", "lsh_probe_neighbors"):
+    for key in ("lsh_num_tables", "lsh_num_bits", "lsh_probe_neighbors", *SHARD_AND_CACHE_KEYS):
         assert f"config key merging.{key} " in message, message
 
 
@@ -143,7 +157,6 @@ def test_base_loads_with_one_warning_and_the_fit_state(seed_dir, reference, capl
             item_table_digest(session.matcher.integrated_table),
             embedding_store_digest(session.matcher._store),
         ) == reference["fit_digests"]
-        assert len(session.matcher._index_cache) == 0
 
 
 def test_a_delta_written_now_on_the_old_base_holds_no_cache(seed_dir, reference, caplog):
@@ -244,3 +257,64 @@ def test_inspect_counts_a_delta_under_its_logical_bundles(capsys):
     assert any("#d/" in name for name in stored)
     assert sizes["table"] == sum(n for name, n in stored.items() if name.startswith("table/"))
     assert sum(sizes.values()) == sum(stored.values())
+
+
+# ------------------------------------------------------------ sharded fixture
+SHARDED = os.path.join(DATA, "seed-sharded.snap")
+
+
+@pytest.fixture(scope="module")
+def unsharded(geo_tiny, tmp_path_factory):
+    """An unsharded fit of the sharded fixture's tables, saved and loaded the same way."""
+    dataset = geo_tiny.subset(["source_A", "source_B", "source_C"], name=geo_tiny.name)
+    path = tmp_path_factory.mktemp("unsharded") / "fit.snap"
+    with IncrementalMultiEM(paper_default_config(dataset.name)) as matcher:
+        matcher.fit(dataset)
+        matcher.save(path)
+    texts = serialize_table(geo_tiny.tables["source_A"], None, max_tokens=64)[:6]
+    texts.append("zzz qqqqq xyzzy 000000 nothing alike")
+    with MatchSession.load(path) as session:
+        answers = {k: session.query_many(texts, k=k) for k in (1, 3)}
+        added = session.match_new_table(geo_tiny.tables["source_D"]).tuples
+        return {
+            "digests": session.digests,
+            "texts": texts,
+            "answers": answers,
+            "added": added,
+            "added_table": item_table_digest(session.matcher.integrated_table),
+        }
+
+
+def test_sharded_fixture_carries_a_shard_bundle():
+    with Snapshot.open(SHARDED) as snapshot:
+        assert snapshot.meta["shard"]["type"] == "shard_plan"
+        assert "shard/item_owners" in snapshot.names()
+        assert snapshot.meta["config"]["merging"]["shards"] == 2
+
+
+def test_sharded_fixture_loads_with_one_warning_naming_the_bundle_and_the_keys(tmp_path, caplog):
+    shutil.copy(SHARDED, tmp_path / "seed-sharded.snap")
+    with caplog.at_level("WARNING", logger="repro.store"):
+        load_matcher(tmp_path / "seed-sharded.snap").close()
+    (message,) = [record.getMessage() for record in caplog.records]
+    assert "manifest bundle session.shard " in message, message
+    for key in SHARD_AND_CACHE_KEYS:
+        assert f"config key merging.{key} " in message, message
+
+
+def test_sharded_fixture_answers_as_an_unsharded_fit(tmp_path, geo_tiny, unsharded):
+    shutil.copy(SHARDED, tmp_path / "seed-sharded.snap")
+    with MatchSession.load(tmp_path / "seed-sharded.snap") as session:
+        digests = {key: session.digests[key] for key in ("item_table", "embedding_store")}
+        assert digests == {key: unsharded["digests"][key] for key in digests}
+        assert item_table_digest(session.matcher.integrated_table) == digests["item_table"]
+        for k, answers in unsharded["answers"].items():
+            assert session.query_many(unsharded["texts"], k=k) == answers
+        assert session.match_new_table(geo_tiny.tables["source_D"]).tuples == unsharded["added"]
+        assert item_table_digest(session.matcher.integrated_table) == unsharded["added_table"]
+        session.matcher.save(tmp_path / "seed-sharded.snap.d1", mode="delta")
+    with Snapshot.open(tmp_path / "seed-sharded.snap.d1") as snapshot:
+        assert "shard" not in snapshot.meta
+        assert not [name for name in snapshot.delta["arrays"] if name.startswith("shard/")]
+    with MatchSession.load(tmp_path / "seed-sharded.snap.d1") as session:
+        assert item_table_digest(session.matcher.integrated_table) == unsharded["added_table"]

@@ -165,58 +165,31 @@ class TestPersistedBundles:
 
     def test_full_and_delta_saves_hold_no_index_cache(self, split, tmp_path):
         base, held_out = split
-        # Exact top-1 merges build no index: graph merges fill the live cache.
+        # Exact top-1 merges build no index: graph merges build some.
         config = paper_default_config(base.name).with_overrides(merging={"index": "hnsw"})
         with IncrementalMultiEM(config) as matcher:
             matcher.fit(base)
-            assert len(matcher._index_cache) > 0  # the live cache is not empty
             matcher.save(tmp_path / "s.snap", mode="full")
             matcher.add_table(held_out)
             matcher.save(tmp_path / "s.snap.d1", mode="delta")
         for name in ("s.snap", "s.snap.d1"):
             with Snapshot.open(tmp_path / name) as snap:
                 assert not [n for n in snap.names() if n.startswith("cache/")], name
-                assert "cache" not in snap.meta, name
+                assert "cache" not in snap.meta and "shard" not in snap.meta, name
                 logical = snap.delta["arrays"] if snap.delta else {}
                 assert not [n for n in logical if n.startswith("cache/")], name
                 assert {"table", "store", "encoder"} <= set(snap.meta), name
 
-    def test_a_restored_matcher_starts_with_an_empty_cache(self, snapshot_path):
-        with MatchSession.load(snapshot_path) as session:
-            assert len(session.matcher._index_cache) == 0
-
-
-def _cache_lookups(cache) -> int:
-    stats = cache.stats
-    return stats.exact_hits + stats.prefix_hits + stats.misses
-
 
 class TestQueryIndexHolder:
-    """The query index is looked up once per integrated table, not per call."""
-
-    def test_cache_is_consulted_once_per_table(self, snapshot_path, split):
-        base, held_out = split
-        texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:3]
-        with MatchSession.load(snapshot_path) as session:
-            cache = session.matcher._index_cache
-            before = _cache_lookups(cache)
-            first = session.query_many(texts, k=2)
-            assert _cache_lookups(cache) == before + 1
-            for _ in range(5):
-                assert session.query_many(texts, k=2) == first
-            assert _cache_lookups(cache) == before + 1
-            session.match_new_table(held_out)  # publishes a new table object
-            before = _cache_lookups(cache)
-            for _ in range(5):
-                session.query_many(texts, k=2)
-            assert _cache_lookups(cache) == before + 1
+    """The query index is built once per integrated table, not per call."""
 
     def test_cacheless_session_builds_once_per_table(self, split, monkeypatch):
         from repro.ann import mutual as mutual_module
 
         base, held_out = split
         texts = serialize_table(base.table_list()[0], None, max_tokens=64)[:3]
-        config = paper_default_config(base.name).with_overrides(merging={"index_cache": False})
+        config = paper_default_config(base.name)
         builds = []
         real_create_index = mutual_module.create_index
 
@@ -236,7 +209,6 @@ class TestQueryIndexHolder:
 
         with IncrementalMultiEM(config) as matcher:
             matcher.fit(base)
-            assert matcher._index_cache is None
             session = MatchSession(matcher)
             query_loop(6)
             assert sum(query_builds) == 1
