@@ -1,0 +1,132 @@
+#!/usr/bin/env python
+"""Paired benchmark runs of two checkouts, and the gain rule over them.
+
+``python3 scripts/paired_bench.py --parent DIR --change DIR --workload W [--pairs 10] [--seed S]``
+
+Each pair runs ``python3 bench/run.py --workload W --seed S`` once in each
+checkout, every run in a fresh subprocess with the checkout as its working
+directory, so each side runs its own ``bench/`` on its own ``src/``. The side
+that runs first alternates: the parent in pairs 0, 2, ..., the change in
+pairs 1, 3, .... Every run's result line is printed as it arrives.
+
+Then, for every end-to-end metric of the change's ``BENCHMARK.json``: the
+change's wins and ties (ties count for neither side), each side's median and
+quartiles, and whether a gain may be claimed: the change wins at least nine
+tenths of the pairs, and its median beats the parent's by more than the
+distance between the parent's quartiles. Exits 1 if any run failed a check
+or an operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def result_line(stdout: str) -> dict:
+    """The JSON result ``bench/run.py`` prints as its last line."""
+    for line in reversed(stdout.strip().splitlines()):
+        line = line.strip()
+        if line.startswith("{"):
+            result = json.loads(line)
+            if "metrics" in result:
+                return result
+    raise ValueError("no result line in the benchmark output")
+
+
+def run_side(checkout: str, workload: str, seed: int) -> dict:
+    """One benchmark run of ``checkout``; its result line."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    try:
+        return result_line(done.stdout)
+    except ValueError:
+        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
+        raise SystemExit(f"paired_bench: {checkout} printed no result (exit {done.returncode})")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)``, inclusive method; a single value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
+    """Per end-to-end metric: wins, ties, both sides' quartiles and the gain verdict.
+
+    ``pairs`` holds ``(parent_result, change_result)`` result lines.
+    """
+    rows = []
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        gap = (p_med - c_med) if lower else (c_med - p_med)
+        rows.append({
+            "metric": name,
+            "unit": metric["unit"],
+            "wins": wins,
+            "ties": ties,
+            "pairs": len(pairs),
+            "parent": (p_q1, p_med, p_q3),
+            "change": (c_q1, c_med, c_q3),
+            "gain": 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1,
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    lines = [f"{'metric':14s} {'wins':>5s} {'ties':>4s}  {'parent q1/med/q3':>30s}  "
+             f"{'change q1/med/q3':>30s}  gain"]
+    for row in rows:
+        sides = ["/".join(f"{v:.4g}" for v in row[side]) for side in ("parent", "change")]
+        lines.append(
+            f"{row['metric']:14s} {row['wins']:>2d}/{row['pairs']:<2d} {row['ties']:>4d}  "
+            f"{sides[0]:>30s}  {sides[1]:>30s}  {'yes' if row['gain'] else 'no'} ({row['unit']})"
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
+        end_to_end = json.load(handle)["end_to_end"]
+
+    pairs, failed = [], 0
+    for pair in range(args.pairs):
+        sides = {}
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_side(getattr(args, side), args.workload, args.seed)
+            failed += result["failed"]
+            sides[side] = result
+            values = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
+            print(f"pair {pair} {side:6s} failed={result['failed']} {json.dumps(values)}",
+                  flush=True)
+        pairs.append((sides["parent"], sides["change"]))
+
+    print(f"== {args.workload}  seed {args.seed}  {args.pairs} pairs  failed ops {failed}")
+    print(format_rows(summarize(pairs, end_to_end)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,8 @@ the other's top-K *and* their distance is at most ``m``::
 One merge is four steps — plan/build both indexes, forward query, backward
 query trimmed to the rows forward returned, intersection — each a function
 here. :func:`mutual_top_k` composes them serially for one pair; the merge
-level loop in :mod:`repro.core.merging` runs each step for a wave of pairs as
-one flat fan-out. An exact K = 1 pair is one step instead,
+scheduler in :mod:`repro.core.merging` runs each step as tasks that start
+once their inputs exist. An exact K = 1 pair is one step instead,
 :func:`exact_top1_pairs`; every path ends in :func:`canonical_pairs`.
 """
 

@@ -26,6 +26,12 @@ attributes once instead of ``p`` times. Rows whose serialized form overflows
 ``max_sequence_length`` (whitespace-level truncation can reshape the token
 stream) fall back to the canonical serialize-and-encode path, so every
 embedding stays byte-identical to the historical implementation.
+
+The pooling passes run on the fit's executor, ``workers`` at a time, the base
+first (:func:`_spliced_scores`). Every permutation is drawn before any of
+them, in schema order, so the RNG stream and the scores do not depend on the
+worker count. An empty sample scores every attribute 0.0 and keeps the
+schema's first one.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from ..data.serialization import serialize_columns
 from ..data.table import Table
 from ..embedding.hashed import HashedNGramEncoder
 from ..text.tokenizer import TokenTable, word_tokens_batch
+from .parallel import ParallelExecutor, default_executor
 from .representation import EntityRepresenter
 
 
@@ -129,17 +136,25 @@ def _spliced_scores(
     encoder: HashedNGramEncoder,
     config: RepresentationConfig,
     rng: np.random.Generator,
+    executor: ParallelExecutor,
 ) -> dict[str, float]:
-    """Score every attribute off the shared column token index."""
+    """Score every attribute off the shared column token index.
+
+    The permutations are drawn up front in schema order (the serial RNG
+    stream); the base and then the spliced streams are pooled ``workers`` at a
+    time, so at most ``workers + 1`` embeddings are alive (the base and one
+    wave). Overflow re-encoding and the encoder counters stay on this thread.
+    """
     index = _ColumnTokenIndex(columns)
     n = index.num_rows
     vectors, weights = encoder.token_vectors_and_weights(index.vocabulary.tolist())
     base_whitespace_total = index.whitespace_counts.sum(axis=0)
     max_tokens = config.max_sequence_length
 
-    def embed(shuffled_column: int | None, permutation: np.ndarray | None) -> np.ndarray:
-        token_ids, row_counts = index.splice(shuffled_column, permutation)
-        embeddings = encoder.encode_token_ids(token_ids, row_counts, vectors, weights)
+    def repair(
+        embeddings: np.ndarray, shuffled_column: int | None, permutation: np.ndarray | None
+    ) -> np.ndarray:
+        """Re-encode the rows whose serialized form overflows ``max_tokens``, in place."""
         if shuffled_column is None:
             whitespace_totals = base_whitespace_total
         else:
@@ -168,20 +183,31 @@ def _spliced_scores(
             embeddings[overflow] = encoder.encode(texts)
         return embeddings
 
-    base_embeddings = embed(None, None)
-    scores: dict[str, float] = {}
-    for position, attribute in enumerate(schema):
-        permutation = rng.permutation(n)
-        shuffled_embeddings = embed(position, permutation)
-        similarity = np.einsum("ij,ij->i", base_embeddings, shuffled_embeddings)
-        scores[attribute] = float(np.mean(1.0 - similarity))
+    jobs = [(None, None)] + [(position, rng.permutation(n)) for position in range(len(schema))]
+    base_embeddings, scores = None, {}
+    for start in range(0, len(jobs), executor.workers):
+        batch = jobs[start : start + executor.workers]
+        streams = [index.splice(column, permutation) for column, permutation in batch]
+        pooled = encoder.encode_token_id_tables(streams, vectors, weights, executor)
+        del streams
+        for (column, permutation), embeddings in zip(batch, pooled):
+            embeddings = repair(embeddings, column, permutation)
+            if column is None:
+                base_embeddings = embeddings
+            else:
+                similarity = np.einsum("ij,ij->i", base_embeddings, embeddings)
+                scores[schema[column]] = float(np.mean(1.0 - similarity))
+        del pooled, embeddings  # the next wave's embeddings replace these
     return scores
 
 
+@default_executor
 def select_attributes(
     dataset: MultiTableDataset,
     representer: EntityRepresenter,
     config: RepresentationConfig | None = None,
+    *,
+    executor: ParallelExecutor | None = None,
 ) -> AttributeSelectionResult:
     """Run Algorithm 1 over a dataset.
 
@@ -191,6 +217,9 @@ def select_attributes(
             encoder is fitted on the sampled corpus if it was not fitted yet.
         config: representation configuration (γ, sample ratio, seed); falls
             back to the representer's own configuration.
+        executor: pools the shuffles' embeddings ``workers`` at a time; without
+            one a default executor serves the call and is closed with it. The
+            scores do not depend on it.
 
     Returns:
         :class:`AttributeSelectionResult` with the kept attributes and scores.
@@ -204,11 +233,13 @@ def select_attributes(
     sampled = combined.sample(config.sample_ratio, rng)
     schema = sampled.schema
 
-    # Single-attribute schemas have nothing to select between.
-    if len(schema) == 1:
+    # Single-attribute schemas have nothing to select between; an empty
+    # sample has nothing to score, so it keeps the schema's first attribute.
+    if len(schema) == 1 or len(sampled) == 0:
         elapsed = time.perf_counter() - started
+        scores = {schema[0]: 1.0} if len(schema) == 1 else dict.fromkeys(schema, 0.0)
         return AttributeSelectionResult(
-            selected=schema, scores={schema[0]: 1.0}, gamma=config.gamma,
+            selected=schema[:1], scores=scores, gamma=config.gamma,
             sample_size=len(sampled), elapsed_seconds=elapsed,
         )
 
@@ -219,7 +250,9 @@ def select_attributes(
 
     # Lines 5-11: per-attribute shuffle, re-embed, score — every shuffle off
     # the shared column token index (one tokenize pass total).
-    scores = _spliced_scores(columns, schema, base_texts, representer.encoder.inner, config, rng)
+    scores = _spliced_scores(
+        columns, schema, base_texts, representer.encoder.inner, config, rng, executor
+    )
 
     threshold = 1.0 - config.gamma
     selected = tuple(a for a in schema if scores[a] >= threshold)

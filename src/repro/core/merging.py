@@ -35,16 +35,27 @@ bytes of every representative vector. The per-group-size batching exists
 because numpy's pairwise summation makes ``np.add.reduceat`` (sequential)
 diverge from ``ndarray.sum(axis=0)`` for three or more rows, while a
 ``(t, s, d).sum(axis=1)`` is bit-equal to each slice's ``(s, d).sum(axis=0)``
-on this platform (pinned by ``tests/core/test_flat_equivalence.py``). A
-hierarchy level runs as waves of pairs, each wave four flat fan-outs
-(:func:`_merge_wave`); output bytes do not depend on the worker count.
+on this platform (pinned by ``tests/core/test_flat_equivalence.py``).
+
+Schedule
+--------
+
+The whole hierarchy is drawn before any merge runs (:func:`_merge_plan`) and
+runs as one dependency-driven task graph (:class:`_MergeSchedule`): index
+builds, forward and trimmed backward query chunks, and the finishing union,
+each started on the executor as soon as its inputs exist. No level waits for
+the slowest task of the one before it, and a graph-sized table's index may be
+built while earlier levels still run. Every task is the call the serial merge
+makes, so output bytes do not depend on the worker count or the task order.
 """
 
 from __future__ import annotations
 
+import itertools
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +67,7 @@ from ..ann.mutual import (
     mutual_pairs,
     one_pass_pair,
     plan_side_index,
+    resolve_backend,
     row_chunks,
 )
 from ..arrays import csr_positions
@@ -250,16 +262,27 @@ def bucketed_weighted_mean(stacked: np.ndarray, weights: np.ndarray) -> np.ndarr
     three or more rows (see the module docstring's byte-identity notes). Both
     the merging and the pruning engines funnel through this single helper so
     the equality is maintained — and pinned by the property tests — in one
-    place.
+    place. ``stacked`` must be a fresh gather: it is scaled in place (the same
+    products as a scaled copy, without the second ``(t, s, d)`` buffer).
     """
-    pooled = (weights[:, :, None] * stacked).sum(axis=1)
-    pooled = pooled / weights.sum(axis=1)[:, None]
+    stacked *= weights[:, :, None]
+    pooled = stacked.sum(axis=1)
+    pooled /= weights.sum(axis=1)[:, None]
     return normalize_rows(pooled)
+
+
+def _node_rows(left: np.ndarray, right: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``np.concatenate([left, right])[nodes]``, without the concatenated copy."""
+    rows = np.empty((nodes.shape[0], left.shape[1]), dtype=np.result_type(left, right))
+    on_left = nodes < left.shape[0]
+    rows[on_left] = left[nodes[on_left]]
+    rows[~on_left] = right[nodes[~on_left] - left.shape[0]]
+    return rows
 
 
 def _grouped_mean_vectors(
     out_vectors: np.ndarray,
-    vectors: np.ndarray,
+    rows: "Callable[[np.ndarray], np.ndarray]",
     weights: np.ndarray,
     group_of_node: np.ndarray,
     nodes_in_group_order: np.ndarray,
@@ -267,10 +290,10 @@ def _grouped_mean_vectors(
 ) -> None:
     """Weighted-mean representatives for every multi-node group, vectorized.
 
-    Buckets groups by node count; each bucket reduces through
-    :func:`bucketed_weighted_mean`, bit-identical to the per-group
-    ``(weights[:, None] * stacked).sum(axis=0)`` the historical implementation
-    computed.
+    ``rows(nodes)`` gathers node vectors. Buckets groups by node count; each
+    bucket reduces through :func:`bucketed_weighted_mean`, bit-identical to
+    the per-group ``(weights[:, None] * stacked).sum(axis=0)`` the historical
+    implementation computed.
     """
     groups_sorted = group_of_node[nodes_in_group_order]
     node_sizes = group_node_counts[groups_sorted]
@@ -278,7 +301,7 @@ def _grouped_mean_vectors(
         in_bucket = node_sizes == s
         nodes_s = nodes_in_group_order[in_bucket]
         t = nodes_s.shape[0] // int(s)
-        stacked = vectors[nodes_s].reshape(t, int(s), vectors.shape[1])
+        stacked = rows(nodes_s).reshape(t, int(s), out_vectors.shape[1])
         bucket_weights = weights[nodes_s].reshape(t, int(s))
         out_vectors[groups_sorted[in_bucket][:: int(s)]] = bucketed_weighted_mean(
             stacked, bucket_weights
@@ -326,84 +349,290 @@ def merge_item_tables(
 ) -> tuple[ItemTable, int]:
     """Algorithm 3 on flat tables: merge two item tables into one.
 
-    ``executor`` fans the merge's two builds and its query chunks out (see
-    :func:`_merge_wave`); without one a default executor serves the call and
-    is closed with it.
+    ``executor`` runs the merge's two builds and its query chunks (see
+    :class:`_MergeSchedule`); without one a default executor serves the call
+    and is closed with it.
 
     Returns:
         ``(merged_table, num_matched_pairs)`` — the merged table and how many
         mutual pairs were accepted (diagnostic).
     """
-    return _merge_wave([(left, right)], config, executor, representative=representative)[0]
+    merged, matched = _MergeSchedule(
+        [left, right], [_Merge(1, 0, 1)], config, executor, representative
+    ).run()
+    return merged, matched[0]
 
 
-def _merge_wave(
-    pairs: "Sequence[tuple[ItemTable, ItemTable]]",
-    config: MergingConfig,
-    executor: ParallelExecutor,
-    *,
-    representative: str,
-    cache=None,  # bench compat: item 1 deletes
-) -> list[tuple[ItemTable, int]]:
-    """Algorithm 3 for a wave of independent pairs, as four flat fan-outs.
+@dataclass(frozen=True)
+class _Merge:
+    """One pair merge of a plan: ``left``'s rows query ``right``'s index first.
 
-    Build → forward → trimmed backward → finish, each one ``executor.map``
-    issued from this thread (no task ever submits to the bounded pool), so a
-    lone pair still builds its two graphs and answers its query chunks on
-    every worker; an exact K = 1 pair builds nothing and is one forward task.
-    Each ``build()`` and ``index.query()`` is the call the serial merge makes
-    on the same rows, or on a subset of them where the backend is batch
-    invariant — output bytes do not depend on the workers.
+    Nodes below the input-table count are the input tables; node
+    ``num_tables + j`` is the output of merge ``j``.
     """
-    results = [(left if len(left) else right, 0) for left, right in pairs]  # kept where a side is empty
-    slots = [slot for slot, (left, right) in enumerate(pairs) if len(left) and len(right)]
-    lefts, rights = [pairs[slot][0] for slot in slots], [pairs[slot][1] for slot in slots]
-    one_pass = [
-        j for j, (left, right) in enumerate(zip(lefts, rights))
-        if one_pass_pair(left.vectors, right.vectors, config.k, config.index, config.brute_force_limit)
-    ]
-    scanned = [j for j in range(len(slots)) if j not in one_pass]
-    # (1) build, ``b`` then ``a`` per two-scan pair; only the bodies fan out.
-    plans = [
-        plan_merge_index(side.vectors, config, cache)  # bench compat: item 1 deletes
-        for j in scanned for side in (rights[j], lefts[j])
-    ]
-    indexes = executor.map(lambda plan: plan[1](), plans)
-    backends = [plan[0] for plan in plans]
 
-    def directed(indexes: list, backends: list, tables: list, rows: list, extra=()) -> list[list]:
-        """Per pair, the results of its tasks — one flat map over ``extra`` and all row chunks."""
-        tasks = [*extra] + [
-            (j, partial(directed_pairs, index, tables[j].vectors, config.k, config.m, chunk))
-            for j, index, backend, asked in zip(scanned, indexes, backends, rows)
-            for chunk in row_chunks(asked, executor.workers if batch_invariant(backend) else 1)
-        ]
-        found = executor.map(lambda task: task[1](), tasks)
-        return [[f for (i, _), f in zip(tasks, found) if i == j] for j in range(len(slots))]
+    level: int
+    left: int
+    right: int
 
-    # (2) forward: each one-pass pair whole, and a-rows against index_b.
-    # (3) backward: only the b-rows a forward answer returned, against index_a.
-    top1 = partial(exact_top1_pairs, max_distance=config.m, metric=config.metric)
-    single = [(j, partial(top1, lefts[j].vectors, rights[j].vectors)) for j in one_pass]
-    forward = directed(indexes[0::2], backends[0::2], lefts, [len(lefts[j]) for j in scanned], single)
-    asked = [
-        backward_rows(np.concatenate(forward[j]), backend, len(rights[j]))
-        for j, backend in zip(scanned, backends[1::2])
-    ]
-    backward = directed(indexes[1::2], backends[1::2], rights, asked)
-    del indexes  # the union needs no index: free them before it allocates
 
-    # (4) finish: intersection, distances, order (one-pass pairs have them), union-find.
-    def finish(j: int) -> tuple[ItemTable, int]:
-        left, right = lefts[j], rights[j]
-        found = forward[j][0] if j in one_pass else mutual_pairs(
-            forward[j], backward[j], left.vectors, right.vectors, config.metric
+def _merge_plan(num_tables: int, seed: int) -> list[_Merge]:
+    """Algorithm 2's merge tree, drawn before any merge runs.
+
+    Tables are randomly paired at every level; with an odd number of tables
+    the leftover one passes to the next level untouched. ``rng.permutation``
+    depends on the table count alone, so this is the level loop's pairing.
+    """
+    rng = np.random.default_rng(seed)
+    current, merges, level = list(range(num_tables)), [], 0
+    while len(current) > 1:
+        level += 1
+        order = rng.permutation(len(current))
+        merged = []
+        for i in range(0, len(order) - 1, 2):
+            merges.append(_Merge(level, current[order[i]], current[order[i + 1]]))
+            merged.append(num_tables + len(merges) - 1)
+        if len(order) % 2 == 1:
+            merged.append(current[order[-1]])
+        current = merged
+    return merges
+
+
+@dataclass(eq=False)
+class _Task:
+    """One task of a merge: ``run`` on a worker, then ``then(result)`` on the calling thread."""
+
+    key: tuple  # (level, not a build, -build_rows, seq): the lowest starts first
+    run: Callable[[], object]
+    then: Callable[[object], None]
+    build: "tuple[int, str] | None" = None  # (merge, side) of an index build
+
+
+@dataclass(eq=False)
+class _Pair:
+    """Progress of one two-scan merge (``b`` is the right side, ``a`` the left)."""
+
+    started: bool = False  # both input tables exist
+    reserved: bool = False  # index slots taken for every side not built early
+    admitted: set = field(default_factory=set)  # sides whose build may run
+    backends: dict = field(default_factory=dict)  # side -> resolved backend
+    indexes: dict = field(default_factory=dict)  # side -> built index, until backward ends
+    forward: "list | None" = None  # chunk results, once the forward chunks are queued
+    backward: "list | None" = None
+    pending: int = 0  # chunks of the running direction not answered yet
+
+
+class _MergeSchedule:
+    """Every merge of a plan as one dependency-driven task graph.
+
+    A pair merge is the tasks of :mod:`repro.ann.mutual`: the ``b`` and ``a``
+    index builds, forward chunks (left rows against ``index_b``), trimmed
+    backward chunks (against ``index_a``) and ``finish`` (intersection and
+    union-find); an exact K = 1 pair is one task, :func:`exact_top1_pairs`
+    then the union. A task is queued once its inputs exist — forward as soon
+    as ``index_b`` is built, a graph-sized side's build as soon as its table
+    exists, possibly while earlier levels still run (a brute-sized side waits
+    for its partner: :func:`one_pass_pair` needs both shapes). The calling
+    thread starts ready tasks whenever a worker is free — lowest level first,
+    then builds, largest first — and waits for the first to complete; no task
+    submits.
+
+    At most ``2 * workers`` indexes are admitted and not yet freed (a pair's
+    two are freed when its backward ends), and early builds leave two of those
+    slots free, so the lowest unfinished pair can always start. The first
+    failure propagates once the running tasks are drained; nothing new starts
+    meanwhile.
+    """
+
+    def __init__(
+        self,
+        tables: "Sequence[ItemTable]",
+        merges: list[_Merge],
+        config: MergingConfig,
+        executor: ParallelExecutor,
+        representative: str,
+        cache=None,  # bench compat: item 1 deletes
+    ) -> None:
+        self.config, self.executor, self.representative = config, executor, representative
+        self.cache = cache  # bench compat: item 1 deletes
+        self.merges = merges
+        self.num_tables = len(tables)
+        self.nodes: list[ItemTable | None] = [*tables, *([None] * len(merges))]
+        self.nonempty = [len(table) > 0 for table in tables]
+        for merge in merges:  # a merge's output is empty only where both inputs are
+            self.nonempty.append(self.nonempty[merge.left] or self.nonempty[merge.right])
+        self.consumer = {node: j for j, m in enumerate(merges) for node in (m.left, m.right)}
+        self.pairs = [_Pair() for _ in merges]
+        self.matched = [0] * len(merges)
+        self.ready: list[_Task] = []
+        self.running: dict[Future, _Task] = {}
+        self.seq = itertools.count()
+        self.limit = 2 * executor.workers
+        self.alive = 0  # index slots admitted and not freed
+        self.early = 0  # of those, built before the partner table exists
+
+    def run(self) -> tuple[ItemTable, list[int]]:
+        """The last merge's output (the integrated table) and each merge's matched pair count."""
+        for node in range(self.num_tables):
+            self._appeared(node)
+        failure = None
+        while self.running or (self.ready and failure is None):
+            if failure is None:
+                self._dispatch()
+            failure = self._settle(wait(self.running, return_when=FIRST_COMPLETED).done, failure)
+        if failure is not None:
+            raise failure
+        return self.nodes[-1], self.matched
+
+    # ------------------------------------------------------------ dispatch
+    def _dispatch(self) -> None:
+        """Start the first admissible ready tasks until every worker is busy."""
+        self.ready.sort(key=lambda task: task.key)
+        blocked = False  # a build that may not start holds back every later build
+        for task in list(self.ready):
+            if len(self.running) >= self.executor.workers:
+                break
+            if task.build is not None and not self._admit(*task.build, blocked):
+                blocked = True
+                continue
+            self.ready.remove(task)
+            self.running[self.executor.submit(task.run)] = task
+        if not self.running:
+            raise RuntimeError("merge schedule stalled with tasks queued")  # invariant broken
+
+    def _admit(self, j: int, side: str, blocked: bool) -> bool:
+        """Take index slots for a build, or say it must wait (also behind a ``blocked`` build)."""
+        pair = self.pairs[j]
+        if not pair.reserved:
+            if blocked:
+                return False
+            if not pair.started:  # early: keep two slots for the lowest started pair
+                if self.alive + 1 > self.limit or self.early + 1 > self.limit - 2:
+                    return False
+                self.alive, self.early = self.alive + 1, self.early + 1
+            else:  # the first build of a started pair takes the slots of both
+                need = 2 - len(pair.admitted)
+                if self.alive + need > self.limit:
+                    return False
+                self.alive, pair.reserved = self.alive + need, True
+        pair.admitted.add(side)
+        return True
+
+    def _settle(self, done, failure: Exception | None) -> Exception | None:
+        """Run the continuations of finished tasks; returns the first failure."""
+        for future in sorted(done, key=lambda future: self.running[future].key[-1]):
+            task = self.running.pop(future)
+            if failure is None:
+                try:
+                    task.then(future.result())
+                except Exception as error:
+                    failure = error
+        if failure is not None:
+            self.ready.clear()
+        return failure
+
+    def _queue(self, level: int, run, then, build: "tuple[int, str] | None" = None, rows: int = 0):
+        key = (level, build is None, -rows, next(self.seq))
+        self.ready.append(_Task(key, run, then, build))
+
+    # ---------------------------------------------------------- the graph
+    def _appeared(self, node: int) -> None:
+        """A table exists: start its merge, or build its graph index early."""
+        j = self.consumer.get(node)
+        if j is None or self.pairs[j].started:
+            return
+        merge = self.merges[j]
+        partner = merge.left if node == merge.right else merge.right
+        if self.nodes[partner] is not None:
+            self._start(j)
+            return
+        table, config = self.nodes[node], self.config
+        graph = resolve_backend(config.index, len(table), config.brute_force_limit) == "hnsw"
+        if len(table) and self.nonempty[partner] and graph:
+            self._plan_build(j, "b" if node == merge.right else "a")
+
+    def _start(self, j: int) -> None:
+        merge, pair, config = self.merges[j], self.pairs[j], self.config
+        left, right = self.nodes[merge.left], self.nodes[merge.right]
+        pair.started = True
+        self.early -= len(pair.admitted)
+        if not len(left) or not len(right):
+            self._produced(j, (left if len(left) else right, 0))
+        elif one_pass_pair(
+            left.vectors, right.vectors, config.k, config.index, config.brute_force_limit
+        ):
+            finish = partial(self._finish, left, right, None, None)
+            self._queue(merge.level, finish, partial(self._produced, j))
+        else:
+            for side in ("b", "a"):
+                if side not in pair.backends:
+                    self._plan_build(j, side)
+            self._advance(j)
+
+    def _plan_build(self, j: int, side: str) -> None:
+        merge = self.merges[j]
+        table = self.nodes[merge.right if side == "b" else merge.left]
+        backend, build = plan_merge_index(
+            table.vectors, self.config, self.cache  # bench compat: item 1 deletes
         )
-        return merge_tables_with_pairs(left, right, found, representative=representative)[0], len(found)
+        self.pairs[j].backends[side] = backend
+        self._queue(merge.level, build, partial(self._built, j, side), (j, side), len(table))
 
-    for slot, result in zip(slots, executor.map(finish, range(len(slots)))):
-        results[slot] = result
-    return results
+    def _built(self, j: int, side: str, index) -> None:
+        self.pairs[j].indexes[side] = index
+        self._advance(j)
+
+    def _advance(self, j: int) -> None:
+        """Queue whatever the merge's finished tasks have made ready."""
+        merge, pair = self.merges[j], self.pairs[j]
+        if not pair.started or pair.pending:
+            return
+        left, right = self.nodes[merge.left], self.nodes[merge.right]
+        if pair.forward is None and "b" in pair.indexes:  # (2) forward: a-rows against index_b
+            pair.forward = self._directed(j, pair.indexes["b"], pair.backends["b"], left, len(left))
+        elif pair.forward is not None and pair.backward is None and "a" in pair.indexes:
+            # (3) backward: only the b-rows a forward answer returned, against index_a.
+            asked = backward_rows(np.concatenate(pair.forward), pair.backends["a"], len(right))
+            pair.backward = self._directed(j, pair.indexes["a"], pair.backends["a"], right, asked)
+        if pair.backward is not None and not pair.pending:  # (4) finish; the union needs no index
+            pair.indexes.clear()
+            self.alive -= 2
+            finish = partial(self._finish, left, right, pair.forward, pair.backward)
+            self._queue(merge.level, finish, partial(self._produced, j))
+
+    def _directed(self, j: int, index, backend: str, table: ItemTable, rows) -> list:
+        """Queue one direction's query chunks; returns the list their answers fill, in order."""
+        config, pair = self.config, self.pairs[j]
+        chunks = row_chunks(rows, self.executor.workers if batch_invariant(backend) else 1)
+        found: list = [None] * len(chunks)
+        pair.pending = len(chunks)
+        for slot, chunk in enumerate(chunks):
+            run = partial(directed_pairs, index, table.vectors, config.k, config.m, chunk)
+            self._queue(self.merges[j].level, run, partial(self._answered, j, found, slot))
+        return found
+
+    def _answered(self, j: int, found: list, slot: int, pairs: np.ndarray) -> None:
+        found[slot] = pairs
+        self.pairs[j].pending -= 1
+        self._advance(j)
+
+    def _finish(self, left: ItemTable, right: ItemTable, forward, backward) -> tuple[ItemTable, int]:
+        """Intersection (or the one pass), distances and order, then the union-find."""
+        config = self.config
+        if forward is None:
+            found = exact_top1_pairs(
+                left.vectors, right.vectors, max_distance=config.m, metric=config.metric
+            )
+        else:
+            found = mutual_pairs(forward, backward, left.vectors, right.vectors, config.metric)
+        merged = merge_tables_with_pairs(left, right, found, representative=self.representative)[0]
+        return merged, len(found)
+
+    def _produced(self, j: int, result: tuple[ItemTable, int]) -> None:
+        merge, node = self.merges[j], self.num_tables + j
+        self.nodes[node], self.matched[j] = result
+        self.nodes[merge.left] = self.nodes[merge.right] = None  # consumed: free intermediates
+        self._appeared(node)
 
 
 def merge_tables_with_pairs(
@@ -460,7 +689,7 @@ def merge_tables_with_pairs(
     group_node_counts = np.bincount(group, minlength=num_groups)
 
     sources, left_map, right_map = _union_sources(left, right)
-    vectors = np.concatenate([left.vectors, right.vectors])
+    rows = partial(_node_rows, left.vectors, right.vectors)  # rows of the concatenated nodes
     node_member_counts = np.concatenate([left.sizes, right.sizes])
     node_weights = node_member_counts.astype(np.float32)
     node_member_starts = np.concatenate(
@@ -477,8 +706,8 @@ def merge_tables_with_pairs(
     multis = np.flatnonzero(group_node_counts > 1)
 
     # ------------------------------------------------- representative vectors
-    out_vectors = np.empty((num_groups, vectors.shape[1]), dtype=np.float32)
-    out_vectors[singles] = vectors[node_of_group[singles]]
+    out_vectors = np.empty((num_groups, left.vectors.shape[1]), dtype=np.float32)
+    out_vectors[singles] = rows(node_of_group[singles])
     if multis.size:
         node_order = np.argsort(group, kind="stable")
         multi_nodes = node_order[group_node_counts[group[node_order]] > 1]
@@ -488,11 +717,11 @@ def merge_tables_with_pairs(
             )
             for start, stop in zip(bounds[:-1], bounds[1:]):
                 nodes = multi_nodes[start:stop]
-                pooled = medoid_pool(vectors[nodes])
+                pooled = medoid_pool(rows(nodes))
                 out_vectors[group[nodes[0]]] = normalize_rows(pooled[None, :])[0]
         else:
             _grouped_mean_vectors(
-                out_vectors, vectors, node_weights, group, multi_nodes, group_node_counts
+                out_vectors, rows, node_weights, group, multi_nodes, group_node_counts
             )
 
     # --------------------------------------------------------- member lists
@@ -556,36 +785,22 @@ def hierarchical_merge_tables(
 
     Tables are randomly paired at every level (seeded by ``config.seed``);
     with an odd number of tables the leftover table passes to the next level
-    untouched. A level runs as waves of at most ``executor.workers`` pairs,
-    each wave four flat fan-outs (:func:`_merge_wave`), so both a wide level
-    and a lone pair keep every worker busy. Inside one hierarchy every table
-    is indexed exactly once, by the one merge that consumes it.
+    untouched. The whole tree is drawn first (:func:`_merge_plan`) and runs
+    as one task graph (:class:`_MergeSchedule`), so no level waits for the
+    slowest task of the one before it. Inside one hierarchy every table is
+    indexed exactly once, by the one merge that consumes it.
     """
     stats = MergeStats()
-    rng = np.random.default_rng(config.seed)
-    current = list(tables)
-    if not current:
+    if not tables:
         return ItemTable.empty(), stats
-    while len(current) > 1:
-        stats.levels += 1
-        order = rng.permutation(len(current))
-        pairs = [(current[order[i]], current[order[i + 1]]) for i in range(0, len(order) - 1, 2)]
-        next_level: list[ItemTable] = []
-        matched_this_level = 0
-        # Waves of at most ``workers`` pairs bound how many indexes are alive.
-        for start in range(0, len(pairs), executor.workers):
-            for merged, matched in _merge_wave(
-                pairs[start : start + executor.workers],
-                config,
-                executor,
-                representative=representative,
-                cache=cache,  # bench compat: item 1 deletes
-            ):
-                next_level.append(merged)
-                matched_this_level += matched
-        stats.pair_merges += len(pairs)
-        stats.matched_pairs_per_level.append(matched_this_level)
-        if len(order) % 2 == 1:
-            next_level.append(current[order[-1]])
-        current = next_level
-    return current[0], stats
+    merges = _merge_plan(len(tables), config.seed)
+    integrated, matched = _MergeSchedule(
+        tables, merges, config, executor, representative, cache  # bench compat: item 1 deletes
+    ).run()
+    stats.levels = merges[-1].level if merges else 0
+    stats.pair_merges = len(merges)
+    for merge, found in zip(merges, matched):
+        if merge.level > len(stats.matched_pairs_per_level):
+            stats.matched_pairs_per_level.append(0)
+        stats.matched_pairs_per_level[-1] += found
+    return integrated, stats

@@ -1,19 +1,21 @@
 """Parallel execution backend for MultiEM: one persistent thread pool, on by default.
 
 The paper parallelizes two embarrassingly parallel loops (Section III-E):
-the merges of one hierarchy level — run as flat build / forward / backward /
-finish fan-outs, see :func:`repro.core.merging.hierarchical_merge_tables` —
-and per-tuple pruning. This module wraps the choice of serial / thread-pool
-execution behind one ``map``-like call so the pipeline code stays identical
-in both modes. Threads are the only transport because the heavy work (the
-GEMM scan and the native ANN kernel behind ctypes) releases the GIL: workers
-share the parent's tables and indexes, so a task is a plain closure and
-nothing is copied or pickled. Tasks never submit to the pool themselves (it
-is bounded, so a nested ``map`` could deadlock).
+the merges of one hierarchy level and per-tuple pruning. This module wraps
+the choice of serial / thread-pool execution behind two calls so the
+pipeline code stays identical in both modes: ``map`` for a flat fan-out
+(stage S's shuffles, stage R's tables, pruning chunks) and ``submit`` for the
+merge task graph, whose scheduler starts each build, query chunk and union as
+soon as its inputs exist (:class:`repro.core.merging._MergeSchedule`).
+Threads are the only transport because the heavy work (the GEMM scan and
+the native ANN kernel behind ctypes) releases the GIL: workers share the
+parent's tables and indexes, so a task is a plain closure and nothing is
+copied or pickled. Tasks never submit to the pool themselves (it is
+bounded, so a nested ``map`` could deadlock); only the calling thread does.
 
 The pool is created **once per executor lifetime** (lazily, at the first
-parallel ``map``) with :attr:`ParallelExecutor.workers` threads and reused by
-every subsequent call. Before its first thread starts, glibc is capped at the
+parallel ``map`` or ``submit``) with :attr:`ParallelExecutor.workers` threads
+and reused by every subsequent call. Before its first thread starts, glibc is capped at the
 main malloc arena: per-thread arenas each keep their own freed numpy buffers,
 which measured +10-19 % peak RSS for the same work (ROADMAP, pool runbook).
 Release it with :meth:`ParallelExecutor.close` or a ``with`` block (reuse lazily
@@ -25,7 +27,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from ..config import ParallelConfig
@@ -105,6 +107,22 @@ class ParallelExecutor:
         if not self.is_parallel or len(items) <= 1:
             return [function(item) for item in items]
         return list(self._ensure_pool().map(function, items))
+
+    def submit(self, function: Callable[[], R]) -> "Future[R]":
+        """Start ``function()`` on the pool; when serial, run it now into a finished future.
+
+        The primitive behind the merge scheduler, which submits tasks as
+        their inputs appear and waits on the futures from the calling thread.
+        A task's exception is kept in its future, as the pool keeps it.
+        """
+        if self.is_parallel:
+            return self._ensure_pool().submit(function)
+        future: Future[R] = Future()
+        try:
+            future.set_result(function())
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 def default_executor(function: Callable[..., R]) -> Callable[..., R]:

@@ -70,7 +70,9 @@ def fit_stages(
     attributes = dataset.schema
     if config.representation.attribute_selection and len(attributes) > 1:
         started = time.perf_counter()
-        selection = select_attributes(dataset, representer, config.representation)
+        selection = select_attributes(
+            dataset, representer, config.representation, executor=executor
+        )
         timings.attribute_selection = time.perf_counter() - started
         attributes = selection.selected
 

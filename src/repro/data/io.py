@@ -22,6 +22,13 @@ _GROUND_TRUTH_FILE = "ground_truth.json"
 _METADATA_FILE = "metadata.json"
 
 
+def _check_table_names(names: Iterable[str], where: object) -> None:
+    """Refuse a table name that would not stay one file inside the dataset directory."""
+    for name in names:
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise DataError(f"{where}: table name {name!r} is not a plain file name")
+
+
 def write_table_csv(table: Table, path: str | Path) -> None:
     """Write one table to a CSV file with a header row."""
     path = Path(path)
@@ -56,6 +63,7 @@ def read_table_csv(path: str | Path, name: str | None = None) -> Table:
 def save_dataset(dataset: MultiTableDataset, directory: str | Path) -> Path:
     """Persist a dataset to ``directory`` (one CSV per table + JSON sidecars)."""
     directory = Path(directory)
+    _check_table_names((table.name for table in dataset.table_list()), directory)
     directory.mkdir(parents=True, exist_ok=True)
     for table in dataset.table_list():
         write_table_csv(table, directory / f"{table.name}.csv")
@@ -102,8 +110,9 @@ def _truth_ref(member, path: Path, tables: dict[str, Table]) -> EntityRef:
 def load_dataset(directory: str | Path) -> MultiTableDataset:
     """Load a dataset previously written by :func:`save_dataset`.
 
-    Malformed files and ground truth naming rows that do not exist raise
-    :class:`DataError` naming the file.
+    Malformed files, table names that are not plain file names (empty, ``.``,
+    ``..``, or holding ``/``, ``\\`` or NUL) and ground truth naming rows that
+    do not exist raise :class:`DataError` naming the file.
     """
     directory = Path(directory)
     metadata_path = directory / _METADATA_FILE
@@ -116,6 +125,7 @@ def load_dataset(directory: str | Path) -> MultiTableDataset:
         table_names = sorted(p.stem for p in directory.glob("*.csv"))
     if not isinstance(table_names, list) or not all(isinstance(t, str) for t in table_names):
         raise DataError(f"{metadata_path}: 'tables' must be a list of table names")
+    _check_table_names(table_names, metadata_path)
     tables = {table: read_table_csv(directory / f"{table}.csv", table) for table in table_names}
     truth_path = directory / _GROUND_TRUTH_FILE
     ground_truth: list[MatchTuple] = []

@@ -3,7 +3,7 @@
 ``reference_mutual_top_k`` is the body ``mutual_top_k`` had before the
 schedule existed: two whole-batch directed queries, untrimmed. The pair list
 of a merge must equal it element for element — for the serial composition
-(``mutual_top_k``) and for the wave (``merge_item_tables`` with an executor)
+(``mutual_top_k``) and for the scheduler (``merge_item_tables`` with an executor)
 at every worker count, and on the one-pass path exact K = 1 pairs take.
 """
 
@@ -181,7 +181,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_mixed_wave_is_worker_count_invariant(monkeypatch):
-    """One exact K = 1 pair beside one graph pair in a wave: the same tables at any worker count."""
+    """One exact K = 1 pair beside one graph pair in one schedule: the same tables at any width."""
     small, big = _overlapping(40, 35, seed=7), _overlapping(120, 100, seed=8)
     pairs = [
         (_table(small[0], "A"), _table(small[1], "B")),
@@ -194,7 +194,11 @@ def test_mixed_wave_is_worker_count_invariant(monkeypatch):
     for workers in (None, 2, 5):
         parallel = {"enabled": False} if workers is None else {"max_workers": workers}
         with ParallelExecutor(ParallelConfig(**parallel)) as executor:
-            wave = merging_module._merge_wave(pairs, config, executor, representative="mean")
+            merges = [merging_module._Merge(1, 0, 1), merging_module._Merge(1, 2, 3)]
+            tables = [table for pair in pairs for table in pair]
+            schedule = merging_module._MergeSchedule(tables, merges, config, executor, "mean")
+            schedule.run()
+            wave = list(zip(schedule.nodes[4:], schedule.matched))
         assert [(_merged_bytes(t), n) for t, n in wave] == [(_merged_bytes(t), n) for t, n in alone]
     assert len(one_pass) == 3, "the exact pair must take the one pass, the graph pair must not"
     assert alone[0][1] and alone[1][1]

@@ -67,7 +67,7 @@ class TestIncrementalMultiEM:
             def out_of_memory(*args, **kwargs):
                 raise MemoryError("injected")
 
-            monkeypatch.setattr(merging_module, "_merge_wave", out_of_memory)
+            monkeypatch.setattr(merging_module._MergeSchedule, "run", out_of_memory)
             with pytest.raises(MemoryError, match="injected"):
                 matcher.fit(music_tiny)
             assert state(matcher) == before

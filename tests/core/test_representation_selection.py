@@ -96,3 +96,42 @@ class TestAttributeSelection:
         second = select_attributes(music_tiny, EntityRepresenter(config), config)
         assert first.selected == second.selected
         assert first.scores == pytest.approx(second.scores)
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pooled"])
+    def test_an_empty_sample_scores_zero_and_keeps_the_first_attribute(self, workers):
+        """All tables empty: no NaN score, no warning, the schema's first attribute."""
+        import warnings
+
+        from repro.config import ParallelConfig
+        from repro.core.parallel import ParallelExecutor
+        from repro.data import Table
+        from repro.data.dataset import MultiTableDataset
+
+        dataset = MultiTableDataset.from_tables(
+            "empty", [Table("A", ("name", "year")), Table("B", ("name", "year"))], []
+        )
+        config = RepresentationConfig(gamma=1.0)  # threshold 0: every 0.0 score would pass
+        parallel = ParallelConfig(enabled=workers is not None, max_workers=workers)
+        with warnings.catch_warnings(), ParallelExecutor(parallel) as executor:
+            warnings.simplefilter("error")
+            representer = EntityRepresenter(config)
+            selection = select_attributes(dataset, representer, config, executor=executor)
+        assert selection.scores == {"name": 0.0, "year": 0.0}
+        assert selection.selected == ("name",) and selection.sample_size == 0
+
+    def test_pooled_scores_equal_serial_at_every_width(self, music_tiny):
+        """Shuffles pooled ``workers`` at a time: the same scores and encoder counters."""
+        from repro.config import ParallelConfig
+        from repro.core.parallel import ParallelExecutor
+
+        config = RepresentationConfig(sample_ratio=0.5, seed=3)
+        runs = []
+        for workers in (None, 1, 2, 3):
+            parallel = ParallelConfig(enabled=workers is not None, max_workers=workers)
+            representer = EntityRepresenter(config)
+            with ParallelExecutor(parallel) as executor:
+                selection = select_attributes(music_tiny, representer, config, executor=executor)
+            inner = representer.encoder.inner
+            counters = (inner.batch_encodes, inner.tokens_pooled)
+            runs.append((selection.selected, selection.scores, counters))
+        assert all(run == runs[0] for run in runs[1:])

@@ -135,3 +135,21 @@ def test_a_malformed_dataset_directory_is_a_data_error(tmp_path, handmade_datase
     assert cli_main(["match", str(directory)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("name", ["../outside", "", ".", "..", "sub/A", "sub\\A", "A\0"])
+def test_a_table_name_that_leaves_the_directory_is_refused(tmp_path, name):
+    """Loading and saving refuse the name before any file is opened or written."""
+    directory = tmp_path / "data"
+    directory.mkdir()
+    (tmp_path / "outside.csv").write_text("title\nreachable\n", encoding="utf-8")
+    (directory / "metadata.json").write_text(json.dumps({"tables": [name]}), encoding="utf-8")
+    with pytest.raises(DataError, match="table name"):
+        load_dataset(directory)
+
+    if name:  # a Table refuses an empty name itself
+        target = tmp_path / "saved"
+        dataset = MultiTableDataset.from_tables("bad", [Table(name, ("title",), [("x",)])], [])
+        with pytest.raises(DataError, match="table name"):
+            save_dataset(dataset, target)
+        assert not target.exists()
