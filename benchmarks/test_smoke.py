@@ -265,6 +265,22 @@ for d in (36, 37):
         digest.update(wide._layer_neighbors[0][:320].tobytes())
         digest.update(indices.tobytes())
         digest.update(distances.tobytes())
+
+# Most distances tie (300 rows from 12 vectors, in groups of 2 to 99 copies):
+# the heaps, the sort and the k = 1 minimum order equal distances by node id
+# alone, and ef_search = 10 makes the result heap evict inside a group.
+rng = np.random.default_rng(12)
+distinct = rng.normal(size=(12, 24)).astype(np.float32)
+weights = 0.7 ** np.arange(12)
+tied = distinct[rng.choice(12, size=300, p=weights / weights.sum())]
+for metric in ("cosine", "euclidean"):
+    ties = HNSWIndex(metric=metric, max_degree=6, ef_construction=150, ef_search=10, seed=12)
+    ties.build(tied[:200]).extend(tied[200:])
+    digest.update(ties._layer_neighbors[0][:300].tobytes())
+    for k in (1, 5, 20):
+        indices, distances = ties.query(np.concatenate([distinct, tied[::15]]), k)
+        digest.update(indices.tobytes())
+        digest.update(distances.tobytes())
 print("VARIANT", native.kernel_variant())
 print("DIGEST", digest.hexdigest())
 """
@@ -279,9 +295,10 @@ def test_smoke_kernel_compile_matrix():
     HNSW index, runs the tiny pipeline under the default (thread pool) config
     and under ``parallel=False``, runs the exact scan's mutual top-1 and top-2
     over two tables of duplicated rows, builds + queries a wide-degree HNSW
-    index at d = 36 and d = 37 (in-place and gathered kernel paths), and
+    index at d = 36 and d = 37 (in-place and gathered kernel paths), builds +
+    queries a tie-heavy index (300 rows from 12 vectors, k = 1, 5, 20), and
     prints a digest over the full graph, the query output, the (equal) tuple
-    set, both pair lists and the wide indexes' graphs and answers. All
+    set, both pair lists and the wide and tied indexes' graphs and answers. All
     legs must agree byte-for-byte — the kernel variants are alternative
     *implementations*, never alternative *results*. Legs the environment
     can't provide (no compiler, no AVX2 CPU) are skipped with the reason.

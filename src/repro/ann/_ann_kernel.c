@@ -11,13 +11,23 @@
  *    `(k, d) @ (d,)`.  The surrounding float32 arithmetic (1 - sim, clip,
  *    q² + n² - 2p, sqrt) is a fixed sequence of individually-rounded IEEE
  *    ops identical to the numpy ufunc chain.
+ *  - Inputs are finite: `HNSWIndex` refuses a row with a non-finite element
+ *    and, under euclidean, one whose squared norm is large enough for
+ *    q² + n² - 2p to overflow.  So every distance is finite and >= +0.0:
+ *    the clip and `sqrtf` never produce NaN or -0.0.
  *  - The best-first search pops candidates in a strict total order
  *    ((distance, node) lexicographic — node ids are unique), so heap
  *    *content* after any push/pop sequence is implementation-independent;
  *    Python's heapq and the binary heap below produce identical result sets.
- *  - Neighbour selection sorts by the same strict total order, and the
- *    overflow prune replicates `np.argsort(kind="stable")` with a stable
- *    insertion sort.
+ *    The heaps hold each item as one 64-bit key, (distance bits << 32) |
+ *    node: for finite floats >= +0.0 the bit pattern orders like the value,
+ *    so integer key order *is* that strict order (nodes stay below 2^31;
+ *    larger indexes run the Python path).  Replacing the result heap's top
+ *    when it is full drops the same item a push and a pop would.
+ *  - Neighbour selection sorts by the same strict total order (an in-place
+ *    heapsort of the keys); a k = 1 query takes the minimum key instead,
+ *    which is the first item of that sort.  The overflow prune replicates
+ *    `np.argsort(kind="stable")` with a stable insertion sort.
  *
  * The Python wrapper verifies all of this empirically at load time (build +
  * extend + query byte-comparison against the pure-Python path) and refuses
@@ -278,57 +288,67 @@ typedef struct {
     int64_t max_degree;
 } graph_t;
 
-typedef struct {
+/* A heap item packed into one 64-bit key: (distance bits << 32) | node.
+ * Every distance is finite and >= +0.0 (see the header), and the IEEE bit
+ * pattern of such a float orders exactly like its value, so unsigned key
+ * order is the strict (distance, node) order of Python's tuples. */
+typedef uint64_t item_t;
+
+#define NODE_BITS 0xffffffffULL
+
+static inline item_t make_item(float dist, int64_t node) {
+    uint32_t bits;
+    memcpy(&bits, &dist, sizeof bits);
+    return ((item_t)bits << 32) | (uint32_t)node;
+}
+static inline float item_dist(item_t item) {
+    uint32_t bits = (uint32_t)(item >> 32);
     float dist;
-    int64_t node;
-} item_t;
-
-/* (dist, node) lexicographic — the order of Python's (distance, node) tuples. */
-static inline int lt_min(item_t a, item_t b) {
-    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
+    memcpy(&dist, &bits, sizeof dist);
+    return dist;
 }
-/* order of Python's (-distance, node) tuples: larger distance first, node tiebreak. */
-static inline int lt_max(item_t a, item_t b) {
-    return a.dist > b.dist || (a.dist == b.dist && a.node < b.node);
-}
+static inline int64_t item_node(item_t item) { return (int64_t)(uint32_t)item; }
 
-#define HEAP_OPS(NAME, LT)                                                              \
-    static void NAME##_push(item_t *heap, int64_t *size, item_t value) {                \
-        int64_t pos = (*size)++;                                                        \
-        heap[pos] = value;                                                              \
-        while (pos > 0) {                                                               \
-            int64_t parent = (pos - 1) >> 1;                                            \
-            if (LT(heap[pos], heap[parent])) {                                          \
-                item_t tmp = heap[parent];                                              \
-                heap[parent] = heap[pos];                                               \
-                heap[pos] = tmp;                                                        \
-                pos = parent;                                                           \
-            } else {                                                                    \
-                break;                                                                  \
-            }                                                                           \
-        }                                                                               \
-    }                                                                                   \
-    static item_t NAME##_pop(item_t *heap, int64_t *size) {                             \
-        item_t top = heap[0];                                                           \
-        item_t last = heap[--(*size)];                                                  \
-        int64_t pos = 0;                                                                \
-        for (;;) {                                                                      \
-            int64_t child = 2 * pos + 1;                                                \
-            if (child >= *size) break;                                                  \
-            if (child + 1 < *size && LT(heap[child + 1], heap[child])) child += 1;      \
-            if (LT(heap[child], last)) {                                                \
-                heap[pos] = heap[child];                                                \
-                pos = child;                                                            \
-            } else {                                                                    \
-                break;                                                                  \
-            }                                                                           \
-        }                                                                               \
-        heap[pos] = last;                                                               \
-        return top;                                                                     \
+/* One binary max-heap serves every ordering, by storing a transform of the
+ * item: the candidate heap stores ~item (its top is the nearest item), the
+ * result heap stores item ^ NODE_BITS (its top is the farthest item, the
+ * lower node first among equal distances: the order of Python's
+ * (-distance, node) tuples). */
+static void heap_push(item_t *heap, int64_t *size, item_t value) {
+    int64_t pos = (*size)++;
+    while (pos > 0) {
+        int64_t parent = (pos - 1) >> 1;
+        if (heap[parent] >= value) break;
+        heap[pos] = heap[parent];
+        pos = parent;
     }
+    heap[pos] = value;
+}
 
-HEAP_OPS(minheap, lt_min)
-HEAP_OPS(maxheap, lt_max)
+/* Place `value` at `pos` and sift it down a heap of `size` entries; the
+ * larger child is picked without a branch. */
+static void heap_sift_down(item_t *heap, int64_t size, int64_t pos, item_t value) {
+    for (;;) {
+        int64_t child = 2 * pos + 1;
+        if (child >= size) break;
+        int64_t other = child + (child + 1 < size);
+        child = heap[other] > heap[child] ? other : child;
+        if (heap[child] <= value) break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = value;
+}
+
+/* Sort items ascending (heapsort: in place, O(n log n), no callback). */
+static void sort_items(item_t *items, int64_t n) {
+    for (int64_t i = n / 2 - 1; i >= 0; i--) heap_sift_down(items, n, i, items[i]);
+    for (int64_t end = n - 1; end > 0; end--) {
+        item_t last = items[end];
+        items[end] = items[0];
+        heap_sift_down(items, end, 0, last);
+    }
+}
 
 /* ----------------------------------------------------------- distances */
 
@@ -406,46 +426,45 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
     const int64_t cap = g->caps[layer];
     const int64_t *neighbors_table = g->neighbors[layer];
     const int64_t *degrees = g->degrees[layer];
+    item_t *cand = s->cand, *result = s->result;
     int64_t cand_size = 0, res_size = 0;
     for (int64_t i = 0; i < num_entries; i++) {
-        s->stamps[entries[i].node] = epoch;
-    }
-    for (int64_t i = 0; i < num_entries; i++) {
-        minheap_push(s->cand, &cand_size, entries[i]);
-        maxheap_push(s->result, &res_size, entries[i]);
+        s->stamps[item_node(entries[i])] = epoch;
+        heap_push(cand, &cand_size, ~entries[i]);
+        heap_push(result, &res_size, entries[i] ^ NODE_BITS);
     }
     while (cand_size > 0) {
-        item_t current = minheap_pop(s->cand, &cand_size);
-        float worst = res_size > 0 ? s->result[0].dist : INFINITY;
-        if (current.dist > worst && res_size >= ef) break;
-        int64_t degree = degrees[current.node];
-        if (degree == 0) continue;
-        const int64_t *row = neighbors_table + current.node * cap;
+        item_t current = ~cand[0];
+        cand_size--;
+        heap_sift_down(cand, cand_size, 0, cand[cand_size]);
+        if (res_size >= ef && item_dist(current) > item_dist(result[0])) break;
+        int64_t node = item_node(current);
+        int64_t degree = degrees[node];
+        const int64_t *row = neighbors_table + node * cap;
         int64_t num_fresh = 0;
-        for (int64_t j = 0; j < degree; j++) {
+        for (int64_t j = 0; j < degree; j++) { /* branch-free visited scan */
             int64_t neighbor = row[j];
-            if (s->stamps[neighbor] != epoch) {
-                s->stamps[neighbor] = epoch;
-                s->fresh[num_fresh++] = neighbor;
-            }
+            int64_t unseen = s->stamps[neighbor] != epoch;
+            s->stamps[neighbor] = epoch;
+            s->fresh[num_fresh] = neighbor;
+            num_fresh += unseen;
         }
         if (num_fresh == 0) continue;
         row_distances(g, query, query_sq, s->fresh, num_fresh, s->gather, s->dist);
-        int res_full = res_size >= ef;
-        float worst0 = res_size > 0 ? s->result[0].dist : INFINITY;
         for (int64_t j = 0; j < num_fresh; j++) {
             float nd = s->dist[j];
-            if (res_full && !(nd < worst0)) continue;
-            worst = res_size > 0 ? s->result[0].dist : INFINITY;
-            if (res_size < ef || nd < worst) {
-                item_t it = {nd, s->fresh[j]};
-                minheap_push(s->cand, &cand_size, it);
-                maxheap_push(s->result, &res_size, it);
-                if (res_size > ef) maxheap_pop(s->result, &res_size);
+            item_t it = make_item(nd, s->fresh[j]);
+            if (res_size < ef) {
+                heap_push(cand, &cand_size, ~it);
+                heap_push(result, &res_size, it ^ NODE_BITS);
+            } else if (nd < item_dist(result[0])) {
+                /* pushing `it` and popping the farthest would drop the top */
+                heap_push(cand, &cand_size, ~it);
+                heap_sift_down(result, res_size, 0, it ^ NODE_BITS);
             }
         }
     }
-    memcpy(s->found, s->result, (size_t)res_size * sizeof(item_t));
+    for (int64_t i = 0; i < res_size; i++) s->found[i] = result[i] ^ NODE_BITS;
     return res_size;
 }
 
@@ -478,16 +497,6 @@ static void greedy_descent(const graph_t *g, const float *query, float query_sq,
 
 /* -------------------------------------------------------------- insertion */
 
-static int cmp_items_asc(const void *pa, const void *pb) {
-    const item_t *a = (const item_t *)pa;
-    const item_t *b = (const item_t *)pb;
-    if (a->dist < b->dist) return -1;
-    if (a->dist > b->dist) return 1;
-    if (a->node < b->node) return -1;
-    if (a->node > b->node) return 1;
-    return 0;
-}
-
 /* Keep the m closest links of an overfull neighbour row, replicating
  * np.argsort(dists[:degree], kind="stable")[:m]. */
 static void prune_row(int64_t *neighbors, float *dists, int64_t degree, int64_t m,
@@ -519,15 +528,15 @@ static void connect(graph_t *g, int64_t node, const item_t *selected, int64_t co
     float *dists_table = g->dists[layer];
     int64_t *degrees = g->degrees[layer];
     for (int64_t slot = 0; slot < count; slot++) {
-        neighbors_table[node * cap + slot] = selected[slot].node;
-        dists_table[node * cap + slot] = selected[slot].dist;
+        neighbors_table[node * cap + slot] = item_node(selected[slot]);
+        dists_table[node * cap + slot] = item_dist(selected[slot]);
     }
     degrees[node] = count;
     for (int64_t i = 0; i < count; i++) {
-        int64_t neighbor = selected[i].node;
+        int64_t neighbor = item_node(selected[i]);
         int64_t degree = degrees[neighbor];
         neighbors_table[neighbor * cap + degree] = node;
-        dists_table[neighbor * cap + degree] = selected[i].dist;
+        dists_table[neighbor * cap + degree] = item_dist(selected[i]);
         degree += 1;
         if (degree > m) {
             prune_row(neighbors_table + neighbor * cap, dists_table + neighbor * cap,
@@ -573,7 +582,7 @@ static scratch_t *scratch_alloc(int64_t n_total, int64_t ef, int64_t cap_max, in
  * and connect on every layer from there down. */
 static void insert_node(graph_t *g, int64_t node, int64_t level, const float *query,
                         float query_sq, int64_t ef_construction, scratch_t *s,
-                        item_t *selected, item_t *entry_points, int64_t *idx_buf,
+                        item_t *entry_points, int64_t *idx_buf,
                         int64_t *node_buf, float *dist_buf, int64_t *entry,
                         int64_t *max_level, int64_t *epoch) {
     int64_t current = *entry;
@@ -581,8 +590,7 @@ static void insert_node(graph_t *g, int64_t node, int64_t level, const float *qu
     row_distances(g, query, query_sq, &current, 1, s->gather, &current_dist);
     greedy_descent(g, query, query_sq, &current, &current_dist, *max_level, level, s);
     int64_t num_entry = 1;
-    entry_points[0].dist = current_dist;
-    entry_points[0].node = current;
+    entry_points[0] = make_item(current_dist, current);
     int64_t top = level < *max_level ? level : *max_level;
     for (int64_t layer = top; layer >= 0; layer--) {
         *epoch += 1;
@@ -590,9 +598,10 @@ static void insert_node(graph_t *g, int64_t node, int64_t level, const float *qu
                                          ef_construction, (int)layer, *epoch, s);
         int64_t m = layer == 0 ? g->max_degree * 2 : g->max_degree;
         int64_t num_selected = num_found < m ? num_found : m;
-        memcpy(selected, s->found, (size_t)num_found * sizeof(item_t));
-        qsort(selected, (size_t)num_found, sizeof(item_t), cmp_items_asc);
-        connect(g, node, selected, num_selected, (int)layer, m, idx_buf, node_buf,
+        /* Sorted, the found set is both the selection and (in any order)
+         * the next layer's entry points. */
+        sort_items(s->found, num_found);
+        connect(g, node, s->found, num_selected, (int)layer, m, idx_buf, node_buf,
                 dist_buf);
         memcpy(entry_points, s->found, (size_t)num_found * sizeof(item_t));
         num_entry = num_found;
@@ -619,14 +628,11 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
     }
     scratch_t *s = scratch_alloc(n_total, ef_construction, cap_max, d);
     if (!s) return -1;
-    int64_t select_cap = ef_construction + 2;
-    item_t *selected = (item_t *)malloc((size_t)select_cap * sizeof(item_t));
-    item_t *entry_points = (item_t *)malloc((size_t)select_cap * sizeof(item_t));
+    item_t *entry_points = (item_t *)malloc((size_t)(ef_construction + 2) * sizeof(item_t));
     int64_t *idx_buf = (int64_t *)malloc((size_t)(cap_max + 2) * sizeof(int64_t));
     int64_t *node_buf = (int64_t *)malloc((size_t)(cap_max + 2) * sizeof(int64_t));
     float *dist_buf = (float *)malloc((size_t)(cap_max + 2) * sizeof(float));
-    if (!selected || !entry_points || !idx_buf || !node_buf || !dist_buf) {
-        free(selected);
+    if (!entry_points || !idx_buf || !node_buf || !dist_buf) {
         free(entry_points);
         free(idx_buf);
         free(node_buf);
@@ -645,12 +651,11 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
     }
     for (; node < n_total; node++) {
         insert_node(&g, node, levels[node], prepared_queries + (node - start) * d,
-                    query_sqs[node - start], ef_construction, s, selected, entry_points,
+                    query_sqs[node - start], ef_construction, s, entry_points,
                     idx_buf, node_buf, dist_buf, &entry, &max_level, &epoch);
     }
     *entry_io = entry;
     *max_level_io = max_level;
-    free(selected);
     free(entry_points);
     free(idx_buf);
     free(node_buf);
@@ -681,14 +686,20 @@ int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
         int64_t current = entry;
         float current_dist = entry_dists[row];
         greedy_descent(&g, query, query_sq, &current, &current_dist, max_level, 0, s);
-        item_t start_item = {current_dist, current};
+        item_t start_item = make_item(current_dist, current);
         int64_t num_found =
             search_layer(&g, query, query_sq, &start_item, 1, ef, 0, row + 1, s);
-        qsort(s->found, (size_t)num_found, sizeof(item_t), cmp_items_asc);
+        if (k == 1) { /* the nearest item is the minimum: no sort */
+            for (int64_t j = 1; j < num_found; j++) {
+                if (s->found[j] < s->found[0]) s->found[0] = s->found[j];
+            }
+        } else {
+            sort_items(s->found, num_found);
+        }
         int64_t count = num_found < k ? num_found : k;
         for (int64_t j = 0; j < count; j++) {
-            out_indices[row * k + j] = s->found[j].node;
-            out_distances[row * k + j] = (double)s->found[j].dist;
+            out_indices[row * k + j] = item_node(s->found[j]);
+            out_distances[row * k + j] = (double)item_dist(s->found[j]);
         }
         for (int64_t j = count; j < k; j++) {
             out_indices[row * k + j] = -1;

@@ -30,7 +30,14 @@ loops below. The kernel executes the identical algorithm and calls the same
 OpenBLAS routines numpy dispatches to, so graphs and query results are
 byte-identical (enforced by a load-time self-test plus the regression
 suite); without a toolchain everything transparently falls back to the
-Python path. Set ``REPRO_NATIVE=0`` to force the fallback.
+Python path. Set ``REPRO_NATIVE=0`` to force the fallback. The kernel
+orders heap items by one integer key, ``(distance bits << 32) | node``,
+which is the strict (distance, node) order only while every distance is
+finite and ≥ +0.0 and node ids fit in 31 bits. So :meth:`build`,
+:meth:`extend` and :meth:`query` refuse rows that could make a distance NaN
+(a non-finite element; under euclidean, a squared norm of 2**125 or more,
+where ``q² + n² - 2p`` can overflow), and an index of 2**31 or more nodes
+keeps to the Python path.
 
 The index also supports :meth:`extend` — appending vectors continues the
 level-sampling RNG stream, so ``build(v).extend(w)`` produces byte-identical
@@ -48,6 +55,31 @@ from ..exceptions import IndexError_
 from . import engine, native
 from .base import NearestNeighborIndex
 from .distances import PreparedVectors
+
+#: Node ids are the low 32 bits of the native kernel's heap key; a larger
+#: index runs the Python path.
+_NATIVE_MAX_NODES = 2**31
+
+#: Under euclidean, squared norms below this keep ``q² + n² - 2p`` below the
+#: float32 maximum (≈ 2**128), so no distance can become ``inf - inf = NaN``.
+_MAX_SQUARED_NORM = 2.0**125
+
+
+def _refuse_non_finite(vectors: np.ndarray, metric: str, what: str) -> None:
+    """Raise :class:`IndexError_` naming the first row that can make a distance NaN."""
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise IndexError_(f"{what} row {row} has a non-finite element")
+    if metric == "euclidean":
+        squared = (vectors * vectors).sum(axis=1)
+        bounded = squared < _MAX_SQUARED_NORM
+        if not bounded.all():
+            row = int(np.argmin(bounded))
+            raise IndexError_(
+                f"{what} row {row} has squared norm {float(squared[row])!r}, "
+                f"at or above the euclidean limit 2**125"
+            )
 
 
 class HNSWIndex(NearestNeighborIndex):
@@ -222,6 +254,7 @@ class HNSWIndex(NearestNeighborIndex):
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
+        _refuse_non_finite(vectors, self.metric, "vectors")
         self._vectors = vectors
         self._prepared = PreparedVectors(vectors, self.metric)
         self._layer_neighbors = []
@@ -245,6 +278,7 @@ class HNSWIndex(NearestNeighborIndex):
         if self._vectors is None:
             return self.build(vectors)
         vectors = self._validate_extension(vectors)
+        _refuse_non_finite(vectors, self.metric, "vectors")
         assert self._prepared is not None
         start = self._vectors.shape[0]
         self._prepared.append(vectors)
@@ -253,8 +287,8 @@ class HNSWIndex(NearestNeighborIndex):
         return self
 
     # ----------------------------------------------------------- native path
-    def _native_kernel(self) -> "native.NativeKernel | None":
-        if self._use_native is False:
+    def _native_kernel(self, num_nodes: int) -> "native.NativeKernel | None":
+        if self._use_native is False or num_nodes >= _NATIVE_MAX_NODES:
             return None
         return native.get_kernel()
 
@@ -273,7 +307,7 @@ class HNSWIndex(NearestNeighborIndex):
         levels = [
             int(-math.log(max(float(u), 1e-12)) * self._level_mult) for u in draws
         ]
-        kernel = self._native_kernel()
+        kernel = self._native_kernel(start + count)
         if kernel is not None and self._insert_range_native(kernel, start, new_vectors, levels):
             return
         for offset, level in enumerate(levels):
@@ -447,6 +481,7 @@ class HNSWIndex(NearestNeighborIndex):
         if k < 1:
             raise IndexError_("k must be >= 1")
         queries = np.asarray(queries, dtype=np.float32)
+        _refuse_non_finite(queries, self.metric, "query")
         num_queries = queries.shape[0]
         indices, distances = engine.alloc_topk(num_queries, k)
         if self._entry_point is None:
@@ -459,7 +494,7 @@ class HNSWIndex(NearestNeighborIndex):
         prepared_queries = prepared.prepare_queries(queries)
         entry_rows = np.asarray([self._entry_point], dtype=np.int64)
         entry_dists = prepared.block_distances(prepared_queries, entry_rows)[:, 0]
-        kernel = self._native_kernel()
+        kernel = self._native_kernel(len(self._node_levels))
         if kernel is not None and self._query_native(
             kernel, prepared_queries, entry_dists, ef, k, indices, distances
         ):

@@ -12,8 +12,8 @@ so every distance comes out bit-for-bit identical to the numpy path.
 
 Safety model: the kernel is only enabled after a load-time **self-test**
 builds, extends and queries small HNSW indexes through both paths (both
-metrics, three dimensions, duplicate rows) and byte-compares the graphs and
-results. Any environment where the
+metrics, three dimensions, duplicate rows, an input where most distances
+tie) and byte-compares the graphs and results. Any environment where the
 toolchain, BLAS symbols, or bit-identity assumptions do not hold silently
 falls back to the pure-Python implementations — same outputs, just slower.
 Set ``REPRO_NATIVE=0`` to force the fallback, ``REPRO_NATIVE=require`` to
@@ -286,6 +286,15 @@ def _self_test() -> str | None:
         extra = rng.normal(size=(90, d)).astype(np.float32)
         error = _hnsw_pair_error(extra, extra[:10], metric, 70, ks=(1, 4),
                                  label=f" d={d}", **extra_kwargs)
+        if error is not None:
+            return error
+    # Most distances tie: 60 rows from 6 vectors, so the heaps, the sort and
+    # the k = 1 minimum order equal distances by node id alone.
+    distinct = rng.normal(size=(6, 16)).astype(np.float32)
+    tied = distinct[rng.integers(6, size=60)]
+    for metric in ("cosine", "euclidean"):
+        error = _hnsw_pair_error(tied, tied[:12], metric, 40, ks=(1, 5),
+                                 label=" ties", **extra_kwargs)
         if error is not None:
             return error
     return None

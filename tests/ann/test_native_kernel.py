@@ -14,6 +14,7 @@ import pytest
 
 from repro.ann import native
 from repro.ann.hnsw import HNSWIndex
+from repro.exceptions import IndexError_
 
 
 def _pair(metric, seed, **kwargs):
@@ -114,6 +115,103 @@ def test_native_hnsw_matches_python_at_every_distance_dispatch_edge(metric, d, m
     assert 1 in sizes and sizes & set(range(2, 257)) and max(sizes) > 256, sorted(sizes)
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_native_hnsw_matches_python_when_most_distances_tie(metric):
+    """300 rows from 12 vectors: the heaps, the sort and the k = 1 minimum
+    all decide between equal distances by node id alone.
+
+    Draw weights fall geometrically, so groups of 2 to 99 copies sit beside
+    each other, and ef_search = 10 makes the result heap evict inside a
+    group: a kernel that reverses the node tie-break of any of the four
+    (candidate heap, result heap, sort, minimum) fails here.
+    """
+    rng = np.random.default_rng(12)
+    distinct = rng.normal(size=(12, 24)).astype(np.float32)
+    weights = 0.7 ** np.arange(12)
+    vectors = distinct[rng.choice(12, size=300, p=weights / weights.sum())]
+    queries = np.concatenate([distinct, vectors[::15]])
+    error = native._hnsw_pair_error(
+        vectors, queries, metric, 200, ks=(1, 5, 20), label=" ties",
+        max_degree=6, ef_construction=150, ef_search=10, seed=12,
+    )
+    assert error is None, error
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("flaw", ["nan_row", "inf_element"])
+def test_hnsw_refuses_non_finite_rows_before_either_path_runs(metric, flaw):
+    """A NaN distance has no place in the (distance, node) order both paths
+    rely on, so build, extend and query name the first bad row instead."""
+    rng = np.random.default_rng(200)
+    vectors = rng.normal(size=(200, 32)).astype(np.float32)
+    if flaw == "nan_row":
+        vectors[[37, 90, 151]] = np.nan
+        first = 37
+    else:
+        vectors[64, 5] = np.inf
+        first = 64
+    for use_native in (False, True):
+        index = HNSWIndex(metric=metric, max_degree=6, ef_construction=30, seed=7)
+        index._use_native = use_native
+        with pytest.raises(IndexError_, match=f"vectors row {first} has a non-finite"):
+            index.build(vectors)
+        index.build(vectors[:30])
+        with pytest.raises(IndexError_, match=f"vectors row {first - 30} has a non-finite"):
+            index.extend(vectors[30:])
+        with pytest.raises(IndexError_, match=f"query row {first} has a non-finite"):
+            index.query(vectors, 1)
+        assert index.size == 30
+
+
+def test_hnsw_refuses_a_euclidean_norm_that_can_overflow_to_nan():
+    """Finite rows whose squared norms sum past the float32 maximum make
+    ``q² + n² - 2p`` an ``inf - inf``: the distance of a row to itself is NaN."""
+    from repro.ann.distances import PreparedVectors
+
+    rng = np.random.default_rng(201)
+    vectors = rng.normal(size=(60, 32)).astype(np.float32)
+    vectors[[40, 41]] = np.sqrt(0.6 * np.finfo(np.float32).max / 32)
+    assert np.isfinite((vectors * vectors).sum(axis=1)).all()
+    with np.errstate(all="ignore"):
+        self_distance = PreparedVectors(vectors, "euclidean").row_distances(
+            vectors[40], np.array([40])
+        )
+    assert np.isnan(self_distance).all()
+    with pytest.raises(IndexError_, match="vectors row 40 has squared norm"):
+        HNSWIndex(metric="euclidean").build(vectors)
+    HNSWIndex(metric="cosine").build(vectors)  # normalised rows stay finite
+
+
+def test_an_index_past_the_node_id_bits_keeps_to_the_python_path(monkeypatch):
+    """Node ids share a 64-bit heap key with the distance, so the kernel only
+    sees indexes below ``_NATIVE_MAX_NODES`` (2**31; lowered here to 100)."""
+    from repro.ann import hnsw
+
+    calls = []
+    get_kernel = native.get_kernel
+
+    def counting():
+        calls.append(1)
+        return get_kernel()
+
+    native.get_kernel()  # load first: the self-test's own builds are not counted
+    monkeypatch.setattr(hnsw, "_NATIVE_MAX_NODES", 100)
+    monkeypatch.setattr(native, "get_kernel", counting)
+    rng = np.random.default_rng(100)
+    vectors = rng.normal(size=(120, 16)).astype(np.float32)
+    index = HNSWIndex(metric="cosine", max_degree=5, ef_construction=20, seed=1)
+    index.build(vectors[:60])
+    assert len(calls) == 1
+    index.extend(vectors[60:])
+    index.query(vectors[:5], 3)
+    assert len(calls) == 1
+    reference = HNSWIndex(metric="cosine", max_degree=5, ef_construction=20, seed=1)
+    reference._use_native = False
+    reference.build(vectors)
+    for got, want in zip(index.query(vectors[:20], 3), reference.query(vectors[:20], 3)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_loader_rejects_a_variant_that_fails_its_self_test(monkeypatch):
     """A non-bit-equal AVX2 variant is never served: auto falls back to scalar,
     a pinned ``avx2`` disables the kernel with the self-test failure as reason."""
@@ -175,7 +273,7 @@ def test_native_kernel_active_when_toolchain_present():
     assert kernel is not None, f"native kernel regressed: {native.disabled_reason}"
 
 
-def test_kernel_source_has_no_dead_helper_or_orphaned_export():
+def test_kernel_source_has_no_dead_helper_or_orphaned_export(tmp_path):
     """Every variant compiles warning-free and every export is bound.
 
     ``-Wunused-function`` catches a ``static`` helper whose last caller was
@@ -191,9 +289,10 @@ def test_kernel_source_has_no_dead_helper_or_orphaned_export():
     if shutil.which(compiler) is None:
         pytest.skip("no C compiler on this machine")
     for variant, flags in native._VARIANT_FLAGS.items():
+        # A real compile: under -fsyntax-only gcc skips -Wunused-function.
         completed = subprocess.run(
-            [compiler, *flags, "-fsyntax-only", "-Wall", "-Wunused-function",
-             "-Wunused-variable", "-Werror", native._SOURCE],
+            [compiler, *flags, "-c", "-o", str(tmp_path / f"{variant}.o"), "-Wall",
+             "-Wunused-function", "-Wunused-variable", "-Werror", native._SOURCE],
             capture_output=True,
             text=True,
         )
