@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Paired benchmark runs of two checkouts, and the gain rule over them.
 
-``python3 scripts/paired_bench.py --parent DIR --change DIR --workload W [--pairs 10] [--seed S]``
+``python3 scripts/paired_bench.py --parent DIR --change DIR --workload W [--pairs 10] [--seed S]
+[--trace]``
 
 Each pair runs ``python3 bench/run.py --workload W --seed S`` once in each
 checkout, every run in a fresh subprocess with the checkout as its working
@@ -15,6 +16,10 @@ quartiles, and whether a gain may be claimed: the change wins at least nine
 tenths of the pairs, and its median beats the parent's by more than the
 distance between the parent's quartiles. Exits 1 if any run failed a check
 or an operation.
+
+With ``--trace`` every run is ``bench/run.py ... --trace 1`` instead, and the
+summary covers the per-layer metrics of ``BENCHMARK.json``: each side's median
+and quartiles, with no gain verdict. It shows which layer moved.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ def result_line(stdout: str) -> dict:
     raise ValueError("no result line in the benchmark output")
 
 
-def run_side(checkout: str, workload: str, seed: int) -> dict:
-    """One benchmark run of ``checkout``; its result line."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True,
-    )
+def run_side(checkout: str, workload: str, seed: int, trace: bool = False) -> dict:
+    """One benchmark run of ``checkout`` (traced: per-layer metrics); its result line."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    if trace:
+        command += ["--trace", "1"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     try:
         return result_line(done.stdout)
     except ValueError:
@@ -87,7 +92,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     return rows
 
 
-def format_rows(rows: list[dict]) -> str:
+def format_rows(rows: list[dict], verdict: bool = True) -> str:
+    """The summary table; ``verdict=False`` prints only each side's quartiles."""
+    if not verdict:
+        lines = [f"{'metric':36s} {'parent q1/med/q3':>30s}  {'change q1/med/q3':>30s}"]
+        for row in rows:
+            sides = ["/".join(f"{v:.4g}" for v in row[side]) for side in ("parent", "change")]
+            lines.append(f"{row['metric']:36s} {sides[0]:>30s}  {sides[1]:>30s}  ({row['unit']})")
+        return "\n".join(lines)
     lines = [f"{'metric':14s} {'wins':>5s} {'ties':>4s}  {'parent q1/med/q3':>30s}  "
              f"{'change q1/med/q3':>30s}  gain"]
     for row in rows:
@@ -106,16 +118,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs: per-layer quartiles, no gain verdict")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
-        end_to_end = json.load(handle)["end_to_end"]
+        metrics = json.load(handle)["per_layer" if args.trace else "end_to_end"]
 
     pairs, failed = [], 0
     for pair in range(args.pairs):
         sides = {}
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_side(getattr(args, side), args.workload, args.seed)
+            result = run_side(getattr(args, side), args.workload, args.seed, args.trace)
             failed += result["failed"]
             sides[side] = result
             values = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
@@ -123,8 +137,9 @@ def main(argv=None) -> int:
                   flush=True)
         pairs.append((sides["parent"], sides["change"]))
 
-    print(f"== {args.workload}  seed {args.seed}  {args.pairs} pairs  failed ops {failed}")
-    print(format_rows(summarize(pairs, end_to_end)))
+    kind = "traced pairs" if args.trace else "pairs"
+    print(f"== {args.workload}  seed {args.seed}  {args.pairs} {kind}  failed ops {failed}")
+    print(format_rows(summarize(pairs, metrics), verdict=not args.trace))
     return 1 if failed else 0
 
 

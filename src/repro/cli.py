@@ -160,7 +160,6 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
 
 def _cmd_snapshot_load(args: argparse.Namespace) -> int:
     from .store import MatchSession, SnapshotChain
-    from .store.codecs import embedding_store_digest, item_table_digest
 
     session = MatchSession.load(
         args.snapshot, mmap=not args.copy, allow_rollback=args.allow_rollback
@@ -180,8 +179,9 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
     print(f"snapshot {args.snapshot}: {num_arrays} arrays, {payload} payload bytes, {mode}{chain_note}")
     print(f"sources ({len(matcher.known_sources)}): {', '.join(matcher.known_sources)}")
     print(f"integrated items: {len(table)}   schema: {', '.join(matcher._schema)}")
-    print(f"item-table digest:      {item_table_digest(table)} (verified)")
-    print(f"embedding-store digest: {embedding_store_digest(matcher._store)} (verified)")
+    # The recorded digests the load just re-derived and checked.
+    print(f"item-table digest:      {session.digests['item_table']} (verified)")
+    print(f"embedding-store digest: {session.digests['embedding_store']} (verified)")
     session.close()
     return 0
 

@@ -40,6 +40,13 @@ class TableEmbeddings:
         return len(self.refs)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (same buffer, no copy)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class EmbeddingStore(Mapping):
     """Flat column-store of every encoded row with vectorized row resolution.
 
@@ -54,10 +61,16 @@ class EmbeddingStore(Mapping):
     the dict held), while :meth:`rows` / :meth:`member_rows` resolve whole
     member batches into one int64 row-index array so the pruning stage can
     gather every candidate member with a single fancy index.
+
+    A registered block never changes: the store holds a read-only view of
+    it, so a write through :meth:`blocks` or ``store[ref]`` raises, and the
+    snapshot digest the store remembers per block (:meth:`block_digest`)
+    cannot go stale.
     """
 
     def __init__(self) -> None:
         self._blocks: dict[str, np.ndarray] = {}
+        self._block_digests: dict[str, str] = {}
         self._matrix: np.ndarray | None = None
         self._bases: dict[str, int] = {}
         self._packed_blocks = 0  # how many blocks are folded into _matrix
@@ -88,7 +101,7 @@ class EmbeddingStore(Mapping):
                 raise DataError(
                     f"embedding store requires canonical refs; got {ref} at row {i} of {name!r}"
                 )
-        self._blocks[name] = vectors  # folded into the matrix lazily, on access
+        self._blocks[name] = _read_only(vectors)  # folded into the matrix lazily, on access
 
     def _fold_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Append unfolded blocks into the geometric buffer; return the prefix view."""
@@ -149,16 +162,25 @@ class EmbeddingStore(Mapping):
 
     # --------------------------------------------------------------- snapshot
     def blocks(self) -> "dict[str, np.ndarray]":
-        """Per-source embedding matrices in registration order (shared, not copied)."""
+        """Per-source embedding matrices in registration order (read-only views, not copies)."""
         return dict(self._blocks)
+
+    def block_digest(self, name: str) -> "str | None":
+        """The remembered snapshot digest of block ``name``, or None before the first hash."""
+        return self._block_digests.get(name)
+
+    def remember_block_digest(self, name: str, digest: str) -> str:
+        """Remember block ``name``'s digest (its bytes never change); returns ``digest``."""
+        self._block_digests[name] = digest
+        return digest
 
     @classmethod
     def from_blocks(cls, blocks: "dict[str, np.ndarray]") -> "EmbeddingStore":
         """Rebuild a store from :meth:`blocks` output (snapshot restore path).
 
-        Registration order follows the dict order; matrices are adopted as-is
-        (possibly read-only memory-mapped views — the store never mutates a
-        registered block, only copies out of it when folding).
+        Registration order follows the dict order; matrices are adopted as
+        read-only views (possibly over a memory-mapped file — the store never
+        mutates a registered block, only copies out of it when folding).
         """
         store = cls()
         for name, matrix in blocks.items():
@@ -167,7 +189,7 @@ class EmbeddingStore(Mapping):
                 raise DataError(f"embedding block {name!r} must be 2-d, got {matrix.ndim}-d")
             if name in store._blocks:
                 raise DataError(f"source {name!r} is already registered in the embedding store")
-            store._blocks[name] = matrix
+            store._blocks[name] = _read_only(matrix)
         return store
 
     # ------------------------------------------------------- row resolution

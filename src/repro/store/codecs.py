@@ -14,13 +14,17 @@ Restored arrays are adopted **verbatim** (zero-copy when the snapshot is
 memory-mapped): a loaded object computes the exact bytes the saved one did.
 ANN indexes have no codec: a restored matcher rebuilds the index it needs
 from the restored vectors, which gives the same bytes a fresh build would.
+
+The session digests live here too: the store digest is a digest of
+per-block digests the store remembers (:func:`embedding_store_digest`).
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import asdict, fields
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .format import (
     Snapshot,
     SnapshotWriter,
     raw_bytes,
+    segment_digest,
     string_table_arrays,
     strings_from_arrays,
 )
@@ -277,7 +282,63 @@ def item_table_digest(table: ItemTable) -> str:
     return arrays_digest(arrays, *meta["sources"])
 
 
+#: ``digests["embedding_store_scheme"]`` of the definition below; a record
+#: without it was written under :func:`legacy_embedding_store_digest`.
+STORE_DIGEST_SCHEME = "blocks"
+
+
+def store_block_digest(segment: str, block: np.ndarray) -> str:
+    """One block's digest: the segment recipe under the block's session segment name."""
+    return segment_digest(segment, block.dtype.str, block.shape, block)
+
+
+def store_block_digests(
+    store: EmbeddingStore,
+) -> "tuple[dict[str, str], dict[str, tuple[int, Callable[[], str]]]]":
+    """``(remembered, tasks)`` keyed by the block's session segment name ``store/block{i}``.
+
+    ``remembered`` holds the digests ``store`` knows; ``tasks`` holds
+    ``(nbytes, compute)`` for each other block: ``compute`` hashes it once
+    and has the store remember the digest, which is also its segment digest.
+    """
+    remembered: dict[str, str] = {}
+    tasks: dict[str, tuple[int, Callable[[], str]]] = {}
+    for i, (name, block) in enumerate(store.blocks().items()):
+        segment = f"store/block{i}"
+        digest = store.block_digest(name)
+        if digest is not None:
+            remembered[segment] = digest
+            continue
+        tasks[segment] = (
+            int(block.nbytes),
+            lambda name=name, segment=segment, block=block: store.remember_block_digest(
+                name, store_block_digest(segment, block)
+            ),
+        )
+    return remembered, tasks
+
+
 def embedding_store_digest(store: EmbeddingStore) -> str:
-    """Content digest of an embedding store (per-source blocks, in order)."""
+    """Content digest of an embedding store: a digest of its per-block digests.
+
+    BLAKE2b over the table names in registration order (one JSON list), then
+    each block's :func:`store_block_digest` (name, dtype, shape, raw bytes),
+    so it holds for any block dtype. A registered block is read-only, so each
+    is hashed once per process; blocks not yet remembered are hashed inline.
+    """
+    import hashlib
+
+    for _, compute in store_block_digests(store)[1].values():
+        compute()
+    names = list(store.blocks())
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(json.dumps(names).encode())
+    for name in names:
+        digest.update(store.block_digest(name).encode())
+    return digest.hexdigest()
+
+
+def legacy_embedding_store_digest(store: EmbeddingStore) -> str:
+    """Read path of manifests without ``embedding_store_scheme``: one stream over all blocks."""
     meta, arrays = embedding_store_state(store)
     return arrays_digest(arrays, *meta["tables"])

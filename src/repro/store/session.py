@@ -21,7 +21,11 @@ Restores are exact: the snapshot records content digests of the integrated
 table and the embedding store at save time, ``load`` re-derives and verifies
 them (``verify=False`` to skip), and a restored matcher's ``add_table``
 produces byte-for-byte the tuples the in-memory matcher would have — pinned
-by ``tests/store/test_session.py``.
+by ``tests/store/test_session.py``. The store digest folds per-block digests
+the store remembers, so a save or a verified load hashes a block once per
+process; a record without its ``embedding_store_scheme`` marker is verified
+under the old definition, and a missing record or unknown marker is a
+:class:`~repro.exceptions.StoreError`.
 
 Sessions also persist **incrementally**: after a full save (or load), the
 matcher remembers its on-disk base, and :func:`save_session_delta` writes
@@ -104,32 +108,43 @@ def _session_meta(state, metas: dict, digests: dict) -> dict:
 def _save_digests(matcher: IncrementalMultiEM, state, arrays: dict, writer) -> dict:
     """Every digest a save records, as one flat fan-out on the matcher's pool.
 
-    The item-table, embedding-store and payload digests and each per-segment
-    digest are independent BLAKE2b streams over buffers nothing mutates, and
-    hashlib releases the GIL while it reads them in place, so they run as one
-    ``executor.map`` from the calling thread, largest first (inline, in the
-    same order, when the executor is serial: the digests are the same either
-    way). The segment digests go back to ``writer`` so its layout does not
-    hash the segments again. This may start the matcher's lazy pool; it runs
+    The item-table and payload digests, each per-segment digest and each
+    embedding-store block the store does not remember yet are independent
+    BLAKE2b streams over buffers nothing mutates, and hashlib releases the
+    GIL while it reads them in place, so they run as one ``executor.map``
+    from the calling thread, largest first (inline, in the same order, when
+    the executor is serial: the digests are the same either way). A block's
+    digest is its ``store/block{i}`` segment digest, so a segment holding a
+    block is hashed once for both, and a block an earlier save or a verified
+    load hashed is not hashed again: a delta save hashes the new block, the
+    item table and its own segments. The store digest then folds the block
+    digests. The segment digests go back to ``writer`` so its layout does
+    not hash them again. This may start the matcher's lazy pool; it runs
     before the file is opened, so a failing task leaves nothing on disk.
     Returns the manifest's digest record.
     """
-
-    def size(prefix: str) -> int:
-        return sum(array.nbytes for name, array in arrays.items() if name.startswith(prefix))
-
+    remembered, blocks = codecs.store_block_digests(state["store"])
     segments = writer.segment_digest_tasks()
+    pending = {name: task for name, task in segments.items() if name not in remembered}
+    pending.update(blocks)
+    table_bytes = sum(a.nbytes for name, a in arrays.items() if name.startswith("table/"))
     tasks = [
-        ("item_table", size("table/"), lambda: codecs.item_table_digest(state["table"])),
-        ("embedding_store", size("store/"), lambda: codecs.embedding_store_digest(state["store"])),
+        ("item_table", table_bytes, lambda: codecs.item_table_digest(state["table"])),
         ("payload", sum(nbytes for nbytes, _ in segments.values()), writer.payload_digest),
     ]
-    tasks += [(("segment", name), nbytes, task) for name, (nbytes, task) in segments.items()]
+    tasks += [(("segment", name), nbytes, task) for name, (nbytes, task) in pending.items()]
     tasks.sort(key=lambda task: -task[1])
     keys = [key for key, _, _ in tasks]
     results = dict(zip(keys, matcher._executor.map(lambda task: task[2](), tasks)))
-    writer.set_segment_digests({name: results[("segment", name)] for name in segments})
-    return {key: results[key] for key in ("item_table", "embedding_store", "payload")}
+    writer.set_segment_digests(
+        {name: results.get(("segment", name)) or remembered[name] for name in segments}
+    )
+    return {
+        "item_table": results["item_table"],
+        "embedding_store": codecs.embedding_store_digest(state["store"]),
+        "embedding_store_scheme": codecs.STORE_DIGEST_SCHEME,
+        "payload": results["payload"],
+    }
 
 
 def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, depth: int) -> None:
@@ -145,7 +160,8 @@ def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, de
     leaves the previous base in place. Snapshots without a recorded payload
     digest (pre-chain files) cannot anchor a chain, so no base is recorded.
     """
-    payload = (meta.get("digests") or {}).get("payload")
+    digests = meta.get("digests")
+    payload = digests.get("payload") if isinstance(digests, dict) else None
     matcher._base = (
         None
         if payload is None
@@ -246,11 +262,22 @@ def _restore_state(
         meta["store"], codecs.unpack_arrays(arrays, "store/", meta["store"])
     )
     if verify:
-        recorded = meta["digests"]
-        derived = {
-            "item_table": codecs.item_table_digest(table),
-            "embedding_store": codecs.embedding_store_digest(store),
-        }
+        recorded = meta.get("digests")
+        if not isinstance(recorded, dict):
+            raise StoreError(
+                f"snapshot {source}: its digest record is missing or not an object"
+            )
+        derived = {"item_table": codecs.item_table_digest(table)}
+        scheme = recorded.get("embedding_store_scheme")
+        if scheme is None:  # written before per-block store digests
+            derived["embedding_store"] = codecs.legacy_embedding_store_digest(store)
+        elif scheme == codecs.STORE_DIGEST_SCHEME:
+            derived["embedding_store"] = codecs.embedding_store_digest(store)
+            derived["embedding_store_scheme"] = scheme
+        else:
+            raise StoreError(
+                f"snapshot {source}: unknown embedding-store digest scheme {scheme!r}"
+            )
         if "payload" in recorded:
             derived["payload"] = payload_digest()
         if derived != recorded:
@@ -488,7 +515,8 @@ class MatchSession:
         once per integrated table and held until ``add_table`` publishes a
         new table). Returns one list per text of ``(members, distance)``
         pairs, nearest first; pairs beyond ``max_distance`` (default: the
-        merging threshold ``m``) are dropped. A NaN ``max_distance`` raises
+        merging threshold ``m``) are dropped. ``k`` beyond the table's size
+        answers as ``k = len(table)`` would. A NaN ``max_distance`` raises
         :class:`~repro.exceptions.DataError`: no distance compares greater
         than NaN, so it would drop nothing.
 
@@ -515,7 +543,9 @@ class MatchSession:
         index = context.index_for(table)
         from ..ann.engine import query_rows
 
-        indices, distances = query_rows(index, vectors, k)
+        # No text has more than len(table) neighbours; a larger k only
+        # sizes the answer arrays (k = 10**12 would not fit in memory).
+        indices, distances = query_rows(index, vectors, min(k, len(table)))
         from ..data.entity import EntityRef
 
         def members_of(item: int) -> tuple:

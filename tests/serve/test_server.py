@@ -156,6 +156,33 @@ def test_admission_control_rejects_past_high_water(serve_snapshot, query_texts, 
     asyncio.run(scenario())
 
 
+def test_a_k_past_the_table_answers_like_k_equal_to_its_size(
+    serve_snapshot, serve_session, query_texts, http_request
+):
+    """An oversized k is clamped by the session: no huge allocation, no dead worker."""
+    n = len(serve_session.matcher.integrated_table)
+
+    async def scenario():
+        server = _serve(serve_snapshot, workers=1)
+        await server.start()
+        try:
+            answers = []
+            for k in (n, 10**12):
+                doc = {"texts": query_texts[:2], "k": k, "max_distance": 10.0}
+                answers.append(await http_request(server.port, "POST", "/query", doc))
+            (status_n, _, body_n), (status, _, body) = answers
+            assert (status_n, status) == (200, 200)
+            assert body == body_n and len(json.loads(body)["rows"][0]) == n
+            _, _, body = await http_request(server.port, "GET", "/metrics")
+            metrics = json.loads(body)
+            assert (metrics["worker_deaths"], metrics["worker_restarts"]) == (0, 0)
+        finally:
+            await server.stop()
+
+    # Bounded: a worker that raises outside ReproError must fail this test, not hang it.
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+
+
 def test_deadline_budget_maps_to_504(serve_snapshot, query_texts, http_request):
     async def scenario():
         # The only worker's dispatch lock is held across the request, so the

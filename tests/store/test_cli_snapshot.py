@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.store import Snapshot
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,26 @@ class TestSnapshotCli:
         capsys.readouterr()
         assert cli_main(["snapshot", "load", str(snapshot), "--copy"]) == 0
         assert "copy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["fresh", "seed-tip"])
+    def test_load_prints_the_digests_the_manifest_records(
+        self, dataset_dir, tmp_path, capsys, source
+    ):
+        """The printed digests are the recorded ones the load verified, under either scheme."""
+        if source == "fresh":
+            snapshot = tmp_path / "all.snap"
+            assert cli_main(["snapshot", "save", str(dataset_dir), "--output", str(snapshot)]) == 0
+        else:  # written before per-block store digests, one delta on its base
+            for name in ("seed-base.snap", "seed-tip.snap"):
+                shutil.copy(os.path.join(DATA, name), tmp_path / name)
+            snapshot = tmp_path / "seed-tip.snap"
+        capsys.readouterr()
+        assert cli_main(["snapshot", "load", str(snapshot)]) == 0
+        out = capsys.readouterr().out
+        with Snapshot.open(snapshot) as opened:
+            recorded = opened.meta["digests"]
+        assert f"item-table digest:      {recorded['item_table']} (verified)" in out
+        assert f"embedding-store digest: {recorded['embedding_store']} (verified)" in out
 
     def test_serve_match_rejects_known_source(self, dataset_dir, tmp_path, capsys):
         snapshot = tmp_path / "all.snap"

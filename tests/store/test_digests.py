@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.store import Snapshot, SnapshotWriter
-from repro.store.codecs import arrays_digest
+from repro.core.representation import EmbeddingStore
+from repro.store.codecs import arrays_digest, embedding_store_digest
 from repro.store.format import segment_digest
 
 
@@ -118,8 +119,9 @@ def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped):
     [
         lambda array: arrays_digest({"x": array}),
         lambda array: segment_digest("x", array.dtype.str, array.shape, array),
+        lambda array: embedding_store_digest(EmbeddingStore.from_blocks({"x": array})),
     ],
-    ids=["arrays_digest", "segment_digest"],
+    ids=["arrays_digest", "segment_digest", "store_block_digest"],
 )
 def test_hashing_a_16_mb_array_copies_nothing(digest):
     array = np.ones((4096, 1024), dtype=np.float32)  # 16 MiB

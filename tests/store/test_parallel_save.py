@@ -1,7 +1,8 @@
 """Session saves spread their digests over the matcher's pool: same bytes either way.
 
-A save computes the item-table, embedding-store, payload and per-segment
-digests as one flat map on the matcher's executor. Serial and threaded
+A save computes the item-table, payload and per-segment digests and the
+digest of every embedding-store block not hashed before as one flat map on
+the matcher's executor. Serial and threaded
 executors must write byte-identical full, delta and compacted files, and a
 digest task that fails must leave no file and the recorded base untouched.
 """
@@ -58,13 +59,13 @@ def _write_chain(directory, split) -> "tuple[dict[str, bytes], list[dict]]":
 def test_serial_and_threaded_saves_write_the_same_bytes(split, tmp_path, monkeypatch):
     written = {}
     hashing_threads = set()
-    store_digest = codecs.embedding_store_digest
+    block_digest = codecs.store_block_digest
 
-    def recording(store):
+    def recording(segment, block):
         hashing_threads.add(threading.current_thread() is threading.main_thread())
-        return store_digest(store)
+        return block_digest(segment, block)
 
-    monkeypatch.setattr(codecs, "embedding_store_digest", recording)
+    monkeypatch.setattr(codecs, "store_block_digest", recording)
     for threaded in (False, True):
         monkeypatch.setattr(incremental, "ParallelExecutor", executor_factory(threaded))
         directory = tmp_path / f"threaded-{threaded}"
@@ -82,29 +83,29 @@ def test_a_failing_digest_task_writes_nothing_and_keeps_the_base(
 ):
     base, t1, _ = split
     monkeypatch.setattr(incremental, "ParallelExecutor", executor_factory(threaded))
-    store_digest = codecs.embedding_store_digest
+    block_digest = codecs.store_block_digest
 
-    def failing(store):
+    def failing(segment, block):
         raise RuntimeError("digest task failed")
 
     with IncrementalMultiEM(paper_default_config(base.name)) as matcher:
         matcher.fit(base)
-        monkeypatch.setattr(codecs, "embedding_store_digest", failing)
+        monkeypatch.setattr(codecs, "store_block_digest", failing)
         with pytest.raises(RuntimeError, match="digest task failed"):
             save_session(matcher, tmp_path / "never.snap")
         assert matcher._base is None
-        monkeypatch.setattr(codecs, "embedding_store_digest", store_digest)
+        monkeypatch.setattr(codecs, "store_block_digest", block_digest)
         save_session(matcher, tmp_path / "s.snap")
         recorded = matcher._base
 
         matcher.add_table(t1)
-        monkeypatch.setattr(codecs, "embedding_store_digest", failing)
+        monkeypatch.setattr(codecs, "store_block_digest", failing)
         with pytest.raises(RuntimeError, match="digest task failed"):
             save_session_delta(matcher, tmp_path / "s.snap.d1")
         assert matcher._base is recorded
         assert sorted(os.listdir(tmp_path)) == ["s.snap"]
 
-        monkeypatch.setattr(codecs, "embedding_store_digest", store_digest)
+        monkeypatch.setattr(codecs, "store_block_digest", block_digest)
         save_session_delta(matcher, tmp_path / "s.snap.d1")
         with Snapshot.open(tmp_path / "s.snap.d1") as delta:
             assert delta.chain["parent"] == "s.snap" and delta.chain["depth"] == 1

@@ -49,7 +49,11 @@ from repro.store import (
     fsck_store,
     load_matcher,
 )
-from repro.store.codecs import embedding_store_digest, item_table_digest
+from repro.store.codecs import (
+    embedding_store_digest,
+    item_table_digest,
+    legacy_embedding_store_digest,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 FILES = ("seed-base.snap", "seed-tip.snap")
@@ -86,6 +90,8 @@ def reference(geo_tiny):
             "answers": answers,
             "table_digest": item_table_digest(matcher.integrated_table),
             "store_digest": embedding_store_digest(matcher._store),
+            # What the fixture files record: they predate per-block store digests.
+            "recorded_store_digest": legacy_embedding_store_digest(matcher._store),
         }
 
 
@@ -115,7 +121,8 @@ def test_tip_loads_with_one_warning_and_the_same_answers(seed_dir, reference, ca
     with session, SnapshotChain.open(tip) as chain:
         chain.verify_links()
         assert session.digests["item_table"] == reference["table_digest"]
-        assert session.digests["embedding_store"] == reference["store_digest"]
+        assert session.digests["embedding_store"] == reference["recorded_store_digest"]
+        assert "embedding_store_scheme" not in session.digests
         assert item_table_digest(session.matcher.integrated_table) == reference["table_digest"]
         assert embedding_store_digest(session.matcher._store) == reference["store_digest"]
         for k, answers in reference["answers"].items():
@@ -275,9 +282,11 @@ def unsharded(geo_tiny, tmp_path_factory):
     texts.append("zzz qqqqq xyzzy 000000 nothing alike")
     with MatchSession.load(path) as session:
         answers = {k: session.query_many(texts, k=k) for k in (1, 3)}
+        legacy_store_digest = legacy_embedding_store_digest(session.matcher._store)
         added = session.match_new_table(geo_tiny.tables["source_D"]).tuples
         return {
             "digests": session.digests,
+            "legacy_store_digest": legacy_store_digest,
             "texts": texts,
             "answers": answers,
             "added": added,
@@ -306,8 +315,16 @@ def test_sharded_fixture_answers_as_an_unsharded_fit(tmp_path, geo_tiny, unshard
     shutil.copy(SHARDED, tmp_path / "seed-sharded.snap")
     with MatchSession.load(tmp_path / "seed-sharded.snap") as session:
         digests = {key: session.digests[key] for key in ("item_table", "embedding_store")}
-        assert digests == {key: unsharded["digests"][key] for key in digests}
+        # The fixture predates per-block store digests: it records the old definition.
+        assert digests == {
+            "item_table": unsharded["digests"]["item_table"],
+            "embedding_store": unsharded["legacy_store_digest"],
+        }
         assert item_table_digest(session.matcher.integrated_table) == digests["item_table"]
+        assert (
+            embedding_store_digest(session.matcher._store)
+            == unsharded["digests"]["embedding_store"]
+        )
         for k, answers in unsharded["answers"].items():
             assert session.query_many(unsharded["texts"], k=k) == answers
         assert session.match_new_table(geo_tiny.tables["source_D"]).tuples == unsharded["added"]

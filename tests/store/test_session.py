@@ -14,7 +14,7 @@ from repro.core.incremental import IncrementalMultiEM
 from repro.data.serialization import serialize_table
 from repro.exceptions import DataError, StoreError
 from repro.store import MatchSession, load_matcher, save_session
-from repro.store.codecs import embedding_store_digest, item_table_digest
+from repro.store.codecs import STORE_DIGEST_SCHEME, embedding_store_digest, item_table_digest
 from repro.store.format import Snapshot
 
 #: A full save written while the index cache was persisted (see test_seed_snapshots.py).
@@ -106,7 +106,10 @@ class TestSessionRoundTrip:
         base, _ = split
         session = MatchSession.load(snapshot_path)
         assert session.known_sources == tuple(sorted(base.tables))
-        assert set(session.digests) == {"item_table", "embedding_store", "payload"}
+        assert set(session.digests) == {
+            "item_table", "embedding_store", "embedding_store_scheme", "payload"
+        }
+        assert session.digests["embedding_store_scheme"] == STORE_DIGEST_SCHEME
 
 
 class TestQueryMany:
@@ -149,6 +152,33 @@ class TestQueryMany:
             with pytest.raises(DataError, match="NaN"):
                 session.query_many(probe_texts, k=3, max_distance=float("nan"))
             assert session.query_many(probe_texts, k=3, max_distance=float("inf"))[-1]
+
+    @pytest.mark.parametrize("index", ["brute-force", "hnsw"])
+    def test_k_past_the_table_answers_as_k_equal_to_its_size(self, split, probe_texts, index):
+        """``query_many`` clamps k to the table; the unclamped index gives the same rows.
+
+        Under HNSW, ``ef = max(ef_search, k)``, so k = n and k = n + 500 search
+        with different ``ef``; both reach every row of this table.
+        """
+        from repro.ann.engine import query_rows
+
+        base, _ = split
+        config = paper_default_config(base.name).with_overrides(merging={"index": index})
+        matcher = IncrementalMultiEM(config)
+        matcher.fit(base)
+        with MatchSession(matcher) as session:
+            n = len(matcher.integrated_table)
+            want = session.query_many(probe_texts, k=n, max_distance=float("inf"))
+            assert all(len(hits) == n for hits in want)
+            for k in (n + 500, 10**12):
+                assert session.query_many(probe_texts, k=k, max_distance=float("inf")) == want
+            vectors = session._query_context.representer.encode_texts(probe_texts)
+            index_object = session._query_context.index_for(matcher.integrated_table)
+            exact = query_rows(index_object, vectors, n)
+            wide = query_rows(index_object, vectors, n + 500)
+            np.testing.assert_array_equal(wide[0][:, :n], exact[0])
+            np.testing.assert_array_equal(wide[1][:, :n], exact[1])
+            assert (wide[0][:, n:] == -1).all()
 
     def test_query_context_is_prepared_once(self, snapshot_path, probe_texts):
         with MatchSession.load(snapshot_path) as session:

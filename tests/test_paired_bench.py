@@ -68,3 +68,63 @@ def test_eight_wins_of_ten_claim_nothing_and_ties_count_for_neither(paired):
     assert (row["wins"], row["ties"]) == (8, 1)
     assert not row["gain"]
     assert "call_p50_ms" in paired.format_rows([row])
+
+
+PER_LAYER = [
+    {"name": "store.delta_save.s", "unit": "s", "better": "lower"},
+    {"name": "store.delta.bytes", "unit": "B", "better": "lower"},
+]
+
+
+def _traced_line(delta_save_s, delta_bytes=4.0e6):
+    metrics = {"store.delta_save.s": {"value": delta_save_s, "unit": "s"},
+               "store.delta.bytes": {"value": delta_bytes, "unit": "B"}}
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+
+
+def test_a_traced_side_runs_bench_with_trace_1(paired, monkeypatch):
+    commands = []
+
+    class Done:
+        returncode = 0
+        stdout = "== ingest-chain  seed 0\n" + _traced_line(0.5) + "\n"
+        stderr = ""
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        return Done()
+
+    monkeypatch.setattr(paired.subprocess, "run", fake_run)
+    result = paired.run_side("checkout", "ingest-chain", 3, trace=True)
+    paired.run_side("checkout", "ingest-chain", 3)
+    assert result["metrics"]["store.delta_save.s"]["value"] == 0.5
+    assert commands[0][-6:] == ["--workload", "ingest-chain", "--seed", "3", "--trace", "1"]
+    assert "--trace" not in commands[1]
+
+
+def test_traced_pairs_print_per_layer_quartiles_and_no_verdict(paired, tmp_path, monkeypatch,
+                                                              capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": END_TO_END, "per_layer": PER_LAYER})
+    )
+    saves = {"parent": iter([0.60, 0.70, 0.50, 0.65]), "change": iter([0.30, 0.32, 0.31, 0.29])}
+    traced = []
+
+    def fake_side(checkout, workload, seed, trace=False):
+        traced.append(trace)
+        side = "parent" if checkout == "P" else "change"
+        return json.loads(_traced_line(next(saves[side])))
+
+    monkeypatch.setattr(paired, "run_side", fake_side)
+    argv = ["--parent", "P", "--change", str(tmp_path), "--workload", "ingest-chain",
+            "--pairs", "4", "--trace"]
+    assert paired.main(argv) == 0
+    out = capsys.readouterr().out
+    assert traced == [True] * 8
+    summary = out[out.index("== ingest-chain"):]
+    assert "4 traced pairs" in summary
+    assert "gain" not in summary and "yes" not in summary and "call_p50_ms" not in summary
+    row = next(line for line in summary.splitlines() if line.startswith("store.delta_save.s"))
+    # Inclusive quartiles of 0.5, 0.6, 0.65, 0.7 and of 0.29, 0.30, 0.31, 0.32.
+    assert "0.575/0.625/0.6625" in row and "0.2975/0.305/0.3125" in row
+    assert "store.delta.bytes" in summary
