@@ -17,6 +17,12 @@ tenths of the pairs, and its median beats the parent's by more than the
 distance between the parent's quartiles. Exits 1 if any run failed a check
 or an operation.
 
+With ``--record BENCH_<name>.json`` the comparison is also written down:
+both checkouts' git shas (null without ``.git``), the machine's
+fingerprint, every pair's run order and raw end-to-end values, and the
+summary (quartiles, wins, verdict). ``tests/test_bench_records.py``
+recomputes each committed record's verdict from its raw pairs.
+
 With ``--trace`` every run is ``bench/run.py ... --trace 1`` instead, and the
 summary covers the per-layer metrics of ``BENCHMARK.json``: each side's median
 and quartiles, with no gain verdict. It shows which layer moved.
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -111,6 +118,49 @@ def format_rows(rows: list[dict], verdict: bool = True) -> str:
     return "\n".join(lines)
 
 
+def checkout_sha(checkout: str) -> "str | None":
+    """The commit ``checkout`` has out, or None when it is no git work tree."""
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return None
+    done = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+def machine_fingerprint() -> dict:
+    """What the runs' numbers depend on: CPU, core count, memory, Python, numpy."""
+    import numpy
+
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            model = next(line.split(":", 1)[1].strip()
+                         for line in handle if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "cpu": model,
+        "cpus": os.cpu_count(),
+        "memory_mb": os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2**20,
+        "system": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def record(args, runs: list[dict], rows: list[dict]) -> dict:
+    """The ``--record`` document of one paired comparison."""
+    return {
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": len(runs),
+        "shas": {"parent": checkout_sha(args.parent), "change": checkout_sha(args.change)},
+        "machine": machine_fingerprint(),
+        "runs": runs,
+        "summary": rows,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -120,26 +170,40 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", action="store_true",
                         help="traced runs: per-layer quartiles, no gain verdict")
+    parser.add_argument("--record", metavar="BENCH_NAME.json",
+                        help="also write shas, machine, raw pairs and verdict to this file")
     args = parser.parse_args(argv)
+    if args.record and args.trace:
+        parser.error("--record keeps end-to-end comparisons only; drop --trace")
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["per_layer" if args.trace else "end_to_end"]
 
-    pairs, failed = [], 0
+    pairs, runs, failed = [], [], 0
     for pair in range(args.pairs):
         sides = {}
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        run = {"order": list(order)}
         for side in order:
             result = run_side(getattr(args, side), args.workload, args.seed, args.trace)
             failed += result["failed"]
             sides[side] = result
+            run[side] = {"failed": result["failed"],
+                         "values": {m["name"]: result["metrics"][m["name"]]["value"]
+                                    for m in metrics}}
             values = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
             print(f"pair {pair} {side:6s} failed={result['failed']} {json.dumps(values)}",
                   flush=True)
         pairs.append((sides["parent"], sides["change"]))
+        runs.append(run)
 
     kind = "traced pairs" if args.trace else "pairs"
+    rows = summarize(pairs, metrics)
     print(f"== {args.workload}  seed {args.seed}  {args.pairs} {kind}  failed ops {failed}")
-    print(format_rows(summarize(pairs, metrics), verdict=not args.trace))
+    print(format_rows(rows, verdict=not args.trace))
+    if args.record:
+        with open(args.record, "w") as handle:
+            json.dump(record(args, runs, rows), handle, indent=1)
+            handle.write("\n")
     return 1 if failed else 0
 
 

@@ -196,7 +196,9 @@ def prune_item_table(
     """Prune candidates straight off a flat :class:`~repro.core.merging.ItemTable`.
 
     Member *row resolution* runs through :meth:`EmbeddingStore.member_rows`
-    as pure integer arithmetic (no per-member lookup). Candidate ``EntityRef`` /
+    as pure integer arithmetic (no per-member lookup), and each chunk gathers
+    its member vectors out of the store's blocks with
+    :meth:`EmbeddingStore.take`, block by block. Candidate ``EntityRef`` /
     :class:`MergeItem` objects are still materialized — candidates are a small
     fraction of the table — and the surviving tuples come back as item views.
     Only items with >= 2 members are candidates (singletons are not
@@ -246,7 +248,7 @@ def _prune_table_chunk(
     first, last = bounds
     lo, hi = int(candidates.member_offsets[first]), int(candidates.member_offsets[last])
     chunk_offsets = candidates.member_offsets[first : last + 1] - lo
-    member_matrix = store.matrix[rows[lo:hi]]
+    member_matrix = store.take(rows[lo:hi])
     chunk_items = [
         MergeItem(members=tuple(refs[lo + o0 : lo + o1]), vector=candidates.vectors[first + i])
         for i, (o0, o1) in enumerate(zip(chunk_offsets[:-1].tolist(), chunk_offsets[1:].tolist()))

@@ -51,16 +51,18 @@ class EmbeddingStore(Mapping):
     """Flat column-store of every encoded row with vectorized row resolution.
 
     One float32 block per source table (the table's embedding matrix, shared,
-    not copied) plus per-source base offsets into the lazily concatenated
-    :attr:`matrix`. Rows resolve arithmetically — ``base[source] + index`` —
-    because :meth:`repro.data.table.Table.refs` enumerates refs as
+    not copied) plus per-source base offsets, fixed when the block registers.
+    A row number is ``base[source] + index`` into the blocks laid end to end
+    in registration order; no concatenated matrix is ever built, so each
+    vector is resident once. Rows resolve arithmetically because
+    :meth:`repro.data.table.Table.refs` enumerates refs as
     ``(name, 0..n-1)``; :meth:`add_table` validates that contract.
 
     The store implements the read-only ``Mapping[EntityRef, np.ndarray]``
     protocol of the dict it replaced (``store[ref]`` returns the same row view
-    the dict held), while :meth:`rows` / :meth:`member_rows` resolve whole
-    member batches into one int64 row-index array so the pruning stage can
-    gather every candidate member with a single fancy index.
+    the dict held), while :meth:`member_rows` resolves whole member batches
+    into one int64 row-number array and :meth:`take` gathers those rows out
+    of the blocks, block by block.
 
     A registered block never changes: the store holds a read-only view of
     it, so a write through :meth:`blocks` or ``store[ref]`` raises, and the
@@ -71,14 +73,8 @@ class EmbeddingStore(Mapping):
     def __init__(self) -> None:
         self._blocks: dict[str, np.ndarray] = {}
         self._block_digests: dict[str, str] = {}
-        self._matrix: np.ndarray | None = None
         self._bases: dict[str, int] = {}
-        self._packed_blocks = 0  # how many blocks are folded into _matrix
-        # Geometrically grown backing buffer; _matrix is always a row-prefix
-        # view of it, so folding a new block is an amortized O(new rows)
-        # append instead of a full re-concatenation per add_table.
-        self._buffer: np.ndarray | None = None
-        self._buffer_rows = 0
+        self._num_rows = 0
 
     @classmethod
     def from_embeddings(cls, embeddings: "dict[str, TableEmbeddings]") -> "EmbeddingStore":
@@ -90,8 +86,6 @@ class EmbeddingStore(Mapping):
     def add_table(self, embeddings: "TableEmbeddings") -> None:
         """Register one table's embedding matrix (refs must be ``(name, 0..n-1)``)."""
         name = embeddings.table_name
-        if name in self._blocks:
-            raise DataError(f"source {name!r} is already registered in the embedding store")
         vectors = np.asarray(embeddings.vectors)
         refs = embeddings.refs
         if len(refs) != vectors.shape[0]:
@@ -101,64 +95,15 @@ class EmbeddingStore(Mapping):
                 raise DataError(
                     f"embedding store requires canonical refs; got {ref} at row {i} of {name!r}"
                 )
-        self._blocks[name] = _read_only(vectors)  # folded into the matrix lazily, on access
+        self._register(name, vectors)
 
-    def _fold_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Append unfolded blocks into the geometric buffer; return the prefix view."""
-        packed = self._packed_blocks if self._buffer is not None else 0
-        new_blocks = blocks[packed:]
-        compatible = self._buffer is not None and all(
-            block.dtype == self._buffer.dtype and block.shape[1] == self._buffer.shape[1]
-            for block in new_blocks
-        )
-        if not compatible:
-            # First fold, or a dtype/width change: rebuild the buffer outright.
-            rebuilt = np.concatenate(blocks)
-            self._buffer = rebuilt
-            self._buffer_rows = int(rebuilt.shape[0])
-            return rebuilt
-        buffer = self._buffer
-        rows = self._buffer_rows
-        total = rows + sum(int(block.shape[0]) for block in new_blocks)
-        if total > buffer.shape[0]:
-            grown = np.empty((max(total, 2 * buffer.shape[0]), buffer.shape[1]), dtype=buffer.dtype)
-            grown[:rows] = buffer[:rows]
-            buffer = grown
-            self._buffer = grown  # old views keep pointing at the old buffer
-        for block in new_blocks:
-            buffer[rows : rows + block.shape[0]] = block
-            rows += int(block.shape[0])
-        self._buffer_rows = rows
-        return buffer[:rows]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """All rows of all sources, concatenated in registration order.
-
-        Blocks registered since the last access are *appended* into a
-        geometrically grown buffer (amortized O(new rows) per fold), so
-        incremental ``add_table`` streams never re-copy the whole corpus per
-        call. Safe under concurrent readers: ``_bases`` is fully built and
-        published before ``_matrix`` (the attribute readers gate on), so a
-        thread that observes an up-to-date matrix always sees complete base
-        offsets; a racing duplicate fold writes identical values, and
-        already-handed-out views stay valid (reallocations leave them on the
-        old buffer).
-        """
-        matrix = self._matrix
-        num_blocks = len(self._blocks)
-        if matrix is None or self._packed_blocks < num_blocks:
-            blocks = list(self._blocks.values())
-            matrix = self._fold_blocks(blocks) if blocks else np.zeros((0, 0), dtype=np.float32)
-            bases: dict[str, int] = {}
-            base = 0
-            for name, block in self._blocks.items():
-                bases[name] = base
-                base += int(block.shape[0])
-            self._bases = bases
-            self._matrix = matrix  # published after the bases
-            self._packed_blocks = num_blocks
-        return matrix
+    def _register(self, name: str, block: np.ndarray) -> None:
+        """Adopt ``block`` read-only as source ``name``'s rows, after every earlier block."""
+        if name in self._blocks:
+            raise DataError(f"source {name!r} is already registered in the embedding store")
+        self._bases[name] = self._num_rows  # set before the block, which readers look up first
+        self._blocks[name] = _read_only(block)
+        self._num_rows += int(block.shape[0])
 
     # --------------------------------------------------------------- snapshot
     def blocks(self) -> "dict[str, np.ndarray]":
@@ -180,43 +125,27 @@ class EmbeddingStore(Mapping):
 
         Registration order follows the dict order; matrices are adopted as
         read-only views (possibly over a memory-mapped file — the store never
-        mutates a registered block, only copies out of it when folding).
+        mutates a registered block, only gathers rows out of it).
         """
         store = cls()
         for name, matrix in blocks.items():
             matrix = np.asarray(matrix)
             if matrix.ndim != 2:
                 raise DataError(f"embedding block {name!r} must be 2-d, got {matrix.ndim}-d")
-            if name in store._blocks:
-                raise DataError(f"source {name!r} is already registered in the embedding store")
-            store._blocks[name] = _read_only(matrix)
+            store._register(name, matrix)
         return store
 
     # ------------------------------------------------------- row resolution
-    def rows(self, refs: Sequence[EntityRef]) -> np.ndarray:
-        """Row indices into :attr:`matrix` for a batch of refs."""
-        self.matrix  # ensure bases
-        bases = self._bases
-        blocks = self._blocks
-        out = np.empty(len(refs), dtype=np.int64)
-        for i, ref in enumerate(refs):
-            block = blocks.get(ref.source)
-            if block is None or not 0 <= ref.index < block.shape[0]:
-                raise KeyError(ref)
-            out[i] = bases[ref.source] + ref.index
-        return out
-
     def member_rows(
         self, sources: Sequence[str], member_sources: np.ndarray, member_indices: np.ndarray
     ) -> np.ndarray:
-        """Vectorized row resolution for flat CSR member lists.
+        """Row numbers (blocks laid end to end) of flat CSR member lists.
 
         ``member_sources`` indexes into ``sources`` (an
         :class:`~repro.core.merging.ItemTable`'s source-name table) and
         ``member_indices`` holds source-row indices; no per-member Python
         work happens here.
         """
-        self.matrix  # ensure bases
         bases = np.empty(len(sources), dtype=np.int64)
         counts = np.empty(len(sources), dtype=np.int64)
         for i, name in enumerate(sources):
@@ -236,6 +165,25 @@ class EmbeddingStore(Mapping):
                 )
         return bases[member_sources] + member_indices
 
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The vectors of row numbers ``rows``, gathered out of each block in place.
+
+        Equal to ``np.concatenate(list(self.blocks().values()))[rows]`` for
+        in-range ``rows``, without the concatenated copy: each block fills
+        the output positions of its own rows.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        names = list(self._blocks)
+        blocks = [self._blocks[name] for name in names]
+        starts = np.array([self._bases[name] for name in names], dtype=np.int64)
+        out = np.empty((rows.size, blocks[0].shape[1]), dtype=np.result_type(*blocks))
+        # An empty block shares its start with the next one; "right" picks the later.
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        for b in np.unique(owner).tolist():
+            positions = np.flatnonzero(owner == b)
+            out[positions] = blocks[b][rows[positions] - starts[b]]
+        return out
+
     # ------------------------------------------------------ Mapping protocol
     def __getitem__(self, ref: EntityRef) -> np.ndarray:
         block = self._blocks.get(ref.source)
@@ -249,7 +197,7 @@ class EmbeddingStore(Mapping):
                 yield EntityRef(name, i)
 
     def __len__(self) -> int:
-        return sum(int(block.shape[0]) for block in self._blocks.values())
+        return self._num_rows
 
 
 class EntityRepresenter:

@@ -7,6 +7,11 @@ serialized texts: ``EntityRepresenter.encode_table`` (every
 supervised baselines). A repeated text (a hot query, a duplicate row) is
 encoded once, with the same result. Algorithm 1 and ``encode_dataset``'s
 stashed tables pool token ids straight into the kernel, bypassing the cache.
+
+A cache entry is a row view of the array :meth:`CachingEncoder.encode`
+returned — the embedding store's block, or a query batch — not of the inner
+encoder's output, so a cached vector is resident once. That array is
+returned read-only: no caller's write can reach a later cache hit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ from .hashed import HashedNGramEncoder
 
 
 class CachingEncoder:
-    """Wrap the sentence encoder with an exact-match text cache."""
+    """Wrap the sentence encoder with an exact-match text cache.
+
+    :meth:`encode` returns a read-only array; the cache keeps row views of it.
+    """
 
     def __init__(self, inner: HashedNGramEncoder, max_entries: int = 1_000_000) -> None:
         self.inner = inner
@@ -54,11 +62,11 @@ class CachingEncoder:
                 missing_texts.append(text)
                 self.misses += 1
         if missing_texts:
-            encoded = self.inner.encode(missing_texts)
-            for position, text, vector in zip(missing_positions, missing_texts, encoded):
-                result[position] = vector
-                if len(self._cache) < self.max_entries:
-                    self._cache[text] = vector
+            result[missing_positions] = self.inner.encode(missing_texts)
+        result.flags.writeable = False  # before the views: they inherit it
+        for position, text in zip(missing_positions, missing_texts):
+            if len(self._cache) < self.max_entries:
+                self._cache[text] = result[position]
         return result
 
     def clear(self) -> None:

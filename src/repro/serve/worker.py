@@ -165,8 +165,10 @@ def worker_main(
                 if handler is None:
                     raise ServeError(f"unknown frame op {op!r}")
                 reply = handler(state, frame)
-            except ReproError as exc:
-                reply = {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+            except Exception as exc:  # any handler failure answers; the worker serves on
+                kind = type(exc).__name__
+                error = str(exc) if isinstance(exc, ReproError) else f"{kind}: {exc}"
+                reply = {"ok": False, "error": error, "kind": kind}
             reply["worker"] = worker_id
             send_frame(sock, reply)
     except (BrokenPipeError, ConnectionResetError):

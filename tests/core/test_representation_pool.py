@@ -41,7 +41,6 @@ def test_serial_and_threaded_representation_write_the_same_bytes(name, request):
         assert list(serial.store.blocks()) == list(threaded.store.blocks())
         for table, block in serial.store.blocks().items():
             assert block.tobytes() == threaded.store.blocks()[table].tobytes()
-        assert serial.store.matrix.tobytes() == threaded.store.matrix.tobytes()
         assert embedding_store_digest(serial.store) == embedding_store_digest(threaded.store)
     for table, block in serial.store.blocks().items():
         # The pooled path equals the plain serialize -> encode path.

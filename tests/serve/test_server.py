@@ -20,6 +20,7 @@ from repro.core.incremental import IncrementalMultiEM
 from repro.data.io import refs_to_json
 from repro.data.serialization import serialize_table
 from repro.serve import MatchServer, ServeConfig
+from repro.serve import worker as worker_module
 from repro.serve.protocol import canonical_json
 from repro.store import MatchSession
 
@@ -180,6 +181,41 @@ def test_a_k_past_the_table_answers_like_k_equal_to_its_size(
             await server.stop()
 
     # Bounded: a worker that raises outside ReproError must fail this test, not hang it.
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+
+
+def test_a_handler_error_outside_repro_answers_500_and_the_worker_serves_on(
+    serve_snapshot, query_texts, http_request, monkeypatch
+):
+    """A non-``ReproError`` from a frame handler is a reply, not a dead worker."""
+    real_query = worker_module._handle_query
+    calls = []
+
+    def raise_once(state, frame):
+        calls.append(1)  # per process: the forked worker counts its own calls
+        if len(calls) == 1:
+            raise RuntimeError("handler bug")
+        return real_query(state, frame)
+
+    monkeypatch.setitem(worker_module._HANDLERS, "query", raise_once)  # before the fork
+
+    async def scenario():
+        server = _serve(serve_snapshot, workers=1)
+        await server.start()
+        try:
+            pid = server.plane.workers[0].process.pid
+            doc = {"texts": query_texts[:1], "k": 1}
+            status, _, body = await http_request(server.port, "POST", "/query", doc)
+            assert status == 500 and b"RuntimeError" in body
+            status, _, _ = await http_request(server.port, "POST", "/query", doc)
+            assert status == 200
+            assert server.plane.workers[0].process.pid == pid
+            _, _, body = await http_request(server.port, "GET", "/metrics")
+            metrics = json.loads(body)
+            assert (metrics["worker_deaths"], metrics["worker_restarts"]) == (0, 0)
+        finally:
+            await server.stop()
+
     asyncio.run(asyncio.wait_for(scenario(), timeout=60))
 
 

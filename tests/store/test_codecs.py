@@ -84,7 +84,8 @@ class TestEmbeddingStore:
         )
         assert codecs.embedding_store_digest(loaded) == codecs.embedding_store_digest(store)
         assert list(loaded.blocks()) == ["t1", "t0"]
-        assert loaded.matrix.tobytes() == store.matrix.tobytes()
+        for name, block in store.blocks().items():
+            assert loaded.blocks()[name].tobytes() == block.tobytes()
         ref = EntityRef("t0", 2)
         assert loaded[ref].tobytes() == store[ref].tobytes()
         rows = loaded.member_rows(("t0", "t1"), np.array([0, 1]), np.array([2, 3]))

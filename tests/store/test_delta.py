@@ -105,6 +105,60 @@ class TestDiffArray:
             )
 
 
+def _byte_compare(new_prefix: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Reference: rows whose raw bytes differ, compared one byte at a time."""
+    rows = new_prefix.shape[0]
+    a = np.ascontiguousarray(new_prefix).view(np.uint8).reshape(rows, -1)
+    b = np.ascontiguousarray(base).view(np.uint8).reshape(rows, -1)
+    return np.flatnonzero(np.any(a != b, axis=1))
+
+
+class TestChangedRowsWordCompare:
+    """``changed_rows`` compares words, and finds exactly the byte compare's rows."""
+
+    @pytest.mark.parametrize(
+        "dtype, trailing, word",
+        [
+            (np.uint8, (1,), 1),  # 1-byte rows
+            (np.uint8, (2,), 2),  # 2-byte rows
+            (np.uint8, (3,), 1),  # 3-byte rows: no wider word divides them
+            (np.float16, (3,), 2),  # 6-byte rows
+            (np.float32, (384,), 8),
+            (np.float64, (5,), 8),
+            (np.int64, (), 8),  # 1-d
+            (np.float32, (2, 3), 8),  # 3-d
+        ],
+    )
+    def test_matches_the_byte_compare(self, dtype, trailing, word):
+        rng = np.random.default_rng(7)
+        base = rng.integers(0, 256, size=(40, *trailing, np.dtype(dtype).itemsize), dtype=np.uint8)
+        base = base.view(dtype).reshape(40, *trailing)
+        new = base.copy()
+        raw = new.view(np.uint8).reshape(40, -1)
+        for row in (0, 13, 39):
+            raw[row, rng.integers(0, raw.shape[1])] ^= 1 << int(rng.integers(0, 8))
+        expected = _byte_compare(new, base)
+        assert expected.tolist() == [0, 13, 39]
+        assert changed_rows(new, base).tolist() == expected.tolist()
+        assert delta_module._word_rows(new).dtype.itemsize == word
+
+    def test_nan_payloads_and_signed_zeros_are_bytes(self):
+        base = np.zeros((6, 4), dtype=np.float32)
+        base[1, 1] = np.nan
+        new = base.copy()
+        new.view(np.uint32)[1, 1] ^= 1  # another NaN payload: a changed row
+        new[3, 2] = -0.0  # -0.0 == +0.0 as floats, but not as bytes
+        new.view(np.uint32)[5, 0] = base.view(np.uint32)[5, 0]  # rewritten, same bytes
+        assert changed_rows(new, base).tolist() == _byte_compare(new, base).tolist() == [1, 3]
+        assert changed_rows(base.copy(), base).size == 0  # equal NaNs do not differ
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0), (0, 0)])
+    def test_empty_arrays(self, shape):
+        empty = np.zeros(shape, dtype=np.float32)
+        changed = changed_rows(empty, empty.copy())
+        assert changed.dtype == np.int64 and changed.size == 0
+
+
 class TestSharedBufferRef:
     """A base that *is* the new buffer is a ``ref`` without a byte compare."""
 
