@@ -33,17 +33,13 @@ def grown(music_tiny):
     matcher.close()
 
 
-def _store_of(matcher) -> EmbeddingStore:
-    return matcher._store
-
-
 def _concatenated(store: EmbeddingStore) -> np.ndarray:
     return np.concatenate(list(store.blocks().values()))
 
 
 def test_every_cache_entry_shares_memory_with_a_store_block(grown):
     cache = grown._representer.encoder._cache
-    blocks = list(_store_of(grown).blocks().values())
+    blocks = list(grown._store.blocks().values())
     assert cache
     for vector in cache.values():
         assert any(np.shares_memory(vector, block) for block in blocks)
@@ -59,7 +55,7 @@ def test_an_encoded_array_is_read_only(grown):
 
 
 def test_the_store_holds_no_array_besides_its_blocks(grown):
-    store = _store_of(grown)
+    store = grown._store
     held = []
     for name, value in vars(store).items():
         if isinstance(value, np.ndarray):
@@ -100,16 +96,16 @@ def test_take_reads_the_read_only_blocks_of_an_mmap_loaded_snapshot(grown, tmp_p
     grown.save(path, mode="full")
     loaded = load_matcher(path, mmap=True)
     try:
-        store = _store_of(loaded)
+        store = loaded._store
         assert not any(block.flags.writeable for block in store.blocks().values())
         rows = np.random.default_rng(0).permutation(len(store))
-        assert store.take(rows).tobytes() == _concatenated(_store_of(grown))[rows].tobytes()
+        assert store.take(rows).tobytes() == _concatenated(grown._store)[rows].tobytes()
     finally:
         loaded.close()
 
 
 def test_serial_and_parallel_pruning_stay_byte_equal(grown):
-    store, table, config = _store_of(grown), grown.integrated_table, grown.config.pruning
+    store, table, config = grown._store, grown.integrated_table, grown.config.pruning
     outputs = []
     for parallel in (ParallelConfig(enabled=False), ParallelConfig(enabled=True, max_workers=3)):
         with ParallelExecutor(parallel) as executor:
