@@ -258,13 +258,12 @@ for k in (1, 2):
 # more than 256 rows at once (the BLAS path at either width).
 for d in (36, 37):
     rows = rng.standard_normal((320, d)).astype(np.float32)
-    for metric in ("cosine", "euclidean"):
-        wide = HNSWIndex(metric=metric, max_degree=129, ef_construction=200, seed=d)
-        wide.build(rows[:256]).extend(rows[256:])
-        indices, distances = wide.query(rows[:8] + 0.01, 5)
-        digest.update(wide._layer_neighbors[0][:320].tobytes())
-        digest.update(indices.tobytes())
-        digest.update(distances.tobytes())
+    wide = HNSWIndex(max_degree=129, ef_construction=200, seed=d)
+    wide.build(rows[:256]).extend(rows[256:])
+    indices, distances = wide.query(rows[:8] + 0.01, 5)
+    digest.update(wide._layer_neighbors[0][:320].tobytes())
+    digest.update(indices.tobytes())
+    digest.update(distances.tobytes())
 
 # Most distances tie (300 rows from 12 vectors, in groups of 2 to 99 copies):
 # the heaps, the sort and the k = 1 minimum order equal distances by node id
@@ -273,14 +272,13 @@ rng = np.random.default_rng(12)
 distinct = rng.normal(size=(12, 24)).astype(np.float32)
 weights = 0.7 ** np.arange(12)
 tied = distinct[rng.choice(12, size=300, p=weights / weights.sum())]
-for metric in ("cosine", "euclidean"):
-    ties = HNSWIndex(metric=metric, max_degree=6, ef_construction=150, ef_search=10, seed=12)
-    ties.build(tied[:200]).extend(tied[200:])
-    digest.update(ties._layer_neighbors[0][:300].tobytes())
-    for k in (1, 5, 20):
-        indices, distances = ties.query(np.concatenate([distinct, tied[::15]]), k)
-        digest.update(indices.tobytes())
-        digest.update(distances.tobytes())
+ties = HNSWIndex(max_degree=6, ef_construction=150, ef_search=10, seed=12)
+ties.build(tied[:200]).extend(tied[200:])
+digest.update(ties._layer_neighbors[0][:300].tobytes())
+for k in (1, 5, 20):
+    indices, distances = ties.query(np.concatenate([distinct, tied[::15]]), k)
+    digest.update(indices.tobytes())
+    digest.update(distances.tobytes())
 print("VARIANT", native.kernel_variant())
 print("DIGEST", digest.hexdigest())
 """

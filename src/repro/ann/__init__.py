@@ -60,9 +60,10 @@ frozen benchmark replay still hands to merges (an exact-hit lookup); no
 production path creates one.
 
 All distance kernels live in :mod:`repro.ann.distances`;
-:class:`~repro.ann.distances.PreparedVectors` hoists per-row statistics
-(norms / squared norms) out of the per-query hot path while staying
-bit-for-bit compatible with :func:`~repro.ann.distances.distance_matrix`.
+:class:`~repro.ann.distances.PreparedVectors` normalizes the indexed rows
+once, out of the per-query hot path, while staying bit-for-bit compatible
+with :func:`~repro.ann.distances.distance_matrix`. Every index is cosine;
+euclidean is pruning's distance and never runs on an index.
 """
 
 from .base import NearestNeighborIndex

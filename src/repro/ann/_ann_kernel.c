@@ -8,13 +8,13 @@
  *    path calls, through function pointers resolved from numpy's own bundled
  *    shared library: `cblas_sgemv` (row-major, NoTrans) for >= 2 rows and
  *    `cblas_sdot` for a single row, mirroring numpy's dispatch for
- *    `(k, d) @ (d,)`.  The surrounding float32 arithmetic (1 - sim, clip,
- *    q² + n² - 2p, sqrt) is a fixed sequence of individually-rounded IEEE
- *    ops identical to the numpy ufunc chain.
- *  - Inputs are finite: `HNSWIndex` refuses a row with a non-finite element
- *    and, under euclidean, one whose squared norm is large enough for
- *    q² + n² - 2p to overflow.  So every distance is finite and >= +0.0:
- *    the clip and `sqrtf` never produce NaN or -0.0.
+ *    `(k, d) @ (d,)`.  The surrounding float32 arithmetic (1 - sim, clip)
+ *    is a fixed sequence of individually-rounded IEEE ops identical to the
+ *    numpy ufunc chain.  The one distance is cosine on unit rows; euclidean
+ *    is pruning's, which never runs on an index.
+ *  - Inputs are finite: `HNSWIndex` refuses a row with a non-finite element,
+ *    so every distance is finite and >= +0.0: the clip never produces NaN
+ *    or -0.0.
  *  - The best-first search pops candidates in a strict total order
  *    ((distance, node) lexicographic — node ids are unique), so heap
  *    *content* after any push/pop sequence is implementation-independent;
@@ -272,14 +272,9 @@ static void sgemv_sky(int64_t k, int64_t d, const float *base, const int64_t *ro
 
 /* ------------------------------------------------------------------ state */
 
-#define METRIC_COSINE 0
-#define METRIC_EUCLIDEAN 1
-
 typedef struct {
-    const float *base;     /* (n, d) normed rows (cosine) or raw rows (euclidean) */
-    const float *sq_norms; /* (n,) squared norms, euclidean only */
+    const float *base; /* (n, d) unit rows */
     int64_t d;
-    int metric;
     int num_layers;
     int64_t **neighbors; /* per layer: (n, cap) int64 */
     float **dists;       /* per layer: (n, cap) float32 */
@@ -352,14 +347,13 @@ static void sort_items(item_t *items, int64_t n) {
 
 /* ----------------------------------------------------------- distances */
 
-/* distances from the prepared query to base[rows], replicating
+/* cosine distances from the prepared query to base[rows], replicating
  * PreparedVectors.row_distances (including numpy's k == 1 sdot dispatch),
  * so the byte-identity argument is carried in one place.  `base` is C-contiguous
- * with row stride d (PreparedVectors.native_views), so sdot and the AVX2
+ * with row stride d (PreparedVectors.native_rows), so sdot and the AVX2
  * micro-kernels read each candidate row in place; only the BLAS sgemv_fn
  * call needs a contiguous k x d matrix and copies the rows into `gather`. */
-static void base_row_distances(const float *base, const float *sq_norms, int64_t d,
-                               int metric, const float *query, float query_sq,
+static void base_row_distances(const float *base, int64_t d, const float *query,
                                const int64_t *rows, int64_t k, float *gather,
                                float *out) {
     if (k == 1) {
@@ -384,28 +378,19 @@ static void base_row_distances(const float *base, const float *sq_norms, int64_t
         }
     }
     /* Clip via "replace only when strictly out of range" so NaN passes
-     * through untouched, exactly like np.maximum / np.clip on the numpy
-     * path (fmaxf-style branches would map NaN to the bound instead). */
-    if (metric == METRIC_COSINE) {
-        for (int64_t i = 0; i < k; i++) {
-            float x = 1.0f - out[i];
-            if (x < 0.0f) x = 0.0f;
-            if (x > 2.0f) x = 2.0f;
-            out[i] = x;
-        }
-    } else {
-        for (int64_t i = 0; i < k; i++) {
-            float sq = (query_sq + sq_norms[rows[i]]) - 2.0f * out[i];
-            if (sq < 0.0f) sq = 0.0f;
-            out[i] = sqrtf(sq);
-        }
+     * through untouched, exactly like np.clip on the numpy path (fmaxf-style
+     * branches would map NaN to the bound instead). */
+    for (int64_t i = 0; i < k; i++) {
+        float x = 1.0f - out[i];
+        if (x < 0.0f) x = 0.0f;
+        if (x > 2.0f) x = 2.0f;
+        out[i] = x;
     }
 }
 
-static void row_distances(const graph_t *g, const float *query, float query_sq,
-                          const int64_t *rows, int64_t k, float *gather, float *out) {
-    base_row_distances(g->base, g->sq_norms, g->d, g->metric, query, query_sq, rows, k,
-                       gather, out);
+static void row_distances(const graph_t *g, const float *query, const int64_t *rows,
+                          int64_t k, float *gather, float *out) {
+    base_row_distances(g->base, g->d, query, rows, k, gather, out);
 }
 
 /* ------------------------------------------------------------- traversal */
@@ -420,9 +405,9 @@ typedef struct {
     int64_t *stamps; /* (n,) visit epochs */
 } scratch_t;
 
-static int64_t search_layer(const graph_t *g, const float *query, float query_sq,
-                            const item_t *entries, int64_t num_entries, int64_t ef,
-                            int layer, int64_t epoch, scratch_t *s) {
+static int64_t search_layer(const graph_t *g, const float *query, const item_t *entries,
+                            int64_t num_entries, int64_t ef, int layer, int64_t epoch,
+                            scratch_t *s) {
     const int64_t cap = g->caps[layer];
     const int64_t *neighbors_table = g->neighbors[layer];
     const int64_t *degrees = g->degrees[layer];
@@ -450,7 +435,7 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
             num_fresh += unseen;
         }
         if (num_fresh == 0) continue;
-        row_distances(g, query, query_sq, s->fresh, num_fresh, s->gather, s->dist);
+        row_distances(g, query, s->fresh, num_fresh, s->gather, s->dist);
         for (int64_t j = 0; j < num_fresh; j++) {
             float nd = s->dist[j];
             item_t it = make_item(nd, s->fresh[j]);
@@ -468,9 +453,8 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
     return res_size;
 }
 
-static void greedy_descent(const graph_t *g, const float *query, float query_sq,
-                           int64_t *entry, float *entry_dist, int64_t top,
-                           int64_t bottom, scratch_t *s) {
+static void greedy_descent(const graph_t *g, const float *query, int64_t *entry,
+                           float *entry_dist, int64_t top, int64_t bottom, scratch_t *s) {
     for (int64_t layer = top; layer > bottom; layer--) {
         const int64_t cap = g->caps[layer];
         const int64_t *neighbors_table = g->neighbors[layer];
@@ -481,7 +465,7 @@ static void greedy_descent(const graph_t *g, const float *query, float query_sq,
             int64_t degree = degrees[*entry];
             if (degree == 0) break;
             const int64_t *row = neighbors_table + *entry * cap;
-            row_distances(g, query, query_sq, row, degree, s->gather, s->dist);
+            row_distances(g, query, row, degree, s->gather, s->dist);
             int64_t best = 0;
             for (int64_t j = 1; j < degree; j++) {
                 if (s->dist[j] < s->dist[best]) best = j;
@@ -581,21 +565,20 @@ static scratch_t *scratch_alloc(int64_t n_total, int64_t ef, int64_t cap_max, in
 /* One full insert: greedy descent to the node's level, then search, select
  * and connect on every layer from there down. */
 static void insert_node(graph_t *g, int64_t node, int64_t level, const float *query,
-                        float query_sq, int64_t ef_construction, scratch_t *s,
-                        item_t *entry_points, int64_t *idx_buf,
-                        int64_t *node_buf, float *dist_buf, int64_t *entry,
-                        int64_t *max_level, int64_t *epoch) {
+                        int64_t ef_construction, scratch_t *s, item_t *entry_points,
+                        int64_t *idx_buf, int64_t *node_buf, float *dist_buf,
+                        int64_t *entry, int64_t *max_level, int64_t *epoch) {
     int64_t current = *entry;
     float current_dist;
-    row_distances(g, query, query_sq, &current, 1, s->gather, &current_dist);
-    greedy_descent(g, query, query_sq, &current, &current_dist, *max_level, level, s);
+    row_distances(g, query, &current, 1, s->gather, &current_dist);
+    greedy_descent(g, query, &current, &current_dist, *max_level, level, s);
     int64_t num_entry = 1;
     entry_points[0] = make_item(current_dist, current);
     int64_t top = level < *max_level ? level : *max_level;
     for (int64_t layer = top; layer >= 0; layer--) {
         *epoch += 1;
-        int64_t num_found = search_layer(g, query, query_sq, entry_points, num_entry,
-                                         ef_construction, (int)layer, *epoch, s);
+        int64_t num_found = search_layer(g, query, entry_points, num_entry, ef_construction,
+                                         (int)layer, *epoch, s);
         int64_t m = layer == 0 ? g->max_degree * 2 : g->max_degree;
         int64_t num_selected = num_found < m ? num_found : m;
         /* Sorted, the found set is both the selection and (in any order)
@@ -614,14 +597,12 @@ static void insert_node(graph_t *g, int64_t node, int64_t level, const float *qu
 
 /* Insert nodes [start, n_total); returns 0 on success, -1 on allocation
  * failure (in which case no state was modified for the failing call). */
-int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
-               int num_layers, int64_t **neighbors, float **dists, int64_t **degrees,
-               const int64_t *caps, int64_t max_degree, int64_t ef_construction,
-               const int64_t *levels, int64_t start, int64_t n_total,
-               const float *prepared_queries, const float *query_sqs,
-               int64_t *entry_io, int64_t *max_level_io) {
-    graph_t g = {base, sq_norms, d, metric, num_layers, neighbors,
-                 dists, degrees, caps, max_degree};
+int hnsw_build(const float *base, int64_t d, int num_layers, int64_t **neighbors,
+               float **dists, int64_t **degrees, const int64_t *caps, int64_t max_degree,
+               int64_t ef_construction, const int64_t *levels, int64_t start,
+               int64_t n_total, const float *prepared_queries, int64_t *entry_io,
+               int64_t *max_level_io) {
+    graph_t g = {base, d, num_layers, neighbors, dists, degrees, caps, max_degree};
     int64_t cap_max = caps[0];
     for (int l = 1; l < num_layers; l++) {
         if (caps[l] > cap_max) cap_max = caps[l];
@@ -651,8 +632,8 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
     }
     for (; node < n_total; node++) {
         insert_node(&g, node, levels[node], prepared_queries + (node - start) * d,
-                    query_sqs[node - start], ef_construction, s, entry_points,
-                    idx_buf, node_buf, dist_buf, &entry, &max_level, &epoch);
+                    ef_construction, s, entry_points, idx_buf, node_buf, dist_buf, &entry,
+                    &max_level, &epoch);
     }
     *entry_io = entry;
     *max_level_io = max_level;
@@ -665,15 +646,12 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
 }
 
 /* Batched top-k query over a built graph; fills (num_queries, k) outputs. */
-int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
-               int num_layers, int64_t **neighbors, float **dists, int64_t **degrees,
-               const int64_t *caps, int64_t max_degree, int64_t n_total,
-               const float *prepared_queries, const float *query_sqs,
-               const float *entry_dists, int64_t num_queries, int64_t ef, int64_t k,
-               int64_t entry, int64_t max_level, int64_t *out_indices,
-               double *out_distances) {
-    graph_t g = {base, sq_norms, d, metric, num_layers, neighbors,
-                 dists, degrees, caps, max_degree};
+int hnsw_query(const float *base, int64_t d, int num_layers, int64_t **neighbors,
+               float **dists, int64_t **degrees, const int64_t *caps, int64_t max_degree,
+               int64_t n_total, const float *prepared_queries, const float *entry_dists,
+               int64_t num_queries, int64_t ef, int64_t k, int64_t entry, int64_t max_level,
+               int64_t *out_indices, double *out_distances) {
+    graph_t g = {base, d, num_layers, neighbors, dists, degrees, caps, max_degree};
     int64_t cap_max = caps[0];
     for (int l = 1; l < num_layers; l++) {
         if (caps[l] > cap_max) cap_max = caps[l];
@@ -682,13 +660,11 @@ int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
     if (!s) return -1;
     for (int64_t row = 0; row < num_queries; row++) {
         const float *query = prepared_queries + row * d;
-        float query_sq = query_sqs[row];
         int64_t current = entry;
         float current_dist = entry_dists[row];
-        greedy_descent(&g, query, query_sq, &current, &current_dist, max_level, 0, s);
+        greedy_descent(&g, query, &current, &current_dist, max_level, 0, s);
         item_t start_item = make_item(current_dist, current);
-        int64_t num_found =
-            search_layer(&g, query, query_sq, &start_item, 1, ef, 0, row + 1, s);
+        int64_t num_found = search_layer(&g, query, &start_item, 1, ef, 0, row + 1, s);
         if (k == 1) { /* the nearest item is the minimum: no sort */
             for (int64_t j = 1; j < num_found; j++) {
                 if (s->found[j] < s->found[0]) s->found[0] = s->found[j];

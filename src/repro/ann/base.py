@@ -15,9 +15,7 @@ from ..exceptions import IndexError_
 
 
 class NearestNeighborIndex(ABC):
-    """Top-K nearest-neighbour search over a fixed set of vectors."""
-
-    metric: str
+    """Top-K cosine nearest-neighbour search over a fixed set of vectors."""
 
     #: Whether ``query`` answers each row independently of the rest of the
     #: batch — i.e. row ``i`` of a batched call is bit-identical to a
@@ -28,8 +26,7 @@ class NearestNeighborIndex(ABC):
     #: (the serving coalescer) get them from any backend.
     batch_invariant: bool = False
 
-    def __init__(self, metric: str = "cosine") -> None:
-        self.metric = metric
+    def __init__(self) -> None:
         self._vectors: np.ndarray | None = None
 
     @property
@@ -55,17 +52,14 @@ class NearestNeighborIndex(ABC):
             raise IndexError_("index queried before build()")
         return self._vectors
 
-    def _validate_extension(self, vectors: np.ndarray) -> np.ndarray:
-        """Shared shape/dimension checks for incremental ``extend`` inserts."""
+    def _validate_rows(self, vectors: np.ndarray, action: str) -> np.ndarray:
+        """Shape/width checks of the rows a built index is asked to ``query`` or ``extend``."""
+        width = self._require_built().shape[1]
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
-        assert self._vectors is not None
-        if vectors.shape[1] != self._vectors.shape[1]:
-            raise IndexError_(
-                f"cannot extend a {self._vectors.shape[1]}-d index "
-                f"with {vectors.shape[1]}-d vectors"
-            )
+        if vectors.shape[1] != width:
+            raise IndexError_(f"cannot {action} a {width}-d index with {vectors.shape[1]}-d vectors")
         return vectors
 
     @staticmethod

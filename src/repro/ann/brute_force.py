@@ -21,9 +21,8 @@ BATCH_SIZE = 2048
 class BruteForceIndex(NearestNeighborIndex):
     """Exact top-K search; O(n·q) distance evaluations per query batch.
 
-    The index-side row statistics (norms for cosine, squared norms for
-    euclidean) are prepared once at :meth:`build`, so repeated query batches
-    against the same index skip the per-call re-normalization that
+    The index-side rows are normalized once at :meth:`build`, so repeated
+    query batches against the same index skip the per-call re-normalization that
     :func:`~repro.ann.distances.distance_matrix` would redo. Queries run
     through the shared engine's dense path
     (:func:`repro.ann.engine.exact_topk_blocked` — candidate generation is
@@ -32,8 +31,8 @@ class BruteForceIndex(NearestNeighborIndex):
     per ``batch_size`` queries, not the int64 ``argpartition`` slab.
     """
 
-    def __init__(self, metric: str = "cosine", batch_size: int = BATCH_SIZE) -> None:
-        super().__init__(metric)
+    def __init__(self, batch_size: int = BATCH_SIZE) -> None:
+        super().__init__()
         if batch_size < 1:
             raise IndexError_("batch_size must be >= 1")
         self.batch_size = batch_size
@@ -44,12 +43,11 @@ class BruteForceIndex(NearestNeighborIndex):
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
         self._vectors = vectors
-        self._prepared = PreparedVectors(vectors, self.metric)
+        self._prepared = PreparedVectors(vectors)
         return self
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        queries = np.asarray(queries, dtype=np.float32)
+        queries = self._validate_rows(queries, "query")
         if k < 1:
             raise IndexError_("k must be >= 1")
         assert self._prepared is not None

@@ -1,8 +1,9 @@
 """Vectorized distance kernels used by the ANN indexes and the pruning stage.
 
 The paper uses cosine distance in the merging phase and euclidean distance in
-the pruning phase; both are provided in pairwise (matrix), row-wise paired
-and prepared one-query-to-rows forms.
+the pruning phase; both are provided in pairwise (matrix) and row-wise paired
+forms. The ANN indexes run on :class:`PreparedVectors`, the prepared
+one-query-to-rows form of cosine alone.
 """
 
 from __future__ import annotations
@@ -129,37 +130,41 @@ def batched_pairwise_distances(stacked: np.ndarray, metric: str = "euclidean") -
     return np.sqrt(squared)
 
 
-class PreparedVectors:
-    """Distance kernels over a fixed vector set with per-row work hoisted out.
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` over their norms, a zero row kept (``cosine_distance_matrix``'s steps)."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return rows / norms
 
-    :func:`distance_matrix` re-normalizes (cosine) or re-computes squared norms
-    (euclidean) of *both* operands on every call. An ANN index issues thousands
-    of small query-to-neighbours calls against the same indexed matrix, so this
-    class precomputes the index-side row statistics once. All arithmetic keeps
-    the exact operation order of :func:`distance_matrix`, and the per-row
-    precomputations are element-wise, so every result is bit-for-bit identical
-    to the unprepared kernel — a requirement for the HNSW regression tests.
+
+def _cosine_from_similarity(similarity: np.ndarray) -> np.ndarray:
+    """In-place ``clip(1 - similarity, 0, 2)``; values match ``np.clip`` exactly."""
+    np.subtract(1.0, similarity, out=similarity)
+    if _clip_ufunc is not None:
+        _clip_ufunc(similarity, 0.0, 2.0, out=similarity)
+    else:
+        np.maximum(similarity, 0.0, out=similarity)
+        np.minimum(similarity, 2.0, out=similarity)
+    return similarity
+
+
+class PreparedVectors:
+    """Cosine distance kernels over a fixed vector set, its rows normalized once.
+
+    The ANN indexes know one distance, cosine (euclidean belongs to pruning,
+    which never runs on an index). :func:`cosine_distance_matrix`
+    re-normalizes *both* operands on every call; an ANN index issues
+    thousands of small query-to-neighbours calls against the same indexed
+    matrix, so this class normalizes the index-side rows once. All
+    arithmetic keeps the exact operation order of :func:`distance_matrix`,
+    and the per-row precomputation is element-wise, so every result is
+    bit-for-bit identical to the unprepared kernel — a requirement for the
+    HNSW regression tests.
     """
 
-    def __init__(self, vectors: np.ndarray, metric: str = "cosine") -> None:
-        _check_metric(metric)
-        self.metric = metric
+    def __init__(self, vectors: np.ndarray) -> None:
         self.vectors = np.asarray(vectors, dtype=np.float32)
-        self._normed: np.ndarray | None = None
-        self._squared_norms: np.ndarray | None = None
-        self._prepare(self.vectors, append=False)
-
-    def _prepare(self, rows: np.ndarray, *, append: bool) -> None:
-        if self.metric == "cosine":
-            norms = np.linalg.norm(rows, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            normed = rows / norms
-            self._normed = normed if not append else np.concatenate([self._normed, normed])
-        else:
-            squared = (rows * rows).sum(axis=1)
-            self._squared_norms = (
-                squared if not append else np.concatenate([self._squared_norms, squared])
-            )
+        self._normed = _unit_rows(self.vectors)
 
     @property
     def size(self) -> int:
@@ -168,57 +173,29 @@ class PreparedVectors:
     def append(self, rows: np.ndarray) -> None:
         """Add rows to the prepared set (used by incremental index inserts)."""
         rows = np.asarray(rows, dtype=np.float32)
-        self._prepare(rows, append=True)
+        self._normed = np.concatenate([self._normed, _unit_rows(rows)])
         self.vectors = np.concatenate([self.vectors, rows])
 
-    def native_views(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Contiguous kernel-facing buffers for the native HNSW kernel.
+    def native_rows(self) -> np.ndarray:
+        """The normed rows, C-contiguous, for the native HNSW kernel.
 
-        Returns ``(normed_rows, None)`` for cosine and
-        ``(vectors, squared_norms)`` for euclidean, canonicalizing the
-        internal buffers to C-contiguous (a one-time, value-preserving copy
+        Canonicalizes the internal buffer (a one-time, value-preserving copy
         when the input had exotic strides).
         """
-        if self.metric == "cosine":
-            assert self._normed is not None
-            self._normed = np.ascontiguousarray(self._normed)
-            return self._normed, None
-        assert self._squared_norms is not None
-        self.vectors = np.ascontiguousarray(self.vectors)
-        self._squared_norms = np.ascontiguousarray(self._squared_norms)
-        return self.vectors, self._squared_norms
+        self._normed = np.ascontiguousarray(self._normed)
+        return self._normed
 
     def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Precompute the query-side row statistics (normalization for cosine)."""
-        queries = np.asarray(queries, dtype=np.float32)
-        if self.metric == "cosine":
-            norms = np.linalg.norm(queries, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            return queries / norms
-        return queries
+        """Normalize the query rows."""
+        return _unit_rows(np.asarray(queries, dtype=np.float32))
 
     def block_distances(self, prepared_queries: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """``distance_matrix(queries, vectors[rows])`` without re-normalization.
 
         ``prepared_queries`` must come from :meth:`prepare_queries`.
         """
-        if self.metric == "cosine":
-            normed = self._normed if rows is None else self._normed[rows]
-            similarity = prepared_queries @ normed.T
-            # In-place clip(1 - sim, 0, 2); values match np.clip exactly.
-            np.subtract(1.0, similarity, out=similarity)
-            if _clip_ufunc is not None:
-                _clip_ufunc(similarity, 0.0, 2.0, out=similarity)
-            else:
-                np.maximum(similarity, 0.0, out=similarity)
-                np.minimum(similarity, 2.0, out=similarity)
-            return similarity
-        targets = self.vectors if rows is None else self.vectors[rows]
-        target_sq = self._squared_norms if rows is None else self._squared_norms[rows]
-        query_sq = (prepared_queries * prepared_queries).sum(axis=1)[:, None]
-        squared = query_sq + target_sq[None, :] - 2.0 * (prepared_queries @ targets.T)
-        np.maximum(squared, 0.0, out=squared)
-        return np.sqrt(squared)
+        normed = self._normed if rows is None else self._normed[rows]
+        return _cosine_from_similarity(prepared_queries @ normed.T)
 
     def row_distances(self, prepared_query: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Distances from one prepared query vector to ``vectors[rows]`` (1-d).
@@ -228,17 +205,4 @@ class PreparedVectors:
         tests), and the matvec form skips two view creations per call — this
         is the innermost kernel of every HNSW expansion step.
         """
-        if self.metric == "cosine":
-            similarity = self._normed[rows] @ prepared_query
-            np.subtract(1.0, similarity, out=similarity)
-            if _clip_ufunc is not None:
-                _clip_ufunc(similarity, 0.0, 2.0, out=similarity)
-            else:
-                np.maximum(similarity, 0.0, out=similarity)
-                np.minimum(similarity, 2.0, out=similarity)
-            return similarity
-        products = self.vectors[rows] @ prepared_query
-        query_sq = (prepared_query * prepared_query).sum()
-        squared = query_sq + self._squared_norms[rows] - 2.0 * products
-        np.maximum(squared, 0.0, out=squared)
-        return np.sqrt(squared)
+        return _cosine_from_similarity(self._normed[rows] @ prepared_query)

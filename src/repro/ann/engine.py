@@ -2,13 +2,11 @@
 
 Every ANN backend answers a batched top-K query by generating a candidate
 set per query (graph traversal for HNSW, "all rows" for brute force) and
-ranking those candidates exactly under the prepared distance kernel. This
+ranking those candidates exactly under the prepared cosine kernel. This
 module holds what the backends share:
 
 * :func:`alloc_topk` — the ``(indices, distances)`` output pair every
   backend fills (``-1`` / ``inf`` padding for missing slots).
-* :func:`query_squared_norms` — the per-query squared norms the euclidean
-  native HNSW traversal is handed.
 * :func:`exact_topk_blocked` — the dense exact path (brute force): blocked
   full distance rows with ``argpartition`` selection, preserving
   :class:`~repro.ann.brute_force.BruteForceIndex`'s historical op order
@@ -30,18 +28,6 @@ def alloc_topk(num_queries: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     indices = np.full((num_queries, k), -1, dtype=np.int64)
     distances = np.full((num_queries, k), np.inf, dtype=np.float64)
     return indices, distances
-
-
-def query_squared_norms(prepared: PreparedVectors, prepared_queries: np.ndarray) -> np.ndarray:
-    """Per-query ``(q * q).sum()`` exactly as ``row_distances`` computes it.
-
-    The row-wise ``sum(axis=1)`` over the contiguous axis reduces in the same
-    pairwise order as each row's scalar ``.sum()`` (the equality the native
-    HNSW kernel already relies on). Cosine queries carry no squared norm.
-    """
-    if prepared.metric == "cosine":
-        return np.zeros(prepared_queries.shape[0], dtype=np.float32)
-    return np.ascontiguousarray((prepared_queries * prepared_queries).sum(axis=1))
 
 
 def exact_topk_blocked(

@@ -34,10 +34,9 @@ Python path. Set ``REPRO_NATIVE=0`` to force the fallback. The kernel
 orders heap items by one integer key, ``(distance bits << 32) | node``,
 which is the strict (distance, node) order only while every distance is
 finite and ≥ +0.0 and node ids fit in 31 bits. So :meth:`build`,
-:meth:`extend` and :meth:`query` refuse rows that could make a distance NaN
-(a non-finite element; under euclidean, a squared norm of 2**125 or more,
-where ``q² + n² - 2p`` can overflow), and an index of 2**31 or more nodes
-keeps to the Python path.
+:meth:`extend` and :meth:`query` refuse a row with a non-finite element
+(the only way a cosine distance of normalized rows becomes NaN), and an
+index of 2**31 or more nodes keeps to the Python path.
 
 The index also supports :meth:`extend` — appending vectors continues the
 level-sampling RNG stream, so ``build(v).extend(w)`` produces byte-identical
@@ -60,37 +59,23 @@ from .distances import PreparedVectors
 #: index runs the Python path.
 _NATIVE_MAX_NODES = 2**31
 
-#: Under euclidean, squared norms below this keep ``q² + n² - 2p`` below the
-#: float32 maximum (≈ 2**128), so no distance can become ``inf - inf = NaN``.
-_MAX_SQUARED_NORM = 2.0**125
 
-
-def _refuse_non_finite(vectors: np.ndarray, metric: str, what: str) -> None:
+def _refuse_non_finite(vectors: np.ndarray, what: str) -> None:
     """Raise :class:`IndexError_` naming the first row that can make a distance NaN."""
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
         raise IndexError_(f"{what} row {row} has a non-finite element")
-    if metric == "euclidean":
-        squared = (vectors * vectors).sum(axis=1)
-        bounded = squared < _MAX_SQUARED_NORM
-        if not bounded.all():
-            row = int(np.argmin(bounded))
-            raise IndexError_(
-                f"{what} row {row} has squared norm {float(squared[row])!r}, "
-                f"at or above the euclidean limit 2**125"
-            )
 
 
 class HNSWIndex(NearestNeighborIndex):
-    """Approximate top-K search with a navigable small-world graph.
+    """Approximate top-K cosine search with a navigable small-world graph.
 
     Queries are answered row by row (graph traversal per query vector), so
     batched answers are independent of batch composition — pinned by
     ``tests/serve/test_coalescer.py``.
 
     Args:
-        metric: ``"cosine"`` or ``"euclidean"``.
         max_degree: ``M`` — max neighbours per node on upper layers (layer 0
             allows ``2 * M``).
         ef_construction: candidate-list size during insertion.
@@ -103,13 +88,12 @@ class HNSWIndex(NearestNeighborIndex):
 
     def __init__(
         self,
-        metric: str = "cosine",
         max_degree: int = 16,
         ef_construction: int = 100,
         ef_search: int = 64,
         seed: int = 0,
     ) -> None:
-        super().__init__(metric)
+        super().__init__()
         if max_degree < 2:
             raise IndexError_("max_degree must be >= 2")
         if ef_construction < 1 or ef_search < 1:
@@ -254,9 +238,9 @@ class HNSWIndex(NearestNeighborIndex):
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
-        _refuse_non_finite(vectors, self.metric, "vectors")
+        _refuse_non_finite(vectors, "vectors")
         self._vectors = vectors
-        self._prepared = PreparedVectors(vectors, self.metric)
+        self._prepared = PreparedVectors(vectors)
         self._layer_neighbors = []
         self._layer_dists = []
         self._layer_degrees = []
@@ -277,8 +261,8 @@ class HNSWIndex(NearestNeighborIndex):
         """
         if self._vectors is None:
             return self.build(vectors)
-        vectors = self._validate_extension(vectors)
-        _refuse_non_finite(vectors, self.metric, "vectors")
+        vectors = self._validate_rows(vectors, "extend")
+        _refuse_non_finite(vectors, "vectors")
         assert self._prepared is not None
         start = self._vectors.shape[0]
         self._prepared.append(vectors)
@@ -313,20 +297,6 @@ class HNSWIndex(NearestNeighborIndex):
         for offset, level in enumerate(levels):
             self._insert(start + offset, level)
 
-    def _native_base(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Index-side matrices the kernel reads (normed rows / raw + sq norms)."""
-        prepared = self._prepared
-        assert prepared is not None
-        base, norms = prepared.native_views()
-        if self.metric != "cosine":
-            self._vectors = prepared.vectors  # stay aliased after canonicalization
-        return base, norms
-
-    def _native_query_sqs(self, prepared_queries: np.ndarray) -> np.ndarray:
-        """Per-query ``(q * q).sum()`` exactly as ``row_distances`` computes it."""
-        assert self._prepared is not None
-        return engine.query_squared_norms(self._prepared, prepared_queries)
-
     def _insert_range_native(
         self, kernel: "native.NativeKernel", start: int, new_vectors: np.ndarray, levels: list[int]
     ) -> bool:
@@ -343,11 +313,10 @@ class HNSWIndex(NearestNeighborIndex):
         self._ensure_capacity(target_level, n_total)
         num_layers = len(self._layer_neighbors)
         caps = np.array([self._layer_capacity(l) for l in range(num_layers)], dtype=np.int64)
-        base, sq_norms = self._native_base()
         prepared = self._prepared
         assert prepared is not None
+        base = prepared.native_rows()
         prepared_queries = np.ascontiguousarray(prepared.prepare_queries(new_vectors))
-        query_sqs = self._native_query_sqs(prepared_queries)
         levels_arr = np.asarray(self._node_levels, dtype=np.int64)
         entry_io = np.array(
             [-1 if self._entry_point is None else self._entry_point], dtype=np.int64
@@ -355,9 +324,7 @@ class HNSWIndex(NearestNeighborIndex):
         max_level_io = np.array([self._max_level], dtype=np.int64)
         status = kernel.build(
             base.ctypes.data,
-            None if sq_norms is None else sq_norms.ctypes.data,
             int(base.shape[1]),
-            0 if self.metric == "cosine" else 1,
             num_layers,
             kernel.pointer_array(self._layer_neighbors),
             kernel.pointer_array(self._layer_dists),
@@ -369,7 +336,6 @@ class HNSWIndex(NearestNeighborIndex):
             start,
             n_total,
             prepared_queries.ctypes.data,
-            query_sqs.ctypes.data,
             entry_io.ctypes.data,
             max_level_io.ctypes.data,
         )
@@ -477,11 +443,10 @@ class HNSWIndex(NearestNeighborIndex):
 
     # ------------------------------------------------------------------ query
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_built()
+        queries = self._validate_rows(queries, "query")
         if k < 1:
             raise IndexError_("k must be >= 1")
-        queries = np.asarray(queries, dtype=np.float32)
-        _refuse_non_finite(queries, self.metric, "query")
+        _refuse_non_finite(queries, "query")
         num_queries = queries.shape[0]
         indices, distances = engine.alloc_topk(num_queries, k)
         if self._entry_point is None:
@@ -529,15 +494,13 @@ class HNSWIndex(NearestNeighborIndex):
         byte-identical Python search instead."""
         num_layers = len(self._layer_neighbors)
         caps = np.array([self._layer_capacity(l) for l in range(num_layers)], dtype=np.int64)
-        base, sq_norms = self._native_base()
+        assert self._prepared is not None
+        base = self._prepared.native_rows()
         prepared_queries = np.ascontiguousarray(prepared_queries)
         entry_dists = np.ascontiguousarray(np.asarray(entry_dists, dtype=np.float32))
-        query_sqs = self._native_query_sqs(prepared_queries)
         status = kernel.query(
             base.ctypes.data,
-            None if sq_norms is None else sq_norms.ctypes.data,
             int(base.shape[1]),
-            0 if self.metric == "cosine" else 1,
             num_layers,
             kernel.pointer_array(self._layer_neighbors),
             kernel.pointer_array(self._layer_dists),
@@ -546,7 +509,6 @@ class HNSWIndex(NearestNeighborIndex):
             self.max_degree,
             len(self._node_levels),
             prepared_queries.ctypes.data,
-            query_sqs.ctypes.data,
             entry_dists.ctypes.data,
             int(prepared_queries.shape[0]),
             ef,

@@ -26,7 +26,7 @@ from . import engine
 from .base import NearestNeighborIndex
 from .brute_force import BATCH_SIZE, BruteForceIndex
 from .cache import index_params_key  # bench compat: item 1 deletes
-from .distances import METRICS, PreparedVectors, paired_distances
+from .distances import PreparedVectors, paired_distances
 from .hnsw import HNSWIndex
 
 
@@ -46,9 +46,14 @@ def resolve_backend(backend: str, size_hint: int, brute_force_limit: int) -> str
     return backend
 
 
+def _refuse_metric(metric: str) -> None:  # bench compat: item 1 deletes
+    if metric != "cosine":  # bench compat: item 1 deletes
+        raise ConfigurationError(f"indexes are cosine only, not {metric!r}")  # bench compat: item 1 deletes
+
+
 def create_index(
     backend: str,
-    metric: str,
+    metric: str = "cosine",  # bench compat: item 1 deletes
     *,
     size_hint: int = 0,
     brute_force_limit: int = 4096,
@@ -62,12 +67,12 @@ def create_index(
     ``"auto"`` chooses brute force for small sides and HNSW for large ones,
     matching the practical advice that graph indexes only pay off at scale.
     """
+    _refuse_metric(metric)  # bench compat: item 1 deletes
     backend = resolve_backend(backend, size_hint, brute_force_limit)
     if backend == "brute-force":
-        return BruteForceIndex(metric=metric)
+        return BruteForceIndex()
     if backend == "hnsw":
         return HNSWIndex(
-            metric=metric,
             max_degree=hnsw_max_degree,
             ef_construction=hnsw_ef_construction,
             ef_search=hnsw_ef_search,
@@ -91,7 +96,6 @@ def batch_invariant(resolved_backend: str) -> bool:
 def plan_side_index(
     vectors: np.ndarray,
     *,
-    metric: str,
     backend: str,
     brute_force_limit: int,
     index_kwargs: dict | None = None,
@@ -106,11 +110,11 @@ def plan_side_index(
 
     def build() -> NearestNeighborIndex:
         return create_index(
-            backend, metric, size_hint=vectors.shape[0], brute_force_limit=brute_force_limit, **kwargs
+            backend, size_hint=vectors.shape[0], brute_force_limit=brute_force_limit, **kwargs
         ).build(vectors)
 
     if cache is not None:  # bench compat: item 1 deletes
-        key = index_params_key(resolved, metric, kwargs)  # bench compat: item 1 deletes
+        key = index_params_key(resolved, "cosine", kwargs)  # bench compat: item 1 deletes
         build = cache.plan(vectors, build, params_key=key)  # bench compat: item 1 deletes
     return resolved, build
 
@@ -169,7 +173,6 @@ def mutual_pairs(
     backward: "list[np.ndarray]",
     vectors_a: np.ndarray,
     vectors_b: np.ndarray,
-    metric: str,
 ) -> list[MutualPair]:
     """Step 4 — chunked forward ∩ swapped backward, then :func:`canonical_pairs`."""
     pair_dtype = np.dtype([("left", np.int64), ("right", np.int64)])
@@ -183,14 +186,14 @@ def mutual_pairs(
     mutual = np.intersect1d(
         rows_view(forward, slice(None)), rows_view(backward, slice(None, None, -1)), assume_unique=True
     )
-    return canonical_pairs(mutual["left"], mutual["right"], vectors_a, vectors_b, metric)
+    return canonical_pairs(mutual["left"], mutual["right"], vectors_a, vectors_b)
 
 
 def canonical_pairs(
-    lefts: np.ndarray, rights: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray, metric: str
+    lefts: np.ndarray, rights: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray
 ) -> list[MutualPair]:
     """The tail of every mutual top-K path: exact distances, ``(distance, left, right)`` order."""
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], metric)
+    dists = paired_distances(vectors_a[lefts], vectors_b[rights], "cosine")
     order = np.lexsort((rights, lefts, dists))
     return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
 
@@ -202,8 +205,8 @@ def _scans_transpose() -> bool:
     A BLAS property, checked per shape class :func:`one_pass_pair` admits.
     """
 
-    def blocks(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
-        prepared, found = PreparedVectors(vectors, metric), []
+    def blocks(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        prepared, found = PreparedVectors(vectors), []
         indices, distances = engine.alloc_topk(len(queries), 1)
         queries = prepared.prepare_queries(queries)
         engine.exact_topk_blocked(prepared, queries, 1, BATCH_SIZE, indices, distances, found.append)
@@ -212,11 +215,10 @@ def _scans_transpose() -> bool:
     rng = np.random.default_rng(0)
     for n_a, n_b, dim in ((1, 29, 16), (37, 29, 16), (BATCH_SIZE + 150, 300, 32)):
         a, b = (rng.standard_normal((n, dim), dtype=np.float32) for n in (n_a, n_b))
-        for metric in METRICS:
-            if blocks(b, a, metric).T.tobytes() != blocks(a, b, metric).tobytes():
-                reason = f"{metric} scans of {n_a} x {n_b} x {dim} vectors do not transpose"
-                warnings.warn(f"{reason} on this BLAS: exact merges take two scans", RuntimeWarning)
-                return False
+        if blocks(b, a).T.tobytes() != blocks(a, b).tobytes():
+            reason = f"scans of {n_a} x {n_b} x {dim} vectors do not transpose"
+            warnings.warn(f"{reason} on this BLAS: exact merges take two scans", RuntimeWarning)
+            return False
     return True
 
 
@@ -240,7 +242,7 @@ def one_pass_pair(
 
 
 def exact_top1_pairs(
-    vectors_a: np.ndarray, vectors_b: np.ndarray, max_distance: float, metric: str
+    vectors_a: np.ndarray, vectors_b: np.ndarray, max_distance: float
 ) -> list[MutualPair]:
     """Mutual top-1 pairs from one exact scan a → b: the two-scan list, same bytes.
 
@@ -250,7 +252,7 @@ def exact_top1_pairs(
     is tied or NaN and ``d(i, j)`` attains it, the backward block holding
     ``j`` is asked, shaped as two scans ask it, and its tie rule decides.
     """
-    prepared = PreparedVectors(vectors_b, metric)
+    prepared = PreparedVectors(vectors_b)
     minimum = np.full(prepared.size, np.inf, dtype=np.float32)
     count = np.zeros(prepared.size, dtype=np.int64)
 
@@ -270,14 +272,14 @@ def exact_top1_pairs(
     mutual = keep & unique & (found == minimum[rights])
     resolve = np.flatnonzero(keep & ~unique & ~(found > minimum[rights]))
     if resolve.size:
-        index_a = BruteForceIndex(metric).build(vectors_a)
+        index_a = BruteForceIndex().build(vectors_a)
         winner = np.full(prepared.size, -1)  # b-row -> its backward answer within max_distance
         for start in np.unique(rights[resolve] // BATCH_SIZE) * BATCH_SIZE:
             back = directed_pairs(index_a, vectors_b, 1, max_distance, slice(start, start + BATCH_SIZE))
             winner[back[:, 0]] = back[:, 1]
         mutual[resolve] = winner[rights[resolve]] == resolve
     lefts = np.flatnonzero(mutual)
-    return canonical_pairs(lefts, rights[lefts], vectors_a, vectors_b, metric)
+    return canonical_pairs(lefts, rights[lefts], vectors_a, vectors_b)
 
 
 def top_k_pairs(
@@ -294,7 +296,7 @@ def mutual_top_k(
     *,
     k: int = 1,
     max_distance: float = 0.35,
-    metric: str = "cosine",
+    metric: str = "cosine",  # bench compat: item 1 deletes
     backend: str = "auto",
     brute_force_limit: int = 4096,
     index_kwargs: dict | None = None,
@@ -306,8 +308,7 @@ def mutual_top_k(
         vectors_a: ``(n_a, d)`` matrix for the left table.
         vectors_b: ``(n_b, d)`` matrix for the right table.
         k: neighbourhood size (paper default 1).
-        max_distance: the threshold ``m``.
-        metric: distance metric.
+        max_distance: the threshold ``m`` on the cosine distance.
         backend: ANN backend name (``"auto"``, ``"brute-force"``, ``"hnsw"``).
         brute_force_limit: size cut-off for the ``"auto"`` backend.
         index_kwargs: extra keyword arguments for :func:`create_index`.
@@ -318,6 +319,7 @@ def mutual_top_k(
     Raises ``IndexError_`` unless both inputs are 2-d of one width, and
     ``ConfigurationError`` for a NaN or negative ``max_distance``.
     """
+    _refuse_metric(metric)  # bench compat: item 1 deletes
     if vectors_a.ndim != 2 or vectors_b.ndim != 2 or vectors_a.shape[1] != vectors_b.shape[1]:
         raise IndexError_(f"need 2-d inputs of one width, got {vectors_a.shape} and {vectors_b.shape}")
     if not max_distance >= 0:
@@ -325,9 +327,9 @@ def mutual_top_k(
     if vectors_a.shape[0] == 0 or vectors_b.shape[0] == 0:
         return []
     if one_pass_pair(vectors_a, vectors_b, k, backend, brute_force_limit):
-        return exact_top1_pairs(vectors_a, vectors_b, max_distance, metric)
+        return exact_top1_pairs(vectors_a, vectors_b, max_distance)
     side = dict(
-        metric=metric, backend=backend, brute_force_limit=brute_force_limit,
+        backend=backend, brute_force_limit=brute_force_limit,
         index_kwargs=index_kwargs, cache=cache,  # bench compat: item 1 deletes
     )
     index_b = plan_side_index(vectors_b, **side)[1]()
@@ -338,4 +340,4 @@ def mutual_top_k(
         directed_pairs(index_a, vectors_b, k, max_distance, rows)
         for rows in row_chunks(backward_rows(forward, resolved_a, vectors_b.shape[0]), 1)
     ]
-    return mutual_pairs([forward], backward, vectors_a, vectors_b, metric)
+    return mutual_pairs([forward], backward, vectors_a, vectors_b)

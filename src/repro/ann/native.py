@@ -11,9 +11,9 @@ those loops natively — the HNSW insert/search traversals — calling the
 so every distance comes out bit-for-bit identical to the numpy path.
 
 Safety model: the kernel is only enabled after a load-time **self-test**
-builds, extends and queries small HNSW indexes through both paths (both
-metrics, three dimensions, duplicate rows, an input where most distances
-tie) and byte-compares the graphs and results. Any environment where the
+builds, extends and queries small HNSW indexes through both paths (three
+dimensions, duplicate rows, an input where most distances tie) and
+byte-compares the graphs and results. Any environment where the
 toolchain, BLAS symbols, or bit-identity assumptions do not hold silently
 falls back to the pure-Python implementations — same outputs, just slower.
 Set ``REPRO_NATIVE=0`` to force the fallback, ``REPRO_NATIVE=require`` to
@@ -69,13 +69,11 @@ class NativeKernel:
         lib.ann_kernel_variant.argtypes = []
         lib.ann_kernel_variant.restype = i32
         lib.hnsw_build.argtypes = [
-            vp, vp, i64, i32, i32, pvp, pvp, pvp, vp, i64, i64,
-            vp, i64, i64, vp, vp, vp, vp,
+            vp, i64, i32, pvp, pvp, pvp, vp, i64, i64, vp, i64, i64, vp, vp, vp,
         ]
         lib.hnsw_build.restype = i32
         lib.hnsw_query.argtypes = [
-            vp, vp, i64, i32, i32, pvp, pvp, pvp, vp, i64, i64,
-            vp, vp, vp, i64, i64, i64, i64, i64, vp, vp,
+            vp, i64, i32, pvp, pvp, pvp, vp, i64, i64, vp, vp, i64, i64, i64, i64, i64, vp, vp,
         ]
         lib.hnsw_query.restype = i32
         self.build = lib.hnsw_build
@@ -229,18 +227,18 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
     return ctypes.CDLL(out_path)
 
 
-def _hnsw_pair_error(vectors, queries, metric: str, split: int, ks=(1, 5),
+def _hnsw_pair_error(vectors, queries, split: int, ks=(1, 5),
                      label: str = "", **kwargs) -> str | None:
     """Byte-compare a python-path vs native-path HNSW build/extend/query pair."""
     import numpy as np
 
     from .hnsw import HNSWIndex
 
-    tag = f"{metric}{label}"
-    python_index = HNSWIndex(metric=metric, **kwargs)
+    tag = f"hnsw{label}"
+    python_index = HNSWIndex(**kwargs)
     python_index._use_native = False
     python_index.build(vectors[:split]).extend(vectors[split:])
-    native_index = HNSWIndex(metric=metric, **kwargs)
+    native_index = HNSWIndex(**kwargs)
     native_index._use_native = True
     native_index.build(vectors[:split]).extend(vectors[split:])
     n = vectors.shape[0]
@@ -273,31 +271,25 @@ def _self_test() -> str | None:
     vectors = rng.normal(size=(160, 32)).astype(np.float32)
     vectors[17] = vectors[3]  # exercise exact ties
     queries = vectors[:30]
-    base_kwargs = dict(max_degree=6, ef_construction=30, ef_search=20, seed=7)
-    for metric in ("cosine", "euclidean"):
-        error = _hnsw_pair_error(vectors, queries, metric, 120, **base_kwargs)
-        if error is not None:
-            return error
+    error = _hnsw_pair_error(
+        vectors, queries, 120, max_degree=6, ef_construction=30, ef_search=20, seed=7
+    )
+    if error is not None:
+        return error
     # Dimension sweep beyond the main case: d=72 stays inside the AVX2
     # micro-kernel envelope (d % 4 == 0) at a different tail shape, d=37
     # exercises the d % 4 != 0 BLAS fall-through alongside the sdot path.
     extra_kwargs = dict(max_degree=5, ef_construction=24, ef_search=16, seed=3)
-    for d, metric in ((72, "cosine"), (72, "euclidean"), (37, "cosine")):
+    for d in (72, 37):
         extra = rng.normal(size=(90, d)).astype(np.float32)
-        error = _hnsw_pair_error(extra, extra[:10], metric, 70, ks=(1, 4),
-                                 label=f" d={d}", **extra_kwargs)
+        error = _hnsw_pair_error(extra, extra[:10], 70, ks=(1, 4), label=f" d={d}", **extra_kwargs)
         if error is not None:
             return error
     # Most distances tie: 60 rows from 6 vectors, so the heaps, the sort and
     # the k = 1 minimum order equal distances by node id alone.
     distinct = rng.normal(size=(6, 16)).astype(np.float32)
     tied = distinct[rng.integers(6, size=60)]
-    for metric in ("cosine", "euclidean"):
-        error = _hnsw_pair_error(tied, tied[:12], metric, 40, ks=(1, 5),
-                                 label=" ties", **extra_kwargs)
-        if error is not None:
-            return error
-    return None
+    return _hnsw_pair_error(tied, tied[:12], 40, ks=(1, 5), label=" ties", **extra_kwargs)
 
 
 def kernel_variant() -> str | None:

@@ -75,7 +75,6 @@ class ALMSERGraphBoosted:
                     right_matrix,
                     k=self.candidate_k,
                     max_distance=self.candidate_max_distance,
-                    metric="cosine",
                 ):
                     candidates.append((left_refs[pair.left], right_refs[pair.right]))
         return candidates

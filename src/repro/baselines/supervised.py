@@ -142,7 +142,7 @@ class EmbeddingPairClassifier(TwoTableMatcher):
         if not all_refs:
             return []
         matrix = np.stack([self._vectors[ref] for ref in all_refs])
-        index = BruteForceIndex(metric="cosine").build(matrix)
+        index = BruteForceIndex().build(matrix)
         positives = [a for a, _, label in train_pairs if label]
         if not positives:
             return []
@@ -200,7 +200,7 @@ class EmbeddingPairClassifier(TwoTableMatcher):
         left_matrix = self._representer.encode_texts(left_texts)
         right_matrix = self._representer.encode_texts(right_texts)
         left_refs, right_refs = left.refs(), right.refs()
-        index = BruteForceIndex(metric="cosine").build(right_matrix)
+        index = BruteForceIndex().build(right_matrix)
         neighbor_indices, _ = index.query(left_matrix, min(self.candidate_k, len(right_refs)))
         pairs: list[MatchedPair] = []
         for row, neighbors in enumerate(neighbor_indices):

@@ -30,16 +30,19 @@ REPRO_GAMMA_GRID = (0.8, 0.85, 0.9, 0.95)
 #: Removed config keys, per section, with what runs in their place. Snapshots
 #: that carry one still load (``repro.store.codecs.drop_retired`` drops it
 #: with a warning), while ``with_overrides`` refuses it by name. Dropping a
-#: retired key never changes what a loaded snapshot computes: the one retired
-#: value that ever changed result bytes, ``representation.encoder`` naming the
-#: removed TF-IDF+SVD encoder, is refused by that snapshot's own encoder bundle.
+#: retired key never changes what a loaded snapshot computes. A key whose
+#: other values changed result bytes maps to ``(reason, the one value that
+#: still loads)``, and ``drop_retired`` refuses any other value by name
+#: (``merging.metric``); ``representation.encoder`` naming the removed
+#: TF-IDF+SVD encoder is refused by that snapshot's own encoder bundle.
 #: The ``"session"`` entry lists manifest bundles rather than config keys; it
 #: is not a config section, so ``with_overrides`` never consults it.
-RETIRED_KEYS: dict[str, dict[str, str]] = {
+RETIRED_KEYS: dict[str, dict[str, str | tuple[str, Any]]] = {
     "representation": {
         "encoder": "HashedNGramEncoder is the only sentence encoder",
     },
     "merging": {
+        "metric": ("merging distance is cosine; euclidean is pruning's", "cosine"),
         "kernel_threads": "the native HNSW build is sequential",
         "quantized_scan": "the brute-force backend always runs the exact scan",
         "lsh_num_tables": "the LSH index backend is gone",
@@ -107,8 +110,7 @@ class MergingConfig:
 
     Attributes:
         k: mutual top-K neighbourhood size (paper: 1).
-        m: distance threshold for accepting a neighbour pair.
-        metric: distance used during merging (paper: cosine).
+        m: cosine-distance threshold for accepting a neighbour pair.
         index: ANN backend — ``"auto"`` picks brute force below
             ``brute_force_limit`` rows and HNSW above; ``"hnsw"`` or
             ``"brute-force"`` force a backend.
@@ -121,13 +123,13 @@ class MergingConfig:
 
     k: int = 1
     m: float = 0.5
-    metric: str = "cosine"
     index: str = "auto"
     brute_force_limit: int = 4096
     hnsw_ef_construction: int = 100
     hnsw_ef_search: int = 64
     hnsw_max_degree: int = 16
     seed: int = 0
+    metric: ClassVar[str] = "cosine"  # bench compat: item 1 deletes
     shards: ClassVar[int] = 1  # bench compat: item 1 deletes
     index_cache: ClassVar[bool] = True  # bench compat: item 1 deletes
     index_cache_entries: ClassVar[int] = 8  # bench compat: item 1 deletes
@@ -137,8 +139,6 @@ class MergingConfig:
             raise ConfigurationError("k must be >= 1")
         if not self.m >= 0:  # also rejects NaN; inf is legal
             raise ConfigurationError("m must be a non-negative number")
-        if self.metric not in ("cosine", "euclidean"):
-            raise ConfigurationError(f"unknown merging metric {self.metric!r}")
         if self.index not in ("auto", "hnsw", "brute-force"):
             raise ConfigurationError(f"unknown index backend {self.index!r}")
         if self.brute_force_limit < 1:
@@ -247,7 +247,8 @@ class MultiEMConfig:
                 for key in value:
                     removed = RETIRED_KEYS.get(name, {}).get(key)
                     if removed:
-                        raise ConfigurationError(f"config key {name}.{key} was removed: {removed}")
+                        reason = removed if isinstance(removed, str) else removed[0]
+                        raise ConfigurationError(f"config key {name}.{key} was removed: {reason}")
                     if key not in known:
                         raise ConfigurationError(f"unknown config key {name}.{key}")
                 sections[name] = replace(current, **value)

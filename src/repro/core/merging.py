@@ -330,7 +330,6 @@ def plan_merge_index(
     """
     return plan_side_index(
         vectors,
-        metric=config.metric,
         backend=config.index,
         brute_force_limit=config.brute_force_limit,
         index_kwargs=merge_index_kwargs(config),
@@ -620,11 +619,9 @@ class _MergeSchedule:
         """Intersection (or the one pass), distances and order, then the union-find."""
         config = self.config
         if forward is None:
-            found = exact_top1_pairs(
-                left.vectors, right.vectors, max_distance=config.m, metric=config.metric
-            )
+            found = exact_top1_pairs(left.vectors, right.vectors, max_distance=config.m)
         else:
-            found = mutual_pairs(forward, backward, left.vectors, right.vectors, config.metric)
+            found = mutual_pairs(forward, backward, left.vectors, right.vectors)
         merged = merge_tables_with_pairs(left, right, found, representative=self.representative)[0]
         return merged, len(found)
 

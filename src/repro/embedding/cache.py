@@ -11,7 +11,10 @@ stashed tables pool token ids straight into the kernel, bypassing the cache.
 A cache entry is a row view of the array :meth:`CachingEncoder.encode`
 returned — the embedding store's block, or a query batch — not of the inner
 encoder's output, so a cached vector is resident once. That array is
-returned read-only: no caller's write can reach a later cache hit.
+returned read-only: no caller's write can reach a later cache hit. When
+fewer than half of a batch's rows are new, the entries are rows of one
+compact copy of the new rows instead, so a few new texts among many hits do
+not keep the whole batch alive.
 """
 
 from __future__ import annotations
@@ -64,9 +67,13 @@ class CachingEncoder:
         if missing_texts:
             result[missing_positions] = self.inner.encode(missing_texts)
         result.flags.writeable = False  # before the views: they inherit it
+        rows = result
+        if 2 * len(missing_positions) < len(texts):  # mostly hits: pin only the new rows
+            rows, missing_positions = result[missing_positions], range(len(missing_positions))
+            rows.flags.writeable = False
         for position, text in zip(missing_positions, missing_texts):
             if len(self._cache) < self.max_entries:
-                self._cache[text] = result[position]
+                self._cache[text] = rows[position]
         return result
 
     def clear(self) -> None:

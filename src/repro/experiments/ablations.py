@@ -150,9 +150,9 @@ def ablation_mutual_vs_directed(
         left, right = embeddings[tables[0].name], embeddings[tables[1].name]
         truth_pairs = dataset.truth_pairs()
 
-        index = create_index("brute-force", config.merging.metric).build(right.vectors)
+        index = create_index("brute-force").build(right.vectors)
         directed = top_k_pairs(index, left.vectors, config.merging.k, config.merging.m)
-        reverse_index = create_index("brute-force", config.merging.metric).build(left.vectors)
+        reverse_index = create_index("brute-force").build(left.vectors)
         backward = top_k_pairs(reverse_index, right.vectors, config.merging.k, config.merging.m)
         mutual = directed & {(a, b) for b, a in backward}
 

@@ -203,12 +203,17 @@ def drop_retired(values: dict, section: str, dropped: list, *, what: str = "conf
     (<what runs in its place>)"``; :func:`warn_retired` then logs them all in
     one warning. This is the one compatibility path for snapshots that outlive
     a config field or a manifest bundle: dropping a retired key never changes
-    what the snapshot computes.
+    what the snapshot computes, so a key retired with the one value that
+    still loads raises :class:`ConfigurationError` naming any other value.
     """
     values = dict(values)
     for key, reason in RETIRED_KEYS.get(section, {}).items():
         if key in values:
-            del values[key]
+            value = values.pop(key)
+            if not isinstance(reason, str):
+                reason, kept = reason
+                if value != kept:
+                    raise ConfigurationError(f"{section}.{key} {value!r} was removed: {reason}")
             dropped.append(f"{what} {section}.{key} ({reason})")
     return values
 

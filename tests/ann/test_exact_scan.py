@@ -22,7 +22,8 @@ from repro.ann import BruteForceIndex, mutual_top_k, top_k_pairs
 from repro.ann import engine
 from repro.ann.distances import PreparedVectors, paired_distances
 
-METRICS = ("cosine", "euclidean")
+#: The indexes' one metric, still a parameter so these test ids name it.
+METRICS = ("cosine",)
 SIZES = (1, 2, 3, 17, 300)
 PERTURBATIONS = (
     "quantised", "duplicate_index", "queries_from_index", "duplicate_queries",
@@ -117,7 +118,7 @@ def _inputs(seed, n, num_queries, perturbations, dim=6):
     if "nan" in perturbations:
         index[n // 2, 0] = np.nan
         queries[0, -1] = np.nan
-    if "overflow" in perturbations:  # 3e19 squared leaves float32: euclidean rows of inf
+    if "overflow" in perturbations:  # 3e19 squared leaves float32: the norm is inf
         index[-1] = 3e19
         queries[-1, 0] = 3e19
     return index, queries
@@ -129,10 +130,10 @@ def _check_scan(prepared, prepared_queries, k, batch_size):
     _assert_same_answers(got, want)
 
 
-def _check_vectors(metric, index, queries, ks, batch_size):
+def _check_vectors(index, queries, ks, batch_size):
     """Compare both scans at every ``k``; returns the query rows that took the fallback."""
     with np.errstate(all="ignore"):  # NaN and overflowing inputs are the point
-        prepared = PreparedVectors(index, metric)
+        prepared = PreparedVectors(index)
         prepared_queries = prepared.prepare_queries(queries)
         for k in ks:
             _check_scan(prepared, prepared_queries, k, batch_size)
@@ -141,7 +142,6 @@ def _check_vectors(metric, index, queries, ks, batch_size):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    metric=st.sampled_from(METRICS),
     n=st.sampled_from(SIZES),
     num_queries=st.sampled_from((1, 2, 3, 6, 7, 8)),
     batch_size=st.sampled_from((1, 3, 2048)),
@@ -149,12 +149,10 @@ def _check_vectors(metric, index, queries, ks, batch_size):
     perturbations=st.sets(st.sampled_from(PERTURBATIONS)),
     seed=st.integers(0, 2**16),
 )
-def test_scan_equals_historical_body(
-    metric, n, num_queries, batch_size, k_choice, perturbations, seed
-):
+def test_scan_equals_historical_body(n, num_queries, batch_size, k_choice, perturbations, seed):
     k = {"1": 1, "2": 2, "n": n, "n+3": n + 3}[k_choice]
     index, queries = _inputs(seed, n, num_queries, perturbations)
-    _check_vectors(metric, index, queries, (k,), batch_size)
+    _check_vectors(index, queries, (k,), batch_size)
 
 
 #: Inputs on which some query row is certain to have a non-unique minimum.
@@ -169,7 +167,7 @@ CERTAIN_TIES = (("identical_index",), ("nan",), ("duplicate_index", "queries_fro
 def test_each_tie_source_at_every_k(metric, n, perturbations):
     """Seven queries in blocks of three: two full blocks and a remainder."""
     index, queries = _inputs(11, n, 7, set(perturbations))
-    tied = _check_vectors(metric, index, queries, (1, 2, n, n + 3), batch_size=3)
+    tied = _check_vectors(index, queries, (1, 2, n, n + 3), batch_size=3)
     if n >= 17 and perturbations in CERTAIN_TIES:
         assert tied.size, "this input was built to reach the fallback and did not"
 
@@ -181,7 +179,7 @@ def test_hand_made_blocks_with_signed_zeros_nan_and_inf_rows():
         [0.5, 0.25, 0.25, 1.0],    # exact tie
         [0.0, -0.0, 0.5, -0.0],    # zeros of both signs
         [-0.0, 0.0, 0.0, 0.5],
-        [inf, inf, inf, inf],      # euclidean overflow
+        [inf, inf, inf, inf],      # every distance inf
         [nan, 0.5, 0.25, 1.0],     # argmin says 0, argpartition sorts NaN last
         [0.5, nan, 0.25, 0.25],
         [nan, nan, nan, nan],
@@ -225,7 +223,7 @@ def _tables_with_duplicates(n_a=60, n_b=45, dim=8, seed=3):
 
 def _reference_mutual(vectors_a, vectors_b, k, max_distance, metric):
     def directed(index_vectors, queries):
-        indices, distances = ReferenceIndex(metric).build(index_vectors).query(queries, k)
+        indices, distances = ReferenceIndex().build(index_vectors).query(queries, k)
         keep = (indices >= 0) & np.isfinite(distances) & (distances <= max_distance)
         rows = np.broadcast_to(np.arange(len(queries))[:, None], indices.shape)
         return set(zip(rows[keep].tolist(), indices[keep].tolist()))
@@ -243,9 +241,7 @@ def _reference_mutual(vectors_a, vectors_b, k, max_distance, metric):
 def test_mutual_top_k_on_tied_tables_equals_reference_composition(metric, k):
     vectors_a, vectors_b = _tables_with_duplicates()
     want = _reference_mutual(vectors_a, vectors_b, k, 0.5, metric)
-    pairs = mutual_top_k(
-        vectors_a, vectors_b, k=k, max_distance=0.5, metric=metric, backend="brute-force"
-    )
+    pairs = mutual_top_k(vectors_a, vectors_b, k=k, max_distance=0.5, backend="brute-force")
     assert want and [(p.left, p.right, p.distance) for p in pairs] == want
 
 
@@ -286,10 +282,7 @@ def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, on
         patched.setattr(
             mutual_module, "exact_top1_pairs", lambda *a, **kw: calls.append(1) or original(*a, **kw)
         )
-        got = mutual_top_k(
-            vectors_a, vectors_b, k=1, max_distance=max_distance, metric=metric,
-            backend="brute-force",
-        )
+        got = mutual_top_k(vectors_a, vectors_b, k=1, max_distance=max_distance, backend="brute-force")
         want = _reference_mutual(vectors_a, vectors_b, 1, max_distance, metric)
     assert calls == ([1] if one_pass else []), "the one-pass path did not run as routed"
     assert _pair_bytes([(p.left, p.right, p.distance) for p in got]) == _pair_bytes(want)
@@ -298,17 +291,16 @@ def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, on
 
 @settings(max_examples=200, deadline=None)
 @given(
-    metric=st.sampled_from(METRICS),
     n_a=st.sampled_from(SIZES),
     n_b=st.sampled_from(SIZES),
     max_distance=st.sampled_from((0.3, 1.0, np.inf)),
     perturbations=st.sets(st.sampled_from(PERTURBATIONS)),
     seed=st.integers(0, 2**16),
 )
-def test_one_pass_equals_two_scan_composition(metric, n_a, n_b, max_distance, perturbations, seed):
-    """Every tie source, both metrics, 1-row sides (GEMV) to 300-row ones."""
+def test_one_pass_equals_two_scan_composition(n_a, n_b, max_distance, perturbations, seed):
+    """Every tie source, 1-row sides (GEMV) to 300-row ones."""
     index, queries = _inputs(seed, n_b, n_a, perturbations)
-    _one_pass_equals_two_scans(queries, index, max_distance, metric)
+    _one_pass_equals_two_scans(queries, index, max_distance, "cosine")
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -327,9 +319,9 @@ def test_one_pass_over_several_blocks_equals_two_scans(metric, n_a, n_b, one_pas
     assert _one_pass_equals_two_scans(queries, index, 1.0, metric, one_pass=one_pass)
 
 
-def _scan_blocks(vectors, queries, metric):
+def _scan_blocks(vectors, queries):
     """Every distance block an exact scan computes, stacked (through the scan's own hook)."""
-    prepared, blocks = PreparedVectors(vectors, metric), []
+    prepared, blocks = PreparedVectors(vectors), []
     indices, distances = engine.alloc_topk(len(queries), 1)
     engine.exact_topk_blocked(
         prepared, prepared.prepare_queries(queries), 1, 2048, indices, distances, blocks.append
@@ -354,8 +346,8 @@ def test_one_pass_admits_only_shapes_that_transpose(metric, n_a, n_b, dim, admit
     vectors_a = rng.standard_normal((n_a, dim)).astype(np.float32)
     vectors_b = rng.standard_normal((n_b, dim)).astype(np.float32)
     assert mutual_module.one_pass_pair(vectors_a, vectors_b, 1, "brute-force", 10**6) == admitted
-    forward = _scan_blocks(vectors_b, vectors_a, metric)
-    assert forward.T.tobytes() == _scan_blocks(vectors_a, vectors_b, metric).tobytes() or not admitted
+    forward = _scan_blocks(vectors_b, vectors_a)
+    assert forward.T.tobytes() == _scan_blocks(vectors_a, vectors_b).tobytes() or not admitted
 
 
 # ------------------------------------------------------------ allocation guard
@@ -384,10 +376,10 @@ def test_one_pass_holds_one_block():
     rng = np.random.default_rng(0)
     vectors_a = rng.standard_normal((2048, 64)).astype(np.float32)
     vectors_b = rng.standard_normal((4000, 64)).astype(np.float32)
-    mutual_module.exact_top1_pairs(vectors_a[:8], vectors_b, 0.5, "cosine")
+    mutual_module.exact_top1_pairs(vectors_a[:8], vectors_b, 0.5)
     tracemalloc.start()
     try:
-        mutual_module.exact_top1_pairs(vectors_a, vectors_b, 0.5, "cosine")
+        mutual_module.exact_top1_pairs(vectors_a, vectors_b, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

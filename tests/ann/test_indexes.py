@@ -29,11 +29,11 @@ class TestBruteForce:
             BruteForceIndex().build(np.zeros(5))
 
     def test_self_query_returns_self_first(self, points):
-        index = BruteForceIndex(metric="euclidean").build(points)
+        index = BruteForceIndex().build(points)
         indices, distances = index.query(points[:10], 1)
         assert np.array_equal(indices[:, 0], np.arange(10))
-        # float32 + the expanded ||a-b||^2 formula leaves ~1e-3 of noise
-        assert np.allclose(distances[:, 0], 0.0, atol=5e-3)
+        # float32 rounding of 1 - <a, a> leaves a few ulp
+        assert np.allclose(distances[:, 0], 0.0, atol=1e-6)
 
     def test_k_larger_than_index_pads(self, points):
         index = BruteForceIndex().build(points[:3])
@@ -105,3 +105,23 @@ class TestHNSW:
         with pytest.raises(IndexError_):
             index.query(np.ones((1, 4)), 0)
 
+
+
+@pytest.mark.parametrize("index_class", [BruteForceIndex, HNSWIndex], ids=["brute-force", "hnsw"])
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((3, 4), "cannot query a 8-d index with 4-d vectors"),
+        ((3, 12), "cannot query a 8-d index with 12-d vectors"),
+        ((8,), "expected a 2-d array of vectors"),
+    ],
+    ids=["narrower", "wider", "1-d"],
+)
+def test_a_mis_shaped_query_is_refused_by_name(index_class, shape, message):
+    """The query checks ``extend`` makes, before any preparation; ``(0, d)`` still answers."""
+    rng = np.random.default_rng(5)
+    index = index_class().build(rng.normal(size=(50, 8)).astype(np.float32))
+    with pytest.raises(IndexError_, match=message):
+        index.query(rng.normal(size=shape).astype(np.float32), 2)
+    indices, distances = index.query(np.zeros((0, 8), dtype=np.float32), 2)
+    assert indices.shape == distances.shape == (0, 2)

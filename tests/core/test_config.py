@@ -38,8 +38,6 @@ def test_merging_config_validation():
         MergingConfig(k=0).validate()
     with pytest.raises(ConfigurationError):
         MergingConfig(m=-0.1).validate()
-    with pytest.raises(ConfigurationError):
-        MergingConfig(metric="hamming").validate()
     for index in ("faiss", "lsh"):
         with pytest.raises(ConfigurationError, match=f"unknown index backend '{index}'"):
             MergingConfig(index=index).validate()
@@ -125,6 +123,7 @@ def test_with_overrides_rejects_unknown_keys_by_name():
 @pytest.mark.parametrize(
     "section, key, runs",
     [
+        ("merging", "metric", "merging distance is cosine"),
         ("merging", "kernel_threads", "sequential"),
         ("parallel", "kernel_threads", "sequential"),
         ("merging", "quantized_scan", "exact scan"),

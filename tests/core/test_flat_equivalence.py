@@ -56,7 +56,6 @@ def reference_merge_two_tables(left, right, config, *, representative="mean"):
         right_vectors,
         k=config.k,
         max_distance=config.m,
-        metric=config.metric,
         backend=config.index,
         brute_force_limit=config.brute_force_limit,
         index_kwargs={

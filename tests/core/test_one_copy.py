@@ -54,6 +54,20 @@ def test_an_encoded_array_is_read_only(grown):
     assert again.tobytes() == encoded[:1].tobytes()
 
 
+def test_one_new_text_among_cached_ones_pins_only_its_own_row():
+    """1,000 hits and one new text: the new entry is a row of a 1-row copy, not of the batch."""
+    from repro.embedding import CachingEncoder, HashedNGramEncoder
+
+    texts = [f"cached text number {i}" for i in range(1000)]
+    encoder = CachingEncoder(HashedNGramEncoder(dimension=32).fit(texts))
+    encoder.encode(texts)
+    encoded = encoder.encode([*texts, "one new text"])
+    entry = encoder._cache["one new text"]
+    assert not np.shares_memory(entry, encoded)
+    assert entry.base.shape == (1, 32) and not entry.flags.writeable
+    assert entry.tobytes() == encoded[-1].tobytes()
+
+
 def test_the_store_holds_no_array_besides_its_blocks(grown):
     store = grown._store
     held = []

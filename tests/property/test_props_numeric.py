@@ -35,17 +35,19 @@ def test_distance_matrices_are_well_behaved(matrix):
 @given(matrix=finite_matrix, k=st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_brute_force_query_invariants(matrix, k):
-    index = BruteForceIndex(metric="euclidean").build(matrix)
+    index = BruteForceIndex().build(matrix)
     indices, distances = index.query(matrix, k)
     assert indices.shape == (len(matrix), k)
+    self_distances = np.diag(cosine_distance_matrix(matrix, matrix))
     # Distances per row are sorted ascending (inf padding at the end).
     finite = np.where(np.isinf(distances), np.nan, distances)
     for row in range(len(matrix)):
         values = finite[row][~np.isnan(finite[row])]
         assert np.all(np.diff(values) >= -1e-5)
-        # Self is always (one of) the nearest neighbours under euclidean
-        # distance; float32 noise bounds the reported self-distance.
-        assert distances[row, 0] <= 2e-2
+        assert np.all((values >= 0) & (values <= 2))
+        # The nearest neighbour is never farther than the row itself (a zero
+        # row is at cosine distance 1 from everything, itself included).
+        assert distances[row, 0] <= self_distances[row]
 
 
 texts_strategy = st.lists(

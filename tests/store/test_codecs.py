@@ -163,6 +163,19 @@ class TestConfig:
         with pytest.raises(StoreError, match=r"old\.snap: .*merging: .*'lsh'"):
             codecs.config_from_meta(meta, source="old.snap")
 
+    def test_a_manifest_naming_the_removed_euclidean_merging_metric_is_refused(self, caplog):
+        """``merging.metric: "cosine"`` is what runs now; ``"euclidean"`` merged other pairs."""
+        meta = codecs.config_to_meta(MultiEMConfig())
+        assert "metric" not in meta["merging"]
+        meta["merging"]["metric"] = "cosine"
+        with caplog.at_level("WARNING", logger="repro.store"):
+            assert codecs.config_from_meta(meta, source="old.snap") == MultiEMConfig()
+        (message,) = [record.getMessage() for record in caplog.records]
+        assert "config key merging.metric (merging distance is cosine" in message, message
+        meta["merging"]["metric"] = "euclidean"
+        with pytest.raises(StoreError, match=r"old\.snap: .*merging: merging\.metric 'euclidean' was removed"):
+            codecs.config_from_meta(meta, source="old.snap")
+
     @pytest.mark.parametrize(
         "damage, message, cause",
         [

@@ -143,6 +143,20 @@ def test_the_one_warning_also_names_the_retired_lsh_knobs(seed_dir, name, caplog
         assert f"config key merging.{key} " in message, message
 
 
+@pytest.mark.parametrize("name", [*FILES, "seed-sharded.snap"])
+def test_the_one_warning_also_names_the_retired_merging_metric(tmp_path, name, caplog):
+    """Every fixture was written while ``merging.metric`` was a config field (``"cosine"``)."""
+    shutil.copy(os.path.join(DATA, name), tmp_path / name)
+    if name == "seed-tip.snap":
+        shutil.copy(os.path.join(DATA, "seed-base.snap"), tmp_path / "seed-base.snap")
+    with Snapshot.open(tmp_path / name) as snapshot:
+        assert snapshot.meta["config"]["merging"]["metric"] == "cosine"
+    with caplog.at_level("WARNING", logger="repro.store"):
+        load_matcher(tmp_path / name).close()
+    (message,) = [record.getMessage() for record in caplog.records]
+    assert "config key merging.metric (merging distance is cosine" in message, message
+
+
 def test_tip_loads_in_copy_mode_with_the_same_state(seed_dir, reference):
     matcher = load_matcher(seed_dir / "seed-tip.snap", mmap=False)
     with matcher:
