@@ -16,7 +16,7 @@ Every backend implements :class:`NearestNeighborIndex` (``build`` then batched
   A K = 1 merge of two exact sides is one scan and builds no index
   (:func:`~repro.ann.mutual.exact_top1_pairs`).
 * ``"hnsw"`` — array-backed navigable-small-world graph (flat CSR-style
-  neighbour tables, batched distance kernels, incremental ``extend``).
+  neighbour tables, batched distance kernels), built once and then queried.
   Tuned by ``hnsw_max_degree`` / ``hnsw_ef_construction`` / ``hnsw_ef_search``.
 
 Native kernel

@@ -30,8 +30,8 @@
  *    `np.argsort(kind="stable")` with a stable insertion sort.
  *
  * The Python wrapper verifies all of this empirically at load time (build +
- * extend + query byte-comparison against the pure-Python path) and refuses
- * to enable the kernel otherwise; `tests/ann/` re-checks it on every run.
+ * query byte-comparison against the pure-Python path) and refuses to enable
+ * the kernel otherwise; `tests/ann/` re-checks it on every run.
  *
  * ANN_VARIANT_AVX2 (same contract): the file is compiled a second time with
  * `-mavx2 -mfma -ffp-contract=off`; the short-segment sgemv/sdot BLAS calls
@@ -595,13 +595,13 @@ static void insert_node(graph_t *g, int64_t node, int64_t level, const float *qu
     }
 }
 
-/* Insert nodes [start, n_total); returns 0 on success, -1 on allocation
- * failure (in which case no state was modified for the failing call). */
+/* Build the graph of nodes [0, n_total), n_total >= 1, into zeroed tables:
+ * node 0 is the first entry point and every later node is inserted with its
+ * own base row as the query.  Returns 0 on success, -1 on allocation failure
+ * (in which case no table was touched). */
 int hnsw_build(const float *base, int64_t d, int num_layers, int64_t **neighbors,
                float **dists, int64_t **degrees, const int64_t *caps, int64_t max_degree,
-               int64_t ef_construction, const int64_t *levels, int64_t start,
-               int64_t n_total, const float *prepared_queries, int64_t *entry_io,
-               int64_t *max_level_io) {
+               int64_t ef_construction, const int64_t *levels, int64_t n_total) {
     graph_t g = {base, d, num_layers, neighbors, dists, degrees, caps, max_degree};
     int64_t cap_max = caps[0];
     for (int l = 1; l < num_layers; l++) {
@@ -621,22 +621,13 @@ int hnsw_build(const float *base, int64_t d, int num_layers, int64_t **neighbors
         scratch_free(s);
         return -1;
     }
-    int64_t entry = *entry_io;
-    int64_t max_level = *max_level_io;
+    int64_t entry = 0;
+    int64_t max_level = levels[0];
     int64_t epoch = 0;
-    int64_t node = start;
-    while (node < n_total && entry < 0) { /* first node of an empty graph */
-        entry = node;
-        max_level = levels[node];
-        node++;
+    for (int64_t node = 1; node < n_total; node++) {
+        insert_node(&g, node, levels[node], base + node * d, ef_construction, s, entry_points,
+                    idx_buf, node_buf, dist_buf, &entry, &max_level, &epoch);
     }
-    for (; node < n_total; node++) {
-        insert_node(&g, node, levels[node], prepared_queries + (node - start) * d,
-                    ef_construction, s, entry_points, idx_buf, node_buf, dist_buf, &entry,
-                    &max_level, &epoch);
-    }
-    *entry_io = entry;
-    *max_level_io = max_level;
     free(entry_points);
     free(idx_buf);
     free(node_buf);

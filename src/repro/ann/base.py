@@ -52,14 +52,14 @@ class NearestNeighborIndex(ABC):
             raise IndexError_("index queried before build()")
         return self._vectors
 
-    def _validate_rows(self, vectors: np.ndarray, action: str) -> np.ndarray:
-        """Shape/width checks of the rows a built index is asked to ``query`` or ``extend``."""
+    def _validate_rows(self, vectors: np.ndarray) -> np.ndarray:
+        """Shape/width checks of the rows a built index is asked to ``query``."""
         width = self._require_built().shape[1]
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
         if vectors.shape[1] != width:
-            raise IndexError_(f"cannot {action} a {width}-d index with {vectors.shape[1]}-d vectors")
+            raise IndexError_(f"cannot query a {width}-d index with {vectors.shape[1]}-d vectors")
         return vectors
 
     @staticmethod

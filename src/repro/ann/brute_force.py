@@ -47,7 +47,7 @@ class BruteForceIndex(NearestNeighborIndex):
         return self
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._validate_rows(queries, "query")
+        queries = self._validate_rows(queries)
         if k < 1:
             raise IndexError_("k must be >= 1")
         assert self._prepared is not None

@@ -1,9 +1,9 @@
 """Vectorized distance kernels used by the ANN indexes and the pruning stage.
 
 The paper uses cosine distance in the merging phase and euclidean distance in
-the pruning phase; both are provided in pairwise (matrix) and row-wise paired
-forms. The ANN indexes run on :class:`PreparedVectors`, the prepared
-one-query-to-rows form of cosine alone.
+the pruning phase; both are provided in pairwise (matrix) form. Merging's
+cosine alone also has a row-wise paired form, and the ANN indexes run on
+:class:`PreparedVectors`, its prepared one-query-to-rows form.
 """
 
 from __future__ import annotations
@@ -65,33 +65,26 @@ def distance_matrix(a: np.ndarray, b: np.ndarray, metric: str = "cosine") -> np.
     return euclidean_distance_matrix(a, b)
 
 
-def paired_distances(a: np.ndarray, b: np.ndarray, metric: str = "cosine") -> np.ndarray:
-    """Row-wise paired distances: ``out[i] = distance(a[i], b[i])``.
+def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise paired cosine distances: ``out[i] = distance(a[i], b[i])``.
 
     The O(m·d) replacement for reading the diagonal of
-    :func:`distance_matrix` (O(m²·d)). Mirrors the matrix kernels' formulas
-    exactly (same normalization, clipping, and clamping); the row dot
-    products run through one ``einsum`` pass instead of a BLAS GEMM, which
-    can differ from the corresponding matrix diagonal in the last float32
-    ulp on BLAS builds whose GEMM accumulation order is shape-dependent.
-    Exactly representable cases (identical rows, axis-aligned unit vectors)
-    are unaffected.
+    :func:`cosine_distance_matrix` (O(m²·d)). Mirrors the matrix kernel's
+    formula exactly (same normalization and clipping); the row dot products
+    run through one ``einsum`` pass instead of a BLAS GEMM, which can differ
+    from the corresponding matrix diagonal in the last float32 ulp on BLAS
+    builds whose GEMM accumulation order is shape-dependent. Exactly
+    representable cases (identical rows, axis-aligned unit vectors) are
+    unaffected.
     """
-    _check_metric(metric)
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
-    if metric == "cosine":
-        a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-        b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-        a_norm[a_norm == 0] = 1.0
-        b_norm[b_norm == 0] = 1.0
-        similarity = np.einsum("ij,ij->i", a / a_norm, b / b_norm)
-        return np.clip(1.0 - similarity, 0.0, 2.0)
-    a_sq = (a * a).sum(axis=1)
-    b_sq = (b * b).sum(axis=1)
-    squared = a_sq + b_sq - 2.0 * np.einsum("ij,ij->i", a, b)
-    np.maximum(squared, 0.0, out=squared)
-    return np.sqrt(squared)
+    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
+    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
+    a_norm[a_norm == 0] = 1.0
+    b_norm[b_norm == 0] = 1.0
+    similarity = np.einsum("ij,ij->i", a / a_norm, b / b_norm)
+    return np.clip(1.0 - similarity, 0.0, 2.0)
 
 
 def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
@@ -163,18 +156,11 @@ class PreparedVectors:
     """
 
     def __init__(self, vectors: np.ndarray) -> None:
-        self.vectors = np.asarray(vectors, dtype=np.float32)
-        self._normed = _unit_rows(self.vectors)
+        self._normed = _unit_rows(np.asarray(vectors, dtype=np.float32))
 
     @property
     def size(self) -> int:
-        return int(self.vectors.shape[0])
-
-    def append(self, rows: np.ndarray) -> None:
-        """Add rows to the prepared set (used by incremental index inserts)."""
-        rows = np.asarray(rows, dtype=np.float32)
-        self._normed = np.concatenate([self._normed, _unit_rows(rows)])
-        self.vectors = np.concatenate([self.vectors, rows])
+        return int(self._normed.shape[0])
 
     def native_rows(self) -> np.ndarray:
         """The normed rows, C-contiguous, for the native HNSW kernel.

@@ -33,19 +33,20 @@ suite); without a toolchain everything transparently falls back to the
 Python path. Set ``REPRO_NATIVE=0`` to force the fallback. The kernel
 orders heap items by one integer key, ``(distance bits << 32) | node``,
 which is the strict (distance, node) order only while every distance is
-finite and ≥ +0.0 and node ids fit in 31 bits. So :meth:`build`,
-:meth:`extend` and :meth:`query` refuse a row with a non-finite element
-(the only way a cosine distance of normalized rows becomes NaN), and an
-index of 2**31 or more nodes keeps to the Python path.
+finite and ≥ +0.0 and node ids fit in 31 bits. So :meth:`build` and
+:meth:`query` refuse a row with a non-finite element (the only way a cosine
+distance of normalized rows becomes NaN), and an index of 2**31 or more
+nodes keeps to the Python path.
 
-The index also supports :meth:`extend` — appending vectors continues the
-level-sampling RNG stream, so ``build(v).extend(w)`` produces byte-identical
-graphs to ``build(concatenate([v, w]))``.
+An index is built once over a fixed vector set and then only queried, as in
+Algorithm 2: every level is drawn before the first insert, so the adjacency
+tables are allocated once at their final size.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -114,14 +115,8 @@ class HNSWIndex(NearestNeighborIndex):
         self._layer_dists: list[np.ndarray] = []
         self._layer_degrees: list[np.ndarray] = []
         self._prepared: PreparedVectors | None = None
-        self._rng: np.random.Generator | None = None
-        self._node_levels: list[int] = []
         self._entry_point: int | None = None
         self._max_level: int = -1
-        # Visit-epoch buffer for the (single-threaded) build path; query()
-        # uses a private buffer per call so concurrent reads stay safe.
-        self._build_stamps: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._build_epoch: int = 0
         # None = use the native kernel when available; False/True force a path
         # (the native self-test uses the forced modes to compare both).
         self._use_native: bool | None = None
@@ -235,39 +230,39 @@ class HNSWIndex(NearestNeighborIndex):
 
     # ------------------------------------------------------------------ build
     def build(self, vectors: np.ndarray) -> "HNSWIndex":
+        """Index ``vectors`` (native or Python path, byte-identical graphs).
+
+        Levels are drawn for every node up front — ``Generator.random(n)``
+        consumes the PCG64 stream exactly like ``n`` scalar draws, so the
+        level sequence (and therefore the graph) is unchanged from per-node
+        drawing — which sizes the tables once: ``max(levels) + 1`` layers of
+        ``n`` rows.
+        """
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise IndexError_("expected a 2-d array of vectors")
         _refuse_non_finite(vectors, "vectors")
         self._vectors = vectors
         self._prepared = PreparedVectors(vectors)
-        self._layer_neighbors = []
-        self._layer_dists = []
-        self._layer_degrees = []
-        self._node_levels = []
         self._entry_point = None
         self._max_level = -1
-        self._build_stamps = np.zeros(vectors.shape[0], dtype=np.int64)
-        self._build_epoch = 0
-        self._rng = np.random.default_rng(self.seed)
-        self._insert_range(0, vectors)
-        return self
-
-    def extend(self, vectors: np.ndarray) -> "HNSWIndex":
-        """Append ``vectors`` to an already-built index (incremental insert).
-
-        Insertion continues the level-sampling RNG stream of :meth:`build`, so
-        ``build(v).extend(w)`` is byte-identical to ``build([v; w])``.
-        """
-        if self._vectors is None:
-            return self.build(vectors)
-        vectors = self._validate_rows(vectors, "extend")
-        _refuse_non_finite(vectors, "vectors")
-        assert self._prepared is not None
-        start = self._vectors.shape[0]
-        self._prepared.append(vectors)
-        self._vectors = self._prepared.vectors
-        self._insert_range(start, vectors)
+        num_nodes = int(vectors.shape[0])
+        draws = np.random.default_rng(self.seed).random(num_nodes)
+        levels = [int(-math.log(max(float(u), 1e-12)) * self._level_mult) for u in draws]
+        caps = [self._layer_capacity(l) for l in range(max(levels, default=-1) + 1)]
+        self._layer_neighbors = [np.full((num_nodes, cap), -1, dtype=np.int64) for cap in caps]
+        self._layer_dists = [np.zeros((num_nodes, cap), dtype=np.float32) for cap in caps]
+        self._layer_degrees = [np.zeros(num_nodes, dtype=np.int64) for _ in caps]
+        if not num_nodes:
+            return self
+        kernel = self._native_kernel(num_nodes)
+        if kernel is not None and self._build_native(kernel, levels):
+            return self
+        # The visit-epoch buffer is private to this build; query() uses its own.
+        stamps, epochs = np.zeros(num_nodes, dtype=np.int64), itertools.count(1)
+        self._entry_point, self._max_level = 0, levels[0]
+        for node in range(1, num_nodes):
+            self._insert(node, levels[node], stamps, epochs)
         return self
 
     # ----------------------------------------------------------- native path
@@ -276,52 +271,18 @@ class HNSWIndex(NearestNeighborIndex):
             return None
         return native.get_kernel()
 
-    def _insert_range(self, start: int, new_vectors: np.ndarray) -> None:
-        """Insert nodes ``start..start + len(new_vectors)`` (native or Python).
+    def _build_native(self, kernel: "native.NativeKernel", levels: list[int]) -> bool:
+        """Insert every node via the C kernel; returns False on OOM.
 
-        Levels are drawn for the whole batch up front — ``Generator.random(n)``
-        consumes the PCG64 stream exactly like ``n`` scalar draws, so the level
-        sequence (and therefore the graph) is unchanged from per-node drawing.
+        On a kernel allocation failure no graph row was touched, so the
+        caller runs the identical inserts through the Python path and the
+        result is byte-identical either way.
         """
-        assert self._rng is not None
-        count = int(new_vectors.shape[0])
-        if count == 0:
-            return
-        draws = self._rng.random(count)
-        levels = [
-            int(-math.log(max(float(u), 1e-12)) * self._level_mult) for u in draws
-        ]
-        kernel = self._native_kernel(start + count)
-        if kernel is not None and self._insert_range_native(kernel, start, new_vectors, levels):
-            return
-        for offset, level in enumerate(levels):
-            self._insert(start + offset, level)
-
-    def _insert_range_native(
-        self, kernel: "native.NativeKernel", start: int, new_vectors: np.ndarray, levels: list[int]
-    ) -> bool:
-        """Insert via the C kernel; returns False (state rolled back) on OOM.
-
-        On a kernel allocation failure the appended levels are removed so the
-        caller can rerun the identical inserts through the Python path —
-        graph rows were not touched, and the level sequence is replayed, so
-        the result is byte-identical either way.
-        """
-        self._node_levels.extend(levels)
-        n_total = start + len(levels)
-        target_level = max(self._max_level, max(levels), 0)
-        self._ensure_capacity(target_level, n_total)
         num_layers = len(self._layer_neighbors)
         caps = np.array([self._layer_capacity(l) for l in range(num_layers)], dtype=np.int64)
-        prepared = self._prepared
-        assert prepared is not None
-        base = prepared.native_rows()
-        prepared_queries = np.ascontiguousarray(prepared.prepare_queries(new_vectors))
-        levels_arr = np.asarray(self._node_levels, dtype=np.int64)
-        entry_io = np.array(
-            [-1 if self._entry_point is None else self._entry_point], dtype=np.int64
-        )
-        max_level_io = np.array([self._max_level], dtype=np.int64)
+        assert self._prepared is not None
+        base = self._prepared.native_rows()
+        levels_arr = np.asarray(levels, dtype=np.int64)
         status = kernel.build(
             base.ctypes.data,
             int(base.shape[1]),
@@ -333,51 +294,15 @@ class HNSWIndex(NearestNeighborIndex):
             self.max_degree,
             self.ef_construction,
             levels_arr.ctypes.data,
-            start,
-            n_total,
-            prepared_queries.ctypes.data,
-            entry_io.ctypes.data,
-            max_level_io.ctypes.data,
+            len(levels),
         )
         if status != 0:  # pragma: no cover - allocation failure
-            del self._node_levels[start:]
             return False
-        self._entry_point = int(entry_io[0])
-        self._max_level = int(max_level_io[0])
-        # Reset the Python-path visit buffers to a consistent (fresh) state.
-        self._build_stamps = np.zeros(n_total, dtype=np.int64)
-        self._build_epoch = 0
+        # An insert above the top level becomes the entry point, so it ends
+        # on the first node of the highest level (as the Python path's does).
+        self._max_level = max(levels)
+        self._entry_point = levels.index(self._max_level)
         return True
-
-    def _ensure_capacity(self, level: int, num_nodes: int) -> None:
-        """Grow the flat adjacency tables to ``level`` layers × ``num_nodes`` rows."""
-        while len(self._layer_neighbors) <= level:
-            layer = len(self._layer_neighbors)
-            capacity = self._layer_capacity(layer)
-            rows = max(num_nodes, 1)
-            self._layer_neighbors.append(np.full((rows, capacity), -1, dtype=np.int64))
-            self._layer_dists.append(np.zeros((rows, capacity), dtype=np.float32))
-            self._layer_degrees.append(np.zeros(rows, dtype=np.int64))
-        if self._build_stamps.shape[0] < num_nodes:
-            grown = np.zeros(max(num_nodes, self._build_stamps.shape[0] * 2), dtype=np.int64)
-            grown[: self._build_stamps.shape[0]] = self._build_stamps
-            self._build_stamps = grown
-        for layer in range(len(self._layer_neighbors)):
-            degrees = self._layer_degrees[layer]
-            if degrees.shape[0] < num_nodes:
-                grown_degrees = np.zeros(num_nodes, dtype=np.int64)
-                grown_degrees[: degrees.shape[0]] = degrees
-                self._layer_degrees[layer] = grown_degrees
-            rows = self._layer_neighbors[layer].shape[0]
-            if rows < num_nodes:
-                grown = max(num_nodes, rows * 2)
-                capacity = self._layer_capacity(layer)
-                neighbors = np.full((grown, capacity), -1, dtype=np.int64)
-                neighbors[:rows] = self._layer_neighbors[layer]
-                dists = np.zeros((grown, capacity), dtype=np.float32)
-                dists[:rows] = self._layer_dists[layer]
-                self._layer_neighbors[layer] = neighbors
-                self._layer_dists[layer] = dists
 
     def _greedy_descent(
         self, prepared_query: np.ndarray, entry: int, entry_dist: float, top: int, bottom: int
@@ -402,16 +327,9 @@ class HNSWIndex(NearestNeighborIndex):
                     changed = True
         return entry, entry_dist
 
-    def _insert(self, node: int, level: int) -> None:
-        assert self._prepared is not None
-        self._node_levels.append(level)
-        self._ensure_capacity(level, len(self._node_levels))
-
-        if self._entry_point is None:
-            self._entry_point = node
-            self._max_level = level
-            return
-
+    def _insert(self, node: int, level: int, stamps: np.ndarray, epochs: "itertools.count") -> None:
+        """Insert ``node`` into the graph of nodes ``0..node - 1`` (Python path)."""
+        assert self._prepared is not None and self._entry_point is not None
         prepared_query = self._prepared.prepare_queries(self._vectors[node][None, :])[0]
         entry = self._entry_point
         entry_dist = float(
@@ -424,14 +342,8 @@ class HNSWIndex(NearestNeighborIndex):
         # Insert on every layer at or below the node's level.
         entry_points = [(entry_dist, entry)]
         for layer in range(min(level, self._max_level), -1, -1):
-            self._build_epoch += 1
             candidates = self._search_layer(
-                prepared_query,
-                entry_points,
-                self.ef_construction,
-                layer,
-                self._build_stamps,
-                self._build_epoch,
+                prepared_query, entry_points, self.ef_construction, layer, stamps, next(epochs)
             )
             m = self.max_degree * 2 if layer == 0 else self.max_degree
             neighbors = self._select_neighbors(candidates, m)
@@ -443,7 +355,7 @@ class HNSWIndex(NearestNeighborIndex):
 
     # ------------------------------------------------------------------ query
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._validate_rows(queries, "query")
+        queries = self._validate_rows(queries)
         if k < 1:
             raise IndexError_("k must be >= 1")
         _refuse_non_finite(queries, "query")
@@ -459,14 +371,14 @@ class HNSWIndex(NearestNeighborIndex):
         prepared_queries = prepared.prepare_queries(queries)
         entry_rows = np.asarray([self._entry_point], dtype=np.int64)
         entry_dists = prepared.block_distances(prepared_queries, entry_rows)[:, 0]
-        kernel = self._native_kernel(len(self._node_levels))
+        kernel = self._native_kernel(self.size)
         if kernel is not None and self._query_native(
             kernel, prepared_queries, entry_dists, ef, k, indices, distances
         ):
             return indices, distances
         # One stamp buffer for the whole batch (private to this call, so
         # concurrent query() calls on a shared index never collide).
-        stamps = np.zeros(len(self._node_levels), dtype=np.int64)
+        stamps = np.zeros(self.size, dtype=np.int64)
         for row in range(num_queries):
             prepared_query = prepared_queries[row]
             entry, entry_dist = self._greedy_descent(
@@ -507,7 +419,7 @@ class HNSWIndex(NearestNeighborIndex):
             kernel.pointer_array(self._layer_degrees),
             caps.ctypes.data,
             self.max_degree,
-            len(self._node_levels),
+            self.size,
             prepared_queries.ctypes.data,
             entry_dists.ctypes.data,
             int(prepared_queries.shape[0]),

@@ -193,7 +193,7 @@ def canonical_pairs(
     lefts: np.ndarray, rights: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray
 ) -> list[MutualPair]:
     """The tail of every mutual top-K path: exact distances, ``(distance, left, right)`` order."""
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], "cosine")
+    dists = paired_distances(vectors_a[lefts], vectors_b[rights])
     order = np.lexsort((rights, lefts, dists))
     return [MutualPair(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
 

@@ -11,7 +11,7 @@ those loops natively — the HNSW insert/search traversals — calling the
 so every distance comes out bit-for-bit identical to the numpy path.
 
 Safety model: the kernel is only enabled after a load-time **self-test**
-builds, extends and queries small HNSW indexes through both paths (three
+builds and queries small HNSW indexes through both paths (three
 dimensions, duplicate rows, an input where most distances tie) and
 byte-compares the graphs and results. Any environment where the
 toolchain, BLAS symbols, or bit-identity assumptions do not hold silently
@@ -68,9 +68,7 @@ class NativeKernel:
         lib.ann_set_blas.restype = None
         lib.ann_kernel_variant.argtypes = []
         lib.ann_kernel_variant.restype = i32
-        lib.hnsw_build.argtypes = [
-            vp, i64, i32, pvp, pvp, pvp, vp, i64, i64, vp, i64, i64, vp, vp, vp,
-        ]
+        lib.hnsw_build.argtypes = [vp, i64, i32, pvp, pvp, pvp, vp, i64, i64, vp, i64]
         lib.hnsw_build.restype = i32
         lib.hnsw_query.argtypes = [
             vp, i64, i32, pvp, pvp, pvp, vp, i64, i64, vp, vp, i64, i64, i64, i64, i64, vp, vp,
@@ -227,9 +225,8 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
     return ctypes.CDLL(out_path)
 
 
-def _hnsw_pair_error(vectors, queries, split: int, ks=(1, 5),
-                     label: str = "", **kwargs) -> str | None:
-    """Byte-compare a python-path vs native-path HNSW build/extend/query pair."""
+def _hnsw_pair_error(vectors, queries, ks=(1, 5), label: str = "", **kwargs) -> str | None:
+    """Byte-compare a python-path vs native-path HNSW build/query pair."""
     import numpy as np
 
     from .hnsw import HNSWIndex
@@ -237,22 +234,21 @@ def _hnsw_pair_error(vectors, queries, split: int, ks=(1, 5),
     tag = f"hnsw{label}"
     python_index = HNSWIndex(**kwargs)
     python_index._use_native = False
-    python_index.build(vectors[:split]).extend(vectors[split:])
+    python_index.build(vectors)
     native_index = HNSWIndex(**kwargs)
     native_index._use_native = True
-    native_index.build(vectors[:split]).extend(vectors[split:])
-    n = vectors.shape[0]
+    native_index.build(vectors)
     if python_index._max_level != native_index._max_level or (
         python_index._entry_point != native_index._entry_point
     ):
         return f"{tag}: entry point diverged"
     for layer in range(python_index._max_level + 1):
         if not np.array_equal(
-            python_index._layer_neighbors[layer][:n], native_index._layer_neighbors[layer][:n]
+            python_index._layer_neighbors[layer], native_index._layer_neighbors[layer]
         ) or not np.array_equal(
-            python_index._layer_dists[layer][:n], native_index._layer_dists[layer][:n]
-        ) or list(python_index._layer_degrees[layer][:n]) != list(
-            native_index._layer_degrees[layer][:n]
+            python_index._layer_dists[layer], native_index._layer_dists[layer]
+        ) or not np.array_equal(
+            python_index._layer_degrees[layer], native_index._layer_degrees[layer]
         ):
             return f"{tag}: graph layer {layer} diverged"
     for k in ks:
@@ -264,7 +260,7 @@ def _hnsw_pair_error(vectors, queries, split: int, ks=(1, 5),
 
 
 def _self_test() -> str | None:
-    """Build/extend/query small indexes through both paths; return error or None."""
+    """Build/query small indexes through both paths; return error or None."""
     import numpy as np
 
     rng = np.random.default_rng(1234)
@@ -272,7 +268,7 @@ def _self_test() -> str | None:
     vectors[17] = vectors[3]  # exercise exact ties
     queries = vectors[:30]
     error = _hnsw_pair_error(
-        vectors, queries, 120, max_degree=6, ef_construction=30, ef_search=20, seed=7
+        vectors, queries, max_degree=6, ef_construction=30, ef_search=20, seed=7
     )
     if error is not None:
         return error
@@ -282,14 +278,14 @@ def _self_test() -> str | None:
     extra_kwargs = dict(max_degree=5, ef_construction=24, ef_search=16, seed=3)
     for d in (72, 37):
         extra = rng.normal(size=(90, d)).astype(np.float32)
-        error = _hnsw_pair_error(extra, extra[:10], 70, ks=(1, 4), label=f" d={d}", **extra_kwargs)
+        error = _hnsw_pair_error(extra, extra[:10], ks=(1, 4), label=f" d={d}", **extra_kwargs)
         if error is not None:
             return error
     # Most distances tie: 60 rows from 6 vectors, so the heaps, the sort and
     # the k = 1 minimum order equal distances by node id alone.
     distinct = rng.normal(size=(6, 16)).astype(np.float32)
     tied = distinct[rng.integers(6, size=60)]
-    return _hnsw_pair_error(tied, tied[:12], 40, ks=(1, 5), label=" ties", **extra_kwargs)
+    return _hnsw_pair_error(tied, tied[:12], ks=(1, 5), label=" ties", **extra_kwargs)
 
 
 def kernel_variant() -> str | None:

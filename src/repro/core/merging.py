@@ -785,9 +785,12 @@ def hierarchical_merge_tables(
     untouched. The whole tree is drawn first (:func:`_merge_plan`) and runs
     as one task graph (:class:`_MergeSchedule`), so no level waits for the
     slowest task of the one before it. Inside one hierarchy every table is
-    indexed exactly once, by the one merge that consumes it.
+    indexed exactly once, by the one merge that consumes it. A table with no
+    rows is left out of the plan: it matches nothing, and in the plan it
+    would only redraw the pairing of the others.
     """
     stats = MergeStats()
+    tables = [table for table in tables if len(table)]
     if not tables:
         return ItemTable.empty(), stats
     merges = _merge_plan(len(tables), config.seed)

@@ -221,7 +221,7 @@ def _tables_with_duplicates(n_a=60, n_b=45, dim=8, seed=3):
     return base[rng.integers(30, size=n_a)].copy(), base[rng.integers(30, size=n_b)].copy()
 
 
-def _reference_mutual(vectors_a, vectors_b, k, max_distance, metric):
+def _reference_mutual(vectors_a, vectors_b, k, max_distance):
     def directed(index_vectors, queries):
         indices, distances = ReferenceIndex().build(index_vectors).query(queries, k)
         keep = (indices >= 0) & np.isfinite(distances) & (distances <= max_distance)
@@ -231,7 +231,7 @@ def _reference_mutual(vectors_a, vectors_b, k, max_distance, metric):
     mutual = sorted(directed(vectors_b, vectors_a) & {(a, b) for b, a in directed(vectors_a, vectors_b)})
     lefts = np.array([a for a, _ in mutual], dtype=np.int64)
     rights = np.array([b for _, b in mutual], dtype=np.int64)
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], metric)
+    dists = paired_distances(vectors_a[lefts], vectors_b[rights])
     order = np.lexsort((rights, lefts, dists))
     return [(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
 
@@ -240,7 +240,7 @@ def _reference_mutual(vectors_a, vectors_b, k, max_distance, metric):
 @pytest.mark.parametrize("k", (1, 2))
 def test_mutual_top_k_on_tied_tables_equals_reference_composition(metric, k):
     vectors_a, vectors_b = _tables_with_duplicates()
-    want = _reference_mutual(vectors_a, vectors_b, k, 0.5, metric)
+    want = _reference_mutual(vectors_a, vectors_b, k, 0.5)
     pairs = mutual_top_k(vectors_a, vectors_b, k=k, max_distance=0.5, backend="brute-force")
     assert want and [(p.left, p.right, p.distance) for p in pairs] == want
 
@@ -274,7 +274,7 @@ def _pair_bytes(pairs):
     ).tobytes()
 
 
-def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, one_pass=True):
+def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, *, one_pass=True):
     """``mutual_top_k`` at K = 1 on exact sides against the two-scan reference, with a spy."""
     calls = []
     original = mutual_module.exact_top1_pairs
@@ -283,7 +283,7 @@ def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, on
             mutual_module, "exact_top1_pairs", lambda *a, **kw: calls.append(1) or original(*a, **kw)
         )
         got = mutual_top_k(vectors_a, vectors_b, k=1, max_distance=max_distance, backend="brute-force")
-        want = _reference_mutual(vectors_a, vectors_b, 1, max_distance, metric)
+        want = _reference_mutual(vectors_a, vectors_b, 1, max_distance)
     assert calls == ([1] if one_pass else []), "the one-pass path did not run as routed"
     assert _pair_bytes([(p.left, p.right, p.distance) for p in got]) == _pair_bytes(want)
     return want
@@ -300,7 +300,7 @@ def _one_pass_equals_two_scans(vectors_a, vectors_b, max_distance, metric, *, on
 def test_one_pass_equals_two_scan_composition(n_a, n_b, max_distance, perturbations, seed):
     """Every tie source, 1-row sides (GEMV) to 300-row ones."""
     index, queries = _inputs(seed, n_b, n_a, perturbations)
-    _one_pass_equals_two_scans(queries, index, max_distance, "cosine")
+    _one_pass_equals_two_scans(queries, index, max_distance)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -316,7 +316,7 @@ def test_one_pass_over_several_blocks_equals_two_scans(metric, n_a, n_b, one_pas
         n_a + n_b, n_b, n_a, {"quantised", "duplicate_index", "queries_from_index"}
     )
     queries[::3] += np.float32(0.05)  # not every query a copy: unique minima beside the ties
-    assert _one_pass_equals_two_scans(queries, index, 1.0, metric, one_pass=one_pass)
+    assert _one_pass_equals_two_scans(queries, index, 1.0, one_pass=one_pass)
 
 
 def _scan_blocks(vectors, queries):

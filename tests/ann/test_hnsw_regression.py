@@ -2,8 +2,7 @@
 
 The expected values below were captured from the original dict-backed
 implementation (the v0 seed) on a fixed dataset and seed. The array-backed
-index, the prepared distance kernels, and incremental ``extend`` must all
-reproduce them bit for bit — approximate agreement is not enough, because the
+index and the prepared distance kernels must both reproduce them bit for bit — approximate agreement is not enough, because the
 merging stage's pair output is required to be identical across the refactor.
 """
 
@@ -69,40 +68,3 @@ def test_prepared_kernels_bitwise_match_distance_matrix(metric):
     for q in range(5):
         expected = distance_matrix(queries[q][None, :], vectors[rows], metric)[0]
         assert np.array_equal(prepared.row_distances(prepared_queries[q], rows), expected)
-
-
-@pytest.mark.parametrize("metric", METRICS)
-def test_prepared_append_matches_full_preparation(metric):
-    rng = np.random.default_rng(4)
-    vectors = rng.normal(size=(120, 24)).astype(np.float32)
-    whole = PreparedVectors(vectors)
-    grown = PreparedVectors(vectors[:70])
-    grown.append(vectors[70:])
-    queries = grown.prepare_queries(vectors[:9])
-    assert np.array_equal(grown.block_distances(queries), whole.block_distances(queries))
-
-
-def test_extend_is_byte_identical_to_full_build(fixture_vectors):
-    full = HNSWIndex(seed=9).build(fixture_vectors)
-    extended = HNSWIndex(seed=9).build(fixture_vectors[:180]).extend(fixture_vectors[180:])
-    full_idx, full_dist = full.query(fixture_vectors[:30], 4)
-    ext_idx, ext_dist = extended.query(fixture_vectors[:30], 4)
-    assert np.array_equal(full_idx, ext_idx)
-    assert np.array_equal(full_dist, ext_dist)
-
-
-def test_extend_on_unbuilt_index_builds(fixture_vectors):
-    index = HNSWIndex(seed=1).extend(fixture_vectors[:50])
-    assert index.size == 50
-    reference = HNSWIndex(seed=1).build(fixture_vectors[:50])
-    left, _ = index.query(fixture_vectors[:10], 3)
-    right, _ = reference.query(fixture_vectors[:10], 3)
-    assert np.array_equal(left, right)
-
-
-def test_extend_dimension_mismatch_raises(fixture_vectors):
-    from repro.exceptions import IndexError_
-
-    index = HNSWIndex(seed=0).build(fixture_vectors[:40])
-    with pytest.raises(IndexError_):
-        index.extend(np.ones((3, 7), dtype=np.float32))

@@ -118,7 +118,7 @@ class TestHNSW:
     ids=["narrower", "wider", "1-d"],
 )
 def test_a_mis_shaped_query_is_refused_by_name(index_class, shape, message):
-    """The query checks ``extend`` makes, before any preparation; ``(0, d)`` still answers."""
+    """Query rows are checked before any preparation; ``(0, d)`` still answers."""
     rng = np.random.default_rng(5)
     index = index_class().build(rng.normal(size=(50, 8)).astype(np.float32))
     with pytest.raises(IndexError_, match=message):

@@ -50,7 +50,7 @@ def reference_mutual_top_k(vectors_a, vectors_b, *, k, max_distance, backend,
         return []
     lefts = np.array([a for a, _ in mutual], dtype=np.int64)
     rights = np.array([b for _, b in mutual], dtype=np.int64)
-    dists = paired_distances(vectors_a[lefts], vectors_b[rights], "cosine")
+    dists = paired_distances(vectors_a[lefts], vectors_b[rights])
     order = np.lexsort((rights, lefts, dists))
     return [(int(lefts[i]), int(rights[i]), float(dists[i])) for i in order]
 

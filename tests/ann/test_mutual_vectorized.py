@@ -91,12 +91,12 @@ def test_mutual_top_k_matches_reference_pairs(backend, metric):
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("metric", METRICS)
 def test_paired_distances_matches_matrix_diagonal(metric):
     rng = np.random.default_rng(2)
     a = rng.normal(size=(300, 64)).astype(np.float32)
     b = rng.normal(size=(300, 64)).astype(np.float32)
-    got = paired_distances(a, b, metric)
+    got = paired_distances(a, b)
     want = np.diagonal(distance_matrix(a, b, metric))
     np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
     assert got.dtype == want.dtype
@@ -105,11 +105,10 @@ def test_paired_distances_matches_matrix_diagonal(metric):
 def test_paired_distances_exact_cases():
     # Identical rows and zero rows are exactly representable: no ulp drift.
     v = np.eye(4, dtype=np.float32)
-    assert paired_distances(v, v, "cosine").tolist() == [0.0] * 4
-    assert paired_distances(v, v, "euclidean").tolist() == [0.0] * 4
+    assert paired_distances(v, v).tolist() == [0.0] * 4
     zero = np.zeros((2, 4), dtype=np.float32)
     assert np.array_equal(
-        paired_distances(zero, v[:2], "cosine"),
+        paired_distances(zero, v[:2]),
         np.diagonal(distance_matrix(zero, v[:2], "cosine")),
     )
 

@@ -1,11 +1,14 @@
 """Tests for table-wise hierarchical merging (Algorithms 2-3)."""
 
 import numpy as np
+import pytest
 
-from repro.config import MergingConfig
+from repro import IncrementalMultiEM, MultiEM
+from repro.config import MergingConfig, paper_default_config
 from repro.core import ItemTable, MergeItem, hierarchical_merge_tables, merge_item_tables
 from repro.core.parallel import ParallelExecutor
-from repro.data import EntityRef
+from repro.data import EntityRef, Table
+from repro.data.dataset import MultiTableDataset
 
 
 def _item(source: str, index: int, vector: list[float]) -> MergeItem:
@@ -165,3 +168,19 @@ def test_merge_no_duplicate_members():
     merged, _ = _merge(left, right, MergingConfig(m=0.5))
     assert len(merged) == 1
     assert len(merged[0].members) == len(set(merged[0].members)) == 2
+
+
+@pytest.mark.parametrize("index", ["brute-force", "hnsw"])
+def test_an_empty_source_changes_no_tuple(music_tiny, index):
+    """A table with no rows, named first or last, sits out Algorithm 2's plan
+    (where it would redraw the pairing of the others): ``MultiEM.match`` and
+    ``IncrementalMultiEM.fit`` find the tuples they find without it."""
+    config = paper_default_config("music-20").with_overrides(merging={"index": index})
+    want = MultiEM(config).match(music_tiny).tuples
+    for name in ("source_0", "source_Z"):  # sorts before / after every source
+        padded = MultiTableDataset.from_tables(
+            music_tiny.name, [*music_tiny.table_list(), Table(name, music_tiny.schema)]
+        )
+        assert MultiEM(config).match(padded).tuples == want
+        with IncrementalMultiEM(config) as matcher:
+            assert matcher.fit(padded).tuples == want
