@@ -35,7 +35,7 @@ integrated ``ItemTable``, embedding store, the fitted encoder — into one
 versioned, memory-mappable file: ``load(mmap=True)`` restores zero-copy and
 byte-identical. ANN indexes are not persisted; a restored matcher rebuilds
 the one it needs. :class:`repro.store.MatchSession`
-serves ``match_new_table`` / nearest-tuple queries from a snapshot without
+serves ``matcher.add_table`` / nearest-tuple queries from a snapshot without
 refitting (CLI: ``snapshot save|load``, ``serve-match``).
 """
 

@@ -3,7 +3,8 @@
 The paper uses cosine distance in the merging phase and euclidean distance in
 the pruning phase; both are provided in pairwise (matrix) form. Merging's
 cosine alone also has a row-wise paired form, and the ANN indexes run on
-:class:`PreparedVectors`, its prepared one-query-to-rows form.
+:class:`PreparedVectors`, its prepared one-query-to-rows form. Pruning's
+euclidean alone has a batched per-slice form.
 """
 
 from __future__ import annotations
@@ -92,29 +93,17 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
     return distance_matrix(vectors, vectors, metric)
 
 
-def batched_pairwise_distances(stacked: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Per-slice pairwise distances over a ``(t, u, d)`` stack of vector sets.
+def batched_pairwise_distances(stacked: np.ndarray) -> np.ndarray:
+    """Per-slice euclidean distances over a ``(t, u, d)`` stack of vector sets.
 
-    Slice ``i`` of the result equals ``pairwise_distances(stacked[i], metric)``
+    Slice ``i`` of the result equals ``pairwise_distances(stacked[i])``
     **bit for bit** — the batched pruning classifier relies on this to replace
-    its per-tuple loop. Two aliasing details make that hold on this BLAS:
-    the euclidean branch multiplies the stack with a transpose view of
-    *itself* (same buffer, the syrk-style path :func:`euclidean_distance_matrix`
-    takes via ``a @ b.T`` with ``a is b``), while the cosine branch normalizes
-    into two *distinct* buffers because :func:`cosine_distance_matrix` computes
-    ``a / a_norm`` and ``b / b_norm`` separately and therefore takes the
-    general gemm path even when ``a is b``. Both equalities are pinned by
-    ``tests/core/test_flat_equivalence.py``.
+    its per-tuple loop. It holds on this BLAS because the stack is multiplied
+    with a transpose view of *itself* (same buffer, the syrk-style path
+    :func:`euclidean_distance_matrix` takes via ``a @ b.T`` with ``a is b``);
+    ``tests/core/test_flat_equivalence.py`` pins it.
     """
-    _check_metric(metric)
     stacked = np.asarray(stacked, dtype=np.float32)
-    if metric == "cosine":
-        norms = np.linalg.norm(stacked, axis=2, keepdims=True)
-        norms[norms == 0] = 1.0
-        left = stacked / norms
-        right = left.copy()  # distinct buffer (same bytes): keep BLAS on the gemm path
-        similarity = np.matmul(left, right.transpose(0, 2, 1))
-        return np.clip(1.0 - similarity, 0.0, 2.0)
     squared_norms = (stacked * stacked).sum(axis=2)
     squared = squared_norms[:, :, None] + squared_norms[:, None, :] - 2.0 * np.matmul(
         stacked, stacked.transpose(0, 2, 1)

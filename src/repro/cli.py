@@ -351,7 +351,7 @@ def _cmd_serve_match(args: argparse.Namespace) -> int:
     with MatchSession.load(args.snapshot, mmap=not args.copy) as session:
         if args.table in session.known_sources:
             raise ReproError(f"source {args.table!r} is already part of the snapshot")
-        result = session.match_new_table(table)
+        result = session.matcher.add_table(table)
         print(f"merged {args.table!r} into {len(session.known_sources) - 1} restored sources")
         print(f"predicted tuples: {result.num_tuples}")
         if args.output:

@@ -9,6 +9,7 @@ merging and euclidean distance for pruning.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Mapping
 
@@ -33,8 +34,8 @@ REPRO_GAMMA_GRID = (0.8, 0.85, 0.9, 0.95)
 #: retired key never changes what a loaded snapshot computes. A key whose
 #: other values changed result bytes maps to ``(reason, the one value that
 #: still loads)``, and ``drop_retired`` refuses any other value by name
-#: (``merging.metric``); ``representation.encoder`` naming the removed
-#: TF-IDF+SVD encoder is refused by that snapshot's own encoder bundle.
+#: (``merging.metric``, ``pruning.metric``); ``representation.encoder``
+#: naming the removed TF-IDF+SVD encoder is refused by its own encoder bundle.
 #: The ``"session"`` entry lists manifest bundles rather than config keys; it
 #: is not a config section, so ``with_overrides`` never consults it.
 RETIRED_KEYS: dict[str, dict[str, str | tuple[str, Any]]] = {
@@ -53,6 +54,10 @@ RETIRED_KEYS: dict[str, dict[str, str | tuple[str, Any]]] = {
         "shards": "merges run unsharded on the table-wise pool; sharded output was identical",
         "shard_key": "merges run unsharded on the table-wise pool; sharded output was identical",
     },
+    "pruning": {
+        "metric": ("pruning distance is euclidean; cosine is merging's", "euclidean"),
+        "batch_rows": "pruning blocks hold core.pruning.BATCH_ROWS rows; any size gave the same bytes",
+    },
     "parallel": {
         "kernel_threads": "the native HNSW build is sequential",
         "shared_memory": "tasks run on one persistent thread pool",
@@ -68,6 +73,26 @@ RETIRED_KEYS: dict[str, dict[str, str | tuple[str, Any]]] = {
         "shard": "merges run unsharded; the shard owners changed no result byte",
     },
 }
+
+
+_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _check_types(config, section: str) -> None:
+    """Refuse, naming ``section.key``, a field value that is not of its annotated type.
+
+    A ``bool`` is not a number here, and ``X | None`` also takes ``None``: a
+    bad value fails here rather than deep inside numpy or the RNG.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind]):
+            raise ConfigurationError(
+                f"{section}.{f.name} must be {f.type}, not {type(value).__name__} {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,6 +119,7 @@ class RepresentationConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self, "representation")
         if self.dimension <= 0:
             raise ConfigurationError("embedding dimension must be positive")
         if not 0 < self.sample_ratio <= 1:
@@ -102,6 +128,8 @@ class RepresentationConfig:
             raise ConfigurationError("max_sequence_length must be positive")
         if not 0 <= self.gamma <= 1:
             raise ConfigurationError("gamma must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("representation.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,6 +163,7 @@ class MergingConfig:
     index_cache_entries: ClassVar[int] = 8  # bench compat: item 1 deletes
 
     def validate(self) -> None:
+        _check_types(self, "merging")
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
         if not self.m >= 0:  # also rejects NaN; inf is legal
@@ -147,23 +176,18 @@ class MergingConfig:
             raise ConfigurationError("hnsw_max_degree must be >= 2")
         if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
             raise ConfigurationError("hnsw_ef_construction and hnsw_ef_search must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("merging.seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class PruningConfig:
-    """Settings for density-based pruning (Algorithm 4).
+    """Settings for density-based pruning (Algorithm 4), on euclidean distance.
 
     Attributes:
         enabled: turning this off gives the "w/o DP" ablation.
         epsilon: neighbourhood radius ε (euclidean, paper grid {0.8, 1.0}).
         min_pts: MinPts, the neighbour count needed to be a core entity.
-        metric: distance used during pruning (paper: euclidean).
-        batch_rows: per-block cap for the vectorized classifier — at most
-            this many member rows are gathered into one batched distance
-            block (a single tuple always classifies whole, even beyond the
-            cap). Any value yields byte-identical output (blocking never
-            changes a tuple's arithmetic); it only trades peak block memory
-            for call count.
 
     When pruning is a no-op: embeddings are unit-norm, so
     ``‖a − b‖ = √(2 · d_cos(a, b))`` and a pair merged at cosine distance
@@ -176,18 +200,13 @@ class PruningConfig:
     enabled: bool = True
     epsilon: float = 1.0
     min_pts: int = 2
-    metric: str = "euclidean"
-    batch_rows: int = 8192
 
     def validate(self) -> None:
+        _check_types(self, "pruning")
         if not self.epsilon > 0:  # also rejects NaN; inf is legal
             raise ConfigurationError("epsilon must be a positive number")
         if self.min_pts < 1:
             raise ConfigurationError("min_pts must be >= 1")
-        if self.metric not in ("cosine", "euclidean"):
-            raise ConfigurationError(f"unknown pruning metric {self.metric!r}")
-        if self.batch_rows < 1:
-            raise ConfigurationError("batch_rows must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -199,8 +218,7 @@ class ParallelConfig:
             :class:`~repro.core.parallel.ParallelExecutor` (the default; the
             heavy lifting is released-GIL numpy and native-kernel work, and
             output bytes are identical either way). ``False`` is the paper's
-            serial MultiEM. Snapshots written while the default was ``False``
-            carry ``enabled: false`` and keep running serially once loaded.
+            serial MultiEM.
         max_workers: pool size (``None``: the usable CPU count, see
             :attr:`repro.core.parallel.ParallelExecutor.workers`).
     """
@@ -209,13 +227,17 @@ class ParallelConfig:
     max_workers: int | None = None
 
     def validate(self) -> None:
+        _check_types(self, "parallel")
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")
 
 
 @dataclass(frozen=True)
 class MultiEMConfig:
-    """Complete configuration for a :class:`repro.core.pipeline.MultiEM` run."""
+    """Complete configuration for a :class:`repro.core.pipeline.MultiEM` run.
+
+    Only ``parallel`` leaves the output bytes alone; snapshots persist the rest.
+    """
 
     representation: RepresentationConfig = field(default_factory=RepresentationConfig)
     merging: MergingConfig = field(default_factory=MergingConfig)

@@ -3,8 +3,9 @@
 Hierarchical merging only ever looks at the two tables currently being
 merged, so a tuple built up over several levels can drag along an outlier
 (Figure 4). The pruning stage classifies each tuple's members as core,
-reachable, or outlier entities using DBSCAN-style density rules and removes
-the outliers; tuples left with fewer than two members are dropped entirely.
+reachable, or outlier entities using DBSCAN-style density rules on euclidean
+distance (the paper's, Section IV-A) and removes the outliers; tuples left
+with fewer than two members are dropped entirely.
 
 Vectorized layout and byte-identity contract
 --------------------------------------------
@@ -21,11 +22,12 @@ historical per-item path — ``tests/core/test_flat_equivalence.py`` pins this
 on randomized inputs, and the result is independent of how candidates are
 chunked across workers.
 
-``PruningConfig.batch_rows`` caps how many member rows one *classification
-block* gathers, bounding the per-block ``(t, u, u)`` distance allocations for
-large candidate sets. It is not a global memory bound: the flat member matrix
+:data:`BATCH_ROWS` caps how many member rows one *classification block*
+gathers, bounding the per-block ``(t, u, u)`` distance allocations for large
+candidate sets. Any cap gives the same bytes (blocking never changes a
+tuple's arithmetic). It is not a global memory bound: the flat member matrix
 of a chunk is gathered up front, and a single tuple with more than
-``batch_rows`` members still classifies as one (1, u, u) block.
+``BATCH_ROWS`` members still classifies as one (1, u, u) block.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .merging import ItemTable, MergeItem, bucketed_weighted_mean
 from .parallel import ParallelExecutor, default_executor, partition
 from .representation import EmbeddingStore
 
+#: Member rows one classification block gathers at most (see the module docs).
+BATCH_ROWS = 8192
+
 
 @dataclass
 class EntityClassification:
@@ -51,9 +56,7 @@ class EntityClassification:
     outliers: list[int] = field(default_factory=list)
 
 
-def classify_entities(
-    vectors: np.ndarray, epsilon: float, min_pts: int, metric: str = "euclidean"
-) -> EntityClassification:
+def classify_entities(vectors: np.ndarray, epsilon: float, min_pts: int) -> EntityClassification:
     """Classify the members of one data item (Algorithm 4).
 
     This is the single-tuple reference implementation; the batched path in
@@ -63,7 +66,6 @@ def classify_entities(
         vectors: ``(u, d)`` member embeddings of the data item.
         epsilon: neighbourhood radius ε.
         min_pts: neighbours (including self) required to be a core entity.
-        metric: distance metric (the paper uses euclidean here).
 
     Returns:
         :class:`EntityClassification` of member indices.
@@ -72,7 +74,7 @@ def classify_entities(
     u = vectors.shape[0]
     if u == 0:
         return EntityClassification()
-    distances = pairwise_distances(vectors, metric)
+    distances = pairwise_distances(vectors, "euclidean")
     neighbor_masks = distances <= epsilon
     neighbor_counts = neighbor_masks.sum(axis=1)
     core = [i for i in range(u) if neighbor_counts[i] >= min_pts]
@@ -98,7 +100,7 @@ def _classify_members(
         member_matrix: ``(M, d)`` concatenated member vectors of all candidates.
         offsets: ``(C + 1,)`` CSR offsets; candidate ``i`` owns rows
             ``offsets[i]:offsets[i + 1]``.
-        config: pruning settings (``batch_rows`` bounds one block's gather).
+        config: pruning settings.
 
     Returns:
         ``(keep, keep_counts)`` — a boolean mask over the ``M`` member rows
@@ -112,13 +114,13 @@ def _classify_members(
         if u == 0:
             continue
         items_u = np.flatnonzero(sizes == u)
-        block_items = max(1, int(config.batch_rows) // u)
+        block_items = max(1, BATCH_ROWS // u)
         for start in range(0, len(items_u), block_items):
             block = items_u[start : start + block_items]
             flat_positions = (offsets[block][:, None] + np.arange(u)[None, :]).reshape(-1)
             stacked = np.asarray(member_matrix[flat_positions], dtype=np.float32)
             stacked = stacked.reshape(len(block), u, member_matrix.shape[1])
-            distances = batched_pairwise_distances(stacked, config.metric)
+            distances = batched_pairwise_distances(stacked)
             neighbor_masks = distances <= config.epsilon
             core = neighbor_masks.sum(axis=2) >= config.min_pts
             reachable = ~core & (neighbor_masks & core[:, None, :]).any(axis=2)

@@ -88,7 +88,7 @@ def _handle_match_table(state: _WorkerState, frame: dict) -> dict:
     except (KeyError, TypeError) as exc:
         raise ServeError(f"malformed table spec: {exc}") from exc
     try:
-        result = state.session.match_new_table(table)
+        result = state.session.matcher.add_table(table)
         return {
             "ok": True,
             "tuples": sorted(refs_to_json(result.tuples)),

@@ -22,7 +22,7 @@ package makes those arrays *move* without serialization:
 * :mod:`repro.store.session` — :func:`save_session` /
   :class:`MatchSession`: snapshot a fitted
   :class:`~repro.core.incremental.IncrementalMultiEM` once, then serve
-  ``match_new_table`` and nearest-tuple ``query_many`` calls from a cold process
+  ``matcher.add_table`` and nearest-tuple ``query_many`` calls from a cold process
   without refitting anything; content digests recorded at save time are
   verified on load.
 

@@ -32,7 +32,6 @@ from ..config import (
     RETIRED_KEYS,
     MergingConfig,
     MultiEMConfig,
-    ParallelConfig,
     PruningConfig,
     RepresentationConfig,
 )
@@ -191,9 +190,17 @@ def encoder_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
 
 
 # --------------------------------------------------------------------- config
+#: The sections a snapshot persists: all but ``parallel``, which moves no output byte.
+_CONTENT_SECTIONS = (
+    ("representation", RepresentationConfig),
+    ("merging", MergingConfig),
+    ("pruning", PruningConfig),
+)
+
+
 def config_to_meta(config: MultiEMConfig) -> dict:
-    """JSON tree of a pipeline config (tuples are only in per-field defaults)."""
-    return asdict(config)
+    """JSON tree of a pipeline config's content sections."""
+    return {name: asdict(getattr(config, name)) for name, _ in _CONTENT_SECTIONS}
 
 
 def drop_retired(values: dict, section: str, dropped: list, *, what: str = "config key") -> dict:
@@ -230,20 +237,16 @@ def config_from_meta(
     """Rebuild the pipeline config a snapshot manifest carries.
 
     Snapshots outlive config fields: retired keys are dropped
-    (:func:`drop_retired`) and appended to ``dropped``; without a ``dropped``
-    list to report into, one warning names them all. Any other key this
-    version does not know, a missing or malformed section, or a value the
-    config rejects raises :class:`StoreError` naming ``source`` and the
-    section instead of guessing.
+    (:func:`drop_retired`) and appended to ``dropped``, and so is every key
+    of the ``parallel`` section older manifests carry, which is not read;
+    without a ``dropped`` list to report into, one warning names them all.
+    Any other key this version does not know, a missing or malformed content
+    section, or a value the config rejects raises :class:`StoreError` naming
+    ``source`` and the section instead of guessing.
     """
     report = [] if dropped is None else dropped
     sections = {}
-    for name, cls in (
-        ("representation", RepresentationConfig),
-        ("merging", MergingConfig),
-        ("pruning", PruningConfig),
-        ("parallel", ParallelConfig),
-    ):
+    for name, cls in _CONTENT_SECTIONS:
         try:
             values = drop_retired(meta[name], name, report)
             unknown = sorted(set(values) - {f.name for f in fields(cls)})
@@ -255,6 +258,12 @@ def config_from_meta(
             raise StoreError(f"snapshot {source}: config section {name} is missing") from exc
         except (ConfigurationError, TypeError, ValueError) as exc:
             raise StoreError(f"snapshot {source}: invalid config section {name}: {exc}") from exc
+    execution = meta.get("parallel")
+    if isinstance(execution, dict):  # written while snapshots persisted every section
+        report.extend(
+            f"config key parallel.{key} (a loaded matcher runs on ParallelConfig defaults)"
+            for key in drop_retired(execution, "parallel", report)
+        )
     if dropped is None:
         warn_retired(report, source)
     return MultiEMConfig(**sections)

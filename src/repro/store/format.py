@@ -126,19 +126,18 @@ class SnapshotWriter:
     when the input was non-contiguous); the writer holds references until the
     snapshot is written (:meth:`save`), so add-then-mutate is not supported.
 
-    ``segment_digests=True`` records a per-segment content digest in every
-    canonical manifest entry (an additive manifest key — no format-version
-    bump), which is what lets :mod:`repro.store.fsck` pinpoint *which*
+    Every manifest entry records a per-segment content digest (an additive
+    manifest key — no format-version bump; files written without one still
+    read), which is what lets :mod:`repro.store.fsck` pinpoint *which*
     segment a flipped bit landed in instead of reporting a whole-payload
-    mismatch. Session saves enable it.
+    mismatch.
     """
 
-    def __init__(self, *, segment_digests: bool = False) -> None:
+    def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
         self._meta: Any = {}
         self._chain: dict | None = None
         self._delta: dict | None = None
-        self._segment_digests = segment_digests
         self._computed_digests: dict[str, str] = {}  # handed in by the caller
 
     def add_array(self, name: str, array: np.ndarray) -> None:
@@ -176,13 +175,10 @@ class SnapshotWriter:
     def segment_digest_tasks(self) -> "dict[str, tuple[int, Callable[[], str]]]":
         """``{name: (nbytes, compute)}``: one independent digest task per segment.
 
-        Empty unless the writer records per-segment digests. A caller that runs
-        the tasks itself (a save spreads them over a thread pool) hands the
-        results back through :meth:`set_segment_digests`; otherwise
-        :meth:`save` computes each digest when it lays out the manifest.
+        A caller that runs the tasks itself (a save spreads them over a thread
+        pool) hands the results back through :meth:`set_segment_digests`;
+        otherwise :meth:`save` computes each digest when it lays out the manifest.
         """
-        if not self._segment_digests:
-            return {}
         return {
             name: (
                 int(array.nbytes),
@@ -209,12 +205,9 @@ class SnapshotWriter:
                 "shape": list(array.shape),
                 "offset": offset,
                 "nbytes": int(array.nbytes),
+                "digest": self._computed_digests.get(name)
+                or segment_digest(name, array.dtype.str, array.shape, array),
             }
-            if self._segment_digests:
-                digest = self._computed_digests.get(name)
-                if digest is None:
-                    digest = segment_digest(name, array.dtype.str, array.shape, array)
-                entries[name]["digest"] = digest
             offset += int(array.nbytes)
         tree: dict[str, Any] = {"arrays": entries, "meta": self._meta}
         if self._chain is not None:
@@ -263,15 +256,8 @@ class DeltaWriter(SnapshotWriter):
     own segments — only the manifest distinguishes it.
     """
 
-    def __init__(
-        self,
-        parent: str | os.PathLike,
-        parent_payload: str,
-        depth: int,
-        *,
-        segment_digests: bool = False,
-    ) -> None:
-        super().__init__(segment_digests=segment_digests)
+    def __init__(self, parent: str | os.PathLike, parent_payload: str, depth: int) -> None:
+        super().__init__()
         if depth < 1:
             raise StoreError("a delta's chain depth must be >= 1")
         self.set_chain(
@@ -460,8 +446,8 @@ class Snapshot:
     def verify_segments(self) -> "list[tuple[str, bool, str]]":
         """Per-segment integrity check: ``[(name, ok, detail), ...]``.
 
-        Canonical segments with a recorded ``digest`` manifest key (written
-        by ``SnapshotWriter(segment_digests=True)``) are re-hashed and
+        Canonical segments with a recorded ``digest`` manifest key (every
+        :class:`SnapshotWriter` records one) are re-hashed and
         compared; segments whose bytes cannot even be viewed (truncation,
         malformed entries) fail with the reader's error. Snapshots written
         without per-segment digests report ``ok`` with an explanatory

@@ -9,8 +9,8 @@ ANN indexes are not persisted: a restored matcher builds the index it needs.
 :class:`MatchSession` (or :func:`load_matcher`) restores a snapshot without
 re-running any pipeline stage: with ``mmap=True`` every vector plane is a
 zero-copy view over the mapped file, so a cold process starts answering
-``match_new_table`` / ``query_many`` calls in the time it takes to parse the
-manifest.
+``matcher.add_table`` / ``query_many`` calls in the time it takes to parse
+the manifest.
 
 Files written while the index cache was persisted carry a ``cache`` bundle,
 and files of a sharded fit a ``shard`` bundle; either is dropped on load with
@@ -48,7 +48,6 @@ import numpy as np
 
 from ..core.incremental import IncrementalMultiEM
 from ..core.merging import plan_merge_index
-from ..data.table import Table
 from ..exceptions import DataError, StoreError
 from . import codecs
 from .delta import diff_bundle, resolve_chain_arrays
@@ -178,7 +177,7 @@ def save_session(matcher: IncrementalMultiEM, path) -> dict:
     """Write a fitted matcher's full state to ``path``; returns the digest record."""
     state = matcher.snapshot_state()
     metas, arrays = session_state_bundle(state)
-    writer = SnapshotWriter(segment_digests=True)
+    writer = SnapshotWriter()
     for name, array in arrays.items():
         writer.add_array(name, array)
     # The payload digest covers every segment of every bundle (the encoder
@@ -221,9 +220,7 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
     state = matcher.snapshot_state()
     metas, arrays = session_state_bundle(state)
     spec, segments = diff_bundle(arrays, base["arrays"])
-    writer = DeltaWriter(
-        base["path"], base["payload"], base["depth"] + 1, segment_digests=True
-    )
+    writer = DeltaWriter(base["path"], base["payload"], base["depth"] + 1)
     for name, segment in segments.items():
         writer.add_array(name, segment)
     writer.set_delta(spec)
@@ -472,9 +469,10 @@ class _QueryContext:
 class MatchSession:
     """A restored pipeline serving match and nearest-tuple queries.
 
-    Wraps the rehydrated :class:`IncrementalMultiEM` with the two serving
-    calls a snapshot exists for; the underlying matcher stays available as
-    :attr:`matcher` for anything else (evaluation, further snapshots).
+    Wraps the rehydrated :class:`IncrementalMultiEM` as :attr:`matcher`:
+    ``matcher.add_table`` folds a new source table in (no refit, byte-for-byte
+    what the never-snapshotted matcher returns), and :meth:`query_many`
+    answers nearest-tuple queries.
     """
 
     def __init__(self, matcher: IncrementalMultiEM, digests: dict | None = None) -> None:
@@ -498,15 +496,6 @@ class MatchSession:
         return cls(matcher, meta.get("digests") if isinstance(meta, dict) else None)
 
     # ------------------------------------------------------------- serving
-    def match_new_table(self, table: Table):
-        """Fold one new source table into the restored state (no refit).
-
-        Exactly :meth:`IncrementalMultiEM.add_table` — one two-table merge
-        against the integrated table plus a pruning pass — and byte-for-byte
-        the result the never-snapshotted matcher would return.
-        """
-        return self.matcher.add_table(table)
-
     def query_many(self, texts, k: int = 1, max_distance: float | None = None):
         """Nearest integrated tuples for raw serialized texts, batched.
 

@@ -1,7 +1,9 @@
 """Tests for repro.config."""
 
+import functools
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -13,7 +15,8 @@ from repro.config import (
     RepresentationConfig,
     paper_default_config,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StoreError
+from repro.store import codecs
 
 
 def test_default_config_is_valid():
@@ -50,8 +53,49 @@ def test_pruning_config_validation():
         PruningConfig(epsilon=0.0).validate()
     with pytest.raises(ConfigurationError):
         PruningConfig(min_pts=0).validate()
-    with pytest.raises(ConfigurationError):
-        PruningConfig(metric="other").validate()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # each of these used to pass validate() and then fail inside numpy or the RNG
+        ("merging", "k", 1.5),
+        ("merging", "hnsw_max_degree", 2.5),
+        ("representation", "dimension", 32.5),
+        ("representation", "seed", 1.5),
+        ("merging", "seed", -1),
+        ("parallel", "max_workers", 1.5),
+        ("merging", "m", "0.5"),
+        ("pruning", "epsilon", "1"),
+        # ... and these used to run, silently (``"no"`` is truthy, so it pruned)
+        ("merging", "brute_force_limit", 10.5),
+        ("pruning", "min_pts", 2.5),
+        ("representation", "max_sequence_length", 8.5),
+        ("pruning", "enabled", "no"),
+        # a bool is not a number
+        ("merging", "k", True),
+        ("pruning", "epsilon", False),
+        ("representation", "seed", -1),
+    ],
+)
+def test_a_value_of_the_wrong_type_or_a_negative_seed_is_refused_by_name(section, key, value):
+    config = MultiEMConfig().with_overrides(**{section: {key: value}})
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
+        config.validate()
+    if section != "parallel":  # a manifest carries the content sections only
+        meta = codecs.config_to_meta(MultiEMConfig())
+        meta[section][key] = value
+        with pytest.raises(StoreError, match=rf"bad\.snap: .*{section}\.{key}"):
+            codecs.config_from_meta(meta, source="bad.snap")
+
+
+def test_numbers_of_any_numeric_type_stay_legal():
+    MultiEMConfig().with_overrides(
+        representation={"dimension": np.int64(32), "seed": np.uint8(3)},
+        merging={"k": np.int32(2), "m": 1, "seed": 0},
+        pruning={"epsilon": np.float32(0.5), "min_pts": np.int64(2)},
+        parallel={"max_workers": np.int16(2)},
+    ).validate()
 
 
 @pytest.mark.parametrize(
@@ -124,6 +168,8 @@ def test_with_overrides_rejects_unknown_keys_by_name():
     "section, key, runs",
     [
         ("merging", "metric", "merging distance is cosine"),
+        ("pruning", "metric", "pruning distance is euclidean"),
+        ("pruning", "batch_rows", "any size gave the same bytes"),
         ("merging", "kernel_threads", "sequential"),
         ("parallel", "kernel_threads", "sequential"),
         ("merging", "quantized_scan", "exact scan"),
@@ -182,3 +228,82 @@ def test_paper_default_config_unknown_dataset_uses_defaults():
 def test_paper_default_config_parallel_flag():
     assert paper_default_config("geo").parallel.enabled is True  # the default since PR 23
     assert paper_default_config("geo", parallel=False).parallel.enabled is False
+
+
+#: Fields that decide only how the work runs: no flip of one moves a tuple.
+EXECUTION = {"parallel.enabled": False, "parallel.max_workers": 3}
+
+#: Fields that decide the output: ``key: (flipped value, base overrides)``.
+#: Each flip changes the tuples of at least one tiny input. The bases are
+#: needed because the HNSW knobs act only once HNSW runs, ``index`` and
+#: ``brute_force_limit`` only once HNSW misses neighbours, and ``sample_ratio``
+#: only where ``gamma`` 0.8 leaves attribute selection close.
+_HNSW = {"merging.index": "hnsw"}
+_WEAK_HNSW = {
+    "merging.hnsw_ef_search": 1,
+    "merging.hnsw_max_degree": 2,
+    "merging.hnsw_ef_construction": 1,
+}
+CONTENT = {
+    "representation.dimension": (32, {}),
+    "representation.max_sequence_length": (4, {}),
+    "representation.attribute_selection": (False, {}),
+    "representation.gamma": (0.5, {}),
+    "representation.sample_ratio": (0.05, {"representation.gamma": 0.8}),
+    "representation.seed": (1, {}),
+    "merging.k": (2, {}),
+    "merging.m": (0.2, {}),
+    "merging.index": ("hnsw", _WEAK_HNSW),
+    "merging.brute_force_limit": (1, _WEAK_HNSW),
+    "merging.hnsw_ef_construction": (1, _HNSW),
+    "merging.hnsw_ef_search": (1, _HNSW),
+    "merging.hnsw_max_degree": (2, _HNSW),
+    "merging.seed": (1, {}),
+    "pruning.enabled": (False, {}),
+    "pruning.epsilon": (0.3, {}),
+    "pruning.min_pts": (3, {}),
+}
+
+
+def test_every_config_field_is_content_or_execution(geo_tiny, music_tiny, shopee_tiny):
+    """A snapshot persists exactly the sections whose fields can move output bytes.
+
+    A new field fails here until it is classified: an execution field must
+    leave the tuples of geo, music-20 and shopee (tiny) unchanged, and a
+    content field needs a listed flip that changes some input's tuples.
+    """
+    from repro import MultiEM
+
+    config = MultiEMConfig()
+    every = {
+        f"{section.name}.{f.name}"
+        for section in fields(config)
+        for f in fields(getattr(config, section.name))
+    }
+    assert not EXECUTION.keys() & CONTENT.keys()
+    classified = EXECUTION.keys() | CONTENT.keys()
+    assert every == classified, sorted(every ^ classified)
+    content_sections = {key.split(".")[0] for key in CONTENT}
+    assert set(codecs.config_to_meta(config)) == content_sections
+    assert not content_sections & {key.split(".")[0] for key in EXECUTION}
+
+    datasets = {"geo": geo_tiny, "music-20": music_tiny, "shopee": shopee_tiny}
+
+    @functools.cache
+    def tuples(name, overrides):
+        sections: dict = {}
+        for key, value in overrides:
+            section, field_name = key.split(".")
+            sections.setdefault(section, {})[field_name] = value
+        config = paper_default_config(name).with_overrides(**sections)
+        return MultiEM(config).match(datasets[name]).tuples
+
+    def changed(key, value, base):
+        base_items = tuple(sorted(base.items()))
+        flipped = tuple(sorted({**base, key: value}.items()))
+        return [name for name in datasets if tuples(name, base_items) != tuples(name, flipped)]
+
+    for key, value in EXECUTION.items():
+        assert changed(key, value, {}) == [], key
+    for key, (value, base) in CONTENT.items():
+        assert changed(key, value, base), key

@@ -24,6 +24,7 @@ from repro.core import (
     prune_item_table,
     weighted_mean_vector,
 )
+from repro.core import pruning as pruning_module
 from repro.core.parallel import ParallelExecutor
 from repro.data import EntityRef
 from repro.embedding.base import normalize_rows
@@ -108,7 +109,7 @@ def reference_prune_item(item, embedding_lookup, config):
     if item.size < 2:
         return None
     vectors = np.stack([embedding_lookup[ref] for ref in item.members])
-    classification = classify_entities(vectors, config.epsilon, config.min_pts, config.metric)
+    classification = classify_entities(vectors, config.epsilon, config.min_pts)
     keep_indices = sorted(classification.core + classification.reachable)
     if len(keep_indices) < 2:
         return None
@@ -284,16 +285,15 @@ def _random_prune_case(rng, num_items, d=6):
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-def test_prune_items_matches_reference(seed, metric, store_from_lookup):
+@pytest.mark.parametrize("metric", ["euclidean"])  # pruning's one distance; keeps the ids
+def test_prune_items_matches_reference(seed, metric, store_from_lookup, monkeypatch):
     rng = np.random.default_rng(seed)
     items, lookup = _random_prune_case(rng, int(rng.integers(0, 40)))
     config = PruningConfig(
         epsilon=float(rng.choice([0.5, 1.0, 1.4])),
         min_pts=int(rng.integers(1, 4)),
-        metric=metric,
-        batch_rows=int(rng.choice([1, 7, 8192])),
     )
+    monkeypatch.setattr(pruning_module, "BATCH_ROWS", int(rng.choice([1, 7, 8192])))
     got = prune_item_table(ItemTable.from_items(items), store_from_lookup(lookup), config)
     want = reference_prune_items(items, lookup, config)
     _assert_items_identical(got, want)
@@ -353,14 +353,14 @@ def test_prune_serial_equals_parallel_across_worker_counts(store_from_lookup):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("metric", ["euclidean"])  # pruning's one distance; keeps the ids
 def test_batched_pairwise_distances_bitwise_per_slice(metric):
     rng = np.random.default_rng(3)
     for u in (2, 3, 5, 9):
         stacked = rng.normal(size=(11, u, 24)).astype(np.float32)
-        stacked[4, 0] = 0.0  # zero rows take the cosine norm guard
+        stacked[4, 0] = 0.0  # zero rows
         stacked[7, -1] = stacked[7, 0]  # exact duplicate rows
-        batched = batched_pairwise_distances(stacked, metric)
+        batched = batched_pairwise_distances(stacked)
         for t in range(stacked.shape[0]):
             assert batched[t].tobytes() == pairwise_distances(stacked[t], metric).tobytes()
 

@@ -156,7 +156,7 @@ def test_pair_tuples_survive_once_epsilon_covers_the_merge_threshold(request, fi
     config = paper_default_config(name, parallel=False).with_overrides(
         merging={"m": m}, pruning={"epsilon": float(np.sqrt(2 * m)) + 1e-4}
     )
-    assert config.merging.metric == "cosine" and config.pruning.metric == "euclidean"
+    assert config.merging.metric == "cosine"
     assert config.pruning.min_pts == 2
     unpruned = MultiEM(config.with_overrides(pruning={"enabled": False})).match(dataset).tuples
     pairs = {group for group in unpruned if len(group) == 2}

@@ -43,7 +43,7 @@ def test_server_end_to_end(serve_snapshot, serve_session, serve_split, query_tex
     # Expected /match-table document, computed on a throwaway session so the
     # shared module fixture stays pristine.
     with MatchSession.load(serve_snapshot) as scratch:
-        fold = scratch.match_new_table(held_out)
+        fold = scratch.matcher.add_table(held_out)
         expected_tuples = sorted(refs_to_json(fold.tuples))
         expected_sources = list(scratch.known_sources)
 

@@ -169,7 +169,7 @@ def test_a_changed_byte_in_one_store_block_is_refused(music_tiny, tmp_path, sche
 def _rewrite(source, target, edit) -> None:
     """Copy a snapshot, segments untouched, with ``edit`` applied to its meta."""
     with Snapshot.open(source, mmap=False) as snapshot:
-        writer = SnapshotWriter(segment_digests=True)
+        writer = SnapshotWriter()
         for name in snapshot.names():
             writer.add_array(name, snapshot.array(name))
         meta = copy.deepcopy(snapshot.meta)

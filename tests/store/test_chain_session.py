@@ -106,7 +106,7 @@ class TestChainEquivalence:
     def test_add_table_after_chain_load_reproduces_tuples(self, chain_dir, split, reference):
         _, _, t2 = split
         with MatchSession.load(chain_dir / "s.snap.d1") as session:
-            result = session.match_new_table(t2)
+            result = session.matcher.add_table(t2)
             assert {frozenset(t) for t in result.tuples} == {
                 frozenset(t) for t in reference["tuples"][1]
             }

@@ -9,7 +9,7 @@ from repro.config import MultiEMConfig, ParallelConfig
 from repro.core.merging import ItemTable, MergeItem
 from repro.core.representation import EmbeddingStore, TableEmbeddings
 from repro.data.entity import EntityRef
-from repro.exceptions import StoreError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.store import Snapshot, SnapshotWriter
 from repro.store import codecs
 
@@ -125,30 +125,35 @@ class TestEncoders:
 
 class TestConfig:
     def test_config_roundtrip(self):
-        config = MultiEMConfig(
-            parallel=ParallelConfig(enabled=True, max_workers=2)
-        ).with_overrides(merging={"m": 0.35, "index": "hnsw"}, pruning={"epsilon": 1.2})
-        restored = codecs.config_from_meta(codecs.config_to_meta(config))
-        assert restored == config
+        """The content sections round-trip; ``parallel`` is not persisted."""
+        config = MultiEMConfig().with_overrides(
+            merging={"m": 0.35, "index": "hnsw"}, pruning={"epsilon": 1.2}
+        )
+        serial = config.with_overrides(parallel=ParallelConfig(enabled=False, max_workers=2))
+        meta = codecs.config_to_meta(serial)
+        assert set(meta) == {"representation", "merging", "pruning"}
+        assert codecs.config_from_meta(meta) == config
 
     def test_retired_keys_are_dropped_and_unknown_keys_rejected(self, caplog):
         """Manifests written before the transports were removed still decode."""
-        config = MultiEMConfig(parallel=ParallelConfig(enabled=True, max_workers=2))
+        config = MultiEMConfig()
         meta = codecs.config_to_meta(config)
         old_keys = dict(
             backend="process", shared_memory=True, reuse_pool=False, self_heal=True,
             task_timeout=None, max_retries=2, retry_backoff=0.1,
         )
-        meta["parallel"].update(old_keys)
+        meta["parallel"] = dict(enabled=False, max_workers=2, **old_keys)
         meta["representation"]["encoder"] = "hashed-ngram"
         lsh_keys = dict(lsh_num_tables=8, lsh_num_bits=12, lsh_probe_neighbors=True)
         meta["merging"].update(lsh_keys)
+        meta["pruning"].update(metric="euclidean", batch_rows=7)
         with caplog.at_level("WARNING", logger="repro.store"):
             restored = codecs.config_from_meta(meta, source="old.snap")
         assert restored == config
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1 and "old.snap" in messages[0], messages
-        names = [f"parallel.{key} " for key in old_keys] + ["representation.encoder "]
+        names = [f"parallel.{key} " for key in ("enabled", "max_workers", *old_keys)]
+        names += ["representation.encoder ", "pruning.metric ", "pruning.batch_rows "]
         names += [f"merging.{key} " for key in lsh_keys]
         for name in names:
             assert messages[0].count(name) == 1, (name, messages)
@@ -176,13 +181,39 @@ class TestConfig:
         with pytest.raises(StoreError, match=r"old\.snap: .*merging: merging\.metric 'euclidean' was removed"):
             codecs.config_from_meta(meta, source="old.snap")
 
+    def test_a_manifest_naming_the_removed_cosine_pruning_metric_is_refused(self, caplog):
+        """``pruning.metric: "euclidean"`` is what runs now; ``"cosine"`` pruned other members."""
+        meta = codecs.config_to_meta(MultiEMConfig())
+        assert "metric" not in meta["pruning"]
+        meta["pruning"]["metric"] = "euclidean"
+        with caplog.at_level("WARNING", logger="repro.store"):
+            assert codecs.config_from_meta(meta, source="old.snap") == MultiEMConfig()
+        (message,) = [record.getMessage() for record in caplog.records]
+        assert "config key pruning.metric (pruning distance is euclidean" in message, message
+        meta["pruning"]["metric"] = "cosine"
+        with pytest.raises(StoreError, match=r"old\.snap: .*pruning: pruning\.metric 'cosine' was removed"):
+            codecs.config_from_meta(meta, source="old.snap")
+
+    @pytest.mark.parametrize("section", [None, 7, {}])
+    def test_a_missing_or_malformed_parallel_section_is_not_read(self, section, caplog):
+        meta = codecs.config_to_meta(MultiEMConfig())
+        if section is not None:
+            meta["parallel"] = section
+        with caplog.at_level("WARNING", logger="repro.store"):
+            assert codecs.config_from_meta(meta, source="old.snap") == MultiEMConfig()
+        assert not caplog.records
+
     @pytest.mark.parametrize(
         "damage, message, cause",
         [
-            (lambda meta: meta.pop("parallel"), "section parallel is missing", KeyError),
+            (lambda meta: meta.pop("pruning"), "section pruning is missing", KeyError),
             (lambda meta: meta.update(pruning=7), "section pruning: 'int' object", TypeError),
             (lambda meta: 7, "section representation: 'int' object", TypeError),
-            (lambda meta: meta["merging"].update(k="x"), "section merging: '<' not", TypeError),
+            (
+                lambda meta: meta["merging"].update(k="x"),
+                "section merging: merging.k must be int, not str 'x'",
+                ConfigurationError,
+            ),
         ],
         ids=["missing-section", "non-dict-section", "non-dict-config", "wrong-value-type"],
     )

@@ -10,6 +10,8 @@ snapshot can hold.
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -68,7 +70,7 @@ def _inputs() -> "dict[str, np.ndarray]":
 def mapped(tmp_path_factory):
     """The inputs as read-only views over a memory-mapped snapshot, plus the writer."""
     path = tmp_path_factory.mktemp("digests") / "inputs.snap"
-    writer = SnapshotWriter(segment_digests=True)
+    writer = SnapshotWriter()
     for name, array in _inputs().items():
         writer.add_array(name, array)
     writer.save(path)
@@ -133,3 +135,28 @@ def test_hashing_a_16_mb_array_copies_nothing(digest):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"hashing allocated {peak} bytes"
+
+
+def test_a_file_without_segment_digests_still_reads_and_verifies(tmp_path):
+    """Every writer records segment digests; files written before that still read."""
+    path = tmp_path / "old.snap"
+    writer = SnapshotWriter()
+    for name, array in _inputs().items():
+        writer.add_array(name, array)
+    writer.save(path)
+    data = path.read_bytes()
+    magic, version, offset, length = struct.unpack("<8sQQQ", data[:32])
+    manifest = json.loads(data[offset : offset + length])
+    assert all("digest" in entry for entry in manifest["arrays"].values())
+    for entry in manifest["arrays"].values():
+        del entry["digest"]
+    encoded = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    header = struct.pack("<8sQQQ", magic, version, offset, len(encoded))
+    path.write_bytes(header + data[32:offset] + encoded)
+    with Snapshot.open(path) as snapshot:
+        assert snapshot.verify_segments() == [
+            (name, True, "no per-segment digest recorded") for name in _inputs()
+        ]
+        assert snapshot.payload_digest() == writer.payload_digest()
+        for name, array in _inputs().items():
+            assert snapshot.array(name).tobytes() == np.ascontiguousarray(array).tobytes(), name

@@ -455,7 +455,7 @@ class TestCli:
         clone, _ = _clone(chain_template, tmp_path)
         with Snapshot.open(clone / "s.snap") as parent:
             parent_payload = parent.payload_digest()
-        writer = SnapshotWriter(segment_digests=True)
+        writer = SnapshotWriter()
         writer.add_array("x", np.arange(4, dtype=np.int64))
         writer.set_chain({"parent": "s.snap", "parent_payload": parent_payload, "depth": 5})
         writer.set_delta(delta)

@@ -155,6 +155,9 @@ def test_the_one_warning_also_names_the_retired_merging_metric(tmp_path, name, c
         load_matcher(tmp_path / name).close()
     (message,) = [record.getMessage() for record in caplog.records]
     assert "config key merging.metric (merging distance is cosine" in message, message
+    # ... and while ``pruning.metric`` / ``batch_rows`` were fields and ``parallel`` was persisted
+    for key in ("pruning.metric", "pruning.batch_rows", "parallel.enabled", "parallel.max_workers"):
+        assert message.count(f"config key {key} ") == 1, message
 
 
 def test_tip_loads_in_copy_mode_with_the_same_state(seed_dir, reference):
@@ -297,7 +300,7 @@ def unsharded(geo_tiny, tmp_path_factory):
     with MatchSession.load(path) as session:
         answers = {k: session.query_many(texts, k=k) for k in (1, 3)}
         legacy_store_digest = legacy_embedding_store_digest(session.matcher._store)
-        added = session.match_new_table(geo_tiny.tables["source_D"]).tuples
+        added = session.matcher.add_table(geo_tiny.tables["source_D"]).tuples
         return {
             "digests": session.digests,
             "legacy_store_digest": legacy_store_digest,
@@ -341,7 +344,7 @@ def test_sharded_fixture_answers_as_an_unsharded_fit(tmp_path, geo_tiny, unshard
         )
         for k, answers in unsharded["answers"].items():
             assert session.query_many(unsharded["texts"], k=k) == answers
-        assert session.match_new_table(geo_tiny.tables["source_D"]).tuples == unsharded["added"]
+        assert session.matcher.add_table(geo_tiny.tables["source_D"]).tuples == unsharded["added"]
         assert item_table_digest(session.matcher.integrated_table) == unsharded["added_table"]
         session.matcher.save(tmp_path / "seed-sharded.snap.d1", mode="delta")
     with Snapshot.open(tmp_path / "seed-sharded.snap.d1") as snapshot:

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.config import paper_default_config
+from repro.config import ParallelConfig, paper_default_config
 from repro.core.incremental import IncrementalMultiEM
 from repro.data.serialization import serialize_table
 from repro.exceptions import DataError, StoreError
@@ -70,7 +70,7 @@ class TestSessionRoundTrip:
         """The pinned contract: a restored session's extend == the in-memory run."""
         _, held_out = split
         with MatchSession.load(snapshot_path, mmap=mmap) as session:
-            result = session.match_new_table(held_out)
+            result = session.matcher.add_table(held_out)
             assert result.tuples == reference["extended_tuples"]
             assert {frozenset(t) for t in result.tuples} == {
                 frozenset(t) for t in reference["extended_tuples"]
@@ -242,7 +242,7 @@ class TestQueryIndexHolder:
             session = MatchSession(matcher)
             query_loop(6)
             assert sum(query_builds) == 1
-            session.match_new_table(held_out)
+            session.matcher.add_table(held_out)
             query_loop(5)
             assert sum(query_builds) == 2
 
@@ -271,8 +271,12 @@ class TestRetiredConfigKeys:
             backend="process", shared_memory=True, reuse_pool=False, self_heal=True,
             task_timeout=None, max_retries=2, retry_backoff=0.1,
         )
-        _rewrite_manifest_meta(
-            snapshot_path, old, lambda meta: meta["config"]["parallel"].update(old_keys)
+        _rewrite_manifest_meta(  # a parent-style manifest: it persisted ``parallel``
+            snapshot_path,
+            old,
+            lambda meta: meta["config"].update(
+                parallel=dict(enabled=True, max_workers=None, **old_keys)
+            ),
         )
         with caplog.at_level("WARNING", logger="repro.store"):
             session = MatchSession.load(old)
@@ -283,12 +287,40 @@ class TestRetiredConfigKeys:
         with session, MatchSession.load(snapshot_path) as reference:
             assert session.matcher.config == reference.matcher.config
             assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
-            got = session.match_new_table(held_out)
-            want = reference.match_new_table(held_out)
+            got = session.matcher.add_table(held_out)
+            want = reference.matcher.add_table(held_out)
             assert got.tuples == want.tuples
             assert item_table_digest(session.matcher.integrated_table) == item_table_digest(
                 reference.matcher.integrated_table
             )
+
+    def test_a_serial_snapshot_loads_on_the_default_pool_with_the_same_tuples(
+        self, split, reference, tmp_path, caplog
+    ):
+        """``parallel`` is how the work ran, not what it computed: a load does not keep it."""
+        base, held_out = split
+        with IncrementalMultiEM(paper_default_config(base.name, parallel=False)) as matcher:
+            matcher.fit(base)
+            matcher.save(tmp_path / "serial.snap")
+        with Snapshot.open(tmp_path / "serial.snap") as snapshot:
+            assert "parallel" not in snapshot.meta["config"]
+        old = tmp_path / "old.snap"
+        _rewrite_manifest_meta(  # as written while ``parallel`` was persisted
+            tmp_path / "serial.snap",
+            old,
+            lambda meta: meta["config"].update(parallel={"enabled": False, "max_workers": 1}),
+        )
+        for path, warned in ((tmp_path / "serial.snap", ()), (old, ("enabled", "max_workers"))):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.store"):
+                session = MatchSession.load(path)
+            messages = [record.getMessage() for record in caplog.records]
+            assert len(messages) == len(warned[:1]), messages
+            for key in warned:
+                assert f"config key parallel.{key} " in messages[0], messages
+            with session:
+                assert session.matcher.config.parallel == ParallelConfig()
+                assert session.matcher.add_table(held_out).tuples == reference["extended_tuples"]
 
     @pytest.mark.parametrize("kernel_threads, quantized_scan", [(1, False), (4, True)])
     def test_old_kernel_keys_load_with_warnings_and_same_answers(
@@ -303,7 +335,9 @@ class TestRetiredConfigKeys:
             meta["config"]["merging"].update(
                 kernel_threads=kernel_threads, quantized_scan=quantized_scan
             )
-            meta["config"]["parallel"]["kernel_threads"] = kernel_threads
+            meta["config"]["parallel"] = {
+                "enabled": True, "max_workers": None, "kernel_threads": kernel_threads
+            }
 
         _rewrite_manifest_meta(snapshot_path, old, as_written_before_removal)
         with caplog.at_level("WARNING", logger="repro.store"):
@@ -315,8 +349,8 @@ class TestRetiredConfigKeys:
         with session, MatchSession.load(snapshot_path) as reference:
             assert session.matcher.config == reference.matcher.config
             assert session.query_many(texts, k=3) == reference.query_many(texts, k=3)
-            assert session.match_new_table(held_out).tuples == (
-                reference.match_new_table(held_out).tuples
+            assert session.matcher.add_table(held_out).tuples == (
+                reference.matcher.add_table(held_out).tuples
             )
             assert item_table_digest(session.matcher.integrated_table) == item_table_digest(
                 reference.matcher.integrated_table
