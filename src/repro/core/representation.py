@@ -11,8 +11,9 @@ ablation use it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,12 +68,17 @@ class EmbeddingStore(Mapping):
     A registered block never changes: the store holds a read-only view of
     it, so a write through :meth:`blocks` or ``store[ref]`` raises, and the
     snapshot digest the store remembers per block (:meth:`block_digest`)
-    cannot go stale.
+    cannot go stale. A verified snapshot load hands the store each block
+    unread, with the digest the file records for it
+    (:meth:`defer_block_check`): :meth:`take`, :meth:`blocks` and
+    ``store[ref]`` run a block's check the first time they hand out its
+    bytes, once per block, and a mismatch raises before any byte is used.
     """
 
     def __init__(self) -> None:
         self._blocks: dict[str, np.ndarray] = {}
         self._block_digests: dict[str, str] = {}
+        self._unchecked: dict[str, tuple[Callable[[], object], threading.Lock]] = {}
         self._bases: dict[str, int] = {}
         self._num_rows = 0
 
@@ -108,10 +114,33 @@ class EmbeddingStore(Mapping):
     # --------------------------------------------------------------- snapshot
     def blocks(self) -> "dict[str, np.ndarray]":
         """Per-source embedding matrices in registration order (read-only views, not copies)."""
+        return {name: self.checked_block(name) for name in self._blocks}
+
+    def stored_blocks(self) -> "dict[str, np.ndarray]":
+        """:meth:`blocks` without running deferred checks: for snapshot code, which
+        checks a block before it writes it and refs an unread one unread."""
         return dict(self._blocks)
 
+    def checked_block(self, name: str) -> np.ndarray:
+        """Block ``name``, once its deferred check (if any) has passed; concurrent
+        readers wait for one check instead of each running it."""
+        pending = self._unchecked.get(name)
+        if pending is not None:
+            check, lock = pending
+            with lock:
+                if name in self._unchecked:
+                    check()
+                    del self._unchecked[name]
+        return self._blocks[name]
+
+    def defer_block_check(self, name: str, digest: str, check: Callable[[], object]) -> None:
+        """Remember ``digest`` for block ``name`` unread; ``check`` hashes the block
+        and raises on a mismatch, the first time its bytes are handed out."""
+        self._block_digests[name] = digest
+        self._unchecked[name] = (check, threading.Lock())
+
     def block_digest(self, name: str) -> "str | None":
-        """The remembered snapshot digest of block ``name``, or None before the first hash."""
+        """The remembered (or deferred) snapshot digest of block ``name``; None before a hash."""
         return self._block_digests.get(name)
 
     def remember_block_digest(self, name: str, digest: str) -> str:
@@ -181,7 +210,7 @@ class EmbeddingStore(Mapping):
         owner = np.searchsorted(starts, rows, side="right") - 1
         for b in np.unique(owner).tolist():
             positions = np.flatnonzero(owner == b)
-            out[positions] = blocks[b][rows[positions] - starts[b]]
+            out[positions] = self.checked_block(names[b])[rows[positions] - starts[b]]
         return out
 
     # ------------------------------------------------------ Mapping protocol
@@ -189,7 +218,7 @@ class EmbeddingStore(Mapping):
         block = self._blocks.get(ref.source)
         if block is None or not 0 <= ref.index < block.shape[0]:
             raise KeyError(ref)
-        return block[ref.index]
+        return self.checked_block(ref.source)[ref.index]
 
     def __iter__(self) -> Iterator[EntityRef]:
         for name, block in self._blocks.items():

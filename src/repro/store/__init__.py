@@ -24,7 +24,7 @@ package makes those arrays *move* without serialization:
   :class:`~repro.core.incremental.IncrementalMultiEM` once, then serve
   ``matcher.add_table`` and nearest-tuple ``query_many`` calls from a cold process
   without refitting anything; content digests recorded at save time are
-  verified on load.
+  verified on load, each store block at its first read.
 
 Delta chains (rolling ingest)
 -----------------------------

@@ -16,7 +16,9 @@ ANN indexes have no codec: a restored matcher rebuilds the index it needs
 from the restored vectors, which gives the same bytes a fresh build would.
 
 The session digests live here too: the store digest is a digest of
-per-block digests the store remembers (:func:`embedding_store_digest`).
+per-block digests the store remembers (:func:`embedding_store_digest`), and
+a verified load defers each block's check to its first read
+(:func:`defer_block_checks`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, fields
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -40,7 +43,9 @@ from ..core.representation import EmbeddingStore
 from ..exceptions import ConfigurationError, StoreError
 from .format import (
     Snapshot,
+    SnapshotChain,
     SnapshotWriter,
+    buffer_key,
     raw_bytes,
     segment_digest,
     string_table_arrays,
@@ -103,8 +108,8 @@ def item_table_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> Ite
 
 # ------------------------------------------------------------- EmbeddingStore
 def embedding_store_state(store: EmbeddingStore):
-    """State bundle of the flat embedding column store (one block per source)."""
-    blocks = store.blocks()
+    """State bundle of the flat embedding column store (one block per source), blocks unread."""
+    blocks = store.stored_blocks()
     arrays = {f"block{i}": matrix for i, matrix in enumerate(blocks.values())}
     return {"type": "embedding_store", "tables": list(blocks)}, arrays
 
@@ -311,25 +316,50 @@ def store_block_digests(
 ) -> "tuple[dict[str, str], dict[str, tuple[int, Callable[[], str]]]]":
     """``(remembered, tasks)`` keyed by the block's session segment name ``store/block{i}``.
 
-    ``remembered`` holds the digests ``store`` knows; ``tasks`` holds
-    ``(nbytes, compute)`` for each other block: ``compute`` hashes it once
-    and has the store remember the digest, which is also its segment digest.
+    ``remembered`` holds the digests ``store`` knows, deferred ones included;
+    ``tasks`` holds ``(nbytes, compute)`` for every block: ``compute`` runs
+    the block's deferred check, or hashes a block with no digest once, and
+    returns its digest (also its segment digest); a checked one hashes nothing.
     """
     remembered: dict[str, str] = {}
     tasks: dict[str, tuple[int, Callable[[], str]]] = {}
-    for i, (name, block) in enumerate(store.blocks().items()):
+    for i, (name, block) in enumerate(store.stored_blocks().items()):
         segment = f"store/block{i}"
         digest = store.block_digest(name)
         if digest is not None:
             remembered[segment] = digest
-            continue
-        tasks[segment] = (
-            int(block.nbytes),
-            lambda name=name, segment=segment, block=block: store.remember_block_digest(
-                name, store_block_digest(segment, block)
-            ),
-        )
+
+        def compute(name=name, segment=segment) -> str:
+            block = store.checked_block(name)
+            known = store.block_digest(name)
+            return known or store.remember_block_digest(name, store_block_digest(segment, block))
+
+        tasks[segment] = (int(block.nbytes), compute)
     return remembered, tasks
+
+
+def defer_block_checks(store: EmbeddingStore, chain: SnapshotChain) -> None:
+    """Hand ``store`` each block that is a ``chain`` file's own ``store/block{i}``
+    segment unread, with the digest that file records for it: the block is hashed
+    the first time its bytes are read, and a mismatch raises :class:`StoreError`
+    naming the block and the file. Any other block is left to be hashed now."""
+    blocks = list(store.stored_blocks().items())
+    for snapshot, path in zip(chain.snapshots, chain.paths):
+        for i, (name, block) in enumerate(blocks):
+            segment = f"store/block{i}"
+            digest = snapshot.entry(segment).get("digest") if segment in snapshot else None
+            if digest and buffer_key(snapshot.array(segment)) == buffer_key(block):
+                check = partial(_check_block, segment, block, digest, path)
+                store.defer_block_check(name, digest, check)
+
+
+def _check_block(segment: str, block: np.ndarray, digest: str, path: str) -> None:
+    derived = store_block_digest(segment, block)
+    if derived != digest:
+        raise StoreError(
+            f"snapshot {path}: store block {segment!r} does not match its segment "
+            f"digest (recorded {digest}, derived {derived}): corrupted file"
+        )
 
 
 def embedding_store_digest(store: EmbeddingStore) -> str:
@@ -338,13 +368,16 @@ def embedding_store_digest(store: EmbeddingStore) -> str:
     BLAKE2b over the table names in registration order (one JSON list), then
     each block's :func:`store_block_digest` (name, dtype, shape, raw bytes),
     so it holds for any block dtype. A registered block is read-only, so each
-    is hashed once per process; blocks not yet remembered are hashed inline.
+    is hashed once per process; blocks not yet remembered are hashed inline
+    (a deferred digest folds unread).
     """
     import hashlib
 
-    for _, compute in store_block_digests(store)[1].values():
-        compute()
-    names = list(store.blocks())
+    remembered, tasks = store_block_digests(store)
+    for segment, (_, compute) in tasks.items():
+        if segment not in remembered:
+            compute()
+    names = list(store.stored_blocks())
     digest = hashlib.blake2b(digest_size=16)
     digest.update(json.dumps(names).encode())
     for name in names:

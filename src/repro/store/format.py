@@ -31,10 +31,22 @@ the new state derives from the parent's (``ref`` / ``alias`` / row-``patch``
 next to the child, so a chain directory can be relocated as a unit.
 :meth:`SnapshotChain.open` walks the links tip → base (each file written
 atomically, per-segment aligned exactly like a base snapshot), and
-:meth:`SnapshotChain.verify_links` proves every parent's payload is bit for
-bit the one its child was diffed against. Folding a chain back into one
+:meth:`SnapshotChain.verify_links` proves every parent's payload digest is
+the one its child was diffed against. Folding a chain back into one
 logical state — and compacting it into a fresh base — lives in
 :mod:`repro.store.delta` and :mod:`repro.store.session`.
+
+Payload digest
+--------------
+
+Each manifest entry records its segment's digest (BLAKE2b over name, dtype,
+shape and raw bytes); the **payload digest** is a digest of the manifest, all
+but its own value (:func:`manifest_payload`), so it folds every segment digest
+(a two-level Merkle tree) and covers the meta, chain and delta trees too. A
+save hashes each byte once and chain links verify from manifests alone, while
+:meth:`Snapshot.verify_segments` proves the bytes. A file records
+``meta["digests"]["payload_scheme"]``; one without it reads the old stream
+definition, :meth:`Snapshot.legacy_payload_digest`.
 
 Format version policy
 ---------------------
@@ -44,7 +56,9 @@ The header carries a single integer **format version** (currently
 (``SUPPORTED_VERSIONS``) — raw buffer layouts cannot be sniffed safely.
 Additive changes (new manifest meta keys, new array names) do **not** bump
 the version; any change to the header, alignment, segment encoding, or the
-meaning of existing manifest fields must. Version history:
+meaning of existing manifest fields must, except a digest definition that a
+digest-record marker names while old records keep one named read path
+(``embedding_store_scheme``, ``payload_scheme``). Version history:
 
 * **1** — header + aligned segments + ``{"arrays", "meta"}`` manifest.
 * **2** — manifest may carry ``chain`` / ``delta`` trees: a file can be an
@@ -113,6 +127,7 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 _ALIGNMENT = 64
 _HEADER = struct.Struct("<8sQQQ")  # magic, version, manifest offset, manifest length
+_LINK_KEYS = {"parent", "parent_payload", "depth"}
 
 
 def _aligned(offset: int) -> int:
@@ -194,8 +209,8 @@ class SnapshotWriter:
         self._computed_digests = dict(digests)
 
     # ------------------------------------------------------------- layout
-    def _layout(self) -> tuple[dict[str, dict], int, bytes]:
-        """Segment offsets, manifest offset, and the manifest bytes."""
+    def _layout(self) -> tuple[dict[str, dict], int, dict]:
+        """Segment offsets, manifest offset, and the manifest tree."""
         entries: dict[str, dict] = {}
         offset = _aligned(_HEADER.size)
         for name, array in self._arrays.items():
@@ -214,12 +229,12 @@ class SnapshotWriter:
             tree["chain"] = self._chain
         if self._delta is not None:
             tree["delta"] = self._delta
-        manifest = json.dumps(tree, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-        return entries, offset, manifest
+        return entries, offset, tree
 
     def save(self, path: str | os.PathLike) -> int:
         """Write the snapshot to ``path`` atomically (temp file + rename)."""
-        entries, manifest_offset, manifest = self._layout()
+        entries, manifest_offset, tree = self._layout()
+        manifest = json.dumps(tree, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         with atomic_output(path) as handle:
             handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, manifest_offset, len(manifest)))
             position = _HEADER.size
@@ -233,17 +248,9 @@ class SnapshotWriter:
         return manifest_offset + len(manifest)
 
     def payload_digest(self) -> str:
-        """BLAKE2b over every canonical segment (name + dtype + shape + bytes).
-
-        Matches :meth:`Snapshot.payload_digest` of the written snapshot, so
-        a reader can prove the whole payload survived storage bit for bit.
-        Aliased names share their canonical segment and are hashed once,
-        under the canonical (first-registered) name.
-        """
-        digest = _new_payload_digest()
-        for name, array in self._arrays.items():
-            _digest_segment(digest, name, array.dtype.str, array.shape, array)
-        return digest.hexdigest()
+        """:func:`manifest_payload` of the manifest :meth:`save` writes; equals
+        :meth:`Snapshot.payload_digest` of the file if its meta carries the marker."""
+        return manifest_payload(self._layout()[2])
 
 
 class DeltaWriter(SnapshotWriter):
@@ -281,6 +288,7 @@ class Snapshot:
         if not isinstance(manifest, dict) or "arrays" not in manifest:
             raise StoreError("snapshot manifest is malformed")
         self._entries: dict[str, dict] = manifest["arrays"]
+        self._manifest = {k: v for k, v in manifest.items() if k != "__format_version__"}
         self.meta: Any = manifest.get("meta", {})
         #: Parent link for delta files (``None`` for base snapshots).
         self.chain: dict | None = manifest.get("chain")
@@ -366,6 +374,9 @@ class Snapshot:
             raise StoreError(f"snapshot manifest is not valid JSON: {exc}") from exc
         if isinstance(parsed, dict):
             parsed["__format_version__"] = int(version)
+            chain = parsed.get("chain")
+            if chain is not None and not (isinstance(chain, dict) and _LINK_KEYS <= chain.keys()):
+                raise StoreError(f"snapshot chain link is malformed: {chain!r}")
         return parsed
 
     # -------------------------------------------------------------- access
@@ -374,18 +385,19 @@ class Snapshot:
         try:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
-        except (TypeError, ValueError) as exc:
+            offset = entry["offset"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(
                 f"segment {name!r} has a malformed manifest entry "
-                f"(dtype {entry.get('dtype')!r}, shape {entry.get('shape')!r}): {exc}"
+                f"(dtype {entry.get('dtype')!r}, shape {entry.get('shape')!r}): {exc!r}"
             ) from exc
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         try:
-            array = np.frombuffer(buffer, dtype=dtype, count=count, offset=entry["offset"])
+            array = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
         except ValueError as exc:
             raise StoreError(
                 f"segment {name!r} lies outside the snapshot buffer "
-                f"(offset {entry['offset']}, {count} x {dtype}): truncated or "
+                f"(offset {offset}, {count} x {dtype}): truncated or "
                 f"corrupted file ({exc})"
             ) from exc
         return array.reshape(shape)  # read-only: every source buffer is immutable
@@ -430,10 +442,16 @@ class Snapshot:
         )
 
     def payload_digest(self) -> str:
-        """BLAKE2b over every canonical segment — the writer-side twin of
-        :meth:`SnapshotWriter.payload_digest`; equal digests prove the whole
-        payload (every array of every embedded object) is bit-identical to
-        what was saved."""
+        """The payload digest under this file's own scheme (see the module docstring):
+        under the marker it reads the manifest only, without it
+        :meth:`legacy_payload_digest`; an unknown marker raises :class:`StoreError`."""
+        if payload_scheme(self.meta) is None:
+            return self.legacy_payload_digest()
+        return manifest_payload(self._manifest)
+
+    def legacy_payload_digest(self) -> str:
+        """Read path of files without the marker: one BLAKE2b stream over every
+        canonical segment (name + dtype + shape + bytes)."""
         digest = _new_payload_digest()
         for name, entry in self._entries.items():
             if "alias_of" in entry:
@@ -443,8 +461,8 @@ class Snapshot:
             )
         return digest.hexdigest()
 
-    def verify_segments(self) -> "list[tuple[str, bool, str]]":
-        """Per-segment integrity check: ``[(name, ok, detail), ...]``.
+    def verify_segments(self, names: "Iterable[str] | None" = None) -> "list[tuple[str, bool, str]]":
+        """Per-segment integrity check of ``names`` (default all): ``[(name, ok, detail), ...]``.
 
         Canonical segments with a recorded ``digest`` manifest key (every
         :class:`SnapshotWriter` records one) are re-hashed and
@@ -454,7 +472,8 @@ class Snapshot:
         detail — whole-payload verification still covers them.
         """
         results: list[tuple[str, bool, str]] = []
-        for name, entry in self._entries.items():
+        for name in self._entries if names is None else names:
+            entry = self._entries[name]
             if "alias_of" in entry:
                 results.append((name, True, f"alias of {entry['alias_of']}"))
                 continue
@@ -512,9 +531,10 @@ class SnapshotChain:
 
     Opening performs structural checks only (links resolve, depths agree);
     :meth:`verify_links` additionally re-derives every parent's payload
-    digest and compares it to the digest its child recorded at append time,
-    proving no file in the ancestry was modified since the delta was diffed
-    against it.
+    digest under that parent's own scheme and compares it to the digest its
+    child recorded at append time, proving no parent changed since the delta
+    was diffed against it (under the marker its manifest; its bytes are what
+    :meth:`Snapshot.verify_segments` checks).
     """
 
     def __init__(self, snapshots: "list[Snapshot]", paths: "list[str]") -> None:
@@ -616,6 +636,30 @@ class SnapshotChain:
 
 
 # ------------------------------------------------------------ payload digests
+#: ``meta["digests"]["payload_scheme"]`` of files whose payload digest is :func:`manifest_payload`.
+PAYLOAD_SCHEME = "manifest"
+
+
+def payload_scheme(meta: Any) -> "str | None":
+    """The payload scheme a file's digest record names; None for a legacy file."""
+    digests = meta.get("digests") if isinstance(meta, dict) else None
+    scheme = digests.get("payload_scheme") if isinstance(digests, dict) else None
+    if scheme not in (None, PAYLOAD_SCHEME):
+        raise StoreError(f"unknown payload digest scheme {scheme!r}")
+    return scheme
+
+
+def manifest_payload(tree: dict) -> str:
+    """BLAKE2b over a manifest tree's sorted-key JSON, its ``meta.digests.payload`` left out."""
+    meta = tree.get("meta")
+    if isinstance(meta, dict) and isinstance(meta.get("digests"), dict):
+        digests = {k: v for k, v in meta["digests"].items() if k != "payload"}
+        tree = {**tree, "meta": {**meta, "digests": digests}}
+    digest = _new_payload_digest()
+    digest.update(json.dumps(tree, sort_keys=True, ensure_ascii=False).encode())
+    return digest.hexdigest()
+
+
 def _new_payload_digest():
     import hashlib
 

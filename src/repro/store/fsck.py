@@ -21,7 +21,7 @@ the durability story (:mod:`repro.store.format` is the online half):
 * :func:`gc_store` deletes chain files superseded by a compaction. GC is
   strictly **marker-driven**: ``compact_session(..., retire=True)`` records
   which files the compacted base replaces; GC honours a marker only after
-  re-verifying the compacted file's payload digest, and never deletes a
+  re-verifying every byte of the compacted file, and never deletes a
   file reachable from any surviving chain tip (a sibling chain sharing the
   superseded base keeps the base alive). A crash anywhere in
   compact → mark → gc leaves either the old chain, the marker, or both —
@@ -52,6 +52,9 @@ RETIRE_SUFFIX = ".retired.json"
 
 #: Subdirectory damaged files are moved (never deleted) into by ``--repair``.
 QUARANTINE_DIR = "quarantine"
+
+#: Snapshot meta ``"type"`` of session snapshots, whose digest record fsck requires.
+SESSION_TYPE = "multiem_session"
 
 
 # ---------------------------------------------------------------- primitives
@@ -139,8 +142,9 @@ def check_snapshot_file(path) -> FileStatus:
     """Verify one snapshot file in isolation (no chain resolution).
 
     Checks, in order: header + manifest parse, every segment's bounds and
-    recorded per-segment digest, and — for session snapshots that record one
-    — the whole-payload digest. Each failure mode carries its own message so
+    recorded per-segment digest (each byte hashed once), and — for session
+    snapshots, which must record one — the payload digest under the file's
+    own scheme. Each failure mode carries its own message so
     a flipped bit in ``table/…`` reads differently from a truncated manifest.
     """
     name = os.path.basename(os.fspath(path))
@@ -167,8 +171,13 @@ def check_snapshot_file(path) -> FileStatus:
             payload = snapshot.payload_digest()
         except StoreError as exc:
             return FileStatus(name, kind, "damaged", str(exc), **link)
-        meta = snapshot.meta
-        recorded = (meta.get("digests") or {}).get("payload") if isinstance(meta, dict) else None
+        meta = snapshot.meta if isinstance(snapshot.meta, dict) else {}
+        digests = meta.get("digests") if isinstance(meta.get("digests"), dict) else {}
+        recorded = digests.get("payload")
+        if (meta.get("type") == SESSION_TYPE and not digests) or (
+            "payload_scheme" in digests and recorded is None
+        ):
+            return FileStatus(name, kind, "damaged", "no payload digest recorded", **link)
         if recorded is not None and recorded != payload:
             return FileStatus(
                 name,
@@ -341,7 +350,7 @@ def write_retirement_marker(compacted_path, compacted_payload: str, superseded: 
 
     ``superseded`` maps basename → payload digest at retirement time. The
     marker is the *only* thing that authorizes GC to delete those files, and
-    GC re-verifies the compacted payload digest before honouring it.
+    GC re-verifies the compacted file, every byte, before honouring it.
     """
     marker = retirement_marker_path(compacted_path)
     payload = {
@@ -396,7 +405,8 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
     Safety invariants, in decreasing order of authority:
 
     1. Only files named in a retirement marker are ever candidates.
-    2. A marker is honoured only when its compacted file exists and its
+    2. A marker is honoured only when its compacted file exists, every one
+       of its segments verifies (:func:`check_snapshot_file`) and its
        payload digest re-derives to the recorded one (a crash between
        compact and marker write, or a corrupted compacted file, keeps the
        whole superseded chain).
@@ -447,16 +457,15 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
             if not os.path.exists(compacted_path):
                 verdict = f"compacted file {compacted!r} is missing"
             else:
-                try:
-                    with Snapshot.open(compacted_path) as snapshot:
-                        derived = snapshot.payload_digest()
-                    if derived != recorded_payload:
-                        verdict = (
-                            f"compacted file {compacted!r} payload {derived} does not "
-                            f"match the marker's {recorded_payload}"
-                        )
-                except (StoreError, OSError, ValueError, struct.error) as exc:
-                    verdict = f"compacted file {compacted!r} is unreadable: {exc}"
+                # Every byte, not only the payload fold, which proves the manifest alone.
+                status = check_snapshot_file(compacted_path)
+                if status.status != "ok":
+                    verdict = f"compacted file {compacted!r} is {status.status}: {status.detail}"
+                elif status.payload != recorded_payload:
+                    verdict = (
+                        f"compacted file {compacted!r} payload {status.payload} does not "
+                        f"match the marker's {recorded_payload}"
+                    )
             if verdict is not None:
                 report.kept.append((marker_name, f"not honoured: {verdict}"))
                 continue

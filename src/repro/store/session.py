@@ -18,13 +18,16 @@ one warning (:data:`repro.config.RETIRED_KEYS`, section ``"session"``), and
 its segments stay covered by the payload digest and ``fsck``.
 
 Restores are exact: the snapshot records content digests of the integrated
-table and the embedding store at save time, ``load`` re-derives and verifies
-them (``verify=False`` to skip), and a restored matcher's ``add_table``
-produces byte-for-byte the tuples the in-memory matcher would have — pinned
-by ``tests/store/test_session.py``. The store digest folds per-block digests
-the store remembers, so a save or a verified load hashes a block once per
-process; a record without its ``embedding_store_scheme`` marker is verified
-under the old definition, and a missing record or unknown marker is a
+table and the embedding store at save time, ``load`` verifies them
+(``verify=False`` to skip), and a restored matcher's ``add_table`` produces
+byte-for-byte the tuples the in-memory matcher would have — pinned by
+``tests/store/test_session.py``. The store and payload digests fold the
+per-block and per-segment digests, so a save hashes each byte once, and a
+verified load reads only what the session uses: every segment but the store
+blocks is checked at load, each block the first time the store hands out its
+bytes, so a query-only session reads none. A record without its
+``payload_scheme`` / ``embedding_store_scheme`` marker is verified eagerly
+under the old definitions, and a missing record or unknown marker is a
 :class:`~repro.exceptions.StoreError`.
 
 Sessions also persist **incrementally**: after a full save (or load), the
@@ -51,14 +54,11 @@ from ..core.merging import plan_merge_index
 from ..exceptions import DataError, StoreError
 from . import codecs
 from .delta import diff_bundle, resolve_chain_arrays
-from .format import DeltaWriter, SnapshotChain, SnapshotWriter
-from .fsck import deepest_intact, sweep_partials, write_retirement_marker
+from .format import PAYLOAD_SCHEME, DeltaWriter, SnapshotChain, SnapshotWriter, payload_scheme
+from .fsck import SESSION_TYPE, deepest_intact, sweep_partials, write_retirement_marker
 from .lock import StoreLock
 
 logger = logging.getLogger("repro.store")
-
-#: Snapshot meta ``"type"`` marker for session snapshots.
-SESSION_TYPE = "multiem_session"
 
 
 def _store_dir(path) -> str:
@@ -104,33 +104,33 @@ def _session_meta(state, metas: dict, digests: dict) -> dict:
     }
 
 
-def _save_digests(matcher: IncrementalMultiEM, state, arrays: dict, writer) -> dict:
+def _save_digests(matcher: IncrementalMultiEM, state, metas: dict, arrays: dict, writer) -> dict:
     """Every digest a save records, as one flat fan-out on the matcher's pool.
 
-    The item-table and payload digests, each per-segment digest and each
-    embedding-store block the store does not remember yet are independent
+    The item-table digest, each per-segment digest and each embedding-store
+    block the file writes or the store has no digest for are independent
     BLAKE2b streams over buffers nothing mutates, and hashlib releases the
     GIL while it reads them in place, so they run as one ``executor.map``
     from the calling thread, largest first (inline, in the same order, when
     the executor is serial: the digests are the same either way). A block's
     digest is its ``store/block{i}`` segment digest, so a segment holding a
     block is hashed once for both, and a block an earlier save or a verified
-    load hashed is not hashed again: a delta save hashes the new block, the
-    item table and its own segments. The store digest then folds the block
-    digests. The segment digests go back to ``writer`` so its layout does
-    not hash them again. This may start the matcher's lazy pool; it runs
-    before the file is opened, so a failing task leaves nothing on disk.
-    Returns the manifest's digest record.
+    load hashed is not hashed again; a written block a load deferred is
+    checked instead, and an unread one the file refs is not read at all. So
+    a delta save hashes the new block, the item table and its own segments,
+    each byte once. The store digest then folds the block digests, and the
+    payload digest the manifest, on the calling thread; the segment digests
+    and the session meta go to ``writer``, which writes what was digested.
+    This may start the matcher's lazy pool; it runs before the file is
+    opened, so a failing task leaves nothing on disk. Returns the manifest's
+    digest record.
     """
     remembered, blocks = codecs.store_block_digests(state["store"])
     segments = writer.segment_digest_tasks()
     pending = {name: task for name, task in segments.items() if name not in remembered}
-    pending.update(blocks)
+    pending.update((n, t) for n, t in blocks.items() if n in segments or n not in remembered)
     table_bytes = sum(a.nbytes for name, a in arrays.items() if name.startswith("table/"))
-    tasks = [
-        ("item_table", table_bytes, lambda: codecs.item_table_digest(state["table"])),
-        ("payload", sum(nbytes for nbytes, _ in segments.values()), writer.payload_digest),
-    ]
+    tasks = [("item_table", table_bytes, lambda: codecs.item_table_digest(state["table"]))]
     tasks += [(("segment", name), nbytes, task) for name, (nbytes, task) in pending.items()]
     tasks.sort(key=lambda task: -task[1])
     keys = [key for key, _, _ in tasks]
@@ -138,15 +138,19 @@ def _save_digests(matcher: IncrementalMultiEM, state, arrays: dict, writer) -> d
     writer.set_segment_digests(
         {name: results.get(("segment", name)) or remembered[name] for name in segments}
     )
-    return {
+    digests = {
         "item_table": results["item_table"],
         "embedding_store": codecs.embedding_store_digest(state["store"]),
         "embedding_store_scheme": codecs.STORE_DIGEST_SCHEME,
-        "payload": results["payload"],
+        "payload": None,  # the payload digest leaves out its own value
+        "payload_scheme": PAYLOAD_SCHEME,
     }
+    writer.set_meta(_session_meta(state, metas, digests))
+    digests["payload"] = writer.payload_digest()
+    return digests
 
 
-def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, depth: int) -> None:
+def _record_base(matcher: IncrementalMultiEM, path, digests, arrays: dict, depth: int) -> None:
     """Remember the matcher's on-disk base so the next save can emit a delta.
 
     Captured by reference, not by re-reading the file: the pipeline never
@@ -159,7 +163,6 @@ def _record_base(matcher: IncrementalMultiEM, path, meta: dict, arrays: dict, de
     leaves the previous base in place. Snapshots without a recorded payload
     digest (pre-chain files) cannot anchor a chain, so no base is recorded.
     """
-    digests = meta.get("digests")
     payload = digests.get("payload") if isinstance(digests, dict) else None
     matcher._base = (
         None
@@ -180,15 +183,12 @@ def save_session(matcher: IncrementalMultiEM, path) -> dict:
     writer = SnapshotWriter()
     for name, array in arrays.items():
         writer.add_array(name, array)
-    # The payload digest covers every segment of every bundle (the encoder
-    # included), so load-time verification covers the entire snapshot, not
-    # just the two core structures that have object-level digests.
-    digests = _save_digests(matcher, state, arrays, writer)
-    meta = _session_meta(state, metas, digests)
-    writer.set_meta(meta)
+    # The payload digest covers the manifest, so every segment digest of every
+    # bundle (the encoder included), not just the two core structures.
+    digests = _save_digests(matcher, state, metas, arrays, writer)
     with StoreLock(_store_dir(path)):
         writer.save(path)
-    _record_base(matcher, path, meta, arrays, depth=0)
+    _record_base(matcher, path, digests, arrays, depth=0)
     return digests
 
 
@@ -201,10 +201,10 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
     embedding block a previous save published) is a ``ref`` without a byte
     compare. The manifest still carries the *complete* session meta plus the
     reconstructed-state digests, so a chain tip describes the whole logical
-    state; those digests, the payload digest over this file's segments and
-    the per-segment digests are computed in one fan-out on the matcher's
-    pool before the file is opened (:func:`_save_digests`). Returns the
-    digest record.
+    state; those digests and the per-segment digests are computed in one
+    fan-out on the matcher's pool before the file is opened, and the payload
+    digest over this file's manifest then (:func:`_save_digests`). Returns
+    the digest record.
     """
     base = getattr(matcher, "_base", None)
     if base is None:
@@ -224,32 +224,54 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
     for name, segment in segments.items():
         writer.add_array(name, segment)
     writer.set_delta(spec)
-    # The payload digest is over this file's own segments only; parent
-    # payloads are covered by the chain links (each child records the
-    # payload digest it was diffed against, re-checked by
-    # SnapshotChain.verify_links).
-    digests = _save_digests(matcher, state, arrays, writer)
-    meta = _session_meta(state, metas, digests)
-    writer.set_meta(meta)
+    # The payload digest covers this file only; parents are covered by the
+    # chain links (SnapshotChain.verify_links).
+    digests = _save_digests(matcher, state, metas, arrays, writer)
     with StoreLock(_store_dir(path)):
         writer.save(path)
-    _record_base(matcher, path, meta, arrays, depth=base["depth"] + 1)
+    _record_base(matcher, path, digests, arrays, depth=base["depth"] + 1)
     return digests
 
 
-def _restore_state(
-    meta, arrays, *, verify: bool, payload_digest, source
-) -> IncrementalMultiEM:
-    """Rehydrate a matcher from a session meta tree plus flat logical arrays.
+def _restore_state(chain: SnapshotChain, *, verify: bool):
+    """Rehydrate a matcher from an open chain; returns ``(matcher, logical arrays)``.
 
-    ``payload_digest`` is a zero-arg callable deriving the digest to check
-    against the recorded one (only invoked when ``verify`` needs it);
-    ``source`` is the file the state came from, for messages. Retired
+    A verified restore checks the chain links and the digest record. Under
+    the ``payload_scheme`` marker it reads only what it uses: the payload
+    digest proves the manifests first, every segment but the store blocks is
+    checked before the arrays are folded, and each block goes to the store
+    unread, checked when first read (:func:`codecs.defer_block_checks`). A
+    legacy record keeps the eager path: every byte is hashed at load. Retired
     bundles (an old file's ``cache`` or ``shard``) and retired config keys
     are dropped with one warning that names them all.
     """
+    meta, source = chain.meta, chain.paths[-1]
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
         raise StoreError("snapshot does not hold a MultiEM session")
+    recorded, derived = meta.get("digests"), {}
+    if verify:
+        if not isinstance(recorded, dict):
+            raise StoreError(f"snapshot {source}: its digest record is missing or not an object")
+        chain.verify_links()
+    lazy = verify and payload_scheme(meta) is not None
+    if verify and ("payload" in recorded or lazy):
+        derived["payload"] = chain.tip.payload_digest()
+    if lazy:
+        derived["payload_scheme"] = PAYLOAD_SCHEME
+        if derived["payload"] != recorded.get("payload"):
+            raise StoreError(
+                f"snapshot {source}: payload digests do not match its manifest (recorded "
+                f"{recorded.get('payload')}, derived {derived['payload']}): corrupted file"
+            )
+        for snapshot, path in zip(chain.snapshots, chain.paths):
+            names = [name for name in snapshot.names() if not name.startswith("store/block")]
+            failures = [f"{n}: {d}" for n, ok, d in snapshot.verify_segments(names) if not ok]
+            if failures:
+                raise StoreError(
+                    f"snapshot {path}: segment digests do not match its contents "
+                    f"({'; '.join(failures)})"
+                )
+    arrays = resolve_chain_arrays(chain)
     dropped: list[str] = []
     meta = codecs.drop_retired(meta, "session", dropped, what="manifest bundle")
     table = codecs.item_table_from_state(
@@ -259,24 +281,19 @@ def _restore_state(
         meta["store"], codecs.unpack_arrays(arrays, "store/", meta["store"])
     )
     if verify:
-        recorded = meta.get("digests")
-        if not isinstance(recorded, dict):
-            raise StoreError(
-                f"snapshot {source}: its digest record is missing or not an object"
-            )
-        derived = {"item_table": codecs.item_table_digest(table)}
+        derived["item_table"] = codecs.item_table_digest(table)
         scheme = recorded.get("embedding_store_scheme")
         if scheme is None:  # written before per-block store digests
             derived["embedding_store"] = codecs.legacy_embedding_store_digest(store)
         elif scheme == codecs.STORE_DIGEST_SCHEME:
+            if lazy:
+                codecs.defer_block_checks(store, chain)
             derived["embedding_store"] = codecs.embedding_store_digest(store)
             derived["embedding_store_scheme"] = scheme
         else:
             raise StoreError(
                 f"snapshot {source}: unknown embedding-store digest scheme {scheme!r}"
             )
-        if "payload" in recorded:
-            derived["payload"] = payload_digest()
         if derived != recorded:
             raise StoreError(
                 f"snapshot digests do not match its contents: recorded {recorded}, "
@@ -287,7 +304,7 @@ def _restore_state(
     )
     config = codecs.config_from_meta(meta["config"], source=str(source), dropped=dropped)
     codecs.warn_retired(dropped, str(source))
-    return IncrementalMultiEM.from_snapshot_state(
+    matcher = IncrementalMultiEM.from_snapshot_state(
         config=config,
         encoder=encoder,
         attributes=tuple(meta["attributes"]),
@@ -296,24 +313,15 @@ def _restore_state(
         store=store,
         known_sources=meta["known_sources"],
     )
+    return matcher, arrays
 
 
 def _open_chain_once(path, *, mmap: bool, verify: bool):
     chain = SnapshotChain.open(path, mmap=mmap)
     try:
-        if verify and chain.depth > 0:
-            chain.verify_links()
-        arrays = resolve_chain_arrays(chain)
-        meta = chain.meta
-        matcher = _restore_state(
-            meta,
-            arrays,
-            verify=verify,
-            payload_digest=chain.tip.payload_digest,
-            source=chain.paths[-1],
-        )
-        _record_base(matcher, chain.paths[-1], meta, arrays, depth=chain.depth)
-        return matcher, meta
+        matcher, arrays = _restore_state(chain, verify=verify)
+        _record_base(matcher, chain.paths[-1], chain.meta.get("digests"), arrays, chain.depth)
+        return matcher, chain.meta
     finally:
         if not mmap:
             chain.close()
@@ -404,15 +412,7 @@ def compact_session(
                     os.path.basename(p): snapshot.payload_digest()
                     for p, snapshot in zip(chain.paths, chain.snapshots)
                 }
-            if verify and chain.depth > 0:
-                chain.verify_links()
-            matcher = _restore_state(
-                chain.meta,
-                resolve_chain_arrays(chain),
-                verify=verify,
-                payload_digest=chain.tip.payload_digest,
-                source=chain.paths[-1],
-            )
+            matcher, _ = _restore_state(chain, verify=verify)
         finally:
             if not mmap:
                 chain.close()

@@ -22,7 +22,7 @@ from repro.data.serialization import serialize_table
 from repro.serve import MatchServer, ServeConfig
 from repro.serve import worker as worker_module
 from repro.serve.protocol import canonical_json
-from repro.store import MatchSession
+from repro.store import MatchSession, Snapshot
 
 
 def _serve(snapshot_path, **overrides):
@@ -302,3 +302,52 @@ def test_hot_reload_swaps_between_batches(
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_a_reload_onto_a_damaged_store_block_serves_queries_and_names_the_block(
+    serve_snapshot, serve_session, serve_split, query_texts, rows_to_json, http_request,
+    tmp_path,
+):
+    """A query reads no store block, so it answers; a table fold reads one, so it refuses."""
+    _, held_out = serve_split
+    live = tmp_path / "live.snap"
+    shutil.copyfile(serve_snapshot, live)
+    damaged = tmp_path / "damaged.snap"
+    with Snapshot.open(serve_snapshot) as snapshot:
+        offset = snapshot.entry("store/block1")["offset"] + 7
+    data = bytearray(serve_snapshot.read_bytes())
+    data[offset] ^= 0x10
+    damaged.write_bytes(bytes(data))
+    query = {"texts": query_texts[:4], "k": 3}
+    expected = canonical_json({"rows": rows_to_json(serve_session.query_many(**query))})
+    table_doc = {
+        "name": held_out.name,
+        "schema": list(held_out.schema),
+        "rows": [list(held_out.row(i)) for i in range(len(held_out))],
+    }
+
+    async def scenario():
+        server = _serve(live, workers=1, reload_poll_s=0.02)
+        await server.start()
+        try:
+            os.replace(damaged, live)
+            for _ in range(500):
+                if server.metrics.reloads:
+                    break
+                await asyncio.sleep(0.02)
+            assert server.metrics.reloads >= 1
+            status, _, body = await http_request(server.port, "POST", "/query", query)
+            assert (status, body) == (200, expected)
+            status, _, body = await http_request(
+                server.port, "POST", "/match-table", {"table": table_doc}
+            )
+            assert status == 400 and "store block 'store/block1'" in json.loads(body)["error"]
+            status, _, body = await http_request(server.port, "POST", "/query", query)
+            assert (status, body) == (200, expected)
+            _, _, body = await http_request(server.port, "GET", "/metrics")
+            metrics = json.loads(body)
+            assert (metrics["worker_deaths"], metrics["worker_restarts"]) == (0, 0)
+        finally:
+            await server.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60))

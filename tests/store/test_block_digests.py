@@ -15,6 +15,9 @@ import hashlib
 import json
 import os
 import shutil
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,8 +29,8 @@ from repro.data import EntityRef
 from repro.exceptions import StoreError
 from repro.store import MatchSession, Snapshot, SnapshotWriter, codecs, load_matcher
 from repro.store import format as snapshot_format
-from repro.store.delta import snapshot_arrays
-from repro.store.session import _restore_state, session_state_bundle
+from repro.store.fsck import fsck_store
+from repro.store.session import session_state_bundle
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -72,9 +75,9 @@ def test_each_delta_save_hashes_what_it_appends_not_the_store(shopee_tiny, tmp_p
             with Snapshot.open(tmp_path / f"s.snap.d{depth}") as delta:
                 segment_bytes = delta.total_bytes()
                 assert f"store/block{depth + 1}" in delta.names()
-            # The item table once, each own segment twice (payload and segment
-            # digest; the new block's segment digest is its block digest).
-            assert sum(n for _, n in hashed) == _table_bytes(matcher) + 2 * segment_bytes
+            # The item table once, each own segment once (the payload folds the
+            # segment digests; the new block's segment digest is its block digest).
+            assert sum(n for _, n in hashed) == _table_bytes(matcher) + segment_bytes
             assert not published & {pointer for pointer, _ in hashed}, "an old block was re-hashed"
             blocks = matcher._store.blocks()
             published |= {_pointer(block) for block in blocks.values()}
@@ -136,34 +139,135 @@ def test_a_write_through_a_registered_block_raises():
     assert vectors.flags.writeable
 
 
-def _flip_one_store_byte(arrays: dict) -> dict:
-    arrays = dict(arrays)
-    block = arrays["store/block1"].copy()
-    block.reshape(-1).view(np.uint8)[7] ^= 0x10
-    arrays["store/block1"] = block
-    return arrays
+def _flip_store_byte(path, segment: str = "store/block1") -> None:
+    with Snapshot.open(path) as snapshot:
+        offset = snapshot.entry(segment)["offset"] + 7
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x10
+    path.write_bytes(bytes(data))
 
 
 @pytest.mark.parametrize("scheme", ["blocks", "legacy"])
 def test_a_changed_byte_in_one_store_block_is_refused(music_tiny, tmp_path, scheme):
-    if scheme == "legacy":  # written before the per-block definition
+    if scheme == "legacy":  # written before the per-block definition and the fold
         path = tmp_path / "seed-base.snap"
         shutil.copy(os.path.join(DATA, "seed-base.snap"), path)
     else:
         path = tmp_path / "s.snap"
         with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
-            matcher.fit(music_tiny)
+            matcher.fit(music_tiny.subset(sorted(music_tiny.tables)[:-1], name=music_tiny.name))
             matcher.save(path)
-    with Snapshot.open(path, mmap=False) as snapshot:
-        meta, arrays = snapshot.meta, snapshot_arrays(snapshot)
-    assert ("embedding_store_scheme" in meta["digests"]) == (scheme == "blocks")
-    # The recorded payload digest stands in for the derived one, so only the
-    # store digest sees the changed byte (the item table is untouched).
-    recorded_payload = meta["digests"]["payload"]
-    restore = dict(verify=True, payload_digest=lambda: recorded_payload, source=path)
-    _restore_state(meta, arrays, **restore).close()
-    with pytest.raises(StoreError, match="digests do not match"):
-        _restore_state(meta, _flip_one_store_byte(arrays), **restore)
+    with Snapshot.open(path) as snapshot:
+        digests = snapshot.meta["digests"]
+    assert ("embedding_store_scheme" in digests) == (scheme == "blocks")
+    assert ("payload_scheme" in digests) == (scheme == "blocks")
+    _flip_store_byte(path)
+    if scheme == "legacy":  # verified eagerly: refused at load
+        with pytest.raises(StoreError, match="digests do not match"):
+            MatchSession.load(path)
+        return
+    # Refused at the first read of the block, by name, and at every read after.
+    with MatchSession.load(path) as session:
+        store = session.matcher._store
+        damaged = list(store.stored_blocks())[1]
+        reads = [
+            lambda: store.take(np.arange(len(store))),
+            store.blocks,
+            lambda: store[EntityRef(damaged, 0)],
+            lambda: store.take(np.arange(len(store))),
+        ]
+        for read in reads:
+            with pytest.raises(StoreError, match="store block 'store/block1'") as excinfo:
+                read()
+            assert str(path) in str(excinfo.value)
+        first = list(store.stored_blocks())[0]
+        assert store[EntityRef(first, 0)].shape == (store.stored_blocks()[first].shape[1],)
+        # A table fold is refused before it changes the matcher, every time.
+        held_out = music_tiny.tables[sorted(music_tiny.tables)[-1]]
+        for _ in range(2):
+            with pytest.raises(StoreError, match="store block 'store/block1'"):
+                session.matcher.add_table(held_out)
+        assert held_out.name not in session.matcher.known_sources
+
+
+def _nonblock_bytes(path) -> int:
+    with Snapshot.open(path) as snapshot:
+        return sum(
+            snapshot.entry(name)["nbytes"]
+            for name in snapshot.names()
+            if not name.startswith("store/block")
+        )
+
+
+def test_a_verified_load_hashes_no_store_block_and_a_first_take_each_touched_block_once(
+    music_tiny, tmp_path, hashed
+):
+    with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
+        matcher.fit(music_tiny)
+        matcher.save(tmp_path / "s.snap")
+    hashed.clear()
+    with MatchSession.load(tmp_path / "s.snap") as session:
+        # Every other segment once, then the item table's state digest.
+        table_bytes = _table_bytes(session.matcher)
+        assert sum(n for _, n in hashed) == _nonblock_bytes(tmp_path / "s.snap") + table_bytes
+        store = session.matcher._store
+        blocks = list(store.stored_blocks().values())
+        assert len(blocks) >= 3
+        assert not {_pointer(block) for block in blocks} & {pointer for pointer, _ in hashed}
+        hashed.clear()
+        starts = np.cumsum([0] + [block.shape[0] for block in blocks])
+        rows = np.array([starts[0], starts[2], starts[2] + 1, starts[0] + 1])
+        before = store.take(rows)
+        assert sorted(hashed) == sorted(
+            (_pointer(blocks[b]), blocks[b].nbytes) for b in (0, 2)
+        )
+        hashed.clear()
+        assert np.array_equal(store.take(rows), before) and not hashed
+        store.blocks()  # the other blocks, once each
+        assert sorted(hashed) == sorted(
+            (_pointer(block), block.nbytes) for b, block in enumerate(blocks) if b not in (0, 2)
+        )
+
+
+def test_concurrent_first_takes_check_each_block_once(music_tiny, tmp_path, hashed, monkeypatch):
+    with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
+        matcher.fit(music_tiny)
+        matcher.save(tmp_path / "s.snap")
+    with MatchSession.load(tmp_path / "s.snap") as session:
+        store = session.matcher._store
+        recording = snapshot_format.raw_bytes
+
+        def slow(array):  # widen the window in which a second reader could also hash
+            time.sleep(0.02)
+            return recording(array)
+
+        monkeypatch.setattr(snapshot_format, "raw_bytes", slow)
+        hashed.clear()
+        rows = np.arange(len(store))
+        barrier = threading.Barrier(4)
+
+        def take(_):
+            barrier.wait()
+            return store.take(rows)
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(take, range(4)))
+        assert all(np.array_equal(result, results[0]) for result in results)
+        blocks = store.stored_blocks().values()
+        assert sorted(hashed) == sorted((_pointer(block), block.nbytes) for block in blocks)
+
+
+def test_fsck_hashes_each_segment_once(music_tiny, tmp_path, hashed):
+    with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
+        matcher.fit(music_tiny)
+        matcher.save(tmp_path / "s.snap")
+    hashed.clear()
+    report = fsck_store(tmp_path)
+    assert report.ok
+    with Snapshot.open(tmp_path / "s.snap") as snapshot:
+        total = snapshot.total_bytes()
+    assert sum(n for _, n in hashed) == total
+    assert len({pointer for pointer, n in hashed if n}) == len([n for _, n in hashed if n])
 
 
 def _rewrite(source, target, edit) -> None:
@@ -175,6 +279,8 @@ def _rewrite(source, target, edit) -> None:
         meta = copy.deepcopy(snapshot.meta)
     edit(meta)
     writer.set_meta(meta)
+    if isinstance(meta.get("digests"), dict):  # a record consistent with the edited manifest
+        meta["digests"]["payload"] = writer.payload_digest()
     writer.save(target)
 
 

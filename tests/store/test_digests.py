@@ -20,7 +20,7 @@ import pytest
 from repro.store import Snapshot, SnapshotWriter
 from repro.core.representation import EmbeddingStore
 from repro.store.codecs import arrays_digest, embedding_store_digest
-from repro.store.format import segment_digest
+from repro.store.format import PAYLOAD_SCHEME, segment_digest
 
 
 def _historical_arrays_digest(arrays, *labels):
@@ -104,7 +104,8 @@ def test_segment_digest_equals_the_tobytes_recipe(mapped):
         assert segment_digest(*args) == _historical_segment_digest(*args), name
 
 
-def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped):
+def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped, tmp_path):
+    """The legacy stream equals the historical recipe; the new digest hashes the manifest."""
     writer, snapshot = mapped
     historical = hashlib.blake2b(digest_size=16)
     for name in snapshot.names():
@@ -112,8 +113,25 @@ def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped):
         _historical_segment(
             historical, name, entry["dtype"], tuple(entry["shape"]), snapshot.array(name)
         )
-    assert writer.payload_digest() == snapshot.payload_digest() == historical.hexdigest()
+    # No payload_scheme marker in the meta: the file reads the legacy stream.
+    assert snapshot.payload_digest() == snapshot.legacy_payload_digest() == historical.hexdigest()
     assert all(ok for _, ok, _ in snapshot.verify_segments())
+    marked = SnapshotWriter()
+    for name, array in _inputs().items():
+        marked.add_array(name, array)
+    marked.set_meta({"digests": {"payload": None, "payload_scheme": PAYLOAD_SCHEME}})
+    payload = marked.payload_digest()
+    marked.set_meta({"digests": {"payload": payload, "payload_scheme": PAYLOAD_SCHEME}})
+    marked.save(tmp_path / "marked.snap")
+    data = (tmp_path / "marked.snap").read_bytes()
+    _, _, offset, length = struct.unpack("<8sQQQ", data[:32])
+    manifest = json.loads(data[offset : offset + length])
+    del manifest["meta"]["digests"]["payload"]
+    expected = hashlib.blake2b(json.dumps(manifest, sort_keys=True).encode(), digest_size=16)
+    assert payload == expected.hexdigest()
+    with Snapshot.open(tmp_path / "marked.snap") as reread:
+        assert reread.payload_digest() == payload
+        assert reread.legacy_payload_digest() == historical.hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -157,6 +175,10 @@ def test_a_file_without_segment_digests_still_reads_and_verifies(tmp_path):
         assert snapshot.verify_segments() == [
             (name, True, "no per-segment digest recorded") for name in _inputs()
         ]
-        assert snapshot.payload_digest() == writer.payload_digest()
+        historical = hashlib.blake2b(digest_size=16)
+        for name, array in _inputs().items():
+            entry = snapshot.entry(name)
+            _historical_segment(historical, name, entry["dtype"], tuple(entry["shape"]), array)
+        assert snapshot.payload_digest() == historical.hexdigest()
         for name, array in _inputs().items():
             assert snapshot.array(name).tobytes() == np.ascontiguousarray(array).tobytes(), name

@@ -13,6 +13,7 @@ from repro.exceptions import StoreError
 from repro.store.format import (
     FORMAT_VERSION,
     MAGIC,
+    PAYLOAD_SCHEME,
     SUPPORTED_VERSIONS,
     DeltaWriter,
     Snapshot,
@@ -179,7 +180,7 @@ class TestDeltaWriterAndChain:
     def _write_base(self, path, array):
         writer = SnapshotWriter()
         writer.add_array("x", array)
-        writer.set_meta({"step": 0})
+        writer.set_meta({"step": 0, "digests": {"payload_scheme": PAYLOAD_SCHEME}})
         writer.save(path)
         return writer.payload_digest()
 

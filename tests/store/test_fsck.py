@@ -69,6 +69,26 @@ def _segment_offset(path, prefix: str) -> int:
     raise AssertionError(f"no non-empty canonical segment under {prefix!r}")
 
 
+def _as_written_before_the_manifest_payload(path) -> None:
+    """Rewrite a session file and its retirement marker as written before the
+    manifest payload digest: the same segments, no ``payload_scheme``, the stream payload."""
+    with Snapshot.open(path, mmap=False) as snapshot:
+        writer = SnapshotWriter()
+        for name in snapshot.names():
+            writer.add_array(name, snapshot.array(name))
+        meta, payload = snapshot.meta, snapshot.legacy_payload_digest()
+    del meta["digests"]["payload_scheme"]
+    meta["digests"]["payload"] = payload
+    writer.set_meta(meta)
+    writer.save(path)
+    marker_path = retirement_marker_path(path)
+    with open(marker_path, encoding="utf-8") as handle:
+        marker = json.load(handle)
+    marker["compacted_payload"] = payload
+    with open(marker_path, "w", encoding="utf-8") as handle:
+        json.dump(marker, handle)
+
+
 @pytest.fixture(scope="module")
 def split(music_tiny):
     names = sorted(music_tiny.tables)
@@ -188,8 +208,14 @@ class TestCorruptionMessages:
         bundle = prefix.rstrip("/")
         assert all(f"the {bundle!r} bundle is corrupted" in detail for _, detail in failures)
         assert all(name.startswith(prefix) for name, _ in failures)
-        with pytest.raises(StoreError):
-            load_matcher(target)
+        if prefix != "store/":
+            with pytest.raises(StoreError):
+                load_matcher(target)
+            return
+        # A store block is checked the first time its bytes are read.
+        with load_matcher(target) as matcher:
+            with pytest.raises(StoreError, match=failures[0][0]):
+                matcher._store.blocks()
 
     @pytest.mark.parametrize("native", ["0", "1"])
     def test_corruption_detected_with_and_without_native_kernel(
@@ -340,6 +366,29 @@ class TestGc:
         report = gc_store(clone)
         assert report.removed == []
         assert any("not honoured" in reason for _, reason in report.kept)
+        for name in ("s.snap", "s.snap.d1", "s.snap.d2"):
+            assert os.path.exists(clone / name), "old chain must survive a bad compaction"
+
+    @pytest.mark.parametrize("scheme", ["manifest", "legacy"])
+    def test_a_damaged_store_block_in_a_compacted_file_keeps_the_chain(
+        self, chain_template, tmp_path, capsys, scheme
+    ):
+        """The payload digest proves the manifest alone: gc must check every byte."""
+        from repro.cli import main
+
+        clone, _ = _clone(chain_template, tmp_path)
+        compact_session(clone / "s.snap.d2", clone / "c.snap", retire=True)
+        if scheme == "legacy":
+            _as_written_before_the_manifest_payload(clone / "c.snap")
+        assert fsck_store(clone).ok
+        _flip_byte(clone / "c.snap", _segment_offset(clone / "c.snap", "store/block") + 5)
+        assert main(["snapshot", "fsck", str(clone)]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("c.snap "))
+        assert "damaged" in row and "store/block" in row, row
+        assert main(["snapshot", "gc", str(clone)]) == 0
+        out = capsys.readouterr().out
+        assert "keep    c.snap.retired.json  (not honoured: compacted file 'c.snap'" in out, out
+        assert "remove" not in out
         for name in ("s.snap", "s.snap.d1", "s.snap.d2"):
             assert os.path.exists(clone / name), "old chain must survive a bad compaction"
 

@@ -15,7 +15,7 @@ from repro.data.serialization import serialize_table
 from repro.exceptions import DataError, StoreError
 from repro.store import MatchSession, load_matcher, save_session
 from repro.store.codecs import STORE_DIGEST_SCHEME, embedding_store_digest, item_table_digest
-from repro.store.format import Snapshot
+from repro.store.format import PAYLOAD_SCHEME, Snapshot, manifest_payload
 
 #: A full save written while the index cache was persisted (see test_seed_snapshots.py).
 SEED_BASE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "seed-base.snap")
@@ -107,9 +107,10 @@ class TestSessionRoundTrip:
         session = MatchSession.load(snapshot_path)
         assert session.known_sources == tuple(sorted(base.tables))
         assert set(session.digests) == {
-            "item_table", "embedding_store", "embedding_store_scheme", "payload"
+            "item_table", "embedding_store", "embedding_store_scheme", "payload", "payload_scheme"
         }
         assert session.digests["embedding_store_scheme"] == STORE_DIGEST_SCHEME
+        assert session.digests["payload_scheme"] == PAYLOAD_SCHEME
 
 
 class TestQueryMany:
@@ -248,11 +249,15 @@ class TestQueryIndexHolder:
 
 
 def _rewrite_manifest_meta(source, target, edit) -> None:
-    """Copy a snapshot file, passing its manifest's meta tree through ``edit``."""
+    """Copy a snapshot file, passing its manifest's meta tree through ``edit``.
+
+    The payload digest covers the manifest, so the copy records the edited one's.
+    """
     data = source.read_bytes()
     magic, version, offset, length = struct.unpack("<8sQQQ", data[:32])
     manifest = json.loads(data[offset : offset + length])
     edit(manifest["meta"])
+    manifest["meta"]["digests"]["payload"] = manifest_payload(manifest)
     encoded = json.dumps(manifest, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     header = struct.pack("<8sQQQ", magic, version, offset, len(encoded))
     target.write_bytes(header + data[32:offset] + encoded)
