@@ -651,10 +651,10 @@ def payload_scheme(meta: Any) -> "str | None":
 
 def manifest_payload(tree: dict) -> str:
     """BLAKE2b over a manifest tree's sorted-key JSON, its ``meta.digests.payload`` left out."""
+    tree = json.loads(json.dumps(tree))  # the tree a reader parses (str keys, lists)
     meta = tree.get("meta")
     if isinstance(meta, dict) and isinstance(meta.get("digests"), dict):
-        digests = {k: v for k, v in meta["digests"].items() if k != "payload"}
-        tree = {**tree, "meta": {**meta, "digests": digests}}
+        meta["digests"].pop("payload", None)
     digest = _new_payload_digest()
     digest.update(json.dumps(tree, sort_keys=True, ensure_ascii=False).encode())
     return digest.hexdigest()

@@ -2,10 +2,11 @@
 
 A store block never changes once registered, so the store remembers its
 digest: a delta save hashes the block it appends, the item table and its own
-segments, never a block an earlier save (or a verified load) already hashed.
-Manifests written before the per-block definition carry no
-``embedding_store_scheme`` marker and are verified under the old one; under
-either definition a changed byte in one block is refused.
+segments, never a block an earlier save (or a verified load) already knows.
+A verified load hashes no block: each is checked the first time its bytes
+are read, once. Manifests written before the per-block definition carry no
+``embedding_store_scheme`` marker and are verified under the old one, at
+load; under either definition a changed byte in one block is refused.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def test_each_delta_save_hashes_what_it_appends_not_the_store(shopee_tiny, tmp_p
             with Snapshot.open(tmp_path / f"s.snap.d{depth}") as delta:
                 segment_bytes = delta.total_bytes()
                 assert f"store/block{depth + 1}" in delta.names()
-            # The item table once, each own segment once (the payload folds the
-            # segment digests; the new block's segment digest is its block digest).
+            # The item table once, each own segment once (the payload digest is
+            # over the manifest; the new block's segment digest is its block digest).
             assert sum(n for _, n in hashed) == _table_bytes(matcher) + segment_bytes
             assert not published & {pointer for pointer, _ in hashed}, "an old block was re-hashed"
             blocks = matcher._store.blocks()
@@ -149,7 +150,7 @@ def _flip_store_byte(path, segment: str = "store/block1") -> None:
 
 @pytest.mark.parametrize("scheme", ["blocks", "legacy"])
 def test_a_changed_byte_in_one_store_block_is_refused(music_tiny, tmp_path, scheme):
-    if scheme == "legacy":  # written before the per-block definition and the fold
+    if scheme == "legacy":  # written before the per-block and the manifest payload digests
         path = tmp_path / "seed-base.snap"
         shutil.copy(os.path.join(DATA, "seed-base.snap"), path)
     else:
@@ -279,7 +280,7 @@ def _rewrite(source, target, edit) -> None:
         meta = copy.deepcopy(snapshot.meta)
     edit(meta)
     writer.set_meta(meta)
-    if isinstance(meta.get("digests"), dict):  # a record consistent with the edited manifest
+    if "payload" in (meta.get("digests") or {}):  # consistent with the edited manifest
         meta["digests"]["payload"] = writer.payload_digest()
     writer.save(target)
 
@@ -296,14 +297,19 @@ def _unknown_scheme(meta):
     meta["digests"]["embedding_store_scheme"] = "sha-tree-9"
 
 
+def _drop_payload(meta):
+    del meta["digests"]["payload"]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_drop_record, "digest record is missing or not an object"),
         (_list_record, "digest record is missing or not an object"),
         (_unknown_scheme, "unknown embedding-store digest scheme 'sha-tree-9'"),
+        (_drop_payload, "payload digests do not match its manifest"),
     ],
-    ids=["missing", "not-an-object", "unknown-scheme"],
+    ids=["missing", "not-an-object", "unknown-scheme", "no-payload"],
 )
 def test_a_bad_digest_record_is_refused_by_name(music_tiny, tmp_path, edit, message):
     with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
@@ -313,3 +319,6 @@ def test_a_bad_digest_record_is_refused_by_name(music_tiny, tmp_path, edit, mess
     with pytest.raises(StoreError, match=message):
         MatchSession.load(tmp_path / "bad.snap")
     load_matcher(tmp_path / "bad.snap", verify=False).close()
+    if edit is not _unknown_scheme:  # an intact file this reader cannot read is fsck-clean
+        status = {s.name: s for s in fsck_store(tmp_path).files}["bad.snap"]
+        assert status.status == "damaged", status
