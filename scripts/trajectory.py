@@ -3,11 +3,12 @@
 
 ``python3 scripts/trajectory.py [RECORD.json ...]``
 
-Reads every ``BENCH_*.json`` at the repository root (or the named records),
-in file-name order, and prints one column per record and one row per
-end-to-end metric any record summarizes. A cell is the parent's median, the
-change's median, the change's wins over the pairs, and ``gain`` where the
-record's verdict claims one. The cells are ``scripts/paired_bench.py``'s
+Reads every ``BENCH_*.json`` at the repository root (or the named records)
+and prints one row per record, in file-name order: its name, workload, seed
+and both shas, then one column per end-to-end metric any record summarizes.
+A cell is the parent's median, the change's median, the change's wins over
+the pairs, and ``gain`` where the record's verdict claims one (``.`` where
+the record has no such metric). The cells are ``scripts/paired_bench.py``'s
 summary fields as recorded; ``tests/test_bench_records.py`` is what
 recomputes them from the raw pairs.
 """
@@ -42,30 +43,23 @@ def cell(row: dict) -> str:
 
 
 def table(records: "list[tuple[str, dict]]") -> str:
-    """The metric x record table, three header lines and one line per metric."""
+    """The metric x record table: a header line, then one line per record."""
     metrics: dict[str, str] = {}
-    columns = []
+    for _, record in records:
+        for row in record["summary"]:
+            metrics.setdefault(row["metric"], row["unit"])
+    lines = [["record", "workload", "seed", "parent..change"]
+             + [f"{metric} ({unit})" for metric, unit in metrics.items()]]
     for name, record in records:
         summary = {row["metric"]: row for row in record["summary"]}
-        for metric, row in summary.items():
-            metrics.setdefault(metric, row["unit"])
-        shas = [(record["shas"].get(side) or "-")[:7] for side in ("parent", "change")]
-        header = [name, f"{record['workload']} seed {record['seed']}", " -> ".join(shas)]
-        cells = {metric: cell(row) for metric, row in summary.items()}
-        width = max(len(text) for text in header + list(cells.values()))
-        columns.append((header, cells, width))
-    label = max([len(metric) for metric in metrics] + [len("metric")])
-    lines = []
-    for line in range(3):
-        first = "metric" if line == 0 else ""
-        lines.append(f"{first:<{label}}  {'unit' if line == 0 else '':<9}" + "".join(
-            f"  {header[line]:<{width}}" for header, _, width in columns
-        ))
-    for metric, unit in metrics.items():
-        lines.append(f"{metric:<{label}}  {unit:<9}" + "".join(
-            f"  {cells.get(metric, '.'):<{width}}" for _, cells, width in columns
-        ))
-    return "\n".join(line.rstrip() for line in lines)
+        shas = "..".join((record["shas"].get(side) or "-")[:7] for side in ("parent", "change"))
+        lines.append([name, record["workload"], str(record["seed"]), shas]
+                     + [cell(summary[metric]) if metric in summary else "." for metric in metrics])
+    widths = [max(len(line[column]) for line in lines) for column in range(len(lines[0]))]
+    return "\n".join(
+        "  ".join(text.ljust(width) for text, width in zip(line, widths)).rstrip()
+        for line in lines
+    )
 
 
 def main(argv=None) -> int:

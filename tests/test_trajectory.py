@@ -1,7 +1,7 @@
 """``scripts/trajectory.py`` over the committed ``BENCH_*.json`` records.
 
-It runs no benchmark: each committed record must come out as one column, and
-each metric its summary holds as one row whose cell shows that record's
+It runs no benchmark: each committed record must come out as one row, and
+each metric its summary holds as a column whose cell shows that record's
 medians, wins and verdict.
 """
 
@@ -28,22 +28,19 @@ def _load_script():
 TRAJECTORY = _load_script()
 
 
-def test_every_committed_record_is_a_column_and_every_metric_a_row():
+def test_every_committed_record_is_a_row_with_its_medians_and_verdicts():
     done = subprocess.run([sys.executable, SCRIPT], capture_output=True, text=True, cwd=REPO)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    body = {row.split()[0]: row for row in rows[2:]}
     records = sorted(glob.glob(os.path.join(REPO, "BENCH_*.json")))
-    assert records
-    positions = []
-    for path in records:
-        name = os.path.basename(path).removeprefix("BENCH_").removesuffix(".json")
-        positions.append(header.index(name))
+    names = [os.path.basename(p).removeprefix("BENCH_").removesuffix(".json") for p in records]
+    assert [row.split()[0] for row in rows] == names, "one row per record, in file-name order"
+    for path, row in zip(records, rows):
         with open(path) as handle:
             record = json.load(handle)
-        for row in record["summary"]:
-            assert TRAJECTORY.cell(row) in body[row["metric"]], (name, row["metric"])
-    assert positions == sorted(positions), "records are columns in file-name order"
+        for summary in record["summary"]:
+            assert f"{summary['metric']} ({summary['unit']})" in header
+            assert TRAJECTORY.cell(summary) in row, (path, summary["metric"])
 
 
 def test_a_metric_one_record_lacks_shows_a_dot(tmp_path):
@@ -53,8 +50,7 @@ def test_a_metric_one_record_lacks_shows_a_dot(tmp_path):
     partial = dict(record, summary=record["summary"][:1])
     (tmp_path / "BENCH_a.json").write_text(json.dumps(record))
     (tmp_path / "BENCH_b.json").write_text(json.dumps(partial))
-    lines = TRAJECTORY.table(TRAJECTORY.load_records(sorted(map(str, tmp_path.iterdir()))))
-    rows = {line.split()[0]: line for line in lines.splitlines()[3:]}
-    first, last = record["summary"][0], record["summary"][-1]
-    assert rows[first["metric"]].count(TRAJECTORY.cell(first)) == 2
-    assert rows[last["metric"]].rstrip().endswith(".")
+    text = TRAJECTORY.table(TRAJECTORY.load_records(sorted(map(str, tmp_path.iterdir()))))
+    _, full, lacking = text.splitlines()
+    assert all(TRAJECTORY.cell(row) in full for row in record["summary"])
+    assert TRAJECTORY.cell(record["summary"][0]) in lacking and lacking.endswith(".")
