@@ -165,6 +165,7 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
         args.snapshot, mmap=not args.copy, allow_rollback=args.allow_rollback
     )
     matcher = session.matcher
+    matcher._store.blocks()  # the load defers block checks to first read; run them all
     base = matcher._base
     loaded_path = base["path"] if base is not None else args.snapshot
     if Path(loaded_path).resolve() != Path(args.snapshot).resolve():

@@ -90,9 +90,8 @@ class IncrementalMultiEM:
         merged, _ = merge_item_tables(
             self._table, new_table, self.config.merging, executor=self._executor
         )
-        # Commit state only after the merge succeeded and every block pruning
-        # reads passed its deferred check (a loaded store checks blocks at first
-        # read), so a failed add_table leaves the matcher consistent and retryable.
+        # Commit state only after the merge succeeded and every block a loaded store
+        # deferred passed its check, so a failed add_table leaves the matcher retryable.
         self._store.blocks()
         self._store.add_table(embeddings)
         self._table = merged

@@ -68,11 +68,10 @@ class EmbeddingStore(Mapping):
     A registered block never changes: the store holds a read-only view of
     it, so a write through :meth:`blocks` or ``store[ref]`` raises, and the
     snapshot digest the store remembers per block (:meth:`block_digest`)
-    cannot go stale. A verified snapshot load hands the store each block
-    unread, with the digest the file records for it
-    (:meth:`defer_block_check`): :meth:`take`, :meth:`blocks` and
-    ``store[ref]`` run a block's check the first time they hand out its
-    bytes, once per block, and a mismatch raises before any byte is used.
+    cannot go stale. A verified snapshot load hands each block over unread
+    with its recorded digest (:meth:`defer_block_check`): :meth:`take`,
+    :meth:`blocks` and ``store[ref]`` check a block the first time they hand
+    out its bytes, once, and a mismatch raises before any byte is used.
     """
 
     def __init__(self) -> None:

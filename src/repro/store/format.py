@@ -40,13 +40,12 @@ Payload digest
 --------------
 
 Each manifest entry records its segment's digest (BLAKE2b over name, dtype,
-shape and raw bytes); the **payload digest** is a digest of the manifest, all
-but its own value (:func:`manifest_payload`), so it folds every segment digest
-(a two-level Merkle tree) and covers the meta, chain and delta trees too. A
-save hashes each byte once and chain links verify from manifests alone, while
-:meth:`Snapshot.verify_segments` proves the bytes. A file records
-``meta["digests"]["payload_scheme"]``; one without it reads the old stream
-definition, :meth:`Snapshot.legacy_payload_digest`.
+shape and raw bytes); the **payload digest** is a digest of the manifest but
+its own value (:func:`manifest_payload`): it folds every segment digest (a
+two-level Merkle tree) and the meta, chain and delta trees. A save hashes each
+byte once, chain links verify from manifests alone, and
+:meth:`Snapshot.verify_segments` proves the bytes. Files without
+``meta["digests"]["payload_scheme"]`` read :meth:`Snapshot.legacy_payload_digest`.
 
 Format version policy
 ---------------------
@@ -248,8 +247,10 @@ class SnapshotWriter:
         return manifest_offset + len(manifest)
 
     def payload_digest(self) -> str:
-        """:func:`manifest_payload` of the manifest :meth:`save` writes; equals
-        :meth:`Snapshot.payload_digest` of the file if its meta carries the marker."""
+        """:func:`manifest_payload` of the manifest :meth:`save` writes, which
+        :meth:`Snapshot.payload_digest` re-derives: the meta must name the scheme."""
+        if payload_scheme(self._meta) is None:
+            raise StoreError("a new file's meta must record digests.payload_scheme")
         return manifest_payload(self._layout()[2])
 
 

@@ -304,7 +304,7 @@ def _restore_state(chain: SnapshotChain, *, verify: bool):
     )
     config = codecs.config_from_meta(meta["config"], source=str(source), dropped=dropped)
     codecs.warn_retired(dropped, str(source))
-    matcher = IncrementalMultiEM.from_snapshot_state(
+    return IncrementalMultiEM.from_snapshot_state(
         config=config,
         encoder=encoder,
         attributes=tuple(meta["attributes"]),
@@ -312,8 +312,7 @@ def _restore_state(chain: SnapshotChain, *, verify: bool):
         table=table,
         store=store,
         known_sources=meta["known_sources"],
-    )
-    return matcher, arrays
+    ), arrays
 
 
 def _open_chain_once(path, *, mmap: bool, verify: bool):
@@ -332,13 +331,16 @@ def _open_chain_session(path, *, mmap: bool, verify: bool, allow_rollback: bool 
 
     Opening first sweeps partial files left by provably-dead writers (a live
     writer's in-flight temp is never touched). With ``allow_rollback=True``,
-    a tip that fails to open or verify falls back to its deepest intact
-    ancestor (:func:`repro.store.fsck.deepest_intact`) — an explicit opt-in,
-    because it silently serves older state.
+    a tip that fails to open or verify, its store blocks checked at once,
+    falls back to its deepest intact ancestor (:func:`repro.store.fsck.deepest_intact`)
+    — an explicit opt-in, because it silently serves older state.
     """
     sweep_partials(_store_dir(path))
     try:
-        return _open_chain_once(path, mmap=mmap, verify=verify)
+        matcher, meta = _open_chain_once(path, mmap=mmap, verify=verify)
+        if allow_rollback:  # a damaged block must roll back now, not raise at first read
+            matcher._store.blocks()
+        return matcher, meta
     except StoreError:
         if not allow_rollback:
             raise

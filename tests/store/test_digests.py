@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.exceptions import StoreError
 from repro.store import Snapshot, SnapshotWriter
 from repro.core.representation import EmbeddingStore
 from repro.store.codecs import arrays_digest, embedding_store_digest
@@ -132,6 +133,14 @@ def test_writer_and_reader_payload_digests_equal_the_tobytes_recipe(mapped, tmp_
     with Snapshot.open(tmp_path / "marked.snap") as reread:
         assert reread.payload_digest() == payload
         assert reread.legacy_payload_digest() == historical.hexdigest()
+
+
+def test_a_writer_without_the_payload_scheme_refuses_a_payload_digest(mapped):
+    """A writer returns only the digest its file re-derives: the manifest payload
+    needs the marker, and the legacy stream is a read path only."""
+    writer, _ = mapped
+    with pytest.raises(StoreError, match="payload_scheme"):
+        writer.payload_digest()
 
 
 @pytest.mark.parametrize(

@@ -296,6 +296,22 @@ class TestFsck:
         session = MatchSession.load(tip, allow_rollback=True)
         assert item_table_digest(session.matcher.integrated_table) == states[0][0]
 
+    def test_rollback_on_a_damaged_store_block_serves_its_parent(self, chain_template, tmp_path):
+        """A verified load checks blocks at first read, so a tip whose own block is
+        damaged loads; rollback must check every block now and serve the parent."""
+        clone, states = _clone(chain_template, tmp_path)
+        tip = clone / "s.snap.d2"
+        _flip_byte(tip, _segment_offset(tip, "store/block"))
+        assert os.path.basename(deepest_intact(tip)) == "s.snap.d1"
+        matcher = load_matcher(tip, allow_rollback=True)
+        assert matcher._base["path"].endswith("s.snap.d1")
+        assert item_table_digest(matcher.integrated_table) == states[1][0]
+        assert embedding_store_digest(matcher._store) == states[1][1]
+        matcher._store.take(np.arange(len(matcher._store)))  # every block intact
+        session = MatchSession.load(tip, allow_rollback=True)
+        assert item_table_digest(session.matcher.integrated_table) == states[1][0]
+        session.close()
+
     def test_rollback_with_no_intact_ancestor_raises(self, chain_template, tmp_path):
         clone, _ = _clone(chain_template, tmp_path)
         for name in ("s.snap", "s.snap.d1", "s.snap.d2"):
@@ -552,6 +568,20 @@ class TestCli:
         _flip_byte(tip, _segment_offset(tip, "table/"))
         assert main(["snapshot", "load", str(tip)]) == 2  # ReproError path
         capsys.readouterr()
+        assert main(["snapshot", "load", str(tip), "--allow-rollback"]) == 0
+        out = capsys.readouterr().out
+        assert "rolled back to intact ancestor" in out and "s.snap.d1" in out
+
+    def test_load_reports_a_damaged_store_block(self, chain_template, tmp_path, capsys):
+        """``snapshot load`` prints every digest "(verified)": it checks every store
+        block, which a verified load defers to first read."""
+        from repro.cli import main
+
+        clone, _ = _clone(chain_template, tmp_path)
+        tip = clone / "s.snap.d2"
+        _flip_byte(tip, _segment_offset(tip, "store/block"))
+        assert main(["snapshot", "load", str(tip)]) == 2
+        assert "store/block" in capsys.readouterr().err
         assert main(["snapshot", "load", str(tip), "--allow-rollback"]) == 0
         out = capsys.readouterr().out
         assert "rolled back to intact ancestor" in out and "s.snap.d1" in out
