@@ -294,51 +294,50 @@ def _bundle_bytes(snapshot) -> str:
 
 def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     from .store import Snapshot
-    from .store.fsck import chain_link_failure, check_snapshot_file
+    from .store.fsck import verify_chain
 
-    with Snapshot.open(args.snapshot) as snapshot:
-        print(f"{args.snapshot}: format version {snapshot.format_version}")
-        meta = snapshot.meta
-        if isinstance(meta, dict) and meta.get("type"):
-            print(f"meta type: {meta['type']}")
-        if snapshot.chain is not None:
-            print(f"chain: depth {snapshot.chain['depth']}, "
-                  f"parent {snapshot.chain['parent']} "
-                  f"(payload {snapshot.chain['parent_payload']})")
-        else:
-            print("chain: base snapshot (no parent)")
-        aliases = snapshot.alias_map()
-        print(f"segments: {len(snapshot.names())} entries, "
-              f"{snapshot.total_bytes()} payload bytes, {len(aliases)} aliased")
-        print(f"bundles: {_bundle_bytes(snapshot)}")
-        for name in snapshot.names():
-            entry = snapshot.entry(name)
-            if "alias_of" in entry:
-                print(f"  {name:<48s} alias of {entry['alias_of']}")
+    try:
+        snapshot = Snapshot.open(args.snapshot)
+    except (ReproError, OSError) as exc:  # nothing to list; the verdict below says why too
+        print(f"error: {exc}", file=sys.stderr)
+    else:
+        with snapshot:
+            print(f"{args.snapshot}: format version {snapshot.format_version}")
+            meta = snapshot.meta
+            if isinstance(meta, dict) and meta.get("type"):
+                print(f"meta type: {meta['type']}")
+            if snapshot.chain is not None:
+                print(f"chain: depth {snapshot.chain['depth']}, "
+                      f"parent {snapshot.chain['parent']} "
+                      f"(payload {snapshot.chain['parent_payload']})")
             else:
-                shape = "x".join(str(d) for d in entry["shape"]) or "scalar"
-                misalign = entry["offset"] % 64
-                align = "64-aligned" if misalign == 0 else f"MISALIGNED (+{misalign})"
-                print(f"  {name:<48s} {entry['dtype']:>6s} {shape:>14s} "
-                      f"{entry['nbytes']:>12d} B @ {entry['offset']:<12d} {align}")
-        if snapshot.delta is not None:
-            ops: dict[str, int] = {}
-            for spec in snapshot.delta["arrays"].values():
-                ops[spec["op"]] = ops.get(spec["op"], 0) + 1
-            summary = ", ".join(f"{op}={count}" for op, count in sorted(ops.items()))
-            print(f"delta ops over {len(snapshot.delta['arrays'])} logical arrays: {summary}")
-    status = check_snapshot_file(args.snapshot)
-    if status.ok and status.parent is not None:
-        parent_path = Path(args.snapshot).resolve().parent / status.parent
-        parent = check_snapshot_file(parent_path) if parent_path.exists() else None
-        failure = chain_link_failure(status, parent)
-        if failure is not None:
-            status.status, status.detail = failure
+                print("chain: base snapshot (no parent)")
+            aliases = snapshot.alias_map()
+            print(f"segments: {len(snapshot.names())} entries, "
+                  f"{snapshot.total_bytes()} payload bytes, {len(aliases)} aliased")
+            print(f"bundles: {_bundle_bytes(snapshot)}")
+            for name in snapshot.names():
+                entry = snapshot.entry(name)
+                if "alias_of" in entry:
+                    print(f"  {name:<48s} alias of {entry['alias_of']}")
+                else:
+                    shape = "x".join(str(d) for d in entry["shape"]) or "scalar"
+                    misalign = entry["offset"] % 64
+                    align = "64-aligned" if misalign == 0 else f"MISALIGNED (+{misalign})"
+                    print(f"  {name:<48s} {entry['dtype']:>6s} {shape:>14s} "
+                          f"{entry['nbytes']:>12d} B @ {entry['offset']:<12d} {align}")
+            if snapshot.delta is not None:
+                ops: dict[str, int] = {}
+                for spec in snapshot.delta["arrays"].values():
+                    ops[spec["op"]] = ops.get(spec["op"], 0) + 1
+                summary = ", ".join(f"{op}={count}" for op, count in sorted(ops.items()))
+                print(f"delta ops over {len(snapshot.delta['arrays'])} logical arrays: {summary}")
+    status = verify_chain(args.snapshot)[0]  # the file itself and its whole ancestry
     if not status.ok:
         print(f"verification: FAILED ({status.status})")
         print(f"  {status.detail}")
         return 1
-    print("verification: ok (segments, payload digest, chain link)")
+    print("verification: ok (segments, payload digests, chain links)")
     return 0
 
 

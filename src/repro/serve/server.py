@@ -85,35 +85,17 @@ def _snapshot_signature(path: str) -> tuple | None:
 def _resolve_chain_tip(directory: str) -> str | None:
     """The deepest loadable snapshot in a chain directory (ties break by name).
 
-    Scans regular files only (quarantine subdirectories, markers, and
-    partials are skipped or fail to parse and are ignored), reads each
-    manifest for its chain depth, and returns the deepest tip — the file a
+    Reads manifests only (:func:`repro.store.fsck.read_store`, which skips
+    quarantine subdirectories, markers, partials and dotfiles, and lists an
+    unreadable file with its error) and returns the deepest tip — the file a
     :class:`~repro.store.format.SnapshotChain` open would fold the most
     state from. Returns ``None`` when the directory holds no snapshot yet.
     """
-    from ..store.format import Snapshot
+    from ..store.fsck import read_store
 
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return None
-    best_key = None
-    best_path = None
-    for name in names:
-        if name.startswith("."):
-            continue
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        try:
-            with Snapshot.open(path, mmap=False) as snapshot:
-                depth = snapshot.chain["depth"] if snapshot.chain is not None else 0
-        except (ReproError, OSError, ValueError, KeyError):
-            continue
-        key = (depth, name)
-        if best_key is None or key > best_key:
-            best_key, best_path = key, path
-    return best_path
+    members = read_store(directory)
+    tips = [(member.depth, name) for name, member in members.items() if member.error is None]
+    return os.path.join(directory, max(tips)[1]) if tips else None
 
 
 class MatchServer:

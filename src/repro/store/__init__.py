@@ -53,7 +53,9 @@ operations serialize on a per-directory writer lock
 digests, payload digests, chain links), quarantines unrecoverable damage,
 rolls a damaged tip back to its deepest intact ancestor (opt-in), and
 garbage-collects chain files superseded by a verified compaction
-(``compact_session(retire=True)`` writes the authorizing marker). The
+(``compact_session(retire=True)`` writes the authorizing marker). Every one
+of these paths, and a load, decides whether a snapshot is intact with the
+same three functions (see :mod:`repro.store.fsck`). The
 fault-injection switchboard behind the crash-matrix tests lives in
 :mod:`repro.faults`.
 

@@ -6,9 +6,10 @@ Every codec is a pure pair of functions::
     *_from_state(meta, arrays)
 
 where ``meta`` is a JSON-serializable tree and the arrays dict holds raw
-numpy buffers. :func:`pack` / :func:`unpack` shuttle a bundle into / out of a
-:class:`~repro.store.format.SnapshotWriter` / ``Snapshot`` under a name
-prefix (the array-name list rides in the meta under ``"__arrays__"``).
+numpy buffers. A session stores each bundle under a name prefix, its
+array-name list riding in the meta under ``"__arrays__"``
+(:func:`repro.store.session.session_state_bundle`; :func:`unpack_arrays`
+reads one back).
 
 Restored arrays are adopted **verbatim** (zero-copy when the snapshot is
 memory-mapped): a loaded object computes the exact bytes the saved one did.
@@ -42,9 +43,7 @@ from ..core.merging import ItemTable
 from ..core.representation import EmbeddingStore
 from ..exceptions import ConfigurationError, StoreError
 from .format import (
-    Snapshot,
     SnapshotChain,
-    SnapshotWriter,
     buffer_key,
     raw_bytes,
     segment_digest,
@@ -56,25 +55,11 @@ logger = logging.getLogger("repro.store")
 
 
 # ------------------------------------------------------------------- plumbing
-def pack(writer: SnapshotWriter, prefix: str, state) -> dict:
-    """Write a ``(meta, arrays)`` bundle under ``prefix``; returns the meta."""
-    meta, arrays = state
-    meta = dict(meta)
-    meta["__arrays__"] = list(arrays)
-    for name, array in arrays.items():
-        writer.add_array(prefix + name, array)
-    return meta
-
-
-def unpack(snapshot: Snapshot, prefix: str, meta: dict) -> "dict[str, np.ndarray]":
-    """Read back the arrays of a bundle written by :func:`pack`."""
-    return {name: snapshot.array(prefix + name) for name in meta["__arrays__"]}
-
-
 def unpack_arrays(
     arrays: "Mapping[str, np.ndarray]", prefix: str, meta: dict
 ) -> "dict[str, np.ndarray]":
-    """:func:`unpack` against a flat logical-array mapping (chain restores)."""
+    """The arrays of one bundle, read out of a flat logical-array mapping by its
+    ``__arrays__`` name list (see :func:`repro.store.session.session_state_bundle`)."""
     return {name: arrays[prefix + name] for name in meta["__arrays__"]}
 
 

@@ -235,10 +235,6 @@ def resolve_chain_arrays(chain) -> "dict[str, np.ndarray]":
     would hold.
     """
     arrays = snapshot_arrays(chain.base)
-    for snapshot in chain.snapshots[1:]:
-        if snapshot.delta is None:
-            raise StoreError(
-                f"chain segment {snapshot.path!r} has a parent link but no delta spec"
-            )
+    for snapshot in chain.snapshots[1:]:  # each has a link, so a delta spec (Snapshot._parse)
         arrays = apply_bundle(snapshot.delta, arrays, snapshot.array)
     return arrays

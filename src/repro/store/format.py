@@ -126,7 +126,6 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 _ALIGNMENT = 64
 _HEADER = struct.Struct("<8sQQQ")  # magic, version, manifest offset, manifest length
-_LINK_KEYS = {"parent", "parent_payload", "depth"}
 
 
 def _aligned(offset: int) -> int:
@@ -286,21 +285,25 @@ class Snapshot:
     """
 
     def __init__(self, manifest: dict, buffer, *, copy: bool, closer=None) -> None:
-        if not isinstance(manifest, dict) or "arrays" not in manifest:
+        entries = manifest.get("arrays") if isinstance(manifest, dict) else None
+        if not (isinstance(entries, dict) and all(isinstance(e, dict) for e in entries.values())):
             raise StoreError("snapshot manifest is malformed")
-        self._entries: dict[str, dict] = manifest["arrays"]
+        self._entries: dict[str, dict] = entries
         self._manifest = {k: v for k, v in manifest.items() if k != "__format_version__"}
         self.meta: Any = manifest.get("meta", {})
         #: Parent link for delta files (``None`` for base snapshots).
         self.chain: dict | None = manifest.get("chain")
         #: Delta array spec for delta files (``None`` for base snapshots).
         self.delta: dict | None = manifest.get("delta")
+        #: Chain depth: 0 for a base snapshot, the link's depth for a delta file.
+        self.depth: int = 0 if self.chain is None else self.chain["depth"]
         #: Header format version of the source buffer.
         self.format_version: int = int(manifest.get("__format_version__", FORMAT_VERSION))
         #: Origin path, set by :meth:`open`.
         self.path: str | None = None
         self._closer = closer
         self._materialized: dict[str, np.ndarray] | None = None
+        self._payload: str | None = None
         if copy:
             self._materialized = {
                 name: self._view(buffer, name).copy() for name in self._entries
@@ -375,9 +378,24 @@ class Snapshot:
             raise StoreError(f"snapshot manifest is not valid JSON: {exc}") from exc
         if isinstance(parsed, dict):
             parsed["__format_version__"] = int(version)
-            chain = parsed.get("chain")
-            if chain is not None and not (isinstance(chain, dict) and _LINK_KEYS <= chain.keys()):
+            chain, delta = parsed.get("chain"), parsed.get("delta")
+            if chain is not None and not (  # a parent basename, its payload, a depth >= 1
+                isinstance(chain, dict)
+                and {"parent", "parent_payload", "depth"} <= chain.keys()
+                and chain["parent"] not in ("", ".", "..")
+                and os.path.basename(str(chain["parent"])) == chain["parent"]
+                and type(chain["depth"]) is int
+                and chain["depth"] >= 1
+            ):
                 raise StoreError(f"snapshot chain link is malformed: {chain!r}")
+            if delta is not None and not (
+                isinstance(delta, dict) and isinstance(delta.get("arrays"), dict)
+            ):
+                raise StoreError(f"snapshot delta spec is malformed: {delta!r}")
+            if delta is None and chain is not None:
+                raise StoreError("snapshot manifest has a chain link without a delta spec")
+            if chain is None and delta is not None:
+                raise StoreError("snapshot manifest has a delta spec but no chain link")
         return parsed
 
     # -------------------------------------------------------------- access
@@ -445,10 +463,14 @@ class Snapshot:
     def payload_digest(self) -> str:
         """The payload digest under this file's own scheme (see the module docstring):
         under the marker it reads the manifest only, without it
-        :meth:`legacy_payload_digest`; an unknown marker raises :class:`StoreError`."""
-        if payload_scheme(self.meta) is None:
-            return self.legacy_payload_digest()
-        return manifest_payload(self._manifest)
+        :meth:`legacy_payload_digest`; an unknown marker raises :class:`StoreError`.
+        Derived once per open file (a load and its link check both ask)."""
+        if self._payload is None:
+            legacy = payload_scheme(self.meta) is None
+            self._payload = (
+                self.legacy_payload_digest() if legacy else manifest_payload(self._manifest)
+            )
+        return self._payload
 
     def legacy_payload_digest(self) -> str:
         """Read path of files without the marker: one BLAKE2b stream over every
@@ -530,11 +552,12 @@ class SnapshotChain:
     :attr:`snapshots` is ordered base first, so ``snapshots[-1]`` (also
     :attr:`tip`) carries the logical state the chain reconstructs.
 
-    Opening performs structural checks only (links resolve, depths agree);
-    :meth:`verify_links` additionally re-derives every parent's payload
-    digest under that parent's own scheme and compares it to the digest its
-    child recorded at append time, proving no parent changed since the delta
-    was diffed against it (under the marker its manifest; its bytes are what
+    Both halves of the link rule (:func:`link_failure`) run here: opening
+    checks the structure (parents present, depths agree), and
+    :meth:`verify_links` re-derives every parent's payload digest under that
+    parent's own scheme and compares it to the digest its child recorded at
+    append time, proving no parent changed since the delta was diffed
+    against it (under the marker its manifest; its bytes are what
     :meth:`Snapshot.verify_segments` checks).
     """
 
@@ -546,44 +569,35 @@ class SnapshotChain:
 
     @classmethod
     def open(cls, path: str | os.PathLike, *, mmap: bool = True, max_depth: int = 4096) -> "SnapshotChain":
-        """Open ``path`` and every ancestor it links to (tip → … → base)."""
-        snapshots: list[Snapshot] = []
-        paths: list[str] = []
+        """Open ``path`` and every ancestor it links to (tip → … → base).
+
+        Each link must hold structurally under :func:`link_failure`: the
+        parent is present and sits one level shallower.
+        """
         current = os.fspath(path)
+        snapshots = [Snapshot.open(current, mmap=mmap)]
+        paths = [current]
         try:
-            while True:
-                snapshot = Snapshot.open(current, mmap=mmap)
-                snapshots.append(snapshot)
-                paths.append(current)
-                chain = snapshot.chain
-                if chain is None:
-                    if snapshot.delta is not None:
-                        raise StoreError(
-                            f"snapshot {current!r} carries a delta spec but no chain link"
-                        )
-                    break
+            while snapshots[-1].chain is not None:
                 if len(snapshots) > max_depth:
                     raise StoreError(f"snapshot chain exceeds {max_depth} segments (cycle?)")
-                parent = os.path.join(os.path.dirname(current) or ".", chain["parent"])
-                if not os.path.exists(parent):
-                    raise StoreError(
-                        f"snapshot {current!r} links to missing parent {chain['parent']!r} "
-                        f"(expected at {parent!r})"
-                    )
-                current = parent
+                link = snapshots[-1].chain
+                parent_path = os.path.join(os.path.dirname(current) or ".", link["parent"])
+                parent = None
+                if os.path.exists(parent_path):
+                    parent = Snapshot.open(parent_path, mmap=mmap)
+                    snapshots.append(parent)
+                failure = link_failure(link, None if parent is None else parent.depth)
+                if failure is not None:
+                    raise StoreError(f"snapshot {current!r}: {failure}")
+                current = parent_path
+                paths.append(current)
         except BaseException:
             for snapshot in snapshots:
                 snapshot.close()
             raise
         snapshots.reverse()
         paths.reverse()
-        for depth, snapshot in enumerate(snapshots):
-            recorded = 0 if snapshot.chain is None else int(snapshot.chain["depth"])
-            if recorded != depth:
-                raise StoreError(
-                    f"chain segment {paths[depth]!r} records depth {recorded} "
-                    f"but sits at depth {depth}"
-                )
         return cls(snapshots, paths)
 
     # ------------------------------------------------------------ structure
@@ -611,18 +625,11 @@ class SnapshotChain:
 
     # ---------------------------------------------------------- verification
     def verify_links(self) -> None:
-        """Check every parent's payload digest against its child's record."""
-        for child_index in range(1, len(self.snapshots)):
-            child = self.snapshots[child_index]
-            parent = self.snapshots[child_index - 1]
-            recorded = child.chain["parent_payload"] if child.chain else None
-            derived = parent.payload_digest()
-            if recorded != derived:
-                raise StoreError(
-                    f"chain link broken: {self.paths[child_index]!r} was appended onto a "
-                    f"parent with payload {recorded}, but {self.paths[child_index - 1]!r} "
-                    f"now derives {derived} (parent modified or replaced)"
-                )
+        """Check every link under :func:`link_failure`, each parent's payload included."""
+        for child, parent, path in zip(self.snapshots[1:], self.snapshots, self.paths[1:]):
+            failure = link_failure(child.chain, parent.depth, parent.payload_digest())
+            if failure is not None:
+                raise StoreError(f"snapshot {path!r}: {failure}")
 
     # ------------------------------------------------------------- lifetime
     def close(self) -> None:
@@ -634,6 +641,33 @@ class SnapshotChain:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def link_failure(
+    link: dict, parent_depth: "int | None", parent_payload: "str | None" = None
+) -> "str | None":
+    """Why a delta file's chain ``link`` does not hold (``None`` when it does): the
+    one link rule of every reader, chain opens and fsck alike.
+
+    The parent is present (``parent_depth``, its :attr:`Snapshot.depth`, is
+    not ``None``), sits one level shallower, and still derives the payload
+    digest the child was appended onto (``parent_payload``, which ``None``
+    leaves unchecked, as opening a chain does).
+    """
+    parent, depth = link["parent"], link["depth"]
+    if parent_depth is None:
+        return f"links to missing parent {parent!r}"
+    if depth != parent_depth + 1:
+        return (
+            f"chain depth {depth} does not follow parent {parent!r} at depth {parent_depth}: "
+            f"a file that records depth {depth} needs a parent at depth {depth - 1}"
+        )
+    if parent_payload is not None and parent_payload != link["parent_payload"]:
+        return (
+            f"chain link broken: appended onto parent payload {link['parent_payload']}, "
+            f"but {parent!r} now derives {parent_payload} (parent modified or replaced)"
+        )
+    return None
 
 
 # ------------------------------------------------------------ payload digests

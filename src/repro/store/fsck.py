@@ -3,11 +3,18 @@
 A snapshot store directory holds base snapshots, append-only chain deltas,
 retirement markers left by compaction, the writer ``.lock``, and — after a
 crash — partial ``*.tmp.<pid>`` files. This module is the offline half of
-the durability story (:mod:`repro.store.format` is the online half):
+the durability story (:mod:`repro.store.format` is the online half).
+
+Whether a snapshot is intact is decided by one function per question, and a
+verified load, fsck, ``snapshot inspect``, gc, the rollback target and the
+server's chain-tip choice all call the same ones: which files a directory holds
+(:func:`read_store`, manifests only; a file that does not open is listed
+with the reader's error), whether one file is intact
+(:func:`check_snapshot_file`), and whether a chain link holds
+(:func:`repro.store.format.link_failure`).
 
 * :func:`fsck_store` scans one directory, verifies every snapshot file
-  (header, manifest, per-segment digests, whole-payload digest, chain links
-  and depths), classifies the damage, sweeps stale partials, and — in
+  and every chain link, classifies the damage, sweeps stale partials, and — in
   repair mode — quarantines files whose state can never be reconstructed
   (damaged files and every descendant whose ancestry runs through one).
   fsck **repairs** what is mechanically recoverable (stale partials, stale
@@ -15,9 +22,10 @@ the durability story (:mod:`repro.store.format` is the online half):
   **quarantines** what is not (bit rot inside a segment, broken chain
   links): quarantined files move to ``quarantine/`` untouched, never
   deleted, so a better replica can still be salvaged by hand.
-* :func:`deepest_intact` walks a chain from its tip and returns the deepest
-  member whose *entire* ancestry verifies — the opt-in ``--allow-rollback``
-  load target after tip damage.
+* :func:`verify_chain` judges a chain the way fsck judges a directory
+  (``snapshot inspect`` prints its tip's verdict), and
+  :func:`deepest_intact` returns the deepest member whose *entire* ancestry
+  verifies — the opt-in ``--allow-rollback`` load target after tip damage.
 * :func:`gc_store` deletes chain files superseded by a compaction. GC is
   strictly **marker-driven**: ``compact_session(..., retire=True)`` records
   which files the compacted base replaces; GC honours a marker only after
@@ -33,15 +41,17 @@ the durability story (:mod:`repro.store.format` is the online half):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..exceptions import StoreError
-from .format import MAGIC, Snapshot, SnapshotChain, atomic_output
-from .lock import LOCK_NAME, StoreLock, pid_alive
+from .format import Snapshot, atomic_output, link_failure
+from .lock import StoreLock, pid_alive
 
 #: Partial files left by :func:`repro.store.format.atomic_output`.
 _TMP_RE = re.compile(r"\.tmp\.(\d+)$")
@@ -86,13 +96,53 @@ def sweep_partials(directory, *, all_pids: bool = False) -> "list[str]":
     return removed
 
 
-def is_snapshot_file(path) -> bool:
-    """Whether ``path`` starts with the snapshot magic (cheap, header-only)."""
+#: What opening a file that is not an intact snapshot can raise.
+_READ_ERRORS = (StoreError, OSError, ValueError, struct.error)
+
+
+class Member(NamedTuple):
+    """One file of a store directory as its manifest describes it."""
+
+    parent: "str | None"  #: the parent's basename (delta files), else None
+    depth: int  #: chain depth (0 for a base and for an unreadable file)
+    error: "str | None" = None  #: why the file does not open as a snapshot
+
+
+def _read_member(path) -> Member:
     try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
+        with Snapshot.open(path) as snapshot:
+            return Member(snapshot.chain and snapshot.chain["parent"], snapshot.depth)
+    except _READ_ERRORS as exc:
+        return Member(None, 0, f"unreadable: {exc}")
+
+
+def read_store(directory) -> "dict[str, Member]":
+    """Every snapshot file of ``directory`` by name, read from its manifest alone.
+
+    Every regular file is one, and a file that does not open as a snapshot
+    carries the reader's error; exempt are dotfiles (the writer ``.lock``),
+    ``*.tmp.<pid>`` partials, retirement markers and subdirectories
+    (``quarantine/``).
+    """
+    directory = os.fspath(directory) or "."
+    try:
+        names = sorted(os.listdir(directory))
     except OSError:
-        return False
+        return {}
+    return {
+        name: _read_member(os.path.join(directory, name))
+        for name in names
+        if not (name.startswith(".") or _TMP_RE.search(name) or name.endswith(RETIRE_SUFFIX))
+        and os.path.isfile(os.path.join(directory, name))
+    }
+
+
+def _markers(directory: str) -> "list[str]":
+    return sorted(
+        name
+        for name in os.listdir(directory)
+        if name.endswith(RETIRE_SUFFIX) and os.path.isfile(os.path.join(directory, name))
+    )
 
 
 @dataclass
@@ -100,15 +150,21 @@ class FileStatus:
     """One file's verdict in an fsck report."""
 
     name: str
-    kind: str  # "base" | "delta" | "partial" | "marker" | "lock" | "other"
+    kind: str  # "base" | "delta" | "marker" | "partial" | "unknown"
     status: str  # "ok" | "damaged" | "orphaned" | "swept" | "quarantined"
     detail: str = ""
     #: Derived payload digest (ok snapshot files only; feeds link checks).
     payload: str | None = None
-    #: Parent basename and payload digest recorded in the manifest (delta files only).
-    parent: str | None = None
-    parent_payload: str | None = None
-    depth: int = 0
+    #: The manifest's chain link (delta files only; see :func:`~repro.store.format.link_failure`).
+    link: dict | None = None
+
+    @property
+    def parent(self) -> "str | None":
+        return None if self.link is None else self.link["parent"]
+
+    @property
+    def depth(self) -> int:
+        return 0 if self.link is None else self.link["depth"]
 
     @property
     def ok(self) -> bool:
@@ -138,86 +194,83 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def check_snapshot_file(path) -> FileStatus:
-    """Verify one snapshot file in isolation (no chain resolution).
+def check_snapshot_file(source, *, defer_blocks: bool = False) -> FileStatus:
+    """The one per-file check: is this snapshot intact on its own (no chain resolution)?
 
-    Checks, in order: header + manifest parse, every segment's bounds and
-    recorded per-segment digest (each byte hashed once), and — for session
-    snapshots, which must record one — the payload digest under the file's
-    own scheme. Each failure mode carries its own message so
-    a flipped bit in ``table/…`` reads differently from a truncated manifest.
+    ``source`` is a path or an open :class:`Snapshot` (a load checks the
+    mapping it folds). Checks, in order: header + manifest parse, every
+    segment's bounds and recorded digest (each byte hashed once), and the
+    payload digest under the file's own scheme, which session files and
+    files naming the scheme must record. ``defer_blocks=True`` leaves the
+    ``store/block*`` segments to a load's check at first read. Each failure
+    mode has its own message, so a flipped bit in ``table/…`` reads
+    differently from a truncated manifest.
     """
-    name = os.path.basename(os.fspath(path))
-    try:
-        snapshot = Snapshot.open(path, mmap=True)
-    except (StoreError, OSError, ValueError, struct.error) as exc:
-        return FileStatus(name, "unknown", "damaged", f"unreadable: {exc}")
-    with snapshot:
-        chain = snapshot.chain or {}
-        kind = "delta" if snapshot.chain is not None else "base"
-        link = {
-            "parent": chain.get("parent"),
-            "parent_payload": chain.get("parent_payload"),
-            "depth": int(chain.get("depth", 0)),
-        }
-        failures = [
-            f"{segment}: {detail}"
-            for segment, passed, detail in snapshot.verify_segments()
-            if not passed
-        ]
+    if isinstance(source, Snapshot):
+        name, opened = os.path.basename(source.path or ""), contextlib.nullcontext(source)
+    else:
+        name = os.path.basename(os.fspath(source))
+        try:
+            opened = Snapshot.open(source)
+        except _READ_ERRORS as exc:
+            return FileStatus(name, "unknown", "damaged", f"unreadable: {exc}")
+    with opened as snapshot:
+        kind = "base" if snapshot.chain is None else "delta"
+        status = FileStatus(name, kind, "damaged", link=snapshot.chain)
+        names = [n for n in snapshot.names() if not (defer_blocks and n.startswith("store/block"))]
+        failures = [f"{n}: {d}" for n, ok, d in snapshot.verify_segments(names) if not ok]
         if failures:
-            return FileStatus(name, kind, "damaged", "; ".join(failures), **link)
+            status.detail = f"segment digests do not match its contents ({'; '.join(failures)})"
+            return status
         try:
             payload = snapshot.payload_digest()
         except StoreError as exc:
-            return FileStatus(name, kind, "damaged", str(exc), **link)
+            status.detail = str(exc)
+            return status
         meta = snapshot.meta if isinstance(snapshot.meta, dict) else {}
         digests = meta.get("digests") if isinstance(meta.get("digests"), dict) else {}
         recorded = digests.get("payload")
-        if (meta.get("type") == SESSION_TYPE and not digests) or (
-            "payload_scheme" in digests and recorded is None
-        ):
-            return FileStatus(name, kind, "damaged", "no payload digest recorded", **link)
-        if recorded is not None and recorded != payload:
-            return FileStatus(
-                name,
-                kind,
-                "damaged",
-                f"payload digest mismatch (recorded {recorded}, derived {payload})",
-                **link,
+        session_without_record = meta.get("type") == SESSION_TYPE and not digests
+        required = session_without_record or "payload_scheme" in digests
+        if recorded != payload and (recorded is not None or required):
+            status.detail = (
+                f"payload digests do not match its manifest (recorded {recorded}, "
+                f"derived {payload}): corrupted file"
             )
-        if snapshot.chain is not None and snapshot.delta is None:
-            return FileStatus(name, kind, "damaged", "chain link without a delta spec", **link)
-        return FileStatus(name, kind, "ok", "verified", payload=payload, **link)
+            return status
+        status.status, status.detail, status.payload = "ok", "verified", payload
+        return status
 
 
-def chain_link_failure(
-    status: FileStatus, parent: "FileStatus | None"
-) -> "tuple[str, str] | None":
-    """Why an intact delta's link to its parent fails, as ``(status, detail)``.
-
-    ``status`` is a verified delta's verdict and ``parent`` its parent
-    file's (``None`` when the parent is missing). Returns ``None`` when the
-    link holds: the parent verifies, sits one level shallower, and still
-    derives the payload digest the delta was appended onto.
-    """
-    if parent is None:
-        return "orphaned", f"parent {status.parent!r} is missing from the directory"
-    if parent.status != "ok":
-        return "orphaned", (
-            f"chain link broken: ancestry runs through {status.parent!r} ({parent.status})"
-        )
-    if status.depth != parent.depth + 1:
-        return "damaged", (
-            f"chain depth {status.depth} does not follow parent depth {parent.depth}"
-        )
-    if status.parent_payload != parent.payload:
-        return "damaged", (
-            f"chain link broken: appended onto parent payload {status.parent_payload}, "
-            f"but {status.parent!r} now derives {parent.payload} "
-            "(parent modified or replaced)"
-        )
-    return None
+def _verify(directory: str, names) -> "dict[str, FileStatus]":
+    """Each named file's own check, then every link between them, to a fixed point:
+    a descendant of damage, or of a missing parent, is orphaned (it can never
+    reconstruct), and any other link failure damages the child."""
+    statuses = {name: check_snapshot_file(os.path.join(directory, name)) for name in names}
+    changed = True
+    while changed:
+        changed = False
+        for status in statuses.values():
+            if status.status != "ok" or status.link is None:
+                continue
+            parent = statuses.get(status.parent)
+            if parent is not None and parent.status != "ok":
+                status.status = "orphaned"
+                status.detail = (
+                    f"chain link broken: ancestry runs through {status.parent!r} ({parent.status})"
+                )
+                changed = True
+                continue
+            failure = link_failure(
+                status.link,
+                None if parent is None else parent.depth,
+                None if parent is None else parent.payload,
+            )
+            if failure is not None:
+                status.status = "orphaned" if parent is None else "damaged"
+                status.detail = failure
+                changed = True
+    return statuses
 
 
 # -------------------------------------------------------------------- fsck
@@ -225,11 +278,11 @@ def fsck_store(directory, *, repair: bool = False) -> FsckReport:
     """Verify every snapshot file in ``directory``; optionally quarantine.
 
     Takes the writer lock (a concurrent writer would make every verdict
-    stale), sweeps all partial files, verifies each snapshot file and every
-    chain link between them, and marks files whose ancestry runs through
-    damage as ``orphaned``. With ``repair=True``, damaged and orphaned
-    files are moved into ``quarantine/`` — never deleted — so the remaining
-    directory holds only loadable state.
+    stale), sweeps all partial files, verifies each file :func:`read_store`
+    lists and every chain link between them, and marks files whose ancestry
+    runs through damage as ``orphaned``. With ``repair=True``, damaged and
+    orphaned files are moved into ``quarantine/`` — never deleted — so the
+    remaining directory holds only loadable state.
     """
     directory = os.fspath(directory) or "."
     report = FsckReport(directory=os.path.abspath(directory))
@@ -248,37 +301,9 @@ def fsck_store(directory, *, repair: bool = False) -> FsckReport:
             report.files.append(
                 FileStatus(name, "partial", "swept", "stale partial from a crashed writer")
             )
-        statuses: dict[str, FileStatus] = {}
-        for name in sorted(os.listdir(directory)):
-            path = os.path.join(directory, name)
-            if not os.path.isfile(path):
-                continue
-            if name == LOCK_NAME:
-                continue  # that's us
-            if _TMP_RE.search(name):
-                report.files.append(FileStatus(name, "partial", "swept", "stale partial"))
-                continue
-            if name.endswith(RETIRE_SUFFIX):
-                report.files.append(
-                    FileStatus(name, "marker", "ok", "compaction retirement marker")
-                )
-                continue
-            if not is_snapshot_file(path):
-                continue
-            statuses[name] = check_snapshot_file(path)
-
-        # Chain links between individually-intact files, to a fixed point: a
-        # descendant of damage can never reconstruct.
-        changed = True
-        while changed:
-            changed = False
-            for status in statuses.values():
-                if status.status != "ok" or status.parent is None:
-                    continue
-                failure = chain_link_failure(status, statuses.get(status.parent))
-                if failure is not None:
-                    status.status, status.detail = failure
-                    changed = True
+        for name in _markers(directory):
+            report.files.append(FileStatus(name, "marker", "ok", "compaction retirement marker"))
+        statuses = _verify(directory, read_store(directory))
 
         if repair:
             quarantine = os.path.join(directory, QUARANTINE_DIR)
@@ -299,44 +324,32 @@ def fsck_store(directory, *, repair: bool = False) -> FsckReport:
     return report
 
 
+def verify_chain(tip_path) -> "list[FileStatus]":
+    """The verdict of every member of the chain ending at ``tip_path``, tip first,
+    judged as :func:`fsck_store` judges a directory: a member is ``ok`` when its
+    bytes and its whole ancestry verify, which is what a verified load checks."""
+    directory, name = os.path.split(os.path.abspath(os.fspath(tip_path)))
+    members = read_store(directory)
+    members.setdefault(name, _read_member(os.path.join(directory, name)))
+    ancestry: list[str] = []
+    while name in members and name not in ancestry:
+        ancestry.append(name)
+        name = members[name].parent
+    statuses = _verify(directory, ancestry)
+    return [statuses[name] for name in ancestry]
+
+
 def deepest_intact(tip_path) -> "str | None":
     """Deepest chain member (from ``tip_path``) whose whole ancestry verifies.
 
-    Walks the recorded parent links tip → base as far as manifests remain
-    parseable, then returns the first (deepest) member that opens, link-
-    verifies, and passes every per-file digest check — the state an
-    ``--allow-rollback`` load falls back to. ``None`` when not even the
+    The first ``ok`` member of :func:`verify_chain`, tip first — the state
+    an ``--allow-rollback`` load falls back to. ``None`` when not even the
     base survives.
     """
-    tip_path = os.fspath(tip_path)
-    directory = os.path.dirname(tip_path) or "."
-    ancestry: list[str] = []
-    current = tip_path
-    while True:
-        ancestry.append(current)
-        try:
-            with Snapshot.open(current) as snapshot:
-                chain = snapshot.chain
-        except (StoreError, OSError, ValueError, struct.error):
-            break  # unreadable manifest: deeper ancestors are unreachable
-        if chain is None:
-            break
-        parent = os.path.join(directory, chain["parent"])
-        if not os.path.exists(parent):
-            break
-        current = parent
-    for candidate in ancestry:
-        if check_snapshot_file(candidate).status != "ok":
-            continue
-        try:
-            with SnapshotChain.open(candidate) as chain:
-                chain.verify_links()
-                if all(
-                    check_snapshot_file(path).status == "ok" for path in chain.paths[:-1]
-                ):
-                    return candidate
-        except (StoreError, OSError, ValueError, struct.error):
-            continue
+    directory = os.path.dirname(os.fspath(tip_path)) or "."
+    for status in verify_chain(tip_path):
+        if status.status == "ok":
+            return os.path.join(directory, status.name)
     return None
 
 
@@ -419,29 +432,14 @@ def gc_store(directory, *, dry_run: bool = False) -> GcReport:
     directory = os.fspath(directory) or "."
     report = GcReport(directory=os.path.abspath(directory), dry_run=dry_run)
     with StoreLock(directory):
-        parents: dict[str, str | None] = {}
-        markers: list[str] = []
-        for name in sorted(os.listdir(directory)):
-            path = os.path.join(directory, name)
-            if not os.path.isfile(path):
-                continue
-            if name.endswith(RETIRE_SUFFIX):
-                markers.append(name)
-                continue
-            if not is_snapshot_file(path):
-                continue
-            try:
-                with Snapshot.open(path) as snapshot:
-                    parents[name] = snapshot.chain.get("parent") if snapshot.chain else None
-            except (StoreError, OSError, ValueError, struct.error):
-                parents[name] = None  # damaged: fsck's problem, never gc's
-
+        # A file that does not open has no parent: fsck's problem, never gc's.
+        parents = {name: member.parent for name, member in read_store(directory).items()}
         referenced = {parent for parent in parents.values() if parent is not None}
         tips = {name for name in parents if name not in referenced}
 
         superseded_by_marker: dict[str, dict] = {}
         honoured_compacted: list[str] = []
-        for marker_name in markers:
+        for marker_name in _markers(directory):
             marker_path = os.path.join(directory, marker_name)
             try:
                 with open(marker_path, "r", encoding="utf-8") as handle:

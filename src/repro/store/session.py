@@ -55,7 +55,13 @@ from ..exceptions import DataError, StoreError
 from . import codecs
 from .delta import diff_bundle, resolve_chain_arrays
 from .format import PAYLOAD_SCHEME, DeltaWriter, SnapshotChain, SnapshotWriter, payload_scheme
-from .fsck import SESSION_TYPE, deepest_intact, sweep_partials, write_retirement_marker
+from .fsck import (
+    SESSION_TYPE,
+    check_snapshot_file,
+    deepest_intact,
+    sweep_partials,
+    write_retirement_marker,
+)
 from .lock import StoreLock
 
 logger = logging.getLogger("repro.store")
@@ -236,14 +242,16 @@ def save_session_delta(matcher: IncrementalMultiEM, path) -> dict:
 def _restore_state(chain: SnapshotChain, *, verify: bool):
     """Rehydrate a matcher from an open chain; returns ``(matcher, logical arrays)``.
 
-    A verified restore checks the chain links and the digest record. Under
-    the ``payload_scheme`` marker it reads only what it uses: the payload
-    digest proves the manifests first, every segment but the store blocks is
-    checked before the arrays are folded, and each block goes to the store
-    unread, checked when first read (:func:`codecs.defer_block_checks`). A
-    legacy record keeps the eager path: every byte is hashed at load. Retired
-    bundles (an old file's ``cache`` or ``shard``) and retired config keys
-    are dropped with one warning that names them all.
+    A verified restore checks the chain links, every chain file
+    (:func:`~repro.store.fsck.check_snapshot_file`, store blocks deferred)
+    and the digest record. Under the ``payload_scheme`` marker it reads only
+    what it uses: the payload digests prove the manifests, every segment but
+    the store blocks is checked before the arrays are folded, and each block
+    goes to the store unread, checked when first read
+    (:func:`codecs.defer_block_checks`). A legacy record keeps the eager
+    path: every byte is hashed at load. Retired bundles (an old file's
+    ``cache`` or ``shard``) and retired config keys are dropped with one
+    warning that names them all.
     """
     meta, source = chain.meta, chain.paths[-1]
     if not isinstance(meta, dict) or meta.get("type") != SESSION_TYPE:
@@ -253,24 +261,14 @@ def _restore_state(chain: SnapshotChain, *, verify: bool):
         if not isinstance(recorded, dict):
             raise StoreError(f"snapshot {source}: its digest record is missing or not an object")
         chain.verify_links()
-    lazy = verify and payload_scheme(meta) is not None
-    if verify and ("payload" in recorded or lazy):
-        derived["payload"] = chain.tip.payload_digest()
-    if lazy:
-        derived["payload_scheme"] = PAYLOAD_SCHEME
-        if derived["payload"] != recorded.get("payload"):
-            raise StoreError(
-                f"snapshot {source}: payload digests do not match its manifest (recorded "
-                f"{recorded.get('payload')}, derived {derived['payload']}): corrupted file"
-            )
         for snapshot, path in zip(chain.snapshots, chain.paths):
-            names = [name for name in snapshot.names() if not name.startswith("store/block")]
-            failures = [f"{n}: {d}" for n, ok, d in snapshot.verify_segments(names) if not ok]
-            if failures:
-                raise StoreError(
-                    f"snapshot {path}: segment digests do not match its contents "
-                    f"({'; '.join(failures)})"
-                )
+            status = check_snapshot_file(snapshot, defer_blocks=True)
+            if not status.ok:
+                raise StoreError(f"snapshot {path}: {status.detail}")
+        if "payload" in recorded:
+            derived["payload"] = status.payload  # the tip's: the loop checks it last
+        if payload_scheme(meta) is not None:
+            derived["payload_scheme"] = PAYLOAD_SCHEME
     arrays = resolve_chain_arrays(chain)
     dropped: list[str] = []
     meta = codecs.drop_retired(meta, "session", dropped, what="manifest bundle")
@@ -286,7 +284,7 @@ def _restore_state(chain: SnapshotChain, *, verify: bool):
         if scheme is None:  # written before per-block store digests
             derived["embedding_store"] = codecs.legacy_embedding_store_digest(store)
         elif scheme == codecs.STORE_DIGEST_SCHEME:
-            if lazy:
+            if "payload_scheme" in derived:  # the manifests are proved: check blocks at first read
                 codecs.defer_block_checks(store, chain)
             derived["embedding_store"] = codecs.embedding_store_digest(store)
             derived["embedding_store_scheme"] = scheme

@@ -15,12 +15,14 @@ import shutil
 
 import pytest
 
+from repro.config import paper_default_config
+from repro.core.incremental import IncrementalMultiEM
 from repro.data.serialization import serialize_table
 from repro.exceptions import ServeError
 from repro.serve import MatchServer, ServeConfig
 from repro.serve.protocol import canonical_json
 from repro.serve.server import _resolve_chain_tip
-from repro.store import MatchSession
+from repro.store import MatchSession, Snapshot
 from repro.store.session import load_matcher
 
 
@@ -56,6 +58,27 @@ def test_resolve_chain_tip_picks_deepest(serve_snapshot, serve_split, tmp_path):
     assert _resolve_chain_tip(str(empty)) is None
     with pytest.raises(ServeError):
         _serve(empty)
+
+
+def test_resolving_a_chain_tip_reads_manifests_only(music_tiny, tmp_path, monkeypatch):
+    """The tip of a three-file chain is chosen from manifests: no segment is read."""
+    names = sorted(music_tiny.tables)
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    with IncrementalMultiEM(paper_default_config(music_tiny.name)) as matcher:
+        matcher.fit(music_tiny.subset(names[:-2], name=music_tiny.name))
+        matcher.save(chain / "s.snap")
+        for depth, name in enumerate(names[-2:], start=1):
+            matcher.add_table(music_tiny.tables[name])
+            matcher.save(chain / f"s.snap.d{depth}", mode="delta")
+
+    def read_a_segment(*args, **kwargs):
+        raise AssertionError("the chain-tip choice read a segment")
+
+    # ``array`` reads a mapped segment; ``_view`` is also what a copying open reads.
+    monkeypatch.setattr(Snapshot, "array", read_a_segment)
+    monkeypatch.setattr(Snapshot, "_view", read_a_segment)
+    assert _resolve_chain_tip(str(chain)) == str(chain / "s.snap.d2")
 
 
 def test_chain_directory_follows_appended_delta(

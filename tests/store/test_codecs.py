@@ -16,13 +16,15 @@ from repro.store import codecs
 
 def roundtrip(state, from_state, tmp_path, *, mmap=True):
     """Write one bundle to disk and read it back (mmap by default)."""
+    meta, arrays = state
     writer = SnapshotWriter()
-    meta = codecs.pack(writer, "obj/", state)
+    for name, array in arrays.items():
+        writer.add_array("obj/" + name, array)
     writer.set_meta(meta)
     path = tmp_path / "bundle.bin"
     writer.save(path)
     snap = Snapshot.open(path, mmap=mmap)
-    return from_state(snap.meta, codecs.unpack(snap, "obj/", snap.meta))
+    return from_state(snap.meta, {name: snap.array("obj/" + name) for name in arrays})
 
 
 @pytest.fixture

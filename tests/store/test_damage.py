@@ -1,7 +1,9 @@
 """Multi-byte snapshot damage: every damaged copy is refused with a StoreError.
 
 Seeded offsets damage 1, 8 or 64 contiguous bytes of a music-20 ``tiny`` full
-snapshot and of a 3-delta chain tip (the tip file only), 200 cases each.
+snapshot and of a 3-delta chain tip (the tip file only), 200 cases each,
+with offsets drawn over the whole file and, in two more cases, over the
+64-byte header block.
 Each case loads the session, takes every store row and asks one query, so a
 store block the load hands over unread is checked by the take. A case either
 raises :class:`StoreError` (no other exception, no silent load), or its
@@ -27,6 +29,7 @@ pytestmark = pytest.mark.faults
 
 WIDTHS = (1, 8, 64)
 CASES = 200
+HEADER_BLOCK = 64  #: the header and its padding: the first segment starts here
 
 
 def _padding(path) -> "set[int]":
@@ -73,8 +76,21 @@ def stores(music_tiny, tmp_path_factory):
     return {"full": (full, "s.snap", text), "chain-tip": (chain, "s.snap.d3", text)}
 
 
-@pytest.mark.parametrize("kind, seed", [("full", 0), ("chain-tip", 1)])
-def test_multi_byte_damage_is_refused_or_lands_in_padding(stores, tmp_path, kind, seed):
+@pytest.mark.parametrize(
+    "kind, seed, starts, min_refused",
+    [
+        pytest.param("full", 0, None, CASES - 5, id="full-0"),
+        pytest.param("chain-tip", 1, None, CASES - 5, id="chain-tip-1"),
+        # Damage starting in the 64-byte header block: magic, version, manifest
+        # offset and length, then padding up to the first segment.
+        pytest.param("full", 2, HEADER_BLOCK, CASES // 2, id="full-header-2"),
+        pytest.param("chain-tip", 3, HEADER_BLOCK, CASES // 2, id="chain-tip-header-3"),
+    ],
+)
+def test_multi_byte_damage_is_refused_or_lands_in_padding(
+    stores, tmp_path, kind, seed, starts, min_refused
+):
+    """Offsets are drawn over the whole file, or over its first ``starts`` bytes."""
     source, name, text = stores[kind]
     intact = _outcome(source / name, text)
     assert not isinstance(intact, StoreError) and intact[0]
@@ -86,7 +102,7 @@ def test_multi_byte_damage_is_refused_or_lands_in_padding(stores, tmp_path, kind
     refused = 0
     for case in range(CASES):
         width = int(rng.choice(WIDTHS))
-        offset = int(rng.integers(0, len(pristine) - width + 1))
+        offset = int(rng.integers(0, starts or len(pristine) - width + 1))
         mask = rng.integers(1, 256, size=width, dtype=np.uint8)  # every byte changes
         data = np.frombuffer(pristine, dtype=np.uint8).copy()
         data[offset : offset + width] ^= mask
@@ -101,7 +117,7 @@ def test_multi_byte_damage_is_refused_or_lands_in_padding(stores, tmp_path, kind
             assert in_padding, f"{where}: damage outside padding loaded and answered"
             assert outcome == intact, f"{where}: padding damage changed an answer"
         assert fsck_store(directory).ok == in_padding, where
-    assert refused >= CASES - 5
+    assert refused >= min_refused
 
 
 def _damage_the_magic(stores, tmp_path, kind, width):
@@ -123,11 +139,6 @@ def test_damage_to_the_magic_is_refused_at_load(stores, tmp_path, kind):
         assert isinstance(_outcome(directory / name, text), StoreError), width
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="fsck_store picks snapshot files by their magic, so a damaged magic hides "
-    "the file and the store reads consistent (open: the fsck_store FOUND line in CHANGES.md)",
-)
 @pytest.mark.parametrize("kind", ["full", "chain-tip"])
 def test_fsck_agrees_with_load_on_damage_to_the_magic(stores, tmp_path, kind):
     for width in WIDTHS:
