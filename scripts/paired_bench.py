@@ -8,7 +8,10 @@ Each pair runs ``python3 bench/run.py --workload W --seed S`` once in each
 checkout, every run in a fresh subprocess with the checkout as its working
 directory, so each side runs its own ``bench/`` on its own ``src/``. The side
 that runs first alternates: the parent in pairs 0, 2, ..., the change in
-pairs 1, 3, .... Every run's result line is printed as it arrives.
+pairs 1, 3, .... Every run's result line is printed as it arrives, with the
+tuple digest the run wrote to its checkout's ``bench/out/result-W-*.json``
+(``facts.tuple_digest``); the last line says in how many pairs parent and
+change produced the same tuples.
 
 Then, for every end-to-end metric of the change's ``BENCHMARK.json``: the
 change's wins and ties (ties count for neither side), each side's median and
@@ -19,8 +22,8 @@ or an operation.
 
 With ``--record BENCH_<name>.json`` the comparison is also written down:
 both checkouts' git shas (null without ``.git``), the machine's
-fingerprint, every pair's run order and raw end-to-end values, and the
-summary (quartiles, wins, verdict). ``tests/test_bench_records.py``
+fingerprint, every pair's run order, raw end-to-end values and tuple
+digests, and the summary (quartiles, wins, verdict). ``tests/test_bench_records.py``
 recomputes each committed record's verdict from its raw pairs.
 
 With ``--trace`` every run is ``bench/run.py ... --trace 1`` instead, and the
@@ -50,17 +53,31 @@ def result_line(stdout: str) -> dict:
     raise ValueError("no result line in the benchmark output")
 
 
+def run_digest(checkout: str, workload: str, trace: bool = False) -> "str | None":
+    """The tuple digest in the result file a run of ``checkout`` wrote; None if unreadable."""
+    kind = "per_layer" if trace else "end_to_end"
+    path = os.path.join(checkout, "bench", "out", f"result-{workload}-{kind}.json")
+    try:
+        with open(path) as handle:
+            return json.load(handle)["facts"].get("tuple_digest")
+    except (OSError, ValueError, KeyError):
+        return None
+
+
 def run_side(checkout: str, workload: str, seed: int, trace: bool = False) -> dict:
-    """One benchmark run of ``checkout`` (traced: per-layer metrics); its result line."""
+    """One benchmark run of ``checkout`` (traced: per-layer metrics); its result line,
+    with the run's tuple digest under ``"digest"``."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     if trace:
         command += ["--trace", "1"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     try:
-        return result_line(done.stdout)
+        result = result_line(done.stdout)
     except ValueError:
         sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
         raise SystemExit(f"paired_bench: {checkout} printed no result (exit {done.returncode})")
+    result["digest"] = run_digest(checkout, workload, trace)
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -189,10 +206,11 @@ def main(argv=None) -> int:
             sides[side] = result
             run[side] = {"failed": result["failed"],
                          "values": {m["name"]: result["metrics"][m["name"]]["value"]
-                                    for m in metrics}}
+                                    for m in metrics},
+                         "digest": result.get("digest")}
             values = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
-            print(f"pair {pair} {side:6s} failed={result['failed']} {json.dumps(values)}",
-                  flush=True)
+            print(f"pair {pair} {side:6s} failed={result['failed']} "
+                  f"digest={run[side]['digest']} {json.dumps(values)}", flush=True)
         pairs.append((sides["parent"], sides["change"]))
         runs.append(run)
 
@@ -200,6 +218,8 @@ def main(argv=None) -> int:
     rows = summarize(pairs, metrics)
     print(f"== {args.workload}  seed {args.seed}  {args.pairs} {kind}  failed ops {failed}")
     print(format_rows(rows, verdict=not args.trace))
+    same = sum(run["parent"]["digest"] == run["change"]["digest"] is not None for run in runs)
+    print(f"tuple digests: parent and change agree in {same}/{len(runs)} pairs")
     if args.record:
         with open(args.record, "w") as handle:
             json.dump(record(args, runs, rows), handle, indent=1)

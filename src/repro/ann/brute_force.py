@@ -15,7 +15,9 @@ from .base import NearestNeighborIndex
 from .distances import PreparedVectors
 
 #: Query rows per exact-scan block; its shape picks the BLAS kernel, so answers depend on it.
-BATCH_SIZE = 2048
+#: 512 rows x ``brute_force_limit`` (4,096) x 4 B = 8 MB per concurrent scan, near cache size
+#: (2,048 rows held 32 MB); 256 saved little more and sent more blocks under 2^20 multiply-adds.
+BATCH_SIZE = 512
 
 
 class BruteForceIndex(NearestNeighborIndex):

@@ -54,12 +54,15 @@ def exact_topk_blocked(
     ``argmin`` reads it in one pass, without the block-sized int64 index slab
     (both halves are pinned by ``tests/ann/test_exact_scan.py``). ``visit``,
     if given, is called with each distance block before selection reads it.
+    One block is alive at a time: at ``brute_force.BATCH_SIZE`` (512) x ``brute_force_limit``
+    (4,096) rows, 8 MB of float32, plus 2 MB for each boolean tie mask beside it.
     """
     num_rows = prepared.size
     num_queries = prepared_queries.shape[0]
     effective_k = min(k, num_rows)
     for start in range(0, num_queries, batch_size):
         stop = min(start + batch_size, num_queries)
+        block = None  # the last block is freed before the next one is computed
         block = prepared.block_distances(prepared_queries[start:stop])
         if visit is not None:
             visit(block)

@@ -392,6 +392,9 @@ class Snapshot:
                 isinstance(delta, dict) and isinstance(delta.get("arrays"), dict)
             ):
                 raise StoreError(f"snapshot delta spec is malformed: {delta!r}")
+            for name, op in (delta["arrays"] if delta is not None else {}).items():
+                if not _op_is_whole(op):
+                    raise StoreError(f"snapshot delta op of {name!r} is malformed: {op!r}")
             if delta is None and chain is not None:
                 raise StoreError("snapshot manifest has a chain link without a delta spec")
             if chain is None and delta is not None:
@@ -673,6 +676,18 @@ def link_failure(
 # ------------------------------------------------------------ payload digests
 #: ``meta["digests"]["payload_scheme"]`` of files whose payload digest is :func:`manifest_payload`.
 PAYLOAD_SCHEME = "manifest"
+
+
+def _op_is_whole(op: Any) -> bool:
+    """Whether a delta op is one ``delta.apply_bundle`` knows, with every key it reads."""
+    kind = op.get("op") if isinstance(op, dict) else None
+    if kind not in ("full", "ref", "patch", "alias") or not isinstance(op.get("of", ""), str):
+        return False
+    if kind == "patch":
+        shape = op.get("shape")
+        return isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape) and (
+            isinstance(op.get("dtype"), str) and type(op.get("base_rows")) is int)
+    return kind != "alias" or "of" in op
 
 
 def payload_scheme(meta: Any) -> "str | None":

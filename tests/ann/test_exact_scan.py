@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import repro.ann.mutual as mutual_module
 from repro.ann import BruteForceIndex, mutual_top_k, top_k_pairs
 from repro.ann import engine
+from repro.ann.brute_force import BATCH_SIZE
 from repro.ann.distances import PreparedVectors, paired_distances
 
 #: The indexes' one metric, still a parameter so these test ids name it.
@@ -144,7 +145,7 @@ def _check_vectors(index, queries, ks, batch_size):
 @given(
     n=st.sampled_from(SIZES),
     num_queries=st.sampled_from((1, 2, 3, 6, 7, 8)),
-    batch_size=st.sampled_from((1, 3, 2048)),
+    batch_size=st.sampled_from((1, 3, BATCH_SIZE)),
     k_choice=st.sampled_from(("1", "2", "n", "n+3")),
     perturbations=st.sets(st.sampled_from(PERTURBATIONS)),
     seed=st.integers(0, 2**16),
@@ -190,7 +191,7 @@ def test_hand_made_blocks_with_signed_zeros_nan_and_inf_rows():
     row_ids = np.arange(len(matrix))
     assert list(_tied_rows(stub.matrix)) == [1, 2, 3, 4, 5, 6, 7, 8]
     for k in (1, 2, 4, 7):
-        for batch_size in (1, 3, 4, 2048):
+        for batch_size in (1, 3, 4, BATCH_SIZE):
             _check_scan(stub, row_ids, k, batch_size)
 
 
@@ -306,7 +307,11 @@ def test_one_pass_equals_two_scan_composition(n_a, n_b, max_distance, perturbati
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize(
     "n_a, n_b, one_pass",
-    [(2048 + 700, 2400, True), (2100, 2 * 2048 + 500, True), (2048 + 3, 500, False)],
+    [
+        (BATCH_SIZE + 350, BATCH_SIZE + 300, True),
+        (BATCH_SIZE + 250, 2 * BATCH_SIZE + 300, True),
+        (BATCH_SIZE + 3, 500, False),
+    ],
     ids=["2-blocks-each", "2-by-3-blocks", "3-row-tail-refused"],
 )
 def test_one_pass_over_several_blocks_equals_two_scans(metric, n_a, n_b, one_pass):
@@ -324,7 +329,7 @@ def _scan_blocks(vectors, queries):
     prepared, blocks = PreparedVectors(vectors), []
     indices, distances = engine.alloc_topk(len(queries), 1)
     engine.exact_topk_blocked(
-        prepared, prepared.prepare_queries(queries), 1, 2048, indices, distances, blocks.append
+        prepared, prepared.prepare_queries(queries), 1, BATCH_SIZE, indices, distances, blocks.append
     )
     return np.concatenate(blocks)
 
@@ -333,11 +338,13 @@ def _scan_blocks(vectors, queries):
 @pytest.mark.parametrize(
     "n_a, n_b, dim, admitted",
     [
-        (1, 500, 384, True), (2, 2048, 64, True), (37, 29, 16, True), (300, 200, 64, True),
-        (2048 + 55, 300, 64, True),  # a 55-row tail block: just over 2^20 multiply-adds
-        (2048 + 2, 2048 + 600, 384, True),  # a 2-row tail, large enough for the blocked GEMM
-        (2048 + 1, 2500, 384, False),  # a one-row tail block is a GEMV
-        (2048 + 3, 500, 64, False), (2050, 2500, 64, False),  # small-matrix tail blocks
+        (1, 500, 384, True), (2, BATCH_SIZE, 64, True), (37, 29, 16, True), (300, 200, 64, True),
+        (BATCH_SIZE + 55, 300, 64, True),  # a 55-row tail block: just over 2^20 multiply-adds
+        # a 2-row tail, large enough for the blocked GEMM
+        (BATCH_SIZE + 2, 2 * BATCH_SIZE + 400, 384, True),
+        (BATCH_SIZE + 1, BATCH_SIZE + 452, 384, False),  # a one-row tail block is a GEMV
+        # small-matrix tail blocks
+        (BATCH_SIZE + 3, 500, 64, False), (BATCH_SIZE + 2, BATCH_SIZE + 452, 64, False),
     ],
 )
 def test_one_pass_admits_only_shapes_that_transpose(metric, n_a, n_b, dim, admitted):
@@ -368,11 +375,11 @@ def test_top1_query_allocates_no_index_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (2048 * 4000 * 4)
+    assert peak < 1.5 * (BATCH_SIZE * 4000 * 4)
 
 
 def test_one_pass_holds_one_block():
-    """The one pass over a 2048 x 4000 block: one block alive, never both tie masks."""
+    """The one pass over 2048 x 4000 distances: one block of them alive, never both tie masks."""
     rng = np.random.default_rng(0)
     vectors_a = rng.standard_normal((2048, 64)).astype(np.float32)
     vectors_b = rng.standard_normal((4000, 64)).astype(np.float32)
@@ -383,4 +390,4 @@ def test_one_pass_holds_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (2048 * 4000 * 4)
+    assert peak < 1.5 * (BATCH_SIZE * 4000 * 4)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import shutil
 import struct
 
@@ -90,6 +91,16 @@ def _segment_entry_not_an_object(path) -> None:
     )
 
 
+def _first_op(op):
+    """A manifest edit for :func:`_rewrite`: the delta's first op becomes ``op``."""
+
+    def edit(tree) -> None:
+        arrays = tree["delta"]["arrays"]
+        arrays[next(iter(arrays))] = op
+
+    return edit
+
+
 DAMAGE = {
     "intact": lambda d: None,
     "magic": lambda d: _flip(d / TIP, 0),
@@ -104,6 +115,7 @@ DAMAGE = {
     ),
     "depth": lambda d: _rewrite(d / TIP, lambda tree: tree["chain"].update(depth=3)),
     "segment-entry": lambda d: _segment_entry_not_an_object(d / TIP),
+    "op-without-keys": lambda d: _rewrite(d / TIP, _first_op({"op": "patch"})),
 }
 
 
@@ -130,3 +142,25 @@ def test_every_path_reaches_the_same_verdict(chain, tmp_path, damage):
     }
     intact = damage == "intact"
     assert verdicts == dict.fromkeys(verdicts, intact), verdicts
+
+
+MALFORMED_OPS = {
+    "not-an-object": 5,
+    "unknown-op": {"op": "move"},
+    "patch-without-shape": {"op": "patch", "dtype": "<f4", "base_rows": 1},
+    "patch-shape-not-ints": {"op": "patch", "dtype": "<f4", "shape": [1.5], "base_rows": 1},
+    "patch-base-rows-not-int": {"op": "patch", "dtype": "<f4", "shape": [1], "base_rows": "1"},
+    "alias-without-of": {"op": "alias"},
+    "of-not-a-string": {"op": "ref", "of": 5},
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_OPS))
+def test_a_malformed_delta_op_is_refused_by_name(chain, tmp_path, kind):
+    tip = tmp_path / TIP
+    shutil.copy(chain / TIP, tip)
+    with Snapshot.open(tip) as snapshot:
+        name = next(iter(snapshot.delta["arrays"]))
+    _rewrite(tip, _first_op(MALFORMED_OPS[kind]))
+    with pytest.raises(StoreError, match=re.escape(f"delta op of {name!r} is malformed")):
+        Snapshot.open(tip)

@@ -4,6 +4,9 @@ A record is what ``scripts/paired_bench.py --record`` wrote for one paired
 comparison. This test runs no benchmark: it rebuilds each record's pairs from
 the raw values the record holds and asks the script's ``summarize`` for the
 verdict again, so a record cannot claim a gain its own numbers do not give.
+A record that holds tuple digests holds one per side: a run is deterministic
+per seed, so a second digest on one side means its runs did not compute the
+same thing (records written before digests were kept hold none).
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ def problems(record: dict) -> list[str]:
             found.append(f"run order {run.get('order')!r}")
         for side in ("parent", "change"):
             names += [name for name in run[side]["values"] if name not in names]
+    for side in ("parent", "change"):
+        digests = {run[side].get("digest") for run in runs}
+        if digests != {None} and len(digests) != 1:
+            found.append(f"{side} runs hold {len(digests)} tuple digests")
     unknown = sorted({name for name in names if name not in END_TO_END})
     if unknown:
         return found + [f"metrics missing from BENCHMARK.json: {unknown}"]
@@ -82,7 +89,7 @@ def _canned_record(tmp_path) -> dict:
     def canned(checkout, workload, seed, trace=False):
         metrics = {name: {"value": float(next(values)), "unit": m["unit"]}
                    for name, m in END_TO_END.items()}
-        return {"failed": 0, "metrics": metrics}
+        return {"failed": 0, "metrics": metrics, "digest": f"digest of {checkout}"}
 
     original = PAIRED.run_side
     PAIRED.run_side = canned
@@ -104,6 +111,7 @@ def test_a_written_record_holds_the_raw_pairs_and_recomputes(tmp_path):
     ]
     assert set(record["runs"][0]["parent"]["values"]) == set(END_TO_END)
     assert record["machine"]["cpus"] == os.cpu_count()
+    assert {run["change"]["digest"] for run in record["runs"]} == {f"digest of {REPO}"}
     assert problems(record) == []
 
 
@@ -118,3 +126,7 @@ def test_a_tampered_record_is_caught(tmp_path):
     unknown = copy.deepcopy(record)
     unknown["summary"][0]["metric"] = "not_a_metric"
     assert "missing from BENCHMARK.json" in problems(unknown)[-1]
+    for digest in ("another digest", None):  # a second digest, or one run without any
+        drifted = copy.deepcopy(record)
+        drifted["runs"][2]["parent"]["digest"] = digest
+        assert problems(drifted) == ["parent runs hold 2 tuple digests"]
